@@ -7,7 +7,7 @@ use hbdc_snap::{SnapError, StateReader, StateWriter};
 
 use crate::audit::{self, Violation};
 use crate::model::PortModel;
-use crate::request::{MemRequest, Offered, SpanGrant};
+use crate::request::{MemRequest, Offered};
 use crate::stats::ArbStats;
 
 /// A traditional multi-bank cache: `M` line-interleaved, single-ported
@@ -49,11 +49,6 @@ pub struct BankedPorts {
     // serialized, rebuilt by offer_reset after a snapshot restore.
     buckets: Vec<VecDeque<MemRequest>>,
     offered_len: usize,
-    // Span-drain scratch: per-bank queues of *view indices*, rebuilt at
-    // the top of every `drain_span` call (the live `buckets` mirror may
-    // be stale relative to the span's view and is never consulted there).
-    span_buckets: Vec<VecDeque<usize>>,
-    span_front: Vec<usize>,
     stats: ArbStats,
 }
 
@@ -75,8 +70,6 @@ impl BankedPorts {
             taken: vec![false; banks],
             buckets: vec![VecDeque::new(); banks],
             offered_len: 0,
-            span_buckets: vec![VecDeque::new(); banks],
-            span_front: Vec::new(),
             stats: ArbStats::new(banks),
         }
     }
@@ -197,55 +190,6 @@ impl PortModel for BankedPorts {
             self.stats.bump("bank_conflicts", conflicts);
         }
         self.stats.record_round(self.offered_len, granted.len());
-    }
-
-    // Span rounds replay the "oldest per bank, everything else
-    // conflicts" rule over scratch index queues seeded from the view, so
-    // the whole span costs O(view + rounds·banks) instead of
-    // O(rounds·offered).
-    fn drain_span(&mut self, offered: Offered<'_>, n: u64, out: &mut Vec<SpanGrant>) -> u64 {
-        if offered.is_empty() {
-            return 0;
-        }
-        for bucket in &mut self.span_buckets {
-            bucket.clear();
-        }
-        for i in 0..offered.len() {
-            let bank = self.mapper.bank_of(offered.addrs()[i]) as usize;
-            self.span_buckets[bank].push_back(i);
-        }
-        let mut remaining = offered.len();
-        let mut k = 0u64;
-        while k < n && remaining > 0 {
-            // The view is id-sorted, so ascending indices are ascending
-            // ids — the grant order `arbitrate_offered` reports.
-            self.span_front.clear();
-            for bucket in &self.span_buckets {
-                if let Some(&i) = bucket.front() {
-                    self.span_front.push(i);
-                }
-            }
-            self.span_front.sort_unstable();
-            let g = self.span_front.len();
-            let conflicts = (remaining - g) as u64;
-            if conflicts > 0 {
-                self.stats.bump("bank_conflicts", conflicts);
-            }
-            self.stats.record_round(remaining, g);
-            for &i in &self.span_front {
-                out.push(SpanGrant {
-                    offset: k,
-                    req: offered.get(i),
-                });
-            }
-            for bucket in &mut self.span_buckets {
-                bucket.pop_front();
-            }
-            remaining -= g;
-            k += 1;
-        }
-        self.stats.record_ticks(k);
-        k
     }
 
     fn tick(&mut self) {

@@ -3,7 +3,7 @@
 use hbdc_snap::{SnapError, StateReader, StateWriter};
 
 use crate::model::PortModel;
-use crate::request::{MemRequest, Offered, SpanGrant};
+use crate::request::{MemRequest, Offered};
 use crate::stats::ArbStats;
 
 /// Ideal multi-ported cache: every port has its own path to every entry,
@@ -67,28 +67,6 @@ impl PortModel for IdealPorts {
         for k in 0..n {
             granted.push(offered.get(k));
         }
-    }
-
-    // Each span round grants the next `ports`-sized prefix of whatever
-    // is left, so the whole schedule is a single pass over the view.
-    fn drain_span(&mut self, offered: Offered<'_>, n: u64, out: &mut Vec<SpanGrant>) -> u64 {
-        let mut cursor = 0usize;
-        let mut k = 0u64;
-        while k < n && cursor < offered.len() {
-            let remaining = offered.len() - cursor;
-            let g = remaining.min(self.ports);
-            self.stats.record_round(remaining, g);
-            for j in 0..g {
-                out.push(SpanGrant {
-                    offset: k,
-                    req: offered.get(cursor + j),
-                });
-            }
-            cursor += g;
-            k += 1;
-        }
-        self.stats.record_ticks(k);
-        k
     }
 
     fn tick(&mut self) {

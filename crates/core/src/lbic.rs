@@ -7,7 +7,7 @@ use hbdc_snap::{SnapError, StateReader, StateWriter};
 
 use crate::audit::{self, Violation};
 use crate::model::PortModel;
-use crate::request::{MemRequest, Offered, SpanGrant};
+use crate::request::{MemRequest, Offered};
 use crate::stats::ArbStats;
 
 /// How the LSQ combining logic picks the group of accesses for each bank
@@ -236,10 +236,6 @@ pub struct Lbic {
     mirrors: Vec<BankMirror>,
     group_pool: Vec<VecDeque<MemRequest>>, // recycled member deques
     offered_len: usize,
-    // Span-drain scratch: the shrinking remainder of the offered view and
-    // the per-round grant indices (reused across spans, never serialized).
-    span_rem: Vec<MemRequest>,
-    span_idx: Vec<usize>,
     stats: ArbStats,
 }
 
@@ -298,8 +294,6 @@ impl Lbic {
             mirrors: (0..n_banks).map(|_| BankMirror::default()).collect(),
             group_pool: Vec::new(),
             offered_len: 0,
-            span_rem: Vec::new(),
-            span_idx: Vec::new(),
             stats: ArbStats::new(n_banks * line_ports),
         }
     }
@@ -792,53 +786,6 @@ impl PortModel for Lbic {
             CombinePolicy::LargestGroup => self.arbitrate_largest_offered(granted),
         }
         self.stats.record_round(self.offered_len, granted.len());
-    }
-
-    // The LBIC's per-cycle state (store queues, drain coalescing, the
-    // leading/largest selection over a shrinking backlog) has no closed
-    // form, so the span schedule is built by literal replay: each round
-    // runs the real slice-walk arbiter over the remaining view and then
-    // the real `tick`, so store-queue pushes, idle-bank drains, and every
-    // extra-counter bump land in exactly the per-cycle order. Still a win
-    // for the caller: the whole span resolves in one call with no LSQ
-    // round-trip, and an empty view legally drains the store queues alone.
-    fn drain_span(&mut self, offered: Offered<'_>, n: u64, out: &mut Vec<SpanGrant>) -> u64 {
-        let mut rem = std::mem::take(&mut self.span_rem);
-        let mut idx = std::mem::take(&mut self.span_idx);
-        rem.clear();
-        rem.extend(offered.iter());
-        let mut k = 0u64;
-        while k < n && (!rem.is_empty() || self.banks.iter().any(|b| !b.store_queue.is_empty())) {
-            idx.clear();
-            match self.policy {
-                CombinePolicy::LeadingRequest => self.arbitrate_leading(&rem, &mut idx),
-                CombinePolicy::LargestGroup => self.arbitrate_largest(&rem, &mut idx),
-            }
-            self.stats.record_round(rem.len(), idx.len());
-            for &g in &idx {
-                out.push(SpanGrant {
-                    offset: k,
-                    req: rem[g],
-                });
-            }
-            // `idx` is ascending (walk order / sorted), so one retain pass
-            // with a cursor compacts the remainder in place.
-            let mut next = 0usize;
-            let mut i = 0usize;
-            rem.retain(|_| {
-                let keep = next >= idx.len() || idx[next] != i;
-                if !keep {
-                    next += 1;
-                }
-                i += 1;
-                keep
-            });
-            self.tick();
-            k += 1;
-        }
-        self.span_rem = rem;
-        self.span_idx = idx;
-        k
     }
 
     fn tick(&mut self) {

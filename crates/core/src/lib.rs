@@ -72,5 +72,5 @@ pub use inject::{FaultClass, FaultInjector};
 pub use lbic::{CombinePolicy, Lbic};
 pub use model::{PortConfig, PortModel};
 pub use replicated::ReplicatedPorts;
-pub use request::{MemRequest, Offered, SpanGrant};
+pub use request::{MemRequest, Offered};
 pub use stats::ArbStats;

@@ -8,7 +8,7 @@ use crate::banked::BankedPorts;
 use crate::ideal::IdealPorts;
 use crate::lbic::{CombinePolicy, Lbic};
 use crate::replicated::ReplicatedPorts;
-use crate::request::{MemRequest, Offered, SpanGrant};
+use crate::request::{MemRequest, Offered};
 use crate::stats::ArbStats;
 
 /// A data-cache port-arbitration model.
@@ -108,39 +108,6 @@ pub trait PortModel {
         self.arbitrate_into(&ready, &mut idx);
         granted.clear();
         granted.extend(idx.iter().map(|&i| ready[i]));
-    }
-
-    /// Computes the grant schedule for up to `n` consecutive quiescent
-    /// cycles in one call, appending each grant to `out` tagged with its
-    /// cycle offset, and returns the number of cycles `k <= n` actually
-    /// drained. Returning `0` (the default) declines the span; the driver
-    /// then falls back to per-cycle arbitration, so a model need not
-    /// implement this to stay correct.
-    ///
-    /// The caller guarantees the span is *quiescent*: `offered` is the
-    /// complete standing offered set, nothing joins or leaves it during
-    /// the span except the model's own grants, and every grant will be
-    /// serviced (never bounced back). Under that contract the result must
-    /// be bit-equivalent — grants, order, and every statistic — to `k`
-    /// repetitions of { arbitrate over the remaining set (`offered`
-    /// minus earlier span grants), then [`tick`](Self::tick) }, exactly
-    /// as the per-cycle driver would run them.
-    ///
-    /// Implementations must work purely from the `offered` view and
-    /// their own internal (non-mirror) state: any incremental offered-set
-    /// mirror may be stale relative to the view at this point (the driver
-    /// reconciles it through its normal delta feed afterwards) and must be
-    /// neither consulted nor mutated here.
-    ///
-    /// A model should stop early (`k < n`) once the remaining set is
-    /// empty and a further cycle would be a pure no-op for its internal
-    /// state — the same criterion [`next_event`](Self::next_event)
-    /// reports — leaving the rest of the span to the driver's idle-skip
-    /// machinery. An empty `offered` view is legal and asks only for
-    /// internal evolution (store-queue drains and their statistics).
-    fn drain_span(&mut self, offered: Offered<'_>, n: u64, out: &mut Vec<SpanGrant>) -> u64 {
-        let _ = (offered, n, out);
-        0
     }
 
     /// Advances internal state by one cycle (store-queue drain, etc.).

@@ -4,7 +4,7 @@ use hbdc_snap::{SnapError, StateReader, StateWriter};
 
 use crate::audit::{self, Violation};
 use crate::model::PortModel;
-use crate::request::{MemRequest, Offered, SpanGrant};
+use crate::request::{MemRequest, Offered};
 use crate::stats::ArbStats;
 
 /// Multi-ported cache built from `p` identical single-ported copies
@@ -98,39 +98,6 @@ impl PortModel for ReplicatedPorts {
             }
         }
         self.stats.record_round(offered.len(), granted.len());
-    }
-
-    // Each span round is still a prefix walk of whatever is left: a
-    // leading store goes alone, otherwise loads run up to the next store
-    // or the port count. One pass over the view covers the whole span.
-    fn drain_span(&mut self, offered: Offered<'_>, n: u64, out: &mut Vec<SpanGrant>) -> u64 {
-        let mut cursor = 0usize;
-        let mut k = 0u64;
-        while k < n && cursor < offered.len() {
-            let remaining = offered.len() - cursor;
-            let g = if offered.stores()[cursor] {
-                self.stats.bump("store_serializations", 1);
-                1
-            } else {
-                let mut g = 0usize;
-                while g < self.ports && cursor + g < offered.len() && !offered.stores()[cursor + g]
-                {
-                    g += 1;
-                }
-                g
-            };
-            for j in 0..g {
-                out.push(SpanGrant {
-                    offset: k,
-                    req: offered.get(cursor + j),
-                });
-            }
-            self.stats.record_round(remaining, g);
-            cursor += g;
-            k += 1;
-        }
-        self.stats.record_ticks(k);
-        k
     }
 
     fn tick(&mut self) {

@@ -134,22 +134,6 @@ impl<'a> Offered<'a> {
     }
 }
 
-/// One grant in a multi-cycle span schedule, as produced by
-/// [`PortModel::drain_span`](crate::PortModel::drain_span): the request
-/// serviced and the cycle offset (from the start of the span) at which
-/// the model grants it.
-///
-/// Schedules list grants in time order — ascending `offset`, and in age
-/// order (ascending id) within one offset — mirroring the per-cycle
-/// grant sequence the same model would produce round by round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanGrant {
-    /// Cycle offset within the span (`0` = the first drained cycle).
-    pub offset: u64,
-    /// The request granted at that cycle.
-    pub req: MemRequest,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

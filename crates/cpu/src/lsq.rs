@@ -708,16 +708,6 @@ impl Lsq {
         self.pending_forwards.clear();
     }
 
-    /// Whether any load is parked in a state that *retiring a store* can
-    /// change: a dep-waiter wakes (and may join the ready list or
-    /// forward) when its deciding store leaves, and a pending forward
-    /// emits a forward event on the next collection. Either would break
-    /// a backlog span's input quiescence — the in-span commits retire
-    /// stores — so the span engine declines while they exist.
-    pub(crate) fn span_wake_hazards(&self) -> bool {
-        !self.dep_waiters.is_empty() || !self.pending_forwards.is_empty()
-    }
-
     /// The first half of [`collect_ready_into`](Self::collect_ready_into):
     /// promotes stores the completion frontier has newly passed into the
     /// ready list and accrues this cycle's stall counters. The simulator's

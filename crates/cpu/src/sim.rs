@@ -1,6 +1,6 @@
 //! The cycle-by-cycle pipeline simulator.
 
-use hbdc_core::{MemRequest, Offered, PortConfig, PortModel, SpanGrant, Violation};
+use hbdc_core::{MemRequest, PortConfig, PortModel, Violation};
 use hbdc_isa::{FuClass, Program};
 use hbdc_mem::{Hierarchy, HierarchyConfig};
 
@@ -264,17 +264,6 @@ pub struct Simulator {
     // each skipped cycle, whose ready-list scans would be identical).
     fu_blocked: u8,
     idle_stall_delta: LsqStalls,
-    // Span-drain fast-forward (derived, never serialized): whether bulk
-    // multi-cycle arbitration drains are enabled (`HBDC_SPAN_DRAIN`),
-    // whether the just-executed cycle was input-quiescent with a standing
-    // memory backlog (the span trigger), and the reusable grant-schedule
-    // buffer. See `drain_backlog_span` and DESIGN.md §15.
-    span_drain: bool,
-    span_trigger: bool,
-    span_grants: Vec<SpanGrant>,
-    // Cycles resolved through `drain_span` calls (diagnostic only — span
-    // cycles are *executed* cycles, so this never feeds the report).
-    span_cycles: u64,
     // Wall-clock time accumulated inside `run` (simulator throughput).
     wall: std::time::Duration,
     pub(crate) pipe: PipeStats,
@@ -468,29 +457,7 @@ impl Simulator {
     ) -> Self {
         let hier = Hierarchy::new(hier_cfg);
         let port_mirrors = port.mirrors_offers();
-        // `HBDC_ARB_MODE` pins the arbitration mode for regression hunts
-        // (`naive` = slice walk only, `batched` = mirror-backed rounds
-        // only); both modes produce bit-identical reports, so the pin is
-        // purely a performance diagnostic. Unset means adaptive.
         let peak = port.peak_per_cycle();
-        let (batch_enter, batch_exit) = match std::env::var("HBDC_ARB_MODE").ok().as_deref() {
-            Some("naive") => (usize::MAX, 0),
-            Some("batched") => (0, 0),
-            _ => (
-                peak.saturating_mul(BATCH_ENTER_RATIO),
-                peak.saturating_mul(BATCH_EXIT_RATIO),
-            ),
-        };
-        // `HBDC_SPAN_DRAIN=off` (or `0`) disables the steady-backlog span
-        // fast-forward, forcing per-cycle arbitration of quiescent spans.
-        // Reports are bit-identical either way (the span≡per-cycle fuzz
-        // relation pins this), so the switch is purely a performance
-        // diagnostic. Read per instance, like `HBDC_ARB_MODE`, so
-        // harnesses can toggle it between builds in one process.
-        let span_drain = !matches!(
-            std::env::var("HBDC_SPAN_DRAIN").ok().as_deref(),
-            Some("off") | Some("0")
-        );
         // Every run starts in the slice-walking arbitration mode: no
         // offered-set mirror is live, so ready-list delta logging is
         // switched off until (and unless) the batched mode engages.
@@ -522,17 +489,13 @@ impl Simulator {
             granted_buf: Vec::new(),
             offered_buf: Vec::new(),
             port_mirrors,
-            batch_enter,
-            batch_exit,
+            batch_enter: peak.saturating_mul(BATCH_ENTER_RATIO),
+            batch_exit: peak.saturating_mul(BATCH_EXIT_RATIO),
             batched_port: false,
             commit_buf: Vec::new(),
             audit_buf: Vec::new(),
             fu_blocked: 0,
             idle_stall_delta: LsqStalls::default(),
-            span_drain,
-            span_trigger: false,
-            span_grants: Vec::new(),
-            span_cycles: 0,
             wall: std::time::Duration::ZERO,
             pipe: PipeStats::new(&cfg),
             predictor: match cfg.front_end {
@@ -956,20 +919,6 @@ impl Simulator {
         let commits = self.commit();
         self.port.tick();
         self.now += 1;
-        // Input-quiescent with a standing backlog: nothing *new* fed the
-        // memory stage (no completions, address events, issues,
-        // dispatches, or forwards). Commits are allowed — in a steady
-        // backlog drain the head store retires the cycle its access
-        // lands — because the next cycles' grants, and the commits they
-        // feed, are then a pure function of the backlog and the port
-        // model's state: a span-drain candidate. `drain_backlog_span`
-        // vets every state commits could wake before engaging.
-        self.span_trigger = mem_active
-            && completed == 0
-            && addr_events == 0
-            && issued == 0
-            && !fetch_active
-            && self.forwards_buf.is_empty();
         Ok(completed > 0
             || addr_events > 0
             || issued > 0
@@ -1009,12 +958,6 @@ impl Simulator {
         self.port.tick();
         lap(6);
         self.now += 1;
-        self.span_trigger = mem_active
-            && completed == 0
-            && addr_events == 0
-            && issued == 0
-            && !fetch_active
-            && self.forwards_buf.is_empty();
         Ok(completed > 0
             || addr_events > 0
             || issued > 0
@@ -1128,10 +1071,6 @@ impl Simulator {
             }
             if skip && !active && !self.done() {
                 self.skip_idle_span(budget - steps, &mut steps)?;
-            } else if skip && self.span_drain && self.span_trigger && !self.done() {
-                // The cycle was active, but only in the memory stage and
-                // with no new input: fast-forward the backlog drain.
-                self.drain_backlog_span(budget - steps, &mut steps)?;
             }
         }
         Ok(true)
@@ -1170,18 +1109,8 @@ impl Simulator {
                 target = target.min(self.fus.next_free(*class));
             }
         }
-        // A port event due *now* means the model has internal work on
-        // otherwise-idle cycles (LBIC store-queue drains). Without span
-        // drains that blocks the skip entirely — every drain cycle is
-        // executed one by one; with them, the port resolves the whole
-        // drain stretch in one empty-view `drain_span` call below.
-        let mut port_busy = false;
         if let Some(at) = self.port.next_event(self.now) {
-            if at <= self.now && self.span_drain {
-                port_busy = true;
-            } else {
-                target = target.min(at);
-            }
+            target = target.min(at);
         }
         if let Some(at) = self.hier.next_event(self.now) {
             target = target.min(at);
@@ -1195,44 +1124,6 @@ impl Simulator {
             .min(self.now.saturating_add(budget_left));
         if target <= self.now {
             return Ok(()); // event due immediately (or no headroom)
-        }
-        if port_busy {
-            // Idle pipeline, busy port: the offered set is empty (the
-            // cycle was inactive), so the span is pure internal port
-            // evolution. These cycles do real work — they are drained,
-            // not skipped, exactly as the ticking loop would execute
-            // them — so `skipped_cycles` stays untouched and the port
-            // accounts its own ticks inside `drain_span`.
-            let n = target - self.now;
-            let mut grants = std::mem::take(&mut self.span_grants);
-            grants.clear();
-            let k = self
-                .port
-                .drain_span(Offered::new(&[], &[], &[]), n, &mut grants);
-            debug_assert!(grants.is_empty(), "grants from an empty offered view");
-            self.span_grants = grants;
-            if k == 0 {
-                return Ok(()); // model declined: per-cycle fallback
-            }
-            self.pipe.window_occupancy.record_n(self.window.len(), k);
-            self.pipe.lsq_occupancy.record_n(self.lsq.len(), k);
-            self.pipe.issued.record_n(0, k);
-            self.pipe.dispatched.record_n(0, k);
-            self.pipe.committed.record_n(0, k);
-            self.lsq.add_stalls_n(self.idle_stall_delta, k);
-            self.now += k;
-            self.span_cycles += k;
-            *steps += k;
-            let stalled_for = self.now.saturating_sub(self.last_commit_cycle);
-            if stalled_for >= self.cfg.watchdog_cycles {
-                return Err(SimError::Deadlock {
-                    cycle: self.now,
-                    committed: self.committed,
-                    stalled_for,
-                    dump: self.progress_dump(),
-                });
-            }
-            return Ok(());
         }
         let k = target - self.now;
         // Replay k quiescent cycles' worth of bookkeeping in bulk.
@@ -1248,179 +1139,6 @@ impl Simulator {
         *steps += k;
         // The ticking loop checks the watchdog after every cycle; a jump
         // that lands on the deadline must fail identically.
-        let stalled_for = self.now.saturating_sub(self.last_commit_cycle);
-        if stalled_for >= self.cfg.watchdog_cycles {
-            return Err(SimError::Deadlock {
-                cycle: self.now,
-                committed: self.committed,
-                stalled_for,
-                dump: self.progress_dump(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Fast-forwards a steady-backlog span: bulk multi-cycle arbitration
-    /// drains (DESIGN.md §15).
-    ///
-    /// Called after an input-quiescent cycle whose only activity was the
-    /// memory stage (and the in-order commits it feeds). While nothing
-    /// *new* reaches that stage — no window completion, address event,
-    /// issue, dispatch, or forward — the grant sequence
-    /// banked/LBIC/ideal/replicated arbitration will produce is a pure
-    /// function of the standing backlog and the port model's internal
-    /// state, and the commits are a pure function of that grant
-    /// schedule (stores retire in order as their accesses land). So
-    /// instead of re-running the full cycle loop once per cycle, this
-    /// asks the port model for the whole multi-cycle grant schedule in
-    /// one [`PortModel::drain_span`] call and replays the effects: one
-    /// cheap pass per cycle applying that cycle's grants (hierarchy
-    /// access, LSQ issue marking, store access-done) and running the
-    /// real commit stage, with the skipped stages' statistics recorded
-    /// in bulk. The issue scan, arbitration rounds, and fetch stage —
-    /// the expensive per-cycle work — run zero times. Reports,
-    /// checkpoints, and error cycles are bit-identical to per-cycle
-    /// execution (`HBDC_SPAN_DRAIN=off`); the span≡per-cycle fuzz
-    /// relation and the mid-span snapshot goldens pin this.
-    ///
-    /// Declines (leaving the per-cycle loop to proceed) unless every
-    /// side effect of the span is provably input-quiescent:
-    ///
-    /// * the backlog is all stores — a granted load schedules a window
-    ///   completion mid-span;
-    /// * the window has a completion frontier barrier whose Done prefix
-    ///   (the only entries in-span commits can consume) contains no
-    ///   `halt`, and committing all of it stays under `max_insts` —
-    ///   otherwise the machine could finish mid-span while the port
-    ///   model keeps ticking;
-    /// * fetch cannot restart: the program is fully fetched with no
-    ///   instruction parked awaiting window space (in-span commits free
-    ///   space), or fetch is stalled on an unresolved branch (which
-    ///   only a completion — the span horizon — resolves);
-    /// * no load is parked on a state a store retirement changes
-    ///   (dep-waiters, pending forwards);
-    /// * the MSHR file has headroom for every backlog entry — a
-    ///   rejected access re-offers and diverges from the schedule.
-    fn drain_backlog_span(&mut self, budget_left: u64, steps: &mut u64) -> Result<(), SimError> {
-        {
-            let view = self.lsq.ready_view();
-            if view.is_empty() || !view.stores().iter().all(|&s| s) {
-                return Ok(());
-            }
-            let Some((prefix_len, prefix_has_halt)) = self.window.span_commit_prefix() else {
-                return Ok(());
-            };
-            if prefix_has_halt
-                || self.committed.saturating_add(prefix_len as u64) >= self.cfg.max_insts
-            {
-                return Ok(());
-            }
-            let fetch_quiet =
-                (self.fetch_done && self.pending_fetch.is_none()) || self.stall_on.is_some();
-            if !fetch_quiet || self.lsq.span_wake_hazards() {
-                return Ok(());
-            }
-            let free = self
-                .hier
-                .config()
-                .mshr_entries
-                .saturating_sub(self.hier.outstanding_misses(self.now));
-            if free < view.len() {
-                return Ok(());
-            }
-        }
-        // The horizon: the earliest cycle at which new input can reach
-        // the memory stage — the next window completion (which wakes
-        // dependents, resolves branch stalls, and moves the frontier)
-        // or a blocked functional unit freeing up. The port's own next
-        // event is deliberately absent (the span *is* the port's work),
-        // as is the hierarchy's (MSHR fills only matter to loads, which
-        // completions already bound). The watchdog deadline uses the
-        // span-start commit time, which is conservative: in-span
-        // commits only push the true deadline later.
-        let mut target = u64::MAX;
-        if let Some(at) = self.window.next_completion_at() {
-            target = target.min(at);
-        }
-        for (i, class) in BLOCKABLE_CLASSES.iter().enumerate() {
-            if self.fu_blocked & (1 << i) != 0 {
-                target = target.min(self.fus.next_free(*class));
-            }
-        }
-        target = target
-            .min(
-                self.last_commit_cycle
-                    .saturating_add(self.cfg.watchdog_cycles),
-            )
-            .min(self.cfg.max_cycles)
-            .min(self.now.saturating_add(budget_left));
-        if target <= self.now {
-            return Ok(());
-        }
-        let n = target - self.now;
-        let mut grants = std::mem::take(&mut self.span_grants);
-        grants.clear();
-        let k = self.port.drain_span(self.lsq.ready_view(), n, &mut grants);
-        debug_assert!(k <= n, "span drain overran its horizon");
-        if k == 0 {
-            // The model declined (no span support): per-cycle execution
-            // simply continues from here.
-            self.span_grants = grants;
-            return Ok(());
-        }
-        // Replay the k cycles: occupancies at cycle top, this cycle's
-        // grants serviced exactly as the per-cycle loop's grant pass
-        // would (hierarchy access at the scheduled cycle, LSQ issue
-        // marking, store access-done), then the real commit stage — the
-        // head store retires the cycle its access lands, exactly as it
-        // does per-cycle. Completions, address events, issues, fetch,
-        // and forwards are all provably absent (preconditions above),
-        // so their stages are skipped and their statistics recorded in
-        // bulk below. Grants arrive in ascending offset order.
-        let grants = {
-            let mut gi = 0usize;
-            for c in 0..k {
-                self.pipe.window_occupancy.record(self.window.len());
-                self.pipe.lsq_occupancy.record(self.lsq.len());
-                while gi < grants.len() && grants[gi].offset == c {
-                    let g = grants[gi];
-                    gi += 1;
-                    let outcome = self.hier.access(g.req.addr, g.req.is_store, self.now);
-                    debug_assert!(
-                        !outcome.rejected,
-                        "span grant rejected despite the MSHR headroom precondition"
-                    );
-                    if outcome.rejected {
-                        continue;
-                    }
-                    self.lsq.mark_issued(g.req.id);
-                    if g.req.is_store {
-                        self.window.mark_access_done(g.req.id);
-                    } else {
-                        self.window.set_complete_at(g.req.id, outcome.ready_at);
-                    }
-                }
-                self.commit();
-                self.now += 1;
-            }
-            debug_assert_eq!(gi, grants.len(), "span grants past the drained horizon");
-            grants
-        };
-        self.span_grants = grants;
-        // The skipped stages' per-cycle records: issue and dispatch
-        // histograms at zero, and the ready-list stall delta (constant
-        // in-span: grant marking and store retirement never touch the
-        // wait-state counters while the hazard preconditions hold). The
-        // port model accounted its own rounds and ticks inside
-        // `drain_span`; the commit stage recorded its own histogram.
-        // These cycles did real work, so they are *not* skipped cycles.
-        self.pipe.issued.record_n(0, k);
-        self.pipe.dispatched.record_n(0, k);
-        self.lsq.add_stalls_n(self.idle_stall_delta, k);
-        self.span_cycles += k;
-        *steps += k;
-        // A span that runs to the watchdog deadline must fail exactly as
-        // the ticking loop would after that cycle.
         let stalled_for = self.now.saturating_sub(self.last_commit_cycle);
         if stalled_for >= self.cfg.watchdog_cycles {
             return Err(SimError::Deadlock {
@@ -1450,25 +1168,6 @@ impl Simulator {
         self.skipped_cycles
     }
 
-    /// Cycles resolved through bulk span drains
-    /// ([`PortModel::drain_span`]) instead of the per-cycle loop. Unlike
-    /// [`skipped_cycles`](Self::skipped_cycles) these cycles *executed* —
-    /// grants were serviced and statistics recorded — so the counter is a
-    /// pure diagnostic: it never appears in reports or checkpoints, and
-    /// resets on resume.
-    pub fn span_drained_cycles(&self) -> u64 {
-        self.span_cycles
-    }
-
-    /// Enables or disables the steady-backlog span fast-forward on this
-    /// instance, overriding the `HBDC_SPAN_DRAIN` environment default.
-    /// Both settings produce bit-identical reports; harnesses use the
-    /// switch to compare the two paths without process-global env races.
-    #[doc(hidden)]
-    pub fn set_span_drain(&mut self, on: bool) {
-        self.span_drain = on;
-    }
-
     /// Whether the adaptive arbitration switch (DESIGN.md §14) is
     /// currently in the batched, mirror-backed mode. Both modes produce
     /// bit-identical reports; the hysteresis tests read this to pin the
@@ -1479,9 +1178,8 @@ impl Simulator {
     }
 
     /// Overrides this instance's batched-mode enter/exit backlog
-    /// thresholds, replacing both the adaptive `peak×ratio` defaults and
-    /// any `HBDC_ARB_MODE` pin — per instance, so harnesses comparing
-    /// forced modes avoid process-global env races. `(usize::MAX, 0)`
+    /// thresholds, replacing the adaptive `peak×ratio` defaults — per
+    /// instance, so harnesses can force either mode. `(usize::MAX, 0)`
     /// forces the slice-walking round, `(0, 0)` forces batched.
     #[doc(hidden)]
     pub fn set_batch_thresholds(&mut self, enter: usize, exit: usize) {

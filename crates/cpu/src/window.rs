@@ -204,24 +204,6 @@ impl Window {
         self.entries.is_empty()
     }
 
-    /// The window's Done prefix as a backlog-span commit budget: how
-    /// many entries a span's in-order commits can consume (everything
-    /// older than the completion frontier — the frontier entry itself is
-    /// not Done and pins the prefix for the whole span) and whether any
-    /// of them is a `halt`. Returns `None` when the window is empty or
-    /// *entirely* Done: with no frontier barrier, in-span commits could
-    /// run the window dry — retiring `halt`, emptying the machine —
-    /// while the port model keeps ticking, so the span engine declines.
-    pub(crate) fn span_commit_prefix(&self) -> Option<(usize, bool)> {
-        let frontier = self.oldest_not_done();
-        if frontier >= self.base_seq + self.entries.len() as u64 {
-            return None;
-        }
-        let len = (frontier - self.base_seq) as usize;
-        let halt = self.entries.iter().take(len).any(|e| e.meta.halt);
-        Some((len, halt))
-    }
-
     /// Whether the window has room for another instruction.
     pub fn has_space(&self) -> bool {
         self.entries.len() < self.capacity

@@ -78,18 +78,21 @@ fn burst_workload(stores: usize) -> Program {
 
 /// Sim-level enter golden: on a single bank (peak 1, so enter = 16) a
 /// 16-store backlog flips the machine into the batched mode and a
-/// 15-store backlog never does. Span drains are forced off so every
-/// backlog cycle goes through the per-cycle arbitration switch.
+/// 15-store backlog never does. The auditor is pinned off (the `audit`
+/// feature turns it on by default): audited rounds always walk the
+/// slice, so only the plain path has a mode switch to observe.
 #[test]
 fn backlog_of_exactly_enter_ratio_engages_the_batched_round() {
     for (stores, expect_engaged) in [(16usize, true), (15, false)] {
         let mut sim = Simulator::new(
             &burst_workload(stores),
-            CpuConfig::default(),
+            CpuConfig {
+                audit: false,
+                ..CpuConfig::default()
+            },
             HierarchyConfig::default(),
             PortConfig::banked(1),
         );
-        sim.set_span_drain(false);
         let mut engaged_ever = false;
         loop {
             let done = sim.run_for(1).expect("burst workload simulates");

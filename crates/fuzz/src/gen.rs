@@ -22,9 +22,8 @@
 //!   long-latency divides with a pile of independent same-bank stores
 //!   in between, so the stores promote to the ready list together and
 //!   then drain one grant per cycle while the divide chain pins the
-//!   commit frontier — the quiescent steady state the span fast-forward
-//!   (DESIGN.md §15) bulk-drains, and the `span-vs-per-cycle` oracle
-//!   relation leans on.
+//!   commit frontier — a standing backlog with every other pipeline
+//!   stage quiet.
 //!
 //! **Termination by construction.** The only backward edge is the outer
 //! loop's counted branch; its counter register is reserved (written only
@@ -486,15 +485,14 @@ impl Gen {
         }
     }
 
-    /// A standing all-store backlog, the span fast-forward's exact
-    /// domain: a load whose result feeds a chain of long-latency
-    /// divides, with a burst of independent stores — one line apart,
-    /// all in one bank of the tuned interleave — between the two. The
-    /// stores join the LSQ ready list together the moment the commit
-    /// frontier passes the load, then drain one grant per cycle through
-    /// the shared bank while the divide chain keeps the frontier (and,
-    /// behind a data-dependent forward branch half the time, fetch)
-    /// pinned for tens of cycles.
+    /// A standing all-store backlog: a load whose result feeds a chain
+    /// of long-latency divides, with a burst of independent stores —
+    /// one line apart, all in one bank of the tuned interleave — between
+    /// the two. The stores join the LSQ ready list together the moment
+    /// the commit frontier passes the load, then drain one grant per
+    /// cycle through the shared bank while the divide chain keeps the
+    /// frontier (and, behind a data-dependent forward branch half the
+    /// time, fetch) pinned for tens of cycles.
     fn store_backlog(&mut self) {
         let b = self.base();
         let o = self.off().min(self.data_bytes as i64 / 8);
@@ -663,6 +661,27 @@ mod tests {
         let b = generate(11, &cfg);
         assert_eq!(a.text(), b.text());
         assert_ne!(a.text(), generate(12, &cfg).text());
+    }
+
+    /// Pins the generator's output: `checkpoint-resume` in the perfbench
+    /// benchmark draws its programs from [`generate`], so any edit to the
+    /// block mix or a block's body silently changes benchmark inputs.
+    /// Such an edit must update these fingerprints on purpose.
+    #[test]
+    fn generated_programs_match_golden_fingerprints() {
+        let cfg = GenConfig {
+            blocks: 150..=170,
+            iters: 40..=50,
+            data_bytes: 64 * 1024,
+        };
+        for (seed, want) in [
+            (1u64, 0x6f99_a70d_a0fb_3f2a_u64),
+            (2, 0x91ed_b3a5_b145_ce32),
+        ] {
+            let image = hbdc_isa::object::to_bytes(&generate(seed, &cfg));
+            let got = hbdc_snap::fnv1a64(&image);
+            assert_eq!(got, want, "seed {seed}: fingerprint {got:#018x}");
+        }
     }
 
     #[test]

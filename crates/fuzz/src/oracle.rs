@@ -36,9 +36,6 @@
 //! * `execute-vs-replay` — a captured committed-stream trace replays to
 //!   the exact report of functional execution;
 //! * `skip-vs-noskip` — event-calendar cycle skipping changes nothing;
-//! * `span-vs-per-cycle` — the steady-backlog span fast-forward
-//!   (DESIGN.md §15) is invisible: forcing span drains on and forcing
-//!   them off both reproduce the flagship report bit for bit;
 //! * `audit-vs-plain` — the per-cycle invariant auditor neither fires
 //!   nor perturbs the run;
 //! * `snapshot-split` — splitting the run at a fuzzer-chosen cycle,
@@ -73,7 +70,6 @@ pub const RELATIONS: &[&str] = &[
     "source-roundtrip",
     "execute-vs-replay",
     "skip-vs-noskip",
-    "span-vs-per-cycle",
     "audit-vs-plain",
     "snapshot-split",
     "journal-matrix",
@@ -372,35 +368,6 @@ pub fn check_program(
             base.to_record(),
             noskip.to_record(),
         )));
-    }
-
-    // span-vs-per-cycle: forcing the span engine each way (rather than
-    // trusting the HBDC_SPAN_DRAIN ambient default) must reproduce the
-    // flagship report exactly — whichever setting `base` itself ran
-    // under, both forced runs have to agree with it.
-    checked += 1;
-    for engaged in [false, true] {
-        let spanned = Simulator::try_new(program, cfg, HierarchyConfig::default(), flagship())
-            .and_then(|mut sim| {
-                sim.set_span_drain(engaged);
-                sim.run()
-            })
-            .map_err(|e| {
-                violation(
-                    "span-vs-per-cycle",
-                    format!("run with span drains forced {engaged} failed"),
-                    "a finished report",
-                    e.to_string(),
-                )
-            })?;
-        if spanned != base {
-            return Err(Box::new(violation(
-                "span-vs-per-cycle",
-                format!("forcing span drains {engaged} changed the report"),
-                base.to_record(),
-                spanned.to_record(),
-            )));
-        }
     }
 
     // audit-vs-plain: the auditor must neither fire nor perturb.

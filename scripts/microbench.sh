@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
 # Runs the memory-stage microbenchmarks: port arbitration (naive slice
 # walk vs. batched bucket mirror, conflict-free and conflict-heavy
-# offered sets), `Hierarchy::access`, and the steady-backlog span
-# fast-forward (span drains on vs. off over the engineered store-burst
-# workload, per port model), plus the broader hbdc-bench micro suite
-# when `--all` is passed.
+# offered sets) and `Hierarchy::access`, plus the broader hbdc-bench
+# micro suite when `--all` is passed.
 #
 # These are advisory numbers — there is no pass/fail band here (the
 # ±15% end-to-end gate lives in scripts/perf_guard.sh). The vendored
@@ -16,7 +14,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo bench -q -p hbdc-core --bench arb
-cargo bench -q -p hbdc-cpu --bench span
 if [ "${1:-}" = "--all" ]; then
     cargo bench -q -p hbdc-bench --bench micro
 fi

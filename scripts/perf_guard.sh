@@ -10,8 +10,8 @@
 # to ±20% of the baseline. Unlike the rates, arb_rounds is a
 # deterministic property of the simulated machine — host timing cannot
 # move it — so any drift past the band means the arbitration work
-# profile itself changed (an arbiter invoked more often, a span or skip
-# engine engaging differently) and the check fails on the first attempt,
+# profile itself changed (an arbiter invoked more often, the idle
+# skipper engaging differently) and the check fails on the first attempt,
 # with no noise retry.
 #
 # Set HBDC_SKIP_PERF=1 to skip (e.g. on a loaded or throttled host).
