@@ -160,7 +160,7 @@ pub struct MatrixRun {
     pub interrupted: bool,
     /// Wall-clock seconds the trace-capture phase took (0.0 in execute
     /// mode, and tiny when the trace cache was warm). Kept separate from
-    /// the per-report `wall_secs` so replay timing is reported apart from
+    /// the per-report `cpu_secs` so replay timing is reported apart from
     /// the one-shot functional pass.
     pub capture_secs: f64,
 }
@@ -1051,25 +1051,21 @@ pub fn simulate_matrix_opts(
 pub fn sim_speed(
     reports: impl IntoIterator<Item = impl std::borrow::Borrow<SimReport>>,
 ) -> (u64, f64, f64) {
-    let (mut cycles, mut wall) = (0u64, 0f64);
+    let (mut cycles, mut cpu) = (0u64, 0f64);
     for r in reports {
         let r = r.borrow();
         cycles += r.cycles;
-        wall += r.wall_secs;
+        cpu += r.cpu_secs;
     }
-    let rate = if wall > 0.0 {
-        cycles as f64 / wall
-    } else {
-        0.0
-    };
-    (cycles, wall, rate)
+    let rate = if cpu > 0.0 { cycles as f64 / cpu } else { 0.0 };
+    (cycles, cpu, rate)
 }
 
 /// Prints the simulator-throughput (`sim-speed`) line for finished
 /// reports to stderr, keeping experiment stdout machine-parseable.
 pub fn print_sim_speed(reports: impl IntoIterator<Item = impl std::borrow::Borrow<SimReport>>) {
-    let (cycles, wall, rate) = sim_speed(reports);
-    eprintln!("sim-speed: {rate:.0} cycles/sec ({cycles} simulated cycles in {wall:.2}s of simulator time)");
+    let (cycles, cpu, rate) = sim_speed(reports);
+    eprintln!("sim-speed: {rate:.0} cycles/sec ({cycles} simulated cycles in {cpu:.2}s of simulator CPU time)");
 }
 
 /// Running simulator-throughput accumulator for experiment binaries that
@@ -1079,7 +1075,7 @@ pub fn print_sim_speed(reports: impl IntoIterator<Item = impl std::borrow::Borro
 #[derive(Debug, Default, Clone)]
 pub struct SpeedTally {
     cycles: u64,
-    wall: f64,
+    cpu: f64,
 }
 
 impl SpeedTally {
@@ -1091,19 +1087,19 @@ impl SpeedTally {
     /// Folds one finished report into the tally.
     pub fn add(&mut self, r: &SimReport) {
         self.cycles += r.cycles;
-        self.wall += r.wall_secs;
+        self.cpu += r.cpu_secs;
     }
 
     /// Prints the `sim-speed` line for everything tallied (to stderr).
     pub fn print(&self) {
-        let rate = if self.wall > 0.0 {
-            self.cycles as f64 / self.wall
+        let rate = if self.cpu > 0.0 {
+            self.cycles as f64 / self.cpu
         } else {
             0.0
         };
         eprintln!(
-            "sim-speed: {rate:.0} cycles/sec ({} simulated cycles in {:.2}s of simulator time)",
-            self.cycles, self.wall
+            "sim-speed: {rate:.0} cycles/sec ({} simulated cycles in {:.2}s of simulator CPU time)",
+            self.cycles, self.cpu
         );
     }
 }

@@ -31,7 +31,7 @@ fn golden(port_label: &str) -> SimReport {
         store_serializations: 0,
         port_label: port_label.into(),
         skipped_cycles: 0,
-        wall_secs: 0.0,
+        cpu_secs: 0.0,
         cycles_per_sec: 0.0,
         events_per_sec: 0.0,
     };

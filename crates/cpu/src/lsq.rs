@@ -12,9 +12,10 @@
 //! ready list plus the transitions that actually happened. Simulation
 //! time scales with work, not with queue occupancy.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use hbdc_core::{MemRequest, Offered};
+use hbdc_mem::FibHashMap;
 use hbdc_snap::{SnapError, StateReader, StateWriter};
 
 /// One memory reference that is ready to access the cache this cycle.
@@ -194,7 +195,7 @@ pub struct Lsq {
     // Live stores bucketed by touched 8-byte block, each bucket in age
     // order; buckets recycle through `block_pool` so the steady state
     // allocates nothing.
-    block_stores: HashMap<u64, Vec<u64>>,
+    block_stores: FibHashMap<Vec<u64>>,
     block_pool: Vec<Vec<u64>>,
     // Reusable scratch for event handlers that drain-and-reclassify.
     scratch: Vec<u64>,
@@ -231,7 +232,7 @@ impl Lsq {
             n_addr_unknown: 0,
             n_prior_store: 0,
             n_overlap: 0,
-            block_stores: HashMap::new(),
+            block_stores: FibHashMap::default(),
             block_pool: Vec::new(),
             scratch: Vec::new(),
         }

@@ -25,7 +25,7 @@
 ///     store_serializations: 0,
 ///     port_label: "LBIC-4x2".into(),
 ///     skipped_cycles: 0,
-///     wall_secs: 0.0,
+///     cpu_secs: 0.0,
 ///     cycles_per_sec: 0.0,
 ///     events_per_sec: 0.0,
 /// };
@@ -77,19 +77,21 @@ pub struct SimReport {
     /// how the simulator ran, not of the simulated machine: a ticked run
     /// reports 0 here and identical everything else.
     pub skipped_cycles: u64,
-    /// Wall-clock seconds spent inside [`run`](crate::Simulator::run) —
-    /// a measurement of the *simulator*, not the simulated machine.
-    pub wall_secs: f64,
-    /// Simulated cycles per wall-clock second (simulator throughput).
+    /// Thread CPU seconds spent inside [`run`](crate::Simulator::run)
+    /// and [`run_for`](crate::Simulator::run_for) — a measurement of the
+    /// *simulator*, not the simulated machine. 0 where the thread CPU
+    /// clock cannot be read (see [`hbdc_snap::clock`]).
+    pub cpu_secs: f64,
+    /// Simulated cycles per CPU second (simulator throughput).
     pub cycles_per_sec: f64,
-    /// Executed (non-skipped) cycles per wall-clock second — the rate at
+    /// Executed (non-skipped) cycles per CPU second — the rate at
     /// which the simulator retires actual work, independent of how much
     /// idle time the event calendar let it skip.
     pub events_per_sec: f64,
 }
 
 /// Equality covers only the simulated-machine measurements:
-/// `skipped_cycles`, `wall_secs`, `cycles_per_sec`, and
+/// `skipped_cycles`, `cpu_secs`, `cycles_per_sec`, and
 /// `events_per_sec` describe how the host ran the simulation and are
 /// excluded, so bit-identical simulations compare equal regardless of
 /// host timing or whether idle spans were skipped or ticked through.
@@ -114,7 +116,7 @@ impl PartialEq for SimReport {
             store_serializations,
             port_label,
             skipped_cycles: _,
-            wall_secs: _,
+            cpu_secs: _,
             cycles_per_sec: _,
             events_per_sec: _,
         } = self;
@@ -184,7 +186,7 @@ impl SimReport {
     /// Renders the simulated-machine measurements as one tab-separated
     /// record line (no trailing newline) for the matrix run journal.
     ///
-    /// The host-run fields (`skipped_cycles`, `wall_secs`,
+    /// The host-run fields (`skipped_cycles`, `cpu_secs`,
     /// `cycles_per_sec`, `events_per_sec`) describe a run that already
     /// happened and are deliberately not persisted; they parse back as
     /// zero, which [`PartialEq`] already ignores.
@@ -256,7 +258,7 @@ impl SimReport {
             store_serializations: num("store_serializations")?,
             port_label: fields[fields.len() - 1].to_string(),
             skipped_cycles: 0,
-            wall_secs: 0.0,
+            cpu_secs: 0.0,
             cycles_per_sec: 0.0,
             events_per_sec: 0.0,
         })
@@ -287,7 +289,7 @@ mod tests {
             store_serializations: 0,
             port_label: "Bank-4".into(),
             skipped_cycles: 0,
-            wall_secs: 0.0,
+            cpu_secs: 0.0,
             cycles_per_sec: 0.0,
             events_per_sec: 0.0,
         }
@@ -323,7 +325,7 @@ mod tests {
             store_serializations: 0,
             port_label: String::new(),
             skipped_cycles: 0,
-            wall_secs: 0.0,
+            cpu_secs: 0.0,
             cycles_per_sec: 0.0,
             events_per_sec: 0.0,
         };
@@ -336,13 +338,13 @@ mod tests {
     #[test]
     fn record_roundtrip_preserves_simulated_fields() {
         let r = SimReport {
-            wall_secs: 9.0,
+            cpu_secs: 9.0,
             cycles_per_sec: 1e6,
             ..sample()
         };
         let parsed = SimReport::from_record(&r.to_record()).unwrap();
         assert_eq!(parsed, r, "PartialEq ignores the host-timing fields");
-        assert_eq!(parsed.wall_secs, 0.0, "host timing is not persisted");
+        assert_eq!(parsed.cpu_secs, 0.0, "host timing is not persisted");
         assert_eq!(parsed.port_label, "Bank-4");
     }
 
@@ -380,7 +382,7 @@ mod tests {
         let a = sample();
         let b = SimReport {
             skipped_cycles: 7,
-            wall_secs: 123.0,
+            cpu_secs: 123.0,
             cycles_per_sec: 456.0,
             events_per_sec: 78.0,
             ..sample()

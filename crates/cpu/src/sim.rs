@@ -3,7 +3,7 @@
 use hbdc_core::{MemRequest, PortConfig, PortModel, Violation};
 use hbdc_isa::{FuClass, Program};
 use hbdc_mem::{Hierarchy, HierarchyConfig};
-
+use hbdc_snap::clock::thread_cpu_time;
 use hbdc_stats::Histogram;
 
 use crate::bpred::{BranchPredictor, FrontEnd};
@@ -264,8 +264,8 @@ pub struct Simulator {
     // each skipped cycle, whose ready-list scans would be identical).
     fu_blocked: u8,
     idle_stall_delta: LsqStalls,
-    // Wall-clock time accumulated inside `run` (simulator throughput).
-    wall: std::time::Duration,
+    // Thread CPU time accumulated inside `run` (simulator throughput).
+    cpu: std::time::Duration,
     pub(crate) pipe: PipeStats,
     pub(crate) predictor: Option<Box<dyn BranchPredictor>>,
     redirect_penalty: u32,
@@ -496,7 +496,7 @@ impl Simulator {
             audit_buf: Vec::new(),
             fu_blocked: 0,
             idle_stall_delta: LsqStalls::default(),
-            wall: std::time::Duration::ZERO,
+            cpu: std::time::Duration::ZERO,
             pipe: PipeStats::new(&cfg),
             predictor: match cfg.front_end {
                 FrontEnd::Perfect => None,
@@ -1034,9 +1034,11 @@ impl Simulator {
     ///
     /// The same failures as [`run`](Self::run).
     pub fn run_for(&mut self, budget: u64) -> Result<bool, SimError> {
-        let start = std::time::Instant::now();
+        let start = thread_cpu_time();
         let result = self.run_for_inner(budget);
-        self.wall += start.elapsed();
+        if let (Some(start), Some(end)) = (start, thread_cpu_time()) {
+            self.cpu += end.saturating_sub(start);
+        }
         result
     }
 
@@ -1221,7 +1223,7 @@ impl Simulator {
     /// The report for the cycles simulated so far.
     pub fn report(&self) -> SimReport {
         let arb = self.port.stats();
-        let wall_secs = self.wall.as_secs_f64();
+        let cpu_secs = self.cpu.as_secs_f64();
         SimReport {
             committed: self.committed,
             cycles: self.now,
@@ -1241,14 +1243,14 @@ impl Simulator {
             store_serializations: arb.extra_counter("store_serializations"),
             port_label: self.port.label(),
             skipped_cycles: self.skipped_cycles,
-            wall_secs,
-            cycles_per_sec: if wall_secs > 0.0 {
-                self.now as f64 / wall_secs
+            cpu_secs,
+            cycles_per_sec: if cpu_secs > 0.0 {
+                self.now as f64 / cpu_secs
             } else {
                 0.0
             },
-            events_per_sec: if wall_secs > 0.0 {
-                (self.now - self.skipped_cycles) as f64 / wall_secs
+            events_per_sec: if cpu_secs > 0.0 {
+                (self.now - self.skipped_cycles) as f64 / cpu_secs
             } else {
                 0.0
             },

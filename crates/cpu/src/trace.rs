@@ -46,11 +46,14 @@
 //! from the embedded program text by `pc`, exactly like slim snapshot
 //! records. A straight-line ALU instruction therefore costs one byte.
 
+use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use hbdc_isa::Program;
-use hbdc_snap::{fnv1a64, open, seal, write_atomic, SnapError, StateReader, StateWriter};
+use hbdc_snap::{
+    fnv1a64, open, seal, write_atomic, SnapError, StateReader, StateWriter, SEAL_HEADER_LEN,
+};
 
 use crate::dynamic::DynInst;
 use crate::functional::Emulator;
@@ -90,9 +93,10 @@ pub enum CacheLookup {
 /// A captured committed-instruction stream: the program it came from plus
 /// the delta-encoded dynamic records, validated and ready to replay.
 ///
-/// The encoded bytes live behind [`Arc`]s, so cloning a trace (to fan one
-/// capture out across the 13 port configurations of a matrix row) shares
-/// the encoded stream instead of duplicating it.
+/// The sealed image lives behind an [`Arc`], so cloning a trace (to fan
+/// one capture out across the 13 port configurations of a matrix row)
+/// shares the encoded stream instead of duplicating it. Players read the
+/// records section in place, as a byte range of that image.
 ///
 /// # Examples
 ///
@@ -116,11 +120,12 @@ pub enum CacheLookup {
 pub struct CommittedTrace {
     sealed: Arc<Vec<u8>>,
     program: Arc<Program>,
-    rec: Arc<Vec<u8>>,
-    // Lazily predecoded record stream (see [`Decoded`]), shared by every
+    /// The records section's byte range within `sealed`.
+    rec: Range<usize>,
+    // Lazily predecoded record stream (see [`Predecoded`]), shared by every
     // player of this trace and by every clone made after the first
     // player was built.
-    decoded: OnceLock<Option<Arc<Decoded>>>,
+    decoded: OnceLock<Option<Arc<Vec<Predecoded>>>>,
     program_fp: u64,
     warmup_insts: u64,
     records: u64,
@@ -130,23 +135,72 @@ pub struct CommittedTrace {
 }
 
 /// Streams at most this many records are predecoded into memory; longer
-/// ones stay on the streaming varint path. At roughly 50 bytes per
-/// expanded record this bounds the per-trace side table to ~100 MB —
-/// paid once per benchmark, not once per matrix cell.
+/// ones stay on the streaming varint path. At 16 bytes per predecoded
+/// record this bounds the per-trace side table to 32 MB — paid once per
+/// benchmark, not once per matrix cell.
 const PREDECODE_MAX_RECORDS: u64 = 2_000_000;
 
-/// The records section expanded into ready-to-dispatch instruction
-/// records, built once per trace when the stream is small enough
-/// ([`PREDECODE_MAX_RECORDS`]). Replay's hot path then reads an array
-/// element per step instead of running the varint decoder and the text
-/// lookup in every one of the 13 matrix cells that share the capture.
-#[derive(Debug)]
-struct Decoded {
-    insts: Vec<DynInst>,
-    /// Byte offset just past each record in the encoded section, so the
+/// One record with its varints resolved: 16 bytes. A trace small enough
+/// ([`PREDECODE_MAX_RECORDS`]) is expanded once into an array of these,
+/// shared by every player, so replay's hot path reads one array element
+/// and the text entry per step instead of running the varint decoder in
+/// every one of the 13 matrix cells that share the capture. The static
+/// instruction is not stored: the player re-derives it from the program
+/// text by `pc`, as the streaming path does.
+#[derive(Debug, Clone, Copy)]
+struct Predecoded {
+    /// The stream's running memory address after this record: its
+    /// effective address if it is a load or store, else the previous
+    /// memory record's. Parse-time validation guarantees the address
+    /// flag matches `inst.is_mem()`, so the text decides which it is.
+    addr: u64,
+    /// `pc << 2 | PC_BRANCH | PC_TAKEN`.
+    pc_bits: u32,
+    /// Byte offset just past the record in the encoded section, so the
     /// fast path keeps the streaming cursor fields — and therefore the
     /// snapshot byte format — exactly in sync with the streaming path.
-    ends: Vec<u32>,
+    end: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Predecoded>() == 16);
+
+/// Low bits of [`Predecoded::pc_bits`]: the record is a conditional
+/// branch, and (only then) whether it was taken — the tag's
+/// `TAG_BRANCH`/`TAG_TAKEN` bits shifted down by one.
+const PC_BRANCH: u32 = 0b01;
+const PC_TAKEN: u32 = 0b10;
+
+/// One decoded record: its pc, the running memory address after it (see
+/// [`Predecoded::addr`]), its tag, and the offset just past it.
+struct RawRecord {
+    pc: u32,
+    addr: u64,
+    tag: u8,
+    end: usize,
+}
+
+/// Decodes the record at byte `pos` of the records section `rec`, given
+/// the previous record's pc and the running memory address. `None` on
+/// bytes that fail to decode (unreachable after parse-time validation).
+fn decode_record(rec: &[u8], pos: usize, prev_pc: i64, prev_addr: u64) -> Option<RawRecord> {
+    let mut r = StateReader::new(rec.get(pos..)?);
+    let tag = r.get_u8().ok()?;
+    let pc = if tag & TAG_PC_SEQ != 0 {
+        prev_pc + 1
+    } else {
+        prev_pc + 1 + r.get_varint_i64().ok()?
+    };
+    let addr = if tag & TAG_ADDR != 0 {
+        prev_addr.wrapping_add(r.get_varint_i64().ok()? as u64)
+    } else {
+        prev_addr
+    };
+    Some(RawRecord {
+        pc: u32::try_from(pc).ok()?,
+        addr,
+        tag,
+        end: rec.len() - r.remaining(),
+    })
 }
 
 impl CommittedTrace {
@@ -233,13 +287,14 @@ impl CommittedTrace {
         w.put_u64(stores);
         w.put_bool(complete);
         w.put_bytes(&image);
-        let rec = rec.into_bytes();
-        w.put_bytes(&rec);
+        let rec_len = rec.len();
+        w.put_bytes(&rec.into_bytes());
+        // The records section is the payload's last field.
         let sealed = seal(TRACE_MAGIC, TRACE_VERSION, &w.into_bytes());
         Ok(Self {
+            rec: sealed.len() - rec_len..sealed.len(),
             sealed: Arc::new(sealed),
             program: Arc::new(program.clone()),
-            rec: Arc::new(rec),
             decoded: OnceLock::new(),
             program_fp,
             warmup_insts,
@@ -275,8 +330,11 @@ impl CommittedTrace {
         let stores = r.get_u64()?;
         let complete = r.get_bool()?;
         let image = r.get_bytes()?;
-        let rec = r.get_bytes()?;
+        let rec_len = r.get_byte_slice()?.len();
         r.expect_end()?;
+        // The records section is the payload's last field, and the
+        // payload starts right after the container header.
+        let rec_end = SEAL_HEADER_LEN + payload.len();
         let computed_fp = fnv1a64(&image);
         if computed_fp != program_fp {
             return Err(SnapError::Corrupt(format!(
@@ -290,7 +348,7 @@ impl CommittedTrace {
         let trace = Self {
             sealed: Arc::new(bytes),
             program: Arc::new(program),
-            rec: Arc::new(rec),
+            rec: rec_end - rec_len..rec_end,
             decoded: OnceLock::new(),
             program_fp,
             warmup_insts,
@@ -307,7 +365,7 @@ impl CommittedTrace {
     /// [`from_bytes`](Self::from_bytes)).
     fn validate_records(&self) -> Result<(), SnapError> {
         let text = self.program.text();
-        let mut r = StateReader::new(&self.rec);
+        let mut r = StateReader::new(&self.sealed[self.rec.clone()]);
         let mut prev_pc = -1i64;
         let (mut loads, mut stores) = (0u64, 0u64);
         for n in 0..self.records {
@@ -481,7 +539,8 @@ impl CommittedTrace {
     /// fast path must be observationally indistinguishable from this).
     fn streaming_player(&self) -> TracePlayer {
         TracePlayer {
-            rec: Arc::clone(&self.rec),
+            sealed: Arc::clone(&self.sealed),
+            rec: self.rec.clone(),
             program: Arc::clone(&self.program),
             decoded: None,
             pos: 0,
@@ -494,20 +553,28 @@ impl CommittedTrace {
 
     /// The shared predecoded stream, built on first use; `None` when the
     /// stream exceeds the predecode threshold.
-    fn decoded(&self) -> Option<&Arc<Decoded>> {
+    fn decoded(&self) -> Option<&Arc<Vec<Predecoded>>> {
         self.decoded
             .get_or_init(|| {
-                if self.records > PREDECODE_MAX_RECORDS || self.rec.len() > u32::MAX as usize {
+                if self.records > PREDECODE_MAX_RECORDS
+                    || self.rec.len() > u32::MAX as usize
+                    || self.program.text().len() > (u32::MAX >> 2) as usize
+                {
                     return None;
                 }
-                let mut insts = Vec::with_capacity(self.records as usize);
-                let mut ends = Vec::with_capacity(self.records as usize);
-                let mut p = self.streaming_player();
-                while let Some(di) = p.step() {
-                    insts.push(di);
-                    ends.push(p.pos as u32);
+                let rec = &self.sealed[self.rec.clone()];
+                let mut table = Vec::with_capacity(self.records as usize);
+                let (mut pos, mut pc, mut addr) = (0, -1i64, 0u64);
+                for _ in 0..self.records {
+                    let raw = decode_record(rec, pos, pc, addr)?;
+                    table.push(Predecoded {
+                        addr: raw.addr,
+                        pc_bits: (raw.pc << 2) | (u32::from(raw.tag >> 1) & (PC_BRANCH | PC_TAKEN)),
+                        end: raw.end as u32,
+                    });
+                    (pos, pc, addr) = (raw.end, i64::from(raw.pc), raw.addr);
                 }
-                Some(Arc::new(Decoded { insts, ends }))
+                Some(Arc::new(table))
             })
             .as_ref()
     }
@@ -522,12 +589,15 @@ impl CommittedTrace {
 /// once the recorded stream ends, just like [`Emulator::step`] at halt.
 #[derive(Debug, Clone)]
 pub struct TracePlayer {
-    rec: Arc<Vec<u8>>,
+    sealed: Arc<Vec<u8>>,
+    /// The records section's byte range within `sealed`; `pos` is an
+    /// offset into it.
+    rec: Range<usize>,
     program: Arc<Program>,
     // Fast path: the trace's shared predecoded stream, indexed by
     // `next_seq`. The streaming cursor fields below stay maintained
     // either way, so snapshots are byte-identical across paths.
-    decoded: Option<Arc<Decoded>>,
+    decoded: Option<Arc<Vec<Predecoded>>>,
     pos: usize,
     next_seq: u64,
     prev_pc: i64,
@@ -536,6 +606,25 @@ pub struct TracePlayer {
 }
 
 impl TracePlayer {
+    fn rec(&self) -> &[u8] {
+        &self.sealed[self.rec.clone()]
+    }
+
+    /// Rebuilds predecoded record `i`, or `None` past the end.
+    fn predecoded(&self, table: &[Predecoded], i: u64) -> Option<(DynInst, usize)> {
+        let p = *table.get(usize::try_from(i).ok()?)?;
+        let pc = p.pc_bits >> 2;
+        let inst = *self.program.text().get(pc as usize)?;
+        let di = DynInst {
+            seq: i,
+            pc,
+            inst,
+            addr: inst.is_mem().then_some(p.addr),
+            taken: (p.pc_bits & PC_BRANCH != 0).then_some(p.pc_bits & PC_TAKEN != 0),
+        };
+        Some((di, p.end as usize))
+    }
+
     /// Decodes the record at `pos` without committing the cursor.
     /// Returns `None` at end of stream (or, defensively, on bytes that
     /// fail to decode — unreachable after parse-time validation).
@@ -543,42 +632,21 @@ impl TracePlayer {
         if self.next_seq >= self.total {
             return None;
         }
-        let mut r = StateReader::new(self.rec.get(self.pos..)?);
-        let tag = r.get_u8().ok()?;
-        let pc64 = if tag & TAG_PC_SEQ != 0 {
-            self.prev_pc + 1
-        } else {
-            self.prev_pc + 1 + r.get_varint_i64().ok()?
-        };
-        let pc = u32::try_from(pc64).ok()?;
-        let inst = *self.program.text().get(pc as usize)?;
-        let addr = if tag & TAG_ADDR != 0 {
-            Some(self.prev_addr.wrapping_add(r.get_varint_i64().ok()? as u64))
-        } else {
-            None
-        };
-        let taken = if tag & TAG_BRANCH != 0 {
-            Some(tag & TAG_TAKEN != 0)
-        } else {
-            None
-        };
+        let raw = decode_record(self.rec(), self.pos, self.prev_pc, self.prev_addr)?;
         let di = DynInst {
             seq: self.next_seq,
-            pc,
-            inst,
-            addr,
-            taken,
+            pc: raw.pc,
+            inst: *self.program.text().get(raw.pc as usize)?,
+            addr: (raw.tag & TAG_ADDR != 0).then_some(raw.addr),
+            taken: (raw.tag & TAG_BRANCH != 0).then_some(raw.tag & TAG_TAKEN != 0),
         };
-        Some((di, self.rec.len() - r.remaining()))
+        Some((di, raw.end))
     }
 
     /// Yields the next committed instruction, or `None` at end of stream.
     pub fn step(&mut self) -> Option<DynInst> {
         let (di, next_pos) = match &self.decoded {
-            Some(d) => {
-                let i = usize::try_from(self.next_seq).ok()?;
-                (*d.insts.get(i)?, *d.ends.get(i)? as usize)
-            }
+            Some(d) => self.predecoded(d, self.next_seq)?,
             None => self.decode_at()?,
         };
         self.pos = next_pos;
@@ -595,10 +663,10 @@ impl TracePlayer {
     /// one past the last delivered PC at end of stream.
     pub fn peek_pc(&self) -> u32 {
         let next = match &self.decoded {
-            Some(d) => usize::try_from(self.next_seq)
+            Some(table) => usize::try_from(self.next_seq)
                 .ok()
-                .and_then(|i| d.insts.get(i))
-                .map(|di| di.pc),
+                .and_then(|i| table.get(i))
+                .map(|p| p.pc_bits >> 2),
             None => self.decode_at().map(|(di, _)| di.pc),
         };
         next.unwrap_or_else(|| u32::try_from(self.prev_pc + 1).unwrap_or(u32::MAX))
@@ -860,27 +928,83 @@ loop:
         ));
     }
 
+    /// Kernels for the predecode ≡ streaming table: one per feature the
+    /// 16-byte predecoded record folds away or re-derives.
+    const PLAYER_KERNELS: [(&str, &str); 4] = [
+        ("strided loop", KERNEL),
+        // A data-dependent branch that alternates taken / not taken.
+        (
+            "taken and not-taken branches",
+            "main:\n li r9, 9\nloop:\n andi r10, r9, 1\n beqz r10, even\n \
+             addi r11, r11, 1\neven:\n addi r9, r9, -1\n bnez r9, loop\n halt\n",
+        ),
+        // Unconditional jumps and calls: the pc is not sequential, both
+        // forwards and backwards, and no record carries a direction.
+        (
+            "jumps",
+            "main:\n li r9, 3\nloop:\n jal sub\n j skip\n addi r1, r1, 1\n\
+             skip:\n addi r9, r9, -1\n bnez r9, loop\n halt\n\
+             sub:\n addi r2, r2, 1\n jr r31\n",
+        ),
+        // Walks a buffer downwards: loads and stores with negative address
+        // deltas, interleaved with straight-line ALU records.
+        (
+            "negative address deltas",
+            ".data\nv: .space 256\n.text\nmain:\n la r8, v\n addi r8, r8, 248\n \
+             li r9, 8\nloop:\n lw r1, 0(r8)\n sw r1, -4(r8)\n lw r2, -64(r8)\n \
+             addi r8, r8, -24\n addi r9, r9, -1\n bnez r9, loop\n halt\n",
+        ),
+    ];
+
     /// The predecoded fast path must be observationally identical to the
     /// streaming decoder: same records, same peeked PCs, and the same
-    /// serialized cursor bytes after every step (snapshots must not
-    /// depend on which path a player used).
+    /// serialized cursor bytes after every step and at stream end
+    /// (snapshots must not depend on which path a player used).
     #[test]
     fn predecoded_and_streaming_players_are_indistinguishable() {
-        let p = program(KERNEL);
-        let trace = CommittedTrace::capture(&p, 0, None).unwrap();
-        let mut fast = trace.player();
-        assert!(fast.decoded.is_some(), "small stream should predecode");
-        let mut slow = trace.streaming_player();
-        loop {
-            assert_eq!(fast.peek_pc(), slow.peek_pc());
-            let (a, b) = (fast.step(), slow.step());
-            assert_eq!(a, b);
-            let (mut wa, mut wb) = (StateWriter::new(), StateWriter::new());
-            fast.save_cursor(&mut wa);
-            slow.save_cursor(&mut wb);
-            assert_eq!(wa.into_bytes(), wb.into_bytes(), "cursor bytes diverged");
-            if a.is_none() {
-                break;
+        for (name, src) in PLAYER_KERNELS {
+            let p = program(src);
+            let trace = CommittedTrace::capture(&p, 0, None).unwrap();
+            let mut fast = trace.player();
+            assert!(
+                fast.decoded.is_some(),
+                "{name}: small stream should predecode"
+            );
+            let mut slow = trace.streaming_player();
+            let mut records = Vec::new();
+            loop {
+                assert_eq!(fast.peek_pc(), slow.peek_pc(), "{name}: peeked pc");
+                let (a, b) = (fast.step(), slow.step());
+                assert_eq!(a, b, "{name}: record {}", records.len());
+                let (mut wa, mut wb) = (StateWriter::new(), StateWriter::new());
+                fast.save_cursor(&mut wa);
+                slow.save_cursor(&mut wb);
+                assert_eq!(wa.into_bytes(), wb.into_bytes(), "{name}: cursor bytes");
+                match a {
+                    Some(di) => records.push(di),
+                    None => break,
+                }
+            }
+            assert_eq!(fast.peek_pc(), slow.peek_pc(), "{name}: peeked pc at end");
+            assert_eq!(records, emulated(&p, 0), "{name}: replay ≠ emulation");
+            // The table must exercise what its rows are named after.
+            let jumps = records
+                .windows(2)
+                .filter(|w| w[1].pc != w[0].pc + 1)
+                .count();
+            let taken = records.iter().filter(|d| d.taken == Some(true)).count();
+            let not_taken = records.iter().filter(|d| d.taken == Some(false)).count();
+            let mut prev = None;
+            let mut down = 0;
+            for a in records.iter().filter_map(|d| d.addr) {
+                down += usize::from(prev.is_some_and(|p| a < p));
+                prev = Some(a);
+            }
+            match name {
+                "taken and not-taken branches" => assert!(taken > 0 && not_taken > 0),
+                "jumps" => assert!(jumps > taken, "{name}: {jumps} jumps"),
+                "negative address deltas" => assert!(down > 0, "{name}: no negative delta"),
+                _ => {}
             }
         }
     }

@@ -2,7 +2,6 @@
 //! dataflow wakeup.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 
 use hbdc_isa::{ArchReg, Inst};
 use hbdc_snap::{SnapError, StateReader, StateWriter};
@@ -45,30 +44,44 @@ impl State {
     }
 }
 
+/// Sentinel for "no edge" in the edge arena's links.
+const NO_EDGE: u32 = u32::MAX;
+
+/// One dependence edge: the consumer it wakes, whether it gates the
+/// consumer's *address* (store base register) rather than only its
+/// execution, and the next edge of the same producer (or [`NO_EDGE`]).
 #[derive(Debug, Clone, Copy)]
-struct Dependent {
+struct Edge {
     seq: u64,
-    /// Whether this edge gates the consumer's *address* (store base
-    /// register) rather than only its execution.
+    next: u32,
     addr: bool,
 }
 
-#[derive(Debug)]
-struct Entry {
-    di: DynInst,
+/// The per-entry state the issue, wakeup and commit loops touch every
+/// cycle, packed into 24 bytes. The full instruction record lives in a
+/// separate cold array read only by snapshots, diagnostics and
+/// [`commit_into`](Window::commit_into).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    state: State,
+    /// Stores: cache access performed (commit gate).
+    access_done: bool,
     /// Issue/commit-relevant instruction facts, decoded once at
     /// dispatch so the per-cycle loops read a few cached bytes instead
-    /// of re-matching (and copying) the full record.
+    /// of re-matching the full record.
     meta: InstMeta,
-    state: State,
     remaining_deps: u32,
     /// Outstanding producers of the store's base register; when this
     /// reaches zero the store's effective address is architecturally
     /// known, which unblocks younger loads in the LSQ.
     addr_deps: u32,
-    dependents: Vec<Dependent>,
-    access_done: bool, // stores: cache access performed (commit gate)
+    /// First and last of this producer's outgoing edges in the arena, in
+    /// dispatch order ([`NO_EDGE`] when it has none).
+    head: u32,
+    tail: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() <= 24);
 
 /// Pre-decoded instruction facts the issue and commit stages consult
 /// every cycle. Derived (not stored) state: snapshots persist only the
@@ -149,25 +162,34 @@ fn reg_slot(r: ArchReg) -> usize {
 /// ```
 #[derive(Debug)]
 pub struct Window {
-    entries: VecDeque<Entry>,
+    // A power-of-two ring of slots indexed by `seq & mask`: live sequence
+    // numbers span at most `capacity <= mask + 1`, so slots are unique and
+    // `[base_seq, tail_seq)` is the live window in program order.
+    slots: Vec<Slot>,
+    // The full record of each slot's entry (cold: snapshots, diagnostics
+    // and `commit_into` only).
+    insts: Vec<DynInst>,
+    mask: u64,
     base_seq: u64,
+    tail_seq: u64,
     capacity: usize,
     producer: [Option<u64>; 64],
-    // Ready set as a bitmap keyed by `seq % capacity`: live sequence
-    // numbers span less than `capacity`, so slots are unique. Scanning in
-    // ring order from `base_seq` recovers oldest-first iteration without
-    // the per-cycle allocation (or node churn) of an ordered set. Packed
-    // 64 slots to a word so the scan skips empty regions via
+    // Dependence edges of every live producer, each producer's chained
+    // from its slot's `head` in dispatch order. Edges freed when their
+    // producer completes (or commits) are recycled through `free_edge`,
+    // so the steady-state hot loop performs no edge allocation.
+    edges: Vec<Edge>,
+    free_edge: u32,
+    // Ready set as a bitmap over the same ring slots. Scanning in ring
+    // order from `base_seq` recovers oldest-first iteration without the
+    // per-cycle allocation (or node churn) of an ordered set. Packed 64
+    // slots to a word so the scan skips empty regions via
     // `trailing_zeros` instead of testing every slot.
     ready: Vec<u64>,
     ready_count: usize,
     completions: CompletionWheel,
     // Stores whose address became known since the last drain.
     addr_ready: Vec<u64>,
-    // Recycled `dependents` vectors: entries draw from this pool at
-    // dispatch and return their vector once their dependents are woken,
-    // so the steady-state hot loop performs no edge-list allocation.
-    dep_pool: Vec<Vec<Dependent>>,
     // Monotone cache for `oldest_not_done` — the Done prefix only grows.
     frontier_hint: Cell<u64>,
 }
@@ -180,55 +202,81 @@ impl Window {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window needs at least one entry");
+        let ring = capacity.next_power_of_two();
+        // Placeholders: a slot is written at dispatch before it is read.
+        let blank = DynInst {
+            seq: 0,
+            pc: 0,
+            inst: Inst::Nop,
+            addr: None,
+            taken: None,
+        };
+        let empty = Slot {
+            state: State::Done,
+            access_done: false,
+            meta: InstMeta::of(&blank.inst),
+            remaining_deps: 0,
+            addr_deps: 0,
+            head: NO_EDGE,
+            tail: NO_EDGE,
+        };
         Self {
-            entries: VecDeque::with_capacity(capacity),
+            slots: vec![empty; ring],
+            insts: vec![blank; ring],
+            mask: ring as u64 - 1,
             base_seq: 0,
+            tail_seq: 0,
             capacity,
             producer: [None; 64],
-            ready: vec![0; capacity.div_ceil(64)],
+            edges: Vec::new(),
+            free_edge: NO_EDGE,
+            ready: vec![0; ring.div_ceil(64)],
             ready_count: 0,
             completions: CompletionWheel::new(),
             addr_ready: Vec::new(),
-            dep_pool: Vec::new(),
             frontier_hint: Cell::new(0),
         }
     }
 
     /// Current occupancy.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        (self.tail_seq - self.base_seq) as usize
     }
 
     /// Whether the window is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.tail_seq == self.base_seq
     }
 
     /// Whether the window has room for another instruction.
     pub fn has_space(&self) -> bool {
-        self.entries.len() < self.capacity
+        self.len() < self.capacity
     }
 
-    fn idx(&self, seq: u64) -> usize {
-        debug_assert!(seq >= self.base_seq, "seq already committed");
-        (seq - self.base_seq) as usize
+    #[inline]
+    fn slot_index(&self, seq: u64) -> usize {
+        debug_assert!(
+            seq >= self.base_seq && seq < self.tail_seq,
+            "seq {seq} not live in [{}, {})",
+            self.base_seq,
+            self.tail_seq
+        );
+        (seq & self.mask) as usize
     }
 
-    fn entry(&self, seq: u64) -> &Entry {
-        &self.entries[self.idx(seq)]
+    #[inline]
+    fn slot(&self, seq: u64) -> &Slot {
+        &self.slots[self.slot_index(seq)]
     }
 
-    fn entry_mut(&mut self, seq: u64) -> &mut Entry {
-        let i = self.idx(seq);
-        &mut self.entries[i]
-    }
-
-    fn ready_slot(&self, seq: u64) -> usize {
-        (seq % self.capacity as u64) as usize
+    #[inline]
+    fn slot_mut(&mut self, seq: u64) -> &mut Slot {
+        let i = self.slot_index(seq);
+        &mut self.slots[i]
     }
 
     fn set_ready(&mut self, seq: u64) {
-        let s = self.ready_slot(seq);
+        let s = (seq & self.mask) as usize;
         debug_assert_eq!(
             self.ready[s >> 6] >> (s & 63) & 1,
             0,
@@ -238,6 +286,43 @@ impl Window {
         self.ready_count += 1;
     }
 
+    /// Appends an edge waking `seq` to the end of `prod_seq`'s list.
+    fn push_edge(&mut self, prod_seq: u64, seq: u64, addr: bool) {
+        let edge = Edge {
+            seq,
+            next: NO_EDGE,
+            addr,
+        };
+        let e = if self.free_edge == NO_EDGE {
+            let e = u32::try_from(self.edges.len())
+                .ok()
+                .filter(|&e| e != NO_EDGE)
+                .expect("edge arena outgrew u32 indices");
+            self.edges.push(edge);
+            e
+        } else {
+            let e = self.free_edge;
+            self.free_edge = self.edges[e as usize].next;
+            self.edges[e as usize] = edge;
+            e
+        };
+        let prod = self.slot_mut(prod_seq);
+        let tail = std::mem::replace(&mut prod.tail, e);
+        if tail == NO_EDGE {
+            prod.head = e;
+        } else {
+            self.edges[tail as usize].next = e;
+        }
+    }
+
+    /// Returns the chain `head ..= tail` to the free list in O(1).
+    fn free_edges(&mut self, head: u32, tail: u32) {
+        if head != NO_EDGE {
+            self.edges[tail as usize].next = self.free_edge;
+            self.free_edge = head;
+        }
+    }
+
     /// Dispatches the next instruction in program order.
     ///
     /// # Panics
@@ -245,8 +330,8 @@ impl Window {
     /// Panics if the window is full or `di.seq` is out of order.
     pub fn dispatch(&mut self, di: DynInst) {
         assert!(self.has_space(), "dispatch into full window");
-        let expected = self.base_seq + self.entries.len() as u64;
-        assert_eq!(di.seq, expected, "dispatch out of program order");
+        assert_eq!(di.seq, self.tail_seq, "dispatch out of program order");
+        self.tail_seq += 1;
 
         let meta = InstMeta::of(&di.inst);
         let is_store = meta.store;
@@ -255,15 +340,12 @@ impl Window {
         let mut addr_deps = 0u32;
         di.inst.for_each_use(|u| {
             if let Some(prod_seq) = self.producer[reg_slot(u)] {
-                if prod_seq >= self.base_seq {
-                    let prod = self.entry_mut(prod_seq);
-                    if prod.state != State::Done {
-                        let addr = is_store && Some(u) == base;
-                        prod.dependents.push(Dependent { seq: di.seq, addr });
-                        remaining += 1;
-                        if addr {
-                            addr_deps += 1;
-                        }
+                if prod_seq >= self.base_seq && self.slot(prod_seq).state != State::Done {
+                    let addr = is_store && Some(u) == base;
+                    self.push_edge(prod_seq, di.seq, addr);
+                    remaining += 1;
+                    if addr {
+                        addr_deps += 1;
                     }
                 }
             }
@@ -281,15 +363,17 @@ impl Window {
         } else {
             State::Waiting
         };
-        self.entries.push_back(Entry {
-            di,
-            meta,
+        let i = self.slot_index(di.seq);
+        self.slots[i] = Slot {
             state,
+            access_done: false,
+            meta,
             remaining_deps: remaining,
             addr_deps,
-            dependents: self.dep_pool.pop().unwrap_or_default(),
-            access_done: false,
-        });
+            head: NO_EDGE,
+            tail: NO_EDGE,
+        };
+        self.insts[i] = di;
     }
 
     /// Drains the stores whose effective address has become
@@ -342,11 +426,11 @@ impl Window {
             return;
         }
         let max = max.min(self.ready_count);
-        // The live window occupies `entries.len()` ring slots starting at
-        // the base sequence's slot; a wrap splits it into two linear spans.
-        let start = self.ready_slot(self.base_seq);
-        let span1 = (self.capacity - start).min(self.entries.len());
-        let span2 = self.entries.len() - span1;
+        // The live window occupies `len()` ring slots starting at the
+        // base sequence's slot; a wrap splits it into two linear spans.
+        let start = (self.base_seq & self.mask) as usize;
+        let span1 = (self.slots.len() - start).min(self.len());
+        let span2 = self.len() - span1;
         if self.scan_ready_span(start, span1, self.base_seq, max, out) && span2 > 0 {
             self.scan_ready_span(0, span2, self.base_seq + span1 as u64, max, out);
         }
@@ -366,15 +450,19 @@ impl Window {
     }
 
     /// The instruction record at `seq`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` is not live in the window.
     pub fn inst(&self, seq: u64) -> &DynInst {
-        &self.entry(seq).di
+        self.get(seq).expect("seq not live in the window")
     }
 
     /// The cached instruction facts for `seq` — what the issue stage
     /// reads each cycle instead of copying the record out and
     /// re-matching the opcode.
     pub fn meta(&self, seq: u64) -> InstMeta {
-        self.entry(seq).meta
+        self.slot(seq).meta
     }
 
     /// Marks `seq` issued. `complete_at` is the cycle its result appears,
@@ -385,14 +473,14 @@ impl Window {
     ///
     /// Panics if the entry is not ready.
     pub fn mark_issued(&mut self, seq: u64, complete_at: Option<u64>) {
-        let s = self.ready_slot(seq);
+        let s = self.slot_index(seq);
         assert!(
             self.ready[s >> 6] >> (s & 63) & 1 == 1,
             "issue of non-ready entry"
         );
         self.ready[s >> 6] &= !(1 << (s & 63));
         self.ready_count -= 1;
-        self.entry_mut(seq).state = State::Issued;
+        self.slots[s].state = State::Issued;
         if let Some(at) = complete_at {
             self.completions.push(at, seq);
         }
@@ -401,7 +489,7 @@ impl Window {
     /// Schedules the completion of an already-issued entry (loads, once
     /// the cache grants their access and the fill latency is known).
     pub fn set_complete_at(&mut self, seq: u64, at: u64) {
-        debug_assert_eq!(self.entry(seq).state, State::Issued);
+        debug_assert_eq!(self.slot(seq).state, State::Issued);
         self.completions.push(at, seq);
     }
 
@@ -417,27 +505,33 @@ impl Window {
                 continue; // already committed (defensive)
             }
             completed += 1;
-            let mut dependents = {
-                let e = self.entry_mut(seq);
-                debug_assert_eq!(e.state, State::Issued);
-                e.state = State::Done;
-                std::mem::take(&mut e.dependents)
+            let (head, tail) = {
+                let s = self.slot_mut(seq);
+                debug_assert_eq!(s.state, State::Issued);
+                s.state = State::Done;
+                let chain = (s.head, s.tail);
+                s.head = NO_EDGE;
+                s.tail = NO_EDGE;
+                chain
             };
-            for &dep in &dependents {
+            let mut e = head;
+            while e != NO_EDGE {
+                let dep = self.edges[e as usize];
+                e = dep.next;
                 if dep.seq < self.base_seq {
                     continue;
                 }
-                let e = self.entry_mut(dep.seq);
-                e.remaining_deps -= 1;
+                let s = self.slot_mut(dep.seq);
+                s.remaining_deps -= 1;
                 let addr_now_known = if dep.addr {
-                    e.addr_deps -= 1;
-                    e.addr_deps == 0
+                    s.addr_deps -= 1;
+                    s.addr_deps == 0
                 } else {
                     false
                 };
-                let woken = e.remaining_deps == 0 && e.state == State::Waiting;
+                let woken = s.remaining_deps == 0 && s.state == State::Waiting;
                 if woken {
-                    e.state = State::Ready;
+                    s.state = State::Ready;
                 }
                 if addr_now_known {
                     self.addr_ready.push(dep.seq);
@@ -446,8 +540,7 @@ impl Window {
                     self.set_ready(dep.seq);
                 }
             }
-            dependents.clear();
-            self.dep_pool.push(dependents);
+            self.free_edges(head, tail);
         }
         completed
     }
@@ -461,7 +554,7 @@ impl Window {
 
     /// Whether `seq` has produced its result.
     pub fn is_done(&self, seq: u64) -> bool {
-        self.entry(seq).state == State::Done
+        self.slot(seq).state == State::Done
     }
 
     /// Whether `seq` has produced its result *or already committed* —
@@ -472,34 +565,32 @@ impl Window {
 
     /// Records that a store's commit-time cache access has been performed.
     pub fn mark_access_done(&mut self, seq: u64) {
-        self.entry_mut(seq).access_done = true;
+        self.slot_mut(seq).access_done = true;
     }
 
     /// Whether a store's cache access has been performed.
     pub fn access_done(&self, seq: u64) -> bool {
-        self.entry(seq).access_done
+        self.slot(seq).access_done
     }
 
     /// Sequence number of the oldest entry that is not yet Done; all
     /// entries older than this are complete. Returns one past the youngest
     /// entry when everything is Done (or the window is empty).
     pub fn oldest_not_done(&self) -> u64 {
-        let start = self.frontier_hint.get().max(self.base_seq);
-        let mut i = (start - self.base_seq) as usize;
-        while i < self.entries.len() && self.entries[i].state == State::Done {
-            i += 1;
+        let mut seq = self.frontier_hint.get().max(self.base_seq);
+        while seq < self.tail_seq && self.slot(seq).state == State::Done {
+            seq += 1;
         }
-        let frontier = self.base_seq + i as u64;
-        self.frontier_hint.set(frontier);
-        frontier
+        self.frontier_hint.set(seq);
+        seq
     }
 
     /// Counts entries by state: (waiting, ready, issued, done).
     #[doc(hidden)]
     pub fn state_census(&self) -> (usize, usize, usize, usize) {
         let mut c = (0, 0, 0, 0);
-        for e in &self.entries {
-            match e.state {
+        for seq in self.base_seq..self.tail_seq {
+            match self.slot(seq).state {
                 State::Waiting => c.0 += 1,
                 State::Ready => c.1 += 1,
                 State::Issued => c.2 += 1,
@@ -509,28 +600,20 @@ impl Window {
         c
     }
 
-    /// Shared retirement walk: pops up to `max` front entries that are
-    /// Done (and, for stores, access-performed), pushing `f(&entry)`
+    /// Shared retirement walk: retires up to `max` front entries that are
+    /// Done (and, for stores, access-performed), pushing `f(self, seq)`
     /// into `out` (cleared first) for each.
-    fn commit_with<T>(&mut self, max: u32, out: &mut Vec<T>, f: impl Fn(&Entry) -> T) {
+    fn commit_with<T>(&mut self, max: u32, out: &mut Vec<T>, f: impl Fn(&Self, u64) -> T) {
         out.clear();
-        while out.len() < max as usize {
-            match self.entries.front() {
-                Some(e) if e.state == State::Done => {
-                    if e.meta.store && !e.access_done {
-                        break;
-                    }
-                    let e = self.entries.pop_front().expect("front checked");
-                    self.base_seq += 1;
-                    out.push(f(&e));
-                    if e.dependents.capacity() > 0 {
-                        let mut deps = e.dependents;
-                        deps.clear();
-                        self.dep_pool.push(deps);
-                    }
-                }
-                _ => break,
+        while out.len() < max as usize && !self.is_empty() {
+            let seq = self.base_seq;
+            let s = *self.slot(seq);
+            if s.state != State::Done || (s.meta.store && !s.access_done) {
+                break;
             }
+            out.push(f(self, seq));
+            self.free_edges(s.head, s.tail);
+            self.base_seq += 1;
         }
     }
 
@@ -538,16 +621,16 @@ impl Window {
     /// `out` (cleared first). An entry retires if it is Done and, for
     /// stores, its cache access has been performed.
     pub fn commit_into(&mut self, max: u32, out: &mut Vec<DynInst>) {
-        self.commit_with(max, out, |e| e.di);
+        self.commit_with(max, out, |w, seq| *w.inst(seq));
     }
 
     /// Like [`commit_into`](Self::commit_into), but yields only each
     /// retired entry's sequence number and cached instruction facts —
     /// the simulator's hot path, which never needs the full record.
     pub fn commit_compact_into(&mut self, max: u32, out: &mut Vec<Retired>) {
-        self.commit_with(max, out, |e| Retired {
-            seq: e.di.seq,
-            meta: e.meta,
+        self.commit_with(max, out, |w, seq| Retired {
+            seq,
+            meta: w.meta(seq),
         });
     }
 
@@ -563,34 +646,42 @@ impl Window {
     /// The instruction record at `seq`, or `None` if it is not live in
     /// the window (diagnostics; [`inst`](Self::inst) panics instead).
     pub fn get(&self, seq: u64) -> Option<&DynInst> {
-        if seq < self.base_seq {
-            return None;
-        }
-        self.entries
-            .get((seq - self.base_seq) as usize)
-            .map(|e| &e.di)
+        (self.base_seq..self.tail_seq)
+            .contains(&seq)
+            .then(|| &self.insts[(seq & self.mask) as usize])
     }
 
     /// Serializes the window's architectural timing state: every live
-    /// entry (as a slim dynamic record plus its dependence bookkeeping),
-    /// the per-register producer map, the pending completion events, and
-    /// the address-ready event queue. The ready bitmap is derivable from
-    /// entry states and is rebuilt on load; scratch (the dependent-vector
-    /// pool, the frontier hint) is not persisted.
+    /// entry (as a slim dynamic record plus its dependence bookkeeping,
+    /// edges in dispatch order), the per-register producer map, the
+    /// pending completion events, and the address-ready event queue. The
+    /// ready bitmap is derivable from entry states and is rebuilt on
+    /// load; scratch (the edge free list, the frontier hint) is not
+    /// persisted.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.put_u64(self.base_seq);
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            e.di.save_slim(w);
-            w.put_u8(e.state.tag());
-            w.put_u32(e.remaining_deps);
-            w.put_u32(e.addr_deps);
-            w.put_usize(e.dependents.len());
-            for d in &e.dependents {
+        w.put_usize(self.len());
+        for seq in self.base_seq..self.tail_seq {
+            let s = self.slot(seq);
+            self.inst(seq).save_slim(w);
+            w.put_u8(s.state.tag());
+            w.put_u32(s.remaining_deps);
+            w.put_u32(s.addr_deps);
+            let mut n = 0usize;
+            let mut e = s.head;
+            while e != NO_EDGE {
+                n += 1;
+                e = self.edges[e as usize].next;
+            }
+            w.put_usize(n);
+            let mut e = s.head;
+            while e != NO_EDGE {
+                let d = self.edges[e as usize];
                 w.put_u64(d.seq);
                 w.put_bool(d.addr);
+                e = d.next;
             }
-            w.put_bool(e.access_done);
+            w.put_bool(s.access_done);
         }
         for p in &self.producer {
             w.put_opt_u64(*p);
@@ -616,8 +707,9 @@ impl Window {
     /// # Errors
     ///
     /// Returns [`SnapError::Corrupt`] if the stream holds more entries
-    /// than this window's capacity, names a PC outside `text`, or carries
-    /// an unknown state tag.
+    /// than this window's capacity, names a PC outside `text`, carries
+    /// an unknown state tag, or has an entry wake one that is not younger
+    /// and live.
     pub fn load_state(&mut self, r: &mut StateReader<'_>, text: &[Inst]) -> Result<(), SnapError> {
         let base_seq = r.get_u64()?;
         let n = r.get_usize()?;
@@ -628,30 +720,43 @@ impl Window {
             )));
         }
         self.base_seq = base_seq;
-        self.entries.clear();
+        self.tail_seq = base_seq;
+        self.edges.clear();
+        self.free_edge = NO_EDGE;
+        self.ready.iter_mut().for_each(|word| *word = 0);
+        self.ready_count = 0;
         for _ in 0..n {
             let di = DynInst::load_slim(r, text)?;
             let state = State::from_tag(r.get_u8()?)?;
             let remaining_deps = r.get_u32()?;
             let addr_deps = r.get_u32()?;
-            let deps = r.get_usize()?;
-            let mut dependents = self.dep_pool.pop().unwrap_or_default();
-            dependents.clear();
-            for _ in 0..deps {
-                let seq = r.get_u64()?;
-                let addr = r.get_bool()?;
-                dependents.push(Dependent { seq, addr });
-            }
-            let access_done = r.get_bool()?;
-            self.entries.push_back(Entry {
-                meta: InstMeta::of(&di.inst),
-                di,
+            let seq = self.tail_seq;
+            self.tail_seq += 1;
+            let i = self.slot_index(seq);
+            self.slots[i] = Slot {
                 state,
+                access_done: false,
+                meta: InstMeta::of(&di.inst),
                 remaining_deps,
                 addr_deps,
-                dependents,
-                access_done,
-            });
+                head: NO_EDGE,
+                tail: NO_EDGE,
+            };
+            self.insts[i] = di;
+            for _ in 0..r.get_usize()? {
+                let dep = r.get_u64()?;
+                let addr = r.get_bool()?;
+                if dep <= seq || dep - base_seq >= n as u64 {
+                    return Err(SnapError::Corrupt(format!(
+                        "window entry {seq} wakes {dep}, which is not a younger live entry"
+                    )));
+                }
+                self.push_edge(seq, dep, addr);
+            }
+            self.slots[i].access_done = r.get_bool()?;
+            if state == State::Ready {
+                self.set_ready(seq);
+            }
         }
         for p in &mut self.producer {
             *p = r.get_opt_u64()?;
@@ -667,18 +772,6 @@ impl Window {
         let addr_ready = r.get_usize()?;
         for _ in 0..addr_ready {
             self.addr_ready.push(r.get_u64()?);
-        }
-        // Rebuild the ready bitmap from the restored entry states.
-        self.ready.iter_mut().for_each(|word| *word = 0);
-        self.ready_count = 0;
-        let ready_seqs: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|e| e.state == State::Ready)
-            .map(|e| e.di.seq)
-            .collect();
-        for seq in ready_seqs {
-            self.set_ready(seq);
         }
         self.frontier_hint.set(self.base_seq);
         Ok(())
@@ -1121,5 +1214,85 @@ mod tests {
     fn out_of_order_dispatch_panics() {
         let mut w = Window::new(4);
         w.dispatch(alu(1, 1, 0, 0));
+    }
+
+    #[test]
+    fn ring_wraps_at_a_non_power_of_two_capacity() {
+        // Capacity 5 rides an 8-slot ring: the live span wraps the ring
+        // (and the ready bitmap) every few commits.
+        let mut w = Window::new(5);
+        let mut next = 0u64;
+        for cycle in 1..=40u64 {
+            while w.has_space() {
+                // Each instruction reads the previous one's result.
+                w.dispatch(alu(next, 1 + (next % 2) as u8, 2 - (next % 2) as u8, 0));
+                next += 1;
+            }
+            assert_eq!(w.len(), 5);
+            let ready = w.ready_seqs();
+            assert_eq!(ready, vec![w.oldest_not_done()], "cycle {cycle}");
+            w.mark_issued(ready[0], Some(cycle));
+            w.advance_completions(cycle);
+            let retired = w.commit(1);
+            assert_eq!(retired.len(), 1);
+            assert_eq!(retired[0].seq, cycle - 1);
+        }
+    }
+
+    #[test]
+    fn save_load_round_trips_edges_in_dispatch_order() {
+        let insts = [
+            alu(0, 1, 0, 0), // r1
+            alu(1, 2, 0, 0), // r2
+            alu(2, 3, 1, 2), // edges 0→2, 1→2
+            store(3, 0x80),  // data r1: edge 0→3; base r2: address edge 1→3
+            alu(4, 4, 1, 1), // two edges 0→4
+        ];
+        let mut w = Window::new(6);
+        for di in insts {
+            w.dispatch(di);
+        }
+        let mut a = StateWriter::new();
+        w.save_state(&mut a);
+        let bytes = a.into_bytes();
+
+        let mut restored = Window::new(6);
+        let text = insts.map(|di| di.inst);
+        restored
+            .load_state(&mut StateReader::new(&bytes), &text)
+            .unwrap();
+        let mut b = StateWriter::new();
+        restored.save_state(&mut b);
+        assert_eq!(b.into_bytes(), bytes);
+
+        for win in [&mut w, &mut restored] {
+            win.mark_issued(1, Some(1));
+            win.advance_completions(1);
+            assert_eq!(win.drain_addr_ready().collect::<Vec<_>>(), vec![3]);
+            assert_eq!(win.ready_seqs(), vec![0]);
+            win.mark_issued(0, Some(2));
+            win.advance_completions(2);
+            assert_eq!(win.ready_seqs(), vec![2, 3, 4]);
+        }
+    }
+
+    #[test]
+    fn load_rejects_an_edge_to_a_non_live_consumer() {
+        let mut w = StateWriter::new();
+        w.put_u64(0); // base seq
+        w.put_usize(1); // one entry...
+        alu(0, 1, 0, 0).save_slim(&mut w);
+        w.put_u8(State::Issued.tag());
+        w.put_u32(0);
+        w.put_u32(0);
+        w.put_usize(1); // ...waking seq 5, which is not in the window
+        w.put_u64(5);
+        w.put_bool(false);
+        let bytes = w.into_bytes();
+        let text = [alu(0, 1, 0, 0).inst];
+        assert!(matches!(
+            Window::new(4).load_state(&mut StateReader::new(&bytes), &text),
+            Err(SnapError::Corrupt(_))
+        ));
     }
 }

@@ -12,6 +12,8 @@
 //!   paper's bit selection (Figure 2c), plus XOR-fold and pseudo-random
 //!   mappings as ablations (paper §3.2 discusses the tradeoff).
 //! * [`MshrFile`] — miss status holding registers for the non-blocking L1.
+//! * [`FibHashMap`] — a `u64`-keyed map with multiplicative hashing, for
+//!   the per-reference maps of this crate and the LSQ.
 //! * [`Hierarchy`] — the L1 → L2 → DRAM timing model of the paper's
 //!   Table 1 (32KB direct-mapped write-back L1, 512KB 4-way L2 at 4
 //!   cycles, 10-cycle main memory).
@@ -35,6 +37,7 @@
 #![warn(missing_docs)]
 
 mod bankmap;
+mod fibhash;
 mod geometry;
 mod hierarchy;
 mod memory;
@@ -43,6 +46,7 @@ mod stats;
 mod tagarray;
 
 pub use bankmap::{BankMapper, BankSelect};
+pub use fibhash::{FibHashMap, FibHasher};
 pub use geometry::CacheGeometry;
 pub use hierarchy::{AccessOutcome, Hierarchy, HierarchyConfig};
 pub use memory::Memory;

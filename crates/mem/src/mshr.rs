@@ -1,9 +1,11 @@
 //! Miss status holding registers (MSHRs) for the non-blocking L1.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use hbdc_snap::{SnapError, StateReader, StateWriter};
+
+use crate::FibHashMap;
 
 /// Outcome of registering a miss with the [`MshrFile`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +45,7 @@ pub enum MshrOutcome {
 pub struct MshrFile {
     capacity: usize,
     // line address -> completion cycle
-    entries: HashMap<u64, u64>,
+    entries: FibHashMap<u64>,
     // Min-heap of (completion cycle, line), kept in lockstep with
     // `entries`: a heap entry exists iff the map entry does. Merges never
     // push (the line is already present) and a line's completion cycle is
@@ -65,7 +67,7 @@ impl MshrFile {
         assert!(capacity > 0, "MSHR file needs at least one entry");
         Self {
             capacity,
-            entries: HashMap::new(),
+            entries: FibHashMap::default(),
             by_ready: BinaryHeap::new(),
             merges: 0,
             rejects: 0,

@@ -15,6 +15,8 @@
 //!   update discipline both snapshot and journal writers use.
 //! * [`interrupt`] — a process-wide SIGINT latch so long campaigns can
 //!   shut down gracefully at a cycle boundary instead of dying mid-write.
+//! * [`clock`] — the calling thread's CPU clock, which the simulator's
+//!   host-time report fields are measured with.
 //! * [`lock`] — advisory file locking, pid liveness probes, and
 //!   corrupt-artifact eviction for multi-process campaign supervision.
 //!
@@ -38,6 +40,7 @@
 
 #![warn(missing_docs)]
 
+pub mod clock;
 pub mod interrupt;
 pub mod lock;
 
@@ -362,8 +365,14 @@ impl<'a> StateReader<'a> {
 
     /// Reads a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, SnapError> {
+        self.get_byte_slice().map(<[u8]>::to_vec)
+    }
+
+    /// Reads a length-prefixed byte string as a view of the input,
+    /// without copying it.
+    pub fn get_byte_slice(&mut self) -> Result<&'a [u8], SnapError> {
         let n = self.get_usize()?;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -402,14 +411,16 @@ pub fn zigzag_decode(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Container header size: magic (4) + version (4) + length (8) + checksum (8).
-const HEADER_LEN: usize = 24;
+/// Container header size: magic (4) + version (4) + length (8) + checksum
+/// (8). The payload [`open`] returns starts at this offset of the sealed
+/// bytes.
+pub const SEAL_HEADER_LEN: usize = 24;
 
 /// Wraps `payload` in a checksummed container: 4-byte `magic`, `u32`
 /// format `version`, `u64` payload length, `u64` FNV-1a payload checksum,
 /// then the payload itself.
 pub fn seal(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    let mut out = Vec::with_capacity(SEAL_HEADER_LEN + payload.len());
     out.extend_from_slice(&magic);
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -426,10 +437,10 @@ pub fn seal(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
 /// [`SnapError::Truncated`], or [`SnapError::ChecksumMismatch`] depending
 /// on which integrity layer failed first.
 pub fn open(bytes: &[u8], magic: [u8; 4], version: u32) -> Result<&[u8], SnapError> {
-    if bytes.len() < HEADER_LEN {
+    if bytes.len() < SEAL_HEADER_LEN {
         return Err(SnapError::Truncated {
             at: bytes.len(),
-            want: HEADER_LEN,
+            want: SEAL_HEADER_LEN,
         });
     }
     let found_magic: [u8; 4] = [bytes[0], bytes[1], bytes[2], bytes[3]];
@@ -452,12 +463,13 @@ pub fn open(bytes: &[u8], magic: [u8; 4], version: u32) -> Result<&[u8], SnapErr
     let stored = u64::from_le_bytes([
         bytes[16], bytes[17], bytes[18], bytes[19], bytes[20], bytes[21], bytes[22], bytes[23],
     ]);
-    let payload = bytes
-        .get(HEADER_LEN..HEADER_LEN + len)
-        .ok_or(SnapError::Truncated {
-            at: bytes.len(),
-            want: HEADER_LEN + len,
-        })?;
+    let payload =
+        bytes
+            .get(SEAL_HEADER_LEN..SEAL_HEADER_LEN + len)
+            .ok_or(SnapError::Truncated {
+                at: bytes.len(),
+                want: SEAL_HEADER_LEN + len,
+            })?;
     let computed = fnv1a64(payload);
     if computed != stored {
         return Err(SnapError::ChecksumMismatch { stored, computed });

@@ -18,6 +18,9 @@ cargo test --workspace -q
 echo "== cargo test --features audit (invariant auditor on)"
 cargo test -p hbdc-cpu -p hbdc-bench --features audit -q
 
+echo "== perfbench's own tests (stable API + expected.txt checks)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== kill-and-resume integration test"
 scripts/resume_test.sh
 
