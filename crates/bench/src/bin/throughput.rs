@@ -63,8 +63,7 @@ fn speed_over<'a>(reports: impl IntoIterator<Item = &'a SimReport> + Clone) -> S
         0.0
     };
     // Mean offered references per non-empty arbitration round — the
-    // backlog the batched arbiter sees per invocation; tracks how much
-    // work the incremental bucket indices save over re-scanning.
+    // backlog each arbitration round sees per invocation.
     let arb_offered_per_round = if arb_rounds > 0 {
         arb_offered as f64 / arb_rounds as f64
     } else {

@@ -115,3 +115,28 @@ fn audited_runs_match_reference_implementation() {
         );
     }
 }
+
+/// The audited round is the production round: under Bank-4, whose round
+/// reads its delta-fed per-bank mirror, a deep-backlog stencil (more than
+/// 64 references offered per round on average) must run audit-clean and
+/// bit-identical to the unaudited run.
+#[test]
+fn audited_deep_backlog_matches_unaudited_under_bank4() {
+    let mgrid = by_name("mgrid").unwrap();
+    let port = PortConfig::banked(4);
+    let run = |audit| {
+        let cfg = CpuConfig {
+            audit,
+            ..CpuConfig::default()
+        };
+        simulate_with(&mgrid, Scale::Test, port, cfg).expect("audit-clean run")
+    };
+    let plain = run(false);
+    assert!(
+        plain.arb_offered > 64 * plain.arb_rounds,
+        "backlog too shallow: {} offered over {} rounds",
+        plain.arb_offered,
+        plain.arb_rounds
+    );
+    assert_eq!(run(true), plain, "auditing must not perturb");
+}

@@ -1,12 +1,14 @@
-//! Microbenchmarks for the memory-stage hot loops: port arbitration —
-//! the naive age-ordered slice walk (`arbitrate_into`) against the
-//! batched mirror path (`arbitrate_offered`) — and `Hierarchy::access`.
+//! Microbenchmarks for the memory-stage hot loops: each port model's one
+//! arbitration round (`arbitrate_into`) and `Hierarchy::access`.
 //!
 //! The offered sets come in two flavours so both regimes of the
 //! arbiters are visible: *conflict-free* (one reference per bank, every
 //! round grants everything) and *conflict-heavy* (the whole backlog on
-//! one bank, so the naive walk re-scans all of it every round while the
-//! batched path only touches bucket fronts).
+//! one bank, so most references wait many rounds). Every iteration runs
+//! one round, then services the grants and offers a replacement for
+//! each (a younger reference to the same address), so the backlog stays
+//! at a fixed depth and models that mirror offers (banked) pay their
+//! `offer_remove`/`offer_insert` upkeep exactly as the simulator feeds it.
 //!
 //! Run via `scripts/microbench.sh` or
 //! `cargo bench -p hbdc-core --bench arb`.
@@ -14,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use hbdc_core::{MemRequest, Offered, PortConfig};
+use hbdc_core::{MemRequest, PortConfig};
 use hbdc_mem::{Hierarchy, HierarchyConfig};
 
 /// Line size the models are built with (also the bank-mapping stride).
@@ -46,48 +48,38 @@ fn conflict_heavy() -> Vec<MemRequest> {
         .collect()
 }
 
-/// Splits requests into the parallel SoA arrays an [`Offered`] view
-/// borrows — the same layout the simulator's LSQ ready list keeps.
-fn soa(reqs: &[MemRequest]) -> (Vec<u64>, Vec<u64>, Vec<bool>) {
-    let ids = reqs.iter().map(|r| r.id).collect();
-    let addrs = reqs.iter().map(|r| r.addr).collect();
-    let stores = reqs.iter().map(|r| r.is_store).collect();
-    (ids, addrs, stores)
-}
-
 fn bench_arbitrate(c: &mut Criterion) {
     for (shape, reqs) in [
         ("conflict-free", conflict_free()),
         ("conflict-heavy", conflict_heavy()),
     ] {
         let mut group = c.benchmark_group(format!("arbitrate/{shape}"));
-        let (ids, addrs, stores) = soa(&reqs);
-        for config in [PortConfig::banked(8), PortConfig::lbic(8, 4)] {
-            // Naive reference path: re-walks the whole age-ordered
-            // slice every round.
-            let mut model = config.clone().build(LINE);
-            let label = model.label();
-            let mut granted_ix = Vec::new();
-            group.bench_function(format!("{label}/naive"), |b| {
-                b.iter(|| {
-                    model.arbitrate_into(black_box(&reqs), &mut granted_ix);
-                    model.tick();
-                    black_box(granted_ix.len())
-                })
-            });
-
-            // Batched path: the model's bucket mirror is seeded once and
-            // each round reads only bucket fronts / line groups.
-            let mut model = config.clone().build(LINE);
-            model.offer_reset(Offered::new(&ids, &addrs, &stores));
+        for config in [
+            PortConfig::Ideal { ports: 8 },
+            PortConfig::Replicated { ports: 8 },
+            PortConfig::banked(8),
+            PortConfig::lbic(8, 4),
+        ] {
+            let mut model = config.build(LINE);
+            let mut ready = reqs.clone();
+            model.offer_reset(&ready);
+            let mut next_id = N_READY;
             let mut granted = Vec::new();
-            group.bench_function(format!("{label}/batched"), |b| {
+            group.bench_function(model.label(), |b| {
                 b.iter(|| {
-                    model.arbitrate_offered(
-                        black_box(Offered::new(&ids, &addrs, &stores)),
-                        &mut granted,
-                    );
+                    model.arbitrate_into(black_box(&ready), &mut granted);
                     model.tick();
+                    for &g in granted.iter().rev() {
+                        let done = ready.remove(g);
+                        model.offer_remove(done);
+                        let fresh = MemRequest {
+                            id: next_id,
+                            ..done
+                        };
+                        next_id += 1;
+                        ready.push(fresh);
+                        model.offer_insert(fresh);
+                    }
                     black_box(granted.len())
                 })
             });

@@ -7,7 +7,7 @@ use hbdc_snap::{SnapError, StateReader, StateWriter};
 
 use crate::audit::{self, Violation};
 use crate::model::PortModel;
-use crate::request::{MemRequest, Offered};
+use crate::request::MemRequest;
 use crate::stats::ArbStats;
 
 /// A traditional multi-bank cache: `M` line-interleaved, single-ported
@@ -37,18 +37,15 @@ use crate::stats::ArbStats;
 #[derive(Debug)]
 pub struct BankedPorts {
     mapper: BankMapper,
-    taken: Vec<bool>, // scratch, one per bank
-    // Incremental per-bank index over the standing offered set (the
-    // batched-round path): each bucket holds that bank's offered requests
-    // sorted by id (= age), maintained by offer_insert/offer_remove, so a
-    // round is "front of every non-empty bucket" instead of a walk over
-    // the whole age-ordered backlog. Deques, because the maintenance
-    // traffic is end-biased — arrivals carry the largest id yet (back)
-    // and grants take the oldest per bank (front) — so the common case
-    // is O(1) instead of a memmove over the bucket. Derived state: never
+    // Per-bank index over the standing offered set: each bucket holds
+    // that bank's offered requests sorted by id (= age), maintained by
+    // offer_insert/offer_remove, so a round is "front of every non-empty
+    // bucket" instead of a walk over the whole age-ordered backlog.
+    // Deques, because the maintenance traffic is end-biased — arrivals
+    // carry the largest id yet (back) and grants take the oldest per bank
+    // (front) — so the common case is O(1). Derived state: never
     // serialized, rebuilt by offer_reset after a snapshot restore.
     buckets: Vec<VecDeque<MemRequest>>,
-    offered_len: usize,
     stats: ArbStats,
 }
 
@@ -67,9 +64,7 @@ impl BankedPorts {
         let banks = mapper.banks() as usize;
         Self {
             mapper,
-            taken: vec![false; banks],
             buckets: vec![VecDeque::new(); banks],
-            offered_len: 0,
             stats: ArbStats::new(banks),
         }
     }
@@ -81,28 +76,34 @@ impl BankedPorts {
 }
 
 impl PortModel for BankedPorts {
+    // The winner of each bank is the front of its bucket (the oldest
+    // same-bank request) and every other offered request is a bank
+    // conflict, so a round is O(banks) bucket reads plus one binary
+    // search per grant to turn its id back into an index of `ready`
+    // (valid because ids strictly increase along `ready`). The mirror
+    // checks are hard asserts: they cost O(banks) per round, and a
+    // violated ordering contract or a desynchronized mirror would
+    // otherwise yield silently wrong grants.
     fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) {
+        assert_eq!(
+            self.buckets.iter().map(VecDeque::len).sum::<usize>(),
+            ready.len(),
+            "offered mirror out of sync with the ready list"
+        );
         granted.clear();
-        self.taken.iter_mut().for_each(|t| *t = false);
-        let banks = self.taken.len();
-        let mut conflicts = 0u64;
-        for (i, r) in ready.iter().enumerate() {
-            // Once every bank is claimed no later request can win, so the
-            // rest of the (age-ordered) ready list is all conflicts —
-            // counting it wholesale keeps the round O(banks) even when
-            // ports saturate and the ready list grows long.
-            if granted.len() == banks {
-                conflicts += (ready.len() - i) as u64;
-                break;
-            }
-            let bank = self.mapper.bank_of(r.addr) as usize;
-            if self.taken[bank] {
-                conflicts += 1;
-            } else {
-                self.taken[bank] = true;
+        for bucket in &self.buckets {
+            if let Some(front) = bucket.front() {
+                let i = ready.partition_point(|r| r.id < front.id);
+                assert!(
+                    ready.get(i).is_some_and(|r| r.id == front.id),
+                    "mirror front id {} not in the ready list (ids must strictly increase)",
+                    front.id
+                );
                 granted.push(i);
             }
         }
+        granted.sort_unstable();
+        let conflicts = (ready.len() - granted.len()) as u64;
         if conflicts > 0 {
             self.stats.bump("bank_conflicts", conflicts);
         }
@@ -124,14 +125,13 @@ impl PortModel for BankedPorts {
             bucket.push_back(req);
         } else {
             let pos = bucket.partition_point(|r| r.id < req.id);
-            debug_assert!(
+            assert!(
                 bucket.get(pos).is_none_or(|r| r.id != req.id),
                 "duplicate offered id {}",
                 req.id
             );
             bucket.insert(pos, req);
         }
-        self.offered_len += 1;
     }
 
     fn offer_remove(&mut self, req: MemRequest) {
@@ -144,60 +144,35 @@ impl PortModel for BankedPorts {
             bucket.pop_front();
         } else {
             let pos = bucket.partition_point(|r| r.id < req.id);
-            debug_assert!(
+            assert!(
                 bucket.get(pos).is_some_and(|r| r.id == req.id),
                 "removing id {} not in offered set",
                 req.id
             );
             bucket.remove(pos);
         }
-        self.offered_len -= 1;
     }
 
-    fn offer_reset(&mut self, offered: Offered<'_>) {
+    fn offer_reset(&mut self, offered: &[MemRequest]) {
+        assert!(
+            offered.windows(2).all(|w| w[0].id < w[1].id),
+            "offered ids must strictly increase along the ready list"
+        );
         self.buckets.iter_mut().for_each(VecDeque::clear);
-        self.offered_len = offered.len();
-        // The view is id-sorted (age order), so appending keeps every
+        // The set is id-sorted (age order), so appending keeps every
         // bucket sorted without a per-element search.
-        for r in offered.iter() {
+        for &r in offered {
             self.buckets[self.mapper.bank_of(r.addr) as usize].push_back(r);
         }
-    }
-
-    // Batched round over the incrementally-maintained buckets: the winner
-    // of each bank is the front of its bucket (oldest same-bank request),
-    // and every other offered request is a bank conflict — exactly the
-    // slice-walk semantics of `arbitrate_into` (including the saturation
-    // shortcut, whose grant set is also "oldest per bank"), at
-    // O(banks + grants) per round instead of O(offered).
-    fn arbitrate_offered(&mut self, offered: Offered<'_>, granted: &mut Vec<MemRequest>) {
-        debug_assert_eq!(
-            self.offered_len,
-            offered.len(),
-            "offered mirror out of sync"
-        );
-        granted.clear();
-        for bucket in &self.buckets {
-            if let Some(&r) = bucket.front() {
-                granted.push(r);
-            }
-        }
-        // Grants must come back in age (id) order, matching the
-        // slice-walk's grant order.
-        granted.sort_unstable_by_key(|r| r.id);
-        let conflicts = (self.offered_len - granted.len()) as u64;
-        if conflicts > 0 {
-            self.stats.bump("bank_conflicts", conflicts);
-        }
-        self.stats.record_round(self.offered_len, granted.len());
     }
 
     fn tick(&mut self) {
         self.stats.record_tick();
     }
 
-    // `taken` is per-round scratch, so an idle cycle only advances the
-    // cycle counter and skipped spans can be accounted in bulk.
+    // Stateless between rounds apart from the offered-set buckets, which
+    // an idle cycle leaves untouched: it only advances the cycle counter,
+    // so skipped spans can be accounted in bulk.
     fn next_event(&self, _now: u64) -> Option<u64> {
         None
     }
@@ -218,18 +193,16 @@ impl PortModel for BankedPorts {
         &self.stats
     }
 
-    // `taken` is per-round scratch (cleared at the top of every
-    // arbitration), so the statistics are the only persistent state.
+    // The buckets are derived from the driver's offered set, so the
+    // statistics are the only persistent state.
     fn save_state(&self, w: &mut StateWriter) {
         self.stats.save_state(w);
     }
 
     fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
-        self.taken.iter_mut().for_each(|t| *t = false);
         // The offered mirror is derived state: the driver re-seeds it via
         // `offer_reset` once the load/store queue has been restored.
         self.buckets.iter_mut().for_each(VecDeque::clear);
-        self.offered_len = 0;
         self.stats.load_state(r)
     }
 
@@ -307,10 +280,45 @@ mod tests {
     fn age_priority_within_bank() {
         let mut m = BankedPorts::new(2, 32);
         let ready = vec![
-            MemRequest::load(9, 0x40), // bank 0, oldest
-            MemRequest::load(3, 0x00), // bank 0, younger — loses
+            MemRequest::load(3, 0x40), // bank 0, oldest
+            MemRequest::load(9, 0x00), // bank 0, younger — loses
         ];
         assert_eq!(m.arbitrate(&ready), vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ids must strictly increase")]
+    fn ready_ids_out_of_age_order_are_rejected() {
+        // Position says 9 is older, ids say 3 is: the bucket round keys
+        // age on ids, so a list whose ids disagree with its order is
+        // refused instead of being arbitrated by the wrong age.
+        let mut m = BankedPorts::new(2, 32);
+        let ready = vec![
+            MemRequest::load(9, 0x40), // bank 0, first in the list
+            MemRequest::load(3, 0x00), // bank 0, smaller id
+        ];
+        m.arbitrate(&ready);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of sync")]
+    fn round_over_a_list_the_mirror_was_not_fed_is_rejected() {
+        let mut m = BankedPorts::new(2, 32);
+        m.offer_insert(MemRequest::load(0, 0x00));
+        let mut granted = Vec::new();
+        m.arbitrate_into(
+            &[MemRequest::load(0, 0x00), MemRequest::load(1, 0x20)],
+            &mut granted,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the ready list")]
+    fn mirror_front_missing_from_the_list_is_rejected() {
+        let mut m = BankedPorts::new(2, 32);
+        m.offer_insert(MemRequest::load(4, 0x00));
+        let mut granted = Vec::new();
+        m.arbitrate_into(&[MemRequest::load(5, 0x00)], &mut granted);
     }
 
     #[test]
@@ -336,69 +344,55 @@ mod tests {
         assert_eq!(BankedPorts::new(16, 32).label(), "Bank-16");
     }
 
-    fn offer_all(m: &mut BankedPorts, reqs: &[MemRequest]) {
-        for &r in reqs {
-            m.offer_insert(r);
-        }
-    }
-
-    fn round(m: &mut BankedPorts, reqs: &[MemRequest]) -> Vec<u64> {
-        let (ids, (addrs, stores)): (Vec<u64>, (Vec<u64>, Vec<bool>)) =
-            reqs.iter().map(|r| (r.id, (r.addr, r.is_store))).unzip();
+    /// One round over `ready` through the delta-fed mirror, as the
+    /// simulator drives it (no re-seed), returning the granted ids.
+    fn round(m: &mut BankedPorts, ready: &[MemRequest]) -> Vec<u64> {
         let mut granted = Vec::new();
-        m.arbitrate_offered(Offered::new(&ids, &addrs, &stores), &mut granted);
-        granted.iter().map(|r| r.id).collect()
+        m.arbitrate_into(ready, &mut granted);
+        granted.iter().map(|&i| ready[i].id).collect()
     }
 
     #[test]
-    fn batched_matches_naive_grants_and_stats() {
-        let ready = vec![
-            MemRequest::load(0, 0x00),
-            MemRequest::load(1, 0x08), // same line as #0: conflict
-            MemRequest::load(2, 0x80), // same bank 0
-            MemRequest::load(3, 0x20), // bank 1
-        ];
-        let mut naive = BankedPorts::new(4, 32);
-        let want = naive.arbitrate(&ready);
-
-        let mut m = BankedPorts::new(4, 32);
-        offer_all(&mut m, &ready);
-        let got = round(&mut m, &ready);
-        assert_eq!(got, want.iter().map(|&i| ready[i].id).collect::<Vec<_>>());
-        assert_eq!(
-            m.stats().extra_counter("bank_conflicts"),
-            naive.stats().extra_counter("bank_conflicts")
-        );
-        assert_eq!(m.stats().offered(), naive.stats().offered());
-        assert_eq!(m.stats().granted(), naive.stats().granted());
-    }
-
-    #[test]
-    fn batched_saturation_counts_tail_conflicts() {
-        // 1 bank, 3 requests: naive grants the oldest and counts 2
-        // wholesale once the bank saturates.
+    fn saturation_counts_every_loser_as_a_conflict() {
         let ready: Vec<MemRequest> = (0..3).map(|i| MemRequest::load(i, i * 64)).collect();
         let mut m = BankedPorts::new(1, 32);
-        offer_all(&mut m, &ready);
-        assert_eq!(round(&mut m, &ready), vec![0]);
+        assert_eq!(m.arbitrate(&ready), vec![0]);
         assert_eq!(m.stats().extra_counter("bank_conflicts"), 2);
+        assert_eq!(m.stats().offered(), 3);
+        assert_eq!(m.stats().granted(), 1);
     }
 
     #[test]
-    fn batched_remove_promotes_next_oldest() {
+    fn remove_promotes_next_oldest() {
         let ready = vec![
             MemRequest::load(0, 0x00), // bank 0
             MemRequest::load(1, 0x80), // bank 0, younger
         ];
         let mut m = BankedPorts::new(4, 32);
-        offer_all(&mut m, &ready);
+        for &r in &ready {
+            m.offer_insert(r);
+        }
         assert_eq!(round(&mut m, &ready), vec![0]);
         m.offer_remove(ready[0]);
         assert_eq!(round(&mut m, &ready[1..]), vec![1]);
     }
 
     #[test]
-    fn batched_reset_rebuilds_mirror() {
+    fn out_of_order_insert_keeps_buckets_age_sorted() {
+        // A late wakeup of an older reference lands ahead of a younger
+        // same-bank one and wins the bank.
+        let old = MemRequest::load(2, 0x00);
+        let young = MemRequest::load(5, 0x80);
+        let mut m = BankedPorts::new(4, 32);
+        m.offer_insert(young);
+        m.offer_insert(old);
+        assert_eq!(round(&mut m, &[old, young]), vec![2]);
+        m.offer_remove(young); // mid-bucket removal (e.g. a squash)
+        assert_eq!(round(&mut m, &[old]), vec![2]);
+    }
+
+    #[test]
+    fn reset_rebuilds_mirror() {
         let ready = vec![
             MemRequest::load(4, 0x00),
             MemRequest::load(7, 0x20),
@@ -407,9 +401,7 @@ mod tests {
         let mut m = BankedPorts::new(2, 32);
         // Stale mirror from an earlier epoch; reset must replace it.
         m.offer_insert(MemRequest::load(1, 0x60));
-        let (ids, (addrs, stores)): (Vec<u64>, (Vec<u64>, Vec<bool>)) =
-            ready.iter().map(|r| (r.id, (r.addr, r.is_store))).unzip();
-        m.offer_reset(Offered::new(&ids, &addrs, &stores));
+        m.offer_reset(&ready);
         assert_eq!(round(&mut m, &ready), vec![4, 7]);
     }
 }

@@ -3,7 +3,7 @@
 use hbdc_snap::{SnapError, StateReader, StateWriter};
 
 use crate::model::PortModel;
-use crate::request::{MemRequest, Offered};
+use crate::request::MemRequest;
 use crate::stats::ArbStats;
 
 /// Ideal multi-ported cache: every port has its own path to every entry,
@@ -50,23 +50,13 @@ impl IdealPorts {
 }
 
 impl PortModel for IdealPorts {
+    // The grant set is a pure prefix of the age-ordered ready list, so the
+    // round is O(ports) however long the offered backlog grows.
     fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) {
         granted.clear();
         let n = ready.len().min(self.ports);
         self.stats.record_round(ready.len(), n);
         granted.extend(0..n);
-    }
-
-    // The grant set is a pure prefix of the age-ordered offered set, so
-    // the batched round reads the first `ports` view entries directly —
-    // O(ports) regardless of how long the offered backlog grows.
-    fn arbitrate_offered(&mut self, offered: Offered<'_>, granted: &mut Vec<MemRequest>) {
-        granted.clear();
-        let n = offered.len().min(self.ports);
-        self.stats.record_round(offered.len(), n);
-        for k in 0..n {
-            granted.push(offered.get(k));
-        }
     }
 
     fn tick(&mut self) {

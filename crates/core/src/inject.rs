@@ -301,6 +301,24 @@ impl PortModel for FaultInjector {
         }
     }
 
+    // The wrapped model keeps its own offered-set index (if any), so the
+    // driver's offer deltas go straight through to it.
+    fn mirrors_offers(&self) -> bool {
+        self.inner.mirrors_offers()
+    }
+
+    fn offer_insert(&mut self, req: MemRequest) {
+        self.inner.offer_insert(req);
+    }
+
+    fn offer_remove(&mut self, req: MemRequest) {
+        self.inner.offer_remove(req);
+    }
+
+    fn offer_reset(&mut self, offered: &[MemRequest]) {
+        self.inner.offer_reset(offered);
+    }
+
     fn tick(&mut self) {
         self.inner.tick();
     }

@@ -7,7 +7,7 @@ use hbdc_snap::{SnapError, StateReader, StateWriter};
 
 use crate::audit::{self, Violation};
 use crate::model::PortModel;
-use crate::request::{MemRequest, Offered};
+use crate::request::MemRequest;
 use crate::stats::ArbStats;
 
 /// How the LSQ combining logic picks the group of accesses for each bank
@@ -30,161 +30,6 @@ pub enum CombinePolicy {
 struct Bank {
     store_queue: VecDeque<u64>, // addresses of stores awaiting drain
     granted_this_cycle: bool,
-}
-
-/// One cache line's offered references within a bank, members id-sorted
-/// (ids are LSQ sequence numbers, so id order is age order). A deque:
-/// arrivals are the youngest member (push back) and grants take the
-/// oldest members first (pop front), so maintenance is O(1) in the
-/// common case.
-#[derive(Debug)]
-struct LineGroup {
-    line: u64,
-    members: VecDeque<MemRequest>,
-}
-
-/// Minimal open-addressing map from line address to a slot in the
-/// mirror's dense group slab. Purpose-built for the mirror's churn:
-/// FP-stencil backlogs create and destroy a (usually one-member) line
-/// group on nearly every arrival and grant, so group lookup/insert/
-/// remove must be O(1) with no memmove — a sorted array churns the
-/// whole group list per event and a std `HashMap` pays SipHash plus
-/// per-entry indirection on the hottest loop in the simulator.
-///
-/// Linear probing over a power-of-two table, Fibonacci-hashed keys,
-/// tombstone deletion; rebuilt at 7/8 occupancy (live + tombstones).
-/// Line addresses are `addr >> line_shift`, so the top two key values
-/// can never occur and serve as the empty/tombstone sentinels.
-#[derive(Debug)]
-struct LineIndex {
-    slots: Vec<(u64, u32)>, // (line key or sentinel, group slot)
-    live: usize,
-    tombs: usize,
-}
-
-const LINE_EMPTY: u64 = u64::MAX;
-const LINE_TOMB: u64 = u64::MAX - 1;
-
-impl Default for LineIndex {
-    fn default() -> Self {
-        Self {
-            slots: vec![(LINE_EMPTY, 0); 16],
-            live: 0,
-            tombs: 0,
-        }
-    }
-}
-
-impl LineIndex {
-    #[inline]
-    fn hash(line: u64) -> usize {
-        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize
-    }
-
-    fn get(&self, line: u64) -> Option<u32> {
-        let mask = self.slots.len() - 1;
-        let mut i = Self::hash(line) & mask;
-        loop {
-            let (key, slot) = self.slots[i];
-            if key == line {
-                return Some(slot);
-            }
-            if key == LINE_EMPTY {
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Inserts a line that is not present (the caller just missed `get`).
-    fn insert(&mut self, line: u64, slot: u32) {
-        if (self.live + self.tombs + 1) * 8 > self.slots.len() * 7 {
-            self.rebuild();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = Self::hash(line) & mask;
-        while self.slots[i].0 < LINE_TOMB {
-            debug_assert_ne!(self.slots[i].0, line, "line {line} already indexed");
-            i = (i + 1) & mask;
-        }
-        if self.slots[i].0 == LINE_TOMB {
-            self.tombs -= 1;
-        }
-        self.slots[i] = (line, slot);
-        self.live += 1;
-    }
-
-    /// Re-points an existing line at a new slab slot.
-    fn set(&mut self, line: u64, slot: u32) {
-        let mask = self.slots.len() - 1;
-        let mut i = Self::hash(line) & mask;
-        while self.slots[i].0 != line {
-            debug_assert_ne!(self.slots[i].0, LINE_EMPTY, "line {line} not indexed");
-            i = (i + 1) & mask;
-        }
-        self.slots[i].1 = slot;
-    }
-
-    fn remove(&mut self, line: u64) {
-        let mask = self.slots.len() - 1;
-        let mut i = Self::hash(line) & mask;
-        while self.slots[i].0 != line {
-            debug_assert_ne!(self.slots[i].0, LINE_EMPTY, "line {line} not indexed");
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = (LINE_TOMB, 0);
-        self.live -= 1;
-        self.tombs += 1;
-    }
-
-    fn clear(&mut self) {
-        self.slots.iter_mut().for_each(|s| *s = (LINE_EMPTY, 0));
-        self.live = 0;
-        self.tombs = 0;
-    }
-
-    /// Doubles when the table is genuinely full of live entries,
-    /// otherwise rehashes in place at the same capacity to shed
-    /// tombstones.
-    fn rebuild(&mut self) {
-        let cap = if (self.live + 1) * 4 > self.slots.len() * 3 {
-            self.slots.len() * 2
-        } else {
-            self.slots.len()
-        };
-        let old = std::mem::replace(&mut self.slots, vec![(LINE_EMPTY, 0); cap]);
-        self.tombs = 0;
-        let mask = cap - 1;
-        for (key, slot) in old {
-            if key < LINE_TOMB {
-                let mut i = Self::hash(key) & mask;
-                while self.slots[i].0 != LINE_EMPTY {
-                    i = (i + 1) & mask;
-                }
-                self.slots[i] = (key, slot);
-            }
-        }
-    }
-}
-
-/// Incremental per-bank index over the standing offered set: the bank's
-/// references in age order plus the same references bucketed per cache
-/// line. Maintained by `offer_insert`/`offer_remove`, so a batched round
-/// touches only leaders and winning groups instead of walking the whole
-/// age-ordered backlog. `refs` is a deque because the maintenance
-/// traffic is end-biased — arrivals carry the largest id yet (back) and
-/// grants take the oldest first (front). `groups` is a dense unordered
-/// slab (removal is `swap_remove`) reached through the [`LineIndex`]
-/// hash, so group create/lookup/destroy are all O(1); the largest-group
-/// policy's winner scan is order-independent because its tie-break
-/// (count, then oldest leading id) is a total order. Derived state:
-/// never serialized, rebuilt through `offer_reset` after a snapshot
-/// restore.
-#[derive(Debug, Default)]
-struct BankMirror {
-    refs: VecDeque<MemRequest>,
-    groups: Vec<LineGroup>,
-    index: LineIndex,
 }
 
 /// The Locality-Based Interleaved Cache: a traditional `M`-bank cache with
@@ -233,9 +78,6 @@ pub struct Lbic {
     scratch_sq_free: Vec<usize>,
     scratch_by_bank: Vec<Vec<usize>>,
     scratch_lines: Vec<(u64, usize)>, // per-line counts within one bank
-    mirrors: Vec<BankMirror>,
-    group_pool: Vec<VecDeque<MemRequest>>, // recycled member deques
-    offered_len: usize,
     stats: ArbStats,
 }
 
@@ -291,9 +133,6 @@ impl Lbic {
             scratch_sq_free: vec![0; n_banks],
             scratch_by_bank: vec![Vec::new(); n_banks],
             scratch_lines: Vec::new(),
-            mirrors: (0..n_banks).map(|_| BankMirror::default()).collect(),
-            group_pool: Vec::new(),
-            offered_len: 0,
             stats: ArbStats::new(n_banks * line_ports),
         }
     }
@@ -463,11 +302,9 @@ impl Lbic {
             if count > 0 {
                 self.banks[bank].granted_this_cycle = true;
             }
-            let losers = self.scratch_by_bank[bank].len()
-                - granted
-                    .iter()
-                    .filter(|&&g| self.scratch_by_bank[bank].contains(&g))
-                    .count();
+            // `count` is exactly the number of this bank's references
+            // granted above, so the rest of the bank lost.
+            let losers = self.scratch_by_bank[bank].len() - count;
             if losers > 0 {
                 self.stats.bump("bank_conflicts", losers as u64);
             }
@@ -481,182 +318,6 @@ impl Lbic {
         }
         granted.sort_unstable();
     }
-
-    fn mirror_clear(&mut self) {
-        for mirror in &mut self.mirrors {
-            mirror.refs.clear();
-            mirror.index.clear();
-            for mut g in mirror.groups.drain(..) {
-                g.members.clear();
-                self.group_pool.push(g.members);
-            }
-        }
-        self.offered_len = 0;
-    }
-
-    /// Batched leading-request round over the mirrors. Per bank: the
-    /// leading grantable reference is found by scanning past sq-blocked
-    /// stores (each an `sq_full_stalls` event, exactly the slice-walk's
-    /// unlocked-bank arm), then only the leader's own line group is walked
-    /// for combining — every other reference in the bank is a bank
-    /// conflict by arithmetic, never visited.
-    fn arbitrate_leading_offered(&mut self, granted: &mut Vec<MemRequest>) {
-        let line_shift = self.line_shift;
-        let line_ports = self.line_ports;
-        let sq_capacity = self.sq_capacity;
-        let mut conflicts = 0u64;
-        let mut exhausted = 0u64;
-        let mut sq_full = 0u64;
-        let mut combined = 0u64;
-
-        for (bank, mirror) in self.mirrors.iter().enumerate() {
-            if mirror.refs.is_empty() {
-                continue;
-            }
-            let m = mirror.refs.len();
-            let mut sq_free = sq_capacity - self.banks[bank].store_queue.len().min(sq_capacity);
-            // Phase 1: the leader is the oldest reference that is not a
-            // store blocked by a full store queue.
-            let mut skipped = 0usize;
-            let mut leader = None;
-            for &r in &mirror.refs {
-                if r.is_store && sq_free == 0 {
-                    skipped += 1;
-                    continue;
-                }
-                leader = Some(r);
-                break;
-            }
-            sq_full += skipped as u64;
-            let Some(leader) = leader else {
-                // Every reference here is a blocked store: the bank stays
-                // unlocked this cycle.
-                continue;
-            };
-            let line = leader.addr >> line_shift;
-            let slot = mirror
-                .index
-                .get(line)
-                .expect("leader's line has a mirror group");
-            let group = &mirror.groups[slot as usize];
-            // Members strictly younger than the leader are the combining
-            // candidates; everything else offered to this bank (minus the
-            // leader and the skipped stores) conflicts on a different line.
-            let gpos = group.members.partition_point(|x| x.id <= leader.id);
-            let tail = group.members.len() - gpos;
-            conflicts += ((m - skipped - 1) - tail) as u64;
-
-            let mut count = 1usize;
-            if leader.is_store {
-                sq_free -= 1;
-                self.banks[bank].store_queue.push_back(leader.addr);
-            }
-            granted.push(leader);
-            for (j, &r) in group.members.range(gpos..).enumerate() {
-                if count >= line_ports {
-                    // Count never decreases within a round, so the rest of
-                    // the group is exhausted wholesale.
-                    exhausted += (tail - j) as u64;
-                    break;
-                }
-                if r.is_store && sq_free == 0 {
-                    sq_full += 1;
-                    continue;
-                }
-                count += 1;
-                combined += 1;
-                if r.is_store {
-                    sq_free -= 1;
-                    self.banks[bank].store_queue.push_back(r.addr);
-                }
-                granted.push(r);
-            }
-            self.banks[bank].granted_this_cycle = true;
-        }
-
-        if conflicts > 0 {
-            self.stats.bump("bank_conflicts", conflicts);
-        }
-        if exhausted > 0 {
-            self.stats.bump("port_exhaustion", exhausted);
-        }
-        if sq_full > 0 {
-            self.stats.bump("sq_full_stalls", sq_full);
-        }
-        if combined > 0 {
-            self.stats.bump("combined", combined);
-        }
-        // Per-bank processing, then one sort back into global age order —
-        // the slice walk grants in age order across banks.
-        granted.sort_unstable_by_key(|r| r.id);
-    }
-
-    /// Batched largest-group round over the mirrors: the line groups are
-    /// maintained incrementally, so picking the winner is a scan over the
-    /// bank's *groups* (count, tie toward the oldest leading member) and
-    /// only the winning group's members are walked.
-    fn arbitrate_largest_offered(&mut self, granted: &mut Vec<MemRequest>) {
-        let line_ports = self.line_ports;
-        let sq_capacity = self.sq_capacity;
-        let mut combined = 0u64;
-        let mut sq_full = 0u64;
-
-        for (bank, mirror) in self.mirrors.iter().enumerate() {
-            if mirror.refs.is_empty() {
-                continue;
-            }
-            // First-seen order in the slice walk is the order of each
-            // line's oldest reference, and the first strictly-greatest
-            // count wins — equivalently: largest count, tie broken toward
-            // the smallest leading id.
-            let mut best = &mirror.groups[0];
-            for g in &mirror.groups[1..] {
-                if g.members.len() > best.members.len()
-                    || (g.members.len() == best.members.len()
-                        && g.members[0].id < best.members[0].id)
-                {
-                    best = g;
-                }
-            }
-
-            let mut count = 0usize;
-            let mut sq_free = sq_capacity - self.banks[bank].store_queue.len().min(sq_capacity);
-            for &r in &best.members {
-                if count >= line_ports {
-                    self.stats.bump("port_exhaustion", 1);
-                    continue;
-                }
-                if r.is_store {
-                    if sq_free == 0 {
-                        sq_full += 1;
-                        continue;
-                    }
-                    sq_free -= 1;
-                    self.banks[bank].store_queue.push_back(r.addr);
-                }
-                if count > 0 {
-                    combined += 1;
-                }
-                count += 1;
-                granted.push(r);
-            }
-            if count > 0 {
-                self.banks[bank].granted_this_cycle = true;
-            }
-            let losers = mirror.refs.len() - count;
-            if losers > 0 {
-                self.stats.bump("bank_conflicts", losers as u64);
-            }
-        }
-
-        if combined > 0 {
-            self.stats.bump("combined", combined);
-        }
-        if sq_full > 0 {
-            self.stats.bump("sq_full_stalls", sq_full);
-        }
-        granted.sort_unstable_by_key(|r| r.id);
-    }
 }
 
 impl PortModel for Lbic {
@@ -667,125 +328,6 @@ impl PortModel for Lbic {
             CombinePolicy::LargestGroup => self.arbitrate_largest(ready, granted),
         }
         self.stats.record_round(ready.len(), granted.len());
-    }
-
-    fn mirrors_offers(&self) -> bool {
-        true
-    }
-
-    fn offer_insert(&mut self, req: MemRequest) {
-        let bank = self.mapper.bank_of(req.addr) as usize;
-        let line = self.line_of(req.addr);
-        let mirror = &mut self.mirrors[bank];
-        // Newly-ready references almost always carry the bank's largest
-        // id (ids are dispatch order): O(1) pushes onto the back of the
-        // refs deque and the line group, with a binary-search fallback
-        // for out-of-order wakeups.
-        if mirror.refs.back().is_none_or(|r| r.id < req.id) {
-            mirror.refs.push_back(req);
-        } else {
-            let pos = mirror.refs.partition_point(|r| r.id < req.id);
-            debug_assert!(
-                mirror.refs.get(pos).is_none_or(|r| r.id != req.id),
-                "duplicate offered id {}",
-                req.id
-            );
-            mirror.refs.insert(pos, req);
-        }
-        match mirror.index.get(line) {
-            Some(slot) => {
-                let g = &mut mirror.groups[slot as usize];
-                if g.members.back().is_none_or(|r| r.id < req.id) {
-                    g.members.push_back(req);
-                } else {
-                    let gpos = g.members.partition_point(|r| r.id < req.id);
-                    g.members.insert(gpos, req);
-                }
-            }
-            None => {
-                let mut members = self.group_pool.pop().unwrap_or_default();
-                members.push_back(req);
-                mirror.index.insert(line, mirror.groups.len() as u32);
-                mirror.groups.push(LineGroup { line, members });
-            }
-        }
-        self.offered_len += 1;
-    }
-
-    fn offer_remove(&mut self, req: MemRequest) {
-        let bank = self.mapper.bank_of(req.addr) as usize;
-        let line = self.line_of(req.addr);
-        let mirror = &mut self.mirrors[bank];
-        // Grants take the oldest references first, so the front pop is
-        // the common case for both the refs deque and the line group.
-        if mirror.refs.front().is_some_and(|r| r.id == req.id) {
-            mirror.refs.pop_front();
-        } else {
-            let pos = mirror.refs.partition_point(|r| r.id < req.id);
-            debug_assert!(
-                mirror.refs.get(pos).is_some_and(|r| r.id == req.id),
-                "removing id {} not in offered set",
-                req.id
-            );
-            mirror.refs.remove(pos);
-        }
-        let slot = mirror
-            .index
-            .get(line)
-            .expect("offered reference has a mirror group") as usize;
-        let g = &mut mirror.groups[slot];
-        if g.members.front().is_some_and(|r| r.id == req.id) {
-            g.members.pop_front();
-        } else {
-            let gpos = g.members.partition_point(|r| r.id < req.id);
-            g.members.remove(gpos);
-        }
-        if g.members.is_empty() {
-            mirror.index.remove(line);
-            let empty = mirror.groups.swap_remove(slot).members;
-            self.group_pool.push(empty);
-            // The former tail group moved into `slot`; re-point its line.
-            if let Some(moved) = mirror.groups.get(slot) {
-                mirror.index.set(moved.line, slot as u32);
-            }
-        }
-        self.offered_len -= 1;
-    }
-
-    fn offer_reset(&mut self, offered: Offered<'_>) {
-        self.mirror_clear();
-        self.offered_len = offered.len();
-        // The view is id-sorted, so appending keeps refs and members
-        // sorted; groups are reached (or created) through the line index.
-        for r in offered.iter() {
-            let bank = self.mapper.bank_of(r.addr) as usize;
-            let line = self.line_of(r.addr);
-            let mirror = &mut self.mirrors[bank];
-            mirror.refs.push_back(r);
-            match mirror.index.get(line) {
-                Some(slot) => mirror.groups[slot as usize].members.push_back(r),
-                None => {
-                    let mut members = self.group_pool.pop().unwrap_or_default();
-                    members.push_back(r);
-                    mirror.index.insert(line, mirror.groups.len() as u32);
-                    mirror.groups.push(LineGroup { line, members });
-                }
-            }
-        }
-    }
-
-    fn arbitrate_offered(&mut self, offered: Offered<'_>, granted: &mut Vec<MemRequest>) {
-        debug_assert_eq!(
-            self.offered_len,
-            offered.len(),
-            "offered mirror out of sync"
-        );
-        granted.clear();
-        match self.policy {
-            CombinePolicy::LeadingRequest => self.arbitrate_leading_offered(granted),
-            CombinePolicy::LargestGroup => self.arbitrate_largest_offered(granted),
-        }
-        self.stats.record_round(self.offered_len, granted.len());
     }
 
     fn tick(&mut self) {
@@ -925,9 +467,6 @@ impl PortModel for Lbic {
     }
 
     fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
-        // The offered mirror is derived state: the driver re-seeds it via
-        // `offer_reset` once the load/store queue has been restored.
-        self.mirror_clear();
         let n = r.get_usize()?;
         if n != self.banks.len() {
             return Err(SnapError::Corrupt(format!(
@@ -1117,6 +656,52 @@ mod tests {
         assert_eq!(m.arbitrate(&ready), vec![0, 2]);
     }
 
+    /// One largest-group round on a 2-bank LBIC: grants, the full
+    /// order-sensitive extra-counter list, and bank 0's store queue.
+    fn assert_largest_round(
+        (line_ports, sq): (usize, usize),
+        ready: &[MemRequest],
+        grants: &[usize],
+        extras: &[(&str, u64)],
+        sq0: usize,
+    ) {
+        let mut m = Lbic::new(2, line_ports, sq, 32, CombinePolicy::LargestGroup);
+        assert_eq!(m.arbitrate(ready), grants);
+        assert_eq!(m.stats().extra(), extras);
+        assert_eq!(m.stats().offered(), ready.len() as u64);
+        assert_eq!(m.stats().granted(), grants.len() as u64);
+        assert_eq!((m.store_queue_len(0), m.store_queue_len(1)), (sq0, 0));
+    }
+
+    /// Largest-group goldens on skewed, tied and store/exhaustion-heavy
+    /// banks. Exhausted and store-queue-blocked members of the winning
+    /// line count as bank conflicts, like the losing lines.
+    #[test]
+    fn largest_group_walk_goldens() {
+        let load = |id, line, off| MemRequest::load(id, addr2(0, line, off));
+        let store = |id, line, off| MemRequest::store(id, addr2(0, line, off));
+        let skew = [load(0, 1, 0), load(1, 2, 0), load(2, 2, 8), load(3, 2, 16)];
+        let conflicts_combined = |c, k| [("bank_conflicts", c), ("combined", k)];
+        assert_largest_round((4, 8), &skew, &[1, 2, 3], &conflicts_combined(1, 2), 0);
+        let tie = [load(0, 1, 0), load(1, 2, 0), load(2, 1, 8), load(3, 2, 8)];
+        assert_largest_round((4, 8), &tie, &[0, 2], &conflicts_combined(2, 1), 0);
+        // Line 3 exhausts its two ports after a store and a load; line 6
+        // loses the bank.
+        let exhaustion = [
+            store(0, 3, 0),
+            load(1, 3, 8),
+            store(2, 3, 16),
+            load(3, 3, 24),
+            load(4, 6, 0),
+        ];
+        let extras = [
+            ("port_exhaustion", 2),
+            ("bank_conflicts", 3),
+            ("combined", 1),
+        ];
+        assert_largest_round((2, 1), &exhaustion, &[0, 1], &extras, 1);
+    }
+
     #[test]
     fn load_after_store_same_location_same_cycle() {
         // Paper §5.2: "a load followed by a store to the same memory
@@ -1187,204 +772,5 @@ mod tests {
             two_banks.load_state(&mut StateReader::new(&bytes)),
             Err(SnapError::Corrupt(_))
         ));
-    }
-
-    /// Drives one batched round through the offer-delta interface and
-    /// returns the granted ids.
-    fn batched_round(m: &mut Lbic, reqs: &[MemRequest]) -> Vec<u64> {
-        let (ids, (addrs, stores)): (Vec<u64>, (Vec<u64>, Vec<bool>)) =
-            reqs.iter().map(|r| (r.id, (r.addr, r.is_store))).unzip();
-        let mut granted = Vec::new();
-        m.arbitrate_offered(Offered::new(&ids, &addrs, &stores), &mut granted);
-        granted.iter().map(|r| r.id).collect()
-    }
-
-    /// Batched and naive models must agree on grants and on every
-    /// statistic for the same ready list (ids already age-sorted).
-    fn assert_batched_matches_naive(mut naive: Lbic, mut batched: Lbic, ready: &[MemRequest]) {
-        let want: Vec<u64> = naive
-            .arbitrate(ready)
-            .iter()
-            .map(|&i| ready[i].id)
-            .collect();
-        for &r in ready {
-            batched.offer_insert(r);
-        }
-        let got = batched_round(&mut batched, ready);
-        assert_eq!(got, want, "grant sets diverge");
-        for name in [
-            "bank_conflicts",
-            "combined",
-            "port_exhaustion",
-            "sq_full_stalls",
-        ] {
-            assert_eq!(
-                batched.stats().extra_counter(name),
-                naive.stats().extra_counter(name),
-                "{name} diverges"
-            );
-        }
-        assert_eq!(batched.stats().offered(), naive.stats().offered());
-        assert_eq!(batched.stats().granted(), naive.stats().granted());
-        for b in 0..batched.mapper().banks() {
-            assert_eq!(
-                batched.store_queue_len(b),
-                naive.store_queue_len(b),
-                "bank {b} store queue diverges"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_leading_matches_naive_on_figure_4c() {
-        let ready = vec![
-            MemRequest::store(0, addr2(0, 12, 0)),
-            MemRequest::load(1, addr2(1, 10, 4)),
-            MemRequest::load(2, addr2(1, 10, 8)),
-            MemRequest::store(3, addr2(0, 12, 12)),
-        ];
-        assert_batched_matches_naive(lbic(2, 2), lbic(2, 2), &ready);
-    }
-
-    #[test]
-    fn batched_leading_matches_naive_on_mixed_conflicts() {
-        // Conflicts, exhaustion, and combining interleaved in one bank:
-        // leader line 5 with three followers (one exhausted at N = 2),
-        // plus two different-line conflicts.
-        let ready = vec![
-            MemRequest::load(0, addr2(0, 5, 0)),
-            MemRequest::load(1, addr2(0, 7, 0)),  // conflict
-            MemRequest::load(2, addr2(0, 5, 8)),  // combines
-            MemRequest::load(3, addr2(0, 5, 16)), // exhausted
-            MemRequest::load(4, addr2(0, 9, 0)),  // conflict
-        ];
-        assert_batched_matches_naive(lbic(2, 2), lbic(2, 2), &ready);
-    }
-
-    #[test]
-    fn batched_leading_blocked_store_prefix_matches_naive() {
-        // Bank 0's single-entry store queue is pre-filled, so the oldest
-        // two stores are sq-blocked and a younger load leads the bank.
-        let prefill = [MemRequest::store(0, addr2(0, 1, 0))];
-        let mut naive = Lbic::new(2, 2, 1, 32, CombinePolicy::LeadingRequest);
-        naive.arbitrate(&prefill);
-        naive.tick();
-        let mut batched = Lbic::new(2, 2, 1, 32, CombinePolicy::LeadingRequest);
-        batched.offer_insert(prefill[0]);
-        batched_round(&mut batched, &prefill);
-        batched.offer_remove(prefill[0]);
-        batched.tick();
-
-        let ready = vec![
-            MemRequest::store(1, addr2(0, 2, 0)),
-            MemRequest::store(2, addr2(0, 2, 8)),
-            MemRequest::load(3, addr2(0, 2, 16)),
-            MemRequest::load(4, addr2(0, 2, 24)),
-        ];
-        assert_batched_matches_naive(naive, batched, &ready);
-    }
-
-    #[test]
-    fn batched_largest_matches_naive_on_skew_and_tie() {
-        let skew = vec![
-            MemRequest::load(0, addr2(0, 1, 0)),
-            MemRequest::load(1, addr2(0, 2, 0)),
-            MemRequest::load(2, addr2(0, 2, 8)),
-            MemRequest::load(3, addr2(0, 2, 16)),
-        ];
-        assert_batched_matches_naive(
-            Lbic::new(2, 4, 8, 32, CombinePolicy::LargestGroup),
-            Lbic::new(2, 4, 8, 32, CombinePolicy::LargestGroup),
-            &skew,
-        );
-        let tie = vec![
-            MemRequest::load(0, addr2(0, 1, 0)),
-            MemRequest::load(1, addr2(0, 2, 0)),
-            MemRequest::load(2, addr2(0, 1, 8)),
-            MemRequest::load(3, addr2(0, 2, 8)),
-        ];
-        assert_batched_matches_naive(
-            Lbic::new(2, 4, 8, 32, CombinePolicy::LargestGroup),
-            Lbic::new(2, 4, 8, 32, CombinePolicy::LargestGroup),
-            &tie,
-        );
-    }
-
-    #[test]
-    fn batched_largest_exhaustion_and_stores_match_naive() {
-        let ready = vec![
-            MemRequest::store(0, addr2(0, 3, 0)),
-            MemRequest::load(1, addr2(0, 3, 8)),
-            MemRequest::store(2, addr2(0, 3, 16)),
-            MemRequest::load(3, addr2(0, 3, 24)),
-            MemRequest::load(4, addr2(0, 6, 0)), // loser line
-        ];
-        assert_batched_matches_naive(
-            Lbic::new(2, 2, 1, 32, CombinePolicy::LargestGroup),
-            Lbic::new(2, 2, 1, 32, CombinePolicy::LargestGroup),
-            &ready,
-        );
-    }
-
-    #[test]
-    fn batched_mirror_survives_insert_remove_churn() {
-        // Grant, retire via offer_remove, re-offer younger references:
-        // the mirror must promote the next-oldest leader and keep the
-        // line groups coherent.
-        let mut m = lbic(2, 2);
-        let a = MemRequest::load(0, addr2(0, 1, 0));
-        let b = MemRequest::load(1, addr2(0, 1, 8));
-        let c = MemRequest::load(2, addr2(0, 2, 0));
-        for r in [a, b, c] {
-            m.offer_insert(r);
-        }
-        assert_eq!(batched_round(&mut m, &[a, b, c]), vec![0, 1]);
-        m.offer_remove(a);
-        m.offer_remove(b);
-        m.tick();
-        // Line-1 group is gone; c now leads its bank.
-        assert_eq!(batched_round(&mut m, &[c]), vec![2]);
-        m.offer_remove(c);
-        m.tick();
-        assert_eq!(batched_round(&mut m, &[]), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn batched_reset_rebuilds_mirror_after_state_load() {
-        // Snapshot a model mid-drain, restore into a fresh one whose
-        // mirror is stale, offer_reset with the live ready view, and the
-        // next round must match the original.
-        let mut m = lbic(2, 2);
-        let stale = MemRequest::load(7, addr2(1, 9, 0));
-        m.offer_insert(stale);
-        m.arbitrate(&[
-            MemRequest::store(0, addr2(0, 1, 0)),
-            MemRequest::store(1, addr2(0, 2, 0)),
-        ]);
-        m.tick();
-        let mut w = StateWriter::new();
-        m.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut restored = lbic(2, 2);
-        restored.offer_insert(MemRequest::load(3, addr2(0, 4, 0))); // stale mirror
-        restored.load_state(&mut StateReader::new(&bytes)).unwrap();
-        let ready = vec![
-            MemRequest::store(8, addr2(0, 3, 0)),
-            MemRequest::load(9, addr2(1, 4, 8)),
-        ];
-        let (ids, (addrs, stores)): (Vec<u64>, (Vec<u64>, Vec<bool>)) =
-            ready.iter().map(|r| (r.id, (r.addr, r.is_store))).unzip();
-        restored.offer_reset(Offered::new(&ids, &addrs, &stores));
-        let want: Vec<u64> = {
-            let mut naive = lbic(2, 2);
-            naive.load_state(&mut StateReader::new(&bytes)).unwrap();
-            naive
-                .arbitrate(&ready)
-                .iter()
-                .map(|&i| ready[i].id)
-                .collect()
-        };
-        assert_eq!(batched_round(&mut restored, &ready), want);
     }
 }

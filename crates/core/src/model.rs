@@ -8,18 +8,28 @@ use crate::banked::BankedPorts;
 use crate::ideal::IdealPorts;
 use crate::lbic::{CombinePolicy, Lbic};
 use crate::replicated::ReplicatedPorts;
-use crate::request::{MemRequest, Offered};
+use crate::request::MemRequest;
 use crate::stats::ArbStats;
 
 /// A data-cache port-arbitration model.
 ///
 /// The simulator calls [`arbitrate_into`](Self::arbitrate_into) once per
-/// cycle with the ready memory references *in age order* (oldest first)
-/// and receives the indices of the references the cache structure
-/// services this cycle, written into a caller-owned buffer so the
-/// per-cycle arbitration allocates nothing.
+/// cycle with the ready memory references *in age order* (oldest first,
+/// with strictly increasing ids) and receives the indices of the
+/// references the cache structure services this cycle, written into a
+/// caller-owned buffer so the per-cycle arbitration allocates nothing.
 /// [`tick`](Self::tick) is called once at the end of every cycle so models
 /// with internal state (the LBIC's per-bank store queues) can advance.
+///
+/// Each model has exactly one production round. Models that arbitrate
+/// from an incremental index over the standing offered set (the banked
+/// model's per-bank buckets) answer [`mirrors_offers`](Self::mirrors_offers)
+/// with `true`, and the driver then reports every change to the offered
+/// set through [`offer_insert`](Self::offer_insert)/
+/// [`offer_remove`](Self::offer_remove), or rebuilds the index wholesale
+/// with [`offer_reset`](Self::offer_reset), before the next round. The
+/// allocating [`arbitrate`](Self::arbitrate) wrapper re-seeds the index
+/// itself, so one-shot callers need not track deltas.
 ///
 /// Implementations guarantee:
 /// * returned indices are strictly increasing and within range;
@@ -29,85 +39,63 @@ use crate::stats::ArbStats;
 pub trait PortModel {
     /// Selects which of the age-ordered `ready` references are serviced
     /// this cycle, writing their indices in increasing order into
-    /// `granted` (cleared first).
+    /// `granted` (cleared first). For a model that
+    /// [`mirrors_offers`](Self::mirrors_offers), `ready` must be exactly
+    /// the offered set its index was fed.
+    ///
+    /// # Panics
+    ///
+    /// A model that [`mirrors_offers`](Self::mirrors_offers) panics when
+    /// `ready` is not the offered set it was fed, or when its ids do not
+    /// strictly increase along `ready` (see [`MemRequest::id`]).
     fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>);
 
     /// Allocating convenience wrapper around
-    /// [`arbitrate_into`](Self::arbitrate_into), for tests and one-shot
-    /// callers.
+    /// [`arbitrate_into`](Self::arbitrate_into) for tests and one-shot
+    /// callers: re-seeds any offered-set index from `ready` first, so
+    /// successive calls may present unrelated ready lists.
+    ///
+    /// # Panics
+    ///
+    /// A model that [`mirrors_offers`](Self::mirrors_offers) panics when
+    /// the ids of `ready` do not strictly increase along it — ids encode
+    /// age (see [`MemRequest::id`]).
     fn arbitrate(&mut self, ready: &[MemRequest]) -> Vec<usize> {
+        self.offer_reset(ready);
         let mut granted = Vec::new();
         self.arbitrate_into(ready, &mut granted);
         granted
     }
 
-    /// Records that `req` joined the standing offered set. Models that
-    /// maintain incremental per-bank indexes over the offered set (the
-    /// banked and LBIC structures) update them here in O(log n); the
-    /// default is a no-op for models that read the
-    /// [`Offered`] view directly each round.
-    ///
-    /// Drivers using [`arbitrate_offered`](Self::arbitrate_offered) must
-    /// report *every* mutation of the offered set through
-    /// `offer_insert`/[`offer_remove`](Self::offer_remove) (or rebuild
-    /// wholesale with [`offer_reset`](Self::offer_reset)) before the next
-    /// round. Ids are unique and strictly increase with age across the
-    /// set's lifetime.
-    fn offer_insert(&mut self, req: MemRequest) {
-        let _ = req;
-    }
-
-    /// Records that `req` left the standing offered set (it was granted,
-    /// forwarded, or squashed). See [`offer_insert`](Self::offer_insert).
-    fn offer_remove(&mut self, req: MemRequest) {
-        let _ = req;
-    }
-
-    /// Rebuilds any incremental offered-set indexes from scratch to match
-    /// `offered` exactly — called after a snapshot restore, where the
-    /// driver reconstructed its offered set from serialized state rather
-    /// than through insert/remove events. The default is a no-op.
-    fn offer_reset(&mut self, offered: Offered<'_>) {
-        let _ = offered;
-    }
-
-    /// Whether this model keeps an incremental offered-set mirror, i.e.
-    /// whether [`offer_insert`](Self::offer_insert)/
-    /// [`offer_remove`](Self::offer_remove) do real bookkeeping work.
-    /// Mirror upkeep costs a fixed amount per offered-set transition, so
-    /// it only pays off when the standing backlog is re-offered for many
-    /// rounds before draining; drivers use this flag to fall back to the
-    /// slice-walking [`arbitrate_into`](Self::arbitrate_into) round — and
-    /// stop reporting deltas — in low-backlog regimes. Models answering
-    /// `false` have free (no-op) offer hooks, so for them the batched
-    /// entry point is never worse than the slice walk and the driver need
-    /// not track deltas at all. Both entry points compute identical
-    /// grants and statistics either way.
+    /// Whether this model arbitrates from an incremental offered-set
+    /// index, i.e. whether the driver must report offered-set changes
+    /// through the `offer_*` hooks. `false` (the default) means the hooks
+    /// are no-ops and the round reads `ready` directly.
     fn mirrors_offers(&self) -> bool {
         false
     }
 
-    /// Batched arbitration round over the standing offered set: selects
-    /// which requests are serviced this cycle and writes them (in age
-    /// order, i.e. ascending id) into `granted`, cleared first.
-    ///
-    /// Semantically identical to calling
-    /// [`arbitrate_into`](Self::arbitrate_into) on the materialized view
-    /// — same grants, same order, same statistics — which is exactly what
-    /// the default implementation does. Models override it to arbitrate
-    /// from incremental per-bank indexes instead of walking the whole
-    /// age-ordered set every round. The driver keeps offering the set
-    /// every cycle (including empty rounds, so store queues drain) and
-    /// does *not* report grants via
-    /// [`offer_remove`](Self::offer_remove) until the grant is actually
-    /// serviced (a grant the driver rejects — e.g. MSHRs full — simply
-    /// stays offered).
-    fn arbitrate_offered(&mut self, offered: Offered<'_>, granted: &mut Vec<MemRequest>) {
-        let ready: Vec<MemRequest> = offered.iter().collect();
-        let mut idx = Vec::new();
-        self.arbitrate_into(&ready, &mut idx);
-        granted.clear();
-        granted.extend(idx.iter().map(|&i| ready[i]));
+    /// Records that `req` joined the standing offered set. Ids are unique
+    /// and strictly increase with age across the set's lifetime. No-op by
+    /// default.
+    fn offer_insert(&mut self, req: MemRequest) {
+        let _ = req;
+    }
+
+    /// Records that `req` left the standing offered set (it was serviced,
+    /// forwarded, or squashed). A grant the driver could not service
+    /// (e.g. MSHRs full) stays offered. No-op by default.
+    fn offer_remove(&mut self, req: MemRequest) {
+        let _ = req;
+    }
+
+    /// Rebuilds any offered-set index from scratch to match the
+    /// age-ordered `offered` exactly — after a snapshot restore, where
+    /// the driver rebuilt its offered set from serialized state rather
+    /// than through insert/remove events. No-op by default; a model with
+    /// an index panics unless the ids strictly increase along `offered`.
+    fn offer_reset(&mut self, offered: &[MemRequest]) {
+        let _ = offered;
     }
 
     /// Advances internal state by one cycle (store-queue drain, etc.).
@@ -153,9 +141,10 @@ pub trait PortModel {
     /// legality rules, appending any [`Violation`]s to `out`.
     ///
     /// `ready` and `granted` are the exact arguments/results of the
-    /// matching [`arbitrate_into`](Self::arbitrate_into) call. The check
-    /// is a pure observer — it recomputes legality independently of the
-    /// arbitration path and never perturbs model state — so an audited
+    /// matching [`arbitrate_into`](Self::arbitrate_into) call, the
+    /// production round. The check is a pure observer —
+    /// it recomputes legality from `ready` alone, independently of any
+    /// offered-set index, and never perturbs model state — so an audited
     /// simulation is bit-identical to an unaudited one. The default
     /// implementation applies only the generic invariants (indices
     /// strictly increasing, in range, at most

@@ -4,7 +4,7 @@ use hbdc_snap::{SnapError, StateReader, StateWriter};
 
 use crate::audit::{self, Violation};
 use crate::model::PortModel;
-use crate::request::{MemRequest, Offered};
+use crate::request::MemRequest;
 use crate::stats::ArbStats;
 
 /// Multi-ported cache built from `p` identical single-ported copies
@@ -52,6 +52,9 @@ impl ReplicatedPorts {
 }
 
 impl PortModel for ReplicatedPorts {
+    // Grants are a prefix of the age-ordered loads up to the first store
+    // (or the lone leading store), so the round inspects at most
+    // `ports + 1` entries however long the offered backlog grows.
     fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) {
         granted.clear();
         if ready.is_empty() {
@@ -74,30 +77,6 @@ impl PortModel for ReplicatedPorts {
             }
         }
         self.stats.record_round(ready.len(), granted.len());
-    }
-
-    // Grants are a prefix of the age-ordered loads up to the first store
-    // (or the lone leading store), so the batched round inspects at most
-    // `ports + 1` view entries — O(ports) regardless of backlog length.
-    fn arbitrate_offered(&mut self, offered: Offered<'_>, granted: &mut Vec<MemRequest>) {
-        granted.clear();
-        if offered.is_empty() {
-            // nothing to grant
-        } else if offered.stores()[0] {
-            self.stats.bump("store_serializations", 1);
-            granted.push(offered.get(0));
-        } else {
-            for k in 0..offered.len() {
-                if offered.stores()[k] {
-                    break;
-                }
-                granted.push(offered.get(k));
-                if granted.len() == self.ports {
-                    break;
-                }
-            }
-        }
-        self.stats.record_round(offered.len(), granted.len());
     }
 
     fn tick(&mut self) {

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use hbdc_core::{CombinePolicy, MemRequest, Offered, PortConfig};
+use hbdc_core::{CombinePolicy, MemRequest, PortConfig, PortModel};
 use hbdc_mem::BankMapper;
 use hbdc_snap::{StateReader, StateWriter};
 
@@ -21,6 +21,27 @@ fn arb_request() -> impl Strategy<Value = MemRequest> {
 
 fn arb_ready() -> impl Strategy<Value = Vec<MemRequest>> {
     prop::collection::vec(arb_request(), 0..40)
+}
+
+/// `ready` put in age order — sorted by its random ids, repeated ids
+/// dropped — so ids strictly increase along the list: the ordering
+/// contract of `MemRequest::id`, which models with an id-keyed
+/// offered-set index (`mirrors_offers()`, the banked model) enforce.
+/// Id-agnostic models keep arbitrating the raw [`arb_ready`] lists.
+fn in_age_order(ready: &[MemRequest]) -> Vec<MemRequest> {
+    let mut ordered = ready.to_vec();
+    ordered.sort_by_key(|r| r.id);
+    ordered.dedup_by_key(|r| r.id);
+    ordered
+}
+
+/// The list `model` arbitrates for a generated `ready`.
+fn input_for(model: &dyn PortModel, ready: &[MemRequest]) -> Vec<MemRequest> {
+    if model.mirrors_offers() {
+        in_age_order(ready)
+    } else {
+        ready.to_vec()
+    }
 }
 
 fn all_configs() -> Vec<PortConfig> {
@@ -41,131 +62,140 @@ fn all_configs() -> Vec<PortConfig> {
     ]
 }
 
-/// Multi-round arrival schedule for the batched-vs-naive equivalence
-/// sessions: per round, a batch of (address slot, is_store) arrivals.
-/// Ids are assigned monotonically by the driver, so the offered set
-/// always satisfies the strictly-increasing-id [`Offered`] contract —
-/// exactly what the simulator's age-ordered LSQ ready list provides.
-fn arb_arrivals() -> impl Strategy<Value = Vec<Vec<(u64, bool)>>> {
+/// Multi-round arrival schedule for the banked mirror sessions: per
+/// round, a batch of (address slot, is_store, late) arrivals. Ids are
+/// assigned monotonically by the driver; a `late` arrival is offered one
+/// round after its id was assigned, so it lands ahead of younger
+/// references already offered — the out-of-order wakeups the
+/// simulator's LSQ ready list produces.
+fn arb_arrivals() -> impl Strategy<Value = Vec<Vec<(u64, bool, bool)>>> {
     prop::collection::vec(
-        prop::collection::vec((0u64..512, any::<bool>()), 0..12),
+        prop::collection::vec((0u64..512, any::<bool>(), any::<bool>()), 0..12),
         1..16,
     )
 }
 
-/// Configurations for the equivalence sessions — every model family,
-/// including tight store queues so the LBIC sq-full gating paths fire.
-fn equivalence_configs() -> Vec<PortConfig> {
-    let mut configs = all_configs();
-    configs.push(PortConfig::Lbic {
-        banks: 2,
-        line_ports: 2,
-        store_queue: 1,
-        policy: CombinePolicy::LeadingRequest,
-    });
-    configs.push(PortConfig::Lbic {
-        banks: 2,
-        line_ports: 3,
-        store_queue: 1,
-        policy: CombinePolicy::LargestGroup,
-    });
-    configs
+/// Banked configurations for the mirror sessions: degenerate, paper and
+/// wide bank counts, plus a non-bit-select mapper.
+fn banked_configs() -> Vec<PortConfig> {
+    vec![
+        PortConfig::banked(1),
+        PortConfig::banked(4),
+        PortConfig::banked(16),
+        PortConfig::Banked {
+            banks: 8,
+            select: hbdc_mem::BankSelect::XorFold,
+        },
+    ]
 }
 
-/// Drives one naive model (`arbitrate_into` over the full slice every
-/// round) and one batched model (incremental `offer_insert`/
-/// `offer_remove` mirror + `arbitrate_offered`) through the same
-/// arrival schedule, granting and retiring identically. Asserts the
-/// grant sets match in content *and order* every round and that the
-/// final statistics (including the order-sensitive extra-counter list)
-/// are identical. When `snapshot_round` is set, the batched model is
-/// serialized and rebuilt mid-burst — `load_state` from the unchanged
-/// snapshot bytes plus `offer_reset` from the live offered view — and
-/// must still track the naive reference bit-for-bit afterwards.
-fn check_batched_equivalence(
+/// The reference banked round: one age-ordered walk over the ready
+/// slice, granting the first reference to each bank. Returns the grant
+/// indices and the bank-conflict count.
+fn reference_banked_walk(mapper: &BankMapper, ready: &[MemRequest]) -> (Vec<usize>, u64) {
+    let mut taken = vec![false; mapper.banks() as usize];
+    let mut granted = Vec::new();
+    let mut conflicts = 0;
+    for (i, r) in ready.iter().enumerate() {
+        let bank = mapper.bank_of(r.addr) as usize;
+        if taken[bank] {
+            conflicts += 1;
+        } else {
+            taken[bank] = true;
+            granted.push(i);
+        }
+    }
+    (granted, conflicts)
+}
+
+/// Drives a banked model the way the simulator does — offered-set deltas
+/// through `offer_insert`/`offer_remove`, one `arbitrate_into` per round,
+/// some grants left unserviced (an MSHR-full rejection keeps them
+/// offered) — and checks every round's grants, and the final
+/// statistics, against the reference walk. When `snapshot_round` is
+/// set, the model is serialized and rebuilt mid-burst — `load_state`
+/// from the unchanged snapshot bytes plus `offer_reset` from the live
+/// offered set — and must still track the reference afterwards.
+fn check_banked_mirror(
     config: &PortConfig,
-    arrivals: &[Vec<(u64, bool)>],
+    arrivals: &[Vec<(u64, bool, bool)>],
     snapshot_round: Option<usize>,
 ) -> Result<(), TestCaseError> {
-    let mut naive = config.build(32);
-    let mut batched = config.build(32);
-    let label = naive.label();
-    let mut reqs: Vec<MemRequest> = Vec::new();
-    let (mut ids, mut addrs, mut stores) = (Vec::new(), Vec::new(), Vec::new());
+    let PortConfig::Banked { banks, select } = *config else {
+        unreachable!("banked configurations only");
+    };
+    let mapper = BankMapper::with_select(select, banks, 32);
+    let mut model = config.build(32);
+    prop_assert!(model.mirrors_offers());
+    let label = model.label();
+    let mut offered: Vec<MemRequest> = Vec::new();
+    let mut late: Vec<MemRequest> = Vec::new();
     let mut next_id = 0u64;
-    let mut granted_ix = Vec::new();
     let mut granted = Vec::new();
+    let (mut want_offered, mut want_granted, mut want_conflicts) = (0u64, 0u64, 0u64);
+    let offer = |model: &mut Box<dyn PortModel>, offered: &mut Vec<MemRequest>, r: MemRequest| {
+        let pos = offered.partition_point(|o| o.id < r.id);
+        offered.insert(pos, r);
+        model.offer_insert(r);
+    };
     for (round, batch) in arrivals.iter().enumerate() {
-        for &(slot, is_store) in batch {
-            let req = MemRequest {
+        for r in std::mem::take(&mut late) {
+            offer(&mut model, &mut offered, r);
+        }
+        for &(slot, is_store, is_late) in batch {
+            let r = MemRequest {
                 id: next_id,
                 addr: slot * 8 % 0x20000,
                 is_store,
             };
             next_id += 1;
-            reqs.push(req);
-            ids.push(req.id);
-            addrs.push(req.addr);
-            stores.push(req.is_store);
-            batched.offer_insert(req);
+            if is_late {
+                late.push(r);
+            } else {
+                offer(&mut model, &mut offered, r);
+            }
         }
         if snapshot_round == Some(round) {
             let mut w = StateWriter::new();
-            batched.save_state(&mut w);
+            model.save_state(&mut w);
             let bytes = w.into_bytes();
             let mut restored = config.build(32);
             restored
                 .load_state(&mut StateReader::new(&bytes))
                 .expect("snapshot round-trips");
-            restored.offer_reset(Offered::new(&ids, &addrs, &stores));
-            batched = restored;
+            restored.offer_reset(&offered);
+            model = restored;
         }
-        naive.arbitrate_into(&reqs, &mut granted_ix);
-        batched.arbitrate_offered(Offered::new(&ids, &addrs, &stores), &mut granted);
-        let naive_grants: Vec<MemRequest> = granted_ix.iter().map(|&i| reqs[i]).collect();
+        let (want, conflicts) = reference_banked_walk(&mapper, &offered);
+        model.arbitrate_into(&offered, &mut granted);
         prop_assert_eq!(
-            &naive_grants,
             &granted,
+            &want,
             "{}: grant divergence in round {}",
             label,
             round
         );
-        for g in &granted {
-            batched.offer_remove(*g);
-            let pos = ids.binary_search(&g.id).expect("granted id is offered");
-            ids.remove(pos);
-            addrs.remove(pos);
-            stores.remove(pos);
-            reqs.remove(pos);
+        want_offered += offered.len() as u64;
+        want_granted += want.len() as u64;
+        want_conflicts += conflicts;
+        // Service the grants youngest-first so indices stay valid,
+        // rejecting a deterministic subset that must stay offered.
+        for &g in granted.iter().rev() {
+            if !(offered[g].id + round as u64).is_multiple_of(5) {
+                model.offer_remove(offered.remove(g));
+            }
         }
-        naive.tick();
-        batched.tick();
+        model.tick();
     }
+    prop_assert_eq!(model.stats().offered(), want_offered, "{}", label);
+    prop_assert_eq!(model.stats().granted(), want_granted, "{}", label);
     prop_assert_eq!(
-        naive.stats().offered(),
-        batched.stats().offered(),
+        model.stats().extra_counter("bank_conflicts"),
+        want_conflicts,
         "{}",
         label
     );
-    prop_assert_eq!(
-        naive.stats().granted(),
-        batched.stats().granted(),
-        "{}",
-        label
-    );
-    prop_assert_eq!(
-        naive.stats().cycles(),
-        batched.stats().cycles(),
-        "{}",
-        label
-    );
-    prop_assert_eq!(
-        naive.stats().rounds(),
-        batched.stats().rounds(),
-        "{}",
-        label
-    );
-    prop_assert_eq!(naive.stats().extra(), batched.stats().extra(), "{}", label);
+    prop_assert_eq!(model.stats().cycles(), arrivals.len() as u64, "{}", label);
     Ok(())
 }
 
@@ -175,6 +205,7 @@ proptest! {
         for config in all_configs() {
             let mut model = config.build(32);
             for ready in &rounds {
+                let ready = &input_for(&*model, ready);
                 let granted = model.arbitrate(ready);
                 model.tick();
                 prop_assert!(granted.len() <= model.peak_per_cycle(), "{}", model.label());
@@ -209,6 +240,7 @@ proptest! {
 
     #[test]
     fn banked_grants_at_most_one_per_bank(ready in arb_ready()) {
+        let ready = in_age_order(&ready);
         let mapper = BankMapper::bit_select(4, 32);
         let mut model = PortConfig::banked(4).build(32);
         let granted = model.arbitrate(&ready);
@@ -224,6 +256,7 @@ proptest! {
     fn banked_is_age_greedy(ready in arb_ready()) {
         // Every non-granted request must conflict with an older grant in
         // its bank (work conservation).
+        let ready = in_age_order(&ready);
         let mapper = BankMapper::bit_select(4, 32);
         let mut model = PortConfig::banked(4).build(32);
         let granted = model.arbitrate(&ready);
@@ -272,6 +305,7 @@ proptest! {
         // With an empty store queue, the LBIC's grant set in a single
         // round is always at least as large as traditional banking's: the
         // leading requests coincide, and combining only adds.
+        let ready = in_age_order(&ready);
         let mut banked = PortConfig::banked(4).build(32);
         let mut lbic = PortConfig::lbic(4, 4).build(32);
         let b = banked.arbitrate(&ready).len();
@@ -286,6 +320,7 @@ proptest! {
             let mut offered = 0u64;
             let mut granted = 0u64;
             for ready in &rounds {
+                let ready = &input_for(&*model, ready);
                 offered += ready.len() as u64;
                 granted += model.arbitrate(ready).len() as u64;
                 model.tick();
@@ -297,22 +332,22 @@ proptest! {
     }
 
     #[test]
-    fn batched_arbitration_matches_naive(arrivals in arb_arrivals()) {
-        for config in equivalence_configs() {
-            check_batched_equivalence(&config, &arrivals, None)?;
+    fn banked_mirror_matches_reference_walk(arrivals in arb_arrivals()) {
+        for config in banked_configs() {
+            check_banked_mirror(&config, &arrivals, None)?;
         }
     }
 
     #[test]
-    fn batched_arbitration_survives_midburst_snapshot(
+    fn banked_mirror_survives_midburst_snapshot(
         arrivals in arb_arrivals(),
         snap in 0usize..16,
     ) {
         // The snapshot bytes carry no mirror state; the rebuilt model's
-        // derived indices must reconstruct from `offer_reset` alone.
-        for config in equivalence_configs() {
+        // buckets must reconstruct from `offer_reset` alone.
+        for config in banked_configs() {
             let round = snap % arrivals.len();
-            check_batched_equivalence(&config, &arrivals, Some(round))?;
+            check_banked_mirror(&config, &arrivals, Some(round))?;
         }
     }
 }

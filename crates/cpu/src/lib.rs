@@ -73,7 +73,7 @@ pub use fu::FuPools;
 pub use functional::Emulator;
 pub use lsq::{Lsq, LsqStalls};
 pub use report::SimReport;
-pub use sim::{arb_batched_next, stageprof, PipeStats, Simulator};
+pub use sim::{stageprof, PipeStats, Simulator};
 pub use snapshot::{SimSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use trace::{CacheLookup, CommittedTrace, TracePlayer, TRACE_MAGIC, TRACE_VERSION};
 pub use window::{InstMeta, Retired, Window};

@@ -8,26 +8,16 @@
 //! known, stays known; prior stores resolve and never un-resolve; a
 //! blocking store only leaves the queue once — so each entry makes O(1)
 //! classification transitions over its lifetime, and the per-cycle cost
-//! of [`collect_ready_into`](Lsq::collect_ready_into) is the size of the
-//! ready list plus the transitions that actually happened. Simulation
-//! time scales with work, not with queue occupancy.
+//! of a round ([`begin_round`](Lsq::begin_round)) is the transitions that
+//! actually happened, and the ready list is borrowed in place
+//! ([`ready`](Lsq::ready)). Simulation time scales with work, not with
+//! queue occupancy.
 
 use std::collections::VecDeque;
 
-use hbdc_core::{MemRequest, Offered};
+use hbdc_core::MemRequest;
 use hbdc_mem::FibHashMap;
 use hbdc_snap::{SnapError, StateReader, StateWriter};
-
-/// One memory reference that is ready to access the cache this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheReady {
-    /// RUU sequence number.
-    pub seq: u64,
-    /// Effective address.
-    pub addr: u64,
-    /// Whether this is a store.
-    pub is_store: bool,
-}
 
 /// Why loads failed to join a cycle's ready list (diagnostic counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,17 +28,6 @@ pub struct LsqStalls {
     pub prior_store_addr: u64,
     /// Older store overlaps (partially, or data pending): must wait.
     pub store_overlap: u64,
-}
-
-/// The per-cycle classification of LSQ entries.
-#[derive(Debug, Clone, Default)]
-pub struct ReadyRefs {
-    /// References that must access the cache, in age order.
-    pub cache: Vec<CacheReady>,
-    /// Loads serviceable by store-to-load forwarding (paper §2.1: "loads
-    /// to same address as an earlier store in the LSQ can be serviced with
-    /// zero latency"); they never reach the cache structure.
-    pub forwards: Vec<u64>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -84,10 +63,10 @@ const NOT_MEM: u64 = u64::MAX;
 /// reference touches at most two blocks.
 const BLOCK_SHIFT: u32 = 3;
 
-/// Stale-prefix length at which the ready SoA reclaims front-popped
+/// Stale-prefix length at which the ready list reclaims front-popped
 /// slots. Large enough that the (live-region) shift amortizes to well
 /// under one element copy per removal, small enough that the dead
-/// prefix never dominates the vectors' footprint.
+/// prefix never dominates the list's footprint.
 const READY_COMPACT: usize = 512;
 
 /// The (first, optional second) index blocks a byte range touches.
@@ -122,9 +101,11 @@ fn blocks_of(addr: u64, width: u64) -> (u64, Option<u64>) {
 /// lsq.mark_addr_known(0);
 /// lsq.mark_data_known(0);
 /// lsq.mark_addr_known(1);
-/// let ready = lsq.collect_ready(0); // nothing older is complete yet
-/// assert_eq!(ready.forwards, vec![1]); // the load forwards
-/// assert!(ready.cache.is_empty());     // the store waits for commit
+/// lsq.begin_round(0); // nothing older is complete yet
+/// let mut forwards = Vec::new();
+/// lsq.take_forwards(&mut forwards);
+/// assert_eq!(forwards, vec![1]);  // the load forwards
+/// assert!(lsq.ready().is_empty()); // the store waits for commit
 /// ```
 #[derive(Debug, Clone)]
 pub struct Lsq {
@@ -144,32 +125,26 @@ pub struct Lsq {
     // ----- Derived classification state (event-maintained; never
     // serialized — rebuilt from the entries on snapshot load). -----
     //
-    // The persistent ready list, in age order: exactly what the next
-    // `collect_ready_into` call reports as `cache`, kept current by the
-    // mark_*/retire event handlers. Structure-of-arrays (parallel id /
-    // addr / is_store vectors, always the same length) so the simulator's
-    // arbitration round can borrow it in place as an [`Offered`] view
-    // instead of copying every offered reference every cycle.
-    ready_ids: Vec<u64>,
-    ready_addrs: Vec<u64>,
-    ready_stores: Vec<bool>,
-    // First live index of the ready SoA: arbitration grants remove the
-    // oldest references, so the common removal is a front pop — an O(1)
-    // head bump instead of a three-vector memmove. The stale prefix
-    // `[0, ready_head)` is reclaimed once it exceeds `READY_COMPACT`.
+    // The persistent ready list, in age order (ids are sequence numbers,
+    // so strictly increasing): exactly what `ready()` lends the
+    // arbitration round, kept current by the mark_*/retire event
+    // handlers.
+    ready: Vec<MemRequest>,
+    // First live index of `ready`: arbitration grants remove the oldest
+    // references, so the common removal is a front pop — an O(1) head
+    // bump instead of a memmove. The stale prefix `[0, ready_head)` is
+    // reclaimed once it exceeds `READY_COMPACT`.
     ready_head: usize,
     // Every ready-list mutation since the last drain, in event order
-    // (`true` = inserted, `false` = removed): the feed for the port
-    // model's incremental offered-set mirrors. Bounded by the simulator
-    // draining it once per arbitration round; `rebuild_derived` clears it
-    // because a snapshot restore re-seeds the mirrors wholesale.
+    // (`true` = inserted, `false` = removed): the feed for a port model's
+    // offered-set mirror. Bounded by the simulator draining it once per
+    // arbitration round; `rebuild_derived` clears it because a snapshot
+    // restore re-seeds the mirror wholesale.
     ready_log: Vec<(MemRequest, bool)>,
-    /// Whether ready-list mutations are recorded into `ready_log`. The
-    /// simulator only pays for the log while the port model's offered-set
-    /// mirror is live (the batched arbitration mode); in the
-    /// slice-walking mode no consumer exists and logging is switched off.
+    /// Whether ready-list mutations are recorded into `ready_log` — set
+    /// once by the driver, on only for port models that mirror offers.
     log_ready: bool,
-    // Loads that became forwardable since the last collect; drained once
+    // Loads that became forwardable since the last round; drained once
     // (the simulator services a reported forward in the same cycle).
     pending_forwards: Vec<u64>,
     // Stores whose address is still unknown, in age order (dispatch
@@ -177,7 +152,7 @@ pub struct Lsq {
     // loads younger than it are blocked on a prior store address.
     unknown_stores: VecDeque<u64>,
     // Stores with address and data known, awaiting the completion
-    // frontier; age-sorted. `collect_ready_into` drains the prefix that
+    // frontier; age-sorted. `begin_round` drains the prefix that
     // the (monotone) frontier has passed into `ready`.
     eligible_stores: Vec<u64>,
     // Loads with known addresses blocked behind `unknown_stores.front()`,
@@ -218,12 +193,10 @@ impl Lsq {
             pos_map: VecDeque::new(),
             dispatched: 0,
             retired: 0,
-            ready_ids: Vec::new(),
-            ready_addrs: Vec::new(),
-            ready_stores: Vec::new(),
+            ready: Vec::new(),
             ready_head: 0,
             ready_log: Vec::new(),
-            log_ready: true,
+            log_ready: false,
             pending_forwards: Vec::new(),
             unknown_stores: VecDeque::new(),
             eligible_stores: Vec::new(),
@@ -331,19 +304,15 @@ impl Lsq {
 
     fn ready_insert(&mut self, c: MemRequest) {
         let h = self.ready_head;
-        let k = self.ready_ids[h..].partition_point(|&id| id < c.id);
-        debug_assert!(self.ready_ids[h..].get(k) != Some(&c.id));
+        let k = self.ready[h..].partition_point(|r| r.id < c.id);
+        debug_assert!(self.ready[h..].get(k).is_none_or(|r| r.id != c.id));
         if k == 0 && h > 0 {
             // Older than every live entry and a stale front slot is free:
             // reuse it instead of shifting the whole live region.
             self.ready_head = h - 1;
-            self.ready_ids[h - 1] = c.id;
-            self.ready_addrs[h - 1] = c.addr;
-            self.ready_stores[h - 1] = c.is_store;
+            self.ready[h - 1] = c;
         } else {
-            self.ready_ids.insert(h + k, c.id);
-            self.ready_addrs.insert(h + k, c.addr);
-            self.ready_stores.insert(h + k, c.is_store);
+            self.ready.insert(h + k, c);
         }
         if self.log_ready {
             self.ready_log.push((c, true));
@@ -352,41 +321,28 @@ impl Lsq {
 
     fn ready_remove(&mut self, seq: u64) -> bool {
         let h = self.ready_head;
-        let k = self.ready_ids[h..].partition_point(|&id| id < seq);
-        if self.ready_ids[h..].get(k) == Some(&seq) {
-            let (addr, is_store);
-            if k == 0 {
-                // Front pop: leave the slot stale and bump the head; the
-                // prefix is reclaimed in bulk once it grows past
-                // `READY_COMPACT`, keeping removal amortized O(1).
-                addr = self.ready_addrs[h];
-                is_store = self.ready_stores[h];
-                self.ready_head = h + 1;
-                if self.ready_head >= READY_COMPACT {
-                    self.ready_ids.drain(..self.ready_head);
-                    self.ready_addrs.drain(..self.ready_head);
-                    self.ready_stores.drain(..self.ready_head);
-                    self.ready_head = 0;
-                }
-            } else {
-                self.ready_ids.remove(h + k);
-                addr = self.ready_addrs.remove(h + k);
-                is_store = self.ready_stores.remove(h + k);
-            }
-            if self.log_ready {
-                self.ready_log.push((
-                    MemRequest {
-                        id: seq,
-                        addr,
-                        is_store,
-                    },
-                    false,
-                ));
-            }
-            true
-        } else {
-            false
+        let k = self.ready[h..].partition_point(|r| r.id < seq);
+        if self.ready[h..].get(k).is_none_or(|r| r.id != seq) {
+            return false;
         }
+        let removed = if k == 0 {
+            // Front pop: leave the slot stale and bump the head; the
+            // prefix is reclaimed in bulk once it grows past
+            // `READY_COMPACT`, keeping removal amortized O(1).
+            self.ready_head = h + 1;
+            let r = self.ready[h];
+            if self.ready_head >= READY_COMPACT {
+                self.ready.drain(..self.ready_head);
+                self.ready_head = 0;
+            }
+            r
+        } else {
+            self.ready.remove(h + k)
+        };
+        if self.log_ready {
+            self.ready_log.push((removed, false));
+        }
+        true
     }
 
     fn eligible_insert(&mut self, seq: u64) {
@@ -414,11 +370,7 @@ impl Lsq {
                 self.n_overlap += 1;
             }
         } else {
-            self.ready_insert(MemRequest {
-                id: load,
-                addr,
-                is_store: false,
-            });
+            self.ready_insert(MemRequest::load(load, addr));
         }
     }
 
@@ -642,11 +594,7 @@ impl Lsq {
                 tmp.extend(self.dep_waiters.drain(lo..hi).map(|(_, l)| l));
                 for &load in &tmp {
                     let addr = self.entries[self.find(load)].addr;
-                    self.ready_insert(MemRequest {
-                        id: load,
-                        addr,
-                        is_store: false,
-                    });
+                    self.ready_insert(MemRequest::load(load, addr));
                 }
                 tmp.clear();
                 self.scratch = tmp;
@@ -677,44 +625,16 @@ impl Lsq {
         }
     }
 
-    /// Reports this cycle's ready sets into the caller-owned `out`
-    /// (cleared first): the event-maintained ready list, plus any stores
-    /// the completion frontier has newly passed, plus the loads that
-    /// became forwardable since the last call. O(ready + transitions),
-    /// not O(occupancy). Also accrues this cycle's stall counters from
-    /// the maintained blocked-load census.
+    /// Opens this cycle's round: promotes stores the completion frontier
+    /// has newly passed into the ready list and accrues this cycle's
+    /// stall counters from the maintained blocked-load census. O(newly
+    /// eligible stores), not O(occupancy). The round's sets are then
+    /// [`ready`](Self::ready) and [`take_forwards`](Self::take_forwards).
     ///
     /// `oldest_not_done` is the RUU's completion frontier: stores older
     /// than it (i.e. with every older instruction complete) may perform
     /// their commit-time cache access. The frontier must be monotone
     /// across calls (it is: the RUU's Done prefix only grows).
-    pub fn collect_ready_into(&mut self, oldest_not_done: u64, out: &mut ReadyRefs) {
-        self.begin_round(oldest_not_done);
-        out.cache.clear();
-        out.cache.extend(
-            self.ready_ids[self.ready_head..]
-                .iter()
-                .zip(&self.ready_addrs[self.ready_head..])
-                .zip(&self.ready_stores[self.ready_head..])
-                .map(|((&seq, &addr), &is_store)| CacheReady {
-                    seq,
-                    addr,
-                    is_store,
-                }),
-        );
-        // Events arrive in completion order; report forwards in age order
-        // like the scan-based classifier did.
-        self.pending_forwards.sort_unstable();
-        out.forwards.clone_from(&self.pending_forwards);
-        self.pending_forwards.clear();
-    }
-
-    /// The first half of [`collect_ready_into`](Self::collect_ready_into):
-    /// promotes stores the completion frontier has newly passed into the
-    /// ready list and accrues this cycle's stall counters. The simulator's
-    /// non-audited hot path follows with [`ready_view`](Self::ready_view)
-    /// and [`take_forwards`](Self::take_forwards), which hand over the same
-    /// sets without the intermediate [`ReadyRefs`] copy.
     pub fn begin_round(&mut self, oldest_not_done: u64) {
         let k = self
             .eligible_stores
@@ -724,11 +644,7 @@ impl Lsq {
             tmp.extend(self.eligible_stores.drain(..k));
             for &s in &tmp {
                 let addr = self.entries[self.find(s)].addr;
-                self.ready_insert(MemRequest {
-                    id: s,
-                    addr,
-                    is_store: true,
-                });
+                self.ready_insert(MemRequest::store(s, addr));
             }
             tmp.clear();
             self.scratch = tmp;
@@ -738,47 +654,36 @@ impl Lsq {
         self.stalls.store_overlap += self.n_overlap;
     }
 
-    /// This round's cache-ready references as a borrowed [`Offered`]
-    /// view, in age order — exactly the requests [`ReadyRefs::cache`]
-    /// reports, borrowed in place instead of copied. Ids are LSQ sequence
-    /// numbers, so they are strictly increasing across the view (the
-    /// ordering contract `Offered` documents). Valid until the next
-    /// `mark_*` or [`retire`](Self::retire) call mutates the ready list.
-    /// Call after [`begin_round`](Self::begin_round).
-    pub fn ready_view(&self) -> Offered<'_> {
-        Offered::new(
-            &self.ready_ids[self.ready_head..],
-            &self.ready_addrs[self.ready_head..],
-            &self.ready_stores[self.ready_head..],
-        )
+    /// This round's cache-ready references, borrowed in place, in age
+    /// order: ids are LSQ sequence numbers, strictly increasing. Valid
+    /// until the next `mark_*` or [`retire`](Self::retire) call mutates
+    /// the ready list. Call after [`begin_round`](Self::begin_round).
+    pub fn ready(&self) -> &[MemRequest] {
+        &self.ready[self.ready_head..]
     }
 
     /// Drains the ready-list mutations recorded since the last drain, in
     /// event order (`true` = inserted, `false` = removed) — the feed that
-    /// keeps a port model's offered-set mirror synchronized. The simulator
-    /// drains this once per arbitration round while the batched mode is
-    /// active; after a snapshot restore (or a mode re-entry) the log is
-    /// empty and the mirror is re-seeded wholesale via
+    /// keeps a port model's offered-set mirror synchronized. Empty unless
+    /// logging is on ([`set_ready_logging`](Self::set_ready_logging));
+    /// after a snapshot restore the log is empty and the mirror is
+    /// re-seeded wholesale via
     /// [`PortModel::offer_reset`](hbdc_core::PortModel::offer_reset).
     pub fn drain_ready_deltas(&mut self) -> std::vec::Drain<'_, (MemRequest, bool)> {
         self.ready_log.drain(..)
     }
 
-    /// Switches ready-list delta logging on or off, clearing any pending
-    /// entries either way: entries buffered while the consumer was away
-    /// describe transitions its mirror never saw the baseline of, so a
-    /// consumer switching logging on must immediately re-seed via
-    /// [`PortModel::offer_reset`](hbdc_core::PortModel::offer_reset)
-    /// against the live [`ready_view`](Self::ready_view). Logging defaults
-    /// to on, matching drivers that feed a mirror from the first round.
+    /// Switches ready-list delta logging on or off (default off),
+    /// clearing any pending entries. A driver whose port model
+    /// [`mirrors_offers`](hbdc_core::PortModel::mirrors_offers) turns it
+    /// on once, before the first round.
     pub fn set_ready_logging(&mut self, on: bool) {
         self.log_ready = on;
         self.ready_log.clear();
     }
 
     /// Moves this round's newly-forwardable loads into `out` (cleared
-    /// first, age-sorted), emptying the pending set — the ownership-swap
-    /// counterpart of the [`ReadyRefs::forwards`] clone. Call after
+    /// first, age-sorted), emptying the pending set. Call after
     /// [`begin_round`](Self::begin_round).
     pub fn take_forwards(&mut self, out: &mut Vec<u64>) {
         self.pending_forwards.sort_unstable();
@@ -786,21 +691,15 @@ impl Lsq {
         std::mem::swap(&mut self.pending_forwards, out);
     }
 
-    /// Classifies entries into this cycle's ready sets. Allocates; the
-    /// hot path uses [`collect_ready_into`](Self::collect_ready_into).
-    pub fn collect_ready(&mut self, oldest_not_done: u64) -> ReadyRefs {
-        let mut out = ReadyRefs::default();
-        self.collect_ready_into(oldest_not_done, &mut out);
-        out
-    }
-
     /// Re-checks one ready-list round against the queue's ordering and
     /// forwarding rules, appending any violations to `out`.
     ///
-    /// `ready` must be the result of the matching
-    /// [`collect_ready_into`](Self::collect_ready_into) call with the same
-    /// `oldest_not_done` frontier. A pure observer: it recomputes legality
-    /// independently of the classification scan. Checks:
+    /// `ready` and `forwards` are the round's sets as handed to the
+    /// simulator ([`ready`](Self::ready) and
+    /// [`take_forwards`](Self::take_forwards) after
+    /// [`begin_round`](Self::begin_round) with the same `oldest_not_done`
+    /// frontier). A pure observer: it recomputes legality independently
+    /// of the classification events. Checks:
     ///
     /// * queue entries are in strict age order (`lsq-age-order`);
     /// * the cache-ready list is in strict age order (`lsq-ready-order`);
@@ -811,7 +710,8 @@ impl Lsq {
     pub fn audit_round(
         &self,
         oldest_not_done: u64,
-        ready: &ReadyRefs,
+        ready: &[MemRequest],
+        forwards: &[u64],
         out: &mut Vec<hbdc_core::Violation>,
     ) {
         use hbdc_core::Violation;
@@ -829,19 +729,16 @@ impl Lsq {
                 ),
             ));
         }
-        for w in ready.cache.windows(2).filter(|w| w[0].seq >= w[1].seq) {
+        for w in ready.windows(2).filter(|w| w[0].id >= w[1].id) {
             out.push(Violation::new(
                 "lsq-ready-order",
-                format!(
-                    "ready list out of age order: {} then {}",
-                    w[0].seq, w[1].seq
-                ),
+                format!("ready list out of age order: {} then {}", w[0].id, w[1].id),
             ));
         }
-        for c in ready.cache.iter().filter(|c| c.is_store) {
-            let legal = c.seq < oldest_not_done
+        for c in ready.iter().filter(|c| c.is_store) {
+            let legal = c.id < oldest_not_done
                 && self
-                    .entry(c.seq)
+                    .entry(c.id)
                     .is_some_and(|e| e.addr_known && e.data_known && !e.issued);
             if !legal {
                 out.push(Violation::new(
@@ -849,12 +746,12 @@ impl Lsq {
                     format!(
                         "store {} offered to the cache before commit eligibility \
                          (frontier {oldest_not_done})",
-                        c.seq
+                        c.id
                     ),
                 ));
             }
         }
-        for &seq in &ready.forwards {
+        for &seq in forwards {
             let legal = self.entry(seq).is_some_and(|load| {
                 !load.is_store
                     && load.exact_fit
@@ -962,11 +859,9 @@ impl Lsq {
     /// list — one pass of exactly the old per-cycle scan's logic, run
     /// once per snapshot load instead of once per cycle.
     fn rebuild_derived(&mut self) {
-        self.ready_ids.clear();
-        self.ready_addrs.clear();
-        self.ready_stores.clear();
+        self.ready.clear();
         self.ready_head = 0;
-        // Wholesale rebuild: the offered-set mirrors are re-seeded via
+        // Wholesale rebuild: the offered-set mirror is re-seeded via
         // `offer_reset`, so incremental deltas from before the rebuild
         // (or from this direct repopulation) must not leak through.
         self.ready_log.clear();
@@ -1021,10 +916,8 @@ impl Lsq {
                 }
             } else {
                 // Entry order is age order, so direct pushes keep the
-                // structure-of-arrays list sorted.
-                self.ready_ids.push(e.seq);
-                self.ready_addrs.push(e.addr);
-                self.ready_stores.push(false);
+                // ready list sorted.
+                self.ready.push(MemRequest::load(e.seq, e.addr));
             }
         }
         // Entry order gave load-sorted pairs; waiter events need
@@ -1058,6 +951,25 @@ impl Lsq {
 mod tests {
     use super::*;
 
+    /// One round's ready sets, copied out of the queue.
+    struct ReadyRefs {
+        cache: Vec<MemRequest>,
+        forwards: Vec<u64>,
+    }
+
+    impl Lsq {
+        /// Opens a round and copies its ready sets.
+        fn collect_ready(&mut self, oldest_not_done: u64) -> ReadyRefs {
+            self.begin_round(oldest_not_done);
+            let mut forwards = Vec::new();
+            self.take_forwards(&mut forwards);
+            ReadyRefs {
+                cache: self.ready().to_vec(),
+                forwards,
+            }
+        }
+    }
+
     #[test]
     fn load_waits_for_prior_store_address() {
         let mut lsq = Lsq::new(8);
@@ -1065,10 +977,10 @@ mod tests {
         lsq.dispatch(1, 0x200, 4, false);
         lsq.mark_addr_known(1); // load address known, store's is not
         let r = lsq.collect_ready(u64::MAX);
-        assert!(r.cache.iter().all(|c| c.seq != 1));
+        assert!(r.cache.iter().all(|c| c.id != 1));
         lsq.mark_addr_known(0);
         let r = lsq.collect_ready(u64::MAX);
-        assert!(r.cache.iter().any(|c| c.seq == 1 && !c.is_store));
+        assert!(r.cache.iter().any(|c| c.id == 1 && !c.is_store));
     }
 
     #[test]
@@ -1092,7 +1004,7 @@ mod tests {
         lsq.mark_addr_known(1);
         let r = lsq.collect_ready(0);
         assert!(r.forwards.is_empty());
-        assert!(r.cache.iter().all(|c| c.seq != 1));
+        assert!(r.cache.iter().all(|c| c.id != 1));
     }
 
     #[test]
@@ -1108,7 +1020,7 @@ mod tests {
         // even though an older store matches exactly.
         let r = lsq.collect_ready(0);
         assert!(r.forwards.is_empty());
-        assert!(r.cache.iter().all(|c| c.seq != 2));
+        assert!(r.cache.iter().all(|c| c.id != 2));
     }
 
     #[test]
@@ -1119,7 +1031,7 @@ mod tests {
         lsq.mark_addr_known(0);
         lsq.mark_addr_known(1);
         let r = lsq.collect_ready(0);
-        assert!(r.cache.iter().any(|c| c.seq == 1));
+        assert!(r.cache.iter().any(|c| c.id == 1));
     }
 
     #[test]
@@ -1131,14 +1043,7 @@ mod tests {
         assert!(lsq.collect_ready(3).cache.is_empty()); // older work pending
         assert!(lsq.collect_ready(5).cache.is_empty()); // the store itself is the frontier
         let r = lsq.collect_ready(6);
-        assert_eq!(
-            r.cache,
-            vec![CacheReady {
-                seq: 5,
-                addr: 0x100,
-                is_store: true
-            }]
-        );
+        assert_eq!(r.cache, vec![MemRequest::store(5, 0x100)]);
     }
 
     #[test]
@@ -1198,7 +1103,7 @@ mod tests {
         lsq.mark_addr_known(1);
         let r = lsq.collect_ready(0);
         assert!(r.forwards.is_empty());
-        assert!(r.cache.iter().all(|c| c.seq != 1));
+        assert!(r.cache.iter().all(|c| c.id != 1));
         lsq.mark_data_known(0);
         assert_eq!(lsq.collect_ready(0).forwards, vec![1]);
     }
@@ -1212,7 +1117,7 @@ mod tests {
         lsq.mark_addr_known(1);
         // The load may proceed: prior store *addresses* are known.
         let r = lsq.collect_ready(0);
-        assert!(r.cache.iter().any(|c| c.seq == 1));
+        assert!(r.cache.iter().any(|c| c.id == 1));
     }
 
     #[test]
@@ -1223,7 +1128,7 @@ mod tests {
             lsq.mark_addr_known(s);
         }
         let r = lsq.collect_ready(u64::MAX);
-        let seqs: Vec<u64> = r.cache.iter().map(|c| c.seq).collect();
+        let seqs: Vec<u64> = r.cache.iter().map(|c| c.id).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
     }
 
@@ -1255,7 +1160,7 @@ mod tests {
         lsq.mark_data_known(0);
         let r = lsq.collect_ready(0);
         assert_eq!(r.forwards, vec![2]);
-        let seqs: Vec<u64> = r.cache.iter().map(|c| c.seq).collect();
+        let seqs: Vec<u64> = r.cache.iter().map(|c| c.id).collect();
         assert_eq!(seqs, vec![4], "partial overlap still waits");
         // The partial-overlap load clears when its decider store retires.
         lsq.mark_forwarded(2);
@@ -1264,7 +1169,7 @@ mod tests {
         lsq.retire(0);
         lsq.retire(1);
         let r = lsq.collect_ready(0);
-        let seqs: Vec<u64> = r.cache.iter().map(|c| c.seq).collect();
+        let seqs: Vec<u64> = r.cache.iter().map(|c| c.id).collect();
         assert_eq!(seqs, vec![3]);
     }
 
@@ -1295,7 +1200,7 @@ mod tests {
         lsq.mark_data_known(0);
         let r = lsq.collect_ready(5);
         let mut out = Vec::new();
-        lsq.audit_round(5, &r, &mut out);
+        lsq.audit_round(5, &r.cache, &r.forwards, &mut out);
         assert!(out.is_empty(), "{out:?}");
     }
 
@@ -1308,23 +1213,9 @@ mod tests {
         lsq.mark_addr_known(1);
         // Fabricate an illegal round: the store offered ahead of the
         // frontier, the disjoint load reported as a forward, out of order.
-        let bad = ReadyRefs {
-            cache: vec![
-                CacheReady {
-                    seq: 1,
-                    addr: 0x200,
-                    is_store: false,
-                },
-                CacheReady {
-                    seq: 0,
-                    addr: 0x100,
-                    is_store: true,
-                },
-            ],
-            forwards: vec![1],
-        };
+        let cache = [MemRequest::load(1, 0x200), MemRequest::store(0, 0x100)];
         let mut out = Vec::new();
-        lsq.audit_round(0, &bad, &mut out);
+        lsq.audit_round(0, &cache, &[1], &mut out);
         let rules: Vec<&str> = out.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&"lsq-ready-order"), "{rules:?}");
         assert!(rules.contains(&"lsq-store-early"), "{rules:?}");
@@ -1360,6 +1251,106 @@ mod tests {
         let b = restored.collect_ready(6);
         assert_eq!(a.cache, b.cache);
         assert_eq!(lsq.stalls(), restored.stalls());
+    }
+
+    /// Seeded random schedule of dispatches, out-of-order address
+    /// resolutions, frontier advances, issues (mostly oldest-first, some
+    /// mid-list) and in-order retirements, checking `ready()` against a
+    /// `BTreeMap` reference after every round. Loads and stores use
+    /// disjoint regions and stores resolve at dispatch, so a load is ready
+    /// exactly from its address resolution to its issue and a store from
+    /// the frontier passing it to its issue. The schedule is long enough
+    /// to cross both ready-list fast paths: the stale-prefix compaction
+    /// at `READY_COMPACT` front pops, and an insert older than every live
+    /// entry reusing a stale front slot.
+    #[test]
+    fn ready_list_matches_reference_under_random_schedule() {
+        use std::collections::BTreeMap;
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut lsq = Lsq::new(256);
+        let mut want: BTreeMap<u64, MemRequest> = BTreeMap::new();
+        let mut in_queue: VecDeque<(u64, bool)> = VecDeque::new(); // (seq, issued)
+        let mut unknown_loads: Vec<u64> = Vec::new();
+        let mut waiting_stores: VecDeque<u64> = VecDeque::new();
+        let (mut seq, mut frontier) = (0u64, 0u64);
+        let (mut compactions, mut slot_reuses) = (0u32, 0u32);
+        for _ in 0..6000 {
+            for _ in 0..next(4) {
+                if !lsq.has_space() {
+                    break;
+                }
+                if next(5) == 0 {
+                    lsq.dispatch(seq, 0x10_0000 + seq * 8, 8, true);
+                    lsq.mark_addr_known(seq);
+                    lsq.mark_data_known(seq);
+                    waiting_stores.push_back(seq);
+                } else {
+                    lsq.dispatch(seq, seq * 8, 8, false);
+                    unknown_loads.push(seq);
+                }
+                in_queue.push_back((seq, false));
+                seq += 1;
+            }
+            for _ in 0..next(4) {
+                if unknown_loads.is_empty() {
+                    break;
+                }
+                // Half the time the oldest unresolved load, otherwise any.
+                let pick = if next(2) == 0 {
+                    0
+                } else {
+                    next(unknown_loads.len() as u64) as usize
+                };
+                let load = unknown_loads.remove(pick);
+                let head = lsq.ready_head;
+                lsq.mark_addr_known(load);
+                slot_reuses += u32::from(head > 0 && lsq.ready_head == head - 1);
+                want.insert(load, MemRequest::load(load, load * 8));
+            }
+            frontier = frontier.max(seq.saturating_sub(next(8)));
+            while waiting_stores.front().is_some_and(|&s| s < frontier) {
+                let s = waiting_stores.pop_front().unwrap();
+                want.insert(s, MemRequest::store(s, 0x10_0000 + s * 8));
+            }
+            lsq.begin_round(frontier);
+            let got = lsq.ready();
+            assert!(
+                got.windows(2).all(|w| w[0].id < w[1].id),
+                "ids not increasing"
+            );
+            assert!(got.iter().eq(want.values()), "ready list diverged");
+            for _ in 0..next(4) {
+                let live = lsq.ready();
+                if live.is_empty() {
+                    break;
+                }
+                let k = if next(4) == 0 {
+                    next(live.len() as u64) as usize
+                } else {
+                    0
+                };
+                let id = live[k].id;
+                let head = lsq.ready_head;
+                lsq.mark_issued(id);
+                compactions += u32::from(head + 1 == READY_COMPACT && lsq.ready_head == 0);
+                want.remove(&id);
+                let pos = in_queue.partition_point(|&(s, _)| s < id);
+                in_queue[pos].1 = true;
+            }
+            while let Some(&(s, true)) = in_queue.front() {
+                lsq.retire(s);
+                in_queue.pop_front();
+            }
+            assert!(lsq.ready().iter().eq(want.values()), "ready list diverged");
+        }
+        assert!(compactions > 0, "schedule never compacted the ready list");
+        assert!(slot_reuses > 0, "schedule never reused a stale front slot");
     }
 
     #[test]

@@ -62,7 +62,8 @@ pub struct SimReport {
     /// Arbitration rounds in which at least one reference was offered
     /// (empty rounds keep store queues draining but are not counted).
     /// With `arb_offered` this gives the mean offered backlog per busy
-    /// round — the figure the batched-arbitration work optimizes.
+    /// round — the backlog depth that decides which arbitration round
+    /// shape pays (DESIGN.md §14).
     pub arb_rounds: u64,
     /// Bank conflicts (banked and LBIC models; 0 otherwise).
     pub bank_conflicts: u64,

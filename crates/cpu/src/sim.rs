@@ -12,7 +12,7 @@ use crate::dynamic::DynInst;
 use crate::error::SimError;
 use crate::fu::FuPools;
 use crate::functional::Emulator;
-use crate::lsq::{Lsq, LsqStalls, ReadyRefs};
+use crate::lsq::{Lsq, LsqStalls};
 use crate::report::SimReport;
 use crate::trace::{CommittedTrace, TracePlayer};
 use crate::window::Window;
@@ -58,36 +58,6 @@ pub mod stageprof {
 // Functional-unit classes that can refuse an issue (structural hazard);
 // the index is the class's bit in `Simulator::fu_blocked`. `LoadStore`
 // and `None` never block and carry no bit.
-/// Engage the batched (mirror-backed) arbitration round when the offered
-/// backlog reaches this many multiples of the port model's peak grant
-/// rate. `offered / peak` lower-bounds how many rounds each reference is
-/// re-offered before draining; past this ratio the per-round savings of
-/// the incremental mirror dominate its per-transition upkeep. Measured
-/// break-even on the FP-stencil workloads sits near 10–15 rounds per
-/// reference; entering above it keeps the mode switch strictly
-/// profitable.
-const BATCH_ENTER_RATIO: usize = 16;
-
-/// Disengage the batched round when the backlog falls below this many
-/// multiples of peak — half the entry ratio, so a backlog hovering at the
-/// boundary does not thrash `offer_reset` rebuilds.
-const BATCH_EXIT_RATIO: usize = 8;
-
-/// Pure hysteresis step for the adaptive arbitration-mode switch
-/// (DESIGN.md §14): engage the batched round when the offered backlog
-/// reaches `enter`, and once engaged stay there until the backlog falls
-/// below `exit`. Factored out of the per-cycle loop so the boundary
-/// goldens in `tests/arb_hysteresis.rs` can pin the enter/no-exit edges
-/// (`peak×BATCH_ENTER_RATIO` / `peak×BATCH_EXIT_RATIO`) directly.
-#[doc(hidden)]
-pub fn arb_batched_next(batched: bool, offered: usize, enter: usize, exit: usize) -> bool {
-    if batched {
-        offered >= exit
-    } else {
-        offered >= enter
-    }
-}
-
 const BLOCKABLE_CLASSES: [FuClass; 6] = [
     FuClass::IntAlu,
     FuClass::IntMult,
@@ -241,19 +211,9 @@ pub struct Simulator {
     // Per-cycle scratch buffers, allocated once and reused so the hot
     // loop performs no heap allocation in steady state.
     issue_buf: Vec<u64>,
-    ready_scratch: ReadyRefs,
     forwards_buf: Vec<u64>,
     reqs_buf: Vec<MemRequest>,
     granted_buf: Vec<usize>,
-    offered_buf: Vec<MemRequest>,
-    // Adaptive arbitration-mode switch (derived, never serialized):
-    // whether the port model keeps a real offered-set mirror, the
-    // backlog thresholds at which the batched round engages/disengages,
-    // and whether it is currently active. See `arbitrate_memory`.
-    port_mirrors: bool,
-    batch_enter: usize,
-    batch_exit: usize,
-    batched_port: bool,
     commit_buf: Vec<crate::window::Retired>,
     // Auditor scratch: stays empty (and allocation-free) on clean cycles.
     audit_buf: Vec<Violation>,
@@ -456,13 +416,10 @@ impl Simulator {
         port: Box<dyn PortModel>,
     ) -> Self {
         let hier = Hierarchy::new(hier_cfg);
-        let port_mirrors = port.mirrors_offers();
-        let peak = port.peak_per_cycle();
-        // Every run starts in the slice-walking arbitration mode: no
-        // offered-set mirror is live, so ready-list delta logging is
-        // switched off until (and unless) the batched mode engages.
+        // Ready-list deltas are only worth recording for a port model
+        // that keeps an offered-set mirror (see `arbitrate_memory`).
         let mut lsq = Lsq::new(cfg.lsq_size);
-        lsq.set_ready_logging(false);
+        lsq.set_ready_logging(port.mirrors_offers());
         Self {
             source,
             window: Window::new(cfg.ruu_size),
@@ -483,15 +440,9 @@ impl Simulator {
             halted: false,
             last_commit_cycle: 0,
             issue_buf: Vec::new(),
-            ready_scratch: ReadyRefs::default(),
             forwards_buf: Vec::new(),
             reqs_buf: Vec::new(),
             granted_buf: Vec::new(),
-            offered_buf: Vec::new(),
-            port_mirrors,
-            batch_enter: peak.saturating_mul(BATCH_ENTER_RATIO),
-            batch_exit: peak.saturating_mul(BATCH_EXIT_RATIO),
-            batched_port: false,
             commit_buf: Vec::new(),
             audit_buf: Vec::new(),
             fu_blocked: 0,
@@ -603,10 +554,14 @@ impl Simulator {
         issued
     }
 
+    /// The memory stage's one arbitration round: classify the LSQ,
+    /// service forwards, feed the port model's offered-set mirror (if it
+    /// keeps one) the round's ready-list deltas, arbitrate the borrowed
+    /// ready list, and service the grants. With
+    /// [`audit`](CpuConfig::audit) on, the grants are checked before
+    /// they are serviced, so an illegal round is reported instead of
+    /// corrupting window/LSQ/hierarchy state.
     fn arbitrate_memory(&mut self) -> Result<bool, SimError> {
-        if self.cfg.audit {
-            return self.arbitrate_memory_audited();
-        }
         let frontier = self.window.oldest_not_done();
         let stalls_before = self.lsq.stalls();
         self.lsq.begin_round(frontier);
@@ -624,71 +579,36 @@ impl Simulator {
             self.window.set_complete_at(seq, self.now + 1);
         }
 
-        // Adaptive arbitration-mode switch (DESIGN.md §14). Models with
-        // incremental offered-set mirrors (banked, LBIC) arbitrate in
-        // O(grants + newly-ready) per round instead of O(offered), but
-        // pay a fixed upkeep per offered-set transition — which only
-        // repays itself when the standing backlog is re-offered for many
-        // rounds before draining. `offered / peak` is a lower bound on
-        // that round count, so the batched mode engages when the ratio
-        // crosses BATCH_ENTER_RATIO (seeding the mirror once via
-        // `offer_reset`) and disengages — reverting to the classic
-        // slice-walking round, with delta logging off — when it falls
-        // below the half-rate BATCH_EXIT_RATIO hysteresis floor. Both
-        // rounds compute identical grants and statistics (the
-        // batched≡naive property tests pin this), so the switch is
-        // invisible in every report. Mirror-free models (ideal,
-        // replicated) skip the switch: their offered entry point reads
-        // the view in place at no upkeep, so it is never worse.
-        let offered = self.lsq.ready_view().len();
-        if self.port_mirrors {
-            let next = arb_batched_next(
-                self.batched_port,
-                offered,
-                self.batch_enter,
-                self.batch_exit,
-            );
-            if self.batched_port && !next {
-                self.batched_port = false;
-                self.lsq.set_ready_logging(false);
-            } else if !self.batched_port && next {
-                self.batched_port = true;
-                self.lsq.set_ready_logging(true);
-                self.port.offer_reset(self.lsq.ready_view());
+        // The log is empty unless the port model mirrors offers (logging
+        // is set once, from `mirrors_offers`, at build and at resume).
+        for (req, inserted) in self.lsq.drain_ready_deltas() {
+            if inserted {
+                self.port.offer_insert(req);
+            } else {
+                self.port.offer_remove(req);
             }
         }
-        // Grants are copied out (they are serviced below, which mutates
-        // the ready list the view borrows). An empty round is still
-        // presented so store queues can drain.
-        if self.batched_port {
-            for (req, inserted) in self.lsq.drain_ready_deltas() {
-                if inserted {
-                    self.port.offer_insert(req);
-                } else {
-                    self.port.offer_remove(req);
-                }
-            }
+        // An empty round is still presented so store queues can drain.
+        let ready = self.lsq.ready();
+        let offered = ready.len();
+        self.port.arbitrate_into(ready, &mut self.granted_buf);
+        if self.cfg.audit {
+            self.audit_buf.clear();
             self.port
-                .arbitrate_offered(self.lsq.ready_view(), &mut self.reqs_buf);
-        } else if self.port_mirrors {
-            // Slice-walking round: materialize the view (the naive entry
-            // point wants contiguous requests) — bounded by the entry
-            // threshold, so the copy stays small by construction.
-            self.offered_buf.clear();
-            let view = self.lsq.ready_view();
-            for k in 0..view.len() {
-                self.offered_buf.push(view.get(k));
+                .audit_round(ready, &self.granted_buf, &mut self.audit_buf);
+            self.lsq
+                .audit_round(frontier, ready, &self.forwards_buf, &mut self.audit_buf);
+            if !self.audit_buf.is_empty() {
+                return Err(SimError::Invariant {
+                    cycle: self.now,
+                    violations: std::mem::take(&mut self.audit_buf),
+                });
             }
-            self.port
-                .arbitrate_into(&self.offered_buf, &mut self.granted_buf);
-            self.reqs_buf.clear();
-            for &g in &self.granted_buf {
-                self.reqs_buf.push(self.offered_buf[g]);
-            }
-        } else {
-            self.port
-                .arbitrate_offered(self.lsq.ready_view(), &mut self.reqs_buf);
         }
+        // Grants are copied out: servicing them mutates the ready list.
+        self.reqs_buf.clear();
+        self.reqs_buf
+            .extend(self.granted_buf.iter().map(|&g| ready[g]));
         for k in 0..self.reqs_buf.len() {
             let c = self.reqs_buf[k];
             let outcome = self.hier.access(c.addr, c.is_store, self.now);
@@ -705,72 +625,6 @@ impl Simulator {
         // Any forwarded load or offered reference is machine activity —
         // even an offered-but-refused round mutates arbitration stats.
         Ok(!self.forwards_buf.is_empty() || offered > 0)
-    }
-
-    /// Audit-mode arbitration round: identical semantics to
-    /// [`arbitrate_memory`](Self::arbitrate_memory) but materializes the
-    /// [`ReadyRefs`] sets so the LSQ auditor can cross-check them (the
-    /// replay golden suite runs both paths against each other).
-    fn arbitrate_memory_audited(&mut self) -> Result<bool, SimError> {
-        let frontier = self.window.oldest_not_done();
-        let stalls_before = self.lsq.stalls();
-        self.lsq
-            .collect_ready_into(frontier, &mut self.ready_scratch);
-        let stalls_after = self.lsq.stalls();
-        self.idle_stall_delta = LsqStalls {
-            addr_unknown: stalls_after.addr_unknown - stalls_before.addr_unknown,
-            prior_store_addr: stalls_after.prior_store_addr - stalls_before.prior_store_addr,
-            store_overlap: stalls_after.store_overlap - stalls_before.store_overlap,
-        };
-
-        for k in 0..self.ready_scratch.forwards.len() {
-            let seq = self.ready_scratch.forwards[k];
-            self.lsq.mark_forwarded(seq);
-            self.window.set_complete_at(seq, self.now + 1);
-        }
-
-        // The audited round always arbitrates from the materialized
-        // slice (the auditor needs indices into it), so the offered-set
-        // mirror is never consulted here: delta logging stays off (its
-        // construction-time default) and no mirror upkeep is paid.
-        self.reqs_buf.clear();
-        for c in &self.ready_scratch.cache {
-            self.reqs_buf.push(MemRequest {
-                id: c.seq,
-                addr: c.addr,
-                is_store: c.is_store,
-            });
-        }
-        // An empty round is still presented so store queues can drain.
-        self.port
-            .arbitrate_into(&self.reqs_buf, &mut self.granted_buf);
-        // Audit *before* acting on the grants, so an illegal round is
-        // reported instead of corrupting window/LSQ/hierarchy state.
-        self.audit_buf.clear();
-        self.port
-            .audit_round(&self.reqs_buf, &self.granted_buf, &mut self.audit_buf);
-        self.lsq
-            .audit_round(frontier, &self.ready_scratch, &mut self.audit_buf);
-        if !self.audit_buf.is_empty() {
-            return Err(SimError::Invariant {
-                cycle: self.now,
-                violations: std::mem::take(&mut self.audit_buf),
-            });
-        }
-        for k in 0..self.granted_buf.len() {
-            let c = self.ready_scratch.cache[self.granted_buf[k]];
-            let outcome = self.hier.access(c.addr, c.is_store, self.now);
-            if outcome.rejected {
-                continue; // MSHRs full: retry next cycle
-            }
-            self.lsq.mark_issued(c.seq);
-            if c.is_store {
-                self.window.mark_access_done(c.seq);
-            } else {
-                self.window.set_complete_at(c.seq, outcome.ready_at);
-            }
-        }
-        Ok(!self.ready_scratch.forwards.is_empty() || !self.reqs_buf.is_empty())
     }
 
     fn fetch(&mut self) -> Result<bool, SimError> {
@@ -1168,25 +1022,6 @@ impl Simulator {
     /// [`current_cycle`](Self::current_cycle).
     pub fn skipped_cycles(&self) -> u64 {
         self.skipped_cycles
-    }
-
-    /// Whether the adaptive arbitration switch (DESIGN.md §14) is
-    /// currently in the batched, mirror-backed mode. Both modes produce
-    /// bit-identical reports; the hysteresis tests read this to pin the
-    /// mode trajectory itself.
-    #[doc(hidden)]
-    pub fn arb_batched(&self) -> bool {
-        self.batched_port
-    }
-
-    /// Overrides this instance's batched-mode enter/exit backlog
-    /// thresholds, replacing the adaptive `peak×ratio` defaults — per
-    /// instance, so harnesses can force either mode. `(usize::MAX, 0)`
-    /// forces the slice-walking round, `(0, 0)` forces batched.
-    #[doc(hidden)]
-    pub fn set_batch_thresholds(&mut self, enter: usize, exit: usize) {
-        self.batch_enter = enter;
-        self.batch_exit = exit;
     }
 
     /// The diagnostic dump attached to watchdog and cycle-limit failures:

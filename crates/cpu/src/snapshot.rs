@@ -321,12 +321,10 @@ impl Simulator {
         sim.port.load_state(&mut r)?;
         r.expect_end()?;
         // The port model's offered-set mirror is derived state, never
-        // serialized: the restored simulator starts in the slice-walking
-        // arbitration mode (construction default — delta logging off,
-        // batched round disengaged), and the mirror is re-seeded from the
-        // restored LSQ's live ready view via `offer_reset` if and when
-        // the backlog next engages the batched mode. The snapshot byte
-        // format is unchanged by the batched-round path.
+        // serialized: re-seed it from the restored LSQ's ready list
+        // (`build` already set delta logging from `mirrors_offers`, and
+        // the LSQ restore left the log empty).
+        sim.port.offer_reset(sim.lsq.ready());
         Ok(sim)
     }
 }

@@ -14,6 +14,13 @@
 # skipper engaging differently) and the check fails on the first attempt,
 # with no noise retry.
 #
+# Next to that band, each benchmark's `skipped_cycles` must equal the
+# baseline exactly, also on the first attempt with no retry. The idle
+# skipper is the simulator's only optional fast path and its coverage is
+# deterministic, so an idle skipper that silently stops engaging (or
+# starts skipping different spans) fails here even though every report
+# stays bit-identical.
+#
 # Set HBDC_SKIP_PERF=1 to skip (e.g. on a loaded or throttled host).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -73,6 +80,25 @@ check_arb() {
     ' <(arb_rounds "$2") <(arb_rounds "$1")
 }
 
+# Emits "name skipped_cycles" pairs, one line per benchmarks[] entry.
+skipped() {
+    sed -n 's/.*"bench": "\([^"]*\)".*"skipped_cycles": \([0-9]\+\).*/\1 \2/p' "$1"
+}
+
+# check_skipped <baseline.json> <measured.json>: prints one line per
+# benchmark whose deterministic skipped_cycles count differs from the
+# baseline (or went missing), nothing when all match exactly.
+check_skipped() {
+    awk '
+        NR == FNR { meas[$1] = $2; next }
+        {
+            if (!($1 in meas)) { printf "%s skipped_cycles missing\n", $1; next }
+            if (meas[$1] != $2)
+                printf "%s skipped_cycles %d vs baseline %d\n", $1, meas[$1], $2
+        }
+    ' <(skipped "$2") <(skipped "$1")
+}
+
 baseline=$(read_rate BENCH_throughput.json)
 [ -n "$baseline" ] || { echo "FAIL: no cycles_per_sec in BENCH_throughput.json" >&2; exit 1; }
 
@@ -105,6 +131,13 @@ for attempt in 1 2; do
             exit 1
         fi
         echo "arb_rounds profile within ±20% of baseline for every benchmark"
+        skip_viol="$(check_skipped BENCH_throughput.json "$tmp/BENCH_throughput.json")"
+        if [ -n "$skip_viol" ]; then
+            echo "$skip_viol" | sed 's/^/  /'
+            echo "FAIL: deterministic skipped_cycles coverage changed" >&2
+            exit 1
+        fi
+        echo "skipped_cycles identical to baseline for every benchmark"
     fi
     viol="$(check_rates BENCH_throughput.json "$tmp/BENCH_throughput.json")"
     if [ -z "$viol" ]; then
