@@ -24,8 +24,10 @@
 //! | program image   | length-prefixed object bytes               |
 //! | records section | length-prefixed delta-encoded records      |
 //!
-//! The records section is one contiguous byte range, so replay streams it
-//! through a cursor without materializing decoded instructions.
+//! The records section is one contiguous byte range. Each [`TracePlayer`]
+//! decodes it `BLOCK` records at a time into one reusable buffer and
+//! serves steps from there, so replay memory is O(`BLOCK`) per player
+//! whatever the stream's length, and no trace holds a decoded copy.
 //!
 //! # Record encoding
 //!
@@ -48,7 +50,7 @@
 
 use std::ops::Range;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use hbdc_isa::Program;
 use hbdc_snap::{
@@ -122,10 +124,6 @@ pub struct CommittedTrace {
     program: Arc<Program>,
     /// The records section's byte range within `sealed`.
     rec: Range<usize>,
-    // Lazily predecoded record stream (see [`Predecoded`]), shared by every
-    // player of this trace and by every clone made after the first
-    // player was built.
-    decoded: OnceLock<Option<Arc<Vec<Predecoded>>>>,
     program_fp: u64,
     warmup_insts: u64,
     records: u64,
@@ -134,72 +132,62 @@ pub struct CommittedTrace {
     complete: bool,
 }
 
-/// Streams at most this many records are predecoded into memory; longer
-/// ones stay on the streaming varint path. At 16 bytes per predecoded
-/// record this bounds the per-trace side table to 32 MB — paid once per
-/// benchmark, not once per matrix cell.
-const PREDECODE_MAX_RECORDS: u64 = 2_000_000;
+/// Records a player decodes per refill of its buffer: 16 KiB of
+/// [`Predecoded`] entries, reused for the player's whole life. Blocks of
+/// 256, 1024 and 4096 records replayed within noise of one another in an
+/// isolated player loop, as did 1024 and 4096 in whole simulations; 1024
+/// is the middle of that range.
+const BLOCK: usize = 1024;
 
-/// One record with its varints resolved: 16 bytes. A trace small enough
-/// ([`PREDECODE_MAX_RECORDS`]) is expanded once into an array of these,
-/// shared by every player, so replay's hot path reads one array element
-/// and the text entry per step instead of running the varint decoder in
-/// every one of the 13 matrix cells that share the capture. The static
-/// instruction is not stored: the player re-derives it from the program
-/// text by `pc`, as the streaming path does.
+/// One record with its varints resolved: 16 bytes. A player decodes
+/// [`BLOCK`] of these at a time, so the hot path reads one buffer
+/// element and the text entry per step. The static instruction is not
+/// stored: the player re-derives it from the program text by `pc`.
+///
+/// Every field holds its value whole: `pc` is the text index itself
+/// (parse-time validation bounds it by the text length), and `len` is
+/// the record's encoded size, at most a tag byte plus two 10-byte
+/// varints. So no trace size or text size can overflow a record.
 #[derive(Debug, Clone, Copy)]
 struct Predecoded {
     /// The stream's running memory address after this record: its
     /// effective address if it is a load or store, else the previous
-    /// memory record's. Parse-time validation guarantees the address
-    /// flag matches `inst.is_mem()`, so the text decides which it is.
+    /// memory record's.
     addr: u64,
-    /// `pc << 2 | PC_BRANCH | PC_TAKEN`.
-    pc_bits: u32,
-    /// Byte offset just past the record in the encoded section, so the
-    /// fast path keeps the streaming cursor fields — and therefore the
-    /// snapshot byte format — exactly in sync with the streaming path.
-    end: u32,
+    pc: u32,
+    /// The record's tag byte (`TAG_*`).
+    tag: u8,
+    /// Encoded bytes of the record, so the cursor's `pos` advances past it.
+    len: u8,
 }
 
 const _: () = assert!(std::mem::size_of::<Predecoded>() == 16);
 
-/// Low bits of [`Predecoded::pc_bits`]: the record is a conditional
-/// branch, and (only then) whether it was taken — the tag's
-/// `TAG_BRANCH`/`TAG_TAKEN` bits shifted down by one.
-const PC_BRANCH: u32 = 0b01;
-const PC_TAKEN: u32 = 0b10;
-
-/// One decoded record: its pc, the running memory address after it (see
-/// [`Predecoded::addr`]), its tag, and the offset just past it.
-struct RawRecord {
-    pc: u32,
-    addr: u64,
-    tag: u8,
-    end: usize,
-}
-
 /// Decodes the record at byte `pos` of the records section `rec`, given
 /// the previous record's pc and the running memory address. `None` on
-/// bytes that fail to decode (unreachable after parse-time validation).
-fn decode_record(rec: &[u8], pos: usize, prev_pc: i64, prev_addr: u64) -> Option<RawRecord> {
+/// bytes that fail to decode: parse-time validation runs every record
+/// through here once, so replay never meets such bytes.
+fn decode_record(rec: &[u8], pos: usize, prev_pc: i64, prev_addr: u64) -> Option<Predecoded> {
     let mut r = StateReader::new(rec.get(pos..)?);
     let tag = r.get_u8().ok()?;
     let pc = if tag & TAG_PC_SEQ != 0 {
         prev_pc + 1
     } else {
-        prev_pc + 1 + r.get_varint_i64().ok()?
+        // Wrapping: a forged delta yields a pc outside the text, which
+        // validation rejects. (`checked_add` here cost a third of the
+        // decode time.)
+        (prev_pc + 1).wrapping_add(r.get_varint_i64().ok()?)
     };
     let addr = if tag & TAG_ADDR != 0 {
         prev_addr.wrapping_add(r.get_varint_i64().ok()? as u64)
     } else {
         prev_addr
     };
-    Some(RawRecord {
-        pc: u32::try_from(pc).ok()?,
+    Some(Predecoded {
         addr,
+        pc: u32::try_from(pc).ok()?,
         tag,
-        end: rec.len() - r.remaining(),
+        len: u8::try_from(rec.len() - pos - r.remaining()).ok()?,
     })
 }
 
@@ -295,7 +283,6 @@ impl CommittedTrace {
             rec: sealed.len() - rec_len..sealed.len(),
             sealed: Arc::new(sealed),
             program: Arc::new(program.clone()),
-            decoded: OnceLock::new(),
             program_fp,
             warmup_insts,
             records,
@@ -317,9 +304,8 @@ impl CommittedTrace {
     /// # Errors
     ///
     /// Any [`SnapError`]: bad magic/version/checksum from the container
-    /// envelope, [`SnapError::Truncated`] or [`SnapError::Corrupt`] for a
-    /// records section that does not decode to exactly the advertised
-    /// stream.
+    /// envelope, [`SnapError::Corrupt`] for a records section that does
+    /// not decode to exactly the advertised stream.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SnapError> {
         let payload = open(&bytes, TRACE_MAGIC, TRACE_VERSION)?;
         let mut r = StateReader::new(payload);
@@ -349,7 +335,6 @@ impl CommittedTrace {
             sealed: Arc::new(bytes),
             program: Arc::new(program),
             rec: rec_end - rec_len..rec_end,
-            decoded: OnceLock::new(),
             program_fp,
             warmup_insts,
             records,
@@ -361,66 +346,59 @@ impl CommittedTrace {
         Ok(trace)
     }
 
-    /// One full decode pass over the records section (see
-    /// [`from_bytes`](Self::from_bytes)).
+    /// One full pass over the records section with the replay decoder
+    /// (see [`from_bytes`](Self::from_bytes)), so every record a player
+    /// will decode has been decoded and checked once here.
     fn validate_records(&self) -> Result<(), SnapError> {
         let text = self.program.text();
-        let mut r = StateReader::new(&self.sealed[self.rec.clone()]);
-        let mut prev_pc = -1i64;
+        let rec = &self.sealed[self.rec.clone()];
+        let (mut pos, mut prev_pc, mut prev_addr) = (0, -1i64, 0u64);
         let (mut loads, mut stores) = (0u64, 0u64);
         for n in 0..self.records {
-            let tag = r.get_u8()?;
+            let corrupt = |what: String| SnapError::Corrupt(format!("record {n}: {what}"));
+            let p = decode_record(rec, pos, prev_pc, prev_addr)
+                .ok_or_else(|| corrupt(format!("byte {pos} does not decode to a pc")))?;
+            let (tag, pc) = (p.tag, p.pc);
             if tag & !TAG_KNOWN != 0 {
-                return Err(SnapError::Corrupt(format!(
-                    "record {n}: unknown tag bits {tag:#04x}"
-                )));
+                return Err(corrupt(format!("unknown tag bits {tag:#04x}")));
             }
-            let pc = if tag & TAG_PC_SEQ != 0 {
-                prev_pc + 1
-            } else {
-                let delta = r.get_varint_i64()?;
-                if delta == 0 {
-                    return Err(SnapError::Corrupt(format!(
-                        "record {n}: explicit zero pc delta (must use the sequential tag)"
-                    )));
-                }
-                prev_pc + 1 + delta
-            };
-            let inst = u32::try_from(pc)
-                .ok()
-                .and_then(|pc| text.get(pc as usize))
-                .ok_or_else(|| {
-                    SnapError::Corrupt(format!(
-                        "record {n}: pc {pc} out of range for a {}-instruction text section",
-                        text.len()
-                    ))
-                })?;
-            if tag & TAG_ADDR != 0 {
-                r.get_varint_i64()?;
-                if inst.is_store() {
-                    stores += 1;
-                } else {
-                    loads += 1;
-                }
+            if tag & TAG_PC_SEQ == 0 && i64::from(pc) == prev_pc + 1 {
+                return Err(corrupt(
+                    "explicit zero pc delta (must use the sequential tag)".into(),
+                ));
             }
+            let inst = text.get(pc as usize).ok_or_else(|| {
+                corrupt(format!(
+                    "pc {pc} out of range for a {}-instruction text section",
+                    text.len()
+                ))
+            })?;
             if (tag & TAG_ADDR != 0) != inst.is_mem() {
-                return Err(SnapError::Corrupt(format!(
-                    "record {n}: address flag disagrees with instruction {inst:?} at pc {pc}"
+                return Err(corrupt(format!(
+                    "address flag disagrees with instruction {inst:?} at pc {pc}"
                 )));
             }
             if tag & TAG_BRANCH == 0 && tag & TAG_TAKEN != 0 {
-                return Err(SnapError::Corrupt(format!(
-                    "record {n}: taken flag without a branch flag"
-                )));
+                return Err(corrupt("taken flag without a branch flag".into()));
             }
             if (tag & TAG_BRANCH != 0) != matches!(inst, hbdc_isa::Inst::Branch { .. }) {
-                return Err(SnapError::Corrupt(format!(
-                    "record {n}: branch flag disagrees with instruction {inst:?} at pc {pc}"
+                return Err(corrupt(format!(
+                    "branch flag disagrees with instruction {inst:?} at pc {pc}"
                 )));
             }
-            prev_pc = pc;
+            if inst.is_store() {
+                stores += 1;
+            } else if inst.is_mem() {
+                loads += 1;
+            }
+            (pos, prev_pc, prev_addr) = (pos + usize::from(p.len), i64::from(pc), p.addr);
         }
-        r.expect_end()?;
+        if pos != rec.len() {
+            return Err(SnapError::Corrupt(format!(
+                "{} trailing bytes after the last record",
+                rec.len() - pos
+            )));
+        }
         if loads != self.loads || stores != self.stores {
             return Err(SnapError::Corrupt(format!(
                 "memory census mismatch: header says {}/{} loads/stores, records hold {loads}/{stores}",
@@ -524,25 +502,15 @@ impl CommittedTrace {
         self.complete
     }
 
-    /// A fresh replay cursor positioned at record 0. Small streams
-    /// (≤ [`PREDECODE_MAX_RECORDS`]) are predecoded — once, shared by
-    /// every player — so stepping is an array read; larger ones decode
-    /// incrementally from the encoded bytes. Both paths yield identical
-    /// records and identical cursor state.
+    /// A fresh replay cursor positioned at record 0. It shares the
+    /// encoded bytes with this trace and owns only its one block buffer.
     pub fn player(&self) -> TracePlayer {
-        let mut p = self.streaming_player();
-        p.decoded = self.decoded().cloned();
-        p
-    }
-
-    /// A cursor pinned to the incremental-decode path (the predecode
-    /// fast path must be observationally indistinguishable from this).
-    fn streaming_player(&self) -> TracePlayer {
         TracePlayer {
             sealed: Arc::clone(&self.sealed),
             rec: self.rec.clone(),
             program: Arc::clone(&self.program),
-            decoded: None,
+            block: Vec::new(),
+            next_in_block: 0,
             pos: 0,
             next_seq: 0,
             prev_pc: -1,
@@ -550,43 +518,16 @@ impl CommittedTrace {
             total: self.records,
         }
     }
-
-    /// The shared predecoded stream, built on first use; `None` when the
-    /// stream exceeds the predecode threshold.
-    fn decoded(&self) -> Option<&Arc<Vec<Predecoded>>> {
-        self.decoded
-            .get_or_init(|| {
-                if self.records > PREDECODE_MAX_RECORDS
-                    || self.rec.len() > u32::MAX as usize
-                    || self.program.text().len() > (u32::MAX >> 2) as usize
-                {
-                    return None;
-                }
-                let rec = &self.sealed[self.rec.clone()];
-                let mut table = Vec::with_capacity(self.records as usize);
-                let (mut pos, mut pc, mut addr) = (0, -1i64, 0u64);
-                for _ in 0..self.records {
-                    let raw = decode_record(rec, pos, pc, addr)?;
-                    table.push(Predecoded {
-                        addr: raw.addr,
-                        pc_bits: (raw.pc << 2) | (u32::from(raw.tag >> 1) & (PC_BRANCH | PC_TAKEN)),
-                        end: raw.end as u32,
-                    });
-                    (pos, pc, addr) = (raw.end, i64::from(raw.pc), raw.addr);
-                }
-                Some(Arc::new(table))
-            })
-            .as_ref()
-    }
 }
 
-/// A streaming replay cursor over a [`CommittedTrace`]'s records section.
+/// A replay cursor over a [`CommittedTrace`]'s records section.
 ///
-/// Decodes one record per [`step`](Self::step) in O(1) memory, sharing
-/// the encoded bytes with the trace (and with every other player of the
-/// same trace). The records were fully validated when the trace was
-/// parsed, so stepping is infallible: the cursor yields `None` exactly
-/// once the recorded stream ends, just like [`Emulator::step`] at halt.
+/// Decodes `BLOCK` records at a time into one reusable buffer and
+/// serves [`step`](Self::step)s from it, sharing the encoded bytes with
+/// the trace (and with every other player of the same trace). The
+/// records were fully validated when the trace was parsed, so stepping
+/// is infallible: the cursor yields `None` exactly once the recorded
+/// stream ends, just like [`Emulator::step`] at halt.
 #[derive(Debug, Clone)]
 pub struct TracePlayer {
     sealed: Arc<Vec<u8>>,
@@ -594,10 +535,12 @@ pub struct TracePlayer {
     /// offset into it.
     rec: Range<usize>,
     program: Arc<Program>,
-    // Fast path: the trace's shared predecoded stream, indexed by
-    // `next_seq`. The streaming cursor fields below stay maintained
-    // either way, so snapshots are byte-identical across paths.
-    decoded: Option<Arc<Vec<Predecoded>>>,
+    /// The records from `next_seq - next_in_block` on, decoded from the
+    /// cursor below when the previous block ran out.
+    block: Vec<Predecoded>,
+    next_in_block: usize,
+    // The cursor just past the last delivered record: what snapshots
+    // save, and where the next refill starts decoding.
     pos: usize,
     next_seq: u64,
     prev_pc: i64,
@@ -606,55 +549,44 @@ pub struct TracePlayer {
 }
 
 impl TracePlayer {
-    fn rec(&self) -> &[u8] {
-        &self.sealed[self.rec.clone()]
-    }
-
-    /// Rebuilds predecoded record `i`, or `None` past the end.
-    fn predecoded(&self, table: &[Predecoded], i: u64) -> Option<(DynInst, usize)> {
-        let p = *table.get(usize::try_from(i).ok()?)?;
-        let pc = p.pc_bits >> 2;
-        let inst = *self.program.text().get(pc as usize)?;
-        let di = DynInst {
-            seq: i,
-            pc,
-            inst,
-            addr: inst.is_mem().then_some(p.addr),
-            taken: (p.pc_bits & PC_BRANCH != 0).then_some(p.pc_bits & PC_TAKEN != 0),
-        };
-        Some((di, p.end as usize))
-    }
-
-    /// Decodes the record at `pos` without committing the cursor.
-    /// Returns `None` at end of stream (or, defensively, on bytes that
-    /// fail to decode — unreachable after parse-time validation).
-    fn decode_at(&self) -> Option<(DynInst, usize)> {
-        if self.next_seq >= self.total {
-            return None;
+    /// Decodes the next block from the cursor; `false` at end of stream.
+    #[cold]
+    fn refill(&mut self) -> bool {
+        let n = (self.total - self.next_seq).min(BLOCK as u64) as usize;
+        let rec = &self.sealed[self.rec.clone()];
+        let (mut pos, mut pc, mut addr) = (self.pos, self.prev_pc, self.prev_addr);
+        self.block.clear();
+        self.block.reserve_exact(n);
+        self.next_in_block = 0;
+        for _ in 0..n {
+            let Some(p) = decode_record(rec, pos, pc, addr) else {
+                break;
+            };
+            (pos, pc, addr) = (pos + usize::from(p.len), i64::from(p.pc), p.addr);
+            self.block.push(p);
         }
-        let raw = decode_record(self.rec(), self.pos, self.prev_pc, self.prev_addr)?;
-        let di = DynInst {
-            seq: self.next_seq,
-            pc: raw.pc,
-            inst: *self.program.text().get(raw.pc as usize)?,
-            addr: (raw.tag & TAG_ADDR != 0).then_some(raw.addr),
-            taken: (raw.tag & TAG_BRANCH != 0).then_some(raw.tag & TAG_TAKEN != 0),
-        };
-        Some((di, raw.end))
+        !self.block.is_empty()
     }
 
     /// Yields the next committed instruction, or `None` at end of stream.
     pub fn step(&mut self) -> Option<DynInst> {
-        let (di, next_pos) = match &self.decoded {
-            Some(d) => self.predecoded(d, self.next_seq)?,
-            None => self.decode_at()?,
-        };
-        self.pos = next_pos;
-        self.next_seq += 1;
-        self.prev_pc = i64::from(di.pc);
-        if let Some(a) = di.addr {
-            self.prev_addr = a;
+        if self.next_in_block == self.block.len() && !self.refill() {
+            return None;
         }
+        let p = self.block[self.next_in_block];
+        let inst = *self.program.text().get(p.pc as usize)?;
+        let di = DynInst {
+            seq: self.next_seq,
+            pc: p.pc,
+            inst,
+            addr: (p.tag & TAG_ADDR != 0).then_some(p.addr),
+            taken: (p.tag & TAG_BRANCH != 0).then_some(p.tag & TAG_TAKEN != 0),
+        };
+        self.next_in_block += 1;
+        self.pos += usize::from(p.len);
+        self.next_seq += 1;
+        self.prev_pc = i64::from(p.pc);
+        self.prev_addr = p.addr;
         Some(di)
     }
 
@@ -662,14 +594,14 @@ impl TracePlayer {
     /// [`Emulator::pc`] pointing at the next instruction). Falls back to
     /// one past the last delivered PC at end of stream.
     pub fn peek_pc(&self) -> u32 {
-        let next = match &self.decoded {
-            Some(table) => usize::try_from(self.next_seq)
-                .ok()
-                .and_then(|i| table.get(i))
-                .map(|p| p.pc_bits >> 2),
-            None => self.decode_at().map(|(di, _)| di.pc),
-        };
-        next.unwrap_or_else(|| u32::try_from(self.prev_pc + 1).unwrap_or(u32::MAX))
+        let rec = &self.sealed[self.rec.clone()];
+        (self.next_seq < self.total)
+            .then(|| decode_record(rec, self.pos, self.prev_pc, self.prev_addr))
+            .flatten()
+            .map_or_else(
+                || u32::try_from(self.prev_pc + 1).unwrap_or(u32::MAX),
+                |p| p.pc,
+            )
     }
 
     /// Records delivered so far (the next record's sequence number).
@@ -692,27 +624,32 @@ impl TracePlayer {
     }
 
     /// Restores a cursor written by [`save_cursor`](Self::save_cursor).
+    ///
+    /// Replay decodes from `pos`, `prev_pc` and `prev_addr` alone, so they
+    /// must be exactly where record `next_seq` starts. This rewinds the
+    /// player, steps it to `next_seq` and rejects a cursor that disagrees
+    /// with where it lands. The player is then in the very state of one
+    /// that was never interrupted, block buffer included.
     pub(crate) fn load_cursor(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
-        let pos = r.get_usize()?;
-        let next_seq = r.get_u64()?;
-        let prev_pc = r.get_i64()?;
-        let prev_addr = r.get_u64()?;
-        if pos > self.rec.len() {
-            return Err(SnapError::Corrupt(format!(
-                "trace cursor offset {pos} beyond a {}-byte records section",
-                self.rec.len()
-            )));
-        }
+        let saved = (r.get_usize()?, r.get_u64()?, r.get_i64()?, r.get_u64()?);
+        let next_seq = saved.1;
         if next_seq > self.total {
             return Err(SnapError::Corrupt(format!(
                 "trace cursor seq {next_seq} beyond a {}-record stream",
                 self.total
             )));
         }
-        self.pos = pos;
-        self.next_seq = next_seq;
-        self.prev_pc = prev_pc;
-        self.prev_addr = prev_addr;
+        (self.pos, self.next_seq, self.prev_pc, self.prev_addr) = (0, 0, -1, 0);
+        self.block.clear();
+        self.next_in_block = 0;
+        while self.next_seq < next_seq && self.step().is_some() {}
+        let derived = (self.pos, self.next_seq, self.prev_pc, self.prev_addr);
+        if derived != saved {
+            return Err(SnapError::Corrupt(format!(
+                "trace cursor (offset, seq, pc, addr) {saved:?} is not where record \
+                 {next_seq} starts: {derived:?}"
+            )));
+        }
         Ok(())
     }
 }
@@ -752,17 +689,6 @@ loop:
         }
         emu.rebase_seq();
         std::iter::from_fn(move || emu.step()).collect()
-    }
-
-    #[test]
-    fn replay_matches_emulation_record_for_record() {
-        let p = program(KERNEL);
-        let trace = CommittedTrace::capture(&p, 0, None).unwrap();
-        let mut player = trace.player();
-        let replayed: Vec<DynInst> = std::iter::from_fn(|| player.step()).collect();
-        assert_eq!(replayed, emulated(&p, 0));
-        assert!(player.exhausted());
-        assert!(player.step().is_none());
     }
 
     #[test]
@@ -810,10 +736,7 @@ loop:
         let trace = CommittedTrace::capture(&p, 0, None).unwrap();
         // Sequential non-mem records are 1 byte, memory and
         // branch records a handful. Far below the 48-byte in-memory record.
-        let rec_len = {
-            // records section length = sealed - header - fixed fields - image.
-            trace.as_bytes().len()
-        };
+        let rec_len = trace.as_bytes().len();
         assert!(
             rec_len < trace.records() as usize * 8 + 512,
             "trace unexpectedly large: {rec_len} bytes for {} records",
@@ -888,47 +811,45 @@ loop:
     }
 
     #[test]
-    fn cursor_roundtrips_mid_stream() {
+    fn bogus_cursor_is_rejected() {
         let p = program(KERNEL);
         let trace = CommittedTrace::capture(&p, 0, None).unwrap();
         let mut player = trace.player();
         for _ in 0..10 {
             player.step();
         }
-        let mut w = StateWriter::new();
-        player.save_cursor(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut restored = trace.player();
-        let mut r = StateReader::new(&bytes);
-        restored.load_cursor(&mut r).unwrap();
-        assert_eq!(restored.delivered(), 10);
-        loop {
-            match (player.step(), restored.step()) {
-                (None, None) => break,
-                (x, y) => assert_eq!(x, y),
-            }
+        let (seq, pc, addr) = (player.next_seq, player.prev_pc, player.prev_addr);
+        let forged = [
+            // Offset far beyond the records section.
+            (usize::MAX, 0, -1, 0),
+            // Seq in range, but the offset is one byte off record 10's start.
+            (player.pos + 1, seq, pc, addr),
+            (player.pos - 1, seq, pc, addr),
+            // Right offset, wrong running pc or address.
+            (player.pos, seq, pc + 1, addr),
+            (player.pos, seq, pc, addr ^ 4),
+            // Past the end of the stream.
+            (player.pos, trace.records() + 1, pc, addr),
+        ];
+        for (pos, seq, pc, addr) in forged {
+            let mut w = StateWriter::new();
+            w.put_usize(pos);
+            w.put_u64(seq);
+            w.put_i64(pc);
+            w.put_u64(addr);
+            let bytes = w.into_bytes();
+            let mut r = StateReader::new(&bytes);
+            assert!(
+                matches!(
+                    trace.player().load_cursor(&mut r),
+                    Err(SnapError::Corrupt(_))
+                ),
+                "accepted cursor ({pos}, {seq}, {pc}, {addr:#x})"
+            );
         }
     }
 
-    #[test]
-    fn bogus_cursor_is_rejected() {
-        let p = program(KERNEL);
-        let trace = CommittedTrace::capture(&p, 0, None).unwrap();
-        let mut w = StateWriter::new();
-        w.put_usize(usize::MAX); // offset far beyond the records section
-        w.put_u64(0);
-        w.put_i64(-1);
-        w.put_u64(0);
-        let bytes = w.into_bytes();
-        let mut r = StateReader::new(&bytes);
-        assert!(matches!(
-            trace.player().load_cursor(&mut r),
-            Err(SnapError::Corrupt(_))
-        ));
-    }
-
-    /// Kernels for the predecode ≡ streaming table: one per feature the
+    /// Kernels for the replay ≡ emulation table: one per feature the
     /// 16-byte predecoded record folds away or re-derives.
     const PLAYER_KERNELS: [(&str, &str); 4] = [
         ("strided loop", KERNEL),
@@ -956,37 +877,28 @@ loop:
         ),
     ];
 
-    /// The predecoded fast path must be observationally identical to the
-    /// streaming decoder: same records, same peeked PCs, and the same
-    /// serialized cursor bytes after every step and at stream end
-    /// (snapshots must not depend on which path a player used).
+    /// Every kernel replays record for record as the emulator executes
+    /// it, and `peek_pc` names the next record before every step (and
+    /// one past the last pc at the end, as the halted emulator does).
     #[test]
-    fn predecoded_and_streaming_players_are_indistinguishable() {
+    fn player_kernels_replay_as_emulated() {
         for (name, src) in PLAYER_KERNELS {
             let p = program(src);
             let trace = CommittedTrace::capture(&p, 0, None).unwrap();
-            let mut fast = trace.player();
-            assert!(
-                fast.decoded.is_some(),
-                "{name}: small stream should predecode"
-            );
-            let mut slow = trace.streaming_player();
+            let expected = emulated(&p, 0);
+            let mut player = trace.player();
             let mut records = Vec::new();
-            loop {
-                assert_eq!(fast.peek_pc(), slow.peek_pc(), "{name}: peeked pc");
-                let (a, b) = (fast.step(), slow.step());
-                assert_eq!(a, b, "{name}: record {}", records.len());
-                let (mut wa, mut wb) = (StateWriter::new(), StateWriter::new());
-                fast.save_cursor(&mut wa);
-                slow.save_cursor(&mut wb);
-                assert_eq!(wa.into_bytes(), wb.into_bytes(), "{name}: cursor bytes");
-                match a {
-                    Some(di) => records.push(di),
-                    None => break,
-                }
+            for want in &expected {
+                assert_eq!(player.peek_pc(), want.pc, "{name}: peeked pc");
+                records.push(player.step().expect("stream ended early"));
             }
-            assert_eq!(fast.peek_pc(), slow.peek_pc(), "{name}: peeked pc at end");
-            assert_eq!(records, emulated(&p, 0), "{name}: replay ≠ emulation");
+            assert!(
+                player.exhausted() && player.step().is_none(),
+                "{name}: stream ran long"
+            );
+            let last = expected.last().unwrap().pc;
+            assert_eq!(player.peek_pc(), last + 1, "{name}: peeked pc at end");
+            assert_eq!(records, expected, "{name}: replay ≠ emulation");
             // The table must exercise what its rows are named after.
             let jumps = records
                 .windows(2)
@@ -1009,18 +921,54 @@ loop:
         }
     }
 
+    fn cursor_bytes(player: &TracePlayer) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        player.save_cursor(&mut w);
+        w.into_bytes()
+    }
+
+    /// A cursor saved on either side of a block boundary continues
+    /// exactly like the player it was saved from, loaded into a fresh
+    /// player or into one that is mid-block elsewhere in the stream:
+    /// same records and the same cursor bytes after every step.
     #[test]
-    fn peek_pc_tracks_the_next_record() {
-        let p = program(KERNEL);
+    fn cursor_resumes_across_block_boundaries() {
+        // Six records per trip, 2000 trips: a dozen blocks.
+        let p = program(
+            &KERNEL
+                .replace("li r9, 4", "li r9, 2000")
+                .replace(".word 3, 5, 7, 9", ".space 8000"),
+        );
         let trace = CommittedTrace::capture(&p, 0, None).unwrap();
-        let mut player = trace.player();
-        let mut emu = Emulator::new(&p);
-        loop {
-            assert_eq!(player.peek_pc(), emu.pc());
-            let (a, b) = (player.step(), emu.step());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
+        let n = trace.records();
+        let block = BLOCK as u64;
+        assert!(n > 2 * block + 2, "{n} records");
+        for at in [0, block - 1, block, block + 1, 2 * block, n] {
+            let mut reused = trace.player();
+            for _ in 0..block + 3 {
+                reused.step().unwrap();
+            }
+            for (kind, mut resumed) in [("fresh", trace.player()), ("reused", reused)] {
+                let mut original = trace.player();
+                for _ in 0..at {
+                    original.step().unwrap();
+                }
+                let saved = cursor_bytes(&original);
+                resumed.load_cursor(&mut StateReader::new(&saved)).unwrap();
+                assert_eq!(resumed.delivered(), at);
+                loop {
+                    assert_eq!(resumed.peek_pc(), original.peek_pc(), "{kind} from {at}");
+                    let (a, b) = (original.step(), resumed.step());
+                    assert_eq!(a, b, "{kind} from {at}");
+                    assert_eq!(
+                        cursor_bytes(&original),
+                        cursor_bytes(&resumed),
+                        "{kind} from {at}"
+                    );
+                    if a.is_none() {
+                        break;
+                    }
+                }
             }
         }
     }

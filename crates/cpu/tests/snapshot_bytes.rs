@@ -4,9 +4,13 @@
 //!
 //! * The fnv1a64 of `save_snapshot().as_bytes()` at three fixed cycles
 //!   of one replayed kernel, under each of the four port families, is
-//!   pinned to values recorded before the window and predecode layouts
-//!   were reworked. Any reordering of edges, completion events or cursor
-//!   fields changes them.
+//!   pinned to values recorded before the window and the trace player
+//!   were reworked: first the slot-ring window and a whole-trace
+//!   predecoded table, then the one block-decoding player that replaced
+//!   that table and the streaming path. The replay cursor (byte offset,
+//!   sequence number, previous pc, previous memory address) kept its
+//!   fields and their order through both. Any reordering of edges,
+//!   completion events or cursor fields changes them.
 //! * save → resume → save reproduces the same bytes at each of those
 //!   cycles.
 
@@ -37,8 +41,8 @@ fn ports() -> [(&'static str, PortConfig); 4] {
     ]
 }
 
-/// Recorded on the tree before the slot-ring window and the compact
-/// predecoded table: `(family, [fnv1a64 at each of CYCLES])`.
+/// Recorded on the tree before the slot-ring window and the block
+/// trace player: `(family, [fnv1a64 at each of CYCLES])`.
 const PINNED: [(&str, [u64; 3]); 4] = [
     (
         "ideal",

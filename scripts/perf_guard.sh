@@ -6,20 +6,17 @@
 # means a regression confined to one workload class (say, the slow FP
 # stencils) fails CI even when the aggregate hides it.
 #
-# It also gates each benchmark's arbitration-round count (`arb_rounds`)
-# to ±20% of the baseline. Unlike the rates, arb_rounds is a
-# deterministic property of the simulated machine — host timing cannot
-# move it — so any drift past the band means the arbitration work
-# profile itself changed (an arbiter invoked more often, the idle
-# skipper engaging differently) and the check fails on the first attempt,
-# with no noise retry.
+# It also gates two deterministic counters per benchmark for exact
+# equality with the baseline, on the first attempt with no noise retry:
 #
-# Next to that band, each benchmark's `skipped_cycles` must equal the
-# baseline exactly, also on the first attempt with no retry. The idle
-# skipper is the simulator's only optional fast path and its coverage is
-# deterministic, so an idle skipper that silently stops engaging (or
-# starts skipping different spans) fails here even though every report
-# stays bit-identical.
+# * `arb_rounds`, the arbitration rounds the simulated machine ran.
+#   Host timing cannot move it, so any difference means the arbitration
+#   work profile itself changed (an arbiter invoked more or less often,
+#   the idle skipper engaging differently).
+# * `skipped_cycles`. The idle skipper is the simulator's only optional
+#   fast path and its coverage is deterministic, so an idle skipper that
+#   silently stops engaging (or starts skipping different spans) fails
+#   here even though every report stays bit-identical.
 #
 # Set HBDC_SKIP_PERF=1 to skip (e.g. on a loaded or throttled host).
 set -euo pipefail
@@ -60,43 +57,24 @@ check_rates() {
     ' <(rates "$2") <(rates "$1")
 }
 
-# Emits "name arb_rounds" pairs, one line per benchmarks[] entry.
-arb_rounds() {
-    sed -n 's/.*"bench": "\([^"]*\)".*"arb_rounds": \([0-9]\+\).*/\1 \2/p' "$1"
+# counter <name> <file>: emits "bench value" pairs of one deterministic
+# counter, one line per benchmarks[] entry.
+counter() {
+    sed -n 's/.*"bench": "\([^"]*\)".*"'"$1"'": \([0-9]\+\).*/\1 \2/p' "$2"
 }
 
-# check_arb <baseline.json> <measured.json>: prints one line per
-# benchmark whose deterministic arb_rounds count left the ±20% band
-# (or went missing), nothing when all are inside it.
-check_arb() {
-    awk -v tol=0.20 '
+# check_exact <name> <baseline.json> <measured.json>: prints one line per
+# benchmark whose counter differs from the baseline (or went missing),
+# nothing when all match exactly.
+check_exact() {
+    awk -v name="$1" '
         NR == FNR { meas[$1] = $2; next }
         {
-            if (!($1 in meas)) { printf "%s arb_rounds missing\n", $1; next }
-            d = (meas[$1] - $2) / $2
-            if (d > tol || d < -tol)
-                printf "%s arb_rounds %d vs baseline %d (%+.1f%%)\n", $1, meas[$1], $2, d * 100
-        }
-    ' <(arb_rounds "$2") <(arb_rounds "$1")
-}
-
-# Emits "name skipped_cycles" pairs, one line per benchmarks[] entry.
-skipped() {
-    sed -n 's/.*"bench": "\([^"]*\)".*"skipped_cycles": \([0-9]\+\).*/\1 \2/p' "$1"
-}
-
-# check_skipped <baseline.json> <measured.json>: prints one line per
-# benchmark whose deterministic skipped_cycles count differs from the
-# baseline (or went missing), nothing when all match exactly.
-check_skipped() {
-    awk '
-        NR == FNR { meas[$1] = $2; next }
-        {
-            if (!($1 in meas)) { printf "%s skipped_cycles missing\n", $1; next }
+            if (!($1 in meas)) { printf "%s %s missing\n", $1, name; next }
             if (meas[$1] != $2)
-                printf "%s skipped_cycles %d vs baseline %d\n", $1, meas[$1], $2
+                printf "%s %s %d vs baseline %d\n", $1, name, meas[$1], $2
         }
-    ' <(skipped "$2") <(skipped "$1")
+    ' <(counter "$1" "$3") <(counter "$1" "$2")
 }
 
 baseline=$(read_rate BENCH_throughput.json)
@@ -124,20 +102,15 @@ for attempt in 1 2; do
     rate=$(read_rate "$tmp/BENCH_throughput.json")
     echo "measured $rate cycles/sec aggregate (baseline $baseline, attempt $attempt)"
     if [ "$attempt" = 1 ]; then
-        arb_viol="$(check_arb BENCH_throughput.json "$tmp/BENCH_throughput.json")"
-        if [ -n "$arb_viol" ]; then
-            echo "$arb_viol" | sed 's/^/  /'
-            echo "FAIL: deterministic arb_rounds profile drifted past ±20%" >&2
-            exit 1
-        fi
-        echo "arb_rounds profile within ±20% of baseline for every benchmark"
-        skip_viol="$(check_skipped BENCH_throughput.json "$tmp/BENCH_throughput.json")"
-        if [ -n "$skip_viol" ]; then
-            echo "$skip_viol" | sed 's/^/  /'
-            echo "FAIL: deterministic skipped_cycles coverage changed" >&2
-            exit 1
-        fi
-        echo "skipped_cycles identical to baseline for every benchmark"
+        for name in arb_rounds skipped_cycles; do
+            exact_viol="$(check_exact "$name" BENCH_throughput.json "$tmp/BENCH_throughput.json")"
+            if [ -n "$exact_viol" ]; then
+                echo "$exact_viol" | sed 's/^/  /'
+                echo "FAIL: deterministic $name changed" >&2
+                exit 1
+            fi
+            echo "$name identical to baseline for every benchmark"
+        done
     fi
     viol="$(check_rates BENCH_throughput.json "$tmp/BENCH_throughput.json")"
     if [ -z "$viol" ]; then
