@@ -3,11 +3,11 @@
 //! `BENCH_throughput.json`, so the perf trajectory is tracked across PRs.
 //!
 //! The JSON carries the aggregate rate (what `scripts/perf_guard.sh`
-//! gates on) plus a per-benchmark breakdown — each benchmark's rate,
-//! how many cycles the event calendar skipped, the executed-cycle
-//! rate, and the arbitration-round profile (`arb_rounds` /
-//! `arb_offered_per_round`) — so a regression or a skip-engagement
-//! change is attributable to a workload, not just visible in the total.
+//! gates on) plus a per-benchmark breakdown — each benchmark's rate and
+//! its arbitration-round profile (`arb_rounds` /
+//! `arb_offered_per_round`) — so a regression or a change in
+//! arbitration work is attributable to a workload, not just visible in
+//! the total.
 //!
 //! Usage: `throughput [--scale test|small|full] [--bench <name>] [--threads N]
 //! [--runs N] [--journal PATH | --resume PATH] [--timeout-secs N]
@@ -40,10 +40,8 @@ use hbdc_workloads::Scale;
 struct Speed {
     sims: usize,
     cycles: u64,
-    skipped: u64,
     sim_secs: f64,
     rate: f64,
-    executed_rate: f64,
     arb_rounds: u64,
     arb_offered_per_round: f64,
 }
@@ -51,17 +49,11 @@ struct Speed {
 fn speed_over<'a>(reports: impl IntoIterator<Item = &'a SimReport> + Clone) -> Speed {
     let sims = reports.clone().into_iter().count();
     let (cycles, sim_secs, rate) = sim_speed(reports.clone());
-    let (mut skipped, mut arb_rounds, mut arb_offered) = (0u64, 0u64, 0u64);
+    let (mut arb_rounds, mut arb_offered) = (0u64, 0u64);
     for r in reports {
-        skipped += r.skipped_cycles;
         arb_rounds += r.arb_rounds;
         arb_offered += r.arb_offered;
     }
-    let executed_rate = if sim_secs > 0.0 {
-        (cycles - skipped) as f64 / sim_secs
-    } else {
-        0.0
-    };
     // Mean offered references per non-empty arbitration round — the
     // backlog each arbitration round sees per invocation.
     let arb_offered_per_round = if arb_rounds > 0 {
@@ -72,10 +64,8 @@ fn speed_over<'a>(reports: impl IntoIterator<Item = &'a SimReport> + Clone) -> S
     Speed {
         sims,
         cycles,
-        skipped,
         sim_secs,
         rate,
-        executed_rate,
         arb_rounds,
         arb_offered_per_round,
     }
@@ -162,16 +152,14 @@ fn main() -> std::process::ExitCode {
     // `capture_secs` so the two phases stay separately interpretable
     // against `harness_wall_secs`.
     let mut json = format!(
-        "{{\n  \"name\": \"simulator-throughput\",\n  \"scale\": \"{}\",\n  \"trace_mode\": \"{}\",\n  \"runs\": {runs},\n  \"sims\": {},\n  \"simulated_cycles\": {},\n  \"skipped_cycles\": {},\n  \"sim_cpu_secs\": {:.3},\n  \"capture_secs\": {:.3},\n  \"cycles_per_sec\": {:.0},\n  \"executed_cycles_per_sec\": {:.0},\n  \"arb_rounds\": {},\n  \"arb_offered_per_round\": {:.2},\n  \"harness_wall_secs\": {:.3},\n  \"benchmarks\": [",
+        "{{\n  \"name\": \"simulator-throughput\",\n  \"scale\": \"{}\",\n  \"trace_mode\": \"{}\",\n  \"runs\": {runs},\n  \"sims\": {},\n  \"simulated_cycles\": {},\n  \"sim_cpu_secs\": {:.3},\n  \"capture_secs\": {:.3},\n  \"cycles_per_sec\": {:.0},\n  \"arb_rounds\": {},\n  \"arb_offered_per_round\": {:.2},\n  \"harness_wall_secs\": {:.3},\n  \"benchmarks\": [",
         scale_label(scale),
         trace_mode,
         total.sims,
         total.cycles,
-        total.skipped,
         total.sim_secs,
         run.capture_secs,
         total.rate,
-        total.executed_rate,
         total.arb_rounds,
         total.arb_offered_per_round,
         elapsed,
@@ -207,14 +195,12 @@ fn main() -> std::process::ExitCode {
         let rates: Vec<f64> = speeds.iter().map(|s| s.rate).collect();
         let s = &speeds[median_idx(&rates)];
         json.push_str(&format!(
-            "\n    {{ \"bench\": \"{}\", \"sims\": {}, \"simulated_cycles\": {}, \"skipped_cycles\": {}, \"sim_cpu_secs\": {:.3}, \"cycles_per_sec\": {:.0}, \"executed_cycles_per_sec\": {:.0}, \"arb_rounds\": {}, \"arb_offered_per_round\": {:.2} }},",
+            "\n    {{ \"bench\": \"{}\", \"sims\": {}, \"simulated_cycles\": {}, \"sim_cpu_secs\": {:.3}, \"cycles_per_sec\": {:.0}, \"arb_rounds\": {}, \"arb_offered_per_round\": {:.2} }},",
             bench.name(),
             s.sims,
             s.cycles,
-            s.skipped,
             s.sim_secs,
             s.rate,
-            s.executed_rate,
             s.arb_rounds,
             s.arb_offered_per_round,
         ));

@@ -33,7 +33,6 @@ fn golden(port_label: &str) -> SimReport {
         skipped_cycles: 0,
         cpu_secs: 0.0,
         cycles_per_sec: 0.0,
-        events_per_sec: 0.0,
     };
     match port_label {
         "True-4" => SimReport {

@@ -170,17 +170,6 @@ impl PortModel for BankedPorts {
         self.stats.record_tick();
     }
 
-    // Stateless between rounds apart from the offered-set buckets, which
-    // an idle cycle leaves untouched: it only advances the cycle counter,
-    // so skipped spans can be accounted in bulk.
-    fn next_event(&self, _now: u64) -> Option<u64> {
-        None
-    }
-
-    fn skip_idle(&mut self, k: u64) {
-        self.stats.record_ticks(k);
-    }
-
     fn peak_per_cycle(&self) -> usize {
         self.mapper.banks() as usize
     }

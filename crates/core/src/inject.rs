@@ -323,11 +323,6 @@ impl PortModel for FaultInjector {
         self.inner.tick();
     }
 
-    // Deliberately inherits the conservative `next_event` default
-    // (`Some(now)`): the injection RNG advances on *every* arbitration
-    // round, including empty ones, so skipping any cycle would desync
-    // the seed-deterministic fault stream.
-
     fn peak_per_cycle(&self) -> usize {
         self.inner.peak_per_cycle()
     }

@@ -355,28 +355,6 @@ impl PortModel for Lbic {
         self.stats.record_tick();
     }
 
-    // Store queues drain one line per idle bank cycle, so idle cycles do
-    // real work while any queue is non-empty: report an event "this
-    // cycle" to keep the simulator ticking until every queue is dry.
-    // (`granted_this_cycle` is always false here — `tick` just reset it.)
-    fn next_event(&self, now: u64) -> Option<u64> {
-        if self.banks.iter().any(|b| !b.store_queue.is_empty()) {
-            Some(now)
-        } else {
-            None
-        }
-    }
-
-    fn skip_idle(&mut self, k: u64) {
-        debug_assert!(
-            self.banks
-                .iter()
-                .all(|b| b.store_queue.is_empty() && !b.granted_this_cycle),
-            "idle span skipped with LBIC drain work pending"
-        );
-        self.stats.record_ticks(k);
-    }
-
     fn peak_per_cycle(&self) -> usize {
         self.banks.len() * self.line_ports
     }

@@ -101,32 +101,6 @@ pub trait PortModel {
     /// Advances internal state by one cycle (store-queue drain, etc.).
     fn tick(&mut self);
 
-    /// The earliest future cycle at which this model's `tick` (or an
-    /// empty arbitration round) could change its state or its reported
-    /// statistics, given that no new references arrive before then.
-    /// `None` means "never: every idle cycle is a pure no-op for me".
-    ///
-    /// Used by the simulator's idle-span skipping: a span `(now, target)`
-    /// is only skipped if every component's next event is `>= target`.
-    /// The conservative default — `Some(now)`, i.e. "I may act this very
-    /// cycle" — disables skipping around models that have not audited
-    /// their idle-cycle behavior (e.g. wrappers that advance an RNG on
-    /// every round).
-    fn next_event(&self, now: u64) -> Option<u64> {
-        Some(now)
-    }
-
-    /// Accounts for `k` consecutive idle cycles at once, equivalent to
-    /// `k` repetitions of an empty `arbitrate_into(&[], ..)` round
-    /// followed by `tick()`. Only called for spans the model itself
-    /// declared skippable via [`next_event`](Self::next_event). The
-    /// default replays the ticks literally, which is always correct.
-    fn skip_idle(&mut self, k: u64) {
-        for _ in 0..k {
-            self.tick();
-        }
-    }
-
     /// The maximum number of references this model can ever grant in one
     /// cycle (e.g. `p` for ideal, `M*N` for an `MxN` LBIC).
     fn peak_per_cycle(&self) -> usize;

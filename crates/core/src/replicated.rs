@@ -83,16 +83,6 @@ impl PortModel for ReplicatedPorts {
         self.stats.record_tick();
     }
 
-    // Stateless between rounds: an idle cycle only advances the cycle
-    // counter, so skipped spans can be accounted in bulk.
-    fn next_event(&self, _now: u64) -> Option<u64> {
-        None
-    }
-
-    fn skip_idle(&mut self, k: u64) {
-        self.stats.record_ticks(k);
-    }
-
     fn peak_per_cycle(&self) -> usize {
         self.ports
     }

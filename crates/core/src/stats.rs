@@ -66,14 +66,6 @@ impl ArbStats {
         self.cycles += 1;
     }
 
-    /// Records `k` consecutive cycle boundaries at once, equivalent to
-    /// `k` calls to [`record_tick`](Self::record_tick). Used by models
-    /// whose per-cycle work is pure accounting when the simulator skips
-    /// an idle span.
-    pub(crate) fn record_ticks(&mut self, k: u64) {
-        self.cycles += k;
-    }
-
     /// Bumps a model-specific named counter.
     pub(crate) fn bump(&mut self, name: &'static str, by: u64) {
         match self.extra.iter_mut().find(|(n, _)| *n == name) {
@@ -207,17 +199,6 @@ mod tests {
         s.record_tick();
         s.record_tick();
         assert_eq!(s.cycles(), 2);
-    }
-
-    #[test]
-    fn bulk_ticks_match_repeated_ticks() {
-        let mut bulk = ArbStats::new(1);
-        let mut ticked = ArbStats::new(1);
-        bulk.record_ticks(7);
-        for _ in 0..7 {
-            ticked.record_tick();
-        }
-        assert_eq!(bulk.cycles(), ticked.cycles());
     }
 
     #[test]

@@ -77,14 +77,6 @@ pub struct CpuConfig {
     /// how `cargo test --features audit` sweeps the whole suite under
     /// auditing).
     pub audit: bool,
-    /// Fast-forward the run loop over provably idle cycle spans (cache
-    /// fills in flight, unpipelined dividers grinding, redirect
-    /// penalties elapsing). Skipped runs are bit-identical to ticked
-    /// ones — every counter, statistic, error, and pause point matches —
-    /// so this defaults to on; turn it off to force cycle-by-cycle
-    /// execution. Audited runs always tick regardless of this flag,
-    /// which makes `audit` double as a skip-equivalence cross-check.
-    pub cycle_skip: bool,
 }
 
 impl Default for CpuConfig {
@@ -108,7 +100,6 @@ impl Default for CpuConfig {
             watchdog_cycles: 100_000,
             max_cycles: u64::MAX,
             audit: cfg!(feature = "audit"),
-            cycle_skip: true,
         }
     }
 }
@@ -174,7 +165,6 @@ impl CpuConfig {
         w.put_u64(self.watchdog_cycles);
         w.put_u64(self.max_cycles);
         w.put_bool(self.audit);
-        w.put_bool(self.cycle_skip);
     }
 
     /// Reads a configuration written by [`save_state`](Self::save_state).
@@ -203,7 +193,6 @@ impl CpuConfig {
             watchdog_cycles: r.get_u64()?,
             max_cycles: r.get_u64()?,
             audit: r.get_bool()?,
-            cycle_skip: r.get_bool()?,
         })
     }
 }

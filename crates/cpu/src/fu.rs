@@ -58,10 +58,6 @@ impl Pool {
         }
     }
 
-    fn next_free(&self) -> u64 {
-        self.busy_until.iter().copied().min().unwrap_or(0)
-    }
-
     fn save_state(&self, w: &mut StateWriter) {
         w.put_usize(self.busy_until.len());
         for &b in &self.busy_until {
@@ -139,22 +135,6 @@ impl FuPools {
             FuClass::LoadStore | FuClass::None => return Some(lat),
         };
         pool.try_issue(now, lat.issue).then_some(lat)
-    }
-
-    /// The earliest cycle at which some unit of `class` is free — the
-    /// first cycle a [`try_issue`](Self::try_issue) for that class could
-    /// succeed again after a structural hazard. Non-mutating; `LoadStore`
-    /// and `None` are never constrained and report 0.
-    pub fn next_free(&self, class: FuClass) -> u64 {
-        match class {
-            FuClass::IntAlu => self.int_alu.next_free(),
-            FuClass::IntMult => self.int_mult.next_free(),
-            FuClass::IntDiv => self.int_div.next_free(),
-            FuClass::FpAdd => self.fp_add.next_free(),
-            FuClass::FpMult => self.fp_mult.next_free(),
-            FuClass::FpDiv => self.fp_div.next_free(),
-            FuClass::LoadStore | FuClass::None => 0,
-        }
     }
 
     /// Serializes every pool's per-unit busy horizon.
@@ -262,16 +242,6 @@ mod tests {
         for _ in 0..100 {
             assert!(fus.try_issue(FuClass::LoadStore, 0).is_some());
         }
-    }
-
-    #[test]
-    fn next_free_tracks_busy_horizon() {
-        let mut fus = tiny();
-        assert_eq!(fus.next_free(FuClass::IntDiv), 0);
-        fus.try_issue(FuClass::IntDiv, 3).unwrap();
-        assert_eq!(fus.next_free(FuClass::IntDiv), 15); // 3 + issue 12
-        assert_eq!(fus.next_free(FuClass::IntAlu), 0); // other pools untouched
-        assert_eq!(fus.next_free(FuClass::LoadStore), 0); // never constrained
     }
 
     #[test]

@@ -236,16 +236,6 @@ impl Lsq {
         self.stalls
     }
 
-    /// Accounts for `k` idle cycles whose ready-list scans each produce
-    /// the stall increments in `per_cycle`. During a skipped span the
-    /// queue is frozen, so every scan would classify entries identically;
-    /// this replays those `k` identical scans' counter effects in O(1).
-    pub fn add_stalls_n(&mut self, per_cycle: LsqStalls, k: u64) {
-        self.stalls.addr_unknown += per_cycle.addr_unknown * k;
-        self.stalls.prior_store_addr += per_cycle.prior_store_addr * k;
-        self.stalls.store_overlap += per_cycle.store_overlap * k;
-    }
-
     fn find(&self, seq: u64) -> usize {
         let ordinal = self
             .pos_map

@@ -27,7 +27,6 @@
 ///     skipped_cycles: 0,
 ///     cpu_secs: 0.0,
 ///     cycles_per_sec: 0.0,
-///     events_per_sec: 0.0,
 /// };
 /// assert_eq!(r.ipc(), 3.0);
 /// assert!((r.mem_fraction() - 1.0 / 3.0).abs() < 1e-12);
@@ -73,10 +72,10 @@ pub struct SimReport {
     pub store_serializations: u64,
     /// Label of the port model under test, e.g. `"Bank-8"`.
     pub port_label: String,
-    /// Cycles the run loop fast-forwarded over instead of executing
-    /// (see [`cycle_skip`](crate::CpuConfig::cycle_skip)). A property of
-    /// how the simulator ran, not of the simulated machine: a ticked run
-    /// reports 0 here and identical everything else.
+    /// Always 0: the run loop steps every cycle. Kept only because the
+    /// repository benchmark (`perfbench`) still reads it for its
+    /// `sim.skip_share` metric; the next change to that benchmark
+    /// removes both.
     pub skipped_cycles: u64,
     /// Thread CPU seconds spent inside [`run`](crate::Simulator::run)
     /// and [`run_for`](crate::Simulator::run_for) — a measurement of the
@@ -85,17 +84,13 @@ pub struct SimReport {
     pub cpu_secs: f64,
     /// Simulated cycles per CPU second (simulator throughput).
     pub cycles_per_sec: f64,
-    /// Executed (non-skipped) cycles per CPU second — the rate at
-    /// which the simulator retires actual work, independent of how much
-    /// idle time the event calendar let it skip.
-    pub events_per_sec: f64,
 }
 
 /// Equality covers only the simulated-machine measurements:
-/// `skipped_cycles`, `cpu_secs`, `cycles_per_sec`, and
-/// `events_per_sec` describe how the host ran the simulation and are
-/// excluded, so bit-identical simulations compare equal regardless of
-/// host timing or whether idle spans were skipped or ticked through.
+/// `cpu_secs` and `cycles_per_sec` describe how the host ran the
+/// simulation, and `skipped_cycles` is a constant 0, so all three are
+/// excluded and bit-identical simulations compare equal regardless of
+/// host timing.
 impl PartialEq for SimReport {
     fn eq(&self, other: &Self) -> bool {
         let SimReport {
@@ -119,7 +114,6 @@ impl PartialEq for SimReport {
             skipped_cycles: _,
             cpu_secs: _,
             cycles_per_sec: _,
-            events_per_sec: _,
         } = self;
         *committed == other.committed
             && *cycles == other.cycles
@@ -187,10 +181,10 @@ impl SimReport {
     /// Renders the simulated-machine measurements as one tab-separated
     /// record line (no trailing newline) for the matrix run journal.
     ///
-    /// The host-run fields (`skipped_cycles`, `cpu_secs`,
-    /// `cycles_per_sec`, `events_per_sec`) describe a run that already
-    /// happened and are deliberately not persisted; they parse back as
-    /// zero, which [`PartialEq`] already ignores.
+    /// The host-run fields (`cpu_secs`, `cycles_per_sec`) describe a
+    /// run that already happened and, like the constant
+    /// `skipped_cycles`, are deliberately not persisted; they parse back
+    /// as zero, which [`PartialEq`] already ignores.
     pub fn to_record(&self) -> String {
         format!(
             "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
@@ -261,7 +255,6 @@ impl SimReport {
             skipped_cycles: 0,
             cpu_secs: 0.0,
             cycles_per_sec: 0.0,
-            events_per_sec: 0.0,
         })
     }
 }
@@ -292,7 +285,6 @@ mod tests {
             skipped_cycles: 0,
             cpu_secs: 0.0,
             cycles_per_sec: 0.0,
-            events_per_sec: 0.0,
         }
     }
 
@@ -328,7 +320,6 @@ mod tests {
             skipped_cycles: 0,
             cpu_secs: 0.0,
             cycles_per_sec: 0.0,
-            events_per_sec: 0.0,
         };
         assert_eq!(r.ipc(), 0.0);
         assert_eq!(r.mem_fraction(), 0.0);
@@ -382,10 +373,8 @@ mod tests {
     fn equality_ignores_host_timing() {
         let a = sample();
         let b = SimReport {
-            skipped_cycles: 7,
             cpu_secs: 123.0,
             cycles_per_sec: 456.0,
-            events_per_sec: 78.0,
             ..sample()
         };
         assert_eq!(a, b);

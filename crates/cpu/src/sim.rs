@@ -1,7 +1,7 @@
 //! The cycle-by-cycle pipeline simulator.
 
 use hbdc_core::{MemRequest, PortConfig, PortModel, Violation};
-use hbdc_isa::{FuClass, Program};
+use hbdc_isa::Program;
 use hbdc_mem::{Hierarchy, HierarchyConfig};
 use hbdc_snap::clock::thread_cpu_time;
 use hbdc_stats::Histogram;
@@ -12,7 +12,7 @@ use crate::dynamic::DynInst;
 use crate::error::SimError;
 use crate::fu::FuPools;
 use crate::functional::Emulator;
-use crate::lsq::{Lsq, LsqStalls};
+use crate::lsq::Lsq;
 use crate::report::SimReport;
 use crate::trace::{CommittedTrace, TracePlayer};
 use crate::window::Window;
@@ -52,30 +52,6 @@ pub mod stageprof {
                 eprintln!("stageprof {name} {:.3}s", v.load(Relaxed) as f64 / 1e9);
             }
         }
-    }
-}
-
-// Functional-unit classes that can refuse an issue (structural hazard);
-// the index is the class's bit in `Simulator::fu_blocked`. `LoadStore`
-// and `None` never block and carry no bit.
-const BLOCKABLE_CLASSES: [FuClass; 6] = [
-    FuClass::IntAlu,
-    FuClass::IntMult,
-    FuClass::IntDiv,
-    FuClass::FpAdd,
-    FuClass::FpMult,
-    FuClass::FpDiv,
-];
-
-fn class_bit(class: FuClass) -> u8 {
-    match class {
-        FuClass::IntAlu => 1 << 0,
-        FuClass::IntMult => 1 << 1,
-        FuClass::IntDiv => 1 << 2,
-        FuClass::FpAdd => 1 << 3,
-        FuClass::FpMult => 1 << 4,
-        FuClass::FpDiv => 1 << 5,
-        FuClass::LoadStore | FuClass::None => 0,
     }
 }
 
@@ -201,9 +177,6 @@ pub struct Simulator {
     pub(crate) committed: u64,
     pub(crate) loads: u64,
     pub(crate) stores: u64,
-    // Cycles the run loop fast-forwarded over without executing them
-    // (provably idle spans); always <= `now`.
-    pub(crate) skipped_cycles: u64,
     pub(crate) pending_fetch: Option<DynInst>,
     pub(crate) fetch_done: bool,
     pub(crate) halted: bool,
@@ -217,13 +190,6 @@ pub struct Simulator {
     commit_buf: Vec<crate::window::Retired>,
     // Auditor scratch: stays empty (and allocation-free) on clean cycles.
     audit_buf: Vec<Violation>,
-    // Idle-span bookkeeping, refreshed every cycle and consulted only
-    // when the cycle turned out to be quiescent: which FU classes
-    // refused an issue (their `next_free` horizons are wake-up events)
-    // and how much the LSQ stall counters moved (replayed in bulk for
-    // each skipped cycle, whose ready-list scans would be identical).
-    fu_blocked: u8,
-    idle_stall_delta: LsqStalls,
     // Thread CPU time accumulated inside `run` (simulator throughput).
     cpu: std::time::Duration,
     pub(crate) pipe: PipeStats,
@@ -434,7 +400,6 @@ impl Simulator {
             committed: 0,
             loads: 0,
             stores: 0,
-            skipped_cycles: 0,
             pending_fetch: None,
             fetch_done: false,
             halted: false,
@@ -445,8 +410,6 @@ impl Simulator {
             granted_buf: Vec::new(),
             commit_buf: Vec::new(),
             audit_buf: Vec::new(),
-            fu_blocked: 0,
-            idle_stall_delta: LsqStalls::default(),
             cpu: std::time::Duration::ZERO,
             pipe: PipeStats::new(&cfg),
             predictor: match cfg.front_end {
@@ -506,12 +469,11 @@ impl Simulator {
         self.lsq.stalls()
     }
 
-    fn issue(&mut self) -> usize {
+    fn issue(&mut self) {
         self.window
             .fill_ready(self.cfg.issue_width as usize, &mut self.issue_buf);
         let mut issued = 0usize;
         let mut mem_issued = 0u32;
-        self.fu_blocked = 0;
         for i in 0..self.issue_buf.len() {
             let seq = self.issue_buf[i];
             let meta = self.window.meta(seq);
@@ -538,20 +500,14 @@ impl Simulator {
                 }
                 issued += 1;
             } else {
-                let class = meta.class;
-                if let Some(lat) = self.fus.try_issue(class, self.now) {
+                // A structural hazard leaves it ready to retry next cycle.
+                if let Some(lat) = self.fus.try_issue(meta.class, self.now) {
                     self.window.mark_issued(seq, Some(self.now + lat.total));
                     issued += 1;
-                } else {
-                    // Structural hazard — stays ready, retries next cycle.
-                    // Remember the class: a unit freeing up is a wake-up
-                    // event for the idle-span skipper.
-                    self.fu_blocked |= class_bit(class);
                 }
             }
         }
         self.pipe.issued.record(issued);
-        issued
     }
 
     /// The memory stage's one arbitration round: classify the LSQ,
@@ -561,16 +517,9 @@ impl Simulator {
     /// [`audit`](CpuConfig::audit) on, the grants are checked before
     /// they are serviced, so an illegal round is reported instead of
     /// corrupting window/LSQ/hierarchy state.
-    fn arbitrate_memory(&mut self) -> Result<bool, SimError> {
+    fn arbitrate_memory(&mut self) -> Result<(), SimError> {
         let frontier = self.window.oldest_not_done();
-        let stalls_before = self.lsq.stalls();
         self.lsq.begin_round(frontier);
-        let stalls_after = self.lsq.stalls();
-        self.idle_stall_delta = LsqStalls {
-            addr_unknown: stalls_after.addr_unknown - stalls_before.addr_unknown,
-            prior_store_addr: stalls_after.prior_store_addr - stalls_before.prior_store_addr,
-            store_overlap: stalls_after.store_overlap - stalls_before.store_overlap,
-        };
 
         self.lsq.take_forwards(&mut self.forwards_buf);
         for k in 0..self.forwards_buf.len() {
@@ -590,7 +539,6 @@ impl Simulator {
         }
         // An empty round is still presented so store queues can drain.
         let ready = self.lsq.ready();
-        let offered = ready.len();
         self.port.arbitrate_into(ready, &mut self.granted_buf);
         if self.cfg.audit {
             self.audit_buf.clear();
@@ -622,31 +570,24 @@ impl Simulator {
                 self.window.set_complete_at(c.id, outcome.ready_at);
             }
         }
-        // Any forwarded load or offered reference is machine activity —
-        // even an offered-but-refused round mutates arbitration stats.
-        Ok(!self.forwards_buf.is_empty() || offered > 0)
+        Ok(())
     }
 
-    fn fetch(&mut self) -> Result<bool, SimError> {
+    fn fetch(&mut self) -> Result<(), SimError> {
         // Misprediction recovery: wait for the branch to resolve, then
         // for the redirect penalty to elapse.
         if let Some(seq) = self.stall_on {
-            if !self.window.resolved(seq) {
-                self.pipe.dispatched.record(0);
-                return Ok(false);
+            if self.window.resolved(seq) {
+                self.stall_on = None;
+                self.fetch_resume_at = self.now + 1 + self.redirect_penalty as u64;
             }
-            // Clearing the stall is a state change even though nothing
-            // dispatches until the redirect penalty elapses.
-            self.stall_on = None;
-            self.fetch_resume_at = self.now + 1 + self.redirect_penalty as u64;
             self.pipe.dispatched.record(0);
-            return Ok(true);
+            return Ok(());
         }
         if self.now < self.fetch_resume_at {
             self.pipe.dispatched.record(0);
-            return Ok(false);
+            return Ok(());
         }
-        let mut active = false;
         let mut dispatched = 0usize;
         for _ in 0..self.cfg.fetch_width {
             if !self.window.has_space() {
@@ -655,16 +596,8 @@ impl Simulator {
             let di = match self.pending_fetch.take() {
                 Some(di) => di,
                 None => match self.source.step() {
-                    Some(di) => {
-                        // The stream advanced even if this instruction
-                        // ends up parked in `pending_fetch` below.
-                        active = true;
-                        di
-                    }
+                    Some(di) => di,
                     None => {
-                        if !self.fetch_done {
-                            active = true; // first observation of stream end
-                        }
                         self.fetch_done = true;
                         break;
                     }
@@ -716,10 +649,10 @@ impl Simulator {
             }
         }
         self.pipe.dispatched.record(dispatched);
-        Ok(active || dispatched > 0)
+        Ok(())
     }
 
-    fn commit(&mut self) -> usize {
+    fn commit(&mut self) {
         let remaining = self.cfg.max_insts.saturating_sub(self.committed);
         let width = (self.cfg.commit_width as u64).min(remaining) as u32;
         self.window.commit_compact_into(width, &mut self.commit_buf);
@@ -742,49 +675,36 @@ impl Simulator {
                 self.halted = true;
             }
         }
-        self.commit_buf.len()
     }
 
     fn done(&self) -> bool {
         self.halted || (self.fetch_done && self.window.is_empty() && self.pending_fetch.is_none())
     }
 
-    /// Executes one machine cycle. Returns whether the machine did any
-    /// work: `Ok(false)` means the cycle was quiescent — no completions,
-    /// issues, memory references, dispatches, or commits — so every
-    /// mutation it performed (per-cycle statistics, the port's empty
-    /// tick) would repeat identically next cycle. That is the
-    /// load-bearing guarantee behind [`skip_idle_span`](Self::skip_idle_span).
-    fn cycle(&mut self) -> Result<bool, SimError> {
+    /// Executes one machine cycle.
+    fn cycle(&mut self) -> Result<(), SimError> {
         if stageprof::enabled() {
             return self.cycle_profiled();
         }
         self.pipe.window_occupancy.record(self.window.len());
         self.pipe.lsq_occupancy.record(self.lsq.len());
-        let completed = self.window.advance_completions(self.now);
-        let mut addr_events = 0usize;
+        self.window.advance_completions(self.now);
         for seq in self.window.drain_addr_ready() {
             self.lsq.mark_addr_known(seq);
-            addr_events += 1;
         }
-        let issued = self.issue();
-        let mem_active = self.arbitrate_memory()?;
-        let fetch_active = self.fetch()?;
-        let commits = self.commit();
+        self.issue();
+        self.arbitrate_memory()?;
+        self.fetch()?;
+        self.commit();
         self.port.tick();
         self.now += 1;
-        Ok(completed > 0
-            || addr_events > 0
-            || issued > 0
-            || mem_active
-            || fetch_active
-            || commits > 0)
+        Ok(())
     }
 
     /// [`cycle`](Self::cycle) with per-stage wall-clock accounting —
     /// identical work, plus one `Instant` read per stage, taken only
     /// when `HBDC_STAGE_PROF` is set.
-    fn cycle_profiled(&mut self) -> Result<bool, SimError> {
+    fn cycle_profiled(&mut self) -> Result<(), SimError> {
         self.pipe.window_occupancy.record(self.window.len());
         self.pipe.lsq_occupancy.record(self.lsq.len());
         let mut t = std::time::Instant::now();
@@ -793,31 +713,24 @@ impl Simulator {
             stageprof::add(stage, (now - t).as_nanos() as u64);
             t = now;
         };
-        let completed = self.window.advance_completions(self.now);
+        self.window.advance_completions(self.now);
         lap(0);
-        let mut addr_events = 0usize;
         for seq in self.window.drain_addr_ready() {
             self.lsq.mark_addr_known(seq);
-            addr_events += 1;
         }
         lap(1);
-        let issued = self.issue();
+        self.issue();
         lap(2);
-        let mem_active = self.arbitrate_memory()?;
+        self.arbitrate_memory()?;
         lap(3);
-        let fetch_active = self.fetch()?;
+        self.fetch()?;
         lap(4);
-        let commits = self.commit();
+        self.commit();
         lap(5);
         self.port.tick();
         lap(6);
         self.now += 1;
-        Ok(completed > 0
-            || addr_events > 0
-            || issued > 0
-            || mem_active
-            || fetch_active
-            || commits > 0)
+        Ok(())
     }
 
     /// Executes one cycle (exposed for diagnostics and incremental
@@ -828,7 +741,7 @@ impl Simulator {
     /// Returns the same failures [`run`](Self::run) can, except the
     /// watchdog and cycle-limit checks, which only the run loop applies.
     pub fn step_cycle(&mut self) -> Result<(), SimError> {
-        self.cycle().map(|_| ())
+        self.cycle()
     }
 
     /// Whether the run is finished.
@@ -897,11 +810,6 @@ impl Simulator {
     }
 
     fn run_for_inner(&mut self, budget: u64) -> Result<bool, SimError> {
-        // Skipping is disabled under audit (the auditor observes every
-        // round, so audited runs tick — and double as an equivalence
-        // check against skipped runs) and under the issue log (whose
-        // per-cycle output would otherwise lose the repeated lines).
-        let skip = self.cfg.cycle_skip && !self.cfg.audit && !self.debug_issue_log;
         let mut steps = 0u64;
         while !self.done() {
             if steps >= budget {
@@ -914,7 +822,7 @@ impl Simulator {
                     dump: self.progress_dump(),
                 });
             }
-            let active = self.cycle()?;
+            self.cycle()?;
             steps += 1;
             let stalled_for = self.now.saturating_sub(self.last_commit_cycle);
             if stalled_for >= self.cfg.watchdog_cycles {
@@ -925,86 +833,8 @@ impl Simulator {
                     dump: self.progress_dump(),
                 });
             }
-            if skip && !active && !self.done() {
-                self.skip_idle_span(budget - steps, &mut steps)?;
-            }
         }
         Ok(true)
-    }
-
-    /// Fast-forwards over a provably idle span after a quiescent cycle.
-    ///
-    /// The machine state (everything except statistics and `now`) is
-    /// frozen: re-running the quiescent cycle at any intermediate time
-    /// would repeat it bit for bit. So this jumps `now` to the earliest
-    /// cycle at which *anything* can happen — the next window
-    /// completion, the fetch-redirect resume point, a blocked functional
-    /// unit freeing up, the port model's own next event, or an
-    /// outstanding cache fill — and replays the per-cycle bookkeeping of
-    /// the skipped cycles in bulk. The jump is capped at the watchdog
-    /// deadline, the cycle limit, and the remaining `run_for` budget, so
-    /// a skipping run errors, pauses, and checkpoints at exactly the
-    /// same cycles as a ticking run.
-    fn skip_idle_span(&mut self, budget_left: u64, steps: &mut u64) -> Result<(), SimError> {
-        // With no wake-up event at all the machine is wedged; run
-        // straight to the watchdog deadline, as a ticking loop would.
-        let mut target = u64::MAX;
-        if let Some(at) = self.window.next_completion_at() {
-            target = target.min(at);
-        }
-        // Fetch wakes by itself at `fetch_resume_at` (redirect penalty
-        // elapsing). `>=` matters: after a quiescent final penalty cycle
-        // the resume point equals `now`, and fetch acts *this* cycle.
-        // Once the resume point is in the past an idle fetch must be
-        // blocked on window/LSQ space, which only completions free.
-        if self.stall_on.is_none() && !self.fetch_done && self.fetch_resume_at >= self.now {
-            target = target.min(self.fetch_resume_at);
-        }
-        for (i, class) in BLOCKABLE_CLASSES.iter().enumerate() {
-            if self.fu_blocked & (1 << i) != 0 {
-                target = target.min(self.fus.next_free(*class));
-            }
-        }
-        if let Some(at) = self.port.next_event(self.now) {
-            target = target.min(at);
-        }
-        if let Some(at) = self.hier.next_event(self.now) {
-            target = target.min(at);
-        }
-        target = target
-            .min(
-                self.last_commit_cycle
-                    .saturating_add(self.cfg.watchdog_cycles),
-            )
-            .min(self.cfg.max_cycles)
-            .min(self.now.saturating_add(budget_left));
-        if target <= self.now {
-            return Ok(()); // event due immediately (or no headroom)
-        }
-        let k = target - self.now;
-        // Replay k quiescent cycles' worth of bookkeeping in bulk.
-        self.pipe.window_occupancy.record_n(self.window.len(), k);
-        self.pipe.lsq_occupancy.record_n(self.lsq.len(), k);
-        self.pipe.issued.record_n(0, k);
-        self.pipe.dispatched.record_n(0, k);
-        self.pipe.committed.record_n(0, k);
-        self.lsq.add_stalls_n(self.idle_stall_delta, k);
-        self.port.skip_idle(k);
-        self.now = target;
-        self.skipped_cycles += k;
-        *steps += k;
-        // The ticking loop checks the watchdog after every cycle; a jump
-        // that lands on the deadline must fail identically.
-        let stalled_for = self.now.saturating_sub(self.last_commit_cycle);
-        if stalled_for >= self.cfg.watchdog_cycles {
-            return Err(SimError::Deadlock {
-                cycle: self.now,
-                committed: self.committed,
-                stalled_for,
-                dump: self.progress_dump(),
-            });
-        }
-        Ok(())
     }
 
     /// The current simulated cycle.
@@ -1015,13 +845,6 @@ impl Simulator {
     /// Instructions committed so far.
     pub fn committed(&self) -> u64 {
         self.committed
-    }
-
-    /// Cycles the run loop fast-forwarded over without executing them
-    /// (see [`cycle_skip`](CpuConfig::cycle_skip)); always at most
-    /// [`current_cycle`](Self::current_cycle).
-    pub fn skipped_cycles(&self) -> u64 {
-        self.skipped_cycles
     }
 
     /// The diagnostic dump attached to watchdog and cycle-limit failures:
@@ -1077,15 +900,10 @@ impl Simulator {
             combined: arb.extra_counter("combined"),
             store_serializations: arb.extra_counter("store_serializations"),
             port_label: self.port.label(),
-            skipped_cycles: self.skipped_cycles,
+            skipped_cycles: 0,
             cpu_secs,
             cycles_per_sec: if cpu_secs > 0.0 {
                 self.now as f64 / cpu_secs
-            } else {
-                0.0
-            },
-            events_per_sec: if cpu_secs > 0.0 {
-                (self.now - self.skipped_cycles) as f64 / cpu_secs
             } else {
                 0.0
             },
@@ -1680,233 +1498,6 @@ mod robustness_tests {
         .err()
         .unwrap();
         assert!(matches!(err, SimError::Config { .. }), "{err:?}");
-    }
-}
-
-#[cfg(test)]
-mod cycle_skip_tests {
-    use super::*;
-    use crate::bpred::PredictorKind;
-    use hbdc_isa::asm::assemble;
-
-    /// Serially dependent cold-missing loads: each iteration's address
-    /// needs the previous load's data, so the machine goes fully
-    /// quiescent while each DRAM fill is in flight.
-    const DEPENDENT_MISSES: &str = ".data\nv: .space 8192\n.text\nmain:\n la r8, v\n li r9, 40\n\
-        loop:\n lw r1, 0(r8)\n add r8, r8, r1\n addi r8, r8, 64\n\
-        addi r9, r9, -1\n bnez r9, loop\n halt\n";
-
-    fn every_port() -> [PortConfig; 4] {
-        [
-            PortConfig::Ideal { ports: 4 },
-            PortConfig::Replicated { ports: 4 },
-            PortConfig::banked(4),
-            PortConfig::lbic(4, 2),
-        ]
-    }
-
-    fn run_to_end(src: &str, cfg: CpuConfig, port: PortConfig) -> Simulator {
-        let p = assemble(src).unwrap();
-        let mut sim = Simulator::new(&p, cfg, HierarchyConfig::default(), port);
-        sim.run().unwrap();
-        sim
-    }
-
-    fn assert_bit_identical(ticked: &Simulator, skipped: &Simulator, ctx: &str) {
-        assert_eq!(ticked.report(), skipped.report(), "{ctx}: report diverged");
-        assert_eq!(
-            ticked.lsq_stalls(),
-            skipped.lsq_stalls(),
-            "{ctx}: LSQ stall counters diverged"
-        );
-        assert_eq!(
-            ticked.branch_stats(),
-            skipped.branch_stats(),
-            "{ctx}: branch stats diverged"
-        );
-        let (t, s) = (ticked.pipe_stats(), skipped.pipe_stats());
-        assert_eq!(t.issued, s.issued, "{ctx}: issued/cycle diverged");
-        assert_eq!(
-            t.dispatched, s.dispatched,
-            "{ctx}: dispatched/cycle diverged"
-        );
-        assert_eq!(t.committed, s.committed, "{ctx}: committed/cycle diverged");
-        assert_eq!(
-            t.window_occupancy, s.window_occupancy,
-            "{ctx}: window occupancy diverged"
-        );
-        assert_eq!(
-            t.lsq_occupancy, s.lsq_occupancy,
-            "{ctx}: LSQ occupancy diverged"
-        );
-    }
-
-    #[test]
-    fn skipped_runs_are_bit_identical_to_ticked_runs() {
-        for port in every_port() {
-            // `audit: false` explicitly: the auditor must observe every
-            // arbitration round, so it forces skipping off — including
-            // when the `audit` cargo feature flips the default on.
-            let cfg = |cycle_skip| CpuConfig {
-                cycle_skip,
-                audit: false,
-                ..CpuConfig::default()
-            };
-            let ticked = run_to_end(DEPENDENT_MISSES, cfg(false), port);
-            let skipped = run_to_end(DEPENDENT_MISSES, cfg(true), port);
-            assert_eq!(
-                ticked.skipped_cycles(),
-                0,
-                "{port:?}: ticked run must not skip"
-            );
-            assert!(
-                skipped.skipped_cycles() > 0,
-                "{port:?}: the dependent-miss chain must exercise skipping"
-            );
-            assert_bit_identical(&ticked, &skipped, &format!("{port:?}"));
-        }
-    }
-
-    #[test]
-    fn skipping_spans_redirect_penalties_identically() {
-        // Mispredicted branches park fetch for a long redirect penalty;
-        // with an empty window those penalty cycles are skippable.
-        let src = "main:
-            li r9, 400
-        loop:
-            andi r10, r9, 1
-            bnez r10, skip
-            addi r8, r8, 5
-        skip:
-            addi r9, r9, -1
-            bnez r9, loop
-            halt
-        ";
-        let cfg = |cycle_skip| CpuConfig {
-            cycle_skip,
-            audit: false, // the auditor forces skipping off
-            front_end: FrontEnd::Predicted {
-                kind: PredictorKind::AlwaysTaken,
-                redirect_penalty: 12,
-            },
-            ..CpuConfig::default()
-        };
-        let port = PortConfig::Ideal { ports: 2 };
-        let ticked = run_to_end(src, cfg(false), port);
-        let skipped = run_to_end(src, cfg(true), port);
-        assert!(
-            skipped.skipped_cycles() > 0,
-            "redirect penalties must be skippable"
-        );
-        assert_bit_identical(&ticked, &skipped, "redirect-penalty workload");
-    }
-
-    #[test]
-    fn watchdog_fires_identically_under_skipping() {
-        // A watchdog budget shorter than one DRAM fill: the ticked run
-        // counts its way to the deadline, the skipping run jumps straight
-        // to it — same cycle, same diagnostics.
-        let p = assemble(DEPENDENT_MISSES).unwrap();
-        let run = |cycle_skip| {
-            Simulator::new(
-                &p,
-                CpuConfig {
-                    cycle_skip,
-                    watchdog_cycles: 5,
-                    ..CpuConfig::default()
-                },
-                HierarchyConfig::default(),
-                PortConfig::Ideal { ports: 4 },
-            )
-            .run()
-            .unwrap_err()
-        };
-        match (run(false), run(true)) {
-            (
-                SimError::Deadlock {
-                    cycle: tc,
-                    committed: ti,
-                    stalled_for: ts,
-                    dump: td,
-                },
-                SimError::Deadlock {
-                    cycle: sc,
-                    committed: si,
-                    stalled_for: ss,
-                    dump: sd,
-                },
-            ) => {
-                assert_eq!(tc, sc, "deadlock cycle");
-                assert_eq!(ti, si, "committed at deadlock");
-                assert_eq!(ts, ss, "stall length");
-                assert_eq!(td, sd, "diagnostic dump");
-            }
-            other => panic!("expected two Deadlocks, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cycle_limit_fires_identically_under_skipping() {
-        let p = assemble(DEPENDENT_MISSES).unwrap();
-        let run = |cycle_skip| {
-            Simulator::new(
-                &p,
-                CpuConfig {
-                    cycle_skip,
-                    max_cycles: 35,
-                    ..CpuConfig::default()
-                },
-                HierarchyConfig::default(),
-                PortConfig::Ideal { ports: 4 },
-            )
-            .run()
-            .unwrap_err()
-        };
-        match (run(false), run(true)) {
-            (
-                SimError::CycleLimit {
-                    committed: ti,
-                    dump: td,
-                    ..
-                },
-                SimError::CycleLimit {
-                    committed: si,
-                    dump: sd,
-                    ..
-                },
-            ) => {
-                assert_eq!(ti, si, "committed at the cap");
-                assert_eq!(td, sd, "diagnostic dump");
-            }
-            other => panic!("expected two CycleLimits, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn budget_pauses_are_unperturbed_by_skipping() {
-        // `run_for` must pause at exactly the same cycle either way: every
-        // skipped cycle consumes budget just as an executed one would.
-        let p = assemble(DEPENDENT_MISSES).unwrap();
-        let drive = |cycle_skip| {
-            let mut sim = Simulator::new(
-                &p,
-                CpuConfig {
-                    cycle_skip,
-                    ..CpuConfig::default()
-                },
-                HierarchyConfig::default(),
-                PortConfig::banked(4),
-            );
-            let mut pauses = Vec::new();
-            while !sim.run_for(17).unwrap() {
-                pauses.push(sim.current_cycle());
-            }
-            (pauses, sim.report())
-        };
-        let (ticked_pauses, ticked) = drive(false);
-        let (skipped_pauses, skipped) = drive(true);
-        assert_eq!(ticked_pauses, skipped_pauses);
-        assert_eq!(ticked, skipped);
     }
 }
 

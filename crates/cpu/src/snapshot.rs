@@ -38,8 +38,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HBSN";
 /// Version history: 1 — initial format; 2 — added `cycle_skip` to the
 /// embedded [`CpuConfig`] and the cumulative skipped-cycle count;
 /// 3 — tagged instruction source (execute-mode emulator state, or an
-/// embedded committed-stream trace plus replay cursor).
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// embedded committed-stream trace plus replay cursor); 4 — dropped
+/// `cycle_skip` and the skipped-cycle count with the idle-span skipper
+/// (every cycle is stepped).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// A sealed, self-contained simulator checkpoint.
 ///
@@ -148,7 +150,6 @@ impl Simulator {
         w.put_u64(self.committed);
         w.put_u64(self.loads);
         w.put_u64(self.stores);
-        w.put_u64(self.skipped_cycles);
         w.put_bool(self.fetch_done);
         w.put_bool(self.halted);
         w.put_u64(self.last_commit_cycle);
@@ -265,7 +266,6 @@ impl Simulator {
         sim.committed = r.get_u64()?;
         sim.loads = r.get_u64()?;
         sim.stores = r.get_u64()?;
-        sim.skipped_cycles = r.get_u64()?;
         sim.fetch_done = r.get_bool()?;
         sim.halted = r.get_bool()?;
         sim.last_commit_cycle = r.get_u64()?;
@@ -364,33 +364,55 @@ mod tests {
             .unwrap()
     }
 
+    /// Serially dependent cold-missing loads: each iteration's address
+    /// needs the previous load's data, so for most of each DRAM fill the
+    /// machine holds one load in flight and nothing ready to issue.
+    const DEPENDENT_MISSES: &str = ".data\nv: .space 8192\n.text\nmain:\n la r8, v\n li r9, 40\n\
+        loop:\n lw r1, 0(r8)\n add r8, r8, r1\n addi r8, r8, 64\n\
+        addi r9, r9, -1\n bnez r9, loop\n halt\n";
+
     /// Snapshot at cycle `k`, resume (via a full byte round trip), run to
-    /// completion, and return the resumed report.
-    fn resumed_at(p: &Program, cfg: CpuConfig, port: PortConfig, k: u64) -> SimReport {
+    /// completion, and return the paused window census with the resumed
+    /// report.
+    fn resumed_at(
+        p: &Program,
+        cfg: CpuConfig,
+        port: PortConfig,
+        k: u64,
+    ) -> ((usize, usize, usize, usize), SimReport) {
         let mut sim = Simulator::new(p, cfg, HierarchyConfig::default(), port);
         sim.run_for(k).unwrap();
         assert_eq!(sim.current_cycle(), k.min(sim.current_cycle()));
         let snap = sim.save_snapshot();
         let snap = SimSnapshot::from_bytes(snap.as_bytes().to_vec()).unwrap();
         let mut resumed = Simulator::resume(&snap).unwrap();
-        resumed.run().unwrap()
+        (sim.census(), resumed.run().unwrap())
     }
 
     fn golden_sweep(audit: bool) {
-        let p = program();
         let cfg = CpuConfig {
             audit,
             ..CpuConfig::default()
         };
-        for port in every_port() {
-            let baseline = straight_through(&p, cfg, port);
-            assert!(baseline.cycles > 10, "workload too short to checkpoint");
-            for k in [0, baseline.cycles / 2, baseline.cycles - 1] {
-                let resumed = resumed_at(&p, cfg, port, k);
-                assert_eq!(
-                    baseline, resumed,
-                    "{port:?} resumed at cycle {k} diverged (audit={audit})"
-                );
+        for src in [WORKLOAD, DEPENDENT_MISSES] {
+            let p = assemble(src).unwrap();
+            for port in every_port() {
+                let baseline = straight_through(&p, cfg, port);
+                assert!(baseline.cycles > 10, "workload too short to checkpoint");
+                for k in [0, baseline.cycles / 2, baseline.cycles - 1] {
+                    let ((_, ready, issued, _), resumed) = resumed_at(&p, cfg, port, k);
+                    assert_eq!(
+                        baseline, resumed,
+                        "{port:?} resumed at cycle {k} diverged (audit={audit})"
+                    );
+                    if src == DEPENDENT_MISSES && k == baseline.cycles / 2 {
+                        assert!(
+                            ready == 0 && issued > 0,
+                            "{port:?}: cycle {k} is not inside a fill \
+                             (ready {ready}, issued {issued})"
+                        );
+                    }
+                }
             }
         }
     }
@@ -403,66 +425,6 @@ mod tests {
     #[test]
     fn resume_is_bit_identical_under_audit() {
         golden_sweep(true);
-    }
-
-    /// Serially dependent cold-missing loads: each iteration's address
-    /// needs the previous load's data, so between the grant and the DRAM
-    /// fill the machine is completely quiescent — guaranteed idle spans
-    /// for every port model.
-    const DEPENDENT_MISSES: &str = ".data\nv: .space 8192\n.text\nmain:\n la r8, v\n li r9, 40\n\
-        loop:\n lw r1, 0(r8)\n add r8, r8, r1\n addi r8, r8, 64\n\
-        addi r9, r9, -1\n bnez r9, loop\n halt\n";
-
-    #[test]
-    fn checkpoint_inside_idle_span_resumes_bit_identically() {
-        let p = assemble(DEPENDENT_MISSES).unwrap();
-        // `audit: false` explicitly: the auditor forces skipping off
-        // (including when the `audit` feature flips the default on), and
-        // this test is about splitting a *skipped* span.
-        let cfg = CpuConfig {
-            audit: false,
-            ..CpuConfig::default()
-        };
-        for port in every_port() {
-            let mut full = Simulator::new(&p, cfg, HierarchyConfig::default(), port);
-            let baseline = full.run().unwrap();
-            let total = full.skipped_cycles();
-            assert!(total > 0, "{port:?}: workload produced no skippable spans");
-            // Smallest budget at which a fresh run skips anything: its
-            // pause point sits just past a budget-capped first skip, so
-            // cycle `n - skipped` is the first cycle the uninterrupted
-            // run jumps over.
-            let mut n = 1;
-            let first_skip = loop {
-                let mut sim = Simulator::new(&p, cfg, HierarchyConfig::default(), port);
-                let done = sim.run_for(n).unwrap();
-                let s = sim.skipped_cycles();
-                if s > 0 {
-                    break s;
-                }
-                assert!(!done, "{port:?}: run finished without ever skipping");
-                n += 1;
-            };
-            let k = n - first_skip;
-            let mut head = Simulator::new(&p, cfg, HierarchyConfig::default(), port);
-            assert!(!head.run_for(k).unwrap());
-            assert_eq!(
-                head.skipped_cycles(),
-                0,
-                "{port:?}: {k} is inside the first span"
-            );
-            let snap = head.save_snapshot();
-            let mut tail = Simulator::resume(&snap).unwrap();
-            let resumed = tail.run().unwrap();
-            assert_eq!(baseline, resumed, "{port:?} resumed mid-idle-span diverged");
-            // Splitting strictly inside a span re-executes exactly one
-            // probe cycle there; every other skipped cycle is recovered.
-            assert_eq!(
-                tail.skipped_cycles(),
-                total - 1,
-                "{port:?}: checkpoint at {k} was not strictly inside an idle span"
-            );
-        }
     }
 
     #[test]

@@ -494,17 +494,14 @@ impl Window {
     }
 
     /// Marks Done every issued entry whose completion time has arrived,
-    /// waking its dependents. Returns the number of entries completed
-    /// (the simulator's idle detector treats any completion as activity).
-    pub fn advance_completions(&mut self, now: u64) -> usize {
-        let mut completed = 0usize;
+    /// waking its dependents.
+    pub fn advance_completions(&mut self, now: u64) {
         self.completions.drain_due(now);
         for i in 0..self.completions.due_buf.len() {
             let seq = self.completions.due_buf[i];
             if seq < self.base_seq {
                 continue; // already committed (defensive)
             }
-            completed += 1;
             let (head, tail) = {
                 let s = self.slot_mut(seq);
                 debug_assert_eq!(s.state, State::Issued);
@@ -542,14 +539,6 @@ impl Window {
             }
             self.free_edges(head, tail);
         }
-        completed
-    }
-
-    /// The cycle of the earliest pending completion event, if any.
-    /// After [`advance_completions`](Self::advance_completions)`(now)`
-    /// this is always strictly greater than `now`.
-    pub fn next_completion_at(&self) -> Option<u64> {
-        self.completions.earliest()
     }
 
     /// Whether `seq` has produced its result.
@@ -888,29 +877,6 @@ impl CompletionWheel {
         self.next_lb = if self.len == 0 { u64::MAX } else { self.cursor };
     }
 
-    /// The cycle of the earliest pending event — an O(1) answer when
-    /// empty, otherwise a bounded slot scan (quiescent-cycle path: the
-    /// idle-span skipper asks once, then jumps the whole span).
-    fn earliest(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let far_at = self.far.peek().map(|(at, _)| at);
-        let mut t = self.next_lb.max(self.cursor);
-        let horizon = self.cursor + WHEEL as u64;
-        while t < horizon {
-            if far_at.is_some_and(|f| f <= t) {
-                return far_at;
-            }
-            if !self.buckets[t as usize & (WHEEL - 1)].is_empty() {
-                return Some(t);
-            }
-            t += 1;
-        }
-        debug_assert!(far_at.is_some(), "len > 0 but no event found");
-        far_at
-    }
-
     /// Every pending event sorted by `(at, seq)` — the canonical order
     /// snapshots serialize (wheel and heap layout order is not
     /// deterministic). Bucket residents recover their absolute cycle
@@ -1184,21 +1150,6 @@ mod tests {
         w.advance_completions(101);
         assert!(w.is_done(0));
         assert_eq!(w.ready_seqs(), vec![1]);
-    }
-
-    #[test]
-    fn next_completion_peeks_earliest_event() {
-        let mut w = Window::new(8);
-        w.dispatch(alu(0, 1, 0, 0));
-        w.dispatch(alu(1, 2, 0, 0));
-        assert_eq!(w.next_completion_at(), None);
-        w.mark_issued(0, Some(7));
-        w.mark_issued(1, Some(3));
-        assert_eq!(w.next_completion_at(), Some(3));
-        assert_eq!(w.advance_completions(3), 1);
-        assert_eq!(w.next_completion_at(), Some(7));
-        assert_eq!(w.advance_completions(7), 1);
-        assert_eq!(w.next_completion_at(), None);
     }
 
     #[test]

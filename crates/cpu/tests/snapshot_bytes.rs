@@ -4,13 +4,15 @@
 //!
 //! * The fnv1a64 of `save_snapshot().as_bytes()` at three fixed cycles
 //!   of one replayed kernel, under each of the four port families, is
-//!   pinned to values recorded before the window and the trace player
-//!   were reworked: first the slot-ring window and a whole-trace
-//!   predecoded table, then the one block-decoding player that replaced
-//!   that table and the streaming path. The replay cursor (byte offset,
-//!   sequence number, previous pc, previous memory address) kept its
-//!   fields and their order through both. Any reordering of edges,
-//!   completion events or cursor fields changes them.
+//!   pinned. The window, edge and replay-cursor bytes (byte offset,
+//!   sequence number, previous pc, previous memory address) have not
+//!   changed since before the slot-ring window and the block-decoding
+//!   trace player. The pins were last re-recorded at format version 4,
+//!   which dropped the embedded `cycle_skip` byte and the skipped-cycle
+//!   word with the idle-span skipper; each version-3 payload, with just
+//!   those nine bytes cut out, equals its version-4 payload. Any
+//!   reordering of edges, completion events or cursor fields changes
+//!   them.
 //! * save → resume → save reproduces the same bytes at each of those
 //!   cycles.
 
@@ -41,24 +43,24 @@ fn ports() -> [(&'static str, PortConfig); 4] {
     ]
 }
 
-/// Recorded on the tree before the slot-ring window and the block
-/// trace player: `(family, [fnv1a64 at each of CYCLES])`.
+/// Recorded at snapshot format version 4: `(family, [fnv1a64 at each
+/// of CYCLES])`.
 const PINNED: [(&str, [u64; 3]); 4] = [
     (
         "ideal",
-        [0x702c1cb00c9c9295, 0x3ce9e764f9615532, 0x4a1cdeea2617c9f8],
+        [0x5c5f0163e7d6b4f4, 0xd28596b3f35dd866, 0xec7547c550733c69],
     ),
     (
         "replicated",
-        [0xc646775831dc7f83, 0xbec134cb2872de3c, 0x956ac2f0589a507d],
+        [0xdb05c67d738d9506, 0x7022d46988e5a618, 0xa9468ef55811a4f7],
     ),
     (
         "banked",
-        [0xfca9055811a7cc15, 0x06fb23fdc3bcf654, 0xe8381741ebc135f9],
+        [0x3ddca416c4f5ad47, 0x42223d450c941d2d, 0x4f330a1082cd3b83],
     ),
     (
         "lbic",
-        [0x292a6a2e8e8c97c6, 0x0c17cac1faac534e, 0x58e8a0da2193855d],
+        [0xc48fd167e0bd2897, 0xa196ecdfb97f52b6, 0xdad4ce813aed446a],
     ),
 ];
 

@@ -28,7 +28,7 @@ const WORKLOAD: &str = ".data\nv: .space 4096\n.text\nmain:\n la r8, v\n li r9, 
 /// the window, so they join the ready list only once it completes —
 /// and then drain as a standing all-store backlog, each committing the
 /// cycle its access lands, while the LBIC's store queues drain on the
-/// otherwise-idle cycles around the idle skipper's jumps. A chain of
+/// otherwise-idle cycles of each DRAM fill. A chain of
 /// two 12-cycle `div`s on the load result keeps a non-Done frontier
 /// entry alive through the drain and holds the next burst's
 /// instructions — whose base address it feeds — out of the ready view

@@ -72,7 +72,7 @@ mod tests {
     fn repro_directory_is_complete_and_reassemblable() {
         let p = generate(1, &GenConfig::small());
         let v = RelationViolation {
-            relation: "skip-vs-noskip",
+            relation: "audit-vs-plain",
             detail: "synthetic".into(),
             expected: "a".into(),
             actual: "b".into(),
@@ -83,7 +83,7 @@ mod tests {
         let back = hbdc_isa::asm::assemble(&src).unwrap();
         assert_eq!(back.text(), p.text());
         let report = std::fs::read_to_string(dir.join("report.txt")).unwrap();
-        assert!(report.contains("skip-vs-noskip"));
+        assert!(report.contains("audit-vs-plain"));
         assert!(dir.join("original.s").exists());
         let _ = std::fs::remove_dir_all(&corpus);
     }

@@ -7,8 +7,8 @@
 //! paper's model orderings (ideal bounds realistic, single-port designs
 //! coincide, LBIC degree 1 vs. banked, replication on load-only traffic)
 //! and bit-identity across every execution-mode pair the simulator
-//! offers (execute/replay, skip/no-skip, audit on/off, snapshot
-//! split/straight, journaled matrix/direct).
+//! offers (execute/replay, audit on/off, snapshot split/straight,
+//! journaled matrix/direct).
 //!
 //! When a relation breaks, the harness shrinks the program to a minimal
 //! repro ([`shrink`]) and writes a self-contained artifact ([`artifact`])

@@ -28,14 +28,13 @@
 //!   ([`stores_to_loads`]), replicated ports are bit-identical to ideal
 //!   ports (the broadcast machinery never engages).
 //!
-//! **Bit-identity relations across the five execution-mode pairs** (same
+//! **Bit-identity relations across the four execution-mode pairs** (same
 //! program, same configuration, different engine path):
 //!
 //! * `source-roundtrip` — disassembling and re-assembling reproduces the
 //!   identical program (text, data, entry), and so does the object codec;
 //! * `execute-vs-replay` — a captured committed-stream trace replays to
 //!   the exact report of functional execution;
-//! * `skip-vs-noskip` — event-calendar cycle skipping changes nothing;
 //! * `audit-vs-plain` — the per-cycle invariant auditor neither fires
 //!   nor perturbs the run;
 //! * `snapshot-split` — splitting the run at a fuzzer-chosen cycle,
@@ -69,7 +68,6 @@ pub const RELATIONS: &[&str] = &[
     "replicated-load-only",
     "source-roundtrip",
     "execute-vs-replay",
-    "skip-vs-noskip",
     "audit-vs-plain",
     "snapshot-split",
     "journal-matrix",
@@ -347,26 +345,6 @@ pub fn check_program(
             "replaying the captured trace diverged from execution",
             base.to_record(),
             replayed.to_record(),
-        )));
-    }
-
-    // skip-vs-noskip.
-    checked += 1;
-    let noskip = try_run(
-        program,
-        flagship(),
-        CpuConfig {
-            cycle_skip: false,
-            ..cfg
-        },
-        "lbic:4x2/noskip",
-    )?;
-    if noskip != base {
-        return Err(Box::new(violation(
-            "skip-vs-noskip",
-            "disabling event-calendar cycle skipping changed the report",
-            base.to_record(),
-            noskip.to_record(),
         )));
     }
 

@@ -258,15 +258,6 @@ impl Hierarchy {
         self.l1.probe(addr)
     }
 
-    /// The completion cycle of the earliest outstanding fill strictly
-    /// after `now`, if any — the hierarchy's contribution to the
-    /// simulator's next-event calendar. Non-mutating: MSHRs whose fills
-    /// are already complete (retired lazily by the next access) are not
-    /// future events.
-    pub fn next_event(&self, now: u64) -> Option<u64> {
-        self.mshrs.next_ready_after(now)
-    }
-
     /// Number of outstanding L1 misses — fills still in flight strictly
     /// after `now`. A pure probe: completed-but-unretired entries are
     /// excluded by value, so no retirement (and no `&mut`) is needed.
@@ -381,17 +372,6 @@ mod tests {
         // After the first fill completes, the line can be requested.
         let ok = h.access(0x10_0000, false, 20);
         assert!(!ok.rejected);
-    }
-
-    #[test]
-    fn next_event_reports_earliest_outstanding_fill() {
-        let mut h = hier();
-        assert_eq!(h.next_event(0), None);
-        let a = h.access(0x1000_0000, false, 0); // miss, fills at 15
-        let b = h.access(0x2000_0000, false, 3); // miss, fills at 18
-        assert_eq!(h.next_event(3), Some(a.ready_at));
-        assert_eq!(h.next_event(a.ready_at), Some(b.ready_at));
-        assert_eq!(h.next_event(b.ready_at), None);
     }
 
     #[test]

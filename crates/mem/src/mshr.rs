@@ -110,28 +110,6 @@ impl MshrFile {
         }
     }
 
-    /// Completion cycle of the earliest outstanding fill still strictly
-    /// in the future at `now`. Entries at or before `now` are already
-    /// complete (they linger until the next access retires them) and are
-    /// not future events.
-    pub fn next_ready_after(&self, now: u64) -> Option<u64> {
-        match self.by_ready.peek() {
-            // Fast path: the earliest fill is still in the future.
-            Some(&Reverse((ready, _))) if ready > now => Some(ready),
-            None => None,
-            // A completed-but-unretired fill sits on top (a store's fill,
-            // say, that nothing probed since it landed): fall back to a
-            // scan for the earliest future one. Bounded by the file
-            // capacity and only reachable between retirements.
-            Some(_) => self
-                .by_ready
-                .iter()
-                .map(|&Reverse((r, _))| r)
-                .filter(|&r| r > now)
-                .min(),
-        }
-    }
-
     /// Number of misses currently outstanding.
     pub fn outstanding(&self) -> usize {
         self.entries.len()
@@ -238,18 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn next_ready_skips_already_completed_fills() {
-        let mut m = MshrFile::new(4);
-        m.register(0x00, 5);
-        m.register(0x40, 10);
-        // Entry at cycle 5 is complete by now=7 but not yet retired: it
-        // must not masquerade as a future event.
-        assert_eq!(m.next_ready_after(7), Some(10));
-        assert_eq!(m.next_ready_after(4), Some(5));
-        assert_eq!(m.next_ready_after(10), None);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one entry")]
     fn zero_capacity_panics() {
         MshrFile::new(0);
@@ -285,15 +251,13 @@ mod tests {
 
         let mut restored = MshrFile::new(4);
         restored.load_state(&mut StateReader::new(&bytes)).unwrap();
-        // The rebuilt heap must drive events and retirement exactly as
-        // the original's does.
-        assert_eq!(restored.next_ready_after(0), Some(5));
-        restored.retire_completed(5);
-        assert_eq!(restored.outstanding(), 2);
-        assert_eq!(restored.next_ready_after(5), Some(10));
-        restored.retire_completed(10);
-        assert_eq!(restored.outstanding(), 0);
-        assert_eq!(restored.next_ready_after(10), None);
+        // The rebuilt heap must drive retirement exactly as the
+        // original's does: nothing frees before a fill's cycle, and
+        // everything due frees at it.
+        for (now, left) in [(4, 3), (5, 2), (9, 2), (10, 0)] {
+            restored.retire_completed(now);
+            assert_eq!(restored.outstanding(), left, "at cycle {now}");
+        }
         // Freed entries really are reusable capacity.
         for i in 0..4u64 {
             assert_eq!(

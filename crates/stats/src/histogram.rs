@@ -68,25 +68,6 @@ impl Histogram {
         self.sum += value as u64;
     }
 
-    /// Records `count` identical samples of `value` in O(1), exactly
-    /// equivalent to calling [`record`](Self::record) `count` times.
-    /// Counts saturate instead of wrapping so bulk accounting over very
-    /// long spans can never corrupt the histogram.
-    pub fn record_n(&mut self, value: usize, count: u64) {
-        if count == 0 {
-            return;
-        }
-        if let Some(b) = self.buckets.get_mut(value) {
-            *b = b.saturating_add(count);
-        } else {
-            self.overflow = self.overflow.saturating_add(count);
-        }
-        self.total = self.total.saturating_add(count);
-        self.sum = self
-            .sum
-            .saturating_add((value as u64).saturating_mul(count));
-    }
-
     /// Number of samples recorded exactly at `value` (0 if out of range).
     pub fn count(&self, value: usize) -> u64 {
         self.buckets.get(value).copied().unwrap_or(0)
@@ -287,42 +268,6 @@ mod tests {
     #[should_panic(expected = "out of [0, 1]")]
     fn quantile_rejects_bad_q() {
         Histogram::new("h", 2).quantile(1.5);
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let mut bulk = Histogram::new("h", 4);
-        let mut ticked = Histogram::new("h", 4);
-        for (v, n) in [(0, 3), (2, 5), (4, 1), (9, 2)] {
-            bulk.record_n(v, n);
-            for _ in 0..n {
-                ticked.record(v);
-            }
-        }
-        assert_eq!(bulk, ticked);
-        assert!((bulk.mean() - ticked.mean()).abs() < 1e-12);
-        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
-            assert_eq!(bulk.quantile(q), ticked.quantile(q));
-        }
-    }
-
-    #[test]
-    fn record_n_zero_count_is_a_no_op() {
-        let mut h = Histogram::new("h", 4);
-        h.record_n(2, 0);
-        assert_eq!(h.total(), 0);
-        assert_eq!(h.count(2), 0);
-    }
-
-    #[test]
-    fn record_n_saturates_instead_of_wrapping() {
-        let mut h = Histogram::new("h", 2);
-        h.record_n(1, u64::MAX);
-        h.record_n(1, 5); // would wrap without saturation
-        assert_eq!(h.count(1), u64::MAX);
-        assert_eq!(h.total(), u64::MAX);
-        h.record_n(50, u64::MAX); // overflow bucket saturates too
-        assert_eq!(h.overflow(), u64::MAX);
     }
 
     #[test]

@@ -6,17 +6,12 @@
 # means a regression confined to one workload class (say, the slow FP
 # stencils) fails CI even when the aggregate hides it.
 #
-# It also gates two deterministic counters per benchmark for exact
+# It also gates one deterministic counter per benchmark for exact
 # equality with the baseline, on the first attempt with no noise retry:
 #
 # * `arb_rounds`, the arbitration rounds the simulated machine ran.
 #   Host timing cannot move it, so any difference means the arbitration
-#   work profile itself changed (an arbiter invoked more or less often,
-#   the idle skipper engaging differently).
-# * `skipped_cycles`. The idle skipper is the simulator's only optional
-#   fast path and its coverage is deterministic, so an idle skipper that
-#   silently stops engaging (or starts skipping different spans) fails
-#   here even though every report stays bit-identical.
+#   work profile itself changed (an arbiter invoked more or less often).
 #
 # Set HBDC_SKIP_PERF=1 to skip (e.g. on a loaded or throttled host).
 set -euo pipefail
@@ -102,15 +97,13 @@ for attempt in 1 2; do
     rate=$(read_rate "$tmp/BENCH_throughput.json")
     echo "measured $rate cycles/sec aggregate (baseline $baseline, attempt $attempt)"
     if [ "$attempt" = 1 ]; then
-        for name in arb_rounds skipped_cycles; do
-            exact_viol="$(check_exact "$name" BENCH_throughput.json "$tmp/BENCH_throughput.json")"
-            if [ -n "$exact_viol" ]; then
-                echo "$exact_viol" | sed 's/^/  /'
-                echo "FAIL: deterministic $name changed" >&2
-                exit 1
-            fi
-            echo "$name identical to baseline for every benchmark"
-        done
+        exact_viol="$(check_exact arb_rounds BENCH_throughput.json "$tmp/BENCH_throughput.json")"
+        if [ -n "$exact_viol" ]; then
+            echo "$exact_viol" | sed 's/^/  /'
+            echo "FAIL: deterministic arb_rounds changed" >&2
+            exit 1
+        fi
+        echo "arb_rounds identical to baseline for every benchmark"
     fi
     viol="$(check_rates BENCH_throughput.json "$tmp/BENCH_throughput.json")"
     if [ -z "$viol" ]; then

@@ -6,12 +6,11 @@
 # (130), resumes from the journal, and checks the resumed campaign's
 # stdout is byte-identical to an uninterrupted run of the same matrix.
 #
-# The campaign runs `compress`, whose runs contain idle spans that the
-# event calendar fast-forwards over; the runner's cycle-chunked
-# checkpoints land at arbitrary cycle counts, so interrupting it also
-# exercises snapshots cut *inside* a skipped span (the resumed half must
-# re-derive the remainder of the span bit-identically — the unit goldens
-# in `crates/cpu/src/snapshot.rs` pin this per port model).
+# The campaign runs `compress`; the runner's cycle-chunked checkpoints
+# land at arbitrary cycle counts, so interrupting it also exercises
+# snapshots cut while cache fills are in flight and nothing issues (the
+# unit goldens in `crates/cpu/src/snapshot.rs` pin such a cut per port
+# model).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
