@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use crate::runner::{MatrixOpts, TraceMode, WorkerSpec};
+use crate::runner::{MatrixOpts, WorkerSpec};
 use hbdc_workloads::{Benchmark, Scale};
 
 /// The argument following `flag` on the command line. Outer `None`: the
@@ -25,6 +25,26 @@ fn flag_value(flag: &str) -> Option<Option<String>> {
 /// Whether a bare `flag` appears on the command line.
 fn flag_present(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
+}
+
+/// The positive number following `flag`, if the flag is present. Usage
+/// error (exit 2) naming the flag and `what` it needs otherwise.
+fn positive_flag<T: std::str::FromStr + PartialOrd + Default>(flag: &str, what: &str) -> Option<T> {
+    let v = flag_value(flag)?;
+    let v = v.as_deref().unwrap_or("");
+    match v.parse::<T>() {
+        Ok(n) if n > T::default() => Some(n),
+        _ => usage_bail(&format!("{flag} needs {what}, got `{v}`")),
+    }
+}
+
+/// The path following `flag`, if the flag is present. Usage error (exit
+/// 2) with `missing` when no path follows it.
+fn path_flag(flag: &str, missing: &str) -> Option<PathBuf> {
+    match flag_value(flag)? {
+        Some(p) if !p.starts_with("--") => Some(PathBuf::from(p)),
+        _ => usage_bail(missing),
+    }
 }
 
 /// Reports a command-line usage problem and exits with status 2 (the
@@ -68,33 +88,25 @@ pub fn scale_from_args() -> Scale {
 /// default for binaries whose natural scale is not `full`. Prints a
 /// usage message and exits with status 2 on an invalid value.
 pub fn scale_from_args_or(default: Scale) -> Scale {
-    match flag_value("--scale") {
-        Some(v) => {
-            let v = v.as_deref().unwrap_or("");
-            parse_scale(v).unwrap_or_else(|e| usage_bail(&format!("--scale: {e}")))
-        }
-        None => default,
-    }
+    flag_value("--scale").map_or(default, |v| {
+        parse_scale(v.as_deref().unwrap_or(""))
+            .unwrap_or_else(|e| usage_bail(&format!("--scale: {e}")))
+    })
 }
 
 /// Reads a worker-thread count from `argv` (`--threads <N>`); `None`
 /// means "use every available core". Prints a usage message and exits
 /// with status 2 on a non-numeric or zero value.
 ///
-/// `--threads` composes with `--shard` rather than conflicting with it:
-/// without `--shard` it sizes the in-process simulation thread pool;
-/// with `--shard` it caps how many isolated worker *subprocesses* this
-/// one supervisor keeps in flight (each shard process applies its own
-/// `--threads`, so two terminals running `--shard --threads 2` drain the
-/// journal four cells at a time campaign-wide). `scripts/chaos_test.sh`
-/// exercises exactly this combination.
+/// `--threads` caps the matrix cells one process keeps in flight, and
+/// composes with `--shard` rather than conflicting with it: without
+/// `--shard` the cells run on threads, with it in isolated worker
+/// *subprocesses* (each shard process applies its own `--threads`, so two
+/// terminals running `--shard --threads 2` drain the journal four cells
+/// at a time campaign-wide). `scripts/chaos_test.sh` exercises exactly
+/// this combination.
 pub fn threads_from_args() -> Option<usize> {
-    let v = flag_value("--threads")?;
-    let v = v.as_deref().unwrap_or("");
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => usage_bail(&format!("--threads needs a positive integer, got `{v}`")),
-    }
+    positive_flag("--threads", "a positive integer")
 }
 
 /// Whether `--csv` was passed (binaries then print a CSV block after the
@@ -107,103 +119,75 @@ pub fn csv_from_args() -> bool {
 /// Measurement binaries repeat their matrix N times and report medians,
 /// so one noisy run (a container neighbor, a page-cache miss) cannot
 /// skew a tracked number. Prints a usage message and exits with status 2
-/// on a non-numeric or zero value.
+/// on a non-numeric or zero value, and on N > 1 with a journal (every
+/// repetition after the first would be served from the journal, untimed).
 pub fn runs_from_args() -> usize {
-    let Some(v) = flag_value("--runs") else {
-        return 1;
-    };
-    let v = v.as_deref().unwrap_or("");
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => usage_bail(&format!("--runs needs a positive integer, got `{v}`")),
+    let runs = positive_flag("--runs", "a positive integer").unwrap_or(1);
+    if runs > 1 && (flag_present("--journal") || flag_present("--resume")) {
+        usage_bail(
+            "--runs N > 1 cannot take --journal/--resume: every repetition after the \
+             first would be served from the journal instead of timed",
+        );
     }
+    runs
 }
 
 /// Which benchmarks to run: all, or a `--bench <name>` subset.
 pub fn benches_from_args() -> Vec<Benchmark> {
-    match flag_value("--bench") {
-        Some(v) => {
-            let name = v.as_deref().unwrap_or("");
-            match hbdc_workloads::by_name(name) {
-                Some(b) => vec![b],
-                None => {
-                    let valid: Vec<&str> =
-                        hbdc_workloads::all().iter().map(Benchmark::name).collect();
-                    usage_bail(&format!(
-                        "--bench: unknown benchmark `{name}` (valid: {})",
-                        valid.join(", ")
-                    ))
-                }
-            }
-        }
-        None => hbdc_workloads::all(),
-    }
+    let Some(v) = flag_value("--bench") else {
+        return hbdc_workloads::all();
+    };
+    let name = v.as_deref().unwrap_or("");
+    let Some(bench) = hbdc_workloads::by_name(name) else {
+        let valid: Vec<&str> = hbdc_workloads::all().iter().map(Benchmark::name).collect();
+        usage_bail(&format!(
+            "--bench: unknown benchmark `{name}` (valid: {})",
+            valid.join(", ")
+        ));
+    };
+    vec![bench]
 }
 
 /// Reads the campaign options from `argv`: `--journal <path>`,
-/// `--resume <path>` (sets the journal path *and* resume mode),
-/// `--timeout-secs <N>`, `--trace-mode <execute|replay>`,
+/// `--resume <path>` (the same as `--journal`, but the journal must
+/// already exist), `--timeout-secs <N>`, `--max-attempts <N>`,
 /// `--trace-cache <dir>`, and the multi-process knobs — `--shard`,
-/// `--max-attempts <N>`, `--lease-ttl-secs <N>`, plus the hidden
+/// `--lease-ttl-secs <N>`, plus the hidden
 /// `--worker-cell`/`--worker-out`/`--worker-matrix` triple a shard
 /// supervisor passes to its subprocesses. Prints a usage message naming
 /// the offending flag and exits with status 2 on a malformed value.
 pub fn matrix_opts_from_args() -> MatrixOpts {
-    let mut opts = MatrixOpts::default();
-    if let Some(v) = flag_value("--journal") {
-        match v {
-            Some(p) if !p.starts_with("--") => opts.journal = Some(PathBuf::from(p)),
-            _ => usage_bail("--journal needs a file path, e.g. `--journal table3.journal`"),
+    const SECS: &str = "a positive whole number of seconds";
+    let mut opts = MatrixOpts {
+        journal: path_flag(
+            "--journal",
+            "--journal needs a file path, e.g. `--journal table3.journal`",
+        ),
+        timeout: positive_flag("--timeout-secs", SECS).map(Duration::from_secs),
+        trace_cache: path_flag(
+            "--trace-cache",
+            "--trace-cache needs a directory path, e.g. `--trace-cache results/traces`",
+        ),
+        shard: flag_present("--shard"),
+        ..MatrixOpts::default()
+    };
+    if let Some(p) = path_flag(
+        "--resume",
+        "--resume needs the journal path of the interrupted run",
+    ) {
+        if !p.exists() {
+            usage_bail(&format!(
+                "--resume: no journal at `{}` (use --journal to start a campaign)",
+                p.display()
+            ));
         }
+        opts.journal = Some(p);
     }
-    if let Some(v) = flag_value("--resume") {
-        match v {
-            Some(p) if !p.starts_with("--") => {
-                opts.journal = Some(PathBuf::from(p));
-                opts.resume = true;
-            }
-            _ => usage_bail("--resume needs the journal path of the interrupted run"),
-        }
+    if let Some(n) = positive_flag("--max-attempts", "a positive integer") {
+        opts.max_attempts = n;
     }
-    if let Some(v) = flag_value("--timeout-secs") {
-        let v = v.as_deref().unwrap_or("");
-        match v.parse::<u64>() {
-            Ok(n) if n > 0 => opts.timeout = Some(Duration::from_secs(n)),
-            _ => usage_bail(&format!(
-                "--timeout-secs needs a positive whole number of seconds, got `{v}`"
-            )),
-        }
-    }
-    if let Some(v) = flag_value("--trace-mode") {
-        opts.trace_mode = parse_trace_mode(v.as_deref().unwrap_or(""))
-            .unwrap_or_else(|e| usage_bail(&format!("--trace-mode: {e}")));
-    }
-    if let Some(v) = flag_value("--trace-cache") {
-        match v {
-            Some(p) if !p.starts_with("--") => opts.trace_cache = Some(PathBuf::from(p)),
-            _ => usage_bail(
-                "--trace-cache needs a directory path, e.g. `--trace-cache results/traces`",
-            ),
-        }
-    }
-    opts.shard = flag_present("--shard");
-    if let Some(v) = flag_value("--max-attempts") {
-        let v = v.as_deref().unwrap_or("");
-        match v.parse::<u32>() {
-            Ok(n) if n > 0 => opts.max_attempts = n,
-            _ => usage_bail(&format!(
-                "--max-attempts needs a positive integer, got `{v}`"
-            )),
-        }
-    }
-    if let Some(v) = flag_value("--lease-ttl-secs") {
-        let v = v.as_deref().unwrap_or("");
-        match v.parse::<u64>() {
-            Ok(n) if n > 0 => opts.lease_ttl = Duration::from_secs(n),
-            _ => usage_bail(&format!(
-                "--lease-ttl-secs needs a positive whole number of seconds, got `{v}`"
-            )),
-        }
+    if let Some(n) = positive_flag("--lease-ttl-secs", SECS) {
+        opts.lease_ttl = Duration::from_secs(n);
     }
     // The hidden worker triple: set only by a shard supervisor when it
     // re-executes the binary for one cell. All three travel together.
@@ -227,19 +211,6 @@ pub fn matrix_opts_from_args() -> MatrixOpts {
         opts.worker = Some(WorkerSpec { cell, out, matrix });
     }
     opts
-}
-
-/// Parses a `--trace-mode` CLI value.
-///
-/// # Errors
-///
-/// Returns the offending string if it is not `execute` or `replay`.
-pub fn parse_trace_mode(s: &str) -> Result<TraceMode, String> {
-    match s {
-        "execute" => Ok(TraceMode::Execute),
-        "replay" => Ok(TraceMode::Replay),
-        other => Err(format!("unknown trace mode `{other}` (use execute|replay)")),
-    }
 }
 
 #[cfg(test)]

@@ -3,15 +3,16 @@
 //! as ports grow 1 → 16, for all ten benchmarks plus suite averages.
 //!
 //! Usage: `table3 [--scale test|small|full] [--bench <name>] [--threads N]
-//! [--csv] [--journal PATH | --resume PATH] [--timeout-secs N] [--shard
-//! [--max-attempts N] [--lease-ttl-secs N]]`
+//! [--csv] [--journal PATH | --resume PATH] [--timeout-secs N]
+//! [--max-attempts N] [--trace-cache DIR] [--shard [--lease-ttl-secs N]]`
 //!
-//! With `--journal`, every finished cell is logged crash-safely and
-//! Ctrl-C checkpoints in-flight cells; `--resume PATH` continues an
-//! interrupted campaign from its journal and cell checkpoints. With
-//! `--shard`, N such processes started on the same journal drain one
-//! campaign cooperatively (leased cells, isolated worker subprocesses,
-//! quarantine after `--max-attempts` failures — exit 3).
+//! A cell that fails `--max-attempts` times (default 2) or times out is
+//! quarantined — exit 3. With `--journal`, every finished cell is logged
+//! crash-safely and Ctrl-C checkpoints in-flight cells; rerunning on the
+//! same journal (`--resume PATH` insists that it exists) continues the
+//! campaign from its records and cell checkpoints. With `--shard`, N such
+//! processes started on the same journal drain one campaign
+//! cooperatively (leased cells, isolated worker subprocesses).
 
 use hbdc_bench::runner::{
     benches_from_args, csv_from_args, scale_from_args, simulate_matrix, table3_columns,

@@ -11,15 +11,19 @@
 //!
 //! Usage: `throughput [--scale test|small|full] [--bench <name>] [--threads N]
 //! [--runs N] [--journal PATH | --resume PATH] [--timeout-secs N]
-//! [--trace-mode execute|replay] [--trace-cache DIR]`
+//! [--trace-cache DIR]`
 //! (default scale: `small`, the standing cross-PR measurement point).
+//! Every cell replays its benchmark's captured trace.
 //!
 //! `--runs N` repeats the whole matrix N times and reports the
 //! **median** rate — independently per benchmark, and for the
 //! aggregate — so one noisy repetition cannot skew a tracked number.
 //! Cycle counts are deterministic across repetitions (the simulations
 //! are identical; only timings vary), so each median entry is the full
-//! profile of the repetition with the median rate.
+//! profile of the repetition with the median rate. With N > 1 a journal
+//! is refused (exit 2): later repetitions would be served from it,
+//! untimed. Rates count only the cells this run timed, and a run that
+//! timed none leaves `BENCH_throughput.json` and the history untouched.
 //!
 //! Besides the working-copy `BENCH_throughput.json`, each run appends an
 //! immutable copy under `results/bench_history/` (sequence-numbered,
@@ -30,13 +34,16 @@ use std::path::Path;
 use std::time::Instant;
 
 use hbdc_bench::runner::{
-    benches_from_args, matrix_opts_from_args, runs_from_args, scale_from_args_or, scale_label,
-    sim_speed, simulate_matrix, table3_columns, TraceMode,
+    benches_from_args, runs_from_args, scale_from_args_or, scale_label, sim_speed, simulate_matrix,
+    table3_columns,
 };
 use hbdc_cpu::SimReport;
 use hbdc_workloads::Scale;
 
-/// Throughput summary over one set of finished reports.
+/// Throughput summary over the reports this process timed. Reports served
+/// from a journal or returned by a `--shard` worker are parsed back from a
+/// record, which keeps no host timing (`cpu_secs` is 0), so they are left
+/// out rather than counted as free cycles.
 struct Speed {
     sims: usize,
     cycles: u64,
@@ -46,14 +53,12 @@ struct Speed {
     arb_offered_per_round: f64,
 }
 
-fn speed_over<'a>(reports: impl IntoIterator<Item = &'a SimReport> + Clone) -> Speed {
-    let sims = reports.clone().into_iter().count();
-    let (cycles, sim_secs, rate) = sim_speed(reports.clone());
-    let (mut arb_rounds, mut arb_offered) = (0u64, 0u64);
-    for r in reports {
-        arb_rounds += r.arb_rounds;
-        arb_offered += r.arb_offered;
-    }
+fn speed_over<'a>(reports: impl IntoIterator<Item = &'a SimReport>) -> Speed {
+    let timed: Vec<&SimReport> = reports.into_iter().filter(|r| r.cpu_secs > 0.0).collect();
+    let sims = timed.len();
+    let (cycles, sim_secs, rate) = sim_speed(timed.iter().copied());
+    let arb_rounds: u64 = timed.iter().map(|r| r.arb_rounds).sum();
+    let arb_offered: u64 = timed.iter().map(|r| r.arb_offered).sum();
     // Mean offered references per non-empty arbitration round — the
     // backlog each arbitration round sees per invocation.
     let arb_offered_per_round = if arb_rounds > 0 {
@@ -118,10 +123,6 @@ fn main() -> std::process::ExitCode {
     let benches = benches_from_args();
     let columns = table3_columns();
     let runs = runs_from_args();
-    let trace_mode = match matrix_opts_from_args().trace_mode {
-        TraceMode::Replay => "replay",
-        TraceMode::Execute => "execute",
-    };
 
     let start = Instant::now();
     let mut passes = Vec::with_capacity(runs);
@@ -147,14 +148,13 @@ fn main() -> std::process::ExitCode {
     // `"cycles_per_sec"` key stays at top-level two-space indent —
     // `scripts/perf_guard.sh` anchors on that to ignore the per-benchmark
     // entries below it.
-    // `sim_cpu_secs` covers only the timing loops of the finished cells;
-    // the one-shot functional capture pass is reported apart as
-    // `capture_secs` so the two phases stay separately interpretable
-    // against `harness_wall_secs`.
+    // `sim_cpu_secs` covers only the timing loops of the cells this run
+    // timed. `capture_secs` is the wall-clock span of the trace captures,
+    // which overlap each other and the replay, so it is not a share of
+    // `harness_wall_secs`.
     let mut json = format!(
-        "{{\n  \"name\": \"simulator-throughput\",\n  \"scale\": \"{}\",\n  \"trace_mode\": \"{}\",\n  \"runs\": {runs},\n  \"sims\": {},\n  \"simulated_cycles\": {},\n  \"sim_cpu_secs\": {:.3},\n  \"capture_secs\": {:.3},\n  \"cycles_per_sec\": {:.0},\n  \"arb_rounds\": {},\n  \"arb_offered_per_round\": {:.2},\n  \"harness_wall_secs\": {:.3},\n  \"benchmarks\": [",
+        "{{\n  \"name\": \"simulator-throughput\",\n  \"scale\": \"{}\",\n  \"runs\": {runs},\n  \"sims\": {},\n  \"simulated_cycles\": {},\n  \"sim_cpu_secs\": {:.3},\n  \"capture_secs\": {:.3},\n  \"cycles_per_sec\": {:.0},\n  \"arb_rounds\": {},\n  \"arb_offered_per_round\": {:.2},\n  \"harness_wall_secs\": {:.3},\n  \"benchmarks\": [",
         scale_label(scale),
-        trace_mode,
         total.sims,
         total.cycles,
         total.sim_secs,
@@ -209,19 +209,29 @@ fn main() -> std::process::ExitCode {
         json.pop();
     }
     json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_throughput.json", &json).expect("write BENCH_throughput.json");
-    match append_history(&json) {
-        Ok(path) => eprintln!("history snapshot: {}", path.display()),
-        Err(e) => eprintln!("warning: could not append bench history: {e}"),
+    // A run that timed no cell (every cell served from the journal, run
+    // by `--shard` workers, or failed) measured nothing: a rate of 0 must
+    // not replace the tracked number or enter the history.
+    if total.sims == 0 {
+        eprintln!(
+            "throughput: no cell was timed by this run; BENCH_throughput.json and the \
+             history are left as they are"
+        );
+    } else {
+        std::fs::write("BENCH_throughput.json", &json).expect("write BENCH_throughput.json");
+        match append_history(&json) {
+            Ok(path) => eprintln!("history snapshot: {}", path.display()),
+            Err(e) => eprintln!("warning: could not append bench history: {e}"),
+        }
     }
     print!("{json}");
     // No-op unless HBDC_STAGE_PROF is set: per-stage wall totals.
     hbdc_cpu::stageprof::dump();
-    // Any repetition's trouble (failure, interrupt, quarantine) makes
-    // the exit code, not just the median pass's.
+    // Any repetition's trouble (quarantine, interrupt) makes the exit
+    // code, not just the median pass's.
     passes
         .iter()
-        .find(|p| p.interrupted || !p.failures.is_empty() || !p.quarantined.is_empty())
+        .find(|p| !p.is_complete())
         .unwrap_or(run)
         .exit_code()
 }

@@ -5,10 +5,10 @@
 //! (`ablation_bankmap`, `ablation_policy`, `ablation_depth`). The shared
 //! machinery — building a benchmark, running it through the timing
 //! simulator under a port model, and rendering rows — lives here so the
-//! binaries and the Criterion benches stay thin. The multi-process
-//! campaign supervisor (journal leases, subprocess workers, quarantine)
-//! lives in the private `supervise` module and is reached through the
-//! `--shard` flag on any matrix binary.
+//! binaries and the Criterion benches stay thin. The campaign engine every
+//! matrix binary runs through (journal state, leases, retries and
+//! quarantine, the thread and `--shard` subprocess executors) lives in
+//! the private `supervise` module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,7 @@
 //! Shared experiment machinery: simulation driving, scale parsing,
-//! suite-average bookkeeping, and the crash-safe journaled matrix runner
-//! (per-cell run journal, SIGINT checkpointing, per-job timeouts).
+//! suite-average bookkeeping, and the matrix campaign API — its options,
+//! result type, trace capture and the in-process cell runner (the
+//! campaign loop itself lives in `crate::supervise`).
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -10,12 +11,12 @@ use hbdc_cpu::{
     CacheLookup, CommittedTrace, CpuConfig, SimError, SimReport, SimSnapshot, Simulator,
 };
 use hbdc_mem::HierarchyConfig;
-use hbdc_snap::lock::{evict_corrupt, FileLock};
-use hbdc_snap::{fnv1a64, interrupt, write_atomic, StateWriter};
+use hbdc_snap::lock::evict_corrupt;
+use hbdc_snap::{fnv1a64, interrupt, StateWriter};
 use hbdc_stats::summary::arithmetic_mean;
 use hbdc_workloads::{Benchmark, Scale, Suite};
 
-use crate::supervise::{self, CellState, JournalState, ShardParams};
+use crate::supervise;
 
 /// Runs one benchmark under one port model and returns its report.
 ///
@@ -63,8 +64,8 @@ pub fn sim_ok(result: Result<SimReport, SimError>) -> SimReport {
 // re-exported here because the binaries import it from the runner.
 pub(crate) use crate::args::usage_bail;
 pub use crate::args::{
-    benches_from_args, csv_from_args, matrix_opts_from_args, parse_scale, parse_trace_mode,
-    runs_from_args, scale_from_args, scale_from_args_or, scale_label, threads_from_args,
+    benches_from_args, csv_from_args, matrix_opts_from_args, parse_scale, runs_from_args,
+    scale_from_args, scale_from_args_or, scale_label, threads_from_args,
 };
 
 /// Accumulates per-suite IPC rows and produces the paper's "SPECint Ave."
@@ -110,17 +111,19 @@ impl SuiteAverages {
     }
 }
 
-/// One failed matrix job: which cell failed, how many attempts it got,
-/// and the error (or panic payload) that killed it.
+/// One quarantined matrix cell: which cell, how many attempts it got,
+/// and the error (or panic payload) that ended its last attempt.
 #[derive(Debug, Clone)]
 pub struct JobFailure {
     /// Benchmark name of the failed cell.
     pub bench: String,
     /// Config label of the failed cell.
     pub config: String,
-    /// Attempts made (the runner retries a failed job once).
+    /// Attempts made: a cell is quarantined once it has failed
+    /// `--max-attempts` times (default 2), or at once when it times out.
     pub attempts: u32,
-    /// Rendered [`SimError`] or panic payload from the final attempt.
+    /// Rendered [`SimError`], trace-capture error, or panic payload from
+    /// the final attempt.
     pub error: String,
 }
 
@@ -139,63 +142,58 @@ impl std::fmt::Display for JobFailure {
 }
 
 /// The outcome of a fault-tolerant matrix run: every cell's report in
-/// `[bench][config]` order (`None` where the job failed), plus a failure
-/// record per dead cell.
+/// `[bench][config]` order (`None` where the cell was quarantined), plus a
+/// failure record per quarantined cell.
 #[derive(Debug, Clone)]
 pub struct MatrixRun {
-    /// Reports in `[bench][config]` order; `None` marks a failed job (or,
-    /// on an interrupted run, a checkpointed or never-started one).
+    /// Reports in `[bench][config]` order; `None` marks a quarantined cell
+    /// (or, on an interrupted run, a checkpointed or never-started one).
     pub reports: Vec<Vec<Option<SimReport>>>,
-    /// One record per failed job (empty on a clean run).
+    /// One record per quarantined cell: a cell that failed its whole
+    /// `--max-attempts` budget or timed out. The campaign completed around
+    /// these; rerunning the journal with a larger `--max-attempts` gives
+    /// them fresh attempts.
     pub failures: Vec<JobFailure>,
-    /// One record per quarantined cell: in shard mode, a cell that failed
-    /// its whole `--max-attempts` budget (or timed out). The campaign
-    /// completed around these; rerunning with a larger `--max-attempts`
-    /// gives them fresh attempts.
-    pub quarantined: Vec<JobFailure>,
     /// Whether the run was cut short by an interrupt request (SIGINT on a
     /// journaled campaign): in-flight cells were checkpointed at a cycle
-    /// boundary and the journal flushed, so a later `--resume` continues
-    /// where this run stopped.
+    /// boundary and the journal flushed, so rerunning with the same
+    /// journal continues where this run stopped.
     pub interrupted: bool,
-    /// Wall-clock seconds the trace-capture phase took (0.0 in execute
-    /// mode, and tiny when the trace cache was warm). Kept separate from
-    /// the per-report `cpu_secs` so replay timing is reported apart from
-    /// the one-shot functional pass.
+    /// Wall-clock seconds from the start of this process's first trace
+    /// capture (or trace-cache load) to the end of its last. Captures run
+    /// concurrently with each other and with the replay of cells whose
+    /// trace is ready, so this is the capture phase's span, not a share of
+    /// the harness time. 0.0 under `--shard`, whose workers capture for
+    /// themselves, and when every cell came from the journal.
     pub capture_secs: f64,
 }
 
 impl MatrixRun {
-    /// Whether every job produced a report.
+    /// Whether every cell produced a report.
     pub fn is_complete(&self) -> bool {
-        self.failures.is_empty() && self.quarantined.is_empty() && !self.interrupted
+        self.failures.is_empty() && !self.interrupted
     }
 
-    /// Prints one line per failed and per quarantined cell to stderr
-    /// (no-op on a clean run).
+    /// Prints one line per quarantined cell to stderr (no-op on a clean
+    /// run).
     pub fn print_failure_summary(&self) {
-        let total = self.reports.iter().map(Vec::len).sum::<usize>();
-        if !self.failures.is_empty() {
-            eprintln!("{} of {total} matrix jobs failed:", self.failures.len());
-            for f in &self.failures {
-                eprintln!("  {f}");
-            }
+        if self.failures.is_empty() {
+            return;
         }
-        if !self.quarantined.is_empty() {
-            eprintln!(
-                "{} of {total} matrix jobs quarantined (rerun with a larger \
-                 --max-attempts to retry them):",
-                self.quarantined.len()
-            );
-            for f in &self.quarantined {
-                eprintln!("  {f}");
-            }
+        let total = self.reports.iter().map(Vec::len).sum::<usize>();
+        eprintln!(
+            "{} of {total} matrix cells quarantined (rerun the journal with a larger \
+             --max-attempts to retry them):",
+            self.failures.len()
+        );
+        for f in &self.failures {
+            eprintln!("  {f}");
         }
     }
 
     /// Unwraps a run that must be complete (golden tests, callers with no
     /// partial-output story), panicking with the failure summary if any
-    /// job died.
+    /// cell was quarantined.
     ///
     /// # Panics
     ///
@@ -204,13 +202,8 @@ impl MatrixRun {
         assert!(!self.interrupted, "matrix run was interrupted");
         assert!(
             self.failures.is_empty(),
-            "matrix run incomplete: {:?}",
-            self.failures
-        );
-        assert!(
-            self.quarantined.is_empty(),
             "matrix run has quarantined cells: {:?}",
-            self.quarantined
+            self.failures
         );
         self.reports
             .into_iter()
@@ -218,17 +211,14 @@ impl MatrixRun {
             .collect()
     }
 
-    /// The exit code a binary should end with: 0 for a clean run, 1 if
-    /// any job failed (partial results were still printed), 3 if the only
-    /// incomplete cells are quarantined ones (the campaign is as done as
-    /// its attempt budget allows), 130 — the conventional SIGINT code —
-    /// if the run was interrupted and checkpointed.
+    /// The exit code a binary should end with: 0 for a clean run, 3 if
+    /// any cell was quarantined (the partial results were still printed),
+    /// 130 — the conventional SIGINT code — if the run was interrupted
+    /// and checkpointed.
     pub fn exit_code(&self) -> std::process::ExitCode {
         if self.interrupted {
             std::process::ExitCode::from(130)
         } else if !self.failures.is_empty() {
-            std::process::ExitCode::from(1)
-        } else if !self.quarantined.is_empty() {
             std::process::ExitCode::from(3)
         } else {
             std::process::ExitCode::SUCCESS
@@ -236,13 +226,13 @@ impl MatrixRun {
     }
 }
 
-/// Name prefix for matrix worker threads; the panic hook uses it to keep
-/// an intentionally-caught job panic from spraying stderr.
-const WORKER_PREFIX: &str = "hbdc-job";
+/// Name prefix for matrix cell threads; the panic hook uses it to keep
+/// an intentionally-caught cell panic from spraying stderr.
+pub(crate) const WORKER_PREFIX: &str = "hbdc-job";
 
-/// Silences default panic output from matrix worker threads (their
-/// panics are caught, recorded as [`JobFailure`]s, and reported in the
-/// failure summary); panics anywhere else keep the previous hook.
+/// Silences default panic output from matrix cell threads (their panics
+/// are caught, recorded as failed attempts, and reported in the failure
+/// summary); panics anywhere else keep the previous hook.
 fn install_worker_panic_hook() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
@@ -269,22 +259,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs the full (benchmark x port-config) matrix across OS threads,
-/// returning a [`MatrixRun`] with reports in `[bench][config]` order.
+/// Runs the full (benchmark x port-config) matrix, returning a
+/// [`MatrixRun`] with reports in `[bench][config]` order.
 ///
-/// Simulations are independent, so this is an embarrassingly parallel
-/// work queue; on an N-core machine the full-scale Table 3 matrix runs
-/// ~N times faster than the serial loop. The worker count honors
-/// `--threads N` (default: every available core). Workers hand finished
-/// reports to the calling thread over a channel, which fills the result
-/// slots and batches the progress marks through one locked stderr handle
-/// (one writer, no interleaved syscalls; `.` per success, `x` per
-/// failure). A `sim-speed` summary line follows the marks.
+/// Simulations are independent, so cells run concurrently: `--threads N`
+/// of them at a time (default: every available core). Progress marks go
+/// to one stderr line (`.` per completed cell, `x` per failed attempt,
+/// `Q` per quarantined cell, `!` per checkpointed one), followed by a
+/// `sim-speed` summary line.
 ///
-/// **Fault tolerance:** a job that fails — a [`SimError`], or a panic
-/// caught at the job boundary — is retried once, then recorded as a
-/// [`JobFailure`]; the rest of the matrix still completes. One diverging
-/// cell costs one cell, not a whole Table 3 overnight run.
+/// **Fault tolerance:** a cell that fails — a [`SimError`], a failed
+/// trace capture, or a panic caught at the cell boundary — is retried
+/// after a backoff until it has failed `--max-attempts` times (default
+/// 2), then quarantined; the rest of the matrix still completes. One
+/// diverging cell costs one cell, not a whole Table 3 overnight run.
 pub fn simulate_matrix(
     benches: &[Benchmark],
     scale: Scale,
@@ -294,9 +282,9 @@ pub fn simulate_matrix(
 }
 
 /// [`simulate_matrix`] with an explicit machine configuration. The
-/// campaign options (`--journal`, `--resume`, `--timeout-secs`) are read
-/// from `argv` like the rest of the matrix flags; a journal problem is a
-/// usage error (reported and exit 2).
+/// campaign options (`--journal`, `--resume`, `--timeout-secs`, ...) are
+/// read from `argv` like the rest of the matrix flags; a journal problem
+/// is a usage error (reported and exit 2).
 pub fn simulate_matrix_with(
     benches: &[Benchmark],
     scale: Scale,
@@ -308,20 +296,6 @@ pub fn simulate_matrix_with(
         ..matrix_opts_from_args()
     };
     simulate_matrix_opts(benches, scale, configs, &opts).unwrap_or_else(|e| usage_bail(&e))
-}
-
-/// How matrix cells obtain their dynamic instruction stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceMode {
-    /// Capture each benchmark's committed stream once (one functional
-    /// pass per benchmark, served from the trace cache when possible),
-    /// then drive every cell of the configuration fan-out by timing-only
-    /// replay. Reports are bit-identical to [`Execute`](Self::Execute);
-    /// the functional work is simply not repeated per cell.
-    #[default]
-    Replay,
-    /// Execute the program functionally inside every cell.
-    Execute,
 }
 
 /// Coordinates for the hidden worker-cell mode: a shard supervisor
@@ -345,38 +319,37 @@ pub struct WorkerSpec {
 pub struct MatrixOpts {
     /// Machine configuration for every cell.
     pub cpu_cfg: CpuConfig,
-    /// Per-job wall-clock budget. A cell still running when it expires is
-    /// recorded as a `timeout` failure (never retried: a hung model hangs
-    /// again) and the rest of the matrix continues. `None` disables it.
+    /// Per-cell wall-clock budget. A cell still running when it expires
+    /// is quarantined at once (never retried: a hung model hangs again)
+    /// and the rest of the matrix continues. `None` disables it.
     pub timeout: Option<Duration>,
-    /// Journal path. Enables crash-safe campaign journaling: every
-    /// finished cell is persisted with an atomic whole-file rewrite, and
+    /// Journal path. Keeps the campaign state in this file instead of in
+    /// memory: every claim and result is an atomic whole-file rewrite, and
     /// SIGINT checkpoints in-flight cells instead of killing the process.
+    /// An existing journal for the same matrix is always continued:
+    /// completed cells are served from it, checkpointed cells resume
+    /// bit-identically from their snapshots, and failed cells get the
+    /// rest of their attempt budget.
     pub journal: Option<PathBuf>,
-    /// Resume from the journal at [`journal`](Self::journal): completed
-    /// cells are served from the journal, failed cells are re-run, and
-    /// checkpointed in-flight cells resume bit-identically from their
-    /// snapshots.
-    pub resume: bool,
-    /// Whether cells replay a captured trace or execute functionally.
-    pub trace_mode: TraceMode,
     /// Directory for the on-disk trace corpus. Captured traces are
     /// persisted here keyed by benchmark, scale, warmup, and program
     /// fingerprint, so later campaigns — and *other* experiment binaries
     /// sharing the directory — skip the capture pass entirely. `None`
     /// keeps traces in memory for this campaign only.
     pub trace_cache: Option<PathBuf>,
-    /// Run as one of N cooperating shard processes draining the journal
-    /// at [`journal`](Self::journal) (required) together: cells are
-    /// claimed under heartbeat leases, each runs in a subprocess, and the
-    /// run returns once every cell is terminal campaign-wide. Start the
-    /// same command in several terminals (or on several machines sharing
-    /// a filesystem with sane rename semantics) to parallelize.
+    /// Run each claimed cell in a re-executed worker subprocess instead of
+    /// on a thread, as one of N cooperating shard processes draining the
+    /// journal at [`journal`](Self::journal) (required) together under
+    /// heartbeat leases. The run returns once every cell is terminal
+    /// campaign-wide. Start the same command in several terminals (or on
+    /// several machines sharing a filesystem with sane rename semantics)
+    /// to parallelize.
     pub shard: bool,
-    /// Shard mode: attempts a cell gets before it is quarantined.
+    /// Attempts a failing cell gets, with an exponential backoff between
+    /// them, before it is quarantined.
     pub max_attempts: u32,
-    /// Shard mode: heartbeat TTL after which other processes may steal a
-    /// lease from an unresponsive owner.
+    /// Heartbeat TTL after which another shard process may steal a lease
+    /// from an unresponsive owner.
     pub lease_ttl: Duration,
     /// Hidden worker-cell mode (set only by a shard supervisor when it
     /// re-executes the binary); runs one cell and exits.
@@ -389,8 +362,6 @@ impl Default for MatrixOpts {
             cpu_cfg: CpuConfig::default(),
             timeout: None,
             journal: None,
-            resume: false,
-            trace_mode: TraceMode::default(),
             trace_cache: None,
             shard: false,
             max_attempts: supervise::DEFAULT_MAX_ATTEMPTS,
@@ -405,10 +376,12 @@ impl Default for MatrixOpts {
 /// SIGINT and timeout latency stay in the low milliseconds.
 const CHUNK_CYCLES: u64 = 4096;
 
-/// Content fingerprint of a matrix campaign: scale, benchmark roster,
-/// column labels and port parameters, and the machine configuration. A
-/// journal records the fingerprint it was written under, and resuming it
-/// under any other matrix is refused rather than silently mixing results.
+/// Content fingerprint of a matrix campaign: scale, each benchmark's name
+/// and program (the object-byte fingerprint that also keys the trace
+/// cache), column labels and port parameters, and the machine
+/// configuration. A journal records the fingerprint it was written under,
+/// and continuing it under any other matrix — a kernel-generator edit
+/// included — is refused rather than silently mixing results.
 pub(crate) fn matrix_hash(
     benches: &[Benchmark],
     scale: Scale,
@@ -420,6 +393,10 @@ pub(crate) fn matrix_hash(
     w.put_usize(benches.len());
     for b in benches {
         w.put_str(b.name());
+        // A generator that panics fingerprints as 0; its cells fail with
+        // the panic when they capture.
+        let program = std::panic::catch_unwind(|| b.build(scale));
+        w.put_u64(program.map_or(0, |p| fnv1a64(&hbdc_isa::object::to_bytes(&p))));
     }
     w.put_usize(configs.len());
     for (label, port) in configs {
@@ -431,79 +408,11 @@ pub(crate) fn matrix_hash(
 }
 
 /// Where a journaled run checkpoints cell `idx`'s in-flight simulator
-/// state on interrupt (deleted once the cell completes).
+/// state on interrupt (deleted once the cell concludes).
 pub(crate) fn cell_snap_path(journal: &Path, idx: usize) -> PathBuf {
     let mut name = journal.as_os_str().to_owned();
     name.push(format!(".cell{idx}.snap"));
     PathBuf::from(name)
-}
-
-/// The single-process campaign log: the in-memory [`JournalState`] plus
-/// its path. [`flush`](Self::flush) atomically rewrites the whole file
-/// under the journal's advisory lock, so a kill at any instant leaves
-/// either the previous journal or the new one on disk — never a torn
-/// file — and a concurrent shard supervisor pointed at the same journal
-/// never reads mid-rename. The file format (journal v2) is shared with
-/// the multi-process supervisor in [`crate::supervise`].
-struct Journal {
-    path: PathBuf,
-    state: JournalState,
-}
-
-impl Journal {
-    fn new(path: PathBuf, hash: u64, total: usize) -> Self {
-        Self {
-            path,
-            state: JournalState::fresh(hash, total),
-        }
-    }
-
-    fn record_ok(&mut self, idx: usize, attempts: u32, report: &SimReport) {
-        self.state.set_ok(idx, attempts, report.to_record());
-    }
-
-    fn record_fail(&mut self, idx: usize, attempts: u32, error: &str) {
-        // The single-process runner's retry policy (one in-line retry) has
-        // already run its course by the time a failure is recorded, so
-        // the cell is never quarantined here — a later --resume re-runs
-        // it immediately (no backoff deadline).
-        self.state
-            .set_fail(idx, attempts, 0, error.to_string(), u32::MAX);
-    }
-
-    fn flush(&self) -> Result<(), String> {
-        let lock = supervise::lock_path(&self.path);
-        let _lock = FileLock::exclusive(&lock)
-            .map_err(|e| format!("journal lock {}: {e}", lock.display()))?;
-        write_atomic(
-            &self.path,
-            supervise::render_journal(&self.state).as_bytes(),
-        )
-        .map_err(|e| format!("journal {}: {e}", self.path.display()))
-    }
-}
-
-/// Parses and validates a journal for resumption: the header, matrix
-/// fingerprint, and cell count must all match this run. Returns the
-/// completed (`ok`) cells; `fail`, `quar`, and stale `lease` cells are
-/// dropped so the resume re-runs them.
-fn load_journal(
-    path: &Path,
-    hash: u64,
-    total: usize,
-) -> Result<Vec<Option<(SimReport, u32)>>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
-    let state = supervise::parse_journal(&text, path, hash, total)?;
-    let mut out: Vec<Option<(SimReport, u32)>> = vec![None; total];
-    for (idx, cell) in state.cells.iter().enumerate() {
-        if let CellState::Ok { attempts, record } = cell {
-            let report = SimReport::from_record(record)
-                .map_err(|e| format!("{}: cell {idx}: {e}", path.display()))?;
-            out[idx] = Some((report, *attempts));
-        }
-    }
-    Ok(out)
 }
 
 /// The on-disk name of a benchmark's cached trace. The program
@@ -516,57 +425,41 @@ fn trace_cache_path(dir: &Path, bench: &str, scale: Scale, warmup: u64, fp: u64)
     ))
 }
 
-/// Captures (or loads from the cache) one committed-stream trace per
-/// benchmark, in parallel across the benchmarks. Returns the traces —
-/// `None` where capture failed, leaving those cells to execute
-/// functionally and report the real error — and the wall-clock seconds
-/// the phase took, which callers report separately from replay time.
+/// Captures one benchmark's committed-stream trace, or loads it from the
+/// trace cache at [`MatrixOpts::trace_cache`]. A panic in the kernel
+/// generator or the functional pass is caught and returned as the error,
+/// so a failed capture fails that benchmark's cells with the real cause.
 ///
 /// A corrupt or truncated cache file is **evicted** (renamed to
 /// `*.corrupt`, with one warning) and the trace recaptured, so one bad
 /// byte costs one capture — not a warning storm or a silent functional
 /// re-parse on every later campaign.
 ///
-/// The interrupt latch is polled before each fresh capture (cached hits
-/// still load — they are nearly free and make the later resume fast), so
-/// a Ctrl-C during this phase stops promptly instead of executing every
-/// remaining benchmark first. The caller is responsible for turning the
-/// pending interrupt into an interrupted, resumable run.
-pub(crate) fn capture_traces(
-    benches: &[Benchmark],
-    wanted: &[bool],
+/// On a journaled run a pending interrupt refuses a fresh capture (a
+/// cached hit still loads: it is nearly free and keeps the continued run
+/// fast); [`run_cell`] turns that refusal into a checkpoint-free
+/// interrupted cell rather than a failure.
+pub(crate) fn capture_trace(
+    bench: &Benchmark,
     scale: Scale,
-    cpu_cfg: &CpuConfig,
-    cache: Option<&Path>,
-) -> (Vec<Option<CommittedTrace>>, f64) {
+    opts: &MatrixOpts,
+) -> Result<CommittedTrace, String> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    let start = Instant::now();
-    if let Some(dir) = cache {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!(
-                "warning: cannot create trace cache {}: {e}; capturing in memory",
-                dir.display()
-            );
-        }
-    }
-    let warmup = cpu_cfg.warmup_insts;
-    let one = |bench: &Benchmark| -> Option<CommittedTrace> {
-        // A pending SIGINT stops new captures before the expensive
-        // build/execute work; the journal (if any) is already on disk,
-        // so the caller winds down into a resumable interrupted run.
-        if interrupt::requested() {
-            return None;
-        }
+    let warmup = opts.cpu_cfg.warmup_insts;
+    let body = || -> Result<CommittedTrace, String> {
         let program = bench.build(scale);
         let fp = fnv1a64(&hbdc_isa::object::to_bytes(&program));
-        let path = cache.map(|d| trace_cache_path(d, bench.name(), scale, warmup, fp));
+        let path = opts
+            .trace_cache
+            .as_deref()
+            .map(|d| trace_cache_path(d, bench.name(), scale, warmup, fp));
         if let Some(p) = &path {
             // The fingerprint is in the file name, but a renamed or
             // hand-edited file must still not drive a replay (that case
             // reads as a miss, not corruption).
             match CommittedTrace::read_cached(p, fp, warmup) {
-                CacheLookup::Hit(t) => return Some(*t),
+                CacheLookup::Hit(t) => return Ok(*t),
                 CacheLookup::Miss => {}
                 CacheLookup::Corrupt(e) => match evict_corrupt(p) {
                     Ok(dest) => eprintln!(
@@ -582,104 +475,78 @@ pub(crate) fn capture_traces(
                 },
             }
         }
-        // Re-check after the cache lookup: a cached hit above still
-        // loads under a pending interrupt (it is nearly free and keeps
-        // resume fast), but a fresh execute-once capture does not start.
-        if interrupt::requested() {
-            return None;
+        if opts.journal.is_some() && interrupt::requested() {
+            return Err("interrupted before the trace capture started".to_string());
         }
-        let t = CommittedTrace::capture(&program, warmup, None).ok()?;
+        let t = CommittedTrace::capture(&program, warmup, None).map_err(|e| e.to_string())?;
         if let Some(p) = &path {
-            if let Err(e) = t.write_to_path(p) {
+            let persisted = p
+                .parent()
+                .map_or(Ok(()), std::fs::create_dir_all)
+                .map_err(|e| e.to_string())
+                .and_then(|()| t.write_to_path(p).map_err(|e| e.to_string()));
+            if let Err(e) = persisted {
                 eprintln!("warning: cannot persist trace {}: {e}", p.display());
             }
         }
-        Some(t)
+        Ok(t)
     };
-    let mut traces: Vec<Option<CommittedTrace>> = vec![None; benches.len()];
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, bench) in benches.iter().enumerate() {
-            if !wanted[i] {
-                continue;
-            }
-            // Worker-thread naming keeps a capture panic (a kernel
-            // generator blowing up) quiet here; the execute-mode fallback
-            // cell reproduces it as a proper JobFailure.
-            let h = std::thread::Builder::new()
-                .name(format!("{WORKER_PREFIX}-capture-{i}"))
-                .spawn_scoped(scope, move || {
-                    catch_unwind(AssertUnwindSafe(|| one(bench))).ok().flatten()
-                });
-            match h {
-                Ok(h) => handles.push((i, h)),
-                Err(e) => eprintln!("warning: failed to spawn capture worker: {e}"),
-            }
-        }
-        for (i, h) in handles {
-            if let Ok(t) = h.join() {
-                traces[i] = t;
-            }
-        }
-    });
-    (traces, start.elapsed().as_secs_f64())
+    catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| Err(panic_message(payload)))
 }
 
-/// One matrix cell's outcome as a worker reports it.
+/// One matrix cell's outcome as an executor reports it.
+#[derive(Debug)]
 pub(crate) enum JobOutcome {
     /// The simulation finished and produced a report.
     Done(Box<SimReport>),
-    /// The simulation (or its setup) failed; the rendered error.
+    /// The simulation, its setup, or its trace capture failed; the
+    /// rendered error.
     Failed(String),
-    /// An interrupt was requested; the in-flight state was checkpointed
-    /// to the cell's snapshot file.
+    /// The cell overran its wall-clock budget; the rendered error.
+    TimedOut(String),
+    /// An interrupt was requested; the in-flight state (if the cell had
+    /// started simulating) was checkpointed to the cell's snapshot file.
     Interrupted,
 }
 
-/// Everything a worker needs to run one matrix cell.
+/// Everything an executor needs to run one matrix cell.
 #[derive(Clone, Copy)]
 pub(crate) struct CellJob<'a> {
-    pub(crate) bench: &'a Benchmark,
-    pub(crate) trace: Option<&'a CommittedTrace>,
-    pub(crate) scale: Scale,
+    /// The benchmark's captured trace, or why its capture failed.
+    pub(crate) trace: &'a Result<CommittedTrace, String>,
     pub(crate) port: PortConfig,
     pub(crate) cpu_cfg: CpuConfig,
     pub(crate) timeout: Option<Duration>,
+    /// Journaled runs only: where the cell checkpoints on interrupt, and
+    /// resumes from when a checkpoint is already there.
     pub(crate) checkpoint: Option<&'a Path>,
-    pub(crate) resume: bool,
 }
 
-/// Runs one matrix cell. Plain cells run straight to completion; cells
-/// with a timeout or a checkpoint path run in [`CHUNK_CYCLES`]-cycle
-/// slices, polling the interrupt latch and the wall clock between slices.
-/// Panics anywhere inside (kernel generators included) are caught and
+/// Runs one matrix cell by replaying its benchmark's trace. Plain cells
+/// run straight to completion; cells with a timeout or a checkpoint path
+/// run in [`CHUNK_CYCLES`]-cycle slices, polling the interrupt latch and
+/// the wall clock between slices. Panics anywhere inside are caught and
 /// rendered as failures.
 pub(crate) fn run_cell(job: CellJob<'_>) -> JobOutcome {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let CellJob {
-        bench,
         trace,
-        scale,
         port,
         cpu_cfg,
         timeout,
         checkpoint,
-        resume,
     } = job;
+    let trace = match trace {
+        Ok(t) => t,
+        // A capture refused under a pending interrupt stops the cell; it
+        // does not count against the cell's attempts.
+        Err(_) if checkpoint.is_some() && interrupt::requested() => return JobOutcome::Interrupted,
+        Err(e) => return JobOutcome::Failed(e.clone()),
+    };
 
     let body = || -> JobOutcome {
-        // Fresh construction: timing-only replay of the benchmark's
-        // captured trace when one exists, functional execution otherwise
-        // (execute mode, or the capture itself failed and the cell should
-        // reproduce the real error).
-        let fresh = || match trace {
-            Some(t) => Simulator::try_from_trace(t, cpu_cfg, HierarchyConfig::default(), port),
-            None => {
-                let program = bench.build(scale);
-                Simulator::try_new(&program, cpu_cfg, HierarchyConfig::default(), port)
-            }
-        };
+        let fresh = || Simulator::try_from_trace(trace, cpu_cfg, HierarchyConfig::default(), port);
         if checkpoint.is_none() && timeout.is_none() {
             // Fast path: nothing to poll for between cycle chunks.
             return match fresh().and_then(|mut sim| sim.run()) {
@@ -687,7 +554,7 @@ pub(crate) fn run_cell(job: CellJob<'_>) -> JobOutcome {
                 Err(e) => JobOutcome::Failed(e.to_string()),
             };
         }
-        let resumed = checkpoint.filter(|p| resume && p.exists()).map(|p| {
+        let resumed = checkpoint.filter(|p| p.exists()).map(|p| {
             SimSnapshot::read_from_path(p)
                 .map_err(SimError::from)
                 .and_then(|snap| Simulator::resume(&snap))
@@ -697,7 +564,7 @@ pub(crate) fn run_cell(job: CellJob<'_>) -> JobOutcome {
             Some(Ok(sim)) => Ok(sim),
             // A stale or corrupt cell checkpoint costs a fresh run of that
             // one cell, never the campaign. Evict the bad file so the next
-            // resume doesn't trip over the same bytes (and the evidence
+            // run doesn't trip over the same bytes (and the evidence
             // survives for a post-mortem).
             Some(Err((p, e))) => {
                 match evict_corrupt(p) {
@@ -736,7 +603,7 @@ pub(crate) fn run_cell(job: CellJob<'_>) -> JobOutcome {
             }
             if let Some(t) = timeout {
                 if start.elapsed() >= t {
-                    return JobOutcome::Failed(format!(
+                    return JobOutcome::TimedOut(format!(
                         "timeout: exceeded the {:.3}s wall-clock budget at cycle {} \
                          ({} committed)",
                         t.as_secs_f64(),
@@ -753,44 +620,38 @@ pub(crate) fn run_cell(job: CellJob<'_>) -> JobOutcome {
     }
 }
 
-/// [`simulate_matrix`] with the full campaign option set — the journaled,
-/// resumable, interruptible engine underneath every matrix entry point.
+/// [`simulate_matrix`] with the full campaign option set — the one
+/// campaign engine under every matrix entry point (its loop, lease
+/// protocol and worker mode are described in `crate::supervise`).
 ///
-/// **Journaling** ([`MatrixOpts::journal`]): each finished cell (success
-/// or failure) is recorded in a text journal that is atomically rewritten
-/// after every cell, and the SIGINT latch is installed: on Ctrl-C,
-/// workers checkpoint their in-flight simulation to
-/// `<journal>.cell<idx>.snap` at the next cycle-chunk boundary, unstarted
-/// cells are left for later, and the run returns with
-/// [`MatrixRun::interrupted`] set. **Resuming** ([`MatrixOpts::resume`]):
-/// `ok` cells are served from the journal, `fail` cells re-run, and
-/// checkpointed cells resumed bit-identically from their snapshots — the
-/// resumed campaign's reports equal an uninterrupted run's.
+/// Cells run on `--threads` executors: scoped threads replaying their
+/// benchmark's trace in this process (each benchmark with cells left
+/// captures its trace, or loads it from [`MatrixOpts::trace_cache`], on
+/// its own thread as the run starts) or, with [`MatrixOpts::shard`],
+/// re-executed worker subprocesses. A failed attempt is retried after an
+/// exponential backoff until [`MatrixOpts::max_attempts`] is spent, then
+/// the cell is quarantined; a timed-out cell is quarantined at once.
 ///
-/// **Sharding** ([`MatrixOpts::shard`]): instead of running cells on
-/// threads in this process, hand the whole campaign to the multi-process
-/// supervisor (the `supervise` module): N invocations of the same command
-/// drain one journal cooperatively, each cell runs in an isolated worker
-/// subprocess, and failed cells are retried with backoff and quarantined
-/// when their attempt budget runs out. `--threads` remains meaningful in
-/// this mode — it caps the concurrent worker subprocesses *per
-/// supervisor* (default: available cores), so the campaign-wide width is
-/// the sum over the cooperating shard processes.
+/// With [`MatrixOpts::journal`], Ctrl-C checkpoints in-flight cells to
+/// `<journal>.cell<idx>.snap` at the next cycle-chunk boundary and the
+/// run returns with [`MatrixRun::interrupted`] set. Running again on the
+/// journal continues it: `ok` cells are served from it, checkpointed
+/// cells resume bit-identically, and failed cells get the rest of their
+/// attempts — the continued campaign's reports equal an uninterrupted
+/// run's.
 ///
 /// # Errors
 ///
 /// Fails only on journal problems: an unreadable or corrupt journal, a
-/// fingerprint mismatch (the journal belongs to a different matrix), or
-/// an I/O failure flushing it.
+/// fingerprint mismatch (the journal belongs to a different matrix), an
+/// I/O failure writing it, or `--shard` without a journal.
 pub fn simulate_matrix_opts(
     benches: &[Benchmark],
     scale: Scale,
     configs: &[(String, PortConfig)],
     opts: &MatrixOpts,
 ) -> Result<MatrixRun, String> {
-    use std::io::Write;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc;
+    use std::sync::OnceLock;
 
     // Worker-cell mode (a shard supervisor re-executed this binary): run
     // the one assigned cell and exit through the out file. Checked before
@@ -798,280 +659,74 @@ pub fn simulate_matrix_opts(
     if let Some(spec) = &opts.worker {
         supervise::run_worker(benches, scale, configs, opts, spec);
     }
+    let hash = matrix_hash(benches, scale, configs, &opts.cpu_cfg);
     if opts.shard {
-        let journal = opts.journal.clone().ok_or_else(|| {
+        let journal = opts.journal.as_deref().ok_or_else(|| {
             "--shard requires --journal PATH (the journal is the shared campaign state)".to_string()
         })?;
-        let hash = matrix_hash(benches, scale, configs, &opts.cpu_cfg);
-        let threads = threads_from_args().unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
+        return supervise::drive(benches, configs, hash, opts, None, &|idx| {
+            supervise::run_in_worker(idx, journal, hash, opts.timeout)
         });
-        return supervise::supervise(
-            benches,
-            configs,
-            hash,
-            &ShardParams {
-                journal,
-                max_attempts: opts.max_attempts,
-                lease_ttl: opts.lease_ttl,
-                timeout: opts.timeout,
-                threads,
-            },
-        );
     }
 
-    type JobResult = Result<SimReport, String>;
-
-    let total = benches.len() * configs.len();
-    let hash = matrix_hash(benches, scale, configs, &opts.cpu_cfg);
-    let mut slots: Vec<Option<JobResult>> = (0..total).map(|_| None).collect();
-    let mut attempts_by_slot: Vec<u32> = vec![0; total];
-
-    let mut journal = match &opts.journal {
-        Some(path) => {
-            let mut j = Journal::new(path.clone(), hash, total);
-            if opts.resume {
-                for (i, cell) in load_journal(path, hash, total)?.into_iter().enumerate() {
-                    if let Some((report, attempts)) = cell {
-                        j.record_ok(i, attempts, &report);
-                        slots[i] = Some(Ok(report));
-                        attempts_by_slot[i] = attempts;
-                        // The cell is settled; an interrupt checkpoint it
-                        // left behind is stale — reclaim the disk space.
-                        let _ = std::fs::remove_file(cell_snap_path(path, i));
-                    }
-                }
-            }
-            // The journal exists (header at minimum) from the first
-            // instant, so a kill at any point leaves a resumable file.
-            j.flush()?;
-            interrupt::install();
-            Some(j)
-        }
-        None => None,
-    };
-
-    let pending: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
-    let threads = threads_from_args()
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
-        .min(pending.len().max(1));
     install_worker_panic_hook();
-
-    // Capture-then-fan-out front end: one functional pass per benchmark
-    // that still has pending cells, then every cell replays its trace.
-    // A journal resume with nothing left to run captures nothing.
-    let (traces, capture_secs) = match opts.trace_mode {
-        TraceMode::Execute => (vec![None; benches.len()], 0.0),
-        TraceMode::Replay => {
-            let mut wanted = vec![false; benches.len()];
-            for &i in &pending {
-                wanted[i / configs.len()] = true;
-            }
-            capture_traces(
-                benches,
-                &wanted,
-                scale,
-                &opts.cpu_cfg,
-                opts.trace_cache.as_deref(),
-            )
-        }
+    // Per benchmark: its trace (or capture error) and when the capture
+    // ran. `drive` starts every pending benchmark's capture at once, so a
+    // cell waits only on its own benchmark's trace.
+    let traces: Vec<OnceLock<_>> = benches.iter().map(|_| OnceLock::new()).collect();
+    let trace = |b: usize| {
+        let capture = || {
+            let start = Instant::now();
+            let trace = capture_trace(&benches[b], scale, opts);
+            (trace, start..Instant::now())
+        };
+        &traces[b].get_or_init(capture).0
     };
-    if opts.trace_mode == TraceMode::Replay && !pending.is_empty() {
+    let prepare = |b: usize| {
+        trace(b);
+    };
+    let mut run = supervise::drive(benches, configs, hash, opts, Some(&prepare), &|idx| {
+        let checkpoint = opts.journal.as_deref().map(|j| cell_snap_path(j, idx));
+        run_cell(CellJob {
+            trace: trace(idx / configs.len()),
+            port: configs[idx % configs.len()].1,
+            cpu_cfg: opts.cpu_cfg,
+            timeout: opts.timeout,
+            checkpoint: checkpoint.as_deref(),
+        })
+    })?;
+    let spans: Vec<_> = traces.iter().filter_map(OnceLock::get).collect();
+    let first = spans.iter().map(|(_, s)| s.start).min();
+    if let (Some(first), Some(last)) = (first, spans.iter().map(|(_, s)| s.end).max()) {
+        run.capture_secs = (last - first).as_secs_f64();
+    }
+    let captured = spans.iter().filter(|(t, _)| t.is_ok()).count();
+    if captured > 0 {
         eprintln!(
-            "trace-capture: {capture_secs:.2}s for {} trace{}",
-            traces.iter().flatten().count(),
-            if traces.iter().flatten().count() == 1 {
-                ""
-            } else {
-                "s"
-            }
+            "trace-capture: {:.2}s for {captured} trace{}",
+            run.capture_secs,
+            if captured == 1 { "" } else { "s" }
         );
     }
-
-    // A SIGINT that landed during the capture phase stops the run right
-    // there: every capture that finished is already in the trace cache,
-    // and the journal (header at minimum) is flushed, so the campaign is
-    // in its resumable state without starting a single replay cell.
-    // Clearing the queue lets the worker scaffolding below wind down
-    // immediately; the interrupted `MatrixRun` then exits with code 130.
-    // (Execute mode has no capture phase — its cells checkpoint
-    // themselves through the chunked run loop instead.)
-    let pending =
-        if opts.trace_mode == TraceMode::Replay && journal.is_some() && interrupt::requested() {
-            Vec::new()
-        } else {
-            pending
-        };
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, JobOutcome, u32)>();
-
-    let scope_result: Result<(), String> = std::thread::scope(|scope| {
-        let next = &next;
-        let pending = &pending;
-        let traces = &traces;
-        for w in 0..threads {
-            let tx = tx.clone();
-            let worker = std::thread::Builder::new().name(format!("{WORKER_PREFIX}-{w}"));
-            let body = move || loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= pending.len() {
-                    break;
-                }
-                let i = pending[k];
-                let bench = &benches[i / configs.len()];
-                let trace = traces[i / configs.len()].as_ref();
-                let (_, port) = &configs[i % configs.len()];
-                let ckpt = opts.journal.as_deref().map(|p| cell_snap_path(p, i));
-                let run_once = || {
-                    run_cell(CellJob {
-                        bench,
-                        trace,
-                        scale,
-                        port: *port,
-                        cpu_cfg: opts.cpu_cfg,
-                        timeout: opts.timeout,
-                        checkpoint: ckpt.as_deref(),
-                        resume: opts.resume,
-                    })
-                };
-                let mut attempts = 1;
-                let mut outcome = run_once();
-                if matches!(&outcome, JobOutcome::Failed(e) if !e.starts_with("timeout")) {
-                    // One retry guards against transient host conditions
-                    // (simulations themselves are deterministic). Timeouts
-                    // are exempt: a hung model hangs again.
-                    attempts = 2;
-                    outcome = run_once();
-                }
-                let interrupted = matches!(outcome, JobOutcome::Interrupted);
-                if tx.send((i, outcome, attempts)).is_err() || interrupted {
-                    // On interrupt, wind down instead of claiming more
-                    // cells; the journal records where we stopped.
-                    break;
-                }
-            };
-            if let Err(e) = worker.spawn_scoped(scope, body) {
-                // Could not spawn this worker (resource limits); the ones
-                // already running will drain the queue.
-                eprintln!("warning: failed to spawn matrix worker: {e}");
-            }
-        }
-        drop(tx); // the receive loop ends once every worker finishes
-        let mut marks = std::io::stderr().lock();
-        for (i, outcome, attempts) in rx {
-            debug_assert!(slots[i].is_none(), "task {i} ran twice");
-            let mark = match &outcome {
-                JobOutcome::Done(_) => ".",
-                JobOutcome::Failed(_) => "x",
-                JobOutcome::Interrupted => "!",
-            };
-            let _ = write!(marks, "{mark}");
-            attempts_by_slot[i] = attempts;
-            if let Some(j) = journal.as_mut() {
-                match &outcome {
-                    JobOutcome::Done(r) => j.record_ok(i, attempts, r),
-                    JobOutcome::Failed(e) => j.record_fail(i, attempts, e),
-                    JobOutcome::Interrupted => {}
-                }
-                if !matches!(outcome, JobOutcome::Interrupted) {
-                    j.flush()?;
-                    // The cell is on the journal's books; its in-flight
-                    // checkpoint (if any) is now stale.
-                    let _ = std::fs::remove_file(cell_snap_path(&j.path, i));
-                }
-            }
-            match outcome {
-                JobOutcome::Done(r) => slots[i] = Some(Ok(*r)),
-                JobOutcome::Failed(e) => slots[i] = Some(Err(e)),
-                JobOutcome::Interrupted => {}
-            }
-        }
-        let _ = writeln!(marks);
-        Ok(())
-    });
-    scope_result?;
-
-    let interrupted = journal.is_some() && interrupt::requested();
-    if interrupted {
-        if let Some(j) = &journal {
-            eprintln!(
-                "interrupted: journal and cell checkpoints flushed; \
-                 rerun with --resume {} to continue",
-                j.path.display()
-            );
-        }
-    }
-
-    let mut reports = Vec::with_capacity(benches.len());
-    let mut failures = Vec::new();
-    let mut it = slots.into_iter().zip(attempts_by_slot).enumerate();
-    for bench in benches {
-        let mut row = Vec::with_capacity(configs.len());
-        for _ in 0..configs.len() {
-            let (i, (result, attempts)) = it.next().expect("slots sized to the matrix");
-            match result {
-                Some(Ok(report)) => row.push(Some(report)),
-                Some(Err(error)) => {
-                    row.push(None);
-                    failures.push(JobFailure {
-                        bench: bench.name().to_string(),
-                        config: configs[i % configs.len()].0.clone(),
-                        attempts,
-                        error,
-                    });
-                }
-                // Interrupted mid-flight or never started: no report, no
-                // failure record — the journal carries the resume state.
-                None => row.push(None),
-            }
-        }
-        reports.push(row);
-    }
-    print_sim_speed(reports.iter().flatten().flatten());
-    let run = MatrixRun {
-        reports,
-        failures,
-        quarantined: Vec::new(),
-        interrupted,
-        capture_secs,
-    };
-    run.print_failure_summary();
     Ok(run)
 }
 
-/// Summarizes simulator throughput over a set of finished reports.
-/// Returns `(simulated cycles, cpu seconds, cycles per cpu-second)`.
+/// Summarizes simulator throughput over a set of finished reports (see
+/// [`SpeedTally::add`] for which count). Returns `(simulated cycles, cpu
+/// seconds, cycles per cpu-second)`.
 pub fn sim_speed(
     reports: impl IntoIterator<Item = impl std::borrow::Borrow<SimReport>>,
 ) -> (u64, f64, f64) {
-    let (mut cycles, mut cpu) = (0u64, 0f64);
+    let mut tally = SpeedTally::new();
     for r in reports {
-        let r = r.borrow();
-        cycles += r.cycles;
-        cpu += r.cpu_secs;
+        tally.add(r.borrow());
     }
-    let rate = if cpu > 0.0 { cycles as f64 / cpu } else { 0.0 };
-    (cycles, cpu, rate)
+    tally.speed()
 }
 
-/// Prints the simulator-throughput (`sim-speed`) line for finished
-/// reports to stderr, keeping experiment stdout machine-parseable.
-pub fn print_sim_speed(reports: impl IntoIterator<Item = impl std::borrow::Borrow<SimReport>>) {
-    let (cycles, cpu, rate) = sim_speed(reports);
-    eprintln!("sim-speed: {rate:.0} cycles/sec ({cycles} simulated cycles in {cpu:.2}s of simulator CPU time)");
-}
-
-/// Running simulator-throughput accumulator for experiment binaries that
-/// drive [`simulate`]/`Simulator` serially instead of through
-/// [`simulate_matrix`]: feed it every finished report, then
-/// [`print`](Self::print) the `sim-speed` line on exit.
+/// Running simulator-throughput accumulator: feed it every finished
+/// report, then [`print`](Self::print) the `sim-speed` line on exit (to
+/// stderr, keeping experiment stdout machine-parseable).
 #[derive(Debug, Default, Clone)]
 pub struct SpeedTally {
     cycles: u64,
@@ -1084,23 +739,30 @@ impl SpeedTally {
         Self::default()
     }
 
-    /// Folds one finished report into the tally.
+    /// Folds one finished report into the tally. A report without host
+    /// timing (`cpu_secs` 0: parsed back from a journal or a worker's
+    /// record) adds nothing, so cells served from a journal add no free
+    /// cycles.
     pub fn add(&mut self, r: &SimReport) {
-        self.cycles += r.cycles;
-        self.cpu += r.cpu_secs;
+        if r.cpu_secs > 0.0 {
+            self.cycles += r.cycles;
+            self.cpu += r.cpu_secs;
+        }
     }
 
-    /// Prints the `sim-speed` line for everything tallied (to stderr).
-    pub fn print(&self) {
+    fn speed(&self) -> (u64, f64, f64) {
         let rate = if self.cpu > 0.0 {
             self.cycles as f64 / self.cpu
         } else {
             0.0
         };
-        eprintln!(
-            "sim-speed: {rate:.0} cycles/sec ({} simulated cycles in {:.2}s of simulator CPU time)",
-            self.cycles, self.cpu
-        );
+        (self.cycles, self.cpu, rate)
+    }
+
+    /// Prints the `sim-speed` line for everything tallied (to stderr).
+    pub fn print(&self) {
+        let (cycles, cpu, rate) = self.speed();
+        eprintln!("sim-speed: {rate:.0} cycles/sec ({cycles} simulated cycles in {cpu:.2}s of simulator CPU time)");
     }
 }
 
@@ -1127,6 +789,7 @@ pub fn table4_columns() -> Vec<(String, PortConfig)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervise::CellState;
     use hbdc_workloads::by_name;
 
     #[test]
@@ -1247,7 +910,6 @@ mod tests {
         let clean = MatrixRun {
             reports: vec![],
             failures: vec![],
-            quarantined: vec![],
             interrupted: false,
             capture_secs: 0.0,
         };
@@ -1256,29 +918,16 @@ mod tests {
             format!("{:?}", clean.exit_code()),
             format!("{:?}", std::process::ExitCode::SUCCESS)
         );
-        let boom = JobFailure {
-            bench: "x".into(),
-            config: "y".into(),
-            attempts: 2,
-            error: "boom".into(),
-        };
-        let dirty = MatrixRun {
-            reports: vec![vec![None]],
-            failures: vec![boom.clone()],
-            quarantined: vec![],
-            interrupted: false,
-            capture_secs: 0.0,
-        };
-        assert_eq!(
-            format!("{:?}", dirty.exit_code()),
-            format!("{:?}", std::process::ExitCode::from(1))
-        );
-        // Quarantined-only: the campaign is as complete as its attempt
-        // budget allows — a distinct exit code (3), not a hard failure.
+        // Quarantined cells: the campaign is as complete as its attempt
+        // budget allows — exit 3.
         let quarantined = MatrixRun {
             reports: vec![vec![None]],
-            failures: vec![],
-            quarantined: vec![boom.clone()],
+            failures: vec![JobFailure {
+                bench: "x".into(),
+                config: "y".into(),
+                attempts: 2,
+                error: "boom".into(),
+            }],
             interrupted: false,
             capture_secs: 0.0,
         };
@@ -1287,24 +936,10 @@ mod tests {
             format!("{:?}", quarantined.exit_code()),
             format!("{:?}", std::process::ExitCode::from(3))
         );
-        // A hard failure outranks quarantine.
-        let both = MatrixRun {
-            reports: vec![vec![None, None]],
-            failures: vec![boom.clone()],
-            quarantined: vec![boom],
-            interrupted: false,
-            capture_secs: 0.0,
-        };
-        assert_eq!(
-            format!("{:?}", both.exit_code()),
-            format!("{:?}", std::process::ExitCode::from(1))
-        );
+        // An interrupt outranks quarantine.
         let interrupted = MatrixRun {
-            reports: vec![vec![None]],
-            failures: vec![],
-            quarantined: vec![],
             interrupted: true,
-            capture_secs: 0.0,
+            ..quarantined
         };
         assert!(!interrupted.is_complete());
         assert_eq!(
@@ -1313,11 +948,28 @@ mod tests {
         );
     }
 
-    /// A scratch directory unique to this test process.
+    /// An empty scratch directory unique to this test process.
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hbdc-runner-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// An uninterrupted in-memory run that warms the trace cache at
+    /// `cache`: the reference for interrupted runs sharing that cache.
+    fn warm_run(
+        benches: &[Benchmark],
+        configs: &[(String, PortConfig)],
+        cache: &Path,
+    ) -> Vec<Vec<SimReport>> {
+        let opts = MatrixOpts {
+            trace_cache: Some(cache.to_path_buf()),
+            ..MatrixOpts::default()
+        };
+        simulate_matrix_opts(benches, Scale::Test, configs, &opts)
+            .unwrap()
+            .expect_complete()
     }
 
     /// The SIGINT latch is process-global, so tests that trigger it — or
@@ -1331,28 +983,28 @@ mod tests {
     #[test]
     fn journaled_interrupt_and_resume_matches_uninterrupted() {
         let _guard = latch_lock();
+        interrupt::reset();
         let dir = scratch_dir("interrupt");
         let journal = dir.join("run.journal");
-        let _ = std::fs::remove_file(&journal);
+        let cache = dir.join("traces");
         let benches = vec![by_name("li").unwrap()];
         let configs = vec![
             ("i2".to_string(), PortConfig::Ideal { ports: 2 }),
             ("b4".to_string(), PortConfig::banked(4)),
         ];
-        // Execute mode, deliberately: a pre-set latch in replay mode
-        // stops at the capture phase before any cell starts (see
-        // `interrupt_during_capture_phase_is_resumable`), and this test
-        // is about the *cell* checkpoint path.
+
+        // An uninterrupted run warms the trace cache (and is the
+        // reference). With the cache warm, a pre-set latch refuses no
+        // capture (contrast `interrupt_during_capture_phase_is_resumable`),
+        // so every claimed cell replays exactly one cycle chunk,
+        // checkpoints, and winds down — a deterministic mid-run
+        // interruption of replay cells.
+        let fresh = warm_run(&benches, &configs, &cache);
         let opts = MatrixOpts {
             journal: Some(journal.clone()),
-            trace_mode: TraceMode::Execute,
+            trace_cache: Some(cache),
             ..MatrixOpts::default()
         };
-
-        // With the latch already set, every claimed cell runs exactly one
-        // cycle chunk, checkpoints, and winds down — a deterministic
-        // mid-run interruption.
-        interrupt::reset();
         interrupt::trigger();
         let halted = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts).unwrap();
         interrupt::reset();
@@ -1365,12 +1017,9 @@ mod tests {
         );
         assert!(journal.exists(), "the journal is flushed on interrupt");
 
-        // Resume runs the campaign to completion from the checkpoints.
-        let resume_opts = MatrixOpts {
-            resume: true,
-            ..opts.clone()
-        };
-        let resumed = simulate_matrix_opts(&benches, Scale::Test, &configs, &resume_opts)
+        // Rerunning on the journal runs the campaign to completion from
+        // the checkpoints.
+        let resumed = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts)
             .unwrap()
             .expect_complete();
         assert!(
@@ -1380,16 +1029,70 @@ mod tests {
 
         // The interrupted-then-resumed campaign equals an uninterrupted
         // one, bit for bit.
-        let fresh = simulate_matrix_with(&benches, Scale::Test, &configs, CpuConfig::default())
-            .expect_complete();
         assert_eq!(resumed, fresh);
 
-        // A second resume serves every cell straight from the journal
+        // A third run serves every cell straight from the journal
         // (exercising the record parser) and still matches.
-        let replayed = simulate_matrix_opts(&benches, Scale::Test, &configs, &resume_opts)
+        let replayed = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts)
             .unwrap()
             .expect_complete();
         assert_eq!(replayed, fresh);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rerunning_an_interrupted_journal_continues_it() {
+        // A kernel that halts inside its first cycle chunk, so its cell
+        // completes even under a pre-set interrupt latch.
+        fn tiny(_: Scale) -> String {
+            hbdc_workloads::MicroKernel::SameLineBurst.source(4)
+        }
+        let _guard = latch_lock();
+        interrupt::reset();
+        let dir = scratch_dir("continue");
+        let journal = dir.join("c.journal");
+        let cache = dir.join("traces");
+        let benches = vec![
+            Benchmark::custom("tiny", Suite::Int, tiny),
+            by_name("li").unwrap(),
+        ];
+        let configs = vec![("i2".to_string(), PortConfig::Ideal { ports: 2 })];
+        // Warm the trace cache so the latch refuses no capture below.
+        let fresh = warm_run(&benches, &configs, &cache);
+        let opts = MatrixOpts {
+            journal: Some(journal.clone()),
+            trace_cache: Some(cache),
+            ..MatrixOpts::default()
+        };
+
+        interrupt::trigger();
+        let halted = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts).unwrap();
+        interrupt::reset();
+        assert!(halted.interrupted);
+        assert!(halted.reports[0][0].is_some(), "the tiny cell completes");
+        assert!(halted.reports[1][0].is_none(), "the li cell does not");
+
+        // Mark the completed cell's journal record, so a report that comes
+        // back with the mark was served from the journal, not re-run.
+        let hash = matrix_hash(&benches, Scale::Test, &configs, &opts.cpu_cfg);
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let mut state = supervise::parse_journal(&text, &journal, hash, 2).unwrap();
+        let CellState::Ok { record, .. } = &mut state.cells[0] else {
+            panic!("cell 0 must be journaled as ok: {text}");
+        };
+        let mut marked = SimReport::from_record(record).unwrap();
+        marked.port_label = "served-from-journal".into();
+        *record = marked.to_record();
+        std::fs::write(&journal, supervise::render_journal(&state)).unwrap();
+
+        // The same options again: the journal is continued, not
+        // truncated.
+        let continued = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts)
+            .unwrap()
+            .expect_complete();
+        assert_eq!(continued[0][0].port_label, "served-from-journal");
+        assert_eq!(continued[1][0], fresh[1][0]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1398,8 +1101,6 @@ mod tests {
         let dir = scratch_dir("capture-interrupt");
         let journal = dir.join("cap.journal");
         let cache = dir.join("traces");
-        let _ = std::fs::remove_file(&journal);
-        let _ = std::fs::remove_dir_all(&cache);
         let benches = vec![by_name("li").unwrap(), by_name("compress").unwrap()];
         let configs = vec![
             ("i2".to_string(), PortConfig::Ideal { ports: 2 }),
@@ -1407,14 +1108,14 @@ mod tests {
         ];
         let opts = MatrixOpts {
             journal: Some(journal.clone()),
-            trace_mode: TraceMode::Replay,
             trace_cache: Some(cache.clone()),
             ..MatrixOpts::default()
         };
 
-        // With the latch set before the run starts, the capture phase
-        // itself bails (no traces, no cache files) and no replay cell is
-        // ever launched — yet the journal is flushed and resumable.
+        // With the latch set before the run starts and the cache cold,
+        // every claimed cell's capture is refused (no traces, no cache
+        // files) and no cell replays — yet the journal is flushed and
+        // continuable.
         interrupt::reset();
         interrupt::trigger();
         let halted = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts).unwrap();
@@ -1433,13 +1134,9 @@ mod tests {
         let captured = std::fs::read_dir(&cache).map(|d| d.count()).unwrap_or(0);
         assert_eq!(captured, 0, "no fresh capture may run under the latch");
 
-        // Resuming with a clear latch captures the traces and completes;
-        // the result equals an uninterrupted execute-mode run.
-        let resume_opts = MatrixOpts {
-            resume: true,
-            ..opts
-        };
-        let resumed = simulate_matrix_opts(&benches, Scale::Test, &configs, &resume_opts)
+        // Rerunning with a clear latch captures the traces and completes;
+        // the result equals an uninterrupted run.
+        let resumed = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts)
             .unwrap()
             .expect_complete();
         let fresh = simulate_matrix_with(&benches, Scale::Test, &configs, CpuConfig::default())
@@ -1466,19 +1163,23 @@ mod tests {
 
         // Same journal, different port configuration: refused.
         let configs_b = vec![("i4".to_string(), PortConfig::Ideal { ports: 4 })];
-        let resume_opts = MatrixOpts {
-            resume: true,
-            ..opts
-        };
-        let err =
-            simulate_matrix_opts(&benches, Scale::Test, &configs_b, &resume_opts).unwrap_err();
+        let err = simulate_matrix_opts(&benches, Scale::Test, &configs_b, &opts).unwrap_err();
         assert!(err.contains("does not match"), "{err}");
         assert!(err.contains("refusing to resume"), "{err}");
 
+        // Same name and columns, edited kernel program: refused too, not
+        // served the old program's reports.
+        fn edited(_: Scale) -> String {
+            hbdc_workloads::MicroKernel::SameLineBurst.source(4)
+        }
+        let benches_edited = vec![Benchmark::custom("li", Suite::Int, edited)];
+        let err =
+            simulate_matrix_opts(&benches_edited, Scale::Test, &configs_a, &opts).unwrap_err();
+        assert!(err.contains("does not match"), "{err}");
+
         // Garbage file: refused, with the offending path named.
         std::fs::write(&journal, "not a journal\n").unwrap();
-        let err =
-            simulate_matrix_opts(&benches, Scale::Test, &configs_a, &resume_opts).unwrap_err();
+        let err = simulate_matrix_opts(&benches, Scale::Test, &configs_a, &opts).unwrap_err();
         assert!(err.contains("not a matrix journal"), "{err}");
         assert!(err.contains("m.journal"), "{err}");
     }
@@ -1498,7 +1199,7 @@ mod tests {
         let f = &run.failures[0];
         assert!(f.error.starts_with("timeout"), "{}", f.error);
         assert!(f.error.contains("cycle"), "{}", f.error);
-        assert_eq!(f.attempts, 1, "timed-out jobs are not retried");
+        assert_eq!(f.attempts, 1, "timed-out jobs are not retried: {f}");
     }
 
     #[test]
@@ -1522,23 +1223,27 @@ mod tests {
         let text = std::fs::read_to_string(&journal).unwrap();
         assert!(text.starts_with(supervise::JOURNAL_HEADER), "{text}");
         assert!(text.contains("\nok 0 "), "{text}");
-        assert!(text.contains("\nfail 1 "), "{text}");
+        // The default budget of 2 is spent: quarantined, as under --shard.
+        assert!(text.contains("\nquar 1 2 "), "{text}");
 
-        // Resuming re-runs the failed cell (and fails it again, since the
-        // configuration is still degenerate) while serving the good cell
-        // from the journal.
-        let resumed = simulate_matrix_opts(
+        // A budget of 3 revives the quarantined cell for one more attempt
+        // (it fails again, since the configuration is still degenerate)
+        // while the good cell is served from the journal.
+        let revived = simulate_matrix_opts(
             &benches,
             Scale::Test,
             &configs,
             &MatrixOpts {
-                resume: true,
+                max_attempts: 3,
                 ..opts
             },
         )
         .unwrap();
-        assert!(resumed.reports[0][0].is_some());
-        assert!(resumed.reports[0][1].is_none());
-        assert_eq!(resumed.failures.len(), 1);
+        assert!(revived.reports[0][0].is_some());
+        assert!(revived.reports[0][1].is_none());
+        assert_eq!(revived.failures.len(), 1);
+        assert_eq!(revived.failures[0].attempts, 3);
+        let text = std::fs::read_to_string(&journal).unwrap();
+        assert!(text.contains("\nquar 1 3 "), "{text}");
     }
 }

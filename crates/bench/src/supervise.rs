@@ -1,7 +1,18 @@
-//! Multi-process campaign supervision: the journal v2 lease protocol,
-//! the flock-coordinated journal state machine, the supervisor loop that
-//! drives process-isolated cell workers, and the hidden worker-cell mode
-//! those subprocesses run in.
+//! The matrix campaign engine: the journal v2 state machine and lease
+//! protocol, the one campaign loop every matrix run goes through, its two
+//! executors (scoped threads, or re-executed worker subprocesses under
+//! `--shard`), and the hidden worker-cell mode those subprocesses run in.
+//!
+//! # The loop
+//!
+//! [`drive`] keeps the campaign as a [`JournalState`]: in the journal
+//! file under `--journal`, in memory otherwise. It claims cells with
+//! [`claim_cell`], runs each on the executor, and records every outcome
+//! as it arrives on one channel. Both executors follow one failure model:
+//! a failed attempt is retried after an exponential backoff until the
+//! `--max-attempts` budget (default 2) is spent, then the cell is
+//! quarantined; a timed-out cell is quarantined at once. A journal that
+//! already exists for the same matrix is continued.
 //!
 //! # The protocol
 //!
@@ -10,7 +21,7 @@
 //! mutation is a read-modify-write of the whole file under an exclusive
 //! advisory lock on `J.lock` (see [`hbdc_snap::lock::FileLock`]),
 //! finished with an atomic rename — so the journal is never torn, and a
-//! supervisor killed at any instant loses at most its own uncommitted
+//! process killed at any instant loses at most its own uncommitted
 //! claim.
 //!
 //! Per cell, the journal records one of:
@@ -32,19 +43,19 @@
 //! * `quar <idx> <attempts> <error>` — quarantined: the cell failed
 //!   `--max-attempts` times (or timed out, which is never retried — a
 //!   hung model hangs again). The campaign completes around it and
-//!   reports it; a later resume with a larger `--max-attempts` may try
-//!   again.
+//!   reports it; a later run revives it while its attempts are below
+//!   that run's `--max-attempts` (see [`JournalState::revive`]).
 //!
-//! Each claimed cell runs in a **child subprocess**: the supervisor
-//! re-executes its own binary with the original arguments plus hidden
-//! `--worker-cell`/`--worker-out`/`--worker-matrix` flags, and the
+//! Under `--shard` each claimed cell runs in a **child subprocess**: the
+//! supervisor re-executes its own binary with the original arguments plus
+//! hidden `--worker-cell`/`--worker-out`/`--worker-matrix` flags, and the
 //! worker branch in `simulate_matrix_opts` runs exactly that one cell
 //! and writes its outcome to the out file (atomically, so a kill
 //! mid-write reads as "no result"). A SIGKILL, abort, or OOM kill in a
 //! cell therefore costs one attempt of one cell — never the supervisor.
 
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use hbdc_core::PortConfig;
@@ -55,19 +66,15 @@ use hbdc_snap::write_atomic;
 use hbdc_workloads::{Benchmark, Scale};
 
 use crate::runner::{
-    capture_traces, cell_snap_path, matrix_hash, run_cell, CellJob, JobFailure, JobOutcome,
-    MatrixOpts, MatrixRun, TraceMode, WorkerSpec,
+    capture_trace, cell_snap_path, matrix_hash, run_cell, threads_from_args, CellJob, JobFailure,
+    JobOutcome, MatrixOpts, MatrixRun, SpeedTally, WorkerSpec, WORKER_PREFIX,
 };
 
-/// First line of every matrix run journal this version writes.
+/// First line of every matrix run journal.
 pub(crate) const JOURNAL_HEADER: &str = "hbdc-journal v2";
 
-/// Previous journal format, still accepted on load (its `fail` lines
-/// carry no backoff deadline and it has no `lease`/`quar` records).
-pub(crate) const JOURNAL_HEADER_V1: &str = "hbdc-journal v1";
-
-/// Default attempt budget before a cell is quarantined.
-pub(crate) const DEFAULT_MAX_ATTEMPTS: u32 = 3;
+/// Default attempt budget before a cell is quarantined: one retry.
+pub(crate) const DEFAULT_MAX_ATTEMPTS: u32 = 2;
 
 /// Default lease heartbeat TTL before other supervisors steal the cell.
 pub(crate) const DEFAULT_LEASE_TTL: Duration = Duration::from_secs(10);
@@ -77,12 +84,21 @@ pub(crate) const DEFAULT_LEASE_TTL: Duration = Duration::from_secs(10);
 /// can keep its rounds short.
 const DEFAULT_BACKOFF_MS: u64 = 500;
 
+/// How long the campaign loop waits for an outcome before it re-checks
+/// the interrupt latch, its lease heartbeats, backoff deadlines and
+/// other shard processes' progress.
+const TICK: Duration = Duration::from_millis(50);
+
+/// How often a worker subprocess is polled for exit, timeout and
+/// interrupt forwarding.
+const WORKER_POLL: Duration = Duration::from_millis(10);
+
 /// One cell's standing in the journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum CellState {
-    /// Never attempted (or released by an interrupted supervisor).
+    /// Never attempted (or released by an interrupted run).
     Empty,
-    /// Being run by `pid`'s worker subprocess.
+    /// Being run by process `pid`.
     Lease {
         /// Supervisor process that claimed the cell.
         pid: u32,
@@ -173,7 +189,7 @@ impl JournalState {
     }
 
     /// Releases a lease this process holds (interrupt wind-down), so
-    /// another supervisor — or a resume — can claim the cell at once
+    /// another shard process — or a rerun — can claim the cell at once
     /// instead of waiting out the TTL.
     pub(crate) fn release_lease(&mut self, idx: usize, pid: u32) {
         if matches!(self.cells[idx], CellState::Lease { pid: p, .. } if p == pid) {
@@ -197,6 +213,25 @@ impl JournalState {
         }
     }
 
+    /// Gives every quarantined cell that has attempts left under
+    /// `max_attempts` those attempts: it becomes a failed cell claimable
+    /// at once. A run applies its budget to the journal it starts from,
+    /// so a cell quarantined during the run (a timeout) stays quarantined
+    /// until a rerun.
+    pub(crate) fn revive(&mut self, max_attempts: u32) {
+        for cell in &mut self.cells {
+            if let CellState::Quarantined { attempts, error } = cell {
+                if *attempts < max_attempts {
+                    *cell = CellState::Fail {
+                        attempts: *attempts,
+                        not_before_ms: 0,
+                        error: std::mem::take(error),
+                    };
+                }
+            }
+        }
+    }
+
     /// Whether every cell has reached a terminal state (`ok` or
     /// quarantined) — the campaign-complete condition.
     pub(crate) fn all_terminal(&self) -> bool {
@@ -211,8 +246,8 @@ pub(crate) struct ClaimCtx<'a> {
     pub(crate) pid: u32,
     pub(crate) lease_ttl_ms: u64,
     pub(crate) max_attempts: u32,
-    /// Cells this supervisor is actively running (their leases are ours
-    /// and live; never reclaim them).
+    /// Cells this process is running or has queued to run (their leases
+    /// are ours and live; never reclaim them).
     pub(crate) running: &'a [usize],
     pub(crate) is_alive: &'a dyn Fn(u32) -> bool,
 }
@@ -220,9 +255,10 @@ pub(crate) struct ClaimCtx<'a> {
 /// Claims the lowest-indexed eligible cell: writes a lease for it into
 /// `state` and returns `(cell index, attempt number)`. Eligible are
 /// never-attempted cells, failed cells past their backoff deadline with
-/// attempts to spare, quarantined cells whose budget was raised, and
-/// leases whose owner is dead or heartbeat-expired (stolen at the same
-/// attempt number — the attempt never concluded).
+/// attempts to spare, and leases whose owner is dead or heartbeat-expired
+/// (stolen at the same attempt number — the attempt never concluded).
+/// Quarantined cells are claimable only once [`JournalState::revive`]
+/// has turned them back into failed ones.
 pub(crate) fn claim_cell(state: &mut JournalState, ctx: &ClaimCtx<'_>) -> Option<(usize, u32)> {
     for idx in 0..state.cells.len() {
         let attempt = match &state.cells[idx] {
@@ -232,9 +268,6 @@ pub(crate) fn claim_cell(state: &mut JournalState, ctx: &ClaimCtx<'_>) -> Option
                 not_before_ms,
                 ..
             } if *attempts < ctx.max_attempts && ctx.now_ms >= *not_before_ms => attempts + 1,
-            // A resume with a raised --max-attempts gives quarantined
-            // cells the extra attempts.
-            CellState::Quarantined { attempts, .. } if *attempts < ctx.max_attempts => attempts + 1,
             CellState::Lease { pid, attempt, .. }
                 if *pid == ctx.pid && !ctx.running.contains(&idx) =>
             {
@@ -348,10 +381,8 @@ pub(crate) fn parse_journal(
     total: usize,
 ) -> Result<JournalState, String> {
     let mut lines = text.lines();
-    let header = lines.next();
-    let v1 = match header {
-        Some(JOURNAL_HEADER) => false,
-        Some(JOURNAL_HEADER_V1) => true,
+    match lines.next() {
+        Some(JOURNAL_HEADER) => {}
         Some(other) => {
             return Err(format!(
                 "{}: not a matrix journal (first line `{other}`, expected `{JOURNAL_HEADER}`)",
@@ -359,7 +390,7 @@ pub(crate) fn parse_journal(
             ))
         }
         None => return Err(format!("{}: journal is empty", path.display())),
-    };
+    }
     let found_hash = lines
         .next()
         .and_then(|l| l.strip_prefix("matrix "))
@@ -368,7 +399,7 @@ pub(crate) fn parse_journal(
     if found_hash != hash {
         return Err(format!(
             "{}: journal fingerprint {found_hash:016x} does not match this run's {hash:016x} \
-             (different benchmarks, scale, port configs, or machine config); refusing to resume",
+             (different benchmarks or kernel programs, scale, port configs, or machine config); refusing to resume",
             path.display()
         ));
     }
@@ -391,7 +422,7 @@ pub(crate) fn parse_journal(
         if line.is_empty() {
             continue;
         }
-        match parse_record_line(line, v1, total) {
+        match parse_record_line(line, total) {
             Ok((idx, cell)) => {
                 if state.cells[idx] != CellState::Empty {
                     eprintln!(
@@ -418,21 +449,14 @@ pub(crate) fn parse_journal(
 
 /// Parses one journal body line into `(cell index, state)`. Errors are
 /// short descriptions; the caller adds file/line context.
-fn parse_record_line(line: &str, v1: bool, total: usize) -> Result<(usize, CellState), String> {
+fn parse_record_line(line: &str, total: usize) -> Result<(usize, CellState), String> {
     let mut parts = line.splitn(2, ' ');
     let tag = parts.next().unwrap_or("");
     let rest = parts.next().unwrap_or("");
     let mut fields = rest.splitn(
         match tag {
             "ok" | "quar" => 3,
-            "fail" => {
-                if v1 {
-                    3
-                } else {
-                    4
-                }
-            }
-            "lease" => 4,
+            "fail" | "lease" => 4,
             _ => 2,
         },
         ' ',
@@ -459,11 +483,7 @@ fn parse_record_line(line: &str, v1: bool, total: usize) -> Result<(usize, CellS
         }
         "fail" => {
             let attempts = num("malformed attempt count")? as u32;
-            let not_before_ms = if v1 {
-                0
-            } else {
-                num("malformed fail deadline")?
-            };
+            let not_before_ms = num("malformed fail deadline")?;
             let error = unescape_error(fields.next().unwrap_or(""));
             CellState::Fail {
                 attempts,
@@ -508,7 +528,7 @@ pub(crate) fn now_ms() -> u64 {
 
 /// One read-modify-write cycle on the journal under the advisory lock:
 /// load (or initialize) the on-disk state, apply `f`, write the result
-/// back atomically. This is the only way shard supervisors touch the
+/// back atomically. This is the only way a journaled campaign touches the
 /// journal, so every mutation observes every other process's latest
 /// records.
 pub(crate) fn locked_update<T>(
@@ -540,36 +560,293 @@ fn backoff_ms(attempts: u32) -> u64 {
     base.saturating_mul(1u64 << (attempts.saturating_sub(1)).min(4))
 }
 
-/// The test seam the chaos harness uses to manufacture deterministic
-/// cell failures: `HBDC_CHAOS_FAIL_CELLS="3,17"` makes the worker for
-/// those cells fail every attempt. Only consulted in worker mode.
-fn chaos_fail_requested(idx: usize) -> bool {
-    std::env::var("HBDC_CHAOS_FAIL_CELLS")
-        .map(|v| v.split(',').any(|t| t.trim().parse::<usize>() == Ok(idx)))
-        .unwrap_or(false)
-}
-
-/// Companion seam: `HBDC_CHAOS_GARBLE_CELLS="2,5"` makes the worker for
-/// those cells write a *torn* result file (half an `ok` record) and exit
-/// cleanly, exercising the supervisor's [`OutFileError::Garbled`]
-/// classification end to end. Only consulted in worker mode.
-fn chaos_garble_requested(idx: usize) -> bool {
-    std::env::var("HBDC_CHAOS_GARBLE_CELLS")
+/// The test seams the chaos harness uses to manufacture deterministic
+/// worker trouble, consulted only in worker mode: whether cell `idx` is
+/// in the comma-separated list in env var `var`. With
+/// `HBDC_CHAOS_FAIL_CELLS="3,17"` those cells' workers fail every
+/// attempt; with `HBDC_CHAOS_GARBLE_CELLS="2,5"` they write a *torn*
+/// result file (half an `ok` record) and exit cleanly, exercising the
+/// supervisor's [`OutFileError::Garbled`] classification end to end.
+fn chaos_listed(var: &str, idx: usize) -> bool {
+    std::env::var(var)
         .map(|v| v.split(',').any(|t| t.trim().parse::<usize>() == Ok(idx)))
         .unwrap_or(false)
 }
 
 // ---------------------------------------------------------------------
-// Worker-cell mode
+// The campaign loop
 // ---------------------------------------------------------------------
 
-/// What a worker subprocess reports back through its out file.
-#[derive(Debug)]
-enum WorkerOut {
-    Ok(String),
-    Fail(String),
-    Interrupted,
+/// Where a campaign's [`JournalState`] lives.
+enum Store<'a> {
+    /// The journal file: every access is one [`locked_update`], so other
+    /// shard processes see each claim and result.
+    File {
+        path: &'a Path,
+        hash: u64,
+        total: usize,
+    },
+    /// This process's memory (no `--journal`).
+    Memory(JournalState),
 }
+
+impl Store<'_> {
+    fn update<T>(&mut self, f: impl FnOnce(&mut JournalState) -> T) -> Result<T, String> {
+        match self {
+            Store::File { path, hash, total } => locked_update(path, *hash, *total, f),
+            Store::Memory(state) => Ok(f(state)),
+        }
+    }
+}
+
+/// Runs a matrix campaign (see the module docs): claims cells, runs each
+/// through `run` on one of `--threads` scoped cell threads (default:
+/// every available core), and records every outcome as it arrives.
+/// `prepare`, if given, runs once per benchmark with cells left, each on
+/// its own thread from the start (the in-process executor captures that
+/// benchmark's trace there). Returns once every cell is terminal
+/// campaign-wide, or once an interrupt has wound a journaled run down,
+/// with the [`MatrixRun`] of the whole campaign.
+pub(crate) fn drive(
+    benches: &[Benchmark],
+    configs: &[(String, PortConfig)],
+    hash: u64,
+    opts: &MatrixOpts,
+    prepare: Option<&(dyn Fn(usize) + Sync)>,
+    run: &(dyn Fn(usize) -> JobOutcome + Sync),
+) -> Result<MatrixRun, String> {
+    use std::io::Write;
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+
+    let total = benches.len() * configs.len();
+    let pid = std::process::id();
+    let threads = threads_from_args().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    });
+    let ttl_ms = opts.lease_ttl.as_millis() as u64;
+    let hb_interval =
+        (opts.lease_ttl / 4).clamp(Duration::from_millis(250), Duration::from_secs(2));
+    let journal = opts.journal.as_deref();
+    let continued = journal.is_some_and(Path::exists);
+    let mut store = match journal {
+        Some(path) => {
+            if !continued {
+                // A new journal starts without checkpoints: any left under
+                // its name belong to a deleted campaign.
+                for idx in 0..total {
+                    let _ = std::fs::remove_file(cell_snap_path(path, idx));
+                }
+            }
+            interrupt::install();
+            Store::File { path, hash, total }
+        }
+        None => Store::Memory(JournalState::fresh(hash, total)),
+    };
+    // Create (or validate) the journal before any cell runs, so a
+    // fingerprint mismatch is a usage error and a kill from here on
+    // leaves a journal to continue; a raised budget revives quarantined
+    // cells.
+    let (served, pending) = store.update(|s| {
+        s.revive(opts.max_attempts);
+        let row = |b: usize| &s.cells[b * configs.len()..(b + 1) * configs.len()];
+        let served = s.cells.iter().filter(|c| matches!(c, CellState::Ok { .. }));
+        let pending = (0..benches.len()).filter(|&b| !row(b).iter().all(CellState::is_terminal));
+        (served.count(), pending.collect::<Vec<_>>())
+    })?;
+    if let (true, Some(path)) = (continued, journal) {
+        eprintln!(
+            "continuing journal {}: {served} of {total} cells served from it",
+            path.display()
+        );
+    }
+    // Only a journaled run can checkpoint, so only it honors the latch.
+    let stopping = || journal.is_some() && interrupt::requested();
+    // A concluded cell's interrupt checkpoint (if any) is stale.
+    let settle = |idx: usize| {
+        if let Some(j) = journal {
+            let _ = std::fs::remove_file(cell_snap_path(j, idx));
+        }
+    };
+
+    let (tx, rx) = channel::<(usize, u32, JobOutcome)>();
+    // Reports this process produced keep their host timing; cells served
+    // from the journal parse back from their records.
+    let mut live: Vec<Option<SimReport>> = vec![None; total];
+    // Cells this process has claimed and not yet recorded.
+    let mut claimed: Vec<usize> = Vec::new();
+    let mut last_hb = Instant::now();
+    // Checked after each wait, so a latch that is already set still lets
+    // the first cells start (and checkpoint at once).
+    let mut stop = false;
+    // `threads` long-lived cell threads take claimed cells from one queue.
+    let (jobs, queue) = channel::<(usize, u32)>();
+    let queue = std::sync::Mutex::new(queue);
+    std::thread::scope(|scope| -> Result<(), String> {
+        // Dropping the sender on any way out ends the cell threads.
+        let jobs = jobs;
+        if let Some(prepare) = prepare {
+            for &b in &pending {
+                std::thread::Builder::new()
+                    .name(format!("{WORKER_PREFIX}-prepare-{b}"))
+                    .spawn_scoped(scope, move || prepare(b))
+                    .map_err(|e| format!("cannot start a prepare thread: {e}"))?;
+            }
+        }
+        for w in 0..threads {
+            let (tx, queue) = (tx.clone(), &queue);
+            std::thread::Builder::new()
+                .name(format!("{WORKER_PREFIX}-{w}"))
+                .spawn_scoped(scope, move || loop {
+                    // The queue guard drops at the end of this statement,
+                    // before the cell runs.
+                    let next = queue.lock().ok().and_then(|q| q.recv().ok());
+                    let Some((idx, attempt)) = next else { break };
+                    let _ = tx.send((idx, attempt, run(idx)));
+                })
+                .map_err(|e| format!("cannot start a cell thread: {e}"))?;
+        }
+        // Each wake-up applies everything due in one journal update: the
+        // outcome that woke it, a heartbeat, and claims. One claimed cell
+        // waits in the queue beyond the `threads` that run, so a cell
+        // thread never waits for this update before starting its next cell.
+        let max_claimed = threads + 1;
+        let mut arrived: Option<(usize, u32, JobOutcome)> = None;
+        loop {
+            let beat = !claimed.is_empty() && last_hb.elapsed() >= hb_interval;
+            // A full, quiet loop has nothing to write: it just waits.
+            if arrived.is_some() || beat || claimed.len() < max_claimed {
+                let now = now_ms();
+                let finished = store.update(|s| {
+                    if let Some((idx, attempt, outcome)) = arrived.take() {
+                        let mark = match outcome {
+                            JobOutcome::Done(report) => {
+                                s.set_ok(idx, attempt, report.to_record());
+                                live[idx] = Some(*report);
+                                '.'
+                            }
+                            JobOutcome::Failed(e) => {
+                                let deadline = now.saturating_add(backoff_ms(attempt));
+                                if s.set_fail(idx, attempt, deadline, e, opts.max_attempts) {
+                                    'Q'
+                                } else {
+                                    'x'
+                                }
+                            }
+                            // A hung model hangs again: no retry.
+                            JobOutcome::TimedOut(e) => {
+                                s.set_quarantined(idx, attempt, e);
+                                'Q'
+                            }
+                            // The cell checkpointed; hand it back so a rerun
+                            // (or a surviving shard) picks it up at once.
+                            JobOutcome::Interrupted => {
+                                s.release_lease(idx, pid);
+                                '!'
+                            }
+                        };
+                        if mark != '!' {
+                            settle(idx);
+                        }
+                        let _ = write!(std::io::stderr(), "{mark}");
+                    }
+                    if beat {
+                        s.heartbeat(pid, now, &claimed);
+                    }
+                    while !stop && claimed.len() < max_claimed {
+                        let ctx = ClaimCtx {
+                            now_ms: now,
+                            pid,
+                            lease_ttl_ms: ttl_ms,
+                            max_attempts: opts.max_attempts,
+                            running: &claimed,
+                            is_alive: &pid_alive,
+                        };
+                        let Some((idx, attempt)) = claim_cell(s, &ctx) else {
+                            break;
+                        };
+                        claimed.push(idx);
+                        let _ = jobs.send((idx, attempt));
+                    }
+                    s.all_terminal()
+                })?;
+                if beat {
+                    last_hb = Instant::now();
+                }
+                if claimed.is_empty() && (stop || finished) {
+                    return Ok(());
+                }
+            }
+            match rx.recv_timeout(TICK) {
+                Ok((idx, attempt, outcome)) => {
+                    claimed.retain(|&i| i != idx);
+                    arrived = Some((idx, attempt, outcome));
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => unreachable!("the loop holds a sender"),
+            }
+            stop = stopping();
+        }
+    })?;
+    eprintln!();
+
+    let interrupted = stopping();
+    if let (true, Some(j)) = (interrupted, journal) {
+        eprintln!(
+            "interrupted: journal flushed and in-flight cells checkpointed; \
+             rerun with --journal {} to continue",
+            j.display()
+        );
+    }
+    let state = store.update(|s| s.clone())?;
+    let mut reports = Vec::with_capacity(benches.len());
+    let mut failures = Vec::new();
+    for (b, bench) in benches.iter().enumerate() {
+        let mut row = Vec::with_capacity(configs.len());
+        for (c, (label, _)) in configs.iter().enumerate() {
+            let idx = b * configs.len() + c;
+            row.push(match &state.cells[idx] {
+                CellState::Ok { record, .. } => {
+                    settle(idx);
+                    live[idx]
+                        .take()
+                        .or_else(|| SimReport::from_record(record).ok())
+                }
+                CellState::Quarantined { attempts, error } => {
+                    failures.push(JobFailure {
+                        bench: bench.name().to_string(),
+                        config: label.clone(),
+                        attempts: *attempts,
+                        error: error.clone(),
+                    });
+                    None
+                }
+                _ => None,
+            });
+        }
+        reports.push(row);
+    }
+    let run = MatrixRun {
+        reports,
+        failures,
+        interrupted,
+        capture_secs: 0.0,
+    };
+    let mut tally = SpeedTally::new();
+    run.reports
+        .iter()
+        .flatten()
+        .flatten()
+        .for_each(|r| tally.add(r));
+    tally.print();
+    run.print_failure_summary();
+    Ok(run)
+}
+
+// ---------------------------------------------------------------------
+// The subprocess executor and worker-cell mode
+// ---------------------------------------------------------------------
 
 /// Why a worker's out file produced no usable result. The two cases are
 /// operationally distinct — a [`Missing`](Self::Missing) file means the
@@ -577,8 +854,8 @@ enum WorkerOut {
 /// while [`Garbled`](Self::Garbled) means a write landed but its
 /// contents do not parse (torn write under a dying filesystem, stray
 /// process scribbling on the path) — but both charge exactly one attempt
-/// against the cell: the supervisor retries with backoff and quarantines
-/// at the attempt budget, never crashes.
+/// against the cell: it is retried with backoff and quarantined at the
+/// attempt budget, never a supervisor crash.
 #[derive(Debug, PartialEq, Eq)]
 enum OutFileError {
     /// No out file on disk.
@@ -588,10 +865,10 @@ enum OutFileError {
     Garbled(String),
 }
 
-/// Parses a worker out file, classifying every non-result as a typed
-/// [`OutFileError`] so the supervisor's retry bookkeeping can name what
-/// actually happened.
-fn parse_worker_out(path: &Path) -> Result<WorkerOut, OutFileError> {
+/// Parses a worker out file (`ok <record>`, `fail <error>` or `int`),
+/// classifying every non-result as a typed [`OutFileError`] so the retry
+/// bookkeeping can name what actually happened.
+fn parse_worker_out(path: &Path) -> Result<JobOutcome, OutFileError> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(OutFileError::Missing),
@@ -603,21 +880,94 @@ fn parse_worker_out(path: &Path) -> Result<WorkerOut, OutFileError> {
     if let Some(record) = line.strip_prefix("ok ") {
         // Validate before the record enters the journal: a truncated
         // record must cost this attempt, not poison the campaign.
-        return match SimReport::from_record(record) {
-            Ok(_) => Ok(WorkerOut::Ok(record.to_string())),
-            Err(e) => Err(OutFileError::Garbled(format!("bad ok record: {e}"))),
-        };
+        return SimReport::from_record(record)
+            .map(|r| JobOutcome::Done(Box::new(r)))
+            .map_err(|e| OutFileError::Garbled(format!("bad ok record: {e}")));
     }
     if let Some(err) = line.strip_prefix("fail ") {
-        return Ok(WorkerOut::Fail(unescape_error(err)));
+        return Ok(JobOutcome::Failed(unescape_error(err)));
     }
     if line == "int" {
-        return Ok(WorkerOut::Interrupted);
+        return Ok(JobOutcome::Interrupted);
     }
     let head: String = line.chars().take(40).collect();
     Err(OutFileError::Garbled(format!(
         "unrecognized result line starting `{head}`"
     )))
+}
+
+/// The subprocess executor: runs matrix cell `cell` in a re-executed
+/// worker subprocess and reports its outcome. The wall-clock budget is
+/// enforced from here with a kill (a wedged worker cannot police itself),
+/// and a pending interrupt is forwarded to the worker as SIGINT so it
+/// checkpoints.
+pub(crate) fn run_in_worker(
+    cell: usize,
+    journal: &Path,
+    hash: u64,
+    timeout: Option<Duration>,
+) -> JobOutcome {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+
+    // A worker started under a pending interrupt could die of the
+    // forwarded SIGINT before it installs its latch, costing an attempt.
+    if interrupt::requested() {
+        return JobOutcome::Interrupted;
+    }
+    let mut out = journal.as_os_str().to_owned();
+    out.push(format!(
+        ".w{cell}.{}.{}.out",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let out = PathBuf::from(out);
+    let _ = std::fs::remove_file(&out);
+    let mut child = match worker_command(cell, &out, hash)
+        .and_then(|mut c| c.spawn().map_err(|e| format!("spawn worker: {e}")))
+    {
+        Ok(child) => child,
+        Err(e) => return JobOutcome::Failed(e),
+    };
+    let started = Instant::now();
+    let mut signalled = false;
+    let status = loop {
+        match child.try_wait() {
+            Ok(Some(status)) => break status,
+            Ok(None) => {}
+            Err(e) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                return JobOutcome::Failed(format!("waiting for worker: {e}"));
+            }
+        }
+        if let Some(budget) = timeout.filter(|&t| started.elapsed() >= t) {
+            let _ = child.kill();
+            let _ = child.wait();
+            let _ = std::fs::remove_file(&out);
+            return JobOutcome::TimedOut(format!(
+                "timeout: exceeded the {:.3}s wall-clock budget",
+                budget.as_secs_f64()
+            ));
+        }
+        if !signalled && interrupt::requested() {
+            send_signal(child.id(), SIGINT);
+            signalled = true;
+        }
+        std::thread::sleep(WORKER_POLL);
+    };
+    let outcome = parse_worker_out(&out);
+    let _ = std::fs::remove_file(&out);
+    outcome.unwrap_or_else(|kind| {
+        JobOutcome::Failed(match kind {
+            OutFileError::Missing => {
+                format!("worker for cell {cell} died without a result ({status})")
+            }
+            OutFileError::Garbled(why) => {
+                format!("worker for cell {cell} left a garbled result file: {why} ({status})")
+            }
+        })
+    })
 }
 
 /// Runs exactly one matrix cell in-process and reports through the out
@@ -655,10 +1005,10 @@ pub(crate) fn run_worker(
             spec.cell
         ));
     }
-    if chaos_fail_requested(spec.cell) {
+    if chaos_listed("HBDC_CHAOS_FAIL_CELLS", spec.cell) {
         fail("chaos: injected worker failure (HBDC_CHAOS_FAIL_CELLS)");
     }
-    if chaos_garble_requested(spec.cell) {
+    if chaos_listed("HBDC_CHAOS_GARBLE_CELLS", spec.cell) {
         // A torn write with a clean exit status: the supervisor must not
         // trust the exit code, classify the file as garbled, and charge
         // the attempt.
@@ -666,79 +1016,34 @@ pub(crate) fn run_worker(
     }
     interrupt::install();
 
-    let bench_idx = spec.cell / configs.len();
-    let bench = &benches[bench_idx];
-    let (_, port) = &configs[spec.cell % configs.len()];
     // Workers self-serve traces from the shared on-disk corpus (capturing
-    // — and healing corrupt entries — on demand); there is no supervisor
-    // capture phase in shard mode.
-    let trace = match opts.trace_mode {
-        TraceMode::Execute => None,
-        TraceMode::Replay => {
-            let mut wanted = vec![false; benches.len()];
-            wanted[bench_idx] = true;
-            let (mut traces, _) = capture_traces(
-                benches,
-                &wanted,
-                scale,
-                &opts.cpu_cfg,
-                opts.trace_cache.as_deref(),
-            );
-            traces.swap_remove(bench_idx)
-        }
-    };
+    // — and healing corrupt entries — on demand).
+    let trace = capture_trace(&benches[spec.cell / configs.len()], scale, opts);
     let ckpt = opts
         .journal
         .as_deref()
         .map(|j| cell_snap_path(j, spec.cell));
     let outcome = run_cell(CellJob {
-        bench,
-        trace: trace.as_ref(),
-        scale,
-        port: *port,
+        trace: &trace,
+        port: configs[spec.cell % configs.len()].1,
         cpu_cfg: opts.cpu_cfg,
         // The supervisor enforces the wall-clock budget from outside;
         // the worker only needs to poll the SIGINT latch.
         timeout: None,
         checkpoint: ckpt.as_deref(),
-        resume: true,
     });
     match outcome {
         JobOutcome::Done(r) => finish(format!("ok {}", r.to_record()), 0),
-        JobOutcome::Failed(e) => fail(&e),
+        JobOutcome::Failed(e) | JobOutcome::TimedOut(e) => fail(&e),
         JobOutcome::Interrupted => finish("int".to_string(), 130),
     }
 }
 
-// ---------------------------------------------------------------------
-// Supervisor
-// ---------------------------------------------------------------------
-
-/// Shard-mode knobs, resolved from [`MatrixOpts`] and `argv`.
-pub(crate) struct ShardParams {
-    pub(crate) journal: PathBuf,
-    pub(crate) max_attempts: u32,
-    pub(crate) lease_ttl: Duration,
-    pub(crate) timeout: Option<Duration>,
-    /// Concurrent worker subprocesses this supervisor runs.
-    pub(crate) threads: usize,
-}
-
-/// A worker subprocess in flight.
-struct Running {
-    idx: usize,
-    attempt: u32,
-    child: Child,
-    out: PathBuf,
-    started: Instant,
-    signalled: bool,
-}
-
-/// The supervisor argv for a cell worker: this binary, the original
-/// arguments (minus any stale worker flags), plus the hidden worker
-/// triple. Reusing the caller's own argv is what lets the worker rebuild
-/// the identical matrix — benchmarks, scale, configs, machine config —
-/// without a separate job-description format.
+/// The argv for a cell worker: this binary, the original arguments
+/// (minus any stale worker flags), plus the hidden worker triple. Reusing
+/// the caller's own argv is what lets the worker rebuild the identical
+/// matrix — benchmarks, scale, configs, machine config — without a
+/// separate job-description format.
 fn worker_command(cell: usize, out: &Path, hash: u64) -> Result<Command, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate our own binary: {e}"))?;
     let mut cmd = Command::new(exe);
@@ -761,285 +1066,6 @@ fn worker_command(cell: usize, out: &Path, hash: u64) -> Result<Command, String>
     // eviction notices) flows through to the supervisor's.
     cmd.stdout(Stdio::null());
     Ok(cmd)
-}
-
-/// Drains a campaign as one of N cooperating shard processes; see the
-/// module docs for the protocol. Returns when every cell is terminal
-/// (`ok` or quarantined) in the journal — including cells other
-/// processes ran — or when interrupted.
-pub(crate) fn supervise(
-    benches: &[Benchmark],
-    configs: &[(String, PortConfig)],
-    hash: u64,
-    params: &ShardParams,
-) -> Result<MatrixRun, String> {
-    use std::io::Write;
-
-    let total = benches.len() * configs.len();
-    let pid = std::process::id();
-    let ttl_ms = params.lease_ttl.as_millis() as u64;
-    let hb_interval =
-        (params.lease_ttl / 4).clamp(Duration::from_millis(250), Duration::from_secs(2));
-    let journal = &params.journal;
-    interrupt::install();
-
-    // Create (or validate) the journal up front so a fingerprint
-    // mismatch is a usage error before any worker spawns.
-    locked_update(journal, hash, total, |_| ())?;
-
-    let mut running: Vec<Running> = Vec::new();
-    let mut out_seq = 0u64;
-    let mut last_hb = Instant::now();
-    let is_alive = |p: u32| pid_alive(p);
-
-    loop {
-        let interrupted = interrupt::requested();
-
-        // Reap finished workers and record their outcomes.
-        let mut i = 0;
-        while i < running.len() {
-            let Some(status) = running[i]
-                .child
-                .try_wait()
-                .map_err(|e| format!("waiting for worker: {e}"))?
-            else {
-                i += 1;
-                continue;
-            };
-            let r = running.swap_remove(i);
-            let outcome = parse_worker_out(&r.out);
-            let _ = std::fs::remove_file(&r.out);
-            let mark = match outcome {
-                Ok(WorkerOut::Ok(record)) => {
-                    locked_update(journal, hash, total, |s| {
-                        if s.set_ok(r.idx, r.attempt, record) {
-                            // The cell is on the books; its in-flight
-                            // checkpoint (if any) is now stale.
-                            let _ = std::fs::remove_file(cell_snap_path(journal, r.idx));
-                        }
-                    })?;
-                    "."
-                }
-                Ok(WorkerOut::Interrupted) => {
-                    // The worker checkpointed; hand the cell back so a
-                    // resume (or a surviving shard) picks it up at once.
-                    locked_update(journal, hash, total, |s| s.release_lease(r.idx, pid))?;
-                    "!"
-                }
-                Ok(WorkerOut::Fail(e)) => {
-                    let deadline = now_ms().saturating_add(backoff_ms(r.attempt));
-                    let quarantined = locked_update(journal, hash, total, |s| {
-                        s.set_fail(r.idx, r.attempt, deadline, e, params.max_attempts)
-                    })?;
-                    if quarantined {
-                        "Q"
-                    } else {
-                        "x"
-                    }
-                }
-                Err(kind) => {
-                    // No usable result: the worker died before its atomic
-                    // write landed (Missing) or the out file does not
-                    // parse (Garbled). Either way this attempt is
-                    // charged; the cell retries with backoff and
-                    // quarantines at the attempt budget.
-                    let e = match kind {
-                        OutFileError::Missing => {
-                            format!("worker for cell {} died without a result ({status})", r.idx)
-                        }
-                        OutFileError::Garbled(why) => format!(
-                            "worker for cell {} left a garbled result file: {why} ({status})",
-                            r.idx
-                        ),
-                    };
-                    let deadline = now_ms().saturating_add(backoff_ms(r.attempt));
-                    let quarantined = locked_update(journal, hash, total, |s| {
-                        s.set_fail(r.idx, r.attempt, deadline, e, params.max_attempts)
-                    })?;
-                    if quarantined {
-                        "Q"
-                    } else {
-                        "x"
-                    }
-                }
-            };
-            let mut err = std::io::stderr().lock();
-            let _ = write!(err, "{mark}");
-        }
-
-        // Enforce per-cell wall-clock budgets: a timed-out worker is
-        // killed and its cell quarantined (never retried: a hung model
-        // hangs again).
-        if let Some(budget) = params.timeout {
-            let mut i = 0;
-            while i < running.len() {
-                if running[i].started.elapsed() < budget {
-                    i += 1;
-                    continue;
-                }
-                let mut r = running.swap_remove(i);
-                let _ = r.child.kill();
-                let _ = r.child.wait();
-                let _ = std::fs::remove_file(&r.out);
-                locked_update(journal, hash, total, |s| {
-                    s.set_quarantined(
-                        r.idx,
-                        r.attempt,
-                        format!(
-                            "timeout: exceeded the {:.3}s wall-clock budget",
-                            budget.as_secs_f64()
-                        ),
-                    )
-                })?;
-                let mut err = std::io::stderr().lock();
-                let _ = write!(err, "Q");
-            }
-        }
-
-        if interrupted {
-            // Ask every in-flight worker to checkpoint; the reap pass
-            // above records their `int` (or late `ok`) outcomes.
-            for r in &mut running {
-                if !r.signalled {
-                    send_signal(r.child.id(), SIGINT);
-                    r.signalled = true;
-                }
-            }
-            if running.is_empty() {
-                break;
-            }
-        } else {
-            // Refresh our lease heartbeats.
-            if last_hb.elapsed() >= hb_interval && !running.is_empty() {
-                let idxs: Vec<usize> = running.iter().map(|r| r.idx).collect();
-                let now = now_ms();
-                locked_update(journal, hash, total, |s| s.heartbeat(pid, now, &idxs))?;
-                last_hb = Instant::now();
-            }
-
-            // Claim and spawn up to the concurrency cap.
-            while running.len() < params.threads {
-                let idxs: Vec<usize> = running.iter().map(|r| r.idx).collect();
-                let now = now_ms();
-                let claimed = locked_update(journal, hash, total, |s| {
-                    claim_cell(
-                        s,
-                        &ClaimCtx {
-                            now_ms: now,
-                            pid,
-                            lease_ttl_ms: ttl_ms,
-                            max_attempts: params.max_attempts,
-                            running: &idxs,
-                            is_alive: &is_alive,
-                        },
-                    )
-                })?;
-                let Some((idx, attempt)) = claimed else { break };
-                out_seq += 1;
-                let mut out = journal.as_os_str().to_owned();
-                out.push(format!(".w{idx}.{pid}.{out_seq}.out"));
-                let out = PathBuf::from(out);
-                let _ = std::fs::remove_file(&out);
-                match worker_command(idx, &out, hash)
-                    .and_then(|mut c| c.spawn().map_err(|e| format!("spawn worker: {e}")))
-                {
-                    Ok(child) => running.push(Running {
-                        idx,
-                        attempt,
-                        child,
-                        out,
-                        started: Instant::now(),
-                        signalled: false,
-                    }),
-                    Err(e) => {
-                        // Can't start workers at all: record the attempt
-                        // so the cell isn't wedged under our lease.
-                        let deadline = now_ms().saturating_add(backoff_ms(attempt));
-                        locked_update(journal, hash, total, |s| {
-                            s.set_fail(idx, attempt, deadline, e, params.max_attempts)
-                        })?;
-                        break;
-                    }
-                }
-            }
-
-            if running.is_empty() {
-                // Nothing claimable right now. Done if the whole campaign
-                // is terminal; otherwise other shards hold live leases or
-                // failed cells are backing off — wait for them.
-                let done = locked_update(journal, hash, total, |s| s.all_terminal())?;
-                if done {
-                    break;
-                }
-            }
-        }
-
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    {
-        let mut err = std::io::stderr().lock();
-        let _ = writeln!(err);
-    }
-
-    let interrupted = interrupt::requested();
-    if interrupted {
-        eprintln!(
-            "interrupted: leases released and journal flushed; \
-             rerun the same command to continue {}",
-            journal.display()
-        );
-    }
-
-    // Final assembly straight from the journal, so every shard reports
-    // the complete campaign — including cells its peers ran.
-    let state = locked_update(journal, hash, total, |s| s.clone())?;
-    let mut reports: Vec<Vec<Option<SimReport>>> = Vec::with_capacity(benches.len());
-    let mut failures = Vec::new();
-    let mut quarantined = Vec::new();
-    for (b, bench) in benches.iter().enumerate() {
-        let mut row = Vec::with_capacity(configs.len());
-        for (c, (label, _)) in configs.iter().enumerate() {
-            let idx = b * configs.len() + c;
-            match &state.cells[idx] {
-                CellState::Ok { record, .. } => {
-                    row.push(SimReport::from_record(record).ok());
-                    let _ = std::fs::remove_file(cell_snap_path(journal, idx));
-                }
-                CellState::Quarantined { attempts, error } => {
-                    row.push(None);
-                    quarantined.push(JobFailure {
-                        bench: bench.name().to_string(),
-                        config: label.clone(),
-                        attempts: *attempts,
-                        error: error.clone(),
-                    });
-                }
-                CellState::Fail {
-                    attempts, error, ..
-                } if !interrupted => {
-                    row.push(None);
-                    failures.push(JobFailure {
-                        bench: bench.name().to_string(),
-                        config: label.clone(),
-                        attempts: *attempts,
-                        error: error.clone(),
-                    });
-                }
-                _ => row.push(None),
-            }
-        }
-        reports.push(row);
-    }
-    let run = MatrixRun {
-        reports,
-        failures,
-        quarantined,
-        interrupted,
-        capture_secs: 0.0,
-    };
-    crate::runner::print_sim_speed(run.reports.iter().flatten().flatten());
-    run.print_failure_summary();
-    Ok(run)
 }
 
 #[cfg(test)]
@@ -1089,14 +1115,14 @@ mod tests {
 
         // The three legitimate shapes still parse.
         std::fs::write(&p, format!("ok {}\n", sample_record())).unwrap();
-        assert!(matches!(parse_worker_out(&p), Ok(WorkerOut::Ok(_))));
+        assert!(matches!(parse_worker_out(&p), Ok(JobOutcome::Done(_))));
         std::fs::write(&p, "fail boom\n").unwrap();
         assert!(matches!(
             parse_worker_out(&p),
-            Ok(WorkerOut::Fail(e)) if e == "boom"
+            Ok(JobOutcome::Failed(e)) if e == "boom"
         ));
         std::fs::write(&p, "int\n").unwrap();
-        assert!(matches!(parse_worker_out(&p), Ok(WorkerOut::Interrupted)));
+        assert!(matches!(parse_worker_out(&p), Ok(JobOutcome::Interrupted)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1221,28 +1247,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_journals_still_load() {
-        let text = format!(
-            "{JOURNAL_HEADER_V1}\nmatrix 0000000000000001\ncells 2\nok 0 2 {}\nfail 1 2 boom \\t tab\n",
-            sample_record()
-        );
-        let s = parse_journal(&text, &path(), 1, 2).unwrap();
-        assert!(matches!(&s.cells[0], CellState::Ok { attempts: 2, .. }));
-        match &s.cells[1] {
-            CellState::Fail {
-                attempts,
-                not_before_ms,
-                error,
-            } => {
-                assert_eq!(*attempts, 2);
-                assert_eq!(*not_before_ms, 0);
-                assert_eq!(error, "boom \t tab");
-            }
-            other => panic!("expected fail, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn escape_unescape_roundtrip() {
         for s in [
             "",
@@ -1334,12 +1338,17 @@ mod tests {
             CellState::Quarantined { attempts: 3, .. }
         ));
         assert!(s.all_terminal());
-        // Same budget: not claimable.
+        // Same budget: nothing to revive, not claimable.
+        s.revive(3);
         let alive = |_: u32| true;
         assert_eq!(claim_cell(&mut s, &ctx(0, &[], &alive)), None);
-        // Raised budget: the quarantined cell gets its extra attempts.
+        // A raised budget alone does not claim a quarantined cell (a
+        // cell quarantined mid-run stays so) ...
         let mut big = ctx(0, &[], &alive);
         big.max_attempts = 5;
+        assert_eq!(claim_cell(&mut s, &big), None);
+        // ... until the rerun revives it: it gets its extra attempts.
+        s.revive(5);
         assert_eq!(claim_cell(&mut s, &big), Some((0, 4)));
     }
 

@@ -40,11 +40,11 @@
 //! * `snapshot-split` — splitting the run at a fuzzer-chosen cycle,
 //!   round-tripping the snapshot through bytes, and resuming equals the
 //!   straight run;
-//! * `journal-matrix` — driving the program through the journaled matrix
-//!   engine (the persistence layer shard workers share: capture, replay,
-//!   journal records), then resuming from the journal, equals direct
-//!   simulation; the multi-process half of the sharded/single-process
-//!   pair is covered end-to-end by `scripts/chaos_test.sh`.
+//! * `journal-matrix` — driving the program through the journaled
+//!   campaign engine (the one loop every matrix run takes: capture,
+//!   replay, journal records), then continuing the journal, equals direct
+//!   simulation; the engine's subprocess executor is covered end-to-end
+//!   by `scripts/chaos_test.sh`.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -498,17 +498,16 @@ fn matrix_src(_: hbdc_workloads::Scale) -> String {
 }
 
 /// `journal-matrix`: one program × two configurations through the
-/// journaled capture-then-replay matrix engine, then a second pass served
-/// entirely from the journal's records — both must equal direct
-/// simulation. This exercises the exact persistence stack sharded
-/// campaigns share: trace capture, replay cells, journal render/parse,
-/// and the report record codec.
+/// journaled campaign engine, then a second pass served entirely from the
+/// journal's records — both must equal direct simulation. This exercises
+/// the exact persistence stack sharded campaigns share: trace capture,
+/// replay cells, journal render/parse, and the report record codec.
 fn check_journal_matrix(
     program: &Program,
     base: &SimReport,
     dir: &Path,
 ) -> Result<(), Box<RelationViolation>> {
-    use hbdc_bench::runner::{simulate_matrix_opts, MatrixOpts, TraceMode};
+    use hbdc_bench::runner::{simulate_matrix_opts, MatrixOpts};
     use hbdc_workloads::{Benchmark, Suite};
 
     let fail = |detail: String, expected: String, actual: String| {
@@ -522,9 +521,9 @@ fn check_journal_matrix(
         ("lbic:4x2".to_string(), flagship()),
         ("bank:4".to_string(), PortConfig::banked(4)),
     ];
-    // The matrix fingerprint hashes the bench *name*, not the generated
-    // program, so a journal left behind by a previous case would be
-    // accepted as resumable state for this one: scrub the directory.
+    // The matrix fingerprint covers the generated program, so a journal
+    // left behind by a previous case would be refused as another
+    // matrix's: scrub the directory.
     if let Err(e) = std::fs::create_dir_all(dir) {
         return Err(fail(
             format!("cannot create matrix scratch dir {}", dir.display()),
@@ -543,7 +542,6 @@ fn check_journal_matrix(
     let opts = MatrixOpts {
         cpu_cfg: fuzz_cfg(),
         journal: Some(journal.clone()),
-        trace_mode: TraceMode::Replay,
         ..MatrixOpts::default()
     };
     let run_matrix =
@@ -573,11 +571,9 @@ fn check_journal_matrix(
     let Some(first) = run_matrix(&opts, "matrix pass")? else {
         return Ok(());
     };
-    let resume_opts = MatrixOpts {
-        resume: true,
-        ..opts.clone()
-    };
-    let Some(second) = run_matrix(&resume_opts, "journal-resume pass")? else {
+    // The journal now exists, so the second pass continues it: every
+    // cell is served from its record.
+    let Some(second) = run_matrix(&opts, "journal-resume pass")? else {
         return Ok(());
     };
 

@@ -18,7 +18,7 @@
 //! hbdc-sim campaign table3|table4 [--scale ...] [--bench NAME] [--csv]
 //!              [--journal PATH | --resume PATH] [--shard] [--threads N]
 //!              [--max-attempts N] [--lease-ttl-secs N] [--timeout-secs N]
-//!              [--trace-mode execute|replay] [--trace-cache DIR]
+//!              [--trace-cache DIR]
 //! hbdc-sim fuzz [--seed N] [--budget N] [--corpus DIR] [--matrix-every N]
 //!              [--small] [--keep-going] [--selftest]
 //! ```
@@ -472,13 +472,14 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs a whole table campaign through the journaled matrix engine —
-/// including its sharded multi-process mode: start the same `campaign`
-/// command with `--journal J --shard` in several terminals and they
-/// drain one journal cooperatively (each cell in an isolated worker
-/// subprocess, dead workers' leases stolen, flaky cells retried and
-/// quarantined after `--max-attempts`). Exit code follows the matrix
-/// contract: 0 clean, 1 failed cells, 3 only-quarantined cells, 130
+/// Runs a whole table campaign through the matrix campaign engine: each
+/// cell replays its benchmark's captured trace, and a failing cell is
+/// retried with backoff, then quarantined after `--max-attempts` (default
+/// 2). With `--journal J` the campaign survives Ctrl-C and a rerun on J
+/// continues it; with `--journal J --shard` in several terminals the
+/// processes drain one journal cooperatively (each cell in an isolated
+/// worker subprocess, dead workers' leases stolen). Exit code follows the
+/// matrix contract: 0 clean, 3 quarantined cells, 130
 /// interrupted-and-checkpointed.
 fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     use hbdc_bench::runner::{

@@ -164,6 +164,30 @@ fn shard_composes_with_threads() {
 }
 
 #[test]
+fn resume_requires_an_existing_journal() {
+    // `--resume PATH` is `--journal PATH` that insists the campaign
+    // exists; starting one is `--journal`'s job.
+    let journal = std::env::temp_dir().join(format!("hbdc-cli-nojournal-{}", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let (_, err, code) = hbdc_sim_code(&[
+        "campaign",
+        "table4",
+        "--scale",
+        "test",
+        "--bench",
+        "li",
+        "--resume",
+        journal.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("--resume: no journal"), "{err}");
+    assert!(
+        !journal.exists(),
+        "a refused --resume must not create the journal"
+    );
+}
+
+#[test]
 fn threads_rejects_zero_with_or_without_shard() {
     for extra in [&["--shard"][..], &[][..]] {
         let mut args = vec![
