@@ -376,19 +376,38 @@ impl Default for MatrixOpts {
 /// SIGINT and timeout latency stay in the low milliseconds.
 const CHUNK_CYCLES: u64 = 4096;
 
-/// Content fingerprint of a matrix campaign: scale, each benchmark's name
-/// and program (the object-byte fingerprint that also keys the trace
-/// cache), column labels and port parameters, and the machine
-/// configuration. A journal records the fingerprint it was written under,
-/// and continuing it under any other matrix — a kernel-generator edit
-/// included — is refused rather than silently mixing results.
+// `BUILD_ID`: the fingerprint of the simulator sources this binary was
+// built from (see `build.rs`).
+include!(concat!(env!("OUT_DIR"), "/build_id.rs"));
+
+/// Content fingerprint of a matrix campaign: the simulator build
+/// ([`BUILD_ID`], a hash of the simulator crates' sources), scale, each
+/// benchmark's name and program (the object-byte fingerprint that also
+/// keys the trace cache), column labels and port parameters, and the
+/// machine configuration. A journal records the fingerprint it was
+/// written under, and continuing it under any other matrix — a
+/// kernel-generator or timing-model edit included — is refused rather
+/// than silently mixing results.
 pub(crate) fn matrix_hash(
     benches: &[Benchmark],
     scale: Scale,
     configs: &[(String, PortConfig)],
     cpu_cfg: &CpuConfig,
 ) -> u64 {
+    build_matrix_hash(BUILD_ID, benches, scale, configs, cpu_cfg)
+}
+
+/// [`matrix_hash`] as a binary built with simulator fingerprint `build`
+/// computes it.
+fn build_matrix_hash(
+    build: u64,
+    benches: &[Benchmark],
+    scale: Scale,
+    configs: &[(String, PortConfig)],
+    cpu_cfg: &CpuConfig,
+) -> u64 {
     let mut w = StateWriter::new();
+    w.put_u64(build);
     w.put_str(scale_label(scale));
     w.put_usize(benches.len());
     for b in benches {
@@ -1176,6 +1195,21 @@ mod tests {
         let err =
             simulate_matrix_opts(&benches_edited, Scale::Test, &configs_a, &opts).unwrap_err();
         assert!(err.contains("does not match"), "{err}");
+
+        // The same matrix journaled by a binary built from other
+        // simulator sources: refused too.
+        let stamped = build_matrix_hash(
+            BUILD_ID ^ 1,
+            &benches,
+            Scale::Test,
+            &configs_a,
+            &opts.cpu_cfg,
+        );
+        let state = supervise::JournalState::fresh(stamped, 1);
+        std::fs::write(&journal, supervise::render_journal(&state)).unwrap();
+        let err = simulate_matrix_opts(&benches, Scale::Test, &configs_a, &opts).unwrap_err();
+        assert!(err.contains("does not match"), "{err}");
+        assert!(err.contains("refusing to resume"), "{err}");
 
         // Garbage file: refused, with the offending path named.
         std::fs::write(&journal, "not a journal\n").unwrap();

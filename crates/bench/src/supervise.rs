@@ -399,7 +399,7 @@ pub(crate) fn parse_journal(
     if found_hash != hash {
         return Err(format!(
             "{}: journal fingerprint {found_hash:016x} does not match this run's {hash:016x} \
-             (different benchmarks or kernel programs, scale, port configs, or machine config); refusing to resume",
+             (different simulator build, benchmarks or kernel programs, scale, port configs, or machine config); refusing to resume",
             path.display()
         ));
     }

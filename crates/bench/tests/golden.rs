@@ -116,9 +116,9 @@ fn audited_runs_match_reference_implementation() {
 }
 
 /// The audited round is the production round: under Bank-4, whose round
-/// reads its delta-fed per-bank mirror, a deep-backlog stencil (more than
-/// 64 references offered per round on average) must run audit-clean and
-/// bit-identical to the unaudited run.
+/// stops walking the backlog at its fourth grant, a deep-backlog stencil
+/// (more than 64 references offered per round on average) must run
+/// audit-clean and bit-identical to the unaudited run.
 #[test]
 fn audited_deep_backlog_matches_unaudited_under_bank4() {
     let mgrid = by_name("mgrid").unwrap();

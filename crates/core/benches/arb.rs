@@ -6,9 +6,8 @@
 //! round grants everything) and *conflict-heavy* (the whole backlog on
 //! one bank, so most references wait many rounds). Every iteration runs
 //! one round, then services the grants and offers a replacement for
-//! each (a younger reference to the same address), so the backlog stays
-//! at a fixed depth and models that mirror offers (banked) pay their
-//! `offer_remove`/`offer_insert` upkeep exactly as the simulator feeds it.
+//! each (a younger reference to the same address) at the back of the
+//! list, so the backlog stays at a fixed depth.
 //!
 //! Run via `scripts/microbench.sh` or
 //! `cargo bench -p hbdc-core --bench arb`.
@@ -62,7 +61,6 @@ fn bench_arbitrate(c: &mut Criterion) {
         ] {
             let mut model = config.build(LINE);
             let mut ready = reqs.clone();
-            model.offer_reset(&ready);
             let mut next_id = N_READY;
             let mut granted = Vec::new();
             group.bench_function(model.label(), |b| {
@@ -71,14 +69,11 @@ fn bench_arbitrate(c: &mut Criterion) {
                     model.tick();
                     for &g in granted.iter().rev() {
                         let done = ready.remove(g);
-                        model.offer_remove(done);
-                        let fresh = MemRequest {
+                        ready.push(MemRequest {
                             id: next_id,
                             ..done
-                        };
+                        });
                         next_id += 1;
-                        ready.push(fresh);
-                        model.offer_insert(fresh);
                     }
                     black_box(granted.len())
                 })

@@ -1,7 +1,5 @@
 //! Traditional multi-banking (interleaved cache).
 
-use std::collections::VecDeque;
-
 use hbdc_mem::BankMapper;
 use hbdc_snap::{SnapError, StateReader, StateWriter};
 
@@ -37,15 +35,10 @@ use crate::stats::ArbStats;
 #[derive(Debug)]
 pub struct BankedPorts {
     mapper: BankMapper,
-    // Per-bank index over the standing offered set: each bucket holds
-    // that bank's offered requests sorted by id (= age), maintained by
-    // offer_insert/offer_remove, so a round is "front of every non-empty
-    // bucket" instead of a walk over the whole age-ordered backlog.
-    // Deques, because the maintenance traffic is end-biased — arrivals
-    // carry the largest id yet (back) and grants take the oldest per bank
-    // (front) — so the common case is O(1). Derived state: never
-    // serialized, rebuilt by offer_reset after a snapshot restore.
-    buckets: Vec<VecDeque<MemRequest>>,
+    // Per-round scratch, one slot per bank: whether the bank already has
+    // this cycle's grant. Reset at the start of each round, so the hot
+    // path never allocates.
+    taken: Vec<bool>,
     stats: ArbStats,
 }
 
@@ -64,7 +57,7 @@ impl BankedPorts {
         let banks = mapper.banks() as usize;
         Self {
             mapper,
-            buckets: vec![VecDeque::new(); banks],
+            taken: vec![false; banks],
             stats: ArbStats::new(banks),
         }
     }
@@ -76,94 +69,30 @@ impl BankedPorts {
 }
 
 impl PortModel for BankedPorts {
-    // The winner of each bank is the front of its bucket (the oldest
-    // same-bank request) and every other offered request is a bank
-    // conflict, so a round is O(banks) bucket reads plus one binary
-    // search per grant to turn its id back into an index of `ready`
-    // (valid because ids strictly increase along `ready`). The mirror
-    // checks are hard asserts: they cost O(banks) per round, and a
-    // violated ordering contract or a desynchronized mirror would
-    // otherwise yield silently wrong grants.
+    // One walk in age order granting the first reference to each bank.
+    // Every other offered reference is a bank conflict, so the count is
+    // `ready.len() - granted.len()` and the walk stops once every bank
+    // has its grant: O(ready) in the worst case, O(banks) when the
+    // oldest references already cover every bank.
     fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) {
-        assert_eq!(
-            self.buckets.iter().map(VecDeque::len).sum::<usize>(),
-            ready.len(),
-            "offered mirror out of sync with the ready list"
-        );
         granted.clear();
-        for bucket in &self.buckets {
-            if let Some(front) = bucket.front() {
-                let i = ready.partition_point(|r| r.id < front.id);
-                assert!(
-                    ready.get(i).is_some_and(|r| r.id == front.id),
-                    "mirror front id {} not in the ready list (ids must strictly increase)",
-                    front.id
-                );
+        self.taken.fill(false);
+        let banks = self.taken.len();
+        for (i, r) in ready.iter().enumerate() {
+            let taken = &mut self.taken[self.mapper.bank_of(r.addr) as usize];
+            if !*taken {
+                *taken = true;
                 granted.push(i);
+                if granted.len() == banks {
+                    break;
+                }
             }
         }
-        granted.sort_unstable();
         let conflicts = (ready.len() - granted.len()) as u64;
         if conflicts > 0 {
             self.stats.bump("bank_conflicts", conflicts);
         }
         self.stats.record_round(ready.len(), granted.len());
-    }
-
-    fn mirrors_offers(&self) -> bool {
-        true
-    }
-
-    fn offer_insert(&mut self, req: MemRequest) {
-        let bank = self.mapper.bank_of(req.addr) as usize;
-        let bucket = &mut self.buckets[bank];
-        // Newly-ready requests almost always carry the largest id in
-        // their bank (ids are dispatch order), so the common case is an
-        // O(1) push onto the back; out-of-order wakeups fall back to a
-        // binary search plus a shift of the shorter side.
-        if bucket.back().is_none_or(|r| r.id < req.id) {
-            bucket.push_back(req);
-        } else {
-            let pos = bucket.partition_point(|r| r.id < req.id);
-            assert!(
-                bucket.get(pos).is_none_or(|r| r.id != req.id),
-                "duplicate offered id {}",
-                req.id
-            );
-            bucket.insert(pos, req);
-        }
-    }
-
-    fn offer_remove(&mut self, req: MemRequest) {
-        let bank = self.mapper.bank_of(req.addr) as usize;
-        let bucket = &mut self.buckets[bank];
-        // Grants take the oldest reference per bank — the bucket front —
-        // so the common case is an O(1) pop; mid-bucket removals
-        // (squashes, MSHR-rejected retries) shift the shorter side.
-        if bucket.front().is_some_and(|r| r.id == req.id) {
-            bucket.pop_front();
-        } else {
-            let pos = bucket.partition_point(|r| r.id < req.id);
-            assert!(
-                bucket.get(pos).is_some_and(|r| r.id == req.id),
-                "removing id {} not in offered set",
-                req.id
-            );
-            bucket.remove(pos);
-        }
-    }
-
-    fn offer_reset(&mut self, offered: &[MemRequest]) {
-        assert!(
-            offered.windows(2).all(|w| w[0].id < w[1].id),
-            "offered ids must strictly increase along the ready list"
-        );
-        self.buckets.iter_mut().for_each(VecDeque::clear);
-        // The set is id-sorted (age order), so appending keeps every
-        // bucket sorted without a per-element search.
-        for &r in offered {
-            self.buckets[self.mapper.bank_of(r.addr) as usize].push_back(r);
-        }
     }
 
     fn tick(&mut self) {
@@ -182,16 +111,11 @@ impl PortModel for BankedPorts {
         &self.stats
     }
 
-    // The buckets are derived from the driver's offered set, so the
-    // statistics are the only persistent state.
     fn save_state(&self, w: &mut StateWriter) {
         self.stats.save_state(w);
     }
 
     fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
-        // The offered mirror is derived state: the driver re-seeds it via
-        // `offer_reset` once the load/store queue has been restored.
-        self.buckets.iter_mut().for_each(VecDeque::clear);
         self.stats.load_state(r)
     }
 
@@ -276,38 +200,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ids must strictly increase")]
-    fn ready_ids_out_of_age_order_are_rejected() {
-        // Position says 9 is older, ids say 3 is: the bucket round keys
-        // age on ids, so a list whose ids disagree with its order is
-        // refused instead of being arbitrated by the wrong age.
+    fn age_is_position_not_id() {
+        // The walk grants by position: index 0 wins the bank whatever
+        // the ids say.
         let mut m = BankedPorts::new(2, 32);
         let ready = vec![
             MemRequest::load(9, 0x40), // bank 0, first in the list
             MemRequest::load(3, 0x00), // bank 0, smaller id
         ];
-        m.arbitrate(&ready);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of sync")]
-    fn round_over_a_list_the_mirror_was_not_fed_is_rejected() {
-        let mut m = BankedPorts::new(2, 32);
-        m.offer_insert(MemRequest::load(0, 0x00));
-        let mut granted = Vec::new();
-        m.arbitrate_into(
-            &[MemRequest::load(0, 0x00), MemRequest::load(1, 0x20)],
-            &mut granted,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "not in the ready list")]
-    fn mirror_front_missing_from_the_list_is_rejected() {
-        let mut m = BankedPorts::new(2, 32);
-        m.offer_insert(MemRequest::load(4, 0x00));
-        let mut granted = Vec::new();
-        m.arbitrate_into(&[MemRequest::load(5, 0x00)], &mut granted);
+        assert_eq!(m.arbitrate(&ready), vec![0]);
+        assert_eq!(m.stats().extra_counter("bank_conflicts"), 1);
     }
 
     #[test]
@@ -333,14 +235,6 @@ mod tests {
         assert_eq!(BankedPorts::new(16, 32).label(), "Bank-16");
     }
 
-    /// One round over `ready` through the delta-fed mirror, as the
-    /// simulator drives it (no re-seed), returning the granted ids.
-    fn round(m: &mut BankedPorts, ready: &[MemRequest]) -> Vec<u64> {
-        let mut granted = Vec::new();
-        m.arbitrate_into(ready, &mut granted);
-        granted.iter().map(|&i| ready[i].id).collect()
-    }
-
     #[test]
     fn saturation_counts_every_loser_as_a_conflict() {
         let ready: Vec<MemRequest> = (0..3).map(|i| MemRequest::load(i, i * 64)).collect();
@@ -352,45 +246,20 @@ mod tests {
     }
 
     #[test]
-    fn remove_promotes_next_oldest() {
+    fn early_exit_still_counts_the_whole_tail() {
+        // Both banks are granted by index 1; the walk stops there, yet
+        // every later reference is still a conflict.
+        let mut m = BankedPorts::new(2, 32);
         let ready = vec![
             MemRequest::load(0, 0x00), // bank 0
-            MemRequest::load(1, 0x80), // bank 0, younger
+            MemRequest::load(1, 0x20), // bank 1
+            MemRequest::load(2, 0x40), // bank 0
+            MemRequest::load(3, 0x60), // bank 1
+            MemRequest::load(4, 0x80), // bank 0
         ];
-        let mut m = BankedPorts::new(4, 32);
-        for &r in &ready {
-            m.offer_insert(r);
-        }
-        assert_eq!(round(&mut m, &ready), vec![0]);
-        m.offer_remove(ready[0]);
-        assert_eq!(round(&mut m, &ready[1..]), vec![1]);
-    }
-
-    #[test]
-    fn out_of_order_insert_keeps_buckets_age_sorted() {
-        // A late wakeup of an older reference lands ahead of a younger
-        // same-bank one and wins the bank.
-        let old = MemRequest::load(2, 0x00);
-        let young = MemRequest::load(5, 0x80);
-        let mut m = BankedPorts::new(4, 32);
-        m.offer_insert(young);
-        m.offer_insert(old);
-        assert_eq!(round(&mut m, &[old, young]), vec![2]);
-        m.offer_remove(young); // mid-bucket removal (e.g. a squash)
-        assert_eq!(round(&mut m, &[old]), vec![2]);
-    }
-
-    #[test]
-    fn reset_rebuilds_mirror() {
-        let ready = vec![
-            MemRequest::load(4, 0x00),
-            MemRequest::load(7, 0x20),
-            MemRequest::load(9, 0x40),
-        ];
-        let mut m = BankedPorts::new(2, 32);
-        // Stale mirror from an earlier epoch; reset must replace it.
-        m.offer_insert(MemRequest::load(1, 0x60));
-        m.offer_reset(&ready);
-        assert_eq!(round(&mut m, &ready), vec![4, 7]);
+        assert_eq!(m.arbitrate(&ready), vec![0, 1]);
+        assert_eq!(m.stats().extra_counter("bank_conflicts"), 3);
+        assert_eq!(m.stats().offered(), 5);
+        assert_eq!(m.stats().granted(), 2);
     }
 }

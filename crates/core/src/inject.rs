@@ -46,6 +46,10 @@ pub enum FaultClass {
 
 /// A [`PortModel`] wrapper that corrupts its inner model's grants.
 ///
+/// The inner model arbitrates the same ready slice, ticks, audits and
+/// reports statistics as it would unwrapped; the wrapper adds only the
+/// corruption and its own RNG position to the saved state.
+///
 /// # Examples
 ///
 /// ```
@@ -299,24 +303,6 @@ impl PortModel for FaultInjector {
         if self.fired_last {
             self.injected += 1;
         }
-    }
-
-    // The wrapped model keeps its own offered-set index (if any), so the
-    // driver's offer deltas go straight through to it.
-    fn mirrors_offers(&self) -> bool {
-        self.inner.mirrors_offers()
-    }
-
-    fn offer_insert(&mut self, req: MemRequest) {
-        self.inner.offer_insert(req);
-    }
-
-    fn offer_remove(&mut self, req: MemRequest) {
-        self.inner.offer_remove(req);
-    }
-
-    fn offer_reset(&mut self, offered: &[MemRequest]) {
-        self.inner.offer_reset(offered);
     }
 
     fn tick(&mut self) {

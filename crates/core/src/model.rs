@@ -14,22 +14,13 @@ use crate::stats::ArbStats;
 /// A data-cache port-arbitration model.
 ///
 /// The simulator calls [`arbitrate_into`](Self::arbitrate_into) once per
-/// cycle with the ready memory references *in age order* (oldest first,
-/// with strictly increasing ids) and receives the indices of the
-/// references the cache structure services this cycle, written into a
-/// caller-owned buffer so the per-cycle arbitration allocates nothing.
-/// [`tick`](Self::tick) is called once at the end of every cycle so models
-/// with internal state (the LBIC's per-bank store queues) can advance.
-///
-/// Each model has exactly one production round. Models that arbitrate
-/// from an incremental index over the standing offered set (the banked
-/// model's per-bank buckets) answer [`mirrors_offers`](Self::mirrors_offers)
-/// with `true`, and the driver then reports every change to the offered
-/// set through [`offer_insert`](Self::offer_insert)/
-/// [`offer_remove`](Self::offer_remove), or rebuilds the index wholesale
-/// with [`offer_reset`](Self::offer_reset), before the next round. The
-/// allocating [`arbitrate`](Self::arbitrate) wrapper re-seeds the index
-/// itself, so one-shot callers need not track deltas.
+/// cycle with the ready memory references *in age order* (oldest first)
+/// and receives the indices of the references the cache structure
+/// services this cycle, written into a caller-owned buffer so the
+/// per-cycle arbitration allocates nothing. Age is position in the list;
+/// models never read [`MemRequest::id`]. [`tick`](Self::tick) is called
+/// once at the end of every cycle so models with internal state (the
+/// LBIC's per-bank store queues) can advance.
 ///
 /// Implementations guarantee:
 /// * returned indices are strictly increasing and within range;
@@ -39,63 +30,16 @@ use crate::stats::ArbStats;
 pub trait PortModel {
     /// Selects which of the age-ordered `ready` references are serviced
     /// this cycle, writing their indices in increasing order into
-    /// `granted` (cleared first). For a model that
-    /// [`mirrors_offers`](Self::mirrors_offers), `ready` must be exactly
-    /// the offered set its index was fed.
-    ///
-    /// # Panics
-    ///
-    /// A model that [`mirrors_offers`](Self::mirrors_offers) panics when
-    /// `ready` is not the offered set it was fed, or when its ids do not
-    /// strictly increase along `ready` (see [`MemRequest::id`]).
+    /// `granted` (cleared first).
     fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>);
 
     /// Allocating convenience wrapper around
     /// [`arbitrate_into`](Self::arbitrate_into) for tests and one-shot
-    /// callers: re-seeds any offered-set index from `ready` first, so
-    /// successive calls may present unrelated ready lists.
-    ///
-    /// # Panics
-    ///
-    /// A model that [`mirrors_offers`](Self::mirrors_offers) panics when
-    /// the ids of `ready` do not strictly increase along it — ids encode
-    /// age (see [`MemRequest::id`]).
+    /// callers.
     fn arbitrate(&mut self, ready: &[MemRequest]) -> Vec<usize> {
-        self.offer_reset(ready);
         let mut granted = Vec::new();
         self.arbitrate_into(ready, &mut granted);
         granted
-    }
-
-    /// Whether this model arbitrates from an incremental offered-set
-    /// index, i.e. whether the driver must report offered-set changes
-    /// through the `offer_*` hooks. `false` (the default) means the hooks
-    /// are no-ops and the round reads `ready` directly.
-    fn mirrors_offers(&self) -> bool {
-        false
-    }
-
-    /// Records that `req` joined the standing offered set. Ids are unique
-    /// and strictly increase with age across the set's lifetime. No-op by
-    /// default.
-    fn offer_insert(&mut self, req: MemRequest) {
-        let _ = req;
-    }
-
-    /// Records that `req` left the standing offered set (it was serviced,
-    /// forwarded, or squashed). A grant the driver could not service
-    /// (e.g. MSHRs full) stays offered. No-op by default.
-    fn offer_remove(&mut self, req: MemRequest) {
-        let _ = req;
-    }
-
-    /// Rebuilds any offered-set index from scratch to match the
-    /// age-ordered `offered` exactly — after a snapshot restore, where
-    /// the driver rebuilt its offered set from serialized state rather
-    /// than through insert/remove events. No-op by default; a model with
-    /// an index panics unless the ids strictly increase along `offered`.
-    fn offer_reset(&mut self, offered: &[MemRequest]) {
-        let _ = offered;
     }
 
     /// Advances internal state by one cycle (store-queue drain, etc.).
@@ -115,15 +59,13 @@ pub trait PortModel {
     /// legality rules, appending any [`Violation`]s to `out`.
     ///
     /// `ready` and `granted` are the exact arguments/results of the
-    /// matching [`arbitrate_into`](Self::arbitrate_into) call, the
-    /// production round. The check is a pure observer —
-    /// it recomputes legality from `ready` alone, independently of any
-    /// offered-set index, and never perturbs model state — so an audited
-    /// simulation is bit-identical to an unaudited one. The default
-    /// implementation applies only the generic invariants (indices
-    /// strictly increasing, in range, at most
-    /// [`peak_per_cycle`](Self::peak_per_cycle) grants); models override
-    /// it to add their own rules.
+    /// matching [`arbitrate_into`](Self::arbitrate_into) call. The check
+    /// is a pure observer — it recomputes legality from `ready` alone and
+    /// never perturbs model state — so an audited simulation is
+    /// bit-identical to an unaudited one. The default implementation
+    /// applies only the generic invariants (indices strictly increasing,
+    /// in range, at most [`peak_per_cycle`](Self::peak_per_cycle)
+    /// grants); models override it to add their own rules.
     fn audit_round(&self, ready: &[MemRequest], granted: &[usize], out: &mut Vec<Violation>) {
         audit::check_generic(self.peak_per_cycle(), ready, granted, out);
     }

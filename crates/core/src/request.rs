@@ -3,16 +3,13 @@
 /// One ready memory reference offered to the cache ports in a cycle.
 ///
 /// Requests carry the minimal information the arbitration layer needs: an
-/// age identifier (typically the LSQ sequence number), the effective
-/// address, and the load/store distinction. Data never flows through the
+/// identifier (typically the LSQ sequence number), the effective address,
+/// and the load/store distinction. Data never flows through the
 /// port models — they are pure timing structures.
 ///
-/// Ids encode age: within one ready list handed to a
-/// [`PortModel`](crate::PortModel), ids must strictly increase from the
-/// oldest reference to the youngest. Recycled identifiers such as
-/// wrapping LSQ slot numbers do not satisfy this; models that arbitrate
-/// from an id-keyed offered-set index (the banked model) panic on a
-/// list that breaks the rule.
+/// Age is the request's position in the ready list handed to a
+/// [`PortModel`](crate::PortModel), oldest first; port models never read
+/// the id, which only names the reference for the caller.
 ///
 /// # Examples
 ///
@@ -26,9 +23,8 @@
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRequest {
-    /// Age identifier (e.g. the LSQ sequence number): unique within a
-    /// ready list and strictly increasing from its oldest reference to
-    /// its youngest.
+    /// Identifier the caller uses to find the reference again (e.g. the
+    /// LSQ sequence number).
     pub id: u64,
     /// Effective byte address.
     pub addr: u64,

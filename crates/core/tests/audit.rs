@@ -21,27 +21,6 @@ fn arb_ready() -> impl Strategy<Value = Vec<MemRequest>> {
     prop::collection::vec(arb_request(), 0..40)
 }
 
-/// `ready` put in age order — sorted by its random ids, repeated ids
-/// dropped — so ids strictly increase along the list: the ordering
-/// contract of `MemRequest::id`, which models with an id-keyed
-/// offered-set index (`mirrors_offers()`, the banked model) enforce.
-/// Id-agnostic models keep arbitrating the raw [`arb_ready`] lists.
-fn in_age_order(ready: &[MemRequest]) -> Vec<MemRequest> {
-    let mut ordered = ready.to_vec();
-    ordered.sort_by_key(|r| r.id);
-    ordered.dedup_by_key(|r| r.id);
-    ordered
-}
-
-/// The list `model` arbitrates for a generated `ready`.
-fn input_for(model: &dyn PortModel, ready: &[MemRequest]) -> Vec<MemRequest> {
-    if model.mirrors_offers() {
-        in_age_order(ready)
-    } else {
-        ready.to_vec()
-    }
-}
-
 fn all_configs() -> Vec<PortConfig> {
     vec![
         PortConfig::Ideal { ports: 1 },
@@ -91,7 +70,6 @@ proptest! {
             let mut model = config.build(32);
             let mut out = Vec::new();
             for ready in &rounds {
-                let ready = &input_for(&*model, ready);
                 let granted = model.arbitrate(ready);
                 model.audit_round(ready, &granted, &mut out);
                 prop_assert!(
@@ -117,7 +95,6 @@ proptest! {
             let mut inj = FaultInjector::new(cfg, 32, class, seed).unwrap();
             let mut out = Vec::new();
             for ready in &rounds {
-                let ready = &input_for(&inj, ready);
                 let granted = inj.arbitrate(ready);
                 out.clear();
                 inj.audit_round(ready, &granted, &mut out);

@@ -135,15 +135,6 @@ pub struct Lsq {
     // bump instead of a memmove. The stale prefix `[0, ready_head)` is
     // reclaimed once it exceeds `READY_COMPACT`.
     ready_head: usize,
-    // Every ready-list mutation since the last drain, in event order
-    // (`true` = inserted, `false` = removed): the feed for a port model's
-    // offered-set mirror. Bounded by the simulator draining it once per
-    // arbitration round; `rebuild_derived` clears it because a snapshot
-    // restore re-seeds the mirror wholesale.
-    ready_log: Vec<(MemRequest, bool)>,
-    /// Whether ready-list mutations are recorded into `ready_log` — set
-    /// once by the driver, on only for port models that mirror offers.
-    log_ready: bool,
     // Loads that became forwardable since the last round; drained once
     // (the simulator services a reported forward in the same cycle).
     pending_forwards: Vec<u64>,
@@ -195,8 +186,6 @@ impl Lsq {
             retired: 0,
             ready: Vec::new(),
             ready_head: 0,
-            ready_log: Vec::new(),
-            log_ready: false,
             pending_forwards: Vec::new(),
             unknown_stores: VecDeque::new(),
             eligible_stores: Vec::new(),
@@ -304,9 +293,6 @@ impl Lsq {
         } else {
             self.ready.insert(h + k, c);
         }
-        if self.log_ready {
-            self.ready_log.push((c, true));
-        }
     }
 
     fn ready_remove(&mut self, seq: u64) -> bool {
@@ -315,22 +301,17 @@ impl Lsq {
         if self.ready[h..].get(k).is_none_or(|r| r.id != seq) {
             return false;
         }
-        let removed = if k == 0 {
+        if k == 0 {
             // Front pop: leave the slot stale and bump the head; the
             // prefix is reclaimed in bulk once it grows past
             // `READY_COMPACT`, keeping removal amortized O(1).
             self.ready_head = h + 1;
-            let r = self.ready[h];
             if self.ready_head >= READY_COMPACT {
                 self.ready.drain(..self.ready_head);
                 self.ready_head = 0;
             }
-            r
         } else {
-            self.ready.remove(h + k)
-        };
-        if self.log_ready {
-            self.ready_log.push((removed, false));
+            self.ready.remove(h + k);
         }
         true
     }
@@ -644,32 +625,13 @@ impl Lsq {
         self.stalls.store_overlap += self.n_overlap;
     }
 
-    /// This round's cache-ready references, borrowed in place, in age
-    /// order: ids are LSQ sequence numbers, strictly increasing. Valid
+    /// This round's cache-ready references, borrowed in place, oldest
+    /// first — the whole of what the port model's round reads. Ids are
+    /// LSQ sequence numbers, the keys the `mark_*` calls take. Valid
     /// until the next `mark_*` or [`retire`](Self::retire) call mutates
     /// the ready list. Call after [`begin_round`](Self::begin_round).
     pub fn ready(&self) -> &[MemRequest] {
         &self.ready[self.ready_head..]
-    }
-
-    /// Drains the ready-list mutations recorded since the last drain, in
-    /// event order (`true` = inserted, `false` = removed) — the feed that
-    /// keeps a port model's offered-set mirror synchronized. Empty unless
-    /// logging is on ([`set_ready_logging`](Self::set_ready_logging));
-    /// after a snapshot restore the log is empty and the mirror is
-    /// re-seeded wholesale via
-    /// [`PortModel::offer_reset`](hbdc_core::PortModel::offer_reset).
-    pub fn drain_ready_deltas(&mut self) -> std::vec::Drain<'_, (MemRequest, bool)> {
-        self.ready_log.drain(..)
-    }
-
-    /// Switches ready-list delta logging on or off (default off),
-    /// clearing any pending entries. A driver whose port model
-    /// [`mirrors_offers`](hbdc_core::PortModel::mirrors_offers) turns it
-    /// on once, before the first round.
-    pub fn set_ready_logging(&mut self, on: bool) {
-        self.log_ready = on;
-        self.ready_log.clear();
     }
 
     /// Moves this round's newly-forwardable loads into `out` (cleared
@@ -851,10 +813,6 @@ impl Lsq {
     fn rebuild_derived(&mut self) {
         self.ready.clear();
         self.ready_head = 0;
-        // Wholesale rebuild: the offered-set mirror is re-seeded via
-        // `offer_reset`, so incremental deltas from before the rebuild
-        // (or from this direct repopulation) must not leak through.
-        self.ready_log.clear();
         self.pending_forwards.clear();
         self.unknown_stores.clear();
         self.eligible_stores.clear();

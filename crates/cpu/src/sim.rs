@@ -382,14 +382,10 @@ impl Simulator {
         port: Box<dyn PortModel>,
     ) -> Self {
         let hier = Hierarchy::new(hier_cfg);
-        // Ready-list deltas are only worth recording for a port model
-        // that keeps an offered-set mirror (see `arbitrate_memory`).
-        let mut lsq = Lsq::new(cfg.lsq_size);
-        lsq.set_ready_logging(port.mirrors_offers());
         Self {
             source,
             window: Window::new(cfg.ruu_size),
-            lsq,
+            lsq: Lsq::new(cfg.lsq_size),
             fus: FuPools::new(&cfg),
             port,
             hier,
@@ -511,12 +507,10 @@ impl Simulator {
     }
 
     /// The memory stage's one arbitration round: classify the LSQ,
-    /// service forwards, feed the port model's offered-set mirror (if it
-    /// keeps one) the round's ready-list deltas, arbitrate the borrowed
-    /// ready list, and service the grants. With
-    /// [`audit`](CpuConfig::audit) on, the grants are checked before
-    /// they are serviced, so an illegal round is reported instead of
-    /// corrupting window/LSQ/hierarchy state.
+    /// service forwards, arbitrate the borrowed ready list, and service
+    /// the grants. With [`audit`](CpuConfig::audit) on, the grants are
+    /// checked before they are serviced, so an illegal round is reported
+    /// instead of corrupting window/LSQ/hierarchy state.
     fn arbitrate_memory(&mut self) -> Result<(), SimError> {
         let frontier = self.window.oldest_not_done();
         self.lsq.begin_round(frontier);
@@ -528,15 +522,6 @@ impl Simulator {
             self.window.set_complete_at(seq, self.now + 1);
         }
 
-        // The log is empty unless the port model mirrors offers (logging
-        // is set once, from `mirrors_offers`, at build and at resume).
-        for (req, inserted) in self.lsq.drain_ready_deltas() {
-            if inserted {
-                self.port.offer_insert(req);
-            } else {
-                self.port.offer_remove(req);
-            }
-        }
         // An empty round is still presented so store queues can drain.
         let ready = self.lsq.ready();
         self.port.arbitrate_into(ready, &mut self.granted_buf);

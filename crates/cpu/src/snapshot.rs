@@ -320,11 +320,6 @@ impl Simulator {
         }
         sim.port.load_state(&mut r)?;
         r.expect_end()?;
-        // The port model's offered-set mirror is derived state, never
-        // serialized: re-seed it from the restored LSQ's ready list
-        // (`build` already set delta logging from `mirrors_offers`, and
-        // the LSQ restore left the log empty).
-        sim.port.offer_reset(sim.lsq.ready());
         Ok(sim)
     }
 }

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Runs the memory-stage microbenchmarks: each port model's one
 # arbitration round (ideal, replicated, banked, LBIC) on conflict-free
-# and conflict-heavy offered sets, with the banked mirror fed
-# offered-set deltas the way the simulator feeds it, and
-# `Hierarchy::access`, plus the broader hbdc-bench micro suite when
-# `--all` is passed.
+# and conflict-heavy offered sets, each served and refilled every round
+# to hold the backlog depth, and `Hierarchy::access`, plus the broader
+# hbdc-bench micro suite when `--all` is passed.
 #
 # These are advisory numbers — there is no pass/fail band here (the
 # ±15% end-to-end gate lives in scripts/perf_guard.sh). The vendored
