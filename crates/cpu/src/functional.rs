@@ -2,7 +2,6 @@
 
 use hbdc_isa::{AluOp, BranchCond, Inst, Program, Width, STACK_TOP};
 use hbdc_mem::Memory;
-use hbdc_snap::{SnapError, StateReader, StateWriter};
 
 use crate::dynamic::DynInst;
 
@@ -100,42 +99,6 @@ impl Emulator {
     /// The current program counter (an index into the text section).
     pub fn pc(&self) -> u32 {
         self.pc
-    }
-
-    /// Serializes the architectural state: PC, register files, memory,
-    /// sequence counter, and halt flag. The text section is not written —
-    /// it is constructor state, rebuilt from the program image.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.put_u32(self.pc);
-        for &r in &self.regs {
-            w.put_i64(r);
-        }
-        for &f in &self.fregs {
-            w.put_f64(f);
-        }
-        self.mem.save_state(w);
-        w.put_u64(self.seq);
-        w.put_bool(self.halted);
-    }
-
-    /// Restores state written by [`save_state`](Self::save_state); the
-    /// restored memory image fully replaces the current one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on a truncated or corrupt stream.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
-        self.pc = r.get_u32()?;
-        for reg in &mut self.regs {
-            *reg = r.get_i64()?;
-        }
-        for freg in &mut self.fregs {
-            *freg = r.get_f64()?;
-        }
-        self.mem.load_state(r)?;
-        self.seq = r.get_u64()?;
-        self.halted = r.get_bool()?;
-        Ok(())
     }
 
     fn set_reg(&mut self, index: usize, value: i64) {

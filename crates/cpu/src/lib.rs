@@ -7,7 +7,8 @@
 //!   [`hbdc-isa`](hbdc_isa) micro-ISA that produces the committed dynamic
 //!   instruction stream (the paper's machine has a perfect front end and
 //!   never mis-speculates, so the committed stream *is* the fetched
-//!   stream).
+//!   stream). [`CommittedTrace`] captures that stream once; the timing
+//!   simulator only ever replays a trace.
 //! * [`Window`] — the register update unit (RUU): a 1024-entry unified
 //!   instruction window with dataflow wakeup.
 //! * [`Lsq`] — the 512-entry load/store queue: loads execute when all

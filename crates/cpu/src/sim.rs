@@ -11,7 +11,6 @@ use crate::config::CpuConfig;
 use crate::dynamic::DynInst;
 use crate::error::SimError;
 use crate::fu::FuPools;
-use crate::functional::Emulator;
 use crate::lsq::Lsq;
 use crate::report::SimReport;
 use crate::trace::{CommittedTrace, TracePlayer};
@@ -82,52 +81,6 @@ impl PipeStats {
     }
 }
 
-/// Where the committed dynamic instruction stream comes from: live
-/// functional execution (the classic mode) or a pre-captured
-/// [`CommittedTrace`] replayed with no architectural state at all.
-///
-/// Both variants feed [`Simulator::fetch`] the identical stream for the
-/// same program and warmup, so every downstream structure — window, LSQ,
-/// port arbitration, event calendar, auditor, watchdog — behaves (and
-/// reports) bit-identically in either mode.
-// One `InstSource` exists per simulator (not per record), so the size
-// spread between the emulator and the replay cursor costs nothing;
-// boxing the emulator would instead add a pointer chase to every
-// execute-mode dispatch.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum InstSource {
-    /// Execute mode: a functional emulator advances architectural state
-    /// and yields each committed instruction as it retires.
-    Execute(Emulator),
-    /// Replay mode: a validated trace streams the recorded committed
-    /// instructions; no registers, data memory, or branch resolution.
-    Replay {
-        /// The parsed trace (kept for snapshot self-containment).
-        trace: CommittedTrace,
-        /// The streaming cursor.
-        player: TracePlayer,
-    },
-}
-
-impl InstSource {
-    /// Yields the next committed instruction, or `None` at stream end.
-    fn step(&mut self) -> Option<DynInst> {
-        match self {
-            InstSource::Execute(emu) => emu.step(),
-            InstSource::Replay { player, .. } => player.step(),
-        }
-    }
-
-    /// The PC of the next instruction the stream would deliver
-    /// (diagnostics: progress dumps with an empty window).
-    fn next_pc(&self) -> u32 {
-        match self {
-            InstSource::Execute(emu) => emu.pc(),
-            InstSource::Replay { player, .. } => player.peek_pc(),
-        }
-    }
-}
-
 /// The dynamic superscalar timing simulator (paper Figure 1): a perfect
 /// front end feeding an RUU + LSQ execution core whose data supply is
 /// arbitrated by a pluggable [`PortModel`] over a two-level
@@ -159,7 +112,11 @@ impl InstSource {
 pub struct Simulator {
     // Fields are crate-visible so the checkpoint module (`snapshot.rs`)
     // can serialize and restore them without a forest of accessors.
-    pub(crate) source: InstSource,
+    // The instruction source: the captured committed stream (kept whole
+    // so checkpoints are self-contained; it embeds the program) and the
+    // replay cursor fetch reads it through.
+    pub(crate) trace: CommittedTrace,
+    pub(crate) player: TracePlayer,
     pub(crate) window: Window,
     pub(crate) lsq: Lsq,
     pub(crate) fus: FuPools,
@@ -170,9 +127,6 @@ pub struct Simulator {
     // when one exists (`with_port_model` bypasses it). Checkpoints embed
     // it so `resume` can rebuild the same model.
     pub(crate) port_cfg: Option<PortConfig>,
-    // The serialized program object, kept so checkpoints are
-    // self-contained (the emulator only retains the decoded text).
-    pub(crate) program_image: Vec<u8>,
     pub(crate) now: u64,
     pub(crate) committed: u64,
     pub(crate) loads: u64,
@@ -201,9 +155,6 @@ pub struct Simulator {
     pub(crate) fetch_resume_at: u64,
     pub(crate) branches: u64,
     pub(crate) mispredicts: u64,
-    /// When set, eprintln every issue as `cycle seq pc` (diagnostics).
-    #[doc(hidden)]
-    pub debug_issue_log: bool,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -216,9 +167,39 @@ impl std::fmt::Debug for Simulator {
     }
 }
 
+/// The record count [`Simulator::new`] captures for `cfg`: one record
+/// more than fetch can consume before the run must end, or `None` (run
+/// to the program's halt) when neither cap is set.
+///
+/// Fetch steps a record only into a free window slot or the one
+/// `pending_fetch` slot, which it fills only while the window has room,
+/// so stepped records never exceed `committed + ruu_size`. It fetches
+/// only in a cycle that starts with `committed < max_insts` (commit sets
+/// `halted` at the cap, before the next cycle). So a run consumes at
+/// most `max_insts - 1 + ruu_size < max_insts + ruu_size + 1` records.
+/// The run loop starts no cycle at `now >= max_cycles`, and one cycle
+/// steps at most `fetch_width` records, so a run consumes at most
+/// `max_cycles × fetch_width`. The final extra record keeps fetch off
+/// the end of a capped trace, and lets the cycle-limit dump's
+/// [`peek_pc`](TracePlayer::peek_pc) read a real pc. Saturating
+/// arithmetic makes an unset cap (`u64::MAX`) unbounded.
+fn capture_bound(cfg: &CpuConfig) -> Option<u64> {
+    if cfg.max_insts == u64::MAX && cfg.max_cycles == u64::MAX {
+        return None;
+    }
+    let by_insts = cfg
+        .max_insts
+        .saturating_add(cfg.ruu_size as u64)
+        .saturating_add(1);
+    let by_cycles = cfg.max_cycles.saturating_mul(u64::from(cfg.fetch_width));
+    Some(by_insts.min(by_cycles).saturating_add(1))
+}
+
 impl Simulator {
     /// Builds a simulator for `program` with the given machine, memory,
-    /// and port-model configurations.
+    /// and port-model configurations: the program's committed stream is
+    /// captured once (past `cfg.warmup_insts`, bounded by `cfg`'s caps)
+    /// and the timing model replays it.
     ///
     /// # Panics
     ///
@@ -242,7 +223,8 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Config`] describing the first problem found.
+    /// * [`SimError::Config`] describing the first problem found.
+    /// * [`SimError::Trace`] if capturing the committed stream fails.
     pub fn try_new(
         program: &Program,
         cfg: CpuConfig,
@@ -254,7 +236,11 @@ impl Simulator {
         let port = port_cfg
             .try_build(hier_cfg.l1_line)
             .map_err(|detail| SimError::Config { detail })?;
-        let mut sim = Self::with_port_model(program, cfg, hier_cfg, port);
+        let trace = CommittedTrace::capture(program, cfg.warmup_insts, capture_bound(&cfg))
+            .map_err(|e| SimError::Trace {
+                detail: format!("capturing the committed stream: {e}"),
+            })?;
+        let mut sim = Self::build(trace, cfg, hier_cfg, port);
         sim.port_cfg = Some(port_cfg);
         Ok(sim)
     }
@@ -262,20 +248,26 @@ impl Simulator {
     /// Builds a simulator around an explicit port model instance — the
     /// escape hatch for configurations [`PortConfig`] cannot express
     /// (e.g. word-interleaved bank mappers for the interleaving ablation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if capturing the committed stream fails; use
+    /// [`try_new`](Self::try_new) to get a typed error instead.
     pub fn with_port_model(
         program: &Program,
         cfg: CpuConfig,
         hier_cfg: HierarchyConfig,
         port: Box<dyn PortModel>,
     ) -> Self {
-        Self::build(program, cfg, hier_cfg, port, true)
+        let trace = CommittedTrace::capture(program, cfg.warmup_insts, capture_bound(&cfg))
+            .expect("capturing the committed stream");
+        Self::build(trace, cfg, hier_cfg, port)
     }
 
-    /// Builds a *replay-mode* simulator: timing is driven by `trace`'s
-    /// recorded committed stream instead of live functional execution.
-    /// For a trace captured from the same program with the same
-    /// `warmup_insts`, the resulting report is bit-identical to execute
-    /// mode — the functional model simply isn't re-run.
+    /// Builds a simulator that replays a trace captured elsewhere (e.g.
+    /// read from an HBTR file, or shared across a matrix row). For a
+    /// trace captured from the same program with the same
+    /// `warmup_insts`, the report equals [`new`](Self::new)'s.
     ///
     /// # Errors
     ///
@@ -284,7 +276,7 @@ impl Simulator {
     /// * [`SimError::Trace`] — the trace's warmup disagrees with
     ///   `cfg.warmup_insts` (the stream would start at a different
     ///   measurement point), or the capture was truncated by a cap (the
-    ///   stream would starve fetch earlier than execute mode).
+    ///   stream would starve fetch before the program's halt).
     pub fn try_from_trace(
         trace: &CommittedTrace,
         cfg: CpuConfig,
@@ -301,8 +293,8 @@ impl Simulator {
         Ok(sim)
     }
 
-    /// Replay-mode counterpart of [`with_port_model`](Self::with_port_model):
-    /// a trace-driven simulator around an explicit port model instance.
+    /// [`try_from_trace`](Self::try_from_trace) around an explicit port
+    /// model instance.
     ///
     /// # Errors
     ///
@@ -328,62 +320,28 @@ impl Simulator {
             return Err(SimError::Trace {
                 detail: format!(
                     "trace is incomplete ({} records, capture cap hit before halt); \
-                     replaying it would starve fetch earlier than execute mode",
+                     replaying it would starve fetch before the program's halt",
                     trace.records()
                 ),
             });
         }
-        let source = InstSource::Replay {
-            player: trace.player(),
-            trace: trace.clone(),
-        };
-        let image = hbdc_isa::object::to_bytes(trace.program());
-        Ok(Self::build_from_source(source, image, cfg, hier_cfg, port))
+        Ok(Self::build(trace.clone(), cfg, hier_cfg, port))
     }
 
-    /// The shared constructor. `warmup` selects whether the functional
-    /// fast-forward runs; checkpoint restore skips it because the restored
-    /// emulator state already sits past the measurement point.
+    /// Assembles the simulator around `trace` with its player at record
+    /// 0. The trace may be incomplete only if its cap covers everything
+    /// fetch can consume under `cfg` (see [`capture_bound`]); fetch
+    /// reaching its end fails the run instead of ending it early.
     pub(crate) fn build(
-        program: &Program,
-        cfg: CpuConfig,
-        hier_cfg: HierarchyConfig,
-        port: Box<dyn PortModel>,
-        warmup: bool,
-    ) -> Self {
-        let mut emu = Emulator::new(program);
-        if warmup {
-            // Fast-forward the warm-up region functionally; sequence
-            // numbers restart at the measurement point so the window sees
-            // a contiguous stream.
-            for _ in 0..cfg.warmup_insts {
-                if emu.step().is_none() {
-                    break;
-                }
-            }
-            emu.rebase_seq();
-        }
-        Self::build_from_source(
-            InstSource::Execute(emu),
-            hbdc_isa::object::to_bytes(program),
-            cfg,
-            hier_cfg,
-            port,
-        )
-    }
-
-    /// Assembles the simulator around an already-positioned instruction
-    /// source (a warmed-up emulator or a trace player at record 0).
-    fn build_from_source(
-        source: InstSource,
-        program_image: Vec<u8>,
+        trace: CommittedTrace,
         cfg: CpuConfig,
         hier_cfg: HierarchyConfig,
         port: Box<dyn PortModel>,
     ) -> Self {
         let hier = Hierarchy::new(hier_cfg);
         Self {
-            source,
+            player: trace.player(),
+            trace,
             window: Window::new(cfg.ruu_size),
             lsq: Lsq::new(cfg.lsq_size),
             fus: FuPools::new(&cfg),
@@ -391,7 +349,6 @@ impl Simulator {
             hier,
             cfg,
             port_cfg: None,
-            program_image,
             now: 0,
             committed: 0,
             loads: 0,
@@ -422,7 +379,21 @@ impl Simulator {
             fetch_resume_at: 0,
             branches: 0,
             mispredicts: 0,
-            debug_issue_log: false,
+        }
+    }
+
+    /// The error for fetch reaching the end of a capped capture: the
+    /// bound should have made this impossible, so it fails the run
+    /// rather than ending it with a shorter report.
+    #[cold]
+    fn exhausted_capture(&self) -> SimError {
+        SimError::Trace {
+            detail: format!(
+                "fetch reached the end of an incomplete trace ({} records) at cycle {}; \
+                 the capture bound is too small for this configuration",
+                self.trace.records(),
+                self.now
+            ),
         }
     }
 
@@ -443,23 +414,6 @@ impl Simulator {
         self.port.stats()
     }
 
-    /// Mutable access to the emulator, for pre-initializing workload data
-    /// before [`run`](Self::run). `None` in replay mode, which carries no
-    /// architectural state to initialize (the trace already recorded the
-    /// data-dependent stream).
-    pub fn emulator_mut(&mut self) -> Option<&mut Emulator> {
-        match &mut self.source {
-            InstSource::Execute(emu) => Some(emu),
-            InstSource::Replay { .. } => None,
-        }
-    }
-
-    /// Whether this simulator replays a captured trace (as opposed to
-    /// executing the program functionally).
-    pub fn is_replay(&self) -> bool {
-        matches!(self.source, InstSource::Replay { .. })
-    }
-
     /// Cumulative LSQ load-stall diagnostics (per ready-list scan).
     pub fn lsq_stalls(&self) -> crate::lsq::LsqStalls {
         self.lsq.stalls()
@@ -473,10 +427,6 @@ impl Simulator {
         for i in 0..self.issue_buf.len() {
             let seq = self.issue_buf[i];
             let meta = self.window.meta(seq);
-            if self.debug_issue_log {
-                let pc = self.window.inst(seq).pc;
-                eprintln!("ISSUE cyc={} seq={} pc={pc}", self.now, seq);
-            }
             if meta.mem {
                 if mem_issued >= self.cfg.ls_units {
                     continue; // all AGUs busy this cycle — retry next
@@ -580,12 +530,13 @@ impl Simulator {
             }
             let di = match self.pending_fetch.take() {
                 Some(di) => di,
-                None => match self.source.step() {
+                None => match self.player.step() {
                     Some(di) => di,
-                    None => {
+                    None if self.trace.is_complete() => {
                         self.fetch_done = true;
                         break;
                     }
+                    None => return Err(self.exhausted_capture()),
                 },
             };
             if di.inst.is_mem() && !self.lsq.has_space() {
@@ -844,7 +795,7 @@ impl Simulator {
             .window
             .get(frontier)
             .map(|di| di.pc)
-            .unwrap_or_else(|| self.source.next_pc());
+            .unwrap_or_else(|| self.player.peek_pc());
         let mut dump = format!(
             "  cycle {}, committed {}, pc {pc}\n  window: {}/{} (waiting {waiting}, \
              ready {ready}, issued {issued}, done {done}); completion frontier seq \
@@ -1308,6 +1259,29 @@ mod robustness_tests {
                 assert!(dump.contains("LSQ"), "{dump}");
             }
             other => panic!("expected CycleLimit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fetch_past_a_capped_capture_fails_the_run() {
+        // `max_insts` 500 lets fetch consume up to 500 + ruu_size records;
+        // a 100-record capture runs out first, which must fail the run
+        // rather than end it with a shorter report.
+        let p = assemble("main: j main\n").unwrap();
+        let trace = CommittedTrace::capture(&p, 0, Some(100)).unwrap();
+        assert!(!trace.is_complete());
+        let port = PortConfig::Ideal { ports: 1 }.build(HierarchyConfig::default().l1_line);
+        let err = Simulator::build(
+            trace,
+            CpuConfig::with_max_insts(500),
+            HierarchyConfig::default(),
+            port,
+        )
+        .run()
+        .unwrap_err();
+        match err {
+            SimError::Trace { detail } => assert!(detail.contains("incomplete"), "{detail}"),
+            other => panic!("expected Trace, got {other:?}"),
         }
     }
 

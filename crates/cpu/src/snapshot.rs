@@ -2,14 +2,15 @@
 //! the complete simulator state.
 //!
 //! A [`SimSnapshot`] captures everything a [`Simulator`] needs to
-//! continue **bit-identically**: the program image, both configurations,
-//! the functional emulator (registers, memory, PC), the window and LSQ
-//! with their full dependence bookkeeping, pending completion events,
-//! functional-unit busy horizons, cache hierarchy contents (tags, LRU,
-//! MSHRs, statistics), branch-predictor tables, pipeline histograms, and
-//! the port model's internal state (bank store queues, arbitration
-//! counters, fault-injector RNG). Resuming from a snapshot taken at cycle
-//! *K* and running to completion produces exactly the same
+//! continue **bit-identically**: the committed-stream trace it replays
+//! (which embeds the program) and the replay cursor, both
+//! configurations, the window and LSQ with their full dependence
+//! bookkeeping, pending completion events, functional-unit busy
+//! horizons, cache hierarchy contents (tags, LRU, MSHRs, statistics),
+//! branch-predictor tables, pipeline histograms, and the port model's
+//! internal state (bank store queues, arbitration counters,
+//! fault-injector RNG). Resuming from a snapshot taken at cycle *K* and
+//! running to completion produces exactly the same
 //! [`SimReport`](crate::SimReport) as an uninterrupted run.
 //!
 //! The byte format is sealed by [`hbdc_snap::seal`]: a magic/version
@@ -22,13 +23,12 @@
 use std::path::Path;
 
 use hbdc_core::{PortConfig, PortModel};
-use hbdc_isa::object;
 use hbdc_snap::{open, seal, write_atomic, SnapError, StateReader, StateWriter};
 
 use crate::dynamic::DynInst;
 use crate::error::SimError;
 use crate::sim::Simulator;
-use crate::CpuConfig;
+use crate::{CommittedTrace, CpuConfig};
 use hbdc_mem::HierarchyConfig;
 
 /// Magic bytes identifying a simulator snapshot file.
@@ -37,11 +37,13 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HBSN";
 /// Snapshot format version; bump on any payload layout change.
 /// Version history: 1 — initial format; 2 — added `cycle_skip` to the
 /// embedded [`CpuConfig`] and the cumulative skipped-cycle count;
-/// 3 — tagged instruction source (execute-mode emulator state, or an
-/// embedded committed-stream trace plus replay cursor); 4 — dropped
+/// 3 — tagged instruction source (execute-mode architectural state, or
+/// an embedded committed-stream trace plus replay cursor); 4 — dropped
 /// `cycle_skip` and the skipped-cycle count with the idle-span skipper
-/// (every cycle is stepped).
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// (every cycle is stepped); 5 — one instruction source: the sealed trace
+/// takes the program image's place at the front (it embeds the program),
+/// and the source tag and the later trace field are gone.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// A sealed, self-contained simulator checkpoint.
 ///
@@ -133,9 +135,9 @@ impl Simulator {
     /// buffers are then empty and excluded by construction.
     pub fn save_snapshot(&self) -> SimSnapshot {
         let mut w = StateWriter::new();
-        // Identity: program image and configurations, so the snapshot is
-        // self-contained.
-        w.put_bytes(&self.program_image);
+        // Identity: the sealed trace (which embeds the program) and the
+        // configurations, so the snapshot is self-contained.
+        w.put_bytes(self.trace.as_bytes());
         match self.port_cfg {
             Some(cfg) => {
                 w.put_bool(true);
@@ -158,21 +160,7 @@ impl Simulator {
         w.put_opt_u64(self.stall_on);
         w.put_u64(self.fetch_resume_at);
         save_slim_opt(&self.pending_fetch, &mut w);
-        // Instruction source: execute mode saves the emulator's
-        // architectural state; replay mode embeds the full sealed trace
-        // plus the player's cursor, so the snapshot stays self-contained
-        // either way.
-        match &self.source {
-            crate::sim::InstSource::Execute(emu) => {
-                w.put_u8(0);
-                emu.save_state(&mut w);
-            }
-            crate::sim::InstSource::Replay { trace, player } => {
-                w.put_u8(1);
-                w.put_bytes(trace.as_bytes());
-                player.save_cursor(&mut w);
-            }
-        }
+        self.player.save_cursor(&mut w);
         // Unit state.
         self.window.save_state(&mut w);
         self.lsq.save_state(&mut w);
@@ -237,10 +225,7 @@ impl Simulator {
     ) -> Result<Self, SimError> {
         let payload = open(&snapshot.bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
         let mut r = StateReader::new(payload);
-        let program_bytes = r.get_bytes()?;
-        let program = object::from_bytes(&program_bytes).map_err(|e| SimError::Snapshot {
-            detail: format!("embedded program image does not parse: {e}"),
-        })?;
+        let trace = CommittedTrace::from_bytes(r.get_bytes()?)?;
         let port_cfg = if r.get_bool()? {
             Some(PortConfig::load_state(&mut r)?)
         } else {
@@ -260,7 +245,7 @@ impl Simulator {
                 .try_build(hier_cfg.l1_line)
                 .map_err(|detail| SimError::Config { detail })?,
         };
-        let mut sim = Self::build(&program, cfg, hier_cfg, port, false);
+        let mut sim = Self::build(trace, cfg, hier_cfg, port);
         sim.port_cfg = port_cfg;
         sim.now = r.get_u64()?;
         sim.committed = r.get_u64()?;
@@ -274,28 +259,12 @@ impl Simulator {
         sim.stall_on = r.get_opt_u64()?;
         sim.fetch_resume_at = r.get_u64()?;
         sim.pending_fetch = if r.get_bool()? {
-            Some(DynInst::load_slim(&mut r, program.text())?)
+            Some(DynInst::load_slim(&mut r, sim.trace.program().text())?)
         } else {
             None
         };
-        match r.get_u8()? {
-            0 => match &mut sim.source {
-                crate::sim::InstSource::Execute(emu) => emu.load_state(&mut r)?,
-                crate::sim::InstSource::Replay { .. } => unreachable!("build() is execute-mode"),
-            },
-            1 => {
-                let trace = crate::CommittedTrace::from_bytes(r.get_bytes()?)?;
-                let mut player = trace.player();
-                player.load_cursor(&mut r)?;
-                sim.source = crate::sim::InstSource::Replay { trace, player };
-            }
-            tag => {
-                return Err(SimError::Snapshot {
-                    detail: format!("unknown instruction-source tag {tag} (expected 0 or 1)"),
-                })
-            }
-        }
-        sim.window.load_state(&mut r, program.text())?;
+        sim.player.load_cursor(&mut r)?;
+        sim.window.load_state(&mut r, sim.trace.program().text())?;
         sim.lsq.load_state(&mut r)?;
         sim.fus.load_state(&mut r)?;
         sim.hier.load_state(&mut r)?;

@@ -195,15 +195,16 @@ impl CommittedTrace {
     /// Runs `program` functionally once and captures its committed stream.
     ///
     /// The first `warmup_insts` instructions are executed but not
-    /// recorded, and sequence numbering restarts at the measurement point
-    /// — mirroring the timing simulator's own functional fast-forward, so
-    /// a replay under the same `warmup_insts` setting is bit-identical to
-    /// execute mode.
+    /// recorded, and sequence numbering restarts at the measurement point,
+    /// so the timing model sees a contiguous stream from record 0.
     ///
-    /// `cap`, when given, bounds the recorded stream (a runaway-program
-    /// guard for diagnostics); a capture that hits the cap is marked
-    /// incomplete and refused by the replay constructor, because a
-    /// truncated stream would starve fetch earlier than execute mode.
+    /// `cap`, when given, bounds the recorded stream; a capture that hits
+    /// the cap before the program halts is marked incomplete.
+    /// [`Simulator::new`](crate::Simulator::new) caps its own capture at
+    /// one record past what fetch can consume under the configuration's
+    /// instruction and cycle limits; the public replay constructors refuse
+    /// incomplete traces, because a truncated stream would starve fetch
+    /// before the program's halt.
     ///
     /// # Errors
     ///

@@ -1,10 +1,17 @@
-//! Golden gate for trace-driven replay: a simulator fed by a captured
-//! committed-stream trace must be **bit-identical** to one executing the
-//! program functionally — same [`SimReport`](hbdc_cpu::SimReport), same
-//! branch statistics, same LSQ stall census — for every port model, with
-//! the invariant auditor on and off, across warmup offsets, and across a
+//! Golden gate for trace-driven replay. Every simulator replays a
+//! captured committed-stream trace: [`Simulator::new`] captures its own,
+//! [`Simulator::try_from_trace`] takes one captured elsewhere. Both must
+//! produce the same [`SimReport`](hbdc_cpu::SimReport), branch
+//! statistics and LSQ stall census for every port model, with the
+//! invariant auditor on and off, across warmup offsets, and across a
 //! snapshot/resume split taken mid-replay. Anything less and the matrix
 //! fan-out (capture once, replay per cell) would silently change results.
+//!
+//! The reports are also pinned against a functional-execution
+//! reference: `EXECUTE_PINS` and `GSHARE_PIN` are the fnv1a64 of
+//! `SimReport::to_record()` recorded when fetch still read a live
+//! functional emulator instead of a trace. Replay must keep matching
+//! them.
 
 use hbdc_core::PortConfig;
 use hbdc_cpu::{
@@ -13,6 +20,7 @@ use hbdc_cpu::{
 use hbdc_isa::asm::assemble;
 use hbdc_isa::Program;
 use hbdc_mem::HierarchyConfig;
+use hbdc_snap::fnv1a64;
 
 /// Mixed workload: strided loads, dependent stores, a data-dependent
 /// branch — populates the LSQ, bank queues, MSHRs, and the misprediction
@@ -35,7 +43,26 @@ fn every_port() -> [PortConfig; 4] {
     ]
 }
 
-fn execute(p: &Program, cfg: CpuConfig, port: PortConfig) -> (SimReport, Simulator) {
+/// fnv1a64 of `to_record()` for each of [`every_port`], recorded with a
+/// functional emulator driving fetch. The auditor does not perturb
+/// timing, so the same values hold with it on and off.
+const EXECUTE_PINS: [u64; 4] = [
+    0x1ba89186d67d1dc3,
+    0x86afb645a6fff913,
+    0x807f9ead85fa1649,
+    0x8c693dc4097ef206,
+];
+
+/// The warmup + gshare case under LBIC-4x2, recorded the same way:
+/// `(fnv1a64 of to_record(), (branches, mispredicts))`.
+const GSHARE_PIN: (u64, (u64, u64)) = (0x630f84846a0ed2f4, (266, 10));
+
+fn fingerprint(r: &SimReport) -> u64 {
+    fnv1a64(r.to_record().as_bytes())
+}
+
+/// [`Simulator::new`], which captures its own trace.
+fn simulate(p: &Program, cfg: CpuConfig, port: PortConfig) -> (SimReport, Simulator) {
     let mut sim = Simulator::new(p, cfg, HierarchyConfig::default(), port);
     let report = sim.run().unwrap();
     (report, sim)
@@ -43,7 +70,6 @@ fn execute(p: &Program, cfg: CpuConfig, port: PortConfig) -> (SimReport, Simulat
 
 fn replay(t: &CommittedTrace, cfg: CpuConfig, port: PortConfig) -> (SimReport, Simulator) {
     let mut sim = Simulator::try_from_trace(t, cfg, HierarchyConfig::default(), port).unwrap();
-    assert!(sim.is_replay());
     let report = sim.run().unwrap();
     (report, sim)
 }
@@ -55,10 +81,15 @@ fn golden_sweep(audit: bool) {
         ..CpuConfig::default()
     };
     let trace = CommittedTrace::capture(&p, cfg.warmup_insts, None).unwrap();
-    for port in every_port() {
-        let (base, base_sim) = execute(&p, cfg, port);
+    for (port, pin) in every_port().into_iter().zip(EXECUTE_PINS) {
+        let (base, base_sim) = simulate(&p, cfg, port);
         let (rep, rep_sim) = replay(&trace, cfg, port);
         assert_eq!(base, rep, "{port:?} replay diverged (audit={audit})");
+        assert_eq!(
+            fingerprint(&base),
+            pin,
+            "{port:?} differs from the execute-mode report (audit={audit})"
+        );
         assert_eq!(
             base_sim.branch_stats(),
             rep_sim.branch_stats(),
@@ -98,10 +129,11 @@ fn replay_is_bit_identical_with_warmup_and_predictor() {
     };
     let trace = CommittedTrace::capture(&p, cfg.warmup_insts, None).unwrap();
     let port = PortConfig::lbic(4, 2);
-    let (base, base_sim) = execute(&p, cfg, port);
+    let (base, base_sim) = simulate(&p, cfg, port);
     let (rep, rep_sim) = replay(&trace, cfg, port);
     assert_eq!(base, rep);
     assert_eq!(base_sim.branch_stats(), rep_sim.branch_stats());
+    assert_eq!((fingerprint(&base), base_sim.branch_stats()), GSHARE_PIN);
 }
 
 /// One trace, every port model: the whole point of capture-once is that
@@ -119,30 +151,26 @@ fn one_trace_feeds_the_whole_port_fanout() {
     // distinct timing behaviours off the same captured stream.
     assert!(reports.iter().any(|r| r.cycles != reports[0].cycles));
     for (r, port) in reports.iter().zip(every_port()) {
-        assert_eq!(r, &execute(&p, cfg, port).0, "{port:?}");
+        assert_eq!(r, &simulate(&p, cfg, port).0, "{port:?}");
     }
 }
 
 /// Snapshot taken in the middle of a replay run, round-tripped through
 /// bytes, resumed, and run to completion — must equal the uninterrupted
-/// replay (which itself equals execute mode).
+/// run.
 #[test]
 fn snapshot_mid_replay_resumes_bit_identically() {
     let p = program();
     let cfg = CpuConfig::default();
     let trace = CommittedTrace::capture(&p, cfg.warmup_insts, None).unwrap();
     for port in every_port() {
-        let (baseline, _) = execute(&p, cfg, port);
+        let (baseline, _) = simulate(&p, cfg, port);
         for k in [0, baseline.cycles / 2, baseline.cycles - 1] {
             let mut head =
                 Simulator::try_from_trace(&trace, cfg, HierarchyConfig::default(), port).unwrap();
             head.run_for(k).unwrap();
             let snap = SimSnapshot::from_bytes(head.save_snapshot().as_bytes().to_vec()).unwrap();
             let mut tail = Simulator::resume(&snap).unwrap();
-            assert!(
-                tail.is_replay(),
-                "resume must restore the replay source, not re-execute"
-            );
             let resumed = tail.run().unwrap();
             assert_eq!(baseline, resumed, "{port:?} resumed at cycle {k} diverged");
         }

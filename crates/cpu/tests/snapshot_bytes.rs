@@ -7,12 +7,14 @@
 //!   pinned. The window, edge and replay-cursor bytes (byte offset,
 //!   sequence number, previous pc, previous memory address) have not
 //!   changed since before the slot-ring window and the block-decoding
-//!   trace player. The pins were last re-recorded at format version 4,
-//!   which dropped the embedded `cycle_skip` byte and the skipped-cycle
-//!   word with the idle-span skipper; each version-3 payload, with just
-//!   those nine bytes cut out, equals its version-4 payload. Any
-//!   reordering of edges, completion events or cursor fields changes
-//!   them.
+//!   trace player. The pins were last re-recorded at format version 5,
+//!   which keeps one instruction source: the sealed trace took the
+//!   program image's place at the front of the payload, and the source
+//!   tag byte and the later trace field were cut. Each version-4
+//!   payload, with those three edits, equals its version-5 payload.
+//!   (Version 4 itself was version 3 with the `cycle_skip` byte and
+//!   the skipped-cycle word cut out.) Any reordering of edges,
+//!   completion events or cursor fields changes them.
 //! * save → resume → save reproduces the same bytes at each of those
 //!   cycles.
 
@@ -43,24 +45,24 @@ fn ports() -> [(&'static str, PortConfig); 4] {
     ]
 }
 
-/// Recorded at snapshot format version 4: `(family, [fnv1a64 at each
+/// Recorded at snapshot format version 5: `(family, [fnv1a64 at each
 /// of CYCLES])`.
 const PINNED: [(&str, [u64; 3]); 4] = [
     (
         "ideal",
-        [0x5c5f0163e7d6b4f4, 0xd28596b3f35dd866, 0xec7547c550733c69],
+        [0x04e7bd9722ea7335, 0x1e45a7efef25dd6e, 0x0772ab67e09fdbc0],
     ),
     (
         "replicated",
-        [0xdb05c67d738d9506, 0x7022d46988e5a618, 0xa9468ef55811a4f7],
+        [0x95856c5f00e4eba0, 0x580dfddf1265254b, 0xeaa7ce2232219906],
     ),
     (
         "banked",
-        [0x3ddca416c4f5ad47, 0x42223d450c941d2d, 0x4f330a1082cd3b83],
+        [0x569bf6583f10066c, 0xd44793cf563bc3de, 0x4b23d1e581cbb09b],
     ),
     (
         "lbic",
-        [0xc48fd167e0bd2897, 0xa196ecdfb97f52b6, 0xdad4ce813aed446a],
+        [0xce2d0d51221436a0, 0x368be3c469755f63, 0xbd558f0fc218d7b5],
     ),
 ];
 

@@ -5,10 +5,10 @@
 //! unbounded random-but-valid programs ([`gen`]) and checks *relations
 //! between runs* that must hold for every program ([`oracle`]) — the
 //! paper's model orderings (ideal bounds realistic, single-port designs
-//! coincide, LBIC degree 1 vs. banked, replication on load-only traffic)
-//! and bit-identity across every execution-mode pair the simulator
-//! offers (execute/replay, audit on/off, snapshot split/straight,
-//! journaled matrix/direct).
+//! coincide, LBIC degree 1 vs. banked, replication on load-only traffic),
+//! bit-identity across every execution-mode pair the simulator offers
+//! (audit on/off, snapshot split/straight, journaled matrix/direct), and
+//! the captured trace against the functional emulator's committed stream.
 //!
 //! When a relation breaks, the harness shrinks the program to a minimal
 //! repro ([`shrink`]) and writes a self-contained artifact ([`artifact`])

@@ -28,13 +28,16 @@
 //!   ([`stores_to_loads`]), replicated ports are bit-identical to ideal
 //!   ports (the broadcast machinery never engages).
 //!
-//! **Bit-identity relations across the four execution-mode pairs** (same
-//! program, same configuration, different engine path):
+//! **Bit-identity relations** (same program, same configuration,
+//! different engine path or representation):
 //!
 //! * `source-roundtrip` — disassembling and re-assembling reproduces the
 //!   identical program (text, data, entry), and so does the object codec;
-//! * `execute-vs-replay` — a captured committed-stream trace replays to
-//!   the exact report of functional execution;
+//! * `trace-vs-emulator` — the captured committed-stream trace, which
+//!   every simulator replays, yields record for record (sequence number,
+//!   pc, instruction, address, branch direction) what a fresh functional
+//!   emulator commits past the same warmup, ends where it halts, and is
+//!   complete;
 //! * `audit-vs-plain` — the per-cycle invariant auditor neither fires
 //!   nor perturbs the run;
 //! * `snapshot-split` — splitting the run at a fuzzer-chosen cycle,
@@ -51,7 +54,7 @@ use std::sync::Mutex;
 
 use hbdc_core::relations::{anomaly_allowance, must_dominate, single_port_equivalent};
 use hbdc_core::{CombinePolicy, PortConfig};
-use hbdc_cpu::{CommittedTrace, CpuConfig, SimReport, Simulator};
+use hbdc_cpu::{CommittedTrace, CpuConfig, Emulator, SimReport, Simulator};
 use hbdc_isa::Program;
 use hbdc_mem::HierarchyConfig;
 
@@ -67,7 +70,7 @@ pub const RELATIONS: &[&str] = &[
     "lbic-degree1-vs-banked",
     "replicated-load-only",
     "source-roundtrip",
-    "execute-vs-replay",
+    "trace-vs-emulator",
     "audit-vs-plain",
     "snapshot-split",
     "journal-matrix",
@@ -312,41 +315,17 @@ pub fn check_program(
     }
 
     // --- Mode-pair family ---------------------------------------------
-    let base = reports[8].clone(); // flagship lbic:4x2 execute-mode run
+    let base = reports[8].clone(); // flagship lbic:4x2 run
 
     // source-roundtrip: disasm → asm and object encode → decode both
     // reproduce the program exactly.
     checked += 1;
     check_source_roundtrip(program)?;
 
-    // execute-vs-replay.
+    // trace-vs-emulator: the stream every simulator replays is the
+    // functional emulator's committed stream.
     checked += 1;
-    let trace = CommittedTrace::capture(program, 0, None).map_err(|e| {
-        violation(
-            "execute-vs-replay",
-            "trace capture failed",
-            "a sealed trace",
-            e.to_string(),
-        )
-    })?;
-    let replayed = Simulator::try_from_trace(&trace, cfg, HierarchyConfig::default(), flagship())
-        .and_then(|mut sim| sim.run())
-        .map_err(|e| {
-            violation(
-                "execute-vs-replay",
-                "replay failed to simulate",
-                "a finished report",
-                e.to_string(),
-            )
-        })?;
-    if replayed != base {
-        return Err(Box::new(violation(
-            "execute-vs-replay",
-            "replaying the captured trace diverged from execution",
-            base.to_record(),
-            replayed.to_record(),
-        )));
-    }
+    check_trace_vs_emulator(program, cfg)?;
 
     // audit-vs-plain: the auditor must neither fire nor perturb.
     checked += 1;
@@ -385,6 +364,54 @@ pub fn check_program(
     }
 
     Ok(checked)
+}
+
+/// `trace-vs-emulator`: replay's only reference to the functional model.
+/// Steps a fresh [`Emulator`] (warmed up and rebased like the capture)
+/// alongside the captured trace's player and requires identical records,
+/// a common end, and a complete capture.
+fn check_trace_vs_emulator(
+    program: &Program,
+    cfg: CpuConfig,
+) -> Result<(), Box<RelationViolation>> {
+    let v = |detail: &str, expected: String, actual: String| {
+        Box::new(violation("trace-vs-emulator", detail, expected, actual))
+    };
+    let trace = CommittedTrace::capture(program, cfg.warmup_insts, None).map_err(|e| {
+        v(
+            "trace capture failed",
+            "a sealed trace".into(),
+            e.to_string(),
+        )
+    })?;
+    if !trace.is_complete() {
+        return Err(v(
+            "the uncapped capture is marked incomplete",
+            "complete".into(),
+            format!("incomplete after {} records", trace.records()),
+        ));
+    }
+    let mut emu = Emulator::new(program);
+    for _ in 0..cfg.warmup_insts {
+        if emu.step().is_none() {
+            break;
+        }
+    }
+    emu.rebase_seq();
+    let mut player = trace.player();
+    loop {
+        match (emu.step(), player.step()) {
+            (None, None) => return Ok(()),
+            (want, got) if want == got => {}
+            (want, got) => {
+                return Err(v(
+                    "the trace diverged from the emulator's committed stream",
+                    format!("{want:?}"),
+                    format!("{got:?} ({} trace records delivered)", player.delivered()),
+                ))
+            }
+        }
+    }
 }
 
 /// `source-roundtrip`: the disassembler and the object codec must both

@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use hbdc_snap::{SnapError, StateReader, StateWriter};
-
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
@@ -139,42 +137,6 @@ impl Memory {
             self.write_u8(addr + i as u64, b);
         }
     }
-
-    /// Serializes every resident page in ascending page order, so the
-    /// byte stream is deterministic regardless of hash-map iteration.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        let mut indices: Vec<u64> = self.pages.keys().copied().collect();
-        indices.sort_unstable();
-        w.put_usize(indices.len());
-        for idx in indices {
-            w.put_u64(idx);
-            w.put_bytes(&self.pages[&idx]);
-        }
-    }
-
-    /// Replaces the entire contents with pages written by
-    /// [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Corrupt`] on a page of the wrong size, or any decode
-    /// error.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
-        let n = r.get_usize()?;
-        self.pages.clear();
-        for _ in 0..n {
-            let idx = r.get_u64()?;
-            let bytes = r.get_bytes()?;
-            if bytes.len() != PAGE_SIZE {
-                return Err(SnapError::Corrupt(format!(
-                    "memory page {idx:#x} has {} bytes (pages are {PAGE_SIZE})",
-                    bytes.len()
-                )));
-            }
-            self.pages.insert(idx, bytes.into_boxed_slice());
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -232,24 +194,6 @@ mod tests {
         m.write_bytes(0x400, &[1, 2, 3, 4, 5]);
         assert_eq!(m.read_u8(0x404), 5);
         assert_eq!(m.read_u32(0x400), 0x0403_0201);
-    }
-
-    #[test]
-    fn state_roundtrip_preserves_contents() {
-        let mut m = Memory::new();
-        m.write_u64(0x1000, 0xdead_beef_cafe_f00d);
-        m.write_u8(0x9999_0000, 7);
-        let mut w = StateWriter::new();
-        m.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut restored = Memory::new();
-        restored.write_u64(0x5000, 1); // must be wiped by load
-        restored.load_state(&mut StateReader::new(&bytes)).unwrap();
-        assert_eq!(restored.read_u64(0x1000), 0xdead_beef_cafe_f00d);
-        assert_eq!(restored.read_u8(0x9999_0000), 7);
-        assert_eq!(restored.read_u64(0x5000), 0);
-        assert_eq!(restored.resident_pages(), m.resident_pages());
     }
 
     #[test]

@@ -24,7 +24,7 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "== kill-and-resume integration test"
 scripts/resume_test.sh
 
-echo "== trace round-trip (capture / info / replay == execute)"
+echo "== trace round-trip (capture -> file -> replay == in-memory capture)"
 scripts/trace_roundtrip.sh
 
 echo "== multi-process supervisor chaos test (quick, seeded)"

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Trace round-trip gate: captures an HBTR trace with `hbdc-sim trace
-# capture`, verifies `trace info` reads the sealed file back, and checks
-# that a timing-only replay of the trace reports bit-identically to an
-# execute-mode run of the same program under each of the four port
-# models. This is the shell-level counterpart of the replay_golden test
-# suite: it exercises the actual CLI surface and the on-disk format.
+# HBTR on-disk round-trip gate: writes a trace to a file with `hbdc-sim
+# trace capture`, verifies `trace info` reads the sealed file back, and
+# checks that `trace replay` of that file reports bit-identically to
+# `hbdc-sim run`, which replays an in-memory capture of the same program,
+# under each of four port models. This is the shell-level counterpart of
+# the replay_golden test suite: it exercises the actual CLI surface and
+# the on-disk format.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,14 +33,15 @@ grep -qi 'hbdc-sim:' "$tmp/err.txt" || {
     exit 1
 }
 
-# The first report line names the input (program path vs trace path), so
-# the bit-identity comparison starts at line 2.
+# Replay of the file (trace capture -> file -> trace replay) against
+# `run`'s in-memory capture. The first report line names the input
+# (program path vs trace path), so the comparison starts at line 2.
 for port in ideal:4 bank:4 lbic:4x2 repl:2; do
-    "$bin" run bench:li --scale test --port "$port" | tail -n +2 >"$tmp/exec.txt"
-    "$bin" trace replay "$tmp/li.hbtr" --port "$port" | tail -n +2 >"$tmp/replay.txt"
-    diff -u "$tmp/exec.txt" "$tmp/replay.txt" || {
-        echo "FAIL: replay diverges from execute under $port" >&2
+    "$bin" run bench:li --scale test --port "$port" | tail -n +2 >"$tmp/memory.txt"
+    "$bin" trace replay "$tmp/li.hbtr" --port "$port" | tail -n +2 >"$tmp/file.txt"
+    diff -u "$tmp/memory.txt" "$tmp/file.txt" || {
+        echo "FAIL: replaying the HBTR file diverges from an in-memory capture under $port" >&2
         exit 1
     }
 done
-echo "trace round-trip passed: replay bit-identical to execute for 4 port models"
+echo "trace round-trip passed: the HBTR file replays bit-identically to an in-memory capture for 4 port models"

@@ -26,8 +26,9 @@
 //! `trace capture` runs the functional model once and seals the committed
 //! stream into an HBTR file; `trace replay` then drives the timing model
 //! from that file under any port configuration, producing a report
-//! bit-identical to an execute-mode run of the same program — the
-//! expensive functional pass is paid once, not once per configuration.
+//! bit-identical to a `run` of the same program (which captures in
+//! memory first) — the functional pass is paid once, not once per
+//! configuration.
 //!
 //! With `--checkpoint`, the run writes a crash-safe snapshot of the full
 //! simulator state every `--every` cycles (default 1 000 000) and on
@@ -268,8 +269,8 @@ fn cmd_trace_info(args: &[String]) -> Result<(), String> {
 }
 
 /// Replays a captured trace through the timing model. The report is
-/// bit-identical to an execute-mode run of the same program with the
-/// same warmup — only the host time differs.
+/// bit-identical to a `run` of the same program with the same warmup,
+/// which captures the trace in memory instead of reading it from a file.
 fn cmd_trace_replay(args: &[String]) -> Result<(), String> {
     let target = args.first().ok_or("missing trace file")?;
     let trace =
