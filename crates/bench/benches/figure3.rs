@@ -1,6 +1,6 @@
 //! Criterion bench for the Figure 3 analyzer: consecutive-reference
 //! classification over synthetic and emulated streams. Full-scale output
-//! comes from `cargo run -p hbdc-bench --bin figure3 --release`.
+//! comes from `hbdc-sim campaign figure3`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -1,6 +1,6 @@
 //! Criterion bench for the Table 2 pipeline: functional emulation of a
 //! benchmark analog plus trace-driven L1 simulation. The full-scale rows
-//! are produced by `cargo run -p hbdc-bench --bin table2`; this bench
+//! are produced by `hbdc-sim campaign table2`; this bench
 //! tracks the cost of the measurement machinery itself at test scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -109,12 +109,6 @@ pub fn threads_from_args() -> Option<usize> {
     positive_flag("--threads", "a positive integer")
 }
 
-/// Whether `--csv` was passed (binaries then print a CSV block after the
-/// human-readable table).
-pub fn csv_from_args() -> bool {
-    flag_present("--csv")
-}
-
 /// Reads a repetition count from `argv` (`--runs <N>`), defaulting to 1.
 /// Measurement binaries repeat their matrix N times and report medians,
 /// so one noisy run (a container neighbor, a page-cache miss) cannot

@@ -1,5 +1,5 @@
-//! Shared experiment machinery: simulation driving, scale parsing,
-//! suite-average bookkeeping, and the matrix campaign API — its options,
+//! Shared experiment machinery: scale parsing, suite-average
+//! bookkeeping, and the matrix campaign API — its column type, options,
 //! result type, trace capture and the in-process cell runner (the
 //! campaign loop itself lives in `crate::supervise`).
 
@@ -18,54 +18,16 @@ use hbdc_workloads::{Benchmark, Scale, Suite};
 
 use crate::supervise;
 
-/// Runs one benchmark under one port model and returns its report.
-///
-/// Uses the paper's Table 1 machine and memory hierarchy. The run length
-/// is whatever the kernel's `scale` dictates (kernels halt on their own).
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from configuration or the run (deadlock
-/// watchdog, cycle cap, invariant auditor).
-pub fn simulate(bench: &Benchmark, scale: Scale, port: PortConfig) -> Result<SimReport, SimError> {
-    simulate_with(bench, scale, port, CpuConfig::default())
-}
-
-/// [`simulate`] with an explicit machine configuration (auditing on, a
-/// tighter cycle cap, non-default widths).
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from configuration or the run.
-pub fn simulate_with(
-    bench: &Benchmark,
-    scale: Scale,
-    port: PortConfig,
-    cpu_cfg: CpuConfig,
-) -> Result<SimReport, SimError> {
-    let program = bench.build(scale);
-    Simulator::try_new(&program, cpu_cfg, HierarchyConfig::default(), port)?.run()
-}
-
-/// Unwraps a simulation result in an experiment binary: on failure,
-/// prints the error to stderr and exits with status 2.
-///
-/// Experiment binaries have no meaningful partial output for a single
-/// failed run (unlike [`simulate_matrix`], which completes the rest of
-/// the matrix), so failing loudly and immediately is the right behavior.
-pub fn sim_ok(result: Result<SimReport, SimError>) -> SimReport {
-    result.unwrap_or_else(|e| {
-        eprintln!("simulation failed: {e}");
-        std::process::exit(2);
-    })
-}
+/// One matrix column: its label, the machine configuration and the port
+/// model every benchmark runs under in that column.
+pub type Column = (String, CpuConfig, PortConfig);
 
 // CLI parsing lives in [`crate::args`] (one shared argv scanner);
 // re-exported here because the binaries import it from the runner.
 pub(crate) use crate::args::usage_bail;
 pub use crate::args::{
-    benches_from_args, csv_from_args, matrix_opts_from_args, parse_scale, runs_from_args,
-    scale_from_args, scale_from_args_or, scale_label, threads_from_args,
+    benches_from_args, matrix_opts_from_args, parse_scale, runs_from_args, scale_from_args,
+    scale_from_args_or, scale_label, threads_from_args,
 };
 
 /// Accumulates per-suite IPC rows and produces the paper's "SPECint Ave."
@@ -259,8 +221,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs the full (benchmark x port-config) matrix, returning a
-/// [`MatrixRun`] with reports in `[bench][config]` order.
+/// Runs the full (benchmark x column) matrix, returning a [`MatrixRun`]
+/// with reports in `[bench][column]` order. The campaign options
+/// (`--journal`, `--resume`, `--timeout-secs`, ...) are read from `argv`
+/// like the rest of the matrix flags; a journal problem is a usage error
+/// (reported and exit 2).
 ///
 /// Simulations are independent, so cells run concurrently: `--threads N`
 /// of them at a time (default: every available core). Progress marks go
@@ -273,29 +238,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// after a backoff until it has failed `--max-attempts` times (default
 /// 2), then quarantined; the rest of the matrix still completes. One
 /// diverging cell costs one cell, not a whole Table 3 overnight run.
-pub fn simulate_matrix(
-    benches: &[Benchmark],
-    scale: Scale,
-    configs: &[(String, PortConfig)],
-) -> MatrixRun {
-    simulate_matrix_with(benches, scale, configs, CpuConfig::default())
-}
-
-/// [`simulate_matrix`] with an explicit machine configuration. The
-/// campaign options (`--journal`, `--resume`, `--timeout-secs`, ...) are
-/// read from `argv` like the rest of the matrix flags; a journal problem
-/// is a usage error (reported and exit 2).
-pub fn simulate_matrix_with(
-    benches: &[Benchmark],
-    scale: Scale,
-    configs: &[(String, PortConfig)],
-    cpu_cfg: CpuConfig,
-) -> MatrixRun {
-    let opts = MatrixOpts {
-        cpu_cfg,
-        ..matrix_opts_from_args()
-    };
-    simulate_matrix_opts(benches, scale, configs, &opts).unwrap_or_else(|e| usage_bail(&e))
+pub fn simulate_matrix(benches: &[Benchmark], scale: Scale, configs: &[Column]) -> MatrixRun {
+    simulate_matrix_opts(benches, scale, configs, &matrix_opts_from_args())
+        .unwrap_or_else(|e| usage_bail(&e))
 }
 
 /// Coordinates for the hidden worker-cell mode: a shard supervisor
@@ -317,8 +262,6 @@ pub struct WorkerSpec {
 /// Campaign options for [`simulate_matrix_opts`].
 #[derive(Debug, Clone)]
 pub struct MatrixOpts {
-    /// Machine configuration for every cell.
-    pub cpu_cfg: CpuConfig,
     /// Per-cell wall-clock budget. A cell still running when it expires
     /// is quarantined at once (never retried: a hung model hangs again)
     /// and the rest of the matrix continues. `None` disables it.
@@ -359,7 +302,6 @@ pub struct MatrixOpts {
 impl Default for MatrixOpts {
     fn default() -> Self {
         Self {
-            cpu_cfg: CpuConfig::default(),
             timeout: None,
             journal: None,
             trace_cache: None,
@@ -383,29 +325,18 @@ include!(concat!(env!("OUT_DIR"), "/build_id.rs"));
 /// Content fingerprint of a matrix campaign: the simulator build
 /// ([`BUILD_ID`], a hash of the simulator crates' sources), scale, each
 /// benchmark's name and program (the object-byte fingerprint that also
-/// keys the trace cache), column labels and port parameters, and the
-/// machine configuration. A journal records the fingerprint it was
+/// keys the trace cache), and each column's label, machine configuration
+/// and port parameters. A journal records the fingerprint it was
 /// written under, and continuing it under any other matrix — a
 /// kernel-generator or timing-model edit included — is refused rather
 /// than silently mixing results.
-pub(crate) fn matrix_hash(
-    benches: &[Benchmark],
-    scale: Scale,
-    configs: &[(String, PortConfig)],
-    cpu_cfg: &CpuConfig,
-) -> u64 {
-    build_matrix_hash(BUILD_ID, benches, scale, configs, cpu_cfg)
+pub(crate) fn matrix_hash(benches: &[Benchmark], scale: Scale, configs: &[Column]) -> u64 {
+    build_matrix_hash(BUILD_ID, benches, scale, configs)
 }
 
 /// [`matrix_hash`] as a binary built with simulator fingerprint `build`
 /// computes it.
-fn build_matrix_hash(
-    build: u64,
-    benches: &[Benchmark],
-    scale: Scale,
-    configs: &[(String, PortConfig)],
-    cpu_cfg: &CpuConfig,
-) -> u64 {
+fn build_matrix_hash(build: u64, benches: &[Benchmark], scale: Scale, configs: &[Column]) -> u64 {
     let mut w = StateWriter::new();
     w.put_u64(build);
     w.put_str(scale_label(scale));
@@ -418,11 +349,11 @@ fn build_matrix_hash(
         w.put_u64(program.map_or(0, |p| fnv1a64(&hbdc_isa::object::to_bytes(&p))));
     }
     w.put_usize(configs.len());
-    for (label, port) in configs {
+    for (label, cpu, port) in configs {
         w.put_str(label);
+        cpu.save_state(&mut w);
         port.save_state(&mut w);
     }
-    cpu_cfg.save_state(&mut w);
     fnv1a64(&w.into_bytes())
 }
 
@@ -444,8 +375,9 @@ fn trace_cache_path(dir: &Path, bench: &str, scale: Scale, warmup: u64, fp: u64)
     ))
 }
 
-/// Captures one benchmark's committed-stream trace, or loads it from the
-/// trace cache at [`MatrixOpts::trace_cache`]. A panic in the kernel
+/// Captures one benchmark's committed-stream trace past `warmup`
+/// instructions, or loads it from the trace cache at
+/// [`MatrixOpts::trace_cache`]. A panic in the kernel
 /// generator or the functional pass is caught and returned as the error,
 /// so a failed capture fails that benchmark's cells with the real cause.
 ///
@@ -461,11 +393,11 @@ fn trace_cache_path(dir: &Path, bench: &str, scale: Scale, warmup: u64, fp: u64)
 pub(crate) fn capture_trace(
     bench: &Benchmark,
     scale: Scale,
+    warmup: u64,
     opts: &MatrixOpts,
 ) -> Result<CommittedTrace, String> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    let warmup = opts.cpu_cfg.warmup_insts;
     let body = || -> Result<CommittedTrace, String> {
         let program = bench.build(scale);
         let fp = fnv1a64(&hbdc_isa::object::to_bytes(&program));
@@ -645,8 +577,9 @@ pub(crate) fn run_cell(job: CellJob<'_>) -> JobOutcome {
 ///
 /// Cells run on `--threads` executors: scoped threads replaying their
 /// benchmark's trace in this process (each benchmark with cells left
-/// captures its trace, or loads it from [`MatrixOpts::trace_cache`], on
-/// its own thread as the run starts) or, with [`MatrixOpts::shard`],
+/// captures its trace — one per distinct warmup among the columns — or
+/// loads it from [`MatrixOpts::trace_cache`], on its own thread as the
+/// run starts) or, with [`MatrixOpts::shard`],
 /// re-executed worker subprocesses. A failed attempt is retried after an
 /// exponential backoff until [`MatrixOpts::max_attempts`] is spent, then
 /// the cell is quarantined; a timed-out cell is quarantined at once.
@@ -667,7 +600,7 @@ pub(crate) fn run_cell(job: CellJob<'_>) -> JobOutcome {
 pub fn simulate_matrix_opts(
     benches: &[Benchmark],
     scale: Scale,
-    configs: &[(String, PortConfig)],
+    configs: &[Column],
     opts: &MatrixOpts,
 ) -> Result<MatrixRun, String> {
     use std::sync::OnceLock;
@@ -678,7 +611,7 @@ pub fn simulate_matrix_opts(
     if let Some(spec) = &opts.worker {
         supervise::run_worker(benches, scale, configs, opts, spec);
     }
-    let hash = matrix_hash(benches, scale, configs, &opts.cpu_cfg);
+    let hash = matrix_hash(benches, scale, configs);
     if opts.shard {
         let journal = opts.journal.as_deref().ok_or_else(|| {
             "--shard requires --journal PATH (the journal is the shared campaign state)".to_string()
@@ -689,27 +622,38 @@ pub fn simulate_matrix_opts(
     }
 
     install_worker_panic_hook();
-    // Per benchmark: its trace (or capture error) and when the capture
-    // ran. `drive` starts every pending benchmark's capture at once, so a
-    // cell waits only on its own benchmark's trace.
-    let traces: Vec<OnceLock<_>> = benches.iter().map(|_| OnceLock::new()).collect();
-    let trace = |b: usize| {
+    // Per (benchmark, distinct warmup): its trace (or capture error) and
+    // when the capture ran. `drive` starts every pending benchmark's
+    // captures at once, so a cell waits only on its own trace.
+    let mut warmups: Vec<u64> = configs.iter().map(|(_, cpu, _)| cpu.warmup_insts).collect();
+    warmups.sort_unstable();
+    warmups.dedup();
+    let traces: Vec<OnceLock<_>> = (0..benches.len() * warmups.len())
+        .map(|_| OnceLock::new())
+        .collect();
+    let trace = |b: usize, warmup: u64| {
         let capture = || {
             let start = Instant::now();
-            let trace = capture_trace(&benches[b], scale, opts);
+            let trace = capture_trace(&benches[b], scale, warmup, opts);
             (trace, start..Instant::now())
         };
-        &traces[b].get_or_init(capture).0
+        let w = warmups
+            .binary_search(&warmup)
+            .expect("every column's warmup is listed");
+        &traces[b * warmups.len() + w].get_or_init(capture).0
     };
     let prepare = |b: usize| {
-        trace(b);
+        for &w in &warmups {
+            trace(b, w);
+        }
     };
     let mut run = supervise::drive(benches, configs, hash, opts, Some(&prepare), &|idx| {
         let checkpoint = opts.journal.as_deref().map(|j| cell_snap_path(j, idx));
+        let (_, cpu_cfg, port) = &configs[idx % configs.len()];
         run_cell(CellJob {
-            trace: trace(idx / configs.len()),
-            port: configs[idx % configs.len()].1,
-            cpu_cfg: opts.cpu_cfg,
+            trace: trace(idx / configs.len(), cpu_cfg.warmup_insts),
+            port: *port,
+            cpu_cfg: *cpu_cfg,
             timeout: opts.timeout,
             checkpoint: checkpoint.as_deref(),
         })
@@ -785,23 +729,31 @@ impl SpeedTally {
     }
 }
 
+/// A column on the paper's Table 1 machine (`CpuConfig::default()`).
+pub fn column(label: impl Into<String>, port: PortConfig) -> Column {
+    (label.into(), CpuConfig::default(), port)
+}
+
 /// The port-model columns of the paper's Table 3: the single-ported
 /// baseline ("~"), then True/Repl/Bank at 2, 4, 8, and 16 ports.
-pub fn table3_columns() -> Vec<(String, PortConfig)> {
-    let mut cols = vec![("~1".to_string(), PortConfig::Ideal { ports: 1 })];
+pub fn table3_columns() -> Vec<Column> {
+    let mut cols = vec![column("~1", PortConfig::Ideal { ports: 1 })];
     for p in [2usize, 4, 8, 16] {
-        cols.push((format!("True-{p}"), PortConfig::Ideal { ports: p }));
-        cols.push((format!("Repl-{p}"), PortConfig::Replicated { ports: p }));
-        cols.push((format!("Bank-{p}"), PortConfig::banked(p as u32)));
+        cols.push(column(format!("True-{p}"), PortConfig::Ideal { ports: p }));
+        cols.push(column(
+            format!("Repl-{p}"),
+            PortConfig::Replicated { ports: p },
+        ));
+        cols.push(column(format!("Bank-{p}"), PortConfig::banked(p as u32)));
     }
     cols
 }
 
 /// The six LBIC configurations of the paper's Table 4.
-pub fn table4_columns() -> Vec<(String, PortConfig)> {
+pub fn table4_columns() -> Vec<Column> {
     [(2, 2), (2, 4), (4, 2), (4, 4), (8, 2), (8, 4)]
         .into_iter()
-        .map(|(m, n)| (format!("{m}x{n}"), PortConfig::lbic(m, n)))
+        .map(|(m, n)| column(format!("{m}x{n}"), PortConfig::lbic(m, n)))
         .collect()
 }
 
@@ -837,18 +789,31 @@ mod tests {
         assert_eq!(s.fp_means(), vec![10.0, 20.0]);
     }
 
+    /// One cell run straight through a fresh simulator.
+    fn serial(bench: &Benchmark, port: PortConfig) -> SimReport {
+        let program = bench.build(Scale::Test);
+        Simulator::try_new(
+            &program,
+            CpuConfig::default(),
+            HierarchyConfig::default(),
+            port,
+        )
+        .and_then(|mut sim| sim.run())
+        .unwrap()
+    }
+
     #[test]
     fn simulate_matrix_matches_serial() {
         let benches = vec![by_name("li").unwrap()];
         let configs = vec![
-            ("a".to_string(), PortConfig::Ideal { ports: 1 }),
-            ("b".to_string(), PortConfig::banked(4)),
+            column("a", PortConfig::Ideal { ports: 1 }),
+            column("b", PortConfig::banked(4)),
         ];
         let matrix = simulate_matrix(&benches, Scale::Test, &configs).expect_complete();
         assert_eq!(matrix.len(), 1);
         assert_eq!(matrix[0].len(), 2);
-        for (j, (_, port)) in configs.iter().enumerate() {
-            let serial = simulate(&benches[0], Scale::Test, *port).unwrap();
+        for (j, (_, _, port)) in configs.iter().enumerate() {
+            let serial = serial(&benches[0], *port);
             assert_eq!(matrix[0][j], serial, "config {j} differs from serial");
         }
     }
@@ -856,7 +821,7 @@ mod tests {
     #[test]
     fn simulate_smoke() {
         let b = by_name("li").unwrap();
-        let r = simulate(&b, Scale::Test, PortConfig::Ideal { ports: 4 }).unwrap();
+        let r = serial(&b, PortConfig::Ideal { ports: 4 });
         assert!(r.committed > 10_000);
         assert!(r.ipc() > 0.5);
     }
@@ -867,8 +832,8 @@ mod tests {
         // failure and the other cell still completes.
         let benches = vec![by_name("li").unwrap()];
         let configs = vec![
-            ("good".to_string(), PortConfig::Ideal { ports: 2 }),
-            ("bad".to_string(), PortConfig::banked(3)),
+            column("good", PortConfig::Ideal { ports: 2 }),
+            column("bad", PortConfig::banked(3)),
         ];
         let run = simulate_matrix(&benches, Scale::Test, &configs);
         assert!(!run.is_complete());
@@ -891,7 +856,7 @@ mod tests {
             Benchmark::custom("bomb", Suite::Int, bomb),
             by_name("li").unwrap(),
         ];
-        let configs = vec![("i2".to_string(), PortConfig::Ideal { ports: 2 })];
+        let configs = vec![column("i2", PortConfig::Ideal { ports: 2 })];
         let run = simulate_matrix(&benches, Scale::Test, &configs);
         assert!(run.reports[0][0].is_none());
         assert!(run.reports[1][0].is_some(), "healthy bench still runs");
@@ -906,16 +871,12 @@ mod tests {
     #[test]
     fn matrix_records_cycle_limit_failures() {
         let benches = vec![by_name("li").unwrap()];
-        let configs = vec![("i2".to_string(), PortConfig::Ideal { ports: 2 })];
-        let run = simulate_matrix_with(
-            &benches,
-            Scale::Test,
-            &configs,
-            CpuConfig {
-                max_cycles: 50,
-                ..CpuConfig::default()
-            },
-        );
+        let capped = CpuConfig {
+            max_cycles: 50,
+            ..CpuConfig::default()
+        };
+        let configs = vec![("i2".to_string(), capped, PortConfig::Ideal { ports: 2 })];
+        let run = simulate_matrix(&benches, Scale::Test, &configs);
         assert!(!run.is_complete());
         assert!(
             run.failures[0].error.contains("cycle limit"),
@@ -977,11 +938,7 @@ mod tests {
 
     /// An uninterrupted in-memory run that warms the trace cache at
     /// `cache`: the reference for interrupted runs sharing that cache.
-    fn warm_run(
-        benches: &[Benchmark],
-        configs: &[(String, PortConfig)],
-        cache: &Path,
-    ) -> Vec<Vec<SimReport>> {
+    fn warm_run(benches: &[Benchmark], configs: &[Column], cache: &Path) -> Vec<Vec<SimReport>> {
         let opts = MatrixOpts {
             trace_cache: Some(cache.to_path_buf()),
             ..MatrixOpts::default()
@@ -1008,8 +965,8 @@ mod tests {
         let cache = dir.join("traces");
         let benches = vec![by_name("li").unwrap()];
         let configs = vec![
-            ("i2".to_string(), PortConfig::Ideal { ports: 2 }),
-            ("b4".to_string(), PortConfig::banked(4)),
+            column("i2", PortConfig::Ideal { ports: 2 }),
+            column("b4", PortConfig::banked(4)),
         ];
 
         // An uninterrupted run warms the trace cache (and is the
@@ -1075,7 +1032,7 @@ mod tests {
             Benchmark::custom("tiny", Suite::Int, tiny),
             by_name("li").unwrap(),
         ];
-        let configs = vec![("i2".to_string(), PortConfig::Ideal { ports: 2 })];
+        let configs = vec![column("i2", PortConfig::Ideal { ports: 2 })];
         // Warm the trace cache so the latch refuses no capture below.
         let fresh = warm_run(&benches, &configs, &cache);
         let opts = MatrixOpts {
@@ -1093,7 +1050,7 @@ mod tests {
 
         // Mark the completed cell's journal record, so a report that comes
         // back with the mark was served from the journal, not re-run.
-        let hash = matrix_hash(&benches, Scale::Test, &configs, &opts.cpu_cfg);
+        let hash = matrix_hash(&benches, Scale::Test, &configs);
         let text = std::fs::read_to_string(&journal).unwrap();
         let mut state = supervise::parse_journal(&text, &journal, hash, 2).unwrap();
         let CellState::Ok { record, .. } = &mut state.cells[0] else {
@@ -1122,8 +1079,8 @@ mod tests {
         let cache = dir.join("traces");
         let benches = vec![by_name("li").unwrap(), by_name("compress").unwrap()];
         let configs = vec![
-            ("i2".to_string(), PortConfig::Ideal { ports: 2 }),
-            ("b4".to_string(), PortConfig::banked(4)),
+            column("i2", PortConfig::Ideal { ports: 2 }),
+            column("b4", PortConfig::banked(4)),
         ];
         let opts = MatrixOpts {
             journal: Some(journal.clone()),
@@ -1158,8 +1115,7 @@ mod tests {
         let resumed = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts)
             .unwrap()
             .expect_complete();
-        let fresh = simulate_matrix_with(&benches, Scale::Test, &configs, CpuConfig::default())
-            .expect_complete();
+        let fresh = simulate_matrix(&benches, Scale::Test, &configs).expect_complete();
         assert_eq!(resumed, fresh);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1171,7 +1127,7 @@ mod tests {
         let dir = scratch_dir("mismatch");
         let journal = dir.join("m.journal");
         let benches = vec![by_name("li").unwrap()];
-        let configs_a = vec![("i2".to_string(), PortConfig::Ideal { ports: 2 })];
+        let configs_a = vec![column("i2", PortConfig::Ideal { ports: 2 })];
         let opts = MatrixOpts {
             journal: Some(journal.clone()),
             ..MatrixOpts::default()
@@ -1181,7 +1137,7 @@ mod tests {
             .expect_complete();
 
         // Same journal, different port configuration: refused.
-        let configs_b = vec![("i4".to_string(), PortConfig::Ideal { ports: 4 })];
+        let configs_b = vec![column("i4", PortConfig::Ideal { ports: 4 })];
         let err = simulate_matrix_opts(&benches, Scale::Test, &configs_b, &opts).unwrap_err();
         assert!(err.contains("does not match"), "{err}");
         assert!(err.contains("refusing to resume"), "{err}");
@@ -1198,13 +1154,7 @@ mod tests {
 
         // The same matrix journaled by a binary built from other
         // simulator sources: refused too.
-        let stamped = build_matrix_hash(
-            BUILD_ID ^ 1,
-            &benches,
-            Scale::Test,
-            &configs_a,
-            &opts.cpu_cfg,
-        );
+        let stamped = build_matrix_hash(BUILD_ID ^ 1, &benches, Scale::Test, &configs_a);
         let state = supervise::JournalState::fresh(stamped, 1);
         std::fs::write(&journal, supervise::render_journal(&state)).unwrap();
         let err = simulate_matrix_opts(&benches, Scale::Test, &configs_a, &opts).unwrap_err();
@@ -1221,7 +1171,7 @@ mod tests {
     #[test]
     fn per_job_timeout_fails_hung_cells_without_retry() {
         let benches = vec![by_name("li").unwrap()];
-        let configs = vec![("i2".to_string(), PortConfig::Ideal { ports: 2 })];
+        let configs = vec![column("i2", PortConfig::Ideal { ports: 2 })];
         let opts = MatrixOpts {
             timeout: Some(Duration::from_nanos(1)),
             ..MatrixOpts::default()
@@ -1245,8 +1195,8 @@ mod tests {
         let benches = vec![by_name("li").unwrap()];
         // banks=3 fails PortConfig validation at build time.
         let configs = vec![
-            ("good".to_string(), PortConfig::Ideal { ports: 2 }),
-            ("bad".to_string(), PortConfig::banked(3)),
+            column("good", PortConfig::Ideal { ports: 2 }),
+            column("bad", PortConfig::banked(3)),
         ];
         let opts = MatrixOpts {
             journal: Some(journal.clone()),

@@ -58,7 +58,6 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use hbdc_core::PortConfig;
 use hbdc_cpu::SimReport;
 use hbdc_snap::interrupt;
 use hbdc_snap::lock::{pid_alive, send_signal, FileLock, SIGINT};
@@ -66,8 +65,8 @@ use hbdc_snap::write_atomic;
 use hbdc_workloads::{Benchmark, Scale};
 
 use crate::runner::{
-    capture_trace, cell_snap_path, matrix_hash, run_cell, threads_from_args, CellJob, JobFailure,
-    JobOutcome, MatrixOpts, MatrixRun, SpeedTally, WorkerSpec, WORKER_PREFIX,
+    capture_trace, cell_snap_path, matrix_hash, run_cell, threads_from_args, CellJob, Column,
+    JobFailure, JobOutcome, MatrixOpts, MatrixRun, SpeedTally, WorkerSpec, WORKER_PREFIX,
 };
 
 /// First line of every matrix run journal.
@@ -609,7 +608,7 @@ impl Store<'_> {
 /// with the [`MatrixRun`] of the whole campaign.
 pub(crate) fn drive(
     benches: &[Benchmark],
-    configs: &[(String, PortConfig)],
+    configs: &[Column],
     hash: u64,
     opts: &MatrixOpts,
     prepare: Option<&(dyn Fn(usize) + Sync)>,
@@ -804,7 +803,7 @@ pub(crate) fn drive(
     let mut failures = Vec::new();
     for (b, bench) in benches.iter().enumerate() {
         let mut row = Vec::with_capacity(configs.len());
-        for (c, (label, _)) in configs.iter().enumerate() {
+        for (c, (label, ..)) in configs.iter().enumerate() {
             let idx = b * configs.len() + c;
             row.push(match &state.cells[idx] {
                 CellState::Ok { record, .. } => {
@@ -978,7 +977,7 @@ pub(crate) fn run_in_worker(
 pub(crate) fn run_worker(
     benches: &[Benchmark],
     scale: Scale,
-    configs: &[(String, PortConfig)],
+    configs: &[Column],
     opts: &MatrixOpts,
     spec: &WorkerSpec,
 ) -> ! {
@@ -990,7 +989,7 @@ pub(crate) fn run_worker(
     };
     let fail = |msg: &str| -> ! { finish(format!("fail {}", escape_error(msg)), 1) };
 
-    let hash = matrix_hash(benches, scale, configs, &opts.cpu_cfg);
+    let hash = matrix_hash(benches, scale, configs);
     if hash != spec.matrix {
         fail(&format!(
             "worker matrix fingerprint {hash:016x} does not match the supervisor's {:016x} \
@@ -1018,15 +1017,17 @@ pub(crate) fn run_worker(
 
     // Workers self-serve traces from the shared on-disk corpus (capturing
     // — and healing corrupt entries — on demand).
-    let trace = capture_trace(&benches[spec.cell / configs.len()], scale, opts);
+    let (_, cpu_cfg, port) = &configs[spec.cell % configs.len()];
+    let bench = &benches[spec.cell / configs.len()];
+    let trace = capture_trace(bench, scale, cpu_cfg.warmup_insts, opts);
     let ckpt = opts
         .journal
         .as_deref()
         .map(|j| cell_snap_path(j, spec.cell));
     let outcome = run_cell(CellJob {
         trace: &trace,
-        port: configs[spec.cell % configs.len()].1,
-        cpu_cfg: opts.cpu_cfg,
+        port: *port,
+        cpu_cfg: *cpu_cfg,
         // The supervisor enforces the wall-clock budget from outside;
         // the worker only needs to poll the SIGINT latch.
         timeout: None,
@@ -1073,7 +1074,8 @@ mod tests {
     use super::*;
 
     fn sample_record() -> String {
-        "1000\t250\t200\t100\t20\t300\t30\t5\t30\t3\t400\t380\t10\t4\t0\tIdeal-4".to_string()
+        "1000\t250\t200\t100\t20\t300\t30\t5\t30\t3\t400\t380\t240\t10\t4\t0\t0\t0\t0\t0\t0,100,140\tIdeal-4"
+            .to_string()
     }
 
     fn path() -> PathBuf {

@@ -5,11 +5,23 @@
 //! at `Scale::Test` by the pre-optimization (allocating) simulator.
 //! Any divergence means a scratch-buffer or ready-list change altered
 //! simulated behavior, which is never acceptable for a pure perf change.
+//! The branch, store-queue and grants-per-cycle fields joined the report
+//! later and were pinned from the simulator that added them; the other
+//! fields are the original constants.
 
-use hbdc_bench::runner::{simulate, simulate_matrix, simulate_with};
+use hbdc_bench::runner::{column, simulate_matrix};
 use hbdc_core::PortConfig;
-use hbdc_cpu::{CpuConfig, SimReport};
-use hbdc_workloads::{by_name, Scale};
+use hbdc_cpu::{CpuConfig, SimReport, Simulator};
+use hbdc_mem::HierarchyConfig;
+use hbdc_workloads::{by_name, Benchmark, Scale};
+
+/// One `Scale::Test` run of `bench` straight through a fresh simulator.
+fn simulate(bench: &Benchmark, port: PortConfig, cfg: CpuConfig) -> SimReport {
+    let program = bench.build(Scale::Test);
+    Simulator::try_new(&program, cfg, HierarchyConfig::default(), port)
+        .and_then(|mut sim| sim.run())
+        .expect("clean run")
+}
 
 fn golden(port_label: &str) -> SimReport {
     let common = SimReport {
@@ -29,6 +41,11 @@ fn golden(port_label: &str) -> SimReport {
         bank_conflicts: 0,
         combined: 0,
         store_serializations: 0,
+        branches: 0,
+        mispredicts: 0,
+        sq_drains: 0,
+        sq_full_stalls: 0,
+        grants_per_cycle: Vec::new(), // per-config below
         port_label: port_label.into(),
         skipped_cycles: 0,
         cpu_secs: 0.0,
@@ -39,6 +56,7 @@ fn golden(port_label: &str) -> SimReport {
             cycles: 7142,
             arb_offered: 28279,
             arb_rounds: 7136,
+            grants_per_cycle: vec![0, 1, 1535, 1399, 4201],
             ..common
         },
         "Bank-4" => SimReport {
@@ -46,6 +64,7 @@ fn golden(port_label: &str) -> SimReport {
             arb_offered: 59697,
             arb_rounds: 14660,
             bank_conflicts: 35625,
+            grants_per_cycle: vec![0, 6826, 6256, 1578, 0],
             ..common
         },
         "LBIC-4x2" => SimReport {
@@ -54,6 +73,9 @@ fn golden(port_label: &str) -> SimReport {
             arb_rounds: 10724,
             bank_conflicts: 15365,
             combined: 6260,
+            sq_drains: 11466,
+            sq_full_stalls: 655,
+            grants_per_cycle: vec![0, 2233, 4554, 3017, 920, 0, 0, 0, 0],
             ..common
         },
         other => panic!("no golden for {other}"),
@@ -78,7 +100,7 @@ const CONFIGS: [PortConfig; 3] = [
 fn li_reports_match_reference_implementation() {
     let li = by_name("li").unwrap();
     for port in CONFIGS {
-        let r = simulate(&li, Scale::Test, port).unwrap();
+        let r = simulate(&li, port, CpuConfig::default());
         assert_eq!(r, golden(&r.port_label), "{} diverged", r.port_label);
     }
 }
@@ -86,7 +108,7 @@ fn li_reports_match_reference_implementation() {
 #[test]
 fn matrix_reports_match_reference_implementation() {
     let li = by_name("li").unwrap();
-    let configs: Vec<(String, PortConfig)> = CONFIGS.iter().map(|&p| (String::new(), p)).collect();
+    let configs: Vec<_> = CONFIGS.iter().map(|&p| column("", p)).collect();
     let matrix = simulate_matrix(&[li], Scale::Test, &configs).expect_complete();
     for r in &matrix[0] {
         assert_eq!(*r, golden(&r.port_label), "{} diverged", r.port_label);
@@ -105,7 +127,7 @@ fn audited_runs_match_reference_implementation() {
             audit: true,
             ..CpuConfig::default()
         };
-        let r = simulate_with(&li, Scale::Test, port, audited).unwrap();
+        let r = simulate(&li, port, audited);
         assert_eq!(
             r,
             golden(&r.port_label),
@@ -128,7 +150,7 @@ fn audited_deep_backlog_matches_unaudited_under_bank4() {
             audit,
             ..CpuConfig::default()
         };
-        simulate_with(&mgrid, Scale::Test, port, cfg).expect("audit-clean run")
+        simulate(&mgrid, port, cfg)
     };
     let plain = run(false);
     assert!(

@@ -107,6 +107,7 @@ fn bank_select_tag(select: BankSelect) -> u8 {
         BankSelect::BitSelect => 0,
         BankSelect::XorFold => 1,
         BankSelect::PseudoRandom => 2,
+        BankSelect::Word => 3,
     }
 }
 
@@ -115,6 +116,7 @@ fn bank_select_from_tag(tag: u8) -> Result<BankSelect, SnapError> {
         0 => Ok(BankSelect::BitSelect),
         1 => Ok(BankSelect::XorFold),
         2 => Ok(BankSelect::PseudoRandom),
+        3 => Ok(BankSelect::Word),
         other => Err(SnapError::Corrupt(format!(
             "unknown bank-select tag {other}"
         ))),
@@ -362,6 +364,10 @@ mod tests {
             PortConfig::Banked {
                 banks: 8,
                 select: BankSelect::XorFold,
+            },
+            PortConfig::Banked {
+                banks: 4,
+                select: BankSelect::Word,
             },
             PortConfig::Lbic {
                 banks: 4,

@@ -23,6 +23,11 @@
 ///     bank_conflicts: 10,
 ///     combined: 15,
 ///     store_serializations: 0,
+///     branches: 0,
+///     mispredicts: 0,
+///     sq_drains: 0,
+///     sq_full_stalls: 0,
+///     grants_per_cycle: vec![10, 20, 60],
 ///     port_label: "LBIC-4x2".into(),
 ///     skipped_cycles: 0,
 ///     cpu_secs: 0.0,
@@ -70,6 +75,22 @@ pub struct SimReport {
     pub combined: u64,
     /// Cycles monopolized by a broadcast store (replicated model only).
     pub store_serializations: u64,
+    /// Conditional branches committed (counted by a predicted front
+    /// end; 0 under the paper's perfect one).
+    pub branches: u64,
+    /// Of those, branches the predictor got wrong.
+    pub mispredicts: u64,
+    /// Store-queue entries drained into the cache (LBIC only; 0
+    /// otherwise).
+    pub sq_drains: u64,
+    /// Stores held back because their bank's store queue was full (LBIC
+    /// only; 0 otherwise).
+    pub sq_full_stalls: u64,
+    /// Grants-per-round distribution of the busy arbitration rounds:
+    /// entry `k` counts the rounds that granted exactly `k` references,
+    /// for `k` in `0..=peak` (a model never grants above its peak). The
+    /// entries sum to `arb_rounds`.
+    pub grants_per_cycle: Vec<u64>,
     /// Label of the port model under test, e.g. `"Bank-8"`.
     pub port_label: String,
     /// Always 0: the run loop steps every cycle. Kept only because the
@@ -110,6 +131,11 @@ impl PartialEq for SimReport {
             bank_conflicts,
             combined,
             store_serializations,
+            branches,
+            mispredicts,
+            sq_drains,
+            sq_full_stalls,
+            grants_per_cycle,
             port_label,
             skipped_cycles: _,
             cpu_secs: _,
@@ -131,6 +157,11 @@ impl PartialEq for SimReport {
             && *bank_conflicts == other.bank_conflicts
             && *combined == other.combined
             && *store_serializations == other.store_serializations
+            && *branches == other.branches
+            && *mispredicts == other.mispredicts
+            && *sq_drains == other.sq_drains
+            && *sq_full_stalls == other.sq_full_stalls
+            && *grants_per_cycle == other.grants_per_cycle
             && *port_label == other.port_label
     }
 }
@@ -175,19 +206,23 @@ impl SimReport {
     }
 
     /// Number of tab-separated fields in a [`to_record`](Self::to_record)
-    /// line: the sixteen simulated counters plus the port label.
-    const RECORD_FIELDS: usize = 17;
+    /// line: the twenty simulated counters, the grants-per-cycle bins,
+    /// and the port label.
+    const RECORD_FIELDS: usize = 22;
 
     /// Renders the simulated-machine measurements as one tab-separated
-    /// record line (no trailing newline) for the matrix run journal.
+    /// record line (no trailing newline) for the matrix run journal. The
+    /// grants-per-cycle bins share one comma-separated field, and the
+    /// port label comes last.
     ///
     /// The host-run fields (`cpu_secs`, `cycles_per_sec`) describe a
     /// run that already happened and, like the constant
     /// `skipped_cycles`, are deliberately not persisted; they parse back
     /// as zero, which [`PartialEq`] already ignores.
     pub fn to_record(&self) -> String {
+        let bins: Vec<String> = self.grants_per_cycle.iter().map(u64::to_string).collect();
         format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
             self.committed,
             self.cycles,
             self.loads,
@@ -204,37 +239,36 @@ impl SimReport {
             self.bank_conflicts,
             self.combined,
             self.store_serializations,
+            self.branches,
+            self.mispredicts,
+            self.sq_drains,
+            self.sq_full_stalls,
+            bins.join(","),
             self.port_label,
         )
     }
 
     /// Parses a record line written by [`to_record`](Self::to_record).
     ///
-    /// Records written before `arb_rounds` existed (16 fields) still
-    /// parse — journals are append-only resume state, so an upgraded
-    /// binary must keep loading campaigns started by an older one. The
-    /// missing counter parses as 0.
-    ///
     /// # Errors
     ///
     /// Returns a description of the malformed or missing field.
     pub fn from_record(line: &str) -> Result<Self, String> {
         let fields: Vec<&str> = line.splitn(Self::RECORD_FIELDS, '\t').collect();
-        let legacy = fields.len() == Self::RECORD_FIELDS - 1;
-        if fields.len() != Self::RECORD_FIELDS && !legacy {
+        if fields.len() != Self::RECORD_FIELDS {
             return Err(format!(
                 "report record has {} fields, expected {}",
                 fields.len(),
                 Self::RECORD_FIELDS
             ));
         }
-        let mut it = fields.iter();
-        let mut num = |name: &str| -> Result<u64, String> {
-            let raw = it.next().ok_or_else(|| format!("missing field {name}"))?;
+        let count = |name: &str, raw: &str| -> Result<u64, String> {
             raw.parse::<u64>()
                 .map_err(|e| format!("field {name} is not a count (`{raw}`): {e}"))
         };
-        Ok(SimReport {
+        let mut it = fields.iter();
+        let mut num = |name: &str| count(name, it.next().expect("field count checked above"));
+        let mut r = SimReport {
             committed: num("committed")?,
             cycles: num("cycles")?,
             loads: num("loads")?,
@@ -247,15 +281,28 @@ impl SimReport {
             l2_misses: num("l2_misses")?,
             arb_offered: num("arb_offered")?,
             arb_granted: num("arb_granted")?,
-            arb_rounds: if legacy { 0 } else { num("arb_rounds")? },
+            arb_rounds: num("arb_rounds")?,
             bank_conflicts: num("bank_conflicts")?,
             combined: num("combined")?,
             store_serializations: num("store_serializations")?,
-            port_label: fields[fields.len() - 1].to_string(),
+            branches: num("branches")?,
+            mispredicts: num("mispredicts")?,
+            sq_drains: num("sq_drains")?,
+            sq_full_stalls: num("sq_full_stalls")?,
+            grants_per_cycle: Vec::new(),
+            port_label: fields[Self::RECORD_FIELDS - 1].to_string(),
             skipped_cycles: 0,
             cpu_secs: 0.0,
             cycles_per_sec: 0.0,
-        })
+        };
+        let bins = fields[Self::RECORD_FIELDS - 2];
+        if !bins.is_empty() {
+            r.grants_per_cycle = bins
+                .split(',')
+                .map(|b| count("grants_per_cycle", b))
+                .collect::<Result<_, _>>()?;
+        }
+        Ok(r)
     }
 }
 
@@ -281,6 +328,11 @@ mod tests {
             bank_conflicts: 50,
             combined: 30,
             store_serializations: 0,
+            branches: 90,
+            mispredicts: 7,
+            sq_drains: 0,
+            sq_full_stalls: 0,
+            grants_per_cycle: vec![0, 60, 80, 60, 40],
             port_label: "Bank-4".into(),
             skipped_cycles: 0,
             cpu_secs: 0.0,
@@ -316,6 +368,11 @@ mod tests {
             bank_conflicts: 0,
             combined: 0,
             store_serializations: 0,
+            branches: 0,
+            mispredicts: 0,
+            sq_drains: 0,
+            sq_full_stalls: 0,
+            grants_per_cycle: Vec::new(),
             port_label: String::new(),
             skipped_cycles: 0,
             cpu_secs: 0.0,
@@ -338,31 +395,28 @@ mod tests {
         assert_eq!(parsed, r, "PartialEq ignores the host-timing fields");
         assert_eq!(parsed.cpu_secs, 0.0, "host timing is not persisted");
         assert_eq!(parsed.port_label, "Bank-4");
-    }
+        assert_eq!(parsed.grants_per_cycle, r.grants_per_cycle);
 
-    #[test]
-    fn legacy_records_without_arb_rounds_still_parse() {
-        let r = sample();
-        // A record written before `arb_rounds` existed: same layout with
-        // that one field dropped.
-        let legacy: Vec<String> = r
-            .to_record()
-            .split('\t')
-            .enumerate()
-            .filter(|&(i, _)| i != 12)
-            .map(|(_, f)| f.to_string())
-            .collect();
-        let parsed = SimReport::from_record(&legacy.join("\t")).unwrap();
-        assert_eq!(parsed.arb_rounds, 0, "missing counter defaults to 0");
-        assert_eq!(parsed.port_label, r.port_label);
-        assert_eq!(parsed.bank_conflicts, r.bank_conflicts);
-        assert_eq!(parsed.store_serializations, r.store_serializations);
+        // A model that saw no busy round has no bins: an empty field.
+        let idle = SimReport {
+            grants_per_cycle: Vec::new(),
+            ..sample()
+        };
+        assert_eq!(SimReport::from_record(&idle.to_record()).unwrap(), idle);
     }
 
     #[test]
     fn malformed_records_are_rejected_with_context() {
         let err = SimReport::from_record("1\t2\t3").unwrap_err();
         assert!(err.contains("3 fields"), "{err}");
+        // Exactly the current layout parses: one field short is refused.
+        let rec = sample().to_record();
+        let (_, short) = rec.split_once('\t').unwrap();
+        let err = SimReport::from_record(short).unwrap_err();
+        assert!(err.contains("21 fields, expected 22"), "{err}");
+        let bad = rec.replace("0,60,80", "0,6x,80");
+        let err = SimReport::from_record(&bad).unwrap_err();
+        assert!(err.contains("grants_per_cycle"), "{err}");
         let mut bad = sample().to_record();
         bad = bad.replacen("250", "x250", 1);
         let err = SimReport::from_record(&bad).unwrap_err();

@@ -397,21 +397,9 @@ impl Simulator {
         }
     }
 
-    /// Conditional branches seen and mispredicted (0/0 under the perfect
-    /// front end).
-    pub fn branch_stats(&self) -> (u64, u64) {
-        (self.branches, self.mispredicts)
-    }
-
     /// Per-cycle pipeline activity distributions.
     pub fn pipe_stats(&self) -> &PipeStats {
         &self.pipe
-    }
-
-    /// The port model's arbitration statistics (grants-per-cycle
-    /// histogram, model-specific counters).
-    pub fn port_stats(&self) -> &hbdc_core::ArbStats {
-        self.port.stats()
     }
 
     /// Cumulative LSQ load-stall diagnostics (per ready-list scan).
@@ -835,6 +823,11 @@ impl Simulator {
             bank_conflicts: arb.extra_counter("bank_conflicts"),
             combined: arb.extra_counter("combined"),
             store_serializations: arb.extra_counter("store_serializations"),
+            branches: self.branches,
+            mispredicts: self.mispredicts,
+            sq_drains: arb.extra_counter("sq_drains"),
+            sq_full_stalls: arb.extra_counter("sq_full_stalls"),
+            grants_per_cycle: arb.grants_per_cycle().iter().map(|(_, n)| n).collect(),
             port_label: self.port.label(),
             skipped_cycles: 0,
             cpu_secs,
@@ -1097,7 +1090,7 @@ mod front_end_tests {
             PortConfig::Ideal { ports: 2 },
         );
         let r = sim.run().unwrap();
-        let (b, m) = sim.branch_stats();
+        let (b, m) = (r.branches, r.mispredicts);
         (r, b, m)
     }
 

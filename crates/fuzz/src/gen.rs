@@ -90,7 +90,32 @@ impl Default for GenConfig {
     }
 }
 
+/// Instructions the prologue commits: four base pointers, the loop
+/// counter, six scratch values and four integer-to-FP moves.
+const PROLOGUE_INSTS: u64 = 15;
+
+/// Instructions the loop epilogue commits per trip: pointer drift,
+/// counter decrement, backward branch.
+const EPILOGUE_INSTS: u64 = 3;
+
+/// The most instructions one body block commits per trip. The largest is
+/// `store_backlog`: one load, at most 12 stores, two divides, and its
+/// forward skip (branch plus one short instruction). Every other block
+/// commits at most 6.
+const MAX_BLOCK_INSTS: u64 = 17;
+
 impl GenConfig {
+    /// An upper bound on the instructions any program of this envelope
+    /// commits, halt included: the prologue, `iters.end()` trips of
+    /// `blocks.end()` maximal blocks plus the epilogue, and the `halt`.
+    /// For [`GenConfig::default`] that is 15 + 40 × (10 × 17 + 3) + 1 =
+    /// 6 936.
+    pub fn max_committed(&self) -> u64 {
+        PROLOGUE_INSTS
+            + self.iters.end() * (self.blocks.end() * MAX_BLOCK_INSTS + EPILOGUE_INSTS)
+            + 1
+    }
+
     /// A smaller envelope for self-tests and shrinking experiments: short
     /// bodies whose minimal failing core is a handful of instructions.
     pub fn small() -> Self {
@@ -653,6 +678,38 @@ pub fn stores_to_loads(p: &Program) -> Program {
 mod tests {
     use super::*;
     use hbdc_cpu::Emulator;
+
+    /// Committed instructions of `p` run to its halt.
+    fn committed(p: &Program) -> u64 {
+        let mut emu = Emulator::new(p);
+        let mut n = 0;
+        while emu.step().is_some() {
+            n += 1;
+        }
+        n
+    }
+
+    #[test]
+    fn programs_stay_within_the_envelope_bound() {
+        assert_eq!(GenConfig::default().max_committed(), 6936);
+        // The envelope's largest corner: every program runs the most
+        // trips of the most blocks.
+        let corner = GenConfig {
+            blocks: 10..=10,
+            iters: 40..=40,
+            ..GenConfig::default()
+        };
+        let bound = corner.max_committed();
+        assert_eq!(bound, GenConfig::default().max_committed());
+        for seed in 0..200 {
+            let n = committed(&generate(seed, &corner));
+            assert!(n <= bound, "seed {seed} committed {n} > {bound}");
+        }
+        let small = GenConfig::small();
+        for seed in 0..50 {
+            assert!(committed(&generate(seed, &small)) <= small.max_committed());
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -170,7 +170,10 @@ fn handle_violation(
             None
         },
     };
-    let pred = |p: &hbdc_isa::Program| matches!(check_program(p, &shrink_knobs), Err(v) if v.relation == target);
+    let pred = |p: &hbdc_isa::Program| {
+        oracle::halts_within_budget(p)
+            && matches!(check_program(p, &shrink_knobs), Err(v) if v.relation == target)
+    };
     let shrunk = shrink::shrink(program, &pred);
     let mut violation = violation;
     let artifact =

@@ -111,14 +111,35 @@ pub struct OracleKnobs {
 }
 
 /// The machine configuration every oracle run uses: defaults plus a hard
-/// cycle ceiling, so a shrink candidate that loses its loop exit (the
-/// decrement nopped out from under a backward branch) dies with a typed
+/// cycle ceiling, so a run that stops making progress dies with a typed
 /// `CycleLimit` instead of hanging the harness.
+///
+/// Programs reach it only once they are known to halt: generated ones
+/// always do, and the shrinker's predicates first require
+/// [`halts_within_budget`]. A candidate that loses its loop exit (the
+/// decrement nopped out from under a backward branch) would otherwise
+/// have its committed stream captured up to the cycle cap — `max_cycles
+/// × fetch_width` records — before the simulator even starts.
 pub fn fuzz_cfg() -> CpuConfig {
     CpuConfig {
         max_cycles: 250_000,
         ..CpuConfig::default()
     }
+}
+
+/// Whether `program` halts on the functional emulator within the
+/// instruction budget of the generator's envelope,
+/// [`GenConfig::max_committed`] of [`GenConfig::default`] (which
+/// contains [`GenConfig::small`]'s). Every generated program does;
+/// shrink candidates that do not are rejected before they are simulated.
+///
+/// [`GenConfig::max_committed`]: crate::gen::GenConfig::max_committed
+/// [`GenConfig::default`]: crate::gen::GenConfig
+/// [`GenConfig::small`]: crate::gen::GenConfig::small
+pub fn halts_within_budget(program: &Program) -> bool {
+    let budget = crate::gen::GenConfig::default().max_committed();
+    let mut emu = Emulator::new(program);
+    (0..=budget).any(|_| emu.step().is_none())
 }
 
 /// The flagship configuration mode-pair relations run under: the paper's
@@ -545,8 +566,8 @@ fn check_journal_matrix(
         hbdc_isa::disasm::program_to_string(program);
     let benches = vec![Benchmark::custom("fuzz-matrix", Suite::Int, matrix_src)];
     let configs = vec![
-        ("lbic:4x2".to_string(), flagship()),
-        ("bank:4".to_string(), PortConfig::banked(4)),
+        ("lbic:4x2".to_string(), fuzz_cfg(), flagship()),
+        ("bank:4".to_string(), fuzz_cfg(), PortConfig::banked(4)),
     ];
     // The matrix fingerprint covers the generated program, so a journal
     // left behind by a previous case would be refused as another
@@ -567,7 +588,6 @@ fn check_journal_matrix(
     }
 
     let opts = MatrixOpts {
-        cpu_cfg: fuzz_cfg(),
         journal: Some(journal.clone()),
         ..MatrixOpts::default()
     };

@@ -18,7 +18,7 @@ use hbdc_mem::HierarchyConfig;
 
 use crate::artifact::write_repro;
 use crate::gen::{generate, GenConfig};
-use crate::oracle::{fuzz_cfg, RelationViolation};
+use crate::oracle::{fuzz_cfg, halts_within_budget, RelationViolation};
 use crate::shrink::{live_insts, shrink};
 
 /// Outcome of a successful self-test.
@@ -75,7 +75,7 @@ pub fn run_selftest(fault_seed: u64, corpus: Option<&Path>) -> Result<SelfTestRe
         ));
     };
 
-    let pred = |p: &Program| injected_run_trips_auditor(p, fault_seed);
+    let pred = |p: &Program| halts_within_budget(p) && injected_run_trips_auditor(p, fault_seed);
     let shrunk = shrink(&program, &pred);
     if !pred(&shrunk) {
         return Err("shrinker returned a program that no longer trips the auditor".into());

@@ -22,10 +22,11 @@
 //!    nop-padded form from phase 3 is returned instead — correctness of
 //!    the repro beats its line count.
 //!
-//! The predicate must treat a candidate that *errors differently* (e.g. a
-//! nopped loop decrement turning termination into a `CycleLimit`) as
-//! uninteresting; [`crate::oracle::fuzz_cfg`]'s cycle ceiling guarantees
-//! such candidates die quickly instead of hanging the harness.
+//! The predicate must treat a candidate that *errors differently* as
+//! uninteresting. The fuzz driver's and the self-test's predicates also
+//! reject a candidate that no longer halts (e.g. a nopped loop
+//! decrement) before simulating it, with
+//! [`crate::oracle::halts_within_budget`].
 
 use hbdc_isa::{Inst, Program, Reg};
 
@@ -296,20 +297,22 @@ mod tests {
 
     #[test]
     fn shrunk_program_still_simulates() {
-        // Interesting = "still runs clean and still issues >= 1 store":
-        // the result must remain a valid, terminating program under the
-        // cycle ceiling after compaction remapped all targets.
+        // Interesting = "still halts, runs clean and issues >= 1 store"
+        // (halting checked first, as the fuzz driver's predicates do): the
+        // result must remain a valid, terminating program after
+        // compaction remapped all targets.
         let p = generate(4, &GenConfig::default());
         let pred = |p: &Program| {
-            Simulator::try_new(
-                p,
-                crate::oracle::fuzz_cfg(),
-                HierarchyConfig::default(),
-                PortConfig::banked(4),
-            )
-            .and_then(|mut s| s.run())
-            .map(|r| r.stores >= 1)
-            .unwrap_or(false)
+            crate::oracle::halts_within_budget(p)
+                && Simulator::try_new(
+                    p,
+                    crate::oracle::fuzz_cfg(),
+                    HierarchyConfig::default(),
+                    PortConfig::banked(4),
+                )
+                .and_then(|mut s| s.run())
+                .map(|r| r.stores >= 1)
+                .unwrap_or(false)
         };
         let small = shrink(&p, &pred);
         assert!(pred(&small));

@@ -11,9 +11,10 @@
 
 /// A bank-selection function: maps an address to a bank index.
 ///
-/// All variants operate on the *line number* (address shifted down by the
-/// line size), so the data layout is always line-interleaved — the paper's
-/// requirement for avoiding tag replication (§5.1).
+/// Every variant but [`BankSelect::Word`] operates on the *line number*
+/// (address shifted down by the line size), so the data layout is
+/// line-interleaved — the paper's requirement for avoiding tag
+/// replication (§5.1).
 ///
 /// # Examples
 ///
@@ -42,7 +43,14 @@ pub enum BankSelect {
     XorFold,
     /// Pseudo-random multiplicative hash (Rau, ISCA-18 1991).
     PseudoRandom,
+    /// Bit selection on the 8-byte word number: a line spreads across
+    /// the banks, so each bank needs its own copy of the tag (paper §3,
+    /// footnote a; ablation D).
+    Word,
 }
+
+/// Interleaving unit of [`BankSelect::Word`], in bytes.
+const WORD_BYTES: u64 = 8;
 
 impl BankMapper {
     /// Creates a mapper with an explicit selection function.
@@ -91,6 +99,7 @@ impl BankMapper {
         let line = addr >> self.line_shift;
         let mask = (self.banks - 1) as u64;
         let bank = match self.kind {
+            BankSelect::Word => (addr / WORD_BYTES) & mask,
             BankSelect::BitSelect => line & mask,
             BankSelect::XorFold => {
                 let w = self.banks.trailing_zeros().max(1);
@@ -173,6 +182,18 @@ mod tests {
                     assert_eq!(m.bank_of(base + off), b);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn word_select_spreads_a_line_across_the_banks() {
+        let m = BankMapper::with_select(BankSelect::Word, 4, 32);
+        let banks: Vec<u32> = (0..4).map(|w| m.bank_of(0x40 + w * 8)).collect();
+        assert_eq!(banks, [0, 1, 2, 3]);
+        // The same layout as bit selection with an 8-byte "line".
+        let words = BankMapper::bit_select(4, 8);
+        for addr in (0..4096u64).step_by(4) {
+            assert_eq!(m.bank_of(addr), words.bank_of(addr));
         }
     }
 

@@ -52,6 +52,21 @@ impl Histogram {
         }
     }
 
+    /// Rebuilds a histogram from its direct bucket counts (`counts[v]`
+    /// samples of value `v`, none in overflow) — the inverse of reading
+    /// [`count`](Self::count) for every value.
+    pub fn from_counts(name: impl Into<String>, counts: Vec<u64>) -> Self {
+        let total = counts.iter().sum();
+        let sum = counts.iter().zip(0u64..).map(|(&c, v)| c * v).sum();
+        Self {
+            name: name.into(),
+            buckets: counts,
+            overflow: 0,
+            total,
+            sum,
+        }
+    }
+
     /// The histogram's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -248,6 +263,8 @@ mod tests {
         for v in [1, 2, 2, 3, 9] {
             h.record(v);
         }
+        let counts = (0..=10).map(|v| h.count(v)).collect();
+        assert_eq!(Histogram::from_counts("h", counts), h);
         assert_eq!(h.quantile(0.0), Some(1));
         assert_eq!(h.quantile(0.5), Some(2));
         assert_eq!(h.quantile(0.8), Some(3));

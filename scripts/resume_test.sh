@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Kill-and-resume integration test for the journaled matrix runner.
 #
-# Starts a journaled `table3` campaign, SIGINTs it mid-flight (after at
+# Starts a journaled `hbdc-sim campaign table3`, SIGINTs it mid-flight (after at
 # least one cell has been journaled), asserts the interrupted exit code
 # (130), resumes from the journal, and checks the resumed campaign's
 # stdout is byte-identical to an uninterrupted run of the same matrix.
@@ -17,10 +17,10 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp -d "${TMPDIR:-/tmp}/hbdc-resume.XXXXXX")"
 trap 'rm -rf "$tmp"' EXIT
 
-cargo build --release -q -p hbdc-bench --bin table3
-bin="target/release/table3"
+cargo build --release -q --bin hbdc-sim
+bin="target/release/hbdc-sim"
 journal="$tmp/t3.journal"
-common=(--scale small --bench compress --threads 1)
+common=(campaign table3 --scale small --bench compress --threads 1)
 
 echo "-- journaled run (will be interrupted)"
 "$bin" "${common[@]}" --journal "$journal" \

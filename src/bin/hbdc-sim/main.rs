@@ -15,7 +15,7 @@
 //! hbdc-sim disasm <prog.s|prog.hbo>          print assembler-compatible text
 //! hbdc-sim analyze <prog.s|bench:NAME>       stream locality + reuse report
 //! hbdc-sim bench-list                        list the SPEC95 analogs
-//! hbdc-sim campaign table3|table4 [--scale ...] [--bench NAME] [--csv]
+//! hbdc-sim campaign all|ARTIFACT... [--out DIR] [--scale ...] [--bench NAME]
 //!              [--journal PATH | --resume PATH] [--shard] [--threads N]
 //!              [--max-attempts N] [--lease-ttl-secs N] [--timeout-secs N]
 //!              [--trace-cache DIR]
@@ -66,7 +66,7 @@ fn usage() -> ExitCode {
          hbdc-sim disasm <prog.s|prog.hbo>\n  \
          hbdc-sim analyze <prog.s|bench:NAME> [--banks N] [--scale ...]\n  \
          hbdc-sim bench-list\n  \
-         hbdc-sim campaign table3|table4 [--scale ...] [--bench NAME] [--csv]\n\
+         hbdc-sim campaign all|ARTIFACT... [--out DIR] [--scale ...] [--bench NAME]\n\
          \x20          [--journal PATH | --resume PATH] [--shard] [--threads N]\n\
          \x20          [--max-attempts N] [--lease-ttl-secs N] [--timeout-secs N]\n  \
          hbdc-sim fuzz [--seed N] [--budget N] [--corpus DIR] [--matrix-every N]\n\
@@ -148,8 +148,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         None => Simulator::try_new(&program, cfg, hier_cfg, port).map_err(|e| e.to_string())?,
     };
     let report = drive(&mut sim, checkpoint.as_ref())?;
-    let (branches, mispredicts) = sim.branch_stats();
-    print_report(target, &report, branches, mispredicts);
+    print_report(target, &report);
     Ok(())
 }
 
@@ -168,8 +167,7 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
     let path = flag_value(args, "--checkpoint").unwrap_or_else(|| target.clone());
     let every = checkpoint_every(args)?;
     let report = drive(&mut sim, Some(&(PathBuf::from(path), every)))?;
-    let (branches, mispredicts) = sim.branch_stats();
-    print_report(target, &report, branches, mispredicts);
+    print_report(target, &report);
     Ok(())
 }
 
@@ -292,8 +290,7 @@ fn cmd_trace_replay(args: &[String]) -> Result<(), String> {
     let mut sim =
         Simulator::try_from_trace(&trace, cfg, hier_cfg, port).map_err(|e| e.to_string())?;
     let report = drive(&mut sim, checkpoint.as_ref())?;
-    let (branches, mispredicts) = sim.branch_stats();
-    print_report(target, &report, branches, mispredicts);
+    print_report(target, &report);
     Ok(())
 }
 
@@ -353,7 +350,7 @@ fn drive(sim: &mut Simulator, checkpoint: Option<&(PathBuf, u64)>) -> Result<Sim
 }
 
 /// Prints the end-of-run report block shared by `run` and `resume`.
-fn print_report(target: &str, report: &SimReport, branches: u64, mispredicts: u64) {
+fn print_report(target: &str, report: &SimReport) {
     println!("program        {target}");
     println!("port model     {}", report.port_label);
     println!("committed      {}", report.committed);
@@ -380,12 +377,12 @@ fn print_report(target: &str, report: &SimReport, branches: u64, mispredicts: u6
     if report.store_serializations > 0 {
         println!("store bcasts   {}", report.store_serializations);
     }
-    if branches > 0 {
+    if report.branches > 0 {
         println!(
             "branches       {} ({} mispredicted, {:.2}%)",
-            branches,
-            mispredicts,
-            mispredicts as f64 / branches as f64 * 100.0
+            report.branches,
+            report.mispredicts,
+            report.mispredicts as f64 / report.branches as f64 * 100.0
         );
     }
 }
@@ -473,59 +470,80 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs a whole table campaign through the matrix campaign engine: each
-/// cell replays its benchmark's captured trace, and a failing cell is
-/// retried with backoff, then quarantined after `--max-attempts` (default
-/// 2). With `--journal J` the campaign survives Ctrl-C and a rerun on J
-/// continues it; with `--journal J --shard` in several terminals the
-/// processes drain one journal cooperatively (each cell in an isolated
-/// worker subprocess, dead workers' leases stolen). Exit code follows the
-/// matrix contract: 0 clean, 3 quarantined cells, 130
-/// interrupted-and-checkpointed.
+/// Regenerates paper artifacts through the matrix campaign engine: the
+/// union of the named artifacts' cells runs once (each cell replays its
+/// benchmark's captured trace), then each artifact is rendered — to
+/// stdout, or to `DIR/<artifact>.txt` with `--out DIR`. A failing cell is
+/// retried with backoff, then quarantined after `--max-attempts`
+/// (default 2) and rendered as `--`. With `--journal J` the campaign
+/// survives Ctrl-C and a rerun on J continues it; with `--journal J
+/// --shard` in several terminals the processes drain one journal
+/// cooperatively (each cell in an isolated worker subprocess, dead
+/// workers' leases stolen). Exit code follows the matrix contract: 0
+/// clean, 3 quarantined cells, 130 interrupted-and-checkpointed.
 fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
-    use hbdc_bench::runner::{
-        benches_from_args, csv_from_args, scale_from_args, simulate_matrix, table3_columns,
-        table4_columns,
-    };
+    use hbdc_bench::artifacts::{self, Artifact, ARTIFACTS};
+    use hbdc_bench::runner::{benches_from_args, scale_from_args};
 
-    let which = args
-        .first()
-        .ok_or("campaign expects a table: table3 or table4")?;
-    let columns = match which.as_str() {
-        "table3" => table3_columns(),
-        "table4" => table4_columns(),
-        other => {
-            return Err(format!(
-                "unknown campaign `{other}` (expected table3 or table4)"
-            ))
+    let names: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
+    let valid = || {
+        let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
+        names.join(", ")
+    };
+    if names.is_empty() {
+        return Err(format!(
+            "campaign expects `all` or artifact names ({})",
+            valid()
+        ));
+    }
+    let mut chosen: Vec<&Artifact> = Vec::new();
+    for name in names {
+        let picked: Vec<&Artifact> = match name.as_str() {
+            "all" => ARTIFACTS.iter().collect(),
+            other => vec![artifacts::by_name(other).ok_or_else(|| {
+                format!("unknown artifact `{other}` (expected all, {})", valid())
+            })?],
+        };
+        for a in picked {
+            if !chosen.iter().any(|c| c.name == a.name) {
+                chosen.push(a);
+            }
         }
-    };
-    let benches = benches_from_args();
-    let run = simulate_matrix(&benches, scale_from_args(), &columns);
+    }
+    let out = flag_value(args, "--out").map(PathBuf::from);
+    if let Some(dir) = &out {
+        std::fs::create_dir_all(dir).map_err(|e| format!("--out {}: {e}", dir.display()))?;
+    }
 
-    let mut headers = vec!["Program".to_string()];
-    headers.extend(columns.iter().map(|(name, _)| name.clone()));
-    let mut table = hbdc::stats::Table::new(headers);
-    table.numeric();
-    for (bench, reports) in benches.iter().zip(&run.reports) {
-        let mut cells = vec![bench.name().to_string()];
-        cells.extend(reports.iter().map(|r| {
-            r.as_ref()
-                .map_or_else(|| "--".to_string(), |r| hbdc::stats::ipc(r.ipc()))
-        }));
-        table.row(cells);
-    }
-    println!(
-        "\nCampaign {which}: {} benchmark{} x {} configurations\n",
-        benches.len(),
-        if benches.len() == 1 { "" } else { "s" },
-        columns.len()
+    let results = artifacts::run(&chosen, benches_from_args(), scale_from_args());
+    eprintln!(
+        "campaign: {} artifact{}, {} distinct cells",
+        chosen.len(),
+        if chosen.len() == 1 { "" } else { "s" },
+        results.cells()
     );
-    println!("{table}");
-    if csv_from_args() {
-        println!("CSV:\n{}", table.to_csv());
+    // Renderers are independent; the trace-level ones each make a
+    // functional pass per benchmark, so they run side by side.
+    let texts: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = chosen
+            .iter()
+            .map(|a| s.spawn(|| results.render(a)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("renderer panicked"))
+            .collect()
+    });
+    for (a, text) in chosen.iter().zip(texts) {
+        match &out {
+            Some(dir) => {
+                let path = dir.join(format!("{}.txt", a.name));
+                std::fs::write(&path, text).map_err(|e| format!("{}: {e}", path.display()))?;
+            }
+            None => print!("{text}"),
+        }
     }
-    Ok(run.exit_code())
+    Ok(results.run.exit_code())
 }
 
 /// Runs the differential fuzzer: `--budget` generated programs, each

@@ -159,7 +159,7 @@ fn shard_composes_with_threads() {
         "2",
     ]);
     assert_eq!(code, 0, "stdout:\n{out}\nstderr:\n{err}");
-    assert!(out.contains("Campaign table4"), "{out}");
+    assert!(out.contains("Table 4:"), "{out}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
