@@ -1,11 +1,11 @@
 //! Stamps the simulator build into every matrix fingerprint: `BUILD_ID`
-//! is the FNV-1a hash of the simulator crates' sources, so a journal
+//! is the `hash64` (XXH64) of the simulator crates' sources, so a journal
 //! written under one timing model is refused by a binary built from
 //! another instead of serving the old model's reports.
 
 use std::path::{Path, PathBuf};
 
-use hbdc_snap::{fnv1a64, StateWriter};
+use hbdc_snap::{hash64, StateWriter};
 
 /// Workspace crates (under `crates/`) whose sources are hashed.
 const SIMULATOR_CRATES: [&str; 6] = ["core", "cpu", "isa", "mem", "snap", "stats"];
@@ -37,7 +37,7 @@ fn main() {
         w.put_str(&rel.to_string_lossy());
         w.put_bytes(&std::fs::read(path).expect("readable source file"));
     }
-    let id = fnv1a64(&w.into_bytes());
+    let id = hash64(&w.into_bytes());
     let out = Path::new(&std::env::var("OUT_DIR").expect("set by cargo")).join("build_id.rs");
     let line = format!("pub(crate) const BUILD_ID: u64 = {id:#018x};\n");
     std::fs::write(out, line).expect("writable OUT_DIR");

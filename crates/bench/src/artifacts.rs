@@ -663,16 +663,24 @@ fn frontend_columns() -> Vec<Column> {
 /// predictors, to check that the paper's conclusions survive relaxing
 /// its perfect front end.
 fn frontend_sensitivity(res: &Results) -> String {
-    let table = ipc_table(res, &frontend_columns(), &["mispredict %"], |_, reports| {
-        // The rate of the last column that counted branches (the
-        // bimodal predictor's).
-        let misp_rate = reports
-            .iter()
-            .rev()
-            .flatten()
-            .find(|r| r.branches > 0)
-            .map_or(0.0, |r| r.mispredicts as f64 / r.branches as f64);
-        vec![format!("{:.1}", misp_rate * 100.0)]
+    let cols = frontend_columns();
+    let headers = ["gshare mispredict %", "bimodal mispredict %"];
+    let table = ipc_table(res, &cols, &headers, |_, reports| {
+        // Each predictor's rate comes from the last of its columns that
+        // counted branches.
+        ["/gshare", "/bimodal"]
+            .into_iter()
+            .map(|suffix| {
+                let rate = cols
+                    .iter()
+                    .zip(reports)
+                    .rev()
+                    .filter(|(col, _)| col.0.ends_with(suffix))
+                    .find_map(|(_, r)| r.filter(|r| r.branches > 0))
+                    .map_or(0.0, |r| r.mispredicts as f64 / r.branches as f64);
+                format!("{:.1}", rate * 100.0)
+            })
+            .collect()
     });
     format!(
         "\nFront-end sensitivity: port-model comparison under real predictors\n\n{table}\n\
@@ -689,13 +697,13 @@ fn anatomy_columns() -> Vec<Column> {
 /// **LBIC anatomy**: where a 4x4 LBIC's bandwidth comes from, per
 /// benchmark (paper §6) — the share of grants that were combined riders
 /// on a leading request, the residual bank conflicts, store-queue
-/// behaviour, and the grants-per-cycle distribution.
+/// behaviour, and the distribution of grants per busy arbitration round.
 fn lbic_anatomy(res: &Results) -> String {
     let cols = anatomy_columns();
     let mut table = numeric_table([
         "Program",
         "IPC",
-        "grants/cyc",
+        "grants/round",
         "p90",
         "combined %",
         "conflicts %",
@@ -709,7 +717,8 @@ fn lbic_anatomy(res: &Results) -> String {
             table.row(cells);
             continue;
         };
-        let grants = Histogram::from_counts("grants/cycle", r.grants_per_cycle.clone());
+        // One bin per busy arbitration round, not per cycle.
+        let grants = Histogram::from_counts("grants/round", r.grants_per_cycle.clone());
         table.row(vec![
             bench.name().to_string(),
             format!("{:.3}", r.ipc()),

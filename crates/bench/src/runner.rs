@@ -12,7 +12,7 @@ use hbdc_cpu::{
 };
 use hbdc_mem::HierarchyConfig;
 use hbdc_snap::lock::evict_corrupt;
-use hbdc_snap::{fnv1a64, interrupt, StateWriter};
+use hbdc_snap::{hash64, interrupt, StateWriter};
 use hbdc_stats::summary::arithmetic_mean;
 use hbdc_workloads::{Benchmark, Scale, Suite};
 
@@ -346,7 +346,7 @@ fn build_matrix_hash(build: u64, benches: &[Benchmark], scale: Scale, configs: &
         // A generator that panics fingerprints as 0; its cells fail with
         // the panic when they capture.
         let program = std::panic::catch_unwind(|| b.build(scale));
-        w.put_u64(program.map_or(0, |p| fnv1a64(&hbdc_isa::object::to_bytes(&p))));
+        w.put_u64(program.map_or(0, |p| hash64(&hbdc_isa::object::to_bytes(&p))));
     }
     w.put_usize(configs.len());
     for (label, cpu, port) in configs {
@@ -354,7 +354,7 @@ fn build_matrix_hash(build: u64, benches: &[Benchmark], scale: Scale, configs: &
         cpu.save_state(&mut w);
         port.save_state(&mut w);
     }
-    fnv1a64(&w.into_bytes())
+    hash64(&w.into_bytes())
 }
 
 /// Where a journaled run checkpoints cell `idx`'s in-flight simulator
@@ -375,9 +375,23 @@ fn trace_cache_path(dir: &Path, bench: &str, scale: Scale, warmup: u64, fp: u64)
     ))
 }
 
+/// The record cap for the trace that every column warming up `warmup`
+/// instructions replays: the largest [`CpuConfig::capture_bound`] among
+/// those columns, or `None` (capture to the program's halt) if any of
+/// them is uncapped. Each such column's own bound is then at most the
+/// cap, so a capture cut off there still covers every cell it feeds.
+pub(crate) fn capture_cap(configs: &[Column], warmup: u64) -> Option<u64> {
+    configs
+        .iter()
+        .filter(|(_, cpu, _)| cpu.warmup_insts == warmup)
+        .map(|(_, cpu, _)| cpu.capture_bound())
+        .try_fold(0, |cap, bound| bound.map(|b| cap.max(b)))
+}
+
 /// Captures one benchmark's committed-stream trace past `warmup`
-/// instructions, or loads it from the trace cache at
-/// [`MatrixOpts::trace_cache`]. A panic in the kernel
+/// instructions, stopping after `cap` records (see [`capture_cap`]), or
+/// loads it from the trace cache at [`MatrixOpts::trace_cache`]. Only a
+/// complete capture is persisted there. A panic in the kernel
 /// generator or the functional pass is caught and returned as the error,
 /// so a failed capture fails that benchmark's cells with the real cause.
 ///
@@ -394,13 +408,14 @@ pub(crate) fn capture_trace(
     bench: &Benchmark,
     scale: Scale,
     warmup: u64,
+    cap: Option<u64>,
     opts: &MatrixOpts,
 ) -> Result<CommittedTrace, String> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let body = || -> Result<CommittedTrace, String> {
         let program = bench.build(scale);
-        let fp = fnv1a64(&hbdc_isa::object::to_bytes(&program));
+        let fp = hash64(&hbdc_isa::object::to_bytes(&program));
         let path = opts
             .trace_cache
             .as_deref()
@@ -429,8 +444,10 @@ pub(crate) fn capture_trace(
         if opts.journal.is_some() && interrupt::requested() {
             return Err("interrupted before the trace capture started".to_string());
         }
-        let t = CommittedTrace::capture(&program, warmup, None).map_err(|e| e.to_string())?;
-        if let Some(p) = &path {
+        let t = CommittedTrace::capture(&program, warmup, cap).map_err(|e| e.to_string())?;
+        // A capped stream serves only columns this capped; the cache
+        // serves any column, so it keeps complete streams alone.
+        if let Some(p) = path.as_ref().filter(|_| t.is_complete()) {
             let persisted = p
                 .parent()
                 .map_or(Ok(()), std::fs::create_dir_all)
@@ -634,7 +651,8 @@ pub fn simulate_matrix_opts(
     let trace = |b: usize, warmup: u64| {
         let capture = || {
             let start = Instant::now();
-            let trace = capture_trace(&benches[b], scale, warmup, opts);
+            let cap = capture_cap(configs, warmup);
+            let trace = capture_trace(&benches[b], scale, warmup, cap, opts);
             (trace, start..Instant::now())
         };
         let w = warmups
@@ -876,13 +894,83 @@ mod tests {
             ..CpuConfig::default()
         };
         let configs = vec![("i2".to_string(), capped, PortConfig::Ideal { ports: 2 })];
-        let run = simulate_matrix(&benches, Scale::Test, &configs);
+        // The capture stops at the column's bound, far short of li's
+        // full stream, and a cut-off stream is kept out of the cache.
+        let bound = capped.capture_bound().unwrap();
+        assert_eq!(capture_cap(&configs, 0), Some(bound));
+        let cache = scratch_dir("capped-capture");
+        let opts = MatrixOpts {
+            trace_cache: Some(cache.clone()),
+            ..MatrixOpts::default()
+        };
+        let trace = capture_trace(&benches[0], Scale::Test, 0, Some(bound), &opts).unwrap();
+        assert_eq!(trace.records(), bound);
+        assert!(!trace.is_complete());
+        let run = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts).unwrap();
         assert!(!run.is_complete());
         assert!(
             run.failures[0].error.contains("cycle limit"),
             "{}",
             run.failures[0].error
         );
+        assert_eq!(std::fs::read_dir(&cache).unwrap().count(), 0);
+        std::fs::remove_dir_all(&cache).unwrap();
+    }
+
+    #[test]
+    fn matrix_over_a_program_that_never_halts_ends_at_its_cycle_limit() {
+        fn spin(_: Scale) -> String {
+            "main: j main\n".to_string()
+        }
+        let benches = vec![Benchmark::custom("spin", Suite::Int, spin)];
+        let capped = CpuConfig {
+            max_cycles: 1_000,
+            ..CpuConfig::default()
+        };
+        let configs = vec![
+            ("narrow".to_string(), capped, PortConfig::Ideal { ports: 1 }),
+            (
+                "wide".to_string(),
+                CpuConfig {
+                    max_cycles: 2_000,
+                    ..capped
+                },
+                PortConfig::banked(4),
+            ),
+        ];
+        let run = simulate_matrix(&benches, Scale::Test, &configs);
+        assert_eq!(run.failures.len(), 2);
+        for f in &run.failures {
+            assert!(f.error.contains("cycle limit"), "{}", f.error);
+        }
+    }
+
+    #[test]
+    fn capture_cap_is_the_largest_bound_unless_a_column_is_uncapped() {
+        let by_insts = CpuConfig::with_max_insts(500);
+        let by_cycles = CpuConfig {
+            max_cycles: 10_000,
+            ..CpuConfig::default()
+        };
+        let port = PortConfig::Ideal { ports: 1 };
+        let cols = vec![
+            ("a".to_string(), by_insts, port),
+            ("b".to_string(), by_cycles, port),
+        ];
+        let larger = by_insts.capture_bound().max(by_cycles.capture_bound());
+        assert_eq!(capture_cap(&cols, 0), larger);
+        let mut with_uncapped = cols.clone();
+        with_uncapped.push(column("c", port));
+        assert_eq!(capture_cap(&with_uncapped, 0), None);
+        // Only the columns sharing the warmup count.
+        let warm = CpuConfig {
+            warmup_insts: 7,
+            ..CpuConfig::default()
+        };
+        let mut other_warmup = cols;
+        other_warmup.push(("w".to_string(), warm, port));
+        assert_eq!(capture_cap(&other_warmup, 0), larger);
+        assert_eq!(capture_cap(&other_warmup, 7), None);
     }
 
     #[test]

@@ -65,8 +65,8 @@ use hbdc_snap::write_atomic;
 use hbdc_workloads::{Benchmark, Scale};
 
 use crate::runner::{
-    capture_trace, cell_snap_path, matrix_hash, run_cell, threads_from_args, CellJob, Column,
-    JobFailure, JobOutcome, MatrixOpts, MatrixRun, SpeedTally, WorkerSpec, WORKER_PREFIX,
+    capture_cap, capture_trace, cell_snap_path, matrix_hash, run_cell, threads_from_args, CellJob,
+    Column, JobFailure, JobOutcome, MatrixOpts, MatrixRun, SpeedTally, WorkerSpec, WORKER_PREFIX,
 };
 
 /// First line of every matrix run journal.
@@ -1019,7 +1019,8 @@ pub(crate) fn run_worker(
     // — and healing corrupt entries — on demand).
     let (_, cpu_cfg, port) = &configs[spec.cell % configs.len()];
     let bench = &benches[spec.cell / configs.len()];
-    let trace = capture_trace(bench, scale, cpu_cfg.warmup_insts, opts);
+    let warmup = cpu_cfg.warmup_insts;
+    let trace = capture_trace(bench, scale, warmup, capture_cap(configs, warmup), opts);
     let ckpt = opts
         .journal
         .as_deref()

@@ -167,32 +167,36 @@ impl std::fmt::Debug for Simulator {
     }
 }
 
-/// The record count [`Simulator::new`] captures for `cfg`: one record
-/// more than fetch can consume before the run must end, or `None` (run
-/// to the program's halt) when neither cap is set.
-///
-/// Fetch steps a record only into a free window slot or the one
-/// `pending_fetch` slot, which it fills only while the window has room,
-/// so stepped records never exceed `committed + ruu_size`. It fetches
-/// only in a cycle that starts with `committed < max_insts` (commit sets
-/// `halted` at the cap, before the next cycle). So a run consumes at
-/// most `max_insts - 1 + ruu_size < max_insts + ruu_size + 1` records.
-/// The run loop starts no cycle at `now >= max_cycles`, and one cycle
-/// steps at most `fetch_width` records, so a run consumes at most
-/// `max_cycles × fetch_width`. The final extra record keeps fetch off
-/// the end of a capped trace, and lets the cycle-limit dump's
-/// [`peek_pc`](TracePlayer::peek_pc) read a real pc. Saturating
-/// arithmetic makes an unset cap (`u64::MAX`) unbounded.
-fn capture_bound(cfg: &CpuConfig) -> Option<u64> {
-    if cfg.max_insts == u64::MAX && cfg.max_cycles == u64::MAX {
-        return None;
+impl CpuConfig {
+    /// The record count [`Simulator::new`] captures for this
+    /// configuration: one record more than fetch can consume before the
+    /// run must end, or `None` (run to the program's halt) when neither
+    /// cap is set. A trace whose capture stopped at or past this many
+    /// records replays exactly like a complete one.
+    ///
+    /// Fetch steps a record only into a free window slot or the one
+    /// `pending_fetch` slot, which it fills only while the window has room,
+    /// so stepped records never exceed `committed + ruu_size`. It fetches
+    /// only in a cycle that starts with `committed < max_insts` (commit sets
+    /// `halted` at the cap, before the next cycle). So a run consumes at
+    /// most `max_insts - 1 + ruu_size < max_insts + ruu_size + 1` records.
+    /// The run loop starts no cycle at `now >= max_cycles`, and one cycle
+    /// steps at most `fetch_width` records, so a run consumes at most
+    /// `max_cycles × fetch_width`. The final extra record keeps fetch off
+    /// the end of a capped trace, and lets the cycle-limit dump's
+    /// [`peek_pc`](TracePlayer::peek_pc) read a real pc. Saturating
+    /// arithmetic makes an unset cap (`u64::MAX`) unbounded.
+    pub fn capture_bound(&self) -> Option<u64> {
+        if self.max_insts == u64::MAX && self.max_cycles == u64::MAX {
+            return None;
+        }
+        let by_insts = self
+            .max_insts
+            .saturating_add(self.ruu_size as u64)
+            .saturating_add(1);
+        let by_cycles = self.max_cycles.saturating_mul(u64::from(self.fetch_width));
+        Some(by_insts.min(by_cycles).saturating_add(1))
     }
-    let by_insts = cfg
-        .max_insts
-        .saturating_add(cfg.ruu_size as u64)
-        .saturating_add(1);
-    let by_cycles = cfg.max_cycles.saturating_mul(u64::from(cfg.fetch_width));
-    Some(by_insts.min(by_cycles).saturating_add(1))
 }
 
 impl Simulator {
@@ -236,7 +240,7 @@ impl Simulator {
         let port = port_cfg
             .try_build(hier_cfg.l1_line)
             .map_err(|detail| SimError::Config { detail })?;
-        let trace = CommittedTrace::capture(program, cfg.warmup_insts, capture_bound(&cfg))
+        let trace = CommittedTrace::capture(program, cfg.warmup_insts, cfg.capture_bound())
             .map_err(|e| SimError::Trace {
                 detail: format!("capturing the committed stream: {e}"),
             })?;
@@ -259,7 +263,7 @@ impl Simulator {
         hier_cfg: HierarchyConfig,
         port: Box<dyn PortModel>,
     ) -> Self {
-        let trace = CommittedTrace::capture(program, cfg.warmup_insts, capture_bound(&cfg))
+        let trace = CommittedTrace::capture(program, cfg.warmup_insts, cfg.capture_bound())
             .expect("capturing the committed stream");
         Self::build(trace, cfg, hier_cfg, port)
     }
@@ -275,8 +279,11 @@ impl Simulator {
     ///   (same checks as [`try_new`](Self::try_new)).
     /// * [`SimError::Trace`] — the trace's warmup disagrees with
     ///   `cfg.warmup_insts` (the stream would start at a different
-    ///   measurement point), or the capture was truncated by a cap (the
-    ///   stream would starve fetch before the program's halt).
+    ///   measurement point), or the capture was truncated by a cap
+    ///   below [`CpuConfig::capture_bound`] (the stream could starve
+    ///   fetch before the run ends). An incomplete trace of at least
+    ///   that many records is accepted, as [`new`](Self::new) accepts
+    ///   its own bounded capture.
     pub fn try_from_trace(
         trace: &CommittedTrace,
         cfg: CpuConfig,
@@ -316,11 +323,12 @@ impl Simulator {
                 ),
             });
         }
-        if !trace.is_complete() {
+        let covered = cfg.capture_bound().is_some_and(|b| trace.records() >= b);
+        if !trace.is_complete() && !covered {
             return Err(SimError::Trace {
                 detail: format!(
                     "trace is incomplete ({} records, capture cap hit before halt); \
-                     replaying it would starve fetch before the program's halt",
+                     replaying it could starve fetch before the run ends",
                     trace.records()
                 ),
             });
@@ -330,7 +338,7 @@ impl Simulator {
 
     /// Assembles the simulator around `trace` with its player at record
     /// 0. The trace may be incomplete only if its cap covers everything
-    /// fetch can consume under `cfg` (see [`capture_bound`]); fetch
+    /// fetch can consume under `cfg` (see [`CpuConfig::capture_bound`]); fetch
     /// reaching its end fails the run instead of ending it early.
     pub(crate) fn build(
         trace: CommittedTrace,

@@ -14,9 +14,9 @@
 //! [`SimReport`](crate::SimReport) as an uninterrupted run.
 //!
 //! The byte format is sealed by [`hbdc_snap::seal`]: a magic/version
-//! header plus an FNV-1a checksum over the payload, so truncated or
-//! corrupted checkpoint files are rejected on open rather than restored
-//! into silently wrong state. Snapshots persist atomically
+//! header plus an XXH64 ([`hbdc_snap::hash64`]) checksum over the
+//! payload, so truncated or corrupted checkpoint files are rejected on
+//! open rather than restored into silently wrong state. Snapshots persist atomically
 //! (write-to-temp + rename), so a crash mid-write never clobbers the
 //! previous good checkpoint.
 
@@ -42,8 +42,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HBSN";
 /// `cycle_skip` and the skipped-cycle count with the idle-span skipper
 /// (every cycle is stepped); 5 — one instruction source: the sealed trace
 /// takes the program image's place at the front (it embeds the program),
-/// and the source tag and the later trace field are gone.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// and the source tag and the later trace field are gone; 6 — the
+/// container checksum (and the embedded HBTR v2 trace's checksum and
+/// program fingerprint) are [`hbdc_snap::hash64`] (XXH64) instead of
+/// FNV-1a, with the payload layout unchanged.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// A sealed, self-contained simulator checkpoint.
 ///

@@ -1,4 +1,4 @@
-//! HBTR v1: the committed-stream trace format behind execute-once /
+//! HBTR v2: the committed-stream trace format behind execute-once /
 //! replay-many campaigns.
 //!
 //! The paper's methodology (and both trace-driven reference simulators in
@@ -12,11 +12,11 @@
 //! # Container layout
 //!
 //! An HBTR file is an [`hbdc_snap::seal`]ed container (magic `HBTR`,
-//! version 1, FNV-1a checksum) whose payload is, in order:
+//! version 2, [`hbdc_snap::hash64`] checksum) whose payload is, in order:
 //!
 //! | field           | encoding                                  |
 //! |-----------------|-------------------------------------------|
-//! | `program_fp`    | `u64` — FNV-1a of the program object image |
+//! | `program_fp`    | `u64` — `hash64` of the program object image |
 //! | `warmup_insts`  | `u64` — functionally skipped before rec 0  |
 //! | `records`       | `u64` — committed records that follow      |
 //! | `loads`/`stores`| `u64` each — memory-op census              |
@@ -54,7 +54,7 @@ use std::sync::Arc;
 
 use hbdc_isa::Program;
 use hbdc_snap::{
-    fnv1a64, open, seal, write_atomic, SnapError, StateReader, StateWriter, SEAL_HEADER_LEN,
+    hash64, open, seal, write_atomic, SnapError, StateReader, StateWriter, SEAL_HEADER_LEN,
 };
 
 use crate::dynamic::DynInst;
@@ -68,7 +68,10 @@ pub const TRACE_MAGIC: [u8; 4] = *b"HBTR";
 /// Version history:
 /// * 1 — initial layout (header, embedded program image, delta-encoded
 ///   committed records).
-pub const TRACE_VERSION: u32 = 1;
+/// * 2 — the container checksum and `program_fp` are
+///   [`hbdc_snap::hash64`] (XXH64) instead of FNV-1a; the layout is
+///   unchanged.
+pub const TRACE_VERSION: u32 = 2;
 
 const TAG_ADDR: u8 = 0x01;
 const TAG_BRANCH: u8 = 0x02;
@@ -83,8 +86,9 @@ const TAG_KNOWN: u8 = TAG_ADDR | TAG_BRANCH | TAG_TAKEN | TAG_PC_SEQ;
 pub enum CacheLookup {
     /// A valid trace matching the requested program and warmup.
     Hit(Box<CommittedTrace>),
-    /// No usable entry: the file is absent, or intact but for a
-    /// different program, warmup, or an incomplete capture.
+    /// No usable entry: the file is absent, written in another HBTR
+    /// format version, or intact but for a different program, warmup,
+    /// or an incomplete capture.
     Miss,
     /// The file exists but is corrupt or truncated; the caller should
     /// evict it (e.g. via `hbdc_snap::lock::evict_corrupt`) so the next
@@ -202,9 +206,10 @@ impl CommittedTrace {
     /// the cap before the program halts is marked incomplete.
     /// [`Simulator::new`](crate::Simulator::new) caps its own capture at
     /// one record past what fetch can consume under the configuration's
-    /// instruction and cycle limits; the public replay constructors refuse
-    /// incomplete traces, because a truncated stream would starve fetch
-    /// before the program's halt.
+    /// instruction and cycle limits
+    /// ([`CpuConfig::capture_bound`](crate::CpuConfig::capture_bound));
+    /// the public replay constructors refuse an incomplete trace shorter
+    /// than that bound, because it could starve fetch before the run ends.
     ///
     /// # Errors
     ///
@@ -267,7 +272,7 @@ impl CommittedTrace {
         }
 
         let image = hbdc_isa::object::to_bytes(program);
-        let program_fp = fnv1a64(&image);
+        let program_fp = hash64(&image);
         let mut w = StateWriter::new();
         w.put_u64(program_fp);
         w.put_u64(warmup_insts);
@@ -322,7 +327,7 @@ impl CommittedTrace {
         // The records section is the payload's last field, and the
         // payload starts right after the container header.
         let rec_end = SEAL_HEADER_LEN + payload.len();
-        let computed_fp = fnv1a64(&image);
+        let computed_fp = hash64(&image);
         if computed_fp != program_fp {
             return Err(SnapError::Corrupt(format!(
                 "program fingerprint mismatch: header says {program_fp:#018x}, \
@@ -422,9 +427,10 @@ impl CommittedTrace {
     }
 
     /// Looks a trace up in an on-disk cache, classifying the outcome so
-    /// callers can self-heal: a [`Miss`](CacheLookup::Miss) (no file, or
-    /// a valid trace that does not match this program/warmup — a stale
-    /// but intact entry) means "capture fresh", while
+    /// callers can self-heal: a [`Miss`](CacheLookup::Miss) (no file, a
+    /// file in another format version, or a valid trace that does not
+    /// match this program/warmup — a stale but intact entry) means
+    /// "capture fresh, and let the atomic write replace the file", while
     /// [`Corrupt`](CacheLookup::Corrupt) (the file exists but fails the
     /// seal, checksum, or record validation) means "evict this file,
     /// then capture fresh" — re-parsing the same bad bytes on every run
@@ -447,7 +453,9 @@ impl CommittedTrace {
             {
                 CacheLookup::Hit(Box::new(t))
             }
-            Ok(_) => CacheLookup::Miss,
+            // An entry from an older (or newer) build is stale, not
+            // damaged: the recapture overwrites it.
+            Ok(_) | Err(SnapError::BadVersion { .. }) => CacheLookup::Miss,
             Err(e) => CacheLookup::Corrupt(e),
         }
     }
@@ -472,7 +480,7 @@ impl CommittedTrace {
         &self.program
     }
 
-    /// FNV-1a fingerprint of the program object image (the cache key).
+    /// [`hash64`] fingerprint of the program object image (the cache key).
     pub fn program_fingerprint(&self) -> u64 {
         self.program_fp
     }
@@ -809,6 +817,38 @@ loop:
         w.put_bytes(&rec);
         let forged = seal(TRACE_MAGIC, TRACE_VERSION, &w.into_bytes());
         assert!(CommittedTrace::from_bytes(forged).is_err());
+    }
+
+    #[test]
+    fn cached_file_of_another_version_is_a_miss_and_stays_put() {
+        let p = program(KERNEL);
+        let trace = CommittedTrace::capture(&p, 0, None).unwrap();
+        let mut old = trace.as_bytes().to_vec();
+        old[4..8].copy_from_slice(&(TRACE_VERSION - 1).to_le_bytes());
+        let dir = std::env::temp_dir().join(format!("hbdc-trace-version-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("kernel.hbtr");
+        std::fs::write(&path, &old).unwrap();
+        assert!(matches!(
+            CommittedTrace::read_cached(&path, trace.program_fingerprint(), 0),
+            CacheLookup::Miss
+        ));
+        // Not renamed or rewritten: the caller's recapture replaces it.
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["kernel.hbtr"]);
+        assert_eq!(std::fs::read(&path).unwrap(), old);
+        // A damaged file of the current version is still corruption.
+        let mut damaged = trace.as_bytes().to_vec();
+        *damaged.last_mut().unwrap() ^= 1;
+        std::fs::write(&path, &damaged).unwrap();
+        assert!(matches!(
+            CommittedTrace::read_cached(&path, trace.program_fingerprint(), 0),
+            CacheLookup::Corrupt(SnapError::ChecksumMismatch { .. })
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

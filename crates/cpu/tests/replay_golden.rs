@@ -8,13 +8,15 @@
 //! fan-out (capture once, replay per cell) would silently change results.
 //!
 //! The reports are also pinned against a functional-execution
-//! reference: `EXECUTE_PINS` and `GSHARE_PIN` are the fnv1a64 of
-//! `SimReport::to_record()` recorded when fetch still read a live
-//! functional emulator instead of a trace. Replay must keep matching
+//! reference: `EXECUTE_PINS` and `GSHARE_PIN` are the hash64 of
+//! `SimReport::to_record()` for reports recorded when fetch still read a
+//! live functional emulator instead of a trace. Replay must keep matching
 //! them. When the record later gained the branch, store-queue and
 //! grants-per-cycle fields, the pins were re-taken only after each new
 //! record, with those fields cut out, equalled the recorded one byte for
-//! byte.
+//! byte. When the pins moved from FNV-1a to hash64 (XXH64), they were
+//! re-taken only after every hashed record was shown byte-identical
+//! under both hashes' builds.
 
 use hbdc_core::PortConfig;
 use hbdc_cpu::{
@@ -23,7 +25,7 @@ use hbdc_cpu::{
 use hbdc_isa::asm::assemble;
 use hbdc_isa::Program;
 use hbdc_mem::HierarchyConfig;
-use hbdc_snap::fnv1a64;
+use hbdc_snap::hash64;
 
 /// Mixed workload: strided loads, dependent stores, a data-dependent
 /// branch — populates the LSQ, bank queues, MSHRs, and the misprediction
@@ -46,22 +48,22 @@ fn every_port() -> [PortConfig; 4] {
     ]
 }
 
-/// fnv1a64 of `to_record()` for each of [`every_port`], recorded with a
-/// functional emulator driving fetch. The auditor does not perturb
-/// timing, so the same values hold with it on and off.
+/// hash64 of `to_record()` for each of [`every_port`]: the reports
+/// recorded with a functional emulator driving fetch. The auditor does
+/// not perturb timing, so the same values hold with it on and off.
 const EXECUTE_PINS: [u64; 4] = [
-    0x49e73cdc4cbc0c6c,
-    0x16c92e1375fd2dae,
-    0x4cd07708729d7987,
-    0xf991668b3ee9968e,
+    0x1b59e64e3a85dbb2,
+    0x31b99a521658e796,
+    0x0aff00efd857e396,
+    0xfa8e47446cf5665c,
 ];
 
 /// The warmup + gshare case under LBIC-4x2, recorded the same way:
-/// `(fnv1a64 of to_record(), (branches, mispredicts))`.
-const GSHARE_PIN: (u64, (u64, u64)) = (0xc3fa4d2ab4af80fa, (266, 10));
+/// `(hash64 of to_record(), (branches, mispredicts))`.
+const GSHARE_PIN: (u64, (u64, u64)) = (0xbdef34dc2f2f0e26, (266, 10));
 
 fn fingerprint(r: &SimReport) -> u64 {
-    fnv1a64(r.to_record().as_bytes())
+    hash64(r.to_record().as_bytes())
 }
 
 /// [`Simulator::new`], which captures its own trace.

@@ -2,19 +2,21 @@
 //! only reports, so they cannot see a change in how the window's
 //! dependence edges or the replay cursor serialize; this suite can.
 //!
-//! * The fnv1a64 of `save_snapshot().as_bytes()` at three fixed cycles
+//! * The hash64 of `save_snapshot().as_bytes()` at three fixed cycles
 //!   of one replayed kernel, under each of the four port families, is
 //!   pinned. The window, edge and replay-cursor bytes (byte offset,
 //!   sequence number, previous pc, previous memory address) have not
 //!   changed since before the slot-ring window and the block-decoding
-//!   trace player. The pins were last re-recorded at format version 5,
-//!   which keeps one instruction source: the sealed trace took the
-//!   program image's place at the front of the payload, and the source
-//!   tag byte and the later trace field were cut. Each version-4
-//!   payload, with those three edits, equals its version-5 payload.
-//!   (Version 4 itself was version 3 with the `cycle_skip` byte and
-//!   the skipped-cycle word cut out.) Any reordering of edges,
-//!   completion events or cursor fields changes them.
+//!   trace player. The pins were last re-recorded at format version 6,
+//!   which changed only the hash: each version-6 snapshot, with its
+//!   version word, its checksum, and the embedded trace's version,
+//!   checksum and program-fingerprint words spliced back to their
+//!   version-5 values, equals the version-5 snapshot byte for byte.
+//!   (Version 5 moved the sealed trace to the front of the payload and
+//!   cut the source tag and the later trace field; version 4 cut the
+//!   `cycle_skip` byte and the skipped-cycle word out of version 3.)
+//!   Any reordering of edges, completion events or cursor fields
+//!   changes them.
 //! * save → resume → save reproduces the same bytes at each of those
 //!   cycles.
 
@@ -22,7 +24,7 @@ use hbdc_core::PortConfig;
 use hbdc_cpu::{CommittedTrace, CpuConfig, SimSnapshot, Simulator};
 use hbdc_isa::asm::assemble;
 use hbdc_mem::HierarchyConfig;
-use hbdc_snap::fnv1a64;
+use hbdc_snap::hash64;
 
 /// Strided loads, a dependent store chain, a data-dependent branch and a
 /// long ALU chain: at every pinned cycle the window holds waiting
@@ -45,24 +47,24 @@ fn ports() -> [(&'static str, PortConfig); 4] {
     ]
 }
 
-/// Recorded at snapshot format version 5: `(family, [fnv1a64 at each
+/// Recorded at snapshot format version 6: `(family, [hash64 at each
 /// of CYCLES])`.
 const PINNED: [(&str, [u64; 3]); 4] = [
     (
         "ideal",
-        [0x04e7bd9722ea7335, 0x1e45a7efef25dd6e, 0x0772ab67e09fdbc0],
+        [0xd1082c092b3b1aa3, 0x9b4b2ca64bb60bf1, 0x31e50a1a54fb0aff],
     ),
     (
         "replicated",
-        [0x95856c5f00e4eba0, 0x580dfddf1265254b, 0xeaa7ce2232219906],
+        [0x8053596972fd9773, 0xebebd3af585c5012, 0xb007f507ed985845],
     ),
     (
         "banked",
-        [0x569bf6583f10066c, 0xd44793cf563bc3de, 0x4b23d1e581cbb09b],
+        [0x52930b7036bbe177, 0x50e24bfc56bd84df, 0x055ad2e7dac6e652],
     ),
     (
         "lbic",
-        [0xce2d0d51221436a0, 0x368be3c469755f63, 0xbd558f0fc218d7b5],
+        [0x0a4c3121c7799c4b, 0x24bd01980b8080e3, 0x3dc95f3938cf4fe7],
     ),
 ];
 
@@ -95,7 +97,7 @@ fn snapshot_bytes_match_the_pinned_fingerprints() {
     let trace = CommittedTrace::capture(&p, 0, None).unwrap();
     for ((name, port), (pinned_name, pinned)) in ports().into_iter().zip(PINNED) {
         assert_eq!(name, pinned_name);
-        let got: Vec<u64> = snapshots(&trace, port).iter().map(|b| fnv1a64(b)).collect();
+        let got: Vec<u64> = snapshots(&trace, port).iter().map(|b| hash64(b)).collect();
         assert_eq!(got, pinned, "{name}: snapshot bytes changed");
     }
 }

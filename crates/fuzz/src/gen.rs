@@ -723,7 +723,9 @@ mod tests {
     /// Pins the generator's output: `checkpoint-resume` in the perfbench
     /// benchmark draws its programs from [`generate`], so any edit to the
     /// block mix or a block's body silently changes benchmark inputs.
-    /// Such an edit must update these fingerprints on purpose.
+    /// Such an edit must update these fingerprints on purpose. (They
+    /// were re-taken when the hash moved from FNV-1a to XXH64; the
+    /// images themselves were byte-identical across that change.)
     #[test]
     fn generated_programs_match_golden_fingerprints() {
         let cfg = GenConfig {
@@ -732,11 +734,11 @@ mod tests {
             data_bytes: 64 * 1024,
         };
         for (seed, want) in [
-            (1u64, 0x6f99_a70d_a0fb_3f2a_u64),
-            (2, 0x91ed_b3a5_b145_ce32),
+            (1u64, 0x3fc3_d3a3_e153_eeed_u64),
+            (2, 0xa44c_61bb_b1d9_d5d4),
         ] {
             let image = hbdc_isa::object::to_bytes(&generate(seed, &cfg));
-            let got = hbdc_snap::fnv1a64(&image);
+            let got = hbdc_snap::hash64(&image);
             assert_eq!(got, want, "seed {seed}: fingerprint {got:#018x}");
         }
     }

@@ -9,7 +9,7 @@
 //!   with length-prefixed byte strings. The workspace deliberately carries
 //!   no serializer dependency, so this *is* the serialization layer.
 //! * [`seal`] / [`open`] — a versioned, checksummed container envelope
-//!   (magic, format version, payload length, FNV-1a checksum) so stale or
+//!   (magic, format version, payload length, [`hash64`] checksum) so stale or
 //!   truncated state files fail loudly instead of resuming garbage.
 //! * [`write_atomic`] — write-to-temp-then-rename, the crash-safe file
 //!   update discipline both snapshot and journal writers use.
@@ -113,18 +113,81 @@ impl fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// 64-bit FNV-1a over `bytes` — the workspace's standing choice for
-/// content fingerprints (fast, dependency-free, and good enough to catch
-/// corruption; this is an integrity check, not a security boundary).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+/// XXH64 with seed 0 over `bytes` — the workspace's one content hash:
+/// seal checksums, trace program fingerprints, matrix and build
+/// fingerprints. It folds 32-byte stripes into four independent
+/// multiply-rotate lanes, so it streams at memory speed where a
+/// byte-serial hash is bound by one dependent multiply per byte. This
+/// is an integrity check, not a security boundary.
+///
+/// The algorithm is the published XXH64 (Yann Collet); the tests pin
+/// its reference answers.
+pub fn hash64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+    const P5: u64 = 0x27d4_eb2f_1656_67c5;
+    fn word(b: &[u8]) -> u64 {
+        u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
     }
-    h
+    fn round(acc: u64, input: u64) -> u64 {
+        acc.wrapping_add(input.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    }
+    fn merge(acc: u64, lane: u64) -> u64 {
+        (acc ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+    }
+
+    let stripes = bytes.chunks_exact(32);
+    let tail = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for s in stripes {
+            v[0] = round(v[0], word(&s[0..]));
+            v[1] = round(v[1], word(&s[8..]));
+            v[2] = round(v[2], word(&s[16..]));
+            v[3] = round(v[3], word(&s[24..]));
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &lane| merge(h, lane))
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+
+    let words = tail.chunks_exact(8);
+    let mut rest = words.remainder();
+    for w in words {
+        h = (h ^ round(0, word(w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    if rest.len() >= 4 {
+        let half = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
+        h = (h ^ u64::from(half).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Append-only binary encoder; the writing half of the codec.
@@ -417,14 +480,14 @@ pub fn zigzag_decode(v: u64) -> i64 {
 pub const SEAL_HEADER_LEN: usize = 24;
 
 /// Wraps `payload` in a checksummed container: 4-byte `magic`, `u32`
-/// format `version`, `u64` payload length, `u64` FNV-1a payload checksum,
+/// format `version`, `u64` payload length, `u64` [`hash64`] payload checksum,
 /// then the payload itself.
 pub fn seal(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(SEAL_HEADER_LEN + payload.len());
     out.extend_from_slice(&magic);
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(&hash64(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -457,20 +520,20 @@ pub fn open(bytes: &[u8], magic: [u8; 4], version: u32) -> Result<&[u8], SnapErr
             want: version,
         });
     }
-    let len = u64::from_le_bytes([
-        bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15],
-    ]) as usize;
-    let stored = u64::from_le_bytes([
-        bytes[16], bytes[17], bytes[18], bytes[19], bytes[20], bytes[21], bytes[22], bytes[23],
-    ]);
-    let payload =
-        bytes
-            .get(SEAL_HEADER_LEN..SEAL_HEADER_LEN + len)
-            .ok_or(SnapError::Truncated {
-                at: bytes.len(),
-                want: SEAL_HEADER_LEN + len,
-            })?;
-    let computed = fnv1a64(payload);
+    let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+    let stored = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
+    // A forged length must not overflow the end offset.
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|n| n.checked_add(SEAL_HEADER_LEN))
+        .unwrap_or(usize::MAX);
+    let payload = bytes
+        .get(SEAL_HEADER_LEN..end)
+        .ok_or(SnapError::Truncated {
+            at: bytes.len(),
+            want: end,
+        })?;
+    let computed = hash64(payload);
     if computed != stored {
         return Err(SnapError::ChecksumMismatch { stored, computed });
     }
@@ -634,11 +697,15 @@ mod tests {
     }
 
     #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn hash64_matches_the_xxh64_reference_answers() {
+        assert_eq!(hash64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(hash64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(hash64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        // 39 bytes: one 32-byte stripe, then the 8-, 4- and 1-byte tails.
+        assert_eq!(
+            hash64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
     }
 
     #[test]
@@ -666,6 +733,52 @@ mod tests {
         ));
         assert!(matches!(
             open(&sealed[..10], *b"TEST", 3),
+            Err(SnapError::Truncated { .. })
+        ));
+
+        // Empty, byte-tail-only, one short of a stripe, one stripe, one
+        // past it, and several stripes plus every tail.
+        for len in [0usize, 1, 31, 32, 33, 100] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let sealed = seal(*b"TEST", 3, &payload);
+            assert_eq!(open(&sealed, *b"TEST", 3).unwrap(), &payload[..]);
+            // Every single-bit flip, header included, fails `open`.
+            for bit in 0..sealed.len() * 8 {
+                let mut bad = sealed.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    open(&bad, *b"TEST", 3).is_err(),
+                    "payload length {len}: flipping bit {bit} went unnoticed"
+                );
+            }
+            // Swapped 8-byte words: an order-blind sum would miss these.
+            let words = len / 8;
+            for (a, b) in [(0, 1), (0, words.saturating_sub(1))] {
+                if a == b || b >= words {
+                    continue;
+                }
+                let mut bad = sealed.clone();
+                let (x, y) = (SEAL_HEADER_LEN + a * 8, SEAL_HEADER_LEN + b * 8);
+                for i in 0..8 {
+                    bad.swap(x + i, y + i);
+                }
+                assert!(
+                    matches!(
+                        open(&bad, *b"TEST", 3),
+                        Err(SnapError::ChecksumMismatch { .. })
+                    ),
+                    "payload length {len}: swapping words {a} and {b} went unnoticed"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn open_survives_a_forged_length() {
+        let mut sealed = seal(*b"TEST", 3, b"payload");
+        sealed[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            open(&sealed, *b"TEST", 3),
             Err(SnapError::Truncated { .. })
         ));
     }

@@ -1,33 +1,44 @@
 #!/usr/bin/env bash
-# Interleaved A/B of simulator throughput: a base revision against the
-# working tree, on one host, in one session.
+# Interleaved A/B of simulator speed: a base revision against the working
+# tree, on one host, in one session.
 #
 #   scripts/ab.sh REV [--scale test|small|full] [--pairs N] [--bench NAME]...
+#   scripts/ab.sh REV --perfbench WORKLOAD [--pairs N]
 #
-# REV's `throughput` bin is built in a temporary `git worktree` (offline:
-# the vendored crates suffice) and the working tree's is built in place.
-# Then, for each benchmark (default: all ten), the two binaries run
-# `throughput --runs 1 --scale S --bench B` alternately, N pairs
-# (default 3) per benchmark, each run in a fresh directory so neither
-# writes into the repo. The side that runs first alternates from pair to
-# pair (AB BA AB ...), so a host slowing down or speeding up during a
-# session does not favour one side. Each side keeps its own
-# trace cache, so only the first run per side and benchmark captures.
+# REV's sources are exported with `git archive` into a temporary
+# directory and built there (offline: the vendored crates suffice); the
+# working tree's binary is built in place. The two binaries then run
+# alternately, N pairs, and the side that runs first alternates from pair
+# to pair (AB BA AB ...), so a host slowing down or speeding up during a
+# session does not favour one side. `scripts/ab.sh HEAD` on a clean tree
+# is an A/A: both sides run the same code, so its ratios show this host's
+# noise floor.
 #
-# The measured rate is `cycles_per_sec`: simulated cycles per second of
-# simulator thread CPU time. The script prints, per benchmark, the
-# median head/base ratio, its min/max and the number of pairs head won,
-# then the median over every pair of every benchmark. It appends one
-# summary JSON with the raw rates to `results/bench_history/`, numbered
-# after the existing entries.
+# Throughput mode (the default) runs the `throughput` bin,
+# `throughput --runs 1 --scale S --bench B`, N pairs (default 3) per
+# benchmark (default: all ten), each run in a fresh directory so neither
+# writes into the repo. Each side keeps its own trace cache, so only the
+# first run per side and benchmark captures. The measured rate is
+# `cycles_per_sec`: simulated cycles per second of simulator thread CPU
+# time. The script prints, per benchmark, the median head/base ratio, its
+# min/max and the number of pairs head won, then the median over every
+# pair of every benchmark. It appends one summary JSON with the raw rates
+# to `results/bench_history/`, numbered after the existing entries.
 #
-# `scripts/ab.sh HEAD` on a clean tree is an A/A: both sides run the
-# same code, so its ratios show this host's noise floor.
+# Perfbench mode runs the repository benchmark (`perfbench/`, see
+# BENCHMARK.json) on one workload, N pairs (default 10), each run
+# `--seconds` BENCHMARK.json's `run_seconds` with `--trace 0`; pair i
+# uses seed 100 + i on both sides. For each end-to-end metric it prints
+# the base and head medians, their ratio, the pairs head won (in the
+# metric's `better` direction) and the base runs' interquartile range,
+# then every run's values, and it fails if any run was not `correct` or
+# failed a cell. Nothing is written to the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
     echo "usage: scripts/ab.sh REV [--scale test|small|full] [--pairs N] [--bench NAME]..." >&2
+    echo "       scripts/ab.sh REV --perfbench WORKLOAD [--pairs N]" >&2
     exit 2
 }
 
@@ -35,17 +46,25 @@ usage() {
 rev_arg=$1
 shift
 scale=small
-pairs=3
+pairs=
 benches=()
+workload=
 while [ $# -gt 0 ]; do
     case "$1" in
         --scale) scale=${2:?}; shift 2 ;;
         --pairs) pairs=${2:?}; shift 2 ;;
         --bench) benches+=("${2:?}"); shift 2 ;;
+        --perfbench) workload=${2:?}; shift 2 ;;
         *) usage ;;
     esac
 done
 case "$scale" in test | small | full) ;; *) usage ;; esac
+if [ -n "$workload" ]; then
+    [ ${#benches[@]} -eq 0 ] || usage
+    pairs=${pairs:-10}
+else
+    pairs=${pairs:-3}
+fi
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
 [ ${#benches[@]} -gt 0 ] ||
     benches=(compress gcc go li perl hydro2d mgrid su2cor swim wave5)
@@ -56,19 +75,82 @@ head_label=${head_rev:0:12}
 [ -z "$(git status --porcelain --untracked-files=no)" ] || head_label+="+dirty"
 
 tmp="$(mktemp -d "${TMPDIR:-/tmp}/hbdc-ab.XXXXXX")"
-cleanup() {
-    git worktree remove --force "$tmp/base-src" 2>/dev/null || true
-    git worktree prune
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
-echo "building base ${base_rev:0:12} in a worktree"
-git worktree add --detach -q "$tmp/base-src" "$base_rev"
+echo "building base ${base_rev:0:12} from git archive"
+mkdir "$tmp/base-src"
+git archive "$base_rev" | tar -x -C "$tmp/base-src"
+
+if [ -n "$workload" ]; then
+    CARGO_TARGET_DIR="$tmp/base-target" cargo build --release --offline -q \
+        --manifest-path "$tmp/base-src/perfbench/Cargo.toml"
+    cp "$tmp/base-target/release/perfbench" "$tmp/base-perfbench"
+    rm -rf "$tmp/base-target" "$tmp/base-src"
+    echo "building head $head_label in place"
+    cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
+    cp perfbench/target/release/perfbench "$tmp/head-perfbench"
+    seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+
+    # run_perfbench <side> <pair>: one run; appends its JSON line to
+    # $tmp/<side>.jsonl.
+    run_perfbench() {
+        "$tmp/$1-perfbench" --workload "$workload" --seed $((100 + $2)) \
+            --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1 >>"$tmp/$1.jsonl" ||
+            { echo "FAIL: $1 perfbench --workload $workload exited nonzero" >&2; exit 1; }
+    }
+    for ((i = 1; i <= pairs; i++)); do
+        if ((i % 2)); then
+            run_perfbench base "$i"
+            run_perfbench head "$i"
+        else
+            run_perfbench head "$i"
+            run_perfbench base "$i"
+        fi
+        echo "  $workload pair $i of $pairs done"
+    done
+
+    echo
+    echo "head ${head_label} / base ${base_rev:0:12}, perfbench $workload, $pairs pair(s) of ${seconds} s runs"
+    python3 - "$tmp/base.jsonl" "$tmp/head.jsonl" <<'PY'
+import json, statistics, sys
+
+bench = json.load(open("BENCHMARK.json"))
+base = [json.loads(line) for line in open(sys.argv[1])]
+head = [json.loads(line) for line in open(sys.argv[2])]
+
+def quartiles(xs):
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return q[0], q[2]
+
+raw = {}
+print(f"{'metric':<18} {'base med':>10} {'head med':>10} {'ratio':>7} {'wins':>6} {'base IQR':>9}")
+for m in bench["end_to_end"]:
+    name = m["name"]
+    b = [r["metrics"][name]["value"] for r in base]
+    h = [r["metrics"][name]["value"] for r in head]
+    sign = 1 if m["better"] == "higher" else -1
+    wins = sum(sign * (y - x) > 0 for x, y in zip(b, h))
+    mb, mh = statistics.median(b), statistics.median(h)
+    lo, hi = quartiles(b) if len(b) > 1 else (b[0], b[0])
+    print(f"{name:<18} {mb:>10.4g} {mh:>10.4g} {mh / mb:>7.3f} {wins:>3}/{len(b):<2} {hi - lo:>9.3g}")
+    raw[name] = (b, h)
+print("raw values, pair 1 first:")
+for name, (b, h) in raw.items():
+    print(f"  {name} base: {' '.join(f'{x:.4g}' for x in b)}")
+    print(f"  {name} head: {' '.join(f'{x:.4g}' for x in h)}")
+bad = [(side, i + 1) for side, runs in (("base", base), ("head", head))
+       for i, r in enumerate(runs) if not r["correct"] or r["failed"]]
+for side, pair in bad:
+    print(f"FAIL: {side} run of pair {pair} was not correct or failed a cell", file=sys.stderr)
+sys.exit(1 if bad else 0)
+PY
+    exit
+fi
+
 CARGO_TARGET_DIR="$tmp/base-target" cargo build --release --offline -q \
     --manifest-path "$tmp/base-src/Cargo.toml" -p hbdc-bench --bin throughput
 cp "$tmp/base-target/release/throughput" "$tmp/base-throughput"
-rm -rf "$tmp/base-target"
+rm -rf "$tmp/base-target" "$tmp/base-src"
 echo "building head $head_label in place"
 cargo build --release --offline -q -p hbdc-bench --bin throughput
 cp target/release/throughput "$tmp/head-throughput"

@@ -220,7 +220,7 @@ fn cmd_trace_capture(args: &[String]) -> Result<(), String> {
         if trace.is_complete() {
             ""
         } else {
-            " [truncated by --cap; replay will refuse this trace]"
+            " [truncated by --cap; replays only under --max-insts/--max-cycles it covers]"
         }
     );
     Ok(())
@@ -260,7 +260,7 @@ fn cmd_trace_info(args: &[String]) -> Result<(), String> {
         if trace.is_complete() {
             "yes (ends at halt)"
         } else {
-            "no (capture cap hit; not replayable)"
+            "no (capture cap hit; replays only under caps it covers)"
         }
     );
     Ok(())
