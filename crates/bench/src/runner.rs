@@ -375,6 +375,40 @@ fn trace_cache_path(dir: &Path, bench: &str, scale: Scale, warmup: u64, fp: u64)
     ))
 }
 
+/// Deletes the cached traces that `kept` supersedes: the files beside it
+/// with the same benchmark, scale and warmup but another program
+/// fingerprint, which no later lookup can reach. Evicted `*.corrupt`
+/// files are left for inspection.
+fn prune_superseded_traces(kept: &Path) {
+    let (Some(dir), Some(kept_name)) = (kept.parent(), kept.file_name().and_then(|n| n.to_str()))
+    else {
+        return;
+    };
+    // Strip the 16 hex digits and `.hbtr`, leaving `{bench}-{scale}-w{warmup}-`.
+    let prefix = &kept_name[..kept_name.len() - 21];
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(name) = name.to_str().filter(|&n| n != kept_name) else {
+            continue;
+        };
+        let superseded = name
+            .strip_prefix(prefix)
+            .and_then(|rest| rest.strip_suffix(".hbtr"))
+            .is_some_and(|fp| fp.len() == 16 && fp.bytes().all(|b| b.is_ascii_hexdigit()));
+        if superseded {
+            if let Err(e) = std::fs::remove_file(entry.path()) {
+                eprintln!(
+                    "warning: cannot delete superseded trace {}: {e}",
+                    entry.path().display()
+                );
+            }
+        }
+    }
+}
+
 /// The record cap for the trace that every column warming up `warmup`
 /// instructions replays: the largest [`CpuConfig::capture_bound`] among
 /// those columns, or `None` (capture to the program's halt) if any of
@@ -398,7 +432,9 @@ pub(crate) fn capture_cap(configs: &[Column], warmup: u64) -> Option<u64> {
 /// A corrupt or truncated cache file is **evicted** (renamed to
 /// `*.corrupt`, with one warning) and the trace recaptured, so one bad
 /// byte costs one capture — not a warning storm or a silent functional
-/// re-parse on every later campaign.
+/// re-parse on every later campaign. A persisted capture deletes the
+/// files it supersedes (see [`prune_superseded_traces`]), so the cache
+/// holds one trace per (benchmark, scale, warmup).
 ///
 /// On a journaled run a pending interrupt refuses a fresh capture (a
 /// cached hit still loads: it is nearly free and keeps the continued run
@@ -453,8 +489,9 @@ pub(crate) fn capture_trace(
                 .map_or(Ok(()), std::fs::create_dir_all)
                 .map_err(|e| e.to_string())
                 .and_then(|()| t.write_to_path(p).map_err(|e| e.to_string()));
-            if let Err(e) = persisted {
-                eprintln!("warning: cannot persist trace {}: {e}", p.display());
+            match persisted {
+                Ok(()) => prune_superseded_traces(p),
+                Err(e) => eprintln!("warning: cannot persist trace {}: {e}", p.display()),
             }
         }
         Ok(t)
@@ -914,6 +951,41 @@ mod tests {
             run.failures[0].error
         );
         assert_eq!(std::fs::read_dir(&cache).unwrap().count(), 0);
+        std::fs::remove_dir_all(&cache).unwrap();
+    }
+
+    #[test]
+    fn a_persisted_capture_deletes_the_traces_it_supersedes() {
+        let cache = scratch_dir("supersede");
+        let seeded = [
+            "li-test-w0-00000000000000aa.hbtr", // older li capture: superseded
+            "li-test-w0-00000000000000bb.hbtr.corrupt", // evicted: kept
+            "li-test-w7-00000000000000cc.hbtr", // another warmup: kept
+            "li-small-w0-00000000000000dd.hbtr", // another scale: kept
+            "gcc-test-w0-00000000000000ee.hbtr", // another benchmark: kept
+        ];
+        for name in seeded {
+            std::fs::write(cache.join(name), b"stale").unwrap();
+        }
+        let opts = MatrixOpts {
+            trace_cache: Some(cache.clone()),
+            ..MatrixOpts::default()
+        };
+        let li = by_name("li").unwrap();
+        let trace = capture_trace(&li, Scale::Test, 0, None, &opts).unwrap();
+        let fresh = trace_cache_path(&cache, "li", Scale::Test, 0, trace.program_fingerprint());
+        let mut left: Vec<String> = std::fs::read_dir(&cache)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        let mut want: Vec<String> = seeded[1..].iter().map(|s| s.to_string()).collect();
+        want.push(fresh.file_name().unwrap().to_str().unwrap().to_string());
+        want.sort();
+        assert_eq!(left, want);
+        // A cache hit writes nothing and deletes nothing.
+        capture_trace(&li, Scale::Test, 0, None, &opts).unwrap();
+        assert_eq!(std::fs::read_dir(&cache).unwrap().count(), want.len());
         std::fs::remove_dir_all(&cache).unwrap();
     }
 

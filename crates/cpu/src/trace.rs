@@ -271,6 +271,9 @@ impl CommittedTrace {
             }
         }
 
+        // The emulator's pages and the image are freed as soon as they are
+        // dead, so they never sit beside the payload and its sealed copy.
+        drop(emu);
         let image = hbdc_isa::object::to_bytes(program);
         let program_fp = hash64(&image);
         let mut w = StateWriter::new();
@@ -281,6 +284,7 @@ impl CommittedTrace {
         w.put_u64(stores);
         w.put_bool(complete);
         w.put_bytes(&image);
+        drop(image);
         let rec_len = rec.len();
         w.put_bytes(&rec.into_bytes());
         // The records section is the payload's last field.
@@ -892,7 +896,7 @@ loop:
 
     /// Kernels for the replay ≡ emulation table: one per feature the
     /// 16-byte predecoded record folds away or re-derives.
-    const PLAYER_KERNELS: [(&str, &str); 4] = [
+    const PLAYER_KERNELS: [(&str, &str); 5] = [
         ("strided loop", KERNEL),
         // A data-dependent branch that alternates taken / not taken.
         (
@@ -915,6 +919,12 @@ loop:
             ".data\nv: .space 256\n.text\nmain:\n la r8, v\n addi r8, r8, 248\n \
              li r9, 8\nloop:\n lw r1, 0(r8)\n sw r1, -4(r8)\n lw r2, -64(r8)\n \
              addi r8, r8, -24\n addi r9, r9, -1\n bnez r9, loop\n halt\n",
+        ),
+        // A double-word load at u64::MAX - 3 wraps to address 0 (this
+        // once overflowed the address arithmetic in debug builds).
+        (
+            "access wrapping past the top",
+            "main: ld r1, -4(r0)\n halt\n",
         ),
     ];
 

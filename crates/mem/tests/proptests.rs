@@ -1,11 +1,14 @@
 //! Property tests: the memory and tag-array models against naive
 //! reference implementations.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
 use hbdc_mem::{BankMapper, CacheGeometry, LookupResult, Memory, MshrFile, MshrOutcome, TagArray};
+
+/// The functional memory's page size.
+const PAGE: usize = 4096;
 
 proptest! {
     #[test]
@@ -37,6 +40,59 @@ proptest! {
         prop_assert_eq!(mem.read_le(addr, n), value & mask);
         for i in 0..n as u64 {
             prop_assert_eq!(mem.read_u8(addr + i), (value >> (8 * i)) as u8);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Mixed 1/2/4/8-byte reads and writes and multi-page `write_bytes`
+    /// spans, within 16 bytes of thirteen page edges five pages apart
+    /// (more pages than the frame cache holds). Edge 0 is address 0, so
+    /// its neighbourhood wraps past `u64::MAX`. The spans put thousands
+    /// of bytes in each case's model, so this property runs fewer cases.
+    #[test]
+    fn wide_accesses_and_spans_match_a_byte_model(
+        ops in prop::collection::vec(
+            (0u64..13, 0u64..32, prop::sample::select(vec![1usize, 2, 4, 8]), 0u8..16, any::<u64>(),
+             prop::sample::select(vec![1usize, 7, PAGE - 1, PAGE + 9, 2 * PAGE + 33])),
+            1..120,
+        )
+    ) {
+        let mut mem = Memory::new();
+        let mut model: HashMap<u64, u8> = HashMap::new();
+        let byte = |model: &HashMap<u64, u8>, a: u64| model.get(&a).copied().unwrap_or(0);
+        for (edge, delta, n, kind, value, span) in ops {
+            let addr = (edge * 5 * PAGE as u64).wrapping_add(delta).wrapping_sub(16);
+            match kind {
+                0..=7 => {
+                    let pages = mem.resident_pages();
+                    let expected = (0..n as u64)
+                        .map(|i| (byte(&model, addr.wrapping_add(i)) as u64) << (8 * i))
+                        .fold(0, |v, b| v | b);
+                    prop_assert_eq!(mem.read_le(addr, n), expected, "read {} at {:#x}", n, addr);
+                    prop_assert_eq!(mem.resident_pages(), pages, "a read allocated");
+                }
+                8..=14 => {
+                    mem.write_le(addr, value, n);
+                    for i in 0..n as u64 {
+                        model.insert(addr.wrapping_add(i), (value >> (8 * i)) as u8);
+                    }
+                }
+                _ => {
+                    let bytes: Vec<u8> = (0..span).map(|i| (value as usize + i) as u8).collect();
+                    mem.write_bytes(addr, &bytes);
+                    for (i, &b) in bytes.iter().enumerate() {
+                        model.insert(addr.wrapping_add(i as u64), b);
+                    }
+                }
+            }
+        }
+        let pages: HashSet<u64> = model.keys().map(|a| a >> 12).collect();
+        prop_assert_eq!(mem.resident_pages(), pages.len());
+        for (&a, &b) in &model {
+            prop_assert_eq!(mem.read_u8(a), b, "byte at {:#x}", a);
         }
     }
 }
