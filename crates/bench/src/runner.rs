@@ -365,20 +365,40 @@ pub(crate) fn cell_snap_path(journal: &Path, idx: usize) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// The on-disk name of a benchmark's cached trace. The program
-/// fingerprint is part of the name, so a kernel-generator change makes
-/// the stale file unreachable rather than silently replayed.
+/// The on-disk name of a benchmark's cached trace. The name's key
+/// hashes the program fingerprint with the simulator build
+/// ([`BUILD_ID`], which covers the emulator and the functional memory
+/// that produce the records), so a kernel-generator change or a rebuilt
+/// simulator makes the stale file unreachable rather than silently
+/// replayed.
 fn trace_cache_path(dir: &Path, bench: &str, scale: Scale, warmup: u64, fp: u64) -> PathBuf {
+    build_trace_cache_path(BUILD_ID, dir, bench, scale, warmup, fp)
+}
+
+/// [`trace_cache_path`] as a binary built with simulator fingerprint
+/// `build` names it.
+fn build_trace_cache_path(
+    build: u64,
+    dir: &Path,
+    bench: &str,
+    scale: Scale,
+    warmup: u64,
+    fp: u64,
+) -> PathBuf {
+    let mut w = StateWriter::new();
+    w.put_u64(build);
+    w.put_u64(fp);
+    let key = hash64(&w.into_bytes());
     dir.join(format!(
-        "{bench}-{}-w{warmup}-{fp:016x}.hbtr",
+        "{bench}-{}-w{warmup}-{key:016x}.hbtr",
         scale_label(scale)
     ))
 }
 
 /// Deletes the cached traces that `kept` supersedes: the files beside it
-/// with the same benchmark, scale and warmup but another program
-/// fingerprint, which no later lookup can reach. Evicted `*.corrupt`
-/// files are left for inspection.
+/// with the same benchmark, scale and warmup but another key (another
+/// program fingerprint or simulator build), which no later lookup can
+/// reach. Evicted `*.corrupt` files are left for inspection.
 fn prune_superseded_traces(kept: &Path) {
     let (Some(dir), Some(kept_name)) = (kept.parent(), kept.file_name().and_then(|n| n.to_str()))
     else {
@@ -457,7 +477,7 @@ pub(crate) fn capture_trace(
             .as_deref()
             .map(|d| trace_cache_path(d, bench.name(), scale, warmup, fp));
         if let Some(p) = &path {
-            // The fingerprint is in the file name, but a renamed or
+            // The fingerprint is in the file name's key, but a renamed or
             // hand-edited file must still not drive a replay (that case
             // reads as a miss, not corruption).
             match CommittedTrace::read_cached(p, fp, warmup) {
@@ -986,6 +1006,32 @@ mod tests {
         // A cache hit writes nothing and deletes nothing.
         capture_trace(&li, Scale::Test, 0, None, &opts).unwrap();
         assert_eq!(std::fs::read_dir(&cache).unwrap().count(), want.len());
+        std::fs::remove_dir_all(&cache).unwrap();
+    }
+
+    #[test]
+    fn a_trace_cached_by_another_build_is_a_miss() {
+        let cache = scratch_dir("other-build");
+        let li = by_name("li").unwrap();
+        let trace = CommittedTrace::capture(&li.build(Scale::Test), 0, None).unwrap();
+        let fp = trace.program_fingerprint();
+        let ours = trace_cache_path(&cache, "li", Scale::Test, 0, fp);
+        let theirs = build_trace_cache_path(BUILD_ID ^ 1, &cache, "li", Scale::Test, 0, fp);
+        assert_ne!(ours, theirs);
+        // A valid capture of the same program, as another build left it.
+        trace.write_to_path(&theirs).unwrap();
+        let opts = MatrixOpts {
+            trace_cache: Some(cache.clone()),
+            ..MatrixOpts::default()
+        };
+        capture_trace(&li, Scale::Test, 0, None, &opts).unwrap();
+        // The lookup missed: this build captured, persisted its own file
+        // and deleted the one it supersedes.
+        let left: Vec<PathBuf> = std::fs::read_dir(&cache)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(left, vec![ours]);
         std::fs::remove_dir_all(&cache).unwrap();
     }
 

@@ -1,22 +1,36 @@
 //! The load/store queue: memory ordering, forwarding, and the per-cycle
 //! ready list.
 //!
-//! The classification is *event-driven*: instead of rescanning every
-//! entry every cycle (O(occupancy) per cycle — the old hot-loop cost),
-//! each entry's readiness is updated when one of its gating conditions
-//! changes. Every gate is monotone for a given entry — an address, once
+//! The classification is *event-driven*, and every event costs O(1)
+//! amortized. Each gate is monotone for a given entry — an address, once
 //! known, stays known; prior stores resolve and never un-resolve; a
-//! blocking store only leaves the queue once — so each entry makes O(1)
-//! classification transitions over its lifetime, and the per-cycle cost
-//! of a round ([`begin_round`](Lsq::begin_round)) is the transitions that
-//! actually happened, and the ready list is borrowed in place
-//! ([`ready`](Lsq::ready)). Simulation time scales with work, not with
-//! queue occupancy.
-
-use std::collections::VecDeque;
+//! blocking store only leaves the queue once — so an entry makes O(1)
+//! classification transitions over its lifetime, and each transition
+//! touches O(1) state:
+//!
+//! * **Entries** live in a power-of-two ring indexed by `seq & mask`
+//!   (sequence numbers count every instruction, so non-memory ones leave
+//!   gap slots). A lookup is one mask; the ring doubles only when a
+//!   dispatch would outrun it.
+//! * **Classification sets** — stores with unknown addresses, loads
+//!   blocked behind one, stores awaiting the completion frontier — are
+//!   bitmaps over the ring, drained by cursors: the unknown-store
+//!   boundary only moves forward, and [`begin_round`](Lsq::begin_round)
+//!   scans eligible stores from a cursor that is lowered when a store
+//!   becomes eligible behind it.
+//! * **Waiting loads** hang off an intrusive list per decider store,
+//!   walked once when its data arrives and once when it retires.
+//! * **The store-overlap index** is a direct-mapped table of the
+//!   youngest store per hashed 8-byte block, chained through per-store
+//!   back links; a chain walk stops at the oldest live sequence number,
+//!   so retirement unlinks nothing.
+//! * **The ready list** is one age-sorted `Vec` lent to the port model
+//!   in place ([`ready`](Lsq::ready)); an insert or removal shifts
+//!   whichever side of it is shorter, the front side into a stale
+//!   prefix, and a round's grants leave in one pass
+//!   ([`issue_granted`](Lsq::issue_granted)).
 
 use hbdc_core::MemRequest;
-use hbdc_mem::FibHashMap;
 use hbdc_snap::{SnapError, StateReader, StateWriter};
 
 /// Why loads failed to join a cycle's ready list (diagnostic counters).
@@ -50,23 +64,46 @@ struct LsqEntry {
     /// available; otherwise the overlap is partial and the load waits for
     /// the store to leave the queue.
     exact_fit: bool,
+    // ----- Derived links (never serialized). -----
+    /// The intrusive waiter list: a store's first waiting load, or a
+    /// waiting load's next fellow waiter on the same store (`NOT_MEM`
+    /// ends the list).
+    waiters: u64,
+    /// Stores: the next older store in the overlap-index chain of the
+    /// first and of the second touched block's bucket.
+    older: [u64; 2],
 }
 
-/// Sentinel in `Lsq::pos_map` for sequence numbers that never entered the
-/// queue (non-memory instructions).
+/// A ring slot no live entry occupies.
+const VACANT: LsqEntry = LsqEntry {
+    seq: NOT_MEM,
+    addr: 0,
+    width: 0,
+    is_store: false,
+    addr_known: false,
+    data_known: false,
+    issued: false,
+    dep_store: NOT_MEM,
+    exact_fit: false,
+    waiters: NOT_MEM,
+    older: [NOT_MEM; 2],
+};
+
+/// "No sequence number": position-map gaps (non-memory instructions),
+/// empty decider, list and chain links, and no unknown-address store.
 const NOT_MEM: u64 = u64::MAX;
 
-/// Granularity of the store-overlap index: live stores are bucketed by
-/// the 8-byte blocks they touch, so a dispatching load finds its youngest
-/// overlapping store with one or two bucket probes instead of a backward
-/// scan over the whole queue. Accesses are at most 8 bytes wide, so a
-/// reference touches at most two blocks.
+/// Granularity of the store-overlap index: stores are chained by the
+/// 8-byte blocks they touch, so a dispatching load finds its youngest
+/// overlapping store by walking one or two chains instead of the whole
+/// queue. Accesses are at most 8 bytes wide, so a reference touches at
+/// most two blocks.
 const BLOCK_SHIFT: u32 = 3;
 
-/// Stale-prefix length at which the ready list reclaims front-popped
-/// slots. Large enough that the (live-region) shift amortizes to well
-/// under one element copy per removal, small enough that the dead
-/// prefix never dominates the list's footprint.
+/// Least stale-prefix length at which the ready list reclaims
+/// front-shifted slots. Large enough that the reclaim amortizes to well
+/// under one element copy per removal, small enough that the dead prefix
+/// never dominates the list's footprint.
 const READY_COMPACT: usize = 512;
 
 /// The (first, optional second) index blocks a byte range touches.
@@ -74,6 +111,44 @@ fn blocks_of(addr: u64, width: u64) -> (u64, Option<u64>) {
     let a = addr >> BLOCK_SHIFT;
     let b = (addr + width.max(1) - 1) >> BLOCK_SHIFT;
     (a, (b != a).then_some(b))
+}
+
+/// One bit per ring slot.
+#[derive(Debug, Clone)]
+struct SlotBits(Vec<u64>);
+
+impl SlotBits {
+    fn new(slots: usize) -> Self {
+        Self(vec![0; slots / 64])
+    }
+
+    fn get(&self, slot: usize) -> bool {
+        self.0[slot >> 6] >> (slot & 63) & 1 != 0
+    }
+
+    fn set(&mut self, slot: usize) {
+        self.0[slot >> 6] |= 1 << (slot & 63);
+    }
+
+    fn clear(&mut self, slot: usize) {
+        self.0[slot >> 6] &= !(1 << (slot & 63));
+    }
+
+    /// The first sequence number in `from..to` whose slot bit is set, a
+    /// word (64 slots) per step. `to - from` must not exceed the ring.
+    fn next(&self, mask: u64, from: u64, to: u64) -> Option<u64> {
+        let mut s = from;
+        while s < to {
+            let slot = s & mask;
+            let word = self.0[(slot >> 6) as usize] >> (slot & 63);
+            if word != 0 {
+                let hit = s + u64::from(word.trailing_zeros());
+                return (hit < to).then_some(hit);
+            }
+            s += 64 - (slot & 63);
+        }
+        None
+    }
 }
 
 /// The load/store queue (paper Table 1: 512 entries): an address reorder
@@ -109,62 +184,59 @@ fn blocks_of(addr: u64, width: u64) -> (u64, Option<u64>) {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Lsq {
-    entries: VecDeque<LsqEntry>,
+    // The entries, at `seq & mask`; `ring.len()` is a power of two
+    // larger than the live sequence span `next_seq - base`.
+    ring: Vec<LsqEntry>,
+    mask: u64,
     capacity: usize,
+    len: usize,
     forwards: u64,
     stalls: LsqStalls,
-    // O(1) seq → index: `pos_map[(seq - pos_base)]` holds the dispatch
-    // ordinal of that sequence number (NOT_MEM for gaps); the entry's
-    // current index in `entries` is `ordinal - retired`. Replaces a
-    // per-call binary search on the hot mark_* paths.
-    pos_base: u64,
-    pos_map: VecDeque<u64>,
+    // No live sequence number lies below `base` (the serialized
+    // position map's base: the sequence number after the last retired
+    // entry, or the first dispatched into an empty queue).
+    base: u64,
+    // One past the youngest dispatched sequence number.
+    next_seq: u64,
     dispatched: u64,
     retired: u64,
 
     // ----- Derived classification state (event-maintained; never
     // serialized — rebuilt from the entries on snapshot load). -----
     //
+    // Slots holding a live entry.
+    live: SlotBits,
+    // Stores whose address is still unknown. `boundary` is the oldest
+    // (`NOT_MEM` if none): loads younger than it are blocked on a prior
+    // store address. It only moves forward.
+    unknown_stores: SlotBits,
+    boundary: u64,
+    // Loads with known addresses blocked behind `boundary`; a boundary
+    // advance drains the newly passed range.
+    blocked_loads: SlotBits,
+    // Stores with address and data known, awaiting the completion
+    // frontier. None lies below `eligible_from`; `begin_round` drains
+    // the frontier's side of the cursor into `ready`.
+    eligible_stores: SlotBits,
+    eligible_from: u64,
     // The persistent ready list, in age order (ids are sequence numbers,
     // so strictly increasing): exactly what `ready()` lends the
-    // arbitration round, kept current by the mark_*/retire event
-    // handlers.
+    // arbitration round. `[0, ready_head)` is a stale prefix that
+    // front-side shifts move into and out of.
     ready: Vec<MemRequest>,
-    // First live index of `ready`: arbitration grants remove the oldest
-    // references, so the common removal is a front pop — an O(1) head
-    // bump instead of a memmove. The stale prefix `[0, ready_head)` is
-    // reclaimed once it exceeds `READY_COMPACT`.
     ready_head: usize,
     // Loads that became forwardable since the last round; drained once
     // (the simulator services a reported forward in the same cycle).
     pending_forwards: Vec<u64>,
-    // Stores whose address is still unknown, in age order (dispatch
-    // appends, so the deque stays sorted). The front is the boundary:
-    // loads younger than it are blocked on a prior store address.
-    unknown_stores: VecDeque<u64>,
-    // Stores with address and data known, awaiting the completion
-    // frontier; age-sorted. `begin_round` drains the prefix that
-    // the (monotone) frontier has passed into `ready`.
-    eligible_stores: Vec<u64>,
-    // Loads with known addresses blocked behind `unknown_stores.front()`,
-    // age-sorted; a boundary advance drains the newly unblocked prefix.
-    blocked_prior: Vec<u64>,
-    // Loads blocked on their decider store, as (store seq, load seq)
-    // pairs sorted by store: the store's data arrival forwards the
-    // exact-fit waiters, its retirement releases the rest.
-    dep_waiters: Vec<(u64, u64)>,
     // Current census of blocked (non-issued) loads by category — the
-    // per-cycle stall increments, added in O(1) per collect.
+    // per-cycle stall increments, added in O(1) per round.
     n_addr_unknown: u64,
     n_prior_store: u64,
     n_overlap: u64,
-    // Live stores bucketed by touched 8-byte block, each bucket in age
-    // order; buckets recycle through `block_pool` so the steady state
-    // allocates nothing.
-    block_stores: FibHashMap<Vec<u64>>,
-    block_pool: Vec<Vec<u64>>,
-    // Reusable scratch for event handlers that drain-and-reclassify.
-    scratch: Vec<u64>,
+    // The store-overlap index: the youngest store per bucket of hashed
+    // 8-byte blocks (`NOT_MEM` or a retired store if none is live).
+    store_index: Vec<u64>,
+    index_shift: u32,
 }
 
 impl Lsq {
@@ -175,44 +247,63 @@ impl Lsq {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LSQ needs at least one entry");
-        Self {
-            entries: VecDeque::with_capacity(capacity),
+        let buckets = (2 * capacity).next_power_of_two().max(64);
+        let mut lsq = Self {
+            ring: Vec::new(),
+            mask: 0,
             capacity,
+            len: 0,
             forwards: 0,
             stalls: LsqStalls::default(),
-            pos_base: 0,
-            pos_map: VecDeque::new(),
+            base: 0,
+            next_seq: 0,
             dispatched: 0,
             retired: 0,
+            live: SlotBits::new(0),
+            unknown_stores: SlotBits::new(0),
+            boundary: NOT_MEM,
+            blocked_loads: SlotBits::new(0),
+            eligible_stores: SlotBits::new(0),
+            eligible_from: 0,
             ready: Vec::new(),
             ready_head: 0,
             pending_forwards: Vec::new(),
-            unknown_stores: VecDeque::new(),
-            eligible_stores: Vec::new(),
-            blocked_prior: Vec::new(),
-            dep_waiters: Vec::new(),
             n_addr_unknown: 0,
             n_prior_store: 0,
             n_overlap: 0,
-            block_stores: FibHashMap::default(),
-            block_pool: Vec::new(),
-            scratch: Vec::new(),
-        }
+            store_index: vec![NOT_MEM; buckets],
+            index_shift: 64 - buckets.trailing_zeros(),
+        };
+        lsq.reset_ring(capacity);
+        lsq
+    }
+
+    /// Replaces the ring and its bitmaps with empty ones covering at
+    /// least `span` sequence numbers.
+    fn reset_ring(&mut self, span: usize) {
+        let slots = span.next_power_of_two().max(64);
+        self.ring.clear();
+        self.ring.resize(slots, VACANT);
+        self.mask = slots as u64 - 1;
+        self.live = SlotBits::new(slots);
+        self.unknown_stores = SlotBits::new(slots);
+        self.blocked_loads = SlotBits::new(slots);
+        self.eligible_stores = SlotBits::new(slots);
     }
 
     /// Whether another memory instruction can be dispatched.
     pub fn has_space(&self) -> bool {
-        self.entries.len() < self.capacity
+        self.len < self.capacity
     }
 
     /// Current occupancy.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Total store-to-load forwards so far.
@@ -225,123 +316,173 @@ impl Lsq {
         self.stalls
     }
 
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
+    }
+
+    /// The ring slot of live entry `seq`.
     fn find(&self, seq: u64) -> usize {
-        let ordinal = self
-            .pos_map
-            .get(seq.wrapping_sub(self.pos_base) as usize)
-            .copied()
-            .filter(|&o| o != NOT_MEM)
-            .expect("seq not in LSQ");
-        (ordinal - self.retired) as usize
+        let i = self.slot(seq);
+        assert!(
+            seq >= self.base && self.ring[i].seq == seq,
+            "seq not in LSQ"
+        );
+        i
     }
 
-    fn block_index_add(&mut self, block: u64, seq: u64) {
-        use std::collections::hash_map::Entry;
-        match self.block_stores.entry(block) {
-            Entry::Occupied(mut o) => o.get_mut().push(seq),
-            Entry::Vacant(v) => {
-                let mut bucket = self.block_pool.pop().unwrap_or_default();
-                bucket.push(seq);
-                v.insert(bucket);
+    /// Looks up `seq` without panicking (diagnostics and auditing).
+    fn entry(&self, seq: u64) -> Option<&LsqEntry> {
+        let e = &self.ring[self.slot(seq)];
+        (seq >= self.base && seq < self.next_seq && e.seq == seq).then_some(e)
+    }
+
+    /// The live sequence numbers, oldest first.
+    fn live_seqs(&self) -> impl Iterator<Item = u64> + '_ {
+        let first = self.live.next(self.mask, self.base, self.next_seq);
+        std::iter::successors(first, |&s| self.live.next(self.mask, s + 1, self.next_seq))
+    }
+
+    /// Regrows the ring to the power of two covering `span` sequence
+    /// numbers, moving every live entry and its classification bits.
+    fn grow(&mut self, span: u64) {
+        let old = self.clone();
+        self.reset_ring(span as usize);
+        for s in old.live_seqs() {
+            let (from, to) = (old.slot(s), self.slot(s));
+            self.ring[to] = old.ring[from];
+            for (src, dst) in [
+                (&old.live, &mut self.live),
+                (&old.unknown_stores, &mut self.unknown_stores),
+                (&old.blocked_loads, &mut self.blocked_loads),
+                (&old.eligible_stores, &mut self.eligible_stores),
+            ] {
+                if src.get(from) {
+                    dst.set(to);
+                }
             }
         }
     }
 
-    fn block_index_remove(&mut self, block: u64, seq: u64) {
-        use std::collections::hash_map::Entry;
-        let Entry::Occupied(mut o) = self.block_stores.entry(block) else {
-            debug_assert!(false, "store {seq} missing from block index");
-            return;
-        };
-        let bucket = o.get_mut();
-        match bucket.iter().position(|&s| s == seq) {
-            // Stores retire oldest-first, so the hit is normally index 0.
-            Some(p) => {
-                bucket.remove(p);
-            }
-            None => debug_assert!(false, "store {seq} missing from bucket"),
-        }
-        if bucket.is_empty() {
-            self.block_pool.push(o.remove());
-        }
+    fn bucket(&self, block: u64) -> usize {
+        (block.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.index_shift) as usize
     }
 
-    /// The youngest live store in `block`'s bucket whose bytes overlap
-    /// `[addr, addr + width)`, or `NOT_MEM`.
+    /// The youngest live store chained in `block`'s bucket whose bytes
+    /// overlap `[addr, addr + width)`, or `NOT_MEM`. Chains run from
+    /// young to old, so the walk ends at the first retired store.
     fn youngest_overlap(&self, block: u64, addr: u64, width: u64) -> u64 {
-        let Some(bucket) = self.block_stores.get(&block) else {
-            return NOT_MEM;
-        };
-        for &s_seq in bucket.iter().rev() {
-            let s = &self.entries[self.find(s_seq)];
+        let bucket = self.bucket(block);
+        let mut s_seq = self.store_index[bucket];
+        while s_seq != NOT_MEM && s_seq >= self.base {
+            let s = &self.ring[self.slot(s_seq)];
             if addr < s.addr + s.width && s.addr < addr + width {
                 return s_seq;
             }
+            let first = self.bucket(s.addr >> BLOCK_SHIFT) == bucket;
+            s_seq = s.older[usize::from(!first)];
         }
         NOT_MEM
     }
 
+    /// Inserts `c` in age order, shifting the shorter side: the entries
+    /// in front of it one slot into the stale prefix, or those behind it
+    /// one slot back.
     fn ready_insert(&mut self, c: MemRequest) {
         let h = self.ready_head;
+        let live = self.ready.len() - h;
         let k = self.ready[h..].partition_point(|r| r.id < c.id);
         debug_assert!(self.ready[h..].get(k).is_none_or(|r| r.id != c.id));
-        if k == 0 && h > 0 {
-            // Older than every live entry and a stale front slot is free:
-            // reuse it instead of shifting the whole live region.
+        if 2 * k < live {
+            if h == 0 {
+                // No stale slot left: open a gap as long as the list, so
+                // the copy amortizes over that many front-side inserts.
+                let gap = live.max(16);
+                self.ready.resize(live + gap, c);
+                self.ready.copy_within(0..live, gap);
+                self.ready_head = gap;
+            }
+            let h = self.ready_head;
+            self.ready.copy_within(h..h + k, h - 1);
+            self.ready[h - 1 + k] = c;
             self.ready_head = h - 1;
-            self.ready[h - 1] = c;
         } else {
             self.ready.insert(h + k, c);
         }
     }
 
+    /// Removes `seq` from the ready list, shifting the shorter side;
+    /// whether it was there.
     fn ready_remove(&mut self, seq: u64) -> bool {
         let h = self.ready_head;
+        let live = self.ready.len() - h;
         let k = self.ready[h..].partition_point(|r| r.id < seq);
         if self.ready[h..].get(k).is_none_or(|r| r.id != seq) {
             return false;
         }
-        if k == 0 {
-            // Front pop: leave the slot stale and bump the head; the
-            // prefix is reclaimed in bulk once it grows past
-            // `READY_COMPACT`, keeping removal amortized O(1).
+        if 2 * k < live {
+            self.ready.copy_within(h..h + k, h + 1);
             self.ready_head = h + 1;
-            if self.ready_head >= READY_COMPACT {
-                self.ready.drain(..self.ready_head);
-                self.ready_head = 0;
-            }
+            self.reclaim_stale_prefix();
         } else {
             self.ready.remove(h + k);
         }
         true
     }
 
-    fn eligible_insert(&mut self, seq: u64) {
-        let k = self.eligible_stores.partition_point(|&s| s < seq);
-        self.eligible_stores.insert(k, seq);
+    /// Drops the stale prefix once it outgrows both `READY_COMPACT` and
+    /// twice the live list, so neither this copy nor the gap a front-side
+    /// insert opens can recur before the other side has paid for it.
+    fn reclaim_stale_prefix(&mut self) {
+        let live = self.ready.len() - self.ready_head;
+        if self.ready_head >= READY_COMPACT.max(2 * live) {
+            self.ready.drain(..self.ready_head);
+            self.ready_head = 0;
+        }
+    }
+
+    fn make_eligible(&mut self, seq: u64) {
+        self.eligible_stores.set(self.slot(seq));
+        self.eligible_from = self.eligible_from.min(seq);
     }
 
     /// Classifies a load whose address is known and whose prior store
     /// addresses are all resolved: forward, wait on the decider store, or
     /// join the ready list.
     fn dep_check(&mut self, load: u64) {
-        let i = self.find(load);
+        let i = self.slot(load);
         let (dep, exact, addr) = {
-            let e = &self.entries[i];
+            let e = &self.ring[i];
             debug_assert!(!e.is_store && e.addr_known && !e.issued);
             (e.dep_store, e.exact_fit, e.addr)
         };
-        if dep != NOT_MEM && dep >= self.pos_base {
-            let s = &self.entries[self.find(dep)];
-            if exact && s.data_known {
+        if dep != NOT_MEM && dep >= self.base {
+            let si = self.slot(dep);
+            if exact && self.ring[si].data_known {
                 self.pending_forwards.push(load);
             } else {
-                let k = self.dep_waiters.partition_point(|&p| p < (dep, load));
-                self.dep_waiters.insert(k, (dep, load));
+                self.ring[i].waiters = self.ring[si].waiters;
+                self.ring[si].waiters = load;
                 self.n_overlap += 1;
             }
         } else {
             self.ready_insert(MemRequest::load(load, addr));
+        }
+    }
+
+    /// Moves the prior-store boundary past `old` (whose address just
+    /// became known, or which retired) to the next unknown-address
+    /// store, and reclassifies the blocked loads it passed.
+    fn advance_boundary(&mut self, old: u64) {
+        let end = self.next_seq;
+        let next = self.unknown_stores.next(self.mask, old + 1, end);
+        self.boundary = next.unwrap_or(NOT_MEM);
+        let stop = next.unwrap_or(end);
+        let mut from = old + 1;
+        while let Some(load) = self.blocked_loads.next(self.mask, from, stop) {
+            self.blocked_loads.clear(self.slot(load));
+            self.n_prior_store -= 1;
+            self.dep_check(load);
+            from = load + 1;
         }
     }
 
@@ -354,45 +495,24 @@ impl Lsq {
     /// Panics if the queue is full or `seq` is not increasing.
     pub fn dispatch(&mut self, seq: u64, addr: u64, width: u64, is_store: bool) {
         assert!(self.has_space(), "dispatch into full LSQ");
-        if let Some(back) = self.entries.back() {
-            assert!(back.seq < seq, "LSQ dispatch out of order");
-        }
-        if self.entries.is_empty() {
-            self.pos_map.clear();
-            self.pos_base = seq;
-        }
-        while self.pos_map.len() < (seq - self.pos_base) as usize {
-            self.pos_map.push_back(NOT_MEM);
-        }
-        self.pos_map.push_back(self.dispatched);
-        self.dispatched += 1;
-        let mut dep_store = NOT_MEM;
-        let mut exact_fit = false;
-        let (a, b) = blocks_of(addr, width);
-        if is_store {
-            // Dispatch is in age order, so appends keep these sorted.
-            self.unknown_stores.push_back(seq);
-            self.block_index_add(a, seq);
-            if let Some(b) = b {
-                self.block_index_add(b, seq);
+        if self.len == 0 {
+            if seq < self.next_seq {
+                // Numbering restarted below retired entries, which the
+                // ring and the index could mistake for live ones.
+                self.ring.fill(VACANT);
+                self.store_index.fill(NOT_MEM);
             }
+            self.base = seq;
         } else {
-            // Youngest overlapping older store, via the block index; with
-            // two touched blocks the younger of the two hits decides.
-            dep_store = self.youngest_overlap(a, addr, width);
-            if let Some(b) = b {
-                let d2 = self.youngest_overlap(b, addr, width);
-                if d2 != NOT_MEM && (dep_store == NOT_MEM || d2 > dep_store) {
-                    dep_store = d2;
-                }
-            }
-            if dep_store != NOT_MEM {
-                let s = &self.entries[self.find(dep_store)];
-                exact_fit = s.addr == addr && width <= s.width;
-            }
-            self.n_addr_unknown += 1; // loads dispatch with address unknown
+            assert!(self.next_seq <= seq, "LSQ dispatch out of order");
         }
-        self.entries.push_back(LsqEntry {
+        if seq - self.base >= self.ring.len() as u64 {
+            self.grow(seq - self.base + 1);
+        }
+        self.next_seq = seq + 1;
+        self.len += 1;
+        self.dispatched += 1;
+        let mut e = LsqEntry {
             seq,
             addr,
             width,
@@ -400,53 +520,60 @@ impl Lsq {
             addr_known: false,
             data_known: !is_store,
             issued: false,
-            dep_store,
-            exact_fit,
-        });
+            ..VACANT
+        };
+        let (a, b) = blocks_of(addr, width);
+        if is_store {
+            self.unknown_stores.set(self.slot(seq));
+            if self.boundary == NOT_MEM {
+                self.boundary = seq;
+            }
+            let ba = self.bucket(a);
+            e.older[0] = std::mem::replace(&mut self.store_index[ba], seq);
+            if let Some(bb) = b.map(|b| self.bucket(b)).filter(|&bb| bb != ba) {
+                e.older[1] = std::mem::replace(&mut self.store_index[bb], seq);
+            }
+        } else {
+            // Youngest overlapping older store, via the index; with two
+            // touched blocks the younger of the two hits decides.
+            let mut dep = self.youngest_overlap(a, addr, width);
+            if let Some(b) = b {
+                let d2 = self.youngest_overlap(b, addr, width);
+                if d2 != NOT_MEM && (dep == NOT_MEM || d2 > dep) {
+                    dep = d2;
+                }
+            }
+            if dep != NOT_MEM {
+                let s = &self.ring[self.slot(dep)];
+                e.exact_fit = s.addr == addr && width <= s.width;
+            }
+            e.dep_store = dep;
+            self.n_addr_unknown += 1; // loads dispatch with address unknown
+        }
+        let i = self.slot(seq);
+        self.ring[i] = e;
+        self.live.set(i);
     }
 
     /// Records that `seq`'s effective address has been computed.
     pub fn mark_addr_known(&mut self, seq: u64) {
         let i = self.find(seq);
-        if self.entries[i].addr_known {
+        if self.ring[i].addr_known {
             return;
         }
-        self.entries[i].addr_known = true;
-        if self.entries[i].is_store {
-            let eligible = self.entries[i].data_known && !self.entries[i].issued;
-            let was_front = self.unknown_stores.front() == Some(&seq);
-            if was_front {
-                self.unknown_stores.pop_front();
-            } else {
-                let k = self.unknown_stores.partition_point(|&s| s < seq);
-                debug_assert_eq!(self.unknown_stores.get(k), Some(&seq));
-                self.unknown_stores.remove(k);
+        self.ring[i].addr_known = true;
+        if self.ring[i].is_store {
+            self.unknown_stores.clear(i);
+            if self.ring[i].data_known && !self.ring[i].issued {
+                self.make_eligible(seq);
             }
-            if eligible {
-                self.eligible_insert(seq);
-            }
-            if was_front {
-                // The prior-store boundary advanced: loads older than the
-                // new boundary are no longer blocked on store addresses.
-                let boundary = self.unknown_stores.front().copied().unwrap_or(u64::MAX);
-                let k = self.blocked_prior.partition_point(|&l| l < boundary);
-                if k > 0 {
-                    self.n_prior_store -= k as u64;
-                    let mut tmp = std::mem::take(&mut self.scratch);
-                    tmp.extend(self.blocked_prior.drain(..k));
-                    for &load in &tmp {
-                        self.dep_check(load);
-                    }
-                    tmp.clear();
-                    self.scratch = tmp;
-                }
+            if self.boundary == seq {
+                self.advance_boundary(seq);
             }
         } else {
             self.n_addr_unknown -= 1;
-            let boundary = self.unknown_stores.front().copied().unwrap_or(u64::MAX);
-            if boundary < seq {
-                let k = self.blocked_prior.partition_point(|&l| l < seq);
-                self.blocked_prior.insert(k, seq);
+            if self.boundary < seq {
+                self.blocked_loads.set(i);
                 self.n_prior_store += 1;
             } else {
                 self.dep_check(seq);
@@ -457,48 +584,104 @@ impl Lsq {
     /// Records that a store's data operand has been produced.
     pub fn mark_data_known(&mut self, seq: u64) {
         let i = self.find(seq);
-        debug_assert!(self.entries[i].is_store);
-        if self.entries[i].data_known {
+        debug_assert!(self.ring[i].is_store);
+        if self.ring[i].data_known {
             return;
         }
-        self.entries[i].data_known = true;
-        if self.entries[i].addr_known && !self.entries[i].issued {
-            self.eligible_insert(seq);
+        self.ring[i].data_known = true;
+        if self.ring[i].addr_known && !self.ring[i].issued {
+            self.make_eligible(seq);
         }
         // Exact-fit waiters on this store can forward now; partial
         // overlaps keep waiting for it to leave the queue.
-        let lo = self.dep_waiters.partition_point(|&(s, _)| s < seq);
-        let mut hi = self.dep_waiters.partition_point(|&(s, _)| s <= seq);
-        let mut k = lo;
-        while k < hi {
-            let (_, load) = self.dep_waiters[k];
-            if self.entries[self.find(load)].exact_fit {
-                self.dep_waiters.remove(k);
-                hi -= 1;
+        let mut load = std::mem::replace(&mut self.ring[i].waiters, NOT_MEM);
+        let mut kept = NOT_MEM;
+        while load != NOT_MEM {
+            let li = self.slot(load);
+            let next = self.ring[li].waiters;
+            if self.ring[li].exact_fit {
+                self.ring[li].waiters = NOT_MEM;
                 self.n_overlap -= 1;
                 self.pending_forwards.push(load);
             } else {
-                k += 1;
+                self.ring[li].waiters = kept;
+                kept = load;
             }
+            load = next;
         }
+        self.ring[i].waiters = kept;
     }
 
     /// Records that `seq` has been granted its cache access.
     pub fn mark_issued(&mut self, seq: u64) {
         let i = self.find(seq);
-        if self.entries[i].issued {
+        if self.ring[i].issued {
             return;
         }
-        self.entries[i].issued = true;
+        self.ring[i].issued = true;
         let removed = self.ready_remove(seq);
         debug_assert!(removed, "issued entry {seq} was not ready");
+    }
+
+    /// Records that the references at `picks` — indices into this
+    /// round's [`ready`](Self::ready) slice, in any order, a repeated
+    /// index counted once — have been granted their cache accesses: the
+    /// round's serviced grants, removed in one pass over the shorter
+    /// side of the list. Equivalent to [`mark_issued`](Self::mark_issued)
+    /// on each picked id. Sorts and dedups `picks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of the ready slice's bounds.
+    pub fn issue_granted(&mut self, picks: &mut Vec<usize>) {
+        picks.sort_unstable();
+        picks.dedup();
+        let (Some(&first), Some(&last)) = (picks.first(), picks.last()) else {
+            return;
+        };
+        let h = self.ready_head;
+        let live = self.ready.len() - h;
+        assert!(
+            last < live,
+            "grant index {last} outside a ready list of {live}"
+        );
+        for &p in picks.iter() {
+            let i = self.slot(self.ready[h + p].id);
+            self.ring[i].issued = true;
+        }
+        let m = picks.len();
+        if last + 1 - m <= live - first - m {
+            // Front side: the survivors before `last` move back into the
+            // stale prefix, younger ones first.
+            let mut next = picks.iter().rev().peekable();
+            let mut dst = h + last + 1;
+            for k in (0..=last).rev() {
+                if next.next_if_eq(&&k).is_none() {
+                    dst -= 1;
+                    self.ready[dst] = self.ready[h + k];
+                }
+            }
+            self.ready_head = h + m;
+            self.reclaim_stale_prefix();
+        } else {
+            // Back side: the survivors after `first` move forward.
+            let mut next = picks.iter().peekable();
+            let mut dst = h + first;
+            for k in first..live {
+                if next.next_if_eq(&&k).is_none() {
+                    self.ready[dst] = self.ready[h + k];
+                    dst += 1;
+                }
+            }
+            self.ready.truncate(dst);
+        }
     }
 
     /// Records that a load was serviced by forwarding (also counts it).
     pub fn mark_forwarded(&mut self, seq: u64) {
         let i = self.find(seq);
-        debug_assert!(!self.entries[i].is_store);
-        self.entries[i].issued = true;
+        debug_assert!(!self.ring[i].is_store);
+        self.ring[i].issued = true;
         self.forwards += 1;
         // Normally a no-op: a forwarded load was never cache-ready. Kept
         // for callers that force a forward on a ready load.
@@ -511,115 +694,87 @@ impl Lsq {
     ///
     /// Panics if the front entry is not `seq`.
     pub fn retire(&mut self, seq: u64) {
-        let front = self.entries.pop_front().expect("retire from empty LSQ");
-        assert_eq!(front.seq, seq, "LSQ retire out of order");
-        let covered = (seq - self.pos_base + 1) as usize;
-        self.pos_map.drain(..covered);
-        self.pos_base = seq + 1;
+        let front = self.live.next(self.mask, self.base, self.next_seq);
+        assert_eq!(
+            front.expect("retire from empty LSQ"),
+            seq,
+            "LSQ retire out of order"
+        );
+        let i = self.slot(seq);
+        let e = self.ring[i];
+        self.live.clear(i);
+        self.len -= 1;
+        self.base = seq + 1;
         self.retired += 1;
-        if front.is_store {
-            let (a, b) = blocks_of(front.addr, front.width);
-            self.block_index_remove(a, seq);
-            if let Some(b) = b {
-                self.block_index_remove(b, seq);
-            }
-            if front.addr_known {
-                // An unissued store may still sit in the eligibility or
-                // ready queues (only possible when a caller retires it
-                // without issuing — never on the committed path).
-                if !front.issued && front.data_known {
-                    let k = self.eligible_stores.partition_point(|&s| s < seq);
-                    if self.eligible_stores.get(k) == Some(&seq) {
-                        self.eligible_stores.remove(k);
+        if e.is_store {
+            if e.addr_known {
+                // An unissued store may still sit in the eligibility set
+                // or the ready list (only possible when a caller retires
+                // it without issuing — never on the committed path).
+                if !e.issued && e.data_known {
+                    if self.eligible_stores.get(i) {
+                        self.eligible_stores.clear(i);
                     } else {
                         self.ready_remove(seq);
                     }
                 }
             } else {
                 // The oldest store: if its address never resolved it is
-                // the unknown-address front, and its departure advances
-                // the prior-store boundary.
-                debug_assert_eq!(self.unknown_stores.front(), Some(&seq));
-                self.unknown_stores.pop_front();
-                let boundary = self.unknown_stores.front().copied().unwrap_or(u64::MAX);
-                let k = self.blocked_prior.partition_point(|&l| l < boundary);
-                if k > 0 {
-                    self.n_prior_store -= k as u64;
-                    let mut tmp = std::mem::take(&mut self.scratch);
-                    tmp.extend(self.blocked_prior.drain(..k));
-                    for &load in &tmp {
-                        self.dep_check(load);
-                    }
-                    tmp.clear();
-                    self.scratch = tmp;
-                }
+                // the boundary, and its departure advances it.
+                debug_assert_eq!(self.boundary, seq);
+                self.unknown_stores.clear(i);
+                self.advance_boundary(seq);
             }
             // Loads that waited for this store to leave the queue are
             // clear: their address is known, the boundary is past them,
             // and their decider is gone — straight to the ready list.
-            let lo = self.dep_waiters.partition_point(|&(s, _)| s < seq);
-            let hi = self.dep_waiters.partition_point(|&(s, _)| s <= seq);
-            if lo < hi {
-                self.n_overlap -= (hi - lo) as u64;
-                let mut tmp = std::mem::take(&mut self.scratch);
-                tmp.extend(self.dep_waiters.drain(lo..hi).map(|(_, l)| l));
-                for &load in &tmp {
-                    let addr = self.entries[self.find(load)].addr;
-                    self.ready_insert(MemRequest::load(load, addr));
-                }
-                tmp.clear();
-                self.scratch = tmp;
+            let mut load = e.waiters;
+            while load != NOT_MEM {
+                let li = self.slot(load);
+                let next = std::mem::replace(&mut self.ring[li].waiters, NOT_MEM);
+                self.n_overlap -= 1;
+                self.ready_insert(MemRequest::load(load, self.ring[li].addr));
+                load = next;
             }
-        } else if !front.issued {
+        } else if !e.issued {
             // An unserviced load leaves whichever category held it (only
-            // possible when a caller retires it without issuing).
-            if !front.addr_known {
+            // possible when a caller retires it without issuing). It
+            // cannot be waiting: its decider store would be older.
+            if !e.addr_known {
                 self.n_addr_unknown -= 1;
+            } else if self.blocked_loads.get(i) {
+                self.blocked_loads.clear(i);
+                self.n_prior_store -= 1;
+            } else if let Some(p) = self.pending_forwards.iter().position(|&l| l == seq) {
+                self.pending_forwards.remove(p);
             } else {
-                let k = self.blocked_prior.partition_point(|&l| l < seq);
-                if self.blocked_prior.get(k) == Some(&seq) {
-                    self.blocked_prior.remove(k);
-                    self.n_prior_store -= 1;
-                } else if let Some(p) = self
-                    .dep_waiters
-                    .iter()
-                    .position(|&w| w == (front.dep_store, seq))
-                {
-                    self.dep_waiters.remove(p);
-                    self.n_overlap -= 1;
-                } else if let Some(p) = self.pending_forwards.iter().position(|&l| l == seq) {
-                    self.pending_forwards.remove(p);
-                } else {
-                    self.ready_remove(seq);
-                }
+                let removed = self.ready_remove(seq);
+                debug_assert!(removed, "retired load {seq} was in no category");
             }
         }
     }
 
     /// Opens this cycle's round: promotes stores the completion frontier
     /// has newly passed into the ready list and accrues this cycle's
-    /// stall counters from the maintained blocked-load census. O(newly
-    /// eligible stores), not O(occupancy). The round's sets are then
-    /// [`ready`](Self::ready) and [`take_forwards`](Self::take_forwards).
+    /// stall counters from the maintained blocked-load census. The
+    /// eligible-store scan runs from its cursor to the frontier, so its
+    /// cost is the frontier's advance, not the occupancy. The round's
+    /// sets are then [`ready`](Self::ready) and
+    /// [`take_forwards`](Self::take_forwards).
     ///
     /// `oldest_not_done` is the RUU's completion frontier: stores older
     /// than it (i.e. with every older instruction complete) may perform
-    /// their commit-time cache access. The frontier must be monotone
-    /// across calls (it is: the RUU's Done prefix only grows).
+    /// their commit-time cache access.
     pub fn begin_round(&mut self, oldest_not_done: u64) {
-        let k = self
-            .eligible_stores
-            .partition_point(|&s| s < oldest_not_done);
-        if k > 0 {
-            let mut tmp = std::mem::take(&mut self.scratch);
-            tmp.extend(self.eligible_stores.drain(..k));
-            for &s in &tmp {
-                let addr = self.entries[self.find(s)].addr;
-                self.ready_insert(MemRequest::store(s, addr));
-            }
-            tmp.clear();
-            self.scratch = tmp;
+        let end = oldest_not_done.min(self.next_seq);
+        let mut from = self.eligible_from.max(self.base);
+        while let Some(s) = self.eligible_stores.next(self.mask, from, end) {
+            let i = self.slot(s);
+            self.eligible_stores.clear(i);
+            self.ready_insert(MemRequest::store(s, self.ring[i].addr));
+            from = s + 1;
         }
+        self.eligible_from = self.eligible_from.max(end);
         self.stalls.addr_unknown += self.n_addr_unknown;
         self.stalls.prior_store_addr += self.n_prior_store;
         self.stalls.store_overlap += self.n_overlap;
@@ -628,8 +783,9 @@ impl Lsq {
     /// This round's cache-ready references, borrowed in place, oldest
     /// first — the whole of what the port model's round reads. Ids are
     /// LSQ sequence numbers, the keys the `mark_*` calls take. Valid
-    /// until the next `mark_*` or [`retire`](Self::retire) call mutates
-    /// the ready list. Call after [`begin_round`](Self::begin_round).
+    /// until the next `mark_*`, [`issue_granted`](Self::issue_granted)
+    /// or [`retire`](Self::retire) call mutates the ready list. Call
+    /// after [`begin_round`](Self::begin_round).
     pub fn ready(&self) -> &[MemRequest] {
         &self.ready[self.ready_head..]
     }
@@ -653,7 +809,6 @@ impl Lsq {
     /// frontier). A pure observer: it recomputes legality independently
     /// of the classification events. Checks:
     ///
-    /// * queue entries are in strict age order (`lsq-age-order`);
     /// * the cache-ready list is in strict age order (`lsq-ready-order`);
     /// * every ready store has all operands, was not already issued, and
     ///   sits behind the completion frontier (`lsq-store-early`);
@@ -667,20 +822,6 @@ impl Lsq {
         out: &mut Vec<hbdc_core::Violation>,
     ) {
         use hbdc_core::Violation;
-        for w in self
-            .entries
-            .iter()
-            .zip(self.entries.iter().skip(1))
-            .filter(|(a, b)| a.seq >= b.seq)
-        {
-            out.push(Violation::new(
-                "lsq-age-order",
-                format!(
-                    "queue entries out of age order: {} then {}",
-                    w.0.seq, w.1.seq
-                ),
-            ));
-        }
         for w in ready.windows(2).filter(|w| w[0].id >= w[1].id) {
             out.push(Violation::new(
                 "lsq-ready-order",
@@ -720,24 +861,16 @@ impl Lsq {
         }
     }
 
-    /// Looks up `seq` without panicking (diagnostics and auditing).
-    fn entry(&self, seq: u64) -> Option<&LsqEntry> {
-        let ordinal = self
-            .pos_map
-            .get(seq.wrapping_sub(self.pos_base) as usize)
-            .copied()
-            .filter(|&o| o != NOT_MEM)?;
-        self.entries.get((ordinal - self.retired) as usize)
-    }
-
     /// Serializes the queue: every entry with its full ordering state,
-    /// the forward/stall counters, and the seq→index position map. The
+    /// the forward/stall counters, and the seq→dispatch-ordinal position
+    /// map of the queue's earlier layout, regenerated from the ring. The
     /// event-maintained classification structures are derived state and
     /// are rebuilt on load, so the byte format is unchanged from the
     /// scan-based implementation.
     pub fn save_state(&self, w: &mut StateWriter) {
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
+        w.put_usize(self.len);
+        for s in self.live_seqs() {
+            let e = &self.ring[self.slot(s)];
             w.put_u64(e.seq);
             w.put_u64(e.addr);
             w.put_u64(e.width);
@@ -752,10 +885,23 @@ impl Lsq {
         w.put_u64(self.stalls.addr_unknown);
         w.put_u64(self.stalls.prior_store_addr);
         w.put_u64(self.stalls.store_overlap);
-        w.put_u64(self.pos_base);
-        w.put_usize(self.pos_map.len());
-        for &o in &self.pos_map {
-            w.put_u64(o);
+        // The map covers `base` through the youngest entry; each live
+        // sequence number holds its dispatch ordinal, every gap NOT_MEM.
+        w.put_u64(self.base);
+        let span = if self.len == 0 {
+            0
+        } else {
+            self.next_seq - self.base
+        };
+        w.put_u64(span);
+        let mut ordinal = self.retired;
+        for s in self.base..self.base + span {
+            if self.entry(s).is_some() {
+                w.put_u64(ordinal);
+                ordinal += 1;
+            } else {
+                w.put_u64(NOT_MEM);
+            }
         }
         w.put_u64(self.dispatched);
         w.put_u64(self.retired);
@@ -768,18 +914,21 @@ impl Lsq {
     /// # Errors
     ///
     /// Returns [`SnapError::Corrupt`] if the stream holds more entries
-    /// than this queue's capacity.
+    /// than this queue's capacity, entries out of age order, a position
+    /// map or dispatch count that disagrees with the entries, or a load
+    /// whose live decider is not an older store in the queue.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
+        let corrupt = |what: String| Err(SnapError::Corrupt(format!("LSQ snapshot {what}")));
         let n = r.get_usize()?;
         if n > self.capacity {
-            return Err(SnapError::Corrupt(format!(
-                "LSQ snapshot holds {n} entries but capacity is {}",
+            return corrupt(format!(
+                "holds {n} entries but capacity is {}",
                 self.capacity
-            )));
+            ));
         }
-        self.entries.clear();
+        let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
-            self.entries.push_back(LsqEntry {
+            entries.push(LsqEntry {
                 seq: r.get_u64()?,
                 addr: r.get_u64()?,
                 width: r.get_u64()?,
@@ -789,77 +938,135 @@ impl Lsq {
                 issued: r.get_bool()?,
                 dep_store: r.get_u64()?,
                 exact_fit: r.get_bool()?,
+                ..VACANT
             });
         }
-        self.forwards = r.get_u64()?;
-        self.stalls.addr_unknown = r.get_u64()?;
-        self.stalls.prior_store_addr = r.get_u64()?;
-        self.stalls.store_overlap = r.get_u64()?;
-        self.pos_base = r.get_u64()?;
-        let map_len = r.get_usize()?;
-        self.pos_map.clear();
-        for _ in 0..map_len {
-            self.pos_map.push_back(r.get_u64()?);
+        let forwards = r.get_u64()?;
+        let stalls = LsqStalls {
+            addr_unknown: r.get_u64()?,
+            prior_store_addr: r.get_u64()?,
+            store_overlap: r.get_u64()?,
+        };
+        let base = r.get_u64()?;
+        let map_len = r.get_u64()?;
+        if entries.windows(2).any(|w| w[0].seq >= w[1].seq) {
+            return corrupt("holds entries out of age order".to_string());
         }
-        self.dispatched = r.get_u64()?;
-        self.retired = r.get_u64()?;
-        self.rebuild_derived();
+        let span = match (entries.first(), entries.last()) {
+            (Some(f), _) if f.seq < base => {
+                return corrupt(format!("entry {} precedes its map base {base}", f.seq))
+            }
+            (_, Some(l)) => match (l.seq - base).checked_add(1) {
+                Some(span) => span,
+                None => return corrupt("spans every sequence number".to_string()),
+            },
+            _ => 0,
+        };
+        if map_len != span {
+            return corrupt(format!(
+                "position map covers {map_len} sequence numbers, the entries {span}"
+            ));
+        }
+        let mut map = Vec::new();
+        for _ in 0..map_len {
+            map.push(r.get_u64()?);
+        }
+        let dispatched = r.get_u64()?;
+        let retired = r.get_u64()?;
+        if retired.checked_add(n as u64) != Some(dispatched) {
+            return corrupt(format!(
+                "counts {dispatched} dispatched and {retired} retired for {n} entries"
+            ));
+        }
+        let mut k = 0;
+        for (s, &ordinal) in (base..).zip(&map) {
+            let want = match entries.get(k) {
+                Some(e) if e.seq == s => {
+                    k += 1;
+                    retired + k as u64 - 1
+                }
+                _ => NOT_MEM,
+            };
+            if ordinal != want {
+                return corrupt(format!(
+                    "position map gives sequence number {s} ordinal {ordinal}, not {want}"
+                ));
+            }
+        }
+        for e in entries.iter().filter(|e| !e.is_store) {
+            let dep = e.dep_store;
+            let decider_ok = dep == NOT_MEM
+                || dep < base
+                || entries
+                    .binary_search_by_key(&dep, |s| s.seq)
+                    .is_ok_and(|j| entries[j].is_store && dep < e.seq);
+            if !decider_ok {
+                return corrupt(format!("load {} names {dep} as its decider store", e.seq));
+            }
+        }
+
+        self.forwards = forwards;
+        self.stalls = stalls;
+        self.base = base;
+        self.next_seq = entries.last().map_or(base, |e| e.seq + 1);
+        self.len = n;
+        self.dispatched = dispatched;
+        self.retired = retired;
+        self.rebuild_derived(&entries, span as usize);
         Ok(())
     }
 
-    /// Recomputes every derived classification structure from the entry
-    /// list — one pass of exactly the old per-cycle scan's logic, run
-    /// once per snapshot load instead of once per cycle.
-    fn rebuild_derived(&mut self) {
+    /// Places `entries` (age-ordered, spanning `span` sequence numbers)
+    /// in a fresh ring and recomputes every derived classification
+    /// structure from them — one pass of the §2.1 rules, run once per
+    /// snapshot load.
+    fn rebuild_derived(&mut self, entries: &[LsqEntry], span: usize) {
+        self.reset_ring(span.max(self.capacity));
+        self.store_index.fill(NOT_MEM);
+        self.boundary = NOT_MEM;
+        self.eligible_from = self.base;
         self.ready.clear();
         self.ready_head = 0;
         self.pending_forwards.clear();
-        self.unknown_stores.clear();
-        self.eligible_stores.clear();
-        self.blocked_prior.clear();
-        self.dep_waiters.clear();
         self.n_addr_unknown = 0;
         self.n_prior_store = 0;
         self.n_overlap = 0;
-        for (_, mut bucket) in self.block_stores.drain() {
-            bucket.clear();
-            self.block_pool.push(bucket);
-        }
-        let mut prior_known = true;
-        for idx in 0..self.entries.len() {
-            let e = self.entries[idx];
+        for e in entries {
+            let i = self.slot(e.seq);
+            self.ring[i] = *e;
+            self.live.set(i);
             if e.is_store {
                 let (a, b) = blocks_of(e.addr, e.width);
-                self.block_index_add(a, e.seq);
-                if let Some(b) = b {
-                    self.block_index_add(b, e.seq);
+                let ba = self.bucket(a);
+                self.ring[i].older[0] = std::mem::replace(&mut self.store_index[ba], e.seq);
+                if let Some(bb) = b.map(|b| self.bucket(b)).filter(|&bb| bb != ba) {
+                    self.ring[i].older[1] = std::mem::replace(&mut self.store_index[bb], e.seq);
                 }
                 if !e.addr_known {
-                    self.unknown_stores.push_back(e.seq);
+                    self.unknown_stores.set(i);
+                    if self.boundary == NOT_MEM {
+                        self.boundary = e.seq;
+                    }
+                } else if e.data_known && !e.issued {
+                    self.eligible_stores.set(i);
                 }
-                if e.addr_known && e.data_known && !e.issued {
-                    self.eligible_stores.push(e.seq);
-                }
-                prior_known &= e.addr_known;
+            } else if e.issued {
                 continue;
-            }
-            if e.issued {
-                continue;
-            }
-            if !e.addr_known {
+            } else if !e.addr_known {
                 self.n_addr_unknown += 1;
-            } else if !prior_known {
-                self.blocked_prior.push(e.seq);
+            } else if self.boundary < e.seq {
+                self.blocked_loads.set(i);
                 self.n_prior_store += 1;
-            } else if e.dep_store != NOT_MEM && e.dep_store >= self.pos_base {
-                let s = self.entries[self.find(e.dep_store)];
-                if e.exact_fit && s.data_known {
+            } else if e.dep_store != NOT_MEM && e.dep_store >= self.base {
+                let si = self.slot(e.dep_store);
+                if e.exact_fit && self.ring[si].data_known {
                     // Cannot persist at a cycle boundary in a live run
-                    // (the same cycle's collect would have drained it),
-                    // but reproduce the scan's classification regardless.
+                    // (the same cycle's round would have drained it),
+                    // but reproduce the classification regardless.
                     self.pending_forwards.push(e.seq);
                 } else {
-                    self.dep_waiters.push((e.dep_store, e.seq));
+                    self.ring[i].waiters = self.ring[si].waiters;
+                    self.ring[si].waiters = e.seq;
                     self.n_overlap += 1;
                 }
             } else {
@@ -868,15 +1075,13 @@ impl Lsq {
                 self.ready.push(MemRequest::load(e.seq, e.addr));
             }
         }
-        // Entry order gave load-sorted pairs; waiter events need
-        // store-sorted.
-        self.dep_waiters.sort_unstable();
     }
 
     /// One-line occupancy snapshot for watchdog diagnostic dumps.
     pub fn dump(&self) -> String {
         let (mut addr_pending, mut data_pending, mut issued) = (0usize, 0usize, 0usize);
-        for e in &self.entries {
+        for s in self.live_seqs() {
+            let e = &self.ring[self.slot(s)];
             addr_pending += usize::from(!e.addr_known);
             data_pending += usize::from(!e.data_known);
             issued += usize::from(e.issued);
@@ -884,10 +1089,10 @@ impl Lsq {
         format!(
             "LSQ {}/{} (head seq {:?}, tail seq {:?}; {} awaiting address, \
              {} awaiting data, {} issued)",
-            self.entries.len(),
+            self.len,
             self.capacity,
-            self.entries.front().map(|e| e.seq),
-            self.entries.back().map(|e| e.seq),
+            self.live_seqs().next(),
+            (self.len > 0).then(|| self.next_seq - 1),
             addr_pending,
             data_pending,
             issued,
@@ -1201,6 +1406,47 @@ mod tests {
         assert_eq!(lsq.stalls(), restored.stalls());
     }
 
+    #[test]
+    fn load_state_rejects_a_map_that_disagrees_with_the_entries() {
+        let mut lsq = Lsq::new(8);
+        lsq.dispatch(0, 0x100, 4, true);
+        lsq.dispatch(3, 0x100, 4, false); // decides on store 0
+        let mut w = StateWriter::new();
+        lsq.save_state(&mut w);
+        let bytes = w.into_bytes();
+        assert!(Lsq::new(8)
+            .load_state(&mut StateReader::new(&bytes))
+            .is_ok());
+        // Two 37-byte entries, the counters and the map base and length
+        // precede the map; then one u64 per sequence number 0..=3, and the
+        // dispatch and retire counts.
+        let map = 8 + 2 * 37 + 4 * 8 + 8 + 8;
+        let bad = |at: usize, v: u64| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            Lsq::new(8).load_state(&mut StateReader::new(&b))
+        };
+        assert!(
+            matches!(bad(map + 8, 1), Err(SnapError::Corrupt(_))),
+            "gap given an ordinal"
+        );
+        assert!(
+            matches!(bad(map + 24, 0), Err(SnapError::Corrupt(_))),
+            "ordinal repeated"
+        );
+        assert!(
+            matches!(bad(map + 32, 3), Err(SnapError::Corrupt(_))),
+            "dispatch count"
+        );
+        assert!(
+            matches!(bad(map - 8, 3), Err(SnapError::Corrupt(_))),
+            "map length"
+        );
+        // A load whose decider is a live load, not a store.
+        let dep = 8 + 37 + 3 * 8 + 4;
+        assert!(matches!(bad(dep, 3), Err(SnapError::Corrupt(_))), "decider");
+    }
+
     /// Seeded random schedule of dispatches, out-of-order address
     /// resolutions, frontier advances, issues (mostly oldest-first, some
     /// mid-list) and in-order retirements, checking `ready()` against a
@@ -1208,12 +1454,12 @@ mod tests {
     /// disjoint regions and stores resolve at dispatch, so a load is ready
     /// exactly from its address resolution to its issue and a store from
     /// the frontier passing it to its issue. The schedule is long enough
-    /// to cross both ready-list fast paths: the stale-prefix compaction
-    /// at `READY_COMPACT` front pops, and an insert older than every live
-    /// entry reusing a stale front slot.
+    /// to cross both ready-list shift directions: the stale-prefix
+    /// reclaim at `READY_COMPACT` front-side removals, and front-side
+    /// inserts into the stale prefix.
     #[test]
     fn ready_list_matches_reference_under_random_schedule() {
-        use std::collections::BTreeMap;
+        use std::collections::{BTreeMap, VecDeque};
         let mut rng = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move |n: u64| {
             rng ^= rng << 13;
@@ -1227,7 +1473,7 @@ mod tests {
         let mut unknown_loads: Vec<u64> = Vec::new();
         let mut waiting_stores: VecDeque<u64> = VecDeque::new();
         let (mut seq, mut frontier) = (0u64, 0u64);
-        let (mut compactions, mut slot_reuses) = (0u32, 0u32);
+        let (mut compactions, mut front_inserts) = (0u32, 0u32);
         for _ in 0..6000 {
             for _ in 0..next(4) {
                 if !lsq.has_space() {
@@ -1258,7 +1504,7 @@ mod tests {
                 let load = unknown_loads.remove(pick);
                 let head = lsq.ready_head;
                 lsq.mark_addr_known(load);
-                slot_reuses += u32::from(head > 0 && lsq.ready_head == head - 1);
+                front_inserts += u32::from(lsq.ready_head != head);
                 want.insert(load, MemRequest::load(load, load * 8));
             }
             frontier = frontier.max(seq.saturating_sub(next(8)));
@@ -1286,7 +1532,7 @@ mod tests {
                 let id = live[k].id;
                 let head = lsq.ready_head;
                 lsq.mark_issued(id);
-                compactions += u32::from(head + 1 == READY_COMPACT && lsq.ready_head == 0);
+                compactions += u32::from(head + 1 >= READY_COMPACT && lsq.ready_head == 0);
                 want.remove(&id);
                 let pos = in_queue.partition_point(|&(s, _)| s < id);
                 in_queue[pos].1 = true;
@@ -1298,7 +1544,56 @@ mod tests {
             assert!(lsq.ready().iter().eq(want.values()), "ready list diverged");
         }
         assert!(compactions > 0, "schedule never compacted the ready list");
-        assert!(slot_reuses > 0, "schedule never reused a stale front slot");
+        assert!(front_inserts > 0, "schedule never shifted the front side");
+    }
+
+    /// `issue_granted` leaves the queue exactly as per-id `mark_issued`
+    /// calls do, for picks in any order, repeated (a duplicated grant)
+    /// or beyond a model's peak, on either side of the list.
+    #[test]
+    fn issue_granted_matches_per_id_mark_issued() {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut lsq = Lsq::new(64);
+        let mut seq = 0;
+        for _ in 0..400 {
+            while lsq.has_space() && next(3) > 0 {
+                lsq.dispatch(seq, 0x1000 + 8 * seq, 8, false);
+                lsq.mark_addr_known(seq);
+                seq += 1 + next(3);
+            }
+            lsq.begin_round(0);
+            let live = lsq.ready().len() as u64;
+            if live == 0 {
+                continue;
+            }
+            let mut picks: Vec<usize> = (0..1 + next(6)).map(|_| next(live) as usize).collect();
+            if next(2) == 0 {
+                picks.push(picks[0]); // the duplicated grant
+            }
+            let ids: Vec<u64> = picks.iter().map(|&p| lsq.ready()[p].id).collect();
+            let mut by_id = lsq.clone();
+            for id in ids {
+                by_id.mark_issued(id);
+            }
+            lsq.issue_granted(&mut picks);
+            assert_eq!(lsq.ready(), by_id.ready());
+            let (mut a, mut b) = (StateWriter::new(), StateWriter::new());
+            lsq.save_state(&mut a);
+            by_id.save_state(&mut b);
+            assert_eq!(a.into_bytes(), b.into_bytes());
+            while let Some(s) = (0..seq).find(|&s| lsq.entry(s).is_some()) {
+                if !lsq.entry(s).unwrap().issued {
+                    break;
+                }
+                lsq.retire(s);
+            }
+        }
     }
 
     #[test]

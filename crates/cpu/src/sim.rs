@@ -1,6 +1,6 @@
 //! The cycle-by-cycle pipeline simulator.
 
-use hbdc_core::{MemRequest, PortConfig, PortModel, Violation};
+use hbdc_core::{PortConfig, PortModel, Violation};
 use hbdc_isa::Program;
 use hbdc_mem::{Hierarchy, HierarchyConfig};
 use hbdc_snap::clock::thread_cpu_time;
@@ -139,8 +139,8 @@ pub struct Simulator {
     // loop performs no heap allocation in steady state.
     issue_buf: Vec<u64>,
     forwards_buf: Vec<u64>,
-    reqs_buf: Vec<MemRequest>,
     granted_buf: Vec<usize>,
+    serviced_buf: Vec<usize>,
     commit_buf: Vec<crate::window::Retired>,
     // Auditor scratch: stays empty (and allocation-free) on clean cycles.
     audit_buf: Vec<Violation>,
@@ -367,7 +367,7 @@ impl Simulator {
             last_commit_cycle: 0,
             issue_buf: Vec::new(),
             forwards_buf: Vec::new(),
-            reqs_buf: Vec::new(),
+            serviced_buf: Vec::new(),
             granted_buf: Vec::new(),
             commit_buf: Vec::new(),
             audit_buf: Vec::new(),
@@ -484,23 +484,23 @@ impl Simulator {
                 });
             }
         }
-        // Grants are copied out: servicing them mutates the ready list.
-        self.reqs_buf.clear();
-        self.reqs_buf
-            .extend(self.granted_buf.iter().map(|&g| ready[g]));
-        for k in 0..self.reqs_buf.len() {
-            let c = self.reqs_buf[k];
+        // Every grant reaches the hierarchy (a duplicated one twice); the
+        // serviced ones leave the ready list together afterwards.
+        self.serviced_buf.clear();
+        for &g in &self.granted_buf {
+            let c = ready[g];
             let outcome = self.hier.access(c.addr, c.is_store, self.now);
             if outcome.rejected {
                 continue; // MSHRs full: retry next cycle
             }
-            self.lsq.mark_issued(c.id);
+            self.serviced_buf.push(g);
             if c.is_store {
                 self.window.mark_access_done(c.id);
             } else {
                 self.window.set_complete_at(c.id, outcome.ready_at);
             }
         }
+        self.lsq.issue_granted(&mut self.serviced_buf);
         Ok(())
     }
 
@@ -1171,7 +1171,7 @@ mod front_end_tests {
 #[cfg(test)]
 mod robustness_tests {
     use super::*;
-    use hbdc_core::{ArbStats, FaultClass, FaultInjector};
+    use hbdc_core::{ArbStats, FaultClass, FaultInjector, MemRequest};
     use hbdc_isa::asm::assemble;
 
     /// A port model that never grants anything: memory instructions wedge
@@ -1431,6 +1431,88 @@ mod robustness_tests {
         .run()
         .unwrap();
         assert!(r.committed > 0);
+    }
+
+    /// Counts every grant a wrapped model hands out, repeats included.
+    struct CountGrants {
+        inner: FaultInjector,
+        grants: std::rc::Rc<std::cell::Cell<(u64, u64)>>, // (grants, fired rounds)
+    }
+
+    impl PortModel for CountGrants {
+        fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) {
+            self.inner.arbitrate_into(ready, granted);
+            let (n, fired) = self.grants.get();
+            let fired_now = u64::from(self.inner.fired_last_round());
+            self.grants
+                .set((n + granted.len() as u64, fired + fired_now));
+        }
+        fn tick(&mut self) {
+            self.inner.tick();
+        }
+        fn peak_per_cycle(&self) -> usize {
+            self.inner.peak_per_cycle()
+        }
+        fn label(&self) -> String {
+            self.inner.label()
+        }
+        fn stats(&self) -> &ArbStats {
+            self.inner.stats()
+        }
+    }
+
+    /// Only stores touch memory, so every grant is a store's.
+    const STRIDED_STORES: &str = ".data\nv: .space 4096\n.text\nmain:\n la r8, v\n li r9, 64\n\
+        loop:\n sw r9, 0(r8)\n sw r9, 64(r8)\n sw r9, 128(r8)\n\
+        addi r8, r8, 8\n addi r9, r9, -1\n bnez r9, loop\n halt\n";
+
+    #[test]
+    fn injected_repeat_and_overflow_grants_are_serviced_unaudited() {
+        // A repeated grant index reaches the hierarchy twice but leaves
+        // the ready list once; an extra grant past the peak is serviced
+        // like any other. Either way the run completes with every grant
+        // counted as an L1 access (MSHRs are plentiful, so none is
+        // rejected) and every instruction committed. The repeated grant
+        // runs on stores alone: a repeated load grant would schedule the
+        // load's completion twice, which the window rejects.
+        let hier = HierarchyConfig {
+            mshr_entries: 1024,
+            ..HierarchyConfig::default()
+        };
+        for (src, port, class) in [
+            (
+                STRIDED_STORES,
+                PortConfig::banked(2),
+                FaultClass::DuplicateGrant,
+            ),
+            (
+                STRIDED_LOADS,
+                PortConfig::Ideal { ports: 2 },
+                FaultClass::PeakOverflow,
+            ),
+        ] {
+            let p = assemble(src).unwrap();
+            let clean = Simulator::new(&p, CpuConfig::default(), hier, port)
+                .run()
+                .unwrap();
+            let grants = std::rc::Rc::new(std::cell::Cell::new((0, 0)));
+            let model = CountGrants {
+                inner: FaultInjector::new(port, 32, class, 7).unwrap(),
+                grants: grants.clone(),
+            };
+            let cpu = CpuConfig {
+                audit: false,
+                ..CpuConfig::default()
+            };
+            let r = Simulator::with_port_model(&p, cpu, hier, Box::new(model))
+                .run()
+                .unwrap();
+            let (n, fired) = grants.get();
+            assert!(fired > 0, "{class:?} never fired");
+            assert_eq!(r.l1_accesses, n, "{class:?}: every grant is an access");
+            assert_eq!(r.committed, clean.committed, "{class:?}");
+            assert_eq!(r.loads + r.stores, clean.loads + clean.stores, "{class:?}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::path::Path;
 
 use hbdc_core::{PortConfig, PortModel};
-use hbdc_snap::{open, seal, write_atomic, SnapError, StateReader, StateWriter};
+use hbdc_snap::{open, write_atomic, SnapError, StateReader, StateWriter};
 
 use crate::dynamic::DynInst;
 use crate::error::SimError;
@@ -137,7 +137,7 @@ impl Simulator {
     /// [`step_cycle`](Self::step_cycle) returns); the per-cycle scratch
     /// buffers are then empty and excluded by construction.
     pub fn save_snapshot(&self) -> SimSnapshot {
-        let mut w = StateWriter::new();
+        let mut w = StateWriter::sealed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         // Identity: the sealed trace (which embeds the program) and the
         // configurations, so the snapshot is self-contained.
         w.put_bytes(self.trace.as_bytes());
@@ -183,7 +183,7 @@ impl Simulator {
         }
         self.port.save_state(&mut w);
         SimSnapshot {
-            bytes: seal(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &w.into_bytes()),
+            bytes: w.into_sealed(),
         }
     }
 

@@ -53,9 +53,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use hbdc_isa::Program;
-use hbdc_snap::{
-    hash64, open, seal, write_atomic, SnapError, StateReader, StateWriter, SEAL_HEADER_LEN,
-};
+use hbdc_snap::{hash64, open, write_atomic, SnapError, StateReader, StateWriter, SEAL_HEADER_LEN};
 
 use crate::dynamic::DynInst;
 use crate::functional::Emulator;
@@ -221,6 +219,25 @@ impl CommittedTrace {
         warmup_insts: u64,
         cap: Option<u64>,
     ) -> Result<Self, SnapError> {
+        // The container is built in one buffer: the header, the image,
+        // then the records streamed in as the emulator commits them. The
+        // census and the records' length are patched in at the end.
+        let image = hbdc_isa::object::to_bytes(program);
+        let program_fp = hash64(&image);
+        let mut w = StateWriter::sealed(TRACE_MAGIC, TRACE_VERSION);
+        w.put_u64(program_fp);
+        w.put_u64(warmup_insts);
+        let census_at = w.len();
+        w.put_u64(0); // records
+        w.put_u64(0); // loads
+        w.put_u64(0); // stores
+        w.put_bool(true); // complete
+        w.put_bytes(&image);
+        drop(image);
+        let rec_len_at = w.len();
+        w.put_u64(0);
+        let rec_start = w.len();
+
         let mut emu = Emulator::new(program);
         for _ in 0..warmup_insts {
             if emu.step().is_none() {
@@ -228,8 +245,6 @@ impl CommittedTrace {
             }
         }
         emu.rebase_seq();
-
-        let mut rec = StateWriter::new();
         let mut records = 0u64;
         let (mut loads, mut stores) = (0u64, 0u64);
         let mut prev_pc = -1i64;
@@ -255,12 +270,12 @@ impl CommittedTrace {
             if pc_delta == 0 {
                 tag |= TAG_PC_SEQ;
             }
-            rec.put_u8(tag);
+            w.put_u8(tag);
             if pc_delta != 0 {
-                rec.put_varint_i64(pc_delta);
+                w.put_varint_i64(pc_delta);
             }
             if let Some(a) = di.addr {
-                rec.put_varint_i64(a.wrapping_sub(prev_addr) as i64);
+                w.put_varint_i64(a.wrapping_sub(prev_addr) as i64);
                 prev_addr = a;
             }
             prev_pc = i64::from(di.pc);
@@ -270,25 +285,15 @@ impl CommittedTrace {
                 break;
             }
         }
-
-        // The emulator's pages and the image are freed as soon as they are
-        // dead, so they never sit beside the payload and its sealed copy.
         drop(emu);
-        let image = hbdc_isa::object::to_bytes(program);
-        let program_fp = hash64(&image);
-        let mut w = StateWriter::new();
-        w.put_u64(program_fp);
-        w.put_u64(warmup_insts);
-        w.put_u64(records);
-        w.put_u64(loads);
-        w.put_u64(stores);
-        w.put_bool(complete);
-        w.put_bytes(&image);
-        drop(image);
-        let rec_len = rec.len();
-        w.put_bytes(&rec.into_bytes());
+        let rec_len = w.len() - rec_start;
+        w.patch_u64(census_at, records);
+        w.patch_u64(census_at + 8, loads);
+        w.patch_u64(census_at + 16, stores);
+        w.patch_bool(census_at + 24, complete);
+        w.patch_u64(rec_len_at, rec_len as u64);
         // The records section is the payload's last field.
-        let sealed = seal(TRACE_MAGIC, TRACE_VERSION, &w.into_bytes());
+        let sealed = w.into_sealed();
         Ok(Self {
             rec: sealed.len() - rec_len..sealed.len(),
             sealed: Arc::new(sealed),
@@ -671,6 +676,7 @@ impl TracePlayer {
 mod tests {
     use super::*;
     use hbdc_isa::asm::assemble;
+    use hbdc_snap::seal;
 
     fn program(src: &str) -> Program {
         assemble(src).expect("test program assembles")

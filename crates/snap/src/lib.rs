@@ -193,15 +193,72 @@ pub fn hash64(bytes: &[u8]) -> u64 {
 /// Append-only binary encoder; the writing half of the codec.
 ///
 /// All integers are little-endian; byte strings are `u64`-length-prefixed.
+/// A writer made by [`sealed`](Self::sealed) builds a [`seal`]ed
+/// container in its own buffer, so the payload is never copied.
 #[derive(Debug, Default, Clone)]
 pub struct StateWriter {
     buf: Vec<u8>,
+    /// Bytes reserved before the payload: 0, or the seal header.
+    start: usize,
 }
 
 impl StateWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates a writer whose buffer starts with a reserved
+    /// [`SEAL_HEADER_LEN`]-byte container header (`magic` and `version`
+    /// filled in); everything written after it is the payload, which
+    /// [`into_sealed`](Self::into_sealed) checksums in place.
+    pub fn sealed(magic: [u8; 4], version: u32) -> Self {
+        let mut buf = Vec::with_capacity(SEAL_HEADER_LEN);
+        buf.extend_from_slice(&magic);
+        buf.extend_from_slice(&version.to_le_bytes());
+        buf.resize(SEAL_HEADER_LEN, 0);
+        Self {
+            buf,
+            start: SEAL_HEADER_LEN,
+        }
+    }
+
+    /// Fills in the payload length and checksum of a writer made by
+    /// [`sealed`](Self::sealed), returning the container — the same
+    /// bytes [`seal`] builds from a copy of the payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the writer was not made by [`sealed`](Self::sealed).
+    pub fn into_sealed(mut self) -> Vec<u8> {
+        assert_eq!(self.start, SEAL_HEADER_LEN, "writer has no seal header");
+        let payload = &self.buf[SEAL_HEADER_LEN..];
+        let (len, sum) = (payload.len() as u64, hash64(payload));
+        self.buf[8..16].copy_from_slice(&len.to_le_bytes());
+        self.buf[16..24].copy_from_slice(&sum.to_le_bytes());
+        self.buf
+    }
+
+    /// Overwrites the 8 bytes at payload offset `at` (a [`len`](Self::len)
+    /// taken before they were written) with `v`, little-endian: fills in
+    /// a count that is known only after what follows it is written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if those bytes have not been written yet.
+    pub fn patch_u64(&mut self, at: usize, v: u64) {
+        let at = self.start + at;
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Overwrites the bool at payload offset `at` (see
+    /// [`patch_u64`](Self::patch_u64)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if that byte has not been written yet.
+    pub fn patch_bool(&mut self, at: usize, v: bool) {
+        self.buf[self.start + at] = v as u8;
     }
 
     /// Appends one byte.
@@ -293,18 +350,24 @@ impl StateWriter {
         self.put_bytes(v.as_bytes());
     }
 
-    /// Bytes written so far.
+    /// Payload bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Consumes the writer, returning the encoded bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the writer was made by [`sealed`](Self::sealed) (use
+    /// [`into_sealed`](Self::into_sealed)).
     pub fn into_bytes(self) -> Vec<u8> {
+        assert_eq!(self.start, 0, "a sealed writer's bytes need its header");
         self.buf
     }
 }
@@ -482,14 +545,13 @@ pub const SEAL_HEADER_LEN: usize = 24;
 /// Wraps `payload` in a checksummed container: 4-byte `magic`, `u32`
 /// format `version`, `u64` payload length, `u64` [`hash64`] payload checksum,
 /// then the payload itself.
+/// A payload written through a [`StateWriter::sealed`] writer is sealed
+/// in place instead, with no copy.
 pub fn seal(magic: [u8; 4], version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SEAL_HEADER_LEN + payload.len());
-    out.extend_from_slice(&magic);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&hash64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    let mut w = StateWriter::sealed(magic, version);
+    w.buf.reserve_exact(payload.len());
+    w.buf.extend_from_slice(payload);
+    w.into_sealed()
 }
 
 /// Verifies a [`seal`]ed container and returns a view of its payload.
@@ -639,6 +701,23 @@ mod tests {
             assert_eq!(r.get_varint_i64().unwrap(), v);
         }
         r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn a_sealed_writer_builds_the_container_seal_builds() {
+        let mut w = StateWriter::sealed(*b"TEST", 3);
+        let count_at = w.len();
+        w.put_u64(0);
+        w.put_bool(false);
+        w.put_str("payload");
+        w.patch_u64(count_at, 7);
+        w.patch_bool(8, true);
+        let mut plain = StateWriter::new();
+        plain.put_u64(7);
+        plain.put_bool(true);
+        plain.put_str("payload");
+        assert_eq!(w.len(), plain.len());
+        assert_eq!(w.into_sealed(), seal(*b"TEST", 3, &plain.into_bytes()));
     }
 
     #[test]
