@@ -1,29 +1,17 @@
 //! Criterion bench for the Figure 3 analyzer: consecutive-reference
-//! classification over synthetic and emulated streams. Full-scale output
+//! classification over an emulated benchmark's stream. Full-scale output
 //! comes from `hbdc-sim campaign figure3`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use hbdc_cpu::Emulator;
-use hbdc_trace::{ConsecutiveMapping, MemRef, StreamGenerator, StreamParams};
+use hbdc_trace::{ConsecutiveMapping, MemRef};
 use hbdc_workloads::{by_name, Scale};
 
 fn bench_figure3(c: &mut Criterion) {
     let mut group = c.benchmark_group("figure3");
     group.sample_size(10);
-
-    // Pure analyzer throughput on a pre-generated stream.
-    let refs: Vec<MemRef> = StreamGenerator::new(StreamParams::default(), 42)
-        .take(100_000)
-        .collect();
-    group.bench_function("synthetic-100k", |b| {
-        b.iter(|| {
-            let mut f3 = ConsecutiveMapping::new(4, 32);
-            f3.extend(refs.iter().copied());
-            black_box(f3.segments())
-        })
-    });
 
     // End-to-end: emulate a benchmark and classify its stream.
     group.bench_function("gcc-emulated", |b| {
@@ -41,7 +29,7 @@ fn bench_figure3(c: &mut Criterion) {
                     });
                 }
             }
-            black_box(f3.same_bank_fraction())
+            black_box(f3.segments())
         })
     });
     group.finish();

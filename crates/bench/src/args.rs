@@ -1,7 +1,7 @@
 //! Command-line parsing shared by every experiment binary.
 //!
 //! All flag handling funnels through one argv scanner
-//! ([`flag_value`]/[`flag_present`]) so the binaries cannot drift apart
+//! (`flag_value`/`flag_present`) so the binaries cannot drift apart
 //! in how they locate flags, and each flag's validation (and its exact
 //! error message) lives in exactly one place. The helpers are
 //! re-exported from [`crate::runner`], which is where the binaries

@@ -718,7 +718,7 @@ fn lbic_anatomy(res: &Results) -> String {
             continue;
         };
         // One bin per busy arbitration round, not per cycle.
-        let grants = Histogram::from_counts("grants/round", r.grants_per_cycle.clone());
+        let grants = Histogram::from_counts("grants/round", r.grants_per_round.clone());
         table.row(vec![
             bench.name().to_string(),
             format!("{:.3}", r.ipc()),

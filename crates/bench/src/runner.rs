@@ -1065,7 +1065,10 @@ mod tests {
 
     #[test]
     fn capture_cap_is_the_largest_bound_unless_a_column_is_uncapped() {
-        let by_insts = CpuConfig::with_max_insts(500);
+        let by_insts = CpuConfig {
+            max_insts: 500,
+            ..CpuConfig::default()
+        };
         let by_cycles = CpuConfig {
             max_cycles: 10_000,
             ..CpuConfig::default()

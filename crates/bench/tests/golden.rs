@@ -5,7 +5,7 @@
 //! at `Scale::Test` by the pre-optimization (allocating) simulator.
 //! Any divergence means a scratch-buffer or ready-list change altered
 //! simulated behavior, which is never acceptable for a pure perf change.
-//! The branch, store-queue and grants-per-cycle fields joined the report
+//! The branch, store-queue and grants-per-round fields joined the report
 //! later and were pinned from the simulator that added them; the other
 //! fields are the original constants.
 
@@ -45,7 +45,7 @@ fn golden(port_label: &str) -> SimReport {
         mispredicts: 0,
         sq_drains: 0,
         sq_full_stalls: 0,
-        grants_per_cycle: Vec::new(), // per-config below
+        grants_per_round: Vec::new(), // per-config below
         port_label: port_label.into(),
         skipped_cycles: 0,
         cpu_secs: 0.0,
@@ -56,7 +56,7 @@ fn golden(port_label: &str) -> SimReport {
             cycles: 7142,
             arb_offered: 28279,
             arb_rounds: 7136,
-            grants_per_cycle: vec![0, 1, 1535, 1399, 4201],
+            grants_per_round: vec![0, 1, 1535, 1399, 4201],
             ..common
         },
         "Bank-4" => SimReport {
@@ -64,7 +64,7 @@ fn golden(port_label: &str) -> SimReport {
             arb_offered: 59697,
             arb_rounds: 14660,
             bank_conflicts: 35625,
-            grants_per_cycle: vec![0, 6826, 6256, 1578, 0],
+            grants_per_round: vec![0, 6826, 6256, 1578, 0],
             ..common
         },
         "LBIC-4x2" => SimReport {
@@ -75,7 +75,7 @@ fn golden(port_label: &str) -> SimReport {
             combined: 6260,
             sq_drains: 11466,
             sq_full_stalls: 655,
-            grants_per_cycle: vec![0, 2233, 4554, 3017, 920, 0, 0, 0, 0],
+            grants_per_round: vec![0, 2233, 4554, 3017, 920, 0, 0, 0, 0],
             ..common
         },
         other => panic!("no golden for {other}"),

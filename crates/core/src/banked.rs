@@ -61,11 +61,6 @@ impl BankedPorts {
             stats: ArbStats::new(banks),
         }
     }
-
-    /// The bank-selection function in use.
-    pub fn mapper(&self) -> &BankMapper {
-        &self.mapper
-    }
 }
 
 impl PortModel for BankedPorts {
@@ -93,10 +88,6 @@ impl PortModel for BankedPorts {
             self.stats.bump("bank_conflicts", conflicts);
         }
         self.stats.record_round(ready.len(), granted.len());
-    }
-
-    fn tick(&mut self) {
-        self.stats.record_tick();
     }
 
     fn peak_per_cycle(&self) -> usize {

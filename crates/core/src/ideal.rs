@@ -59,10 +59,6 @@ impl PortModel for IdealPorts {
         granted.extend(0..n);
     }
 
-    fn tick(&mut self) {
-        self.stats.record_tick();
-    }
-
     fn peak_per_cycle(&self) -> usize {
         self.ports
     }
@@ -119,11 +115,9 @@ mod tests {
     fn stats_accumulate() {
         let mut m = IdealPorts::new(2);
         m.arbitrate(&reqs(3));
-        m.tick();
         assert_eq!(m.stats().offered(), 3);
         assert_eq!(m.stats().granted(), 2);
-        assert_eq!(m.stats().stalled(), 1);
-        assert_eq!(m.stats().cycles(), 1);
+        assert_eq!(m.stats().rounds(), 1);
     }
 
     #[test]

@@ -137,21 +137,6 @@ impl Lbic {
         }
     }
 
-    /// The bank-selection function in use.
-    pub fn mapper(&self) -> &BankMapper {
-        &self.mapper
-    }
-
-    /// The combining policy in use.
-    pub fn policy(&self) -> CombinePolicy {
-        self.policy
-    }
-
-    /// Current store-queue occupancy of `bank` (for tests and reports).
-    pub fn store_queue_len(&self, bank: u32) -> usize {
-        self.banks[bank as usize].store_queue.len()
-    }
-
     fn line_of(&self, addr: u64) -> u64 {
         addr >> self.line_shift
     }
@@ -352,7 +337,6 @@ impl PortModel for Lbic {
         if drains > 0 {
             self.stats.bump("sq_drains", drains);
         }
-        self.stats.record_tick();
     }
 
     fn peak_per_cycle(&self) -> usize {
@@ -544,10 +528,10 @@ mod tests {
         // Fill the single-entry store queue of bank 0.
         let g = m.arbitrate(&[MemRequest::store(0, addr2(0, 1, 0))]);
         assert_eq!(g, vec![0]);
-        assert_eq!(m.store_queue_len(0), 1);
+        assert_eq!(m.banks[0].store_queue.len(), 1);
         // Bank 0 was busy this cycle, so no drain happens at tick.
         m.tick();
-        assert_eq!(m.store_queue_len(0), 1);
+        assert_eq!(m.banks[0].store_queue.len(), 1);
         // Next cycle: another store to bank 0 is blocked; a load to the
         // same line proceeds and becomes the leading request.
         let ready = vec![
@@ -565,12 +549,12 @@ mod tests {
             MemRequest::store(0, addr2(0, 1, 0)),
             MemRequest::store(1, addr2(0, 1, 8)),
         ]);
-        assert_eq!(m.store_queue_len(0), 2);
+        assert_eq!(m.banks[0].store_queue.len(), 2);
         m.tick(); // bank was busy: no drain
-        assert_eq!(m.store_queue_len(0), 2);
+        assert_eq!(m.banks[0].store_queue.len(), 2);
         m.arbitrate(&[]); // idle cycle: both stores share a line, so one
         m.tick(); // array write retires them together
-        assert_eq!(m.store_queue_len(0), 0);
+        assert_eq!(m.banks[0].store_queue.len(), 0);
         assert_eq!(m.stats().extra_counter("sq_drains"), 2);
     }
 
@@ -584,13 +568,13 @@ mod tests {
         m.tick(); // busy, no drain
         m.arbitrate(&[MemRequest::store(2, addr2(0, 2, 0))]);
         m.tick(); // busy again
-        assert_eq!(m.store_queue_len(0), 3);
+        assert_eq!(m.banks[0].store_queue.len(), 3);
         m.arbitrate(&[]);
         m.tick(); // drains the two line-1 stores together
-        assert_eq!(m.store_queue_len(0), 1);
+        assert_eq!(m.banks[0].store_queue.len(), 1);
         m.arbitrate(&[]);
         m.tick(); // drains the line-2 store
-        assert_eq!(m.store_queue_len(0), 0);
+        assert_eq!(m.banks[0].store_queue.len(), 0);
     }
 
     #[test]
@@ -648,7 +632,10 @@ mod tests {
         assert_eq!(m.stats().extra(), extras);
         assert_eq!(m.stats().offered(), ready.len() as u64);
         assert_eq!(m.stats().granted(), grants.len() as u64);
-        assert_eq!((m.store_queue_len(0), m.store_queue_len(1)), (sq0, 0));
+        assert_eq!(
+            (m.banks[0].store_queue.len(), m.banks[1].store_queue.len()),
+            (sq0, 0)
+        );
     }
 
     /// Largest-group goldens on skewed, tied and store/exhaustion-heavy
@@ -723,7 +710,10 @@ mod tests {
 
         let mut restored = lbic(2, 2);
         restored.load_state(&mut StateReader::new(&bytes)).unwrap();
-        assert_eq!(restored.store_queue_len(0), m.store_queue_len(0));
+        assert_eq!(
+            restored.banks[0].store_queue.len(),
+            m.banks[0].store_queue.len()
+        );
         let ready = vec![
             MemRequest::store(2, addr2(0, 3, 0)),
             MemRequest::load(3, addr2(1, 4, 8)),
@@ -732,7 +722,10 @@ mod tests {
             assert_eq!(restored.arbitrate(&ready), m.arbitrate(&ready));
             restored.tick();
             m.tick();
-            assert_eq!(restored.store_queue_len(0), m.store_queue_len(0));
+            assert_eq!(
+                restored.banks[0].store_queue.len(),
+                m.banks[0].store_queue.len()
+            );
         }
         assert_eq!(
             restored.stats().extra_counter("sq_drains"),

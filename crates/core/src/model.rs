@@ -42,8 +42,10 @@ pub trait PortModel {
         granted
     }
 
-    /// Advances internal state by one cycle (store-queue drain, etc.).
-    fn tick(&mut self);
+    /// Advances internal state by one cycle. Only a model with state that
+    /// drains over time (the LBIC's store queues) overrides the empty
+    /// default.
+    fn tick(&mut self) {}
 
     /// The maximum number of references this model can ever grant in one
     /// cycle (e.g. `p` for ideal, `M*N` for an `MxN` LBIC).

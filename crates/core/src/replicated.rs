@@ -79,10 +79,6 @@ impl PortModel for ReplicatedPorts {
         self.stats.record_round(ready.len(), granted.len());
     }
 
-    fn tick(&mut self) {
-        self.stats.record_tick();
-    }
-
     fn peak_per_cycle(&self) -> usize {
         self.ports
     }

@@ -24,30 +24,27 @@ const EXTRA_NAMES: [&str; 6] = [
 ///
 /// let mut m = PortConfig::Ideal { ports: 2 }.build(32);
 /// m.arbitrate(&[MemRequest::load(0, 0), MemRequest::load(1, 8), MemRequest::load(2, 64)]);
-/// m.tick();
 /// let s = m.stats();
 /// assert_eq!(s.offered(), 3);
 /// assert_eq!(s.granted(), 2);
-/// assert_eq!(s.cycles(), 1);
+/// assert_eq!(s.rounds(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ArbStats {
-    cycles: u64,
     offered: u64,
     granted: u64,
-    grants_per_cycle: Histogram,
+    grants_per_round: Histogram,
     extra: Vec<(&'static str, u64)>,
 }
 
 impl ArbStats {
     /// Creates zeroed stats for a model whose peak grant rate is
-    /// `peak_per_cycle` (sizes the per-cycle histogram).
+    /// `peak_per_cycle` (sizes the grants-per-round histogram).
     pub fn new(peak_per_cycle: usize) -> Self {
         Self {
-            cycles: 0,
             offered: 0,
             granted: 0,
-            grants_per_cycle: Histogram::new("grants/cycle", peak_per_cycle),
+            grants_per_round: Histogram::new("grants/round", peak_per_cycle),
             extra: Vec::new(),
         }
     }
@@ -57,13 +54,8 @@ impl ArbStats {
         self.offered += offered as u64;
         self.granted += granted as u64;
         if offered > 0 {
-            self.grants_per_cycle.record(granted);
+            self.grants_per_round.record(granted);
         }
-    }
-
-    /// Records a cycle boundary.
-    pub(crate) fn record_tick(&mut self) {
-        self.cycles += 1;
     }
 
     /// Bumps a model-specific named counter.
@@ -72,11 +64,6 @@ impl ArbStats {
             Some((_, v)) => *v += by,
             None => self.extra.push((name, by)),
         }
-    }
-
-    /// Cycles ticked.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
     }
 
     /// Total requests offered across all rounds.
@@ -89,21 +76,16 @@ impl ArbStats {
         self.granted
     }
 
-    /// Requests that were offered but not granted (conflict/stall events).
-    pub fn stalled(&self) -> u64 {
-        self.offered - self.granted
-    }
-
     /// Arbitration rounds with at least one offered reference — the
     /// rounds where the port model actually had work (empty rounds are
     /// presented too, so store queues drain, but are not counted here).
     pub fn rounds(&self) -> u64 {
-        self.grants_per_cycle.total()
+        self.grants_per_round.total()
     }
 
     /// Histogram of grants per non-empty arbitration round.
-    pub fn grants_per_cycle(&self) -> &Histogram {
-        &self.grants_per_cycle
+    pub fn grants_per_round(&self) -> &Histogram {
+        &self.grants_per_round
     }
 
     /// Model-specific counters, e.g. `("combined", n)` for the LBIC or
@@ -121,13 +103,12 @@ impl ArbStats {
             .unwrap_or(0)
     }
 
-    /// Serializes all counters and the grants-per-cycle histogram. Extra
+    /// Serializes all counters and the grants-per-round histogram. Extra
     /// counter names go in by value and are interned on load.
     pub fn save_state(&self, w: &mut StateWriter) {
-        w.put_u64(self.cycles);
         w.put_u64(self.offered);
         w.put_u64(self.granted);
-        self.grants_per_cycle.save_state(w);
+        self.grants_per_round.save_state(w);
         w.put_usize(self.extra.len());
         for (name, v) in &self.extra {
             w.put_str(name);
@@ -143,10 +124,9 @@ impl ArbStats {
     /// [`SnapError::Corrupt`] on an extra-counter name no bundled model
     /// emits or a histogram range mismatch, or any decode error.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
-        self.cycles = r.get_u64()?;
         self.offered = r.get_u64()?;
         self.granted = r.get_u64()?;
-        self.grants_per_cycle.load_state(r)?;
+        self.grants_per_round.load_state(r)?;
         let n = r.get_usize()?;
         self.extra.clear();
         for _ in 0..n {
@@ -177,8 +157,7 @@ mod tests {
         s.record_round(0, 0); // empty rounds don't pollute the histogram
         assert_eq!(s.offered(), 4);
         assert_eq!(s.granted(), 3);
-        assert_eq!(s.stalled(), 1);
-        assert_eq!(s.grants_per_cycle().total(), 2);
+        assert_eq!(s.grants_per_round().total(), 2);
     }
 
     #[test]
@@ -194,18 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn ticks_count_cycles() {
-        let mut s = ArbStats::new(1);
-        s.record_tick();
-        s.record_tick();
-        assert_eq!(s.cycles(), 2);
-    }
-
-    #[test]
     fn state_roundtrip_interns_extra_names() {
         let mut s = ArbStats::new(4);
         s.record_round(3, 2);
-        s.record_tick();
         s.bump("bank_conflicts", 5);
         s.bump("combined", 2);
         let mut w = StateWriter::new();
@@ -214,21 +184,19 @@ mod tests {
 
         let mut restored = ArbStats::new(4);
         restored.load_state(&mut StateReader::new(&bytes)).unwrap();
-        assert_eq!(restored.cycles(), 1);
         assert_eq!(restored.offered(), 3);
         assert_eq!(restored.granted(), 2);
         assert_eq!(restored.extra_counter("bank_conflicts"), 5);
         assert_eq!(restored.extra_counter("combined"), 2);
-        assert_eq!(restored.grants_per_cycle().total(), 1);
+        assert_eq!(restored.grants_per_round().total(), 1);
     }
 
     #[test]
     fn load_rejects_unknown_extra_counter() {
         let mut w = StateWriter::new();
-        w.put_u64(0); // cycles
         w.put_u64(0); // offered
         w.put_u64(0); // granted
-        Histogram::new("grants/cycle", 2).save_state(&mut w);
+        Histogram::new("grants/round", 2).save_state(&mut w);
         w.put_usize(1);
         w.put_str("made_up_counter");
         w.put_u64(9);

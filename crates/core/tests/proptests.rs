@@ -197,7 +197,8 @@ proptest! {
             }
             prop_assert_eq!(model.stats().offered(), offered);
             prop_assert_eq!(model.stats().granted(), granted);
-            prop_assert_eq!(model.stats().cycles(), rounds.len() as u64);
+            let busy = rounds.iter().filter(|r| !r.is_empty()).count() as u64;
+            prop_assert_eq!(model.stats().rounds(), busy);
         }
     }
 
@@ -251,7 +252,8 @@ proptest! {
                 "{}",
                 label
             );
-            prop_assert_eq!(model.stats().cycles(), rounds.len() as u64, "{}", label);
+            let busy = rounds.iter().filter(|r| !r.is_empty()).count() as u64;
+            prop_assert_eq!(model.stats().rounds(), busy, "{}", label);
         }
     }
 }

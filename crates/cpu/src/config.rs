@@ -105,16 +105,6 @@ impl Default for CpuConfig {
 }
 
 impl CpuConfig {
-    /// A configuration capped at `max_insts` committed instructions,
-    /// otherwise Table-1 defaults. Every experiment harness uses this to
-    /// scale run length.
-    pub fn with_max_insts(max_insts: u64) -> Self {
-        Self {
-            max_insts,
-            ..Self::default()
-        }
-    }
-
     /// Checks the configuration for degenerate values that would wedge or
     /// crash the pipeline (zero widths, empty window or queue, a zero
     /// watchdog budget).
@@ -211,13 +201,6 @@ mod tests {
         assert_eq!(c.ls_units, 64);
         assert_eq!(c.max_insts, u64::MAX);
         assert_eq!(c.front_end, FrontEnd::Perfect);
-    }
-
-    #[test]
-    fn with_max_insts_caps_run() {
-        let c = CpuConfig::with_max_insts(1000);
-        assert_eq!(c.max_insts, 1000);
-        assert_eq!(c.ruu_size, 1024);
     }
 
     #[test]

@@ -69,36 +69,15 @@ impl Emulator {
         self.fregs[index]
     }
 
-    /// Immutable view of memory (for assertions in tests and harnesses).
-    pub fn memory(&self) -> &Memory {
-        &self.mem
-    }
-
-    /// Mutable view of memory (for pre-initializing workload data that is
-    /// too large for `.data` directives).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// Whether the program has executed `halt`.
     pub fn halted(&self) -> bool {
         self.halted
-    }
-
-    /// Number of instructions executed so far.
-    pub fn executed(&self) -> u64 {
-        self.seq
     }
 
     /// Restarts sequence numbering at zero (used after a functional
     /// fast-forward so the timing model sees a contiguous stream).
     pub fn rebase_seq(&mut self) {
         self.seq = 0;
-    }
-
-    /// The current program counter (an index into the text section).
-    pub fn pc(&self) -> u32 {
-        self.pc
     }
 
     fn set_reg(&mut self, index: usize, value: i64) {
@@ -314,8 +293,11 @@ mod tests {
     fn run(src: &str) -> Emulator {
         let p = assemble(src).unwrap();
         let mut e = Emulator::new(&p);
-        while e.step().is_some() {
-            assert!(e.executed() < 1_000_000, "runaway program");
+        for steps in 0.. {
+            assert!(steps < 1_000_000, "runaway program");
+            if e.step().is_none() {
+                break;
+            }
         }
         e
     }

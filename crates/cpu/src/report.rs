@@ -27,15 +27,13 @@
 ///     mispredicts: 0,
 ///     sq_drains: 0,
 ///     sq_full_stalls: 0,
-///     grants_per_cycle: vec![10, 20, 60],
+///     grants_per_round: vec![10, 20, 60],
 ///     port_label: "LBIC-4x2".into(),
 ///     skipped_cycles: 0,
 ///     cpu_secs: 0.0,
 ///     cycles_per_sec: 0.0,
 /// };
 /// assert_eq!(r.ipc(), 3.0);
-/// assert!((r.mem_fraction() - 1.0 / 3.0).abs() < 1e-12);
-/// assert_eq!(r.store_to_load_ratio(), 0.25);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -90,7 +88,7 @@ pub struct SimReport {
     /// entry `k` counts the rounds that granted exactly `k` references,
     /// for `k` in `0..=peak` (a model never grants above its peak). The
     /// entries sum to `arb_rounds`.
-    pub grants_per_cycle: Vec<u64>,
+    pub grants_per_round: Vec<u64>,
     /// Label of the port model under test, e.g. `"Bank-8"`.
     pub port_label: String,
     /// Always 0: the run loop steps every cycle. Kept only because the
@@ -135,7 +133,7 @@ impl PartialEq for SimReport {
             mispredicts,
             sq_drains,
             sq_full_stalls,
-            grants_per_cycle,
+            grants_per_round,
             port_label,
             skipped_cycles: _,
             cpu_secs: _,
@@ -161,7 +159,7 @@ impl PartialEq for SimReport {
             && *mispredicts == other.mispredicts
             && *sq_drains == other.sq_drains
             && *sq_full_stalls == other.sq_full_stalls
-            && *grants_per_cycle == other.grants_per_cycle
+            && *grants_per_round == other.grants_per_round
             && *port_label == other.port_label
     }
 }
@@ -176,25 +174,6 @@ impl SimReport {
         }
     }
 
-    /// Fraction of committed instructions that are memory operations
-    /// (paper Table 2, "Mem Instr. %").
-    pub fn mem_fraction(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            (self.loads + self.stores) as f64 / self.committed as f64
-        }
-    }
-
-    /// Stores per load (paper Table 2, "Store-to-Load Ratio").
-    pub fn store_to_load_ratio(&self) -> f64 {
-        if self.loads == 0 {
-            0.0
-        } else {
-            self.stores as f64 / self.loads as f64
-        }
-    }
-
     /// L1 miss rate over actual cache accesses (paper Table 2, "L1 Miss
     /// Rate").
     pub fn l1_miss_rate(&self) -> f64 {
@@ -206,13 +185,13 @@ impl SimReport {
     }
 
     /// Number of tab-separated fields in a [`to_record`](Self::to_record)
-    /// line: the twenty simulated counters, the grants-per-cycle bins,
+    /// line: the twenty simulated counters, the grants-per-round bins,
     /// and the port label.
     const RECORD_FIELDS: usize = 22;
 
     /// Renders the simulated-machine measurements as one tab-separated
     /// record line (no trailing newline) for the matrix run journal. The
-    /// grants-per-cycle bins share one comma-separated field, and the
+    /// grants-per-round bins share one comma-separated field, and the
     /// port label comes last.
     ///
     /// The host-run fields (`cpu_secs`, `cycles_per_sec`) describe a
@@ -220,7 +199,7 @@ impl SimReport {
     /// `skipped_cycles`, are deliberately not persisted; they parse back
     /// as zero, which [`PartialEq`] already ignores.
     pub fn to_record(&self) -> String {
-        let bins: Vec<String> = self.grants_per_cycle.iter().map(u64::to_string).collect();
+        let bins: Vec<String> = self.grants_per_round.iter().map(u64::to_string).collect();
         format!(
             "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
             self.committed,
@@ -289,7 +268,7 @@ impl SimReport {
             mispredicts: num("mispredicts")?,
             sq_drains: num("sq_drains")?,
             sq_full_stalls: num("sq_full_stalls")?,
-            grants_per_cycle: Vec::new(),
+            grants_per_round: Vec::new(),
             port_label: fields[Self::RECORD_FIELDS - 1].to_string(),
             skipped_cycles: 0,
             cpu_secs: 0.0,
@@ -297,9 +276,9 @@ impl SimReport {
         };
         let bins = fields[Self::RECORD_FIELDS - 2];
         if !bins.is_empty() {
-            r.grants_per_cycle = bins
+            r.grants_per_round = bins
                 .split(',')
-                .map(|b| count("grants_per_cycle", b))
+                .map(|b| count("grants_per_round", b))
                 .collect::<Result<_, _>>()?;
         }
         Ok(r)
@@ -332,7 +311,7 @@ mod tests {
             mispredicts: 7,
             sq_drains: 0,
             sq_full_stalls: 0,
-            grants_per_cycle: vec![0, 60, 80, 60, 40],
+            grants_per_round: vec![0, 60, 80, 60, 40],
             port_label: "Bank-4".into(),
             skipped_cycles: 0,
             cpu_secs: 0.0,
@@ -344,8 +323,6 @@ mod tests {
     fn derived_metrics() {
         let r = sample();
         assert_eq!(r.ipc(), 4.0);
-        assert!((r.mem_fraction() - 0.3).abs() < 1e-12);
-        assert!((r.store_to_load_ratio() - 0.5).abs() < 1e-12);
         assert!((r.l1_miss_rate() - 0.05).abs() < 1e-12);
     }
 
@@ -372,15 +349,13 @@ mod tests {
             mispredicts: 0,
             sq_drains: 0,
             sq_full_stalls: 0,
-            grants_per_cycle: Vec::new(),
+            grants_per_round: Vec::new(),
             port_label: String::new(),
             skipped_cycles: 0,
             cpu_secs: 0.0,
             cycles_per_sec: 0.0,
         };
         assert_eq!(r.ipc(), 0.0);
-        assert_eq!(r.mem_fraction(), 0.0);
-        assert_eq!(r.store_to_load_ratio(), 0.0);
         assert_eq!(r.l1_miss_rate(), 0.0);
     }
 
@@ -395,11 +370,11 @@ mod tests {
         assert_eq!(parsed, r, "PartialEq ignores the host-timing fields");
         assert_eq!(parsed.cpu_secs, 0.0, "host timing is not persisted");
         assert_eq!(parsed.port_label, "Bank-4");
-        assert_eq!(parsed.grants_per_cycle, r.grants_per_cycle);
+        assert_eq!(parsed.grants_per_round, r.grants_per_round);
 
         // A model that saw no busy round has no bins: an empty field.
         let idle = SimReport {
-            grants_per_cycle: Vec::new(),
+            grants_per_round: Vec::new(),
             ..sample()
         };
         assert_eq!(SimReport::from_record(&idle.to_record()).unwrap(), idle);
@@ -416,7 +391,7 @@ mod tests {
         assert!(err.contains("21 fields, expected 22"), "{err}");
         let bad = rec.replace("0,60,80", "0,6x,80");
         let err = SimReport::from_record(&bad).unwrap_err();
-        assert!(err.contains("grants_per_cycle"), "{err}");
+        assert!(err.contains("grants_per_round"), "{err}");
         let mut bad = sample().to_record();
         bad = bad.replacen("250", "x250", 1);
         let err = SimReport::from_record(&bad).unwrap_err();

@@ -4,7 +4,6 @@ use hbdc_core::{PortConfig, PortModel, Violation};
 use hbdc_isa::Program;
 use hbdc_mem::{Hierarchy, HierarchyConfig};
 use hbdc_snap::clock::thread_cpu_time;
-use hbdc_stats::Histogram;
 
 use crate::bpred::{BranchPredictor, FrontEnd};
 use crate::config::CpuConfig;
@@ -50,33 +49,6 @@ pub mod stageprof {
             for (name, v) in NAMES.iter().zip(&NS) {
                 eprintln!("stageprof {name} {:.3}s", v.load(Relaxed) as f64 / 1e9);
             }
-        }
-    }
-}
-
-/// Per-cycle pipeline activity distributions, for bottleneck diagnosis.
-#[derive(Debug, Clone)]
-pub struct PipeStats {
-    /// Instructions issued per cycle.
-    pub issued: Histogram,
-    /// Instructions dispatched (fetched into the window) per cycle.
-    pub dispatched: Histogram,
-    /// Instructions committed per cycle.
-    pub committed: Histogram,
-    /// Window occupancy sampled each cycle.
-    pub window_occupancy: Histogram,
-    /// LSQ occupancy sampled each cycle.
-    pub lsq_occupancy: Histogram,
-}
-
-impl PipeStats {
-    fn new(cfg: &CpuConfig) -> Self {
-        Self {
-            issued: Histogram::new("issued/cycle", cfg.issue_width as usize),
-            dispatched: Histogram::new("dispatched/cycle", cfg.fetch_width as usize),
-            committed: Histogram::new("committed/cycle", cfg.commit_width as usize),
-            window_occupancy: Histogram::new("window occupancy", cfg.ruu_size),
-            lsq_occupancy: Histogram::new("lsq occupancy", cfg.lsq_size),
         }
     }
 }
@@ -146,7 +118,6 @@ pub struct Simulator {
     audit_buf: Vec<Violation>,
     // Thread CPU time accumulated inside `run` (simulator throughput).
     cpu: std::time::Duration,
-    pub(crate) pipe: PipeStats,
     pub(crate) predictor: Option<Box<dyn BranchPredictor>>,
     redirect_penalty: u32,
     // Misprediction recovery: fetch stalls until `stall_on` resolves,
@@ -250,8 +221,9 @@ impl Simulator {
     }
 
     /// Builds a simulator around an explicit port model instance — the
-    /// escape hatch for configurations [`PortConfig`] cannot express
-    /// (e.g. word-interleaved bank mappers for the interleaving ablation).
+    /// escape hatch for models [`PortConfig`] cannot express (e.g. a
+    /// `FaultInjector` wrapping one). Its snapshots cannot be resumed:
+    /// they carry no port configuration to rebuild the model from.
     ///
     /// # Panics
     ///
@@ -295,24 +267,6 @@ impl Simulator {
         let port = port_cfg
             .try_build(hier_cfg.l1_line)
             .map_err(|detail| SimError::Config { detail })?;
-        let mut sim = Self::with_port_model_from_trace(trace, cfg, hier_cfg, port)?;
-        sim.port_cfg = Some(port_cfg);
-        Ok(sim)
-    }
-
-    /// [`try_from_trace`](Self::try_from_trace) around an explicit port
-    /// model instance.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Trace`] on a warmup mismatch or an incomplete capture
-    /// (see [`try_from_trace`](Self::try_from_trace)).
-    pub fn with_port_model_from_trace(
-        trace: &CommittedTrace,
-        cfg: CpuConfig,
-        hier_cfg: HierarchyConfig,
-        port: Box<dyn PortModel>,
-    ) -> Result<Self, SimError> {
         if trace.warmup_insts() != cfg.warmup_insts {
             return Err(SimError::Trace {
                 detail: format!(
@@ -333,7 +287,9 @@ impl Simulator {
                 ),
             });
         }
-        Ok(Self::build(trace.clone(), cfg, hier_cfg, port))
+        let mut sim = Self::build(trace.clone(), cfg, hier_cfg, port);
+        sim.port_cfg = Some(port_cfg);
+        Ok(sim)
     }
 
     /// Assembles the simulator around `trace` with its player at record
@@ -372,7 +328,6 @@ impl Simulator {
             commit_buf: Vec::new(),
             audit_buf: Vec::new(),
             cpu: std::time::Duration::ZERO,
-            pipe: PipeStats::new(&cfg),
             predictor: match cfg.front_end {
                 FrontEnd::Perfect => None,
                 FrontEnd::Predicted { kind, .. } => Some(kind.build()),
@@ -405,11 +360,6 @@ impl Simulator {
         }
     }
 
-    /// Per-cycle pipeline activity distributions.
-    pub fn pipe_stats(&self) -> &PipeStats {
-        &self.pipe
-    }
-
     /// Cumulative LSQ load-stall diagnostics (per ready-list scan).
     pub fn lsq_stalls(&self) -> crate::lsq::LsqStalls {
         self.lsq.stalls()
@@ -418,7 +368,6 @@ impl Simulator {
     fn issue(&mut self) {
         self.window
             .fill_ready(self.cfg.issue_width as usize, &mut self.issue_buf);
-        let mut issued = 0usize;
         let mut mem_issued = 0u32;
         for i in 0..self.issue_buf.len() {
             let seq = self.issue_buf[i];
@@ -440,16 +389,13 @@ impl Simulator {
                     self.lsq.mark_addr_known(seq);
                     self.window.mark_issued(seq, None);
                 }
-                issued += 1;
             } else {
                 // A structural hazard leaves it ready to retry next cycle.
                 if let Some(lat) = self.fus.try_issue(meta.class, self.now) {
                     self.window.mark_issued(seq, Some(self.now + lat.total));
-                    issued += 1;
                 }
             }
         }
-        self.pipe.issued.record(issued);
     }
 
     /// The memory stage's one arbitration round: classify the LSQ,
@@ -512,14 +458,11 @@ impl Simulator {
                 self.stall_on = None;
                 self.fetch_resume_at = self.now + 1 + self.redirect_penalty as u64;
             }
-            self.pipe.dispatched.record(0);
             return Ok(());
         }
         if self.now < self.fetch_resume_at {
-            self.pipe.dispatched.record(0);
             return Ok(());
         }
-        let mut dispatched = 0usize;
         for _ in 0..self.cfg.fetch_width {
             if !self.window.has_space() {
                 break;
@@ -561,7 +504,6 @@ impl Simulator {
                 None
             };
             self.window.dispatch(di);
-            dispatched += 1;
             if let Some(width) = mem_width {
                 self.lsq
                     .dispatch(di.seq, di.mem_addr(), width, di.inst.is_store());
@@ -580,7 +522,6 @@ impl Simulator {
                 }
             }
         }
-        self.pipe.dispatched.record(dispatched);
         Ok(())
     }
 
@@ -588,7 +529,6 @@ impl Simulator {
         let remaining = self.cfg.max_insts.saturating_sub(self.committed);
         let width = (self.cfg.commit_width as u64).min(remaining) as u32;
         self.window.commit_compact_into(width, &mut self.commit_buf);
-        self.pipe.committed.record(self.commit_buf.len());
         if !self.commit_buf.is_empty() {
             self.last_commit_cycle = self.now;
         }
@@ -618,8 +558,6 @@ impl Simulator {
         if stageprof::enabled() {
             return self.cycle_profiled();
         }
-        self.pipe.window_occupancy.record(self.window.len());
-        self.pipe.lsq_occupancy.record(self.lsq.len());
         self.window.advance_completions(self.now);
         for seq in self.window.drain_addr_ready() {
             self.lsq.mark_addr_known(seq);
@@ -637,8 +575,6 @@ impl Simulator {
     /// identical work, plus one `Instant` read per stage, taken only
     /// when `HBDC_STAGE_PROF` is set.
     fn cycle_profiled(&mut self) -> Result<(), SimError> {
-        self.pipe.window_occupancy.record(self.window.len());
-        self.pipe.lsq_occupancy.record(self.lsq.len());
         let mut t = std::time::Instant::now();
         let mut lap = |stage: usize| {
             let now = std::time::Instant::now();
@@ -663,35 +599,6 @@ impl Simulator {
         lap(6);
         self.now += 1;
         Ok(())
-    }
-
-    /// Executes one cycle (exposed for diagnostics and incremental
-    /// drivers); most callers use [`run`](Self::run).
-    ///
-    /// # Errors
-    ///
-    /// Returns the same failures [`run`](Self::run) can, except the
-    /// watchdog and cycle-limit checks, which only the run loop applies.
-    pub fn step_cycle(&mut self) -> Result<(), SimError> {
-        self.cycle()
-    }
-
-    /// Whether the run is finished.
-    pub fn is_done(&self) -> bool {
-        self.done()
-    }
-
-    /// Diagnostic snapshot: (cycle, ready-set size, window length,
-    /// completion frontier sequence, committed).
-    #[doc(hidden)]
-    pub fn snapshot(&self) -> (u64, usize, usize, u64, u64) {
-        (
-            self.now,
-            self.window.ready_count(),
-            self.window.len(),
-            self.window.oldest_not_done(),
-            self.committed,
-        )
     }
 
     /// Window state census: (waiting, ready, issued, done).
@@ -835,7 +742,7 @@ impl Simulator {
             mispredicts: self.mispredicts,
             sq_drains: arb.extra_counter("sq_drains"),
             sq_full_stalls: arb.extra_counter("sq_full_stalls"),
-            grants_per_cycle: arb.grants_per_cycle().iter().map(|(_, n)| n).collect(),
+            grants_per_round: arb.grants_per_round().iter().map(|(_, n)| n).collect(),
             port_label: self.port.label(),
             skipped_cycles: 0,
             cpu_secs,
@@ -953,7 +860,10 @@ mod tests {
         let p = assemble("main: j main\n").unwrap(); // infinite loop
         let r = Simulator::new(
             &p,
-            CpuConfig::with_max_insts(500),
+            CpuConfig {
+                max_insts: 500,
+                ..CpuConfig::default()
+            },
             HierarchyConfig::default(),
             PortConfig::Ideal { ports: 1 },
         )
@@ -1184,7 +1094,6 @@ mod robustness_tests {
         fn arbitrate_into(&mut self, _ready: &[MemRequest], granted: &mut Vec<usize>) {
             granted.clear();
         }
-        fn tick(&mut self) {}
         fn peak_per_cycle(&self) -> usize {
             1
         }
@@ -1274,7 +1183,10 @@ mod robustness_tests {
         let port = PortConfig::Ideal { ports: 1 }.build(HierarchyConfig::default().l1_line);
         let err = Simulator::build(
             trace,
-            CpuConfig::with_max_insts(500),
+            CpuConfig {
+                max_insts: 500,
+                ..CpuConfig::default()
+            },
             HierarchyConfig::default(),
             port,
         )

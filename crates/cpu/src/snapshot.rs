@@ -7,11 +7,11 @@
 //! configurations, the window and LSQ with their full dependence
 //! bookkeeping, pending completion events, functional-unit busy
 //! horizons, cache hierarchy contents (tags, LRU, MSHRs, statistics),
-//! branch-predictor tables, pipeline histograms, and the port model's
-//! internal state (bank store queues, arbitration counters,
-//! fault-injector RNG). Resuming from a snapshot taken at cycle *K* and
-//! running to completion produces exactly the same
-//! [`SimReport`](crate::SimReport) as an uninterrupted run.
+//! branch-predictor tables, and the port model's internal state (bank
+//! store queues, arbitration counters, fault-injector RNG). Resuming
+//! from a snapshot taken at cycle *K* and running to completion produces
+//! exactly the same [`SimReport`](crate::SimReport) as an uninterrupted
+//! run.
 //!
 //! The byte format is sealed by [`hbdc_snap::seal`]: a magic/version
 //! header plus an XXH64 ([`hbdc_snap::hash64`]) checksum over the
@@ -22,7 +22,7 @@
 
 use std::path::Path;
 
-use hbdc_core::{PortConfig, PortModel};
+use hbdc_core::PortConfig;
 use hbdc_snap::{open, write_atomic, SnapError, StateReader, StateWriter};
 
 use crate::dynamic::DynInst;
@@ -45,8 +45,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HBSN";
 /// and the source tag and the later trace field are gone; 6 — the
 /// container checksum (and the embedded HBTR v2 trace's checksum and
 /// program fingerprint) are [`hbdc_snap::hash64`] (XXH64) instead of
-/// FNV-1a, with the payload layout unchanged.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// FNV-1a, with the payload layout unchanged; 7 — dropped the five
+/// per-cycle pipeline histograms, the port model's ticked-cycle count
+/// and the hierarchy's memory-writeback count, which no report read.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// A sealed, self-contained simulator checkpoint.
 ///
@@ -132,10 +134,9 @@ fn save_slim_opt(di: &Option<DynInst>, w: &mut StateWriter) {
 impl Simulator {
     /// Captures the complete simulator state as a sealed snapshot.
     ///
-    /// Call only at a cycle boundary (after construction, between
-    /// [`run_for`](Self::run_for) slices, or after
-    /// [`step_cycle`](Self::step_cycle) returns); the per-cycle scratch
-    /// buffers are then empty and excluded by construction.
+    /// Call only at a cycle boundary (after construction or between
+    /// [`run_for`](Self::run_for) slices); the per-cycle scratch buffers
+    /// are then empty and excluded by construction.
     pub fn save_snapshot(&self) -> SimSnapshot {
         let mut w = StateWriter::sealed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         // Identity: the sealed trace (which embeds the program) and the
@@ -169,11 +170,6 @@ impl Simulator {
         self.lsq.save_state(&mut w);
         self.fus.save_state(&mut w);
         self.hier.save_state(&mut w);
-        self.pipe.issued.save_state(&mut w);
-        self.pipe.dispatched.save_state(&mut w);
-        self.pipe.committed.save_state(&mut w);
-        self.pipe.window_occupancy.save_state(&mut w);
-        self.pipe.lsq_occupancy.save_state(&mut w);
         match &self.predictor {
             Some(p) => {
                 w.put_bool(true);
@@ -195,37 +191,11 @@ impl Simulator {
     ///
     /// * [`SimError::Snapshot`] — corrupt or version-skewed bytes, or the
     ///   snapshot was taken from a simulator constructed with
-    ///   [`with_port_model`](Self::with_port_model) (no declarative port
-    ///   configuration; use
-    ///   [`resume_with_port_model`](Self::resume_with_port_model)).
+    ///   [`with_port_model`](Self::with_port_model), which has no
+    ///   declarative port configuration to rebuild the model from.
     /// * [`SimError::Config`] — the embedded configuration no longer
     ///   builds (should not happen for snapshots this library wrote).
     pub fn resume(snapshot: &SimSnapshot) -> Result<Self, SimError> {
-        Self::resume_inner(snapshot, None)
-    }
-
-    /// Rebuilds a simulator from a snapshot around an explicit port model
-    /// instance — required when the snapshot came from a simulator built
-    /// with [`with_port_model`](Self::with_port_model), whose model has
-    /// no declarative description. The caller must supply a model of the
-    /// same type and geometry; its internal state is restored from the
-    /// snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`resume`](Self::resume), plus [`SimError::Snapshot`] when the
-    /// supplied model rejects the checkpointed port state.
-    pub fn resume_with_port_model(
-        snapshot: &SimSnapshot,
-        port: Box<dyn PortModel>,
-    ) -> Result<Self, SimError> {
-        Self::resume_inner(snapshot, Some(port))
-    }
-
-    fn resume_inner(
-        snapshot: &SimSnapshot,
-        port_override: Option<Box<dyn PortModel>>,
-    ) -> Result<Self, SimError> {
         let payload = open(&snapshot.bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
         let mut r = StateReader::new(payload);
         let trace = CommittedTrace::from_bytes(r.get_bytes()?)?;
@@ -236,18 +206,14 @@ impl Simulator {
         };
         let cfg = CpuConfig::load_state(&mut r)?;
         let hier_cfg = HierarchyConfig::load_state(&mut r)?;
-        let port = match port_override {
-            Some(port) => port,
-            None => port_cfg
-                .ok_or_else(|| SimError::Snapshot {
-                    detail: "snapshot carries no port configuration (the simulator was \
-                             built with an explicit port model); resume with \
-                             resume_with_port_model"
-                        .into(),
-                })?
-                .try_build(hier_cfg.l1_line)
-                .map_err(|detail| SimError::Config { detail })?,
-        };
+        let port = port_cfg
+            .ok_or_else(|| SimError::Snapshot {
+                detail: "snapshot carries no port configuration (the simulator was \
+                         built with an explicit port model), so it cannot be resumed"
+                    .into(),
+            })?
+            .try_build(hier_cfg.l1_line)
+            .map_err(|detail| SimError::Config { detail })?;
         let mut sim = Self::build(trace, cfg, hier_cfg, port);
         sim.port_cfg = port_cfg;
         sim.now = r.get_u64()?;
@@ -271,11 +237,6 @@ impl Simulator {
         sim.lsq.load_state(&mut r)?;
         sim.fus.load_state(&mut r)?;
         sim.hier.load_state(&mut r)?;
-        sim.pipe.issued.load_state(&mut r)?;
-        sim.pipe.dispatched.load_state(&mut r)?;
-        sim.pipe.committed.load_state(&mut r)?;
-        sim.pipe.window_occupancy.load_state(&mut r)?;
-        sim.pipe.lsq_occupancy.load_state(&mut r)?;
         let has_predictor = r.get_bool()?;
         match (&mut sim.predictor, has_predictor) {
             (Some(p), true) => p.load_state(&mut r)?,
@@ -473,33 +434,25 @@ mod tests {
     }
 
     #[test]
-    fn explicit_port_models_need_resume_with_port_model() {
+    fn explicit_port_models_cannot_be_resumed() {
         use hbdc_core::IdealPorts;
         let p = program();
-        let mk = || {
-            Simulator::with_port_model(
-                &p,
-                CpuConfig::default(),
-                HierarchyConfig::default(),
-                Box::new(IdealPorts::new(2)),
-            )
-        };
-        let baseline = mk().run().unwrap();
-
-        let mut sim = mk();
+        let mut sim = Simulator::with_port_model(
+            &p,
+            CpuConfig::default(),
+            HierarchyConfig::default(),
+            Box::new(IdealPorts::new(2)),
+        );
         sim.run_for(30).unwrap();
         let snap = sim.save_snapshot();
-        // No declarative port configuration: plain resume must refuse.
+        // No declarative port configuration to rebuild the model from.
         match Simulator::resume(&snap) {
             Err(SimError::Snapshot { detail }) => {
-                assert!(detail.contains("resume_with_port_model"), "{detail}");
+                assert!(detail.contains("no port configuration"), "{detail}");
+                assert!(detail.contains("cannot be resumed"), "{detail}");
             }
             other => panic!("expected Snapshot error, got {other:?}"),
         }
-        // Supplying a fresh model of the same shape restores its state.
-        let mut resumed =
-            Simulator::resume_with_port_model(&snap, Box::new(IdealPorts::new(2))).unwrap();
-        assert_eq!(baseline, resumed.run().unwrap());
     }
 
     #[test]

@@ -608,9 +608,9 @@ impl TracePlayer {
         Some(di)
     }
 
-    /// The PC of the next undelivered record (diagnostics; mirrors
-    /// [`Emulator::pc`] pointing at the next instruction). Falls back to
-    /// one past the last delivered PC at end of stream.
+    /// The PC of the next undelivered record (diagnostics; the
+    /// emulator's program counter at that point of the stream). Falls
+    /// back to one past the last delivered PC at end of stream.
     pub fn peek_pc(&self) -> u32 {
         let rec = &self.sealed[self.rec.clone()];
         (self.next_seq < self.total)
@@ -625,11 +625,6 @@ impl TracePlayer {
     /// Records delivered so far (the next record's sequence number).
     pub fn delivered(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Whether every record has been delivered.
-    pub fn exhausted(&self) -> bool {
-        self.next_seq >= self.total
     }
 
     /// Serializes the cursor (not the trace bytes — the snapshot layer
@@ -949,10 +944,7 @@ loop:
                 assert_eq!(player.peek_pc(), want.pc, "{name}: peeked pc");
                 records.push(player.step().expect("stream ended early"));
             }
-            assert!(
-                player.exhausted() && player.step().is_none(),
-                "{name}: stream ran long"
-            );
+            assert!(player.step().is_none(), "{name}: stream ran long");
             let last = expected.last().unwrap().pc;
             assert_eq!(player.peek_pc(), last + 1, "{name}: peeked pc at end");
             assert_eq!(records, expected, "{name}: replay ≠ emulation");

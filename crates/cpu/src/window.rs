@@ -59,8 +59,7 @@ struct Edge {
 
 /// The per-entry state the issue, wakeup and commit loops touch every
 /// cycle, packed into 24 bytes. The full instruction record lives in a
-/// separate cold array read only by snapshots, diagnostics and
-/// [`commit_into`](Window::commit_into).
+/// separate cold array read only by snapshots and diagnostics.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     state: State,
@@ -155,10 +154,13 @@ fn reg_slot(r: ArchReg) -> usize {
 /// };
 /// w.dispatch(producer);
 /// w.dispatch(consumer);
-/// assert_eq!(w.ready_seqs(), vec![0]); // consumer waits on r1
+/// let mut ready = Vec::new();
+/// w.fill_ready(8, &mut ready);
+/// assert_eq!(ready, [0]); // consumer waits on r1
 /// w.mark_issued(0, Some(1));
 /// w.advance_completions(1);
-/// assert_eq!(w.ready_seqs(), vec![1]); // woken
+/// w.fill_ready(8, &mut ready);
+/// assert_eq!(ready, [1]); // woken
 /// ```
 #[derive(Debug)]
 pub struct Window {
@@ -166,8 +168,8 @@ pub struct Window {
     // numbers span at most `capacity <= mask + 1`, so slots are unique and
     // `[base_seq, tail_seq)` is the live window in program order.
     slots: Vec<Slot>,
-    // The full record of each slot's entry (cold: snapshots, diagnostics
-    // and `commit_into` only).
+    // The full record of each slot's entry (cold: snapshots and
+    // diagnostics only).
     insts: Vec<DynInst>,
     mask: u64,
     base_seq: u64,
@@ -436,19 +438,6 @@ impl Window {
         }
     }
 
-    /// Number of entries currently ready to issue.
-    pub fn ready_count(&self) -> usize {
-        self.ready_count
-    }
-
-    /// Sequence numbers currently ready to issue, oldest first.
-    /// Allocates; the hot path uses [`fill_ready`](Self::fill_ready).
-    pub fn ready_seqs(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.ready_count);
-        self.fill_ready(usize::MAX, &mut out);
-        out
-    }
-
     /// The instruction record at `seq`.
     ///
     /// # Panics
@@ -589,10 +578,11 @@ impl Window {
         c
     }
 
-    /// Shared retirement walk: retires up to `max` front entries that are
-    /// Done (and, for stores, access-performed), pushing `f(self, seq)`
-    /// into `out` (cleared first) for each.
-    fn commit_with<T>(&mut self, max: u32, out: &mut Vec<T>, f: impl Fn(&Self, u64) -> T) {
+    /// Retires up to `max` instructions from the front, in order, into
+    /// `out` (cleared first), as each one's sequence number and cached
+    /// instruction facts. An entry retires if it is Done and, for
+    /// stores, its cache access has been performed.
+    pub fn commit_compact_into(&mut self, max: u32, out: &mut Vec<Retired>) {
         out.clear();
         while out.len() < max as usize && !self.is_empty() {
             let seq = self.base_seq;
@@ -600,36 +590,10 @@ impl Window {
             if s.state != State::Done || (s.meta.store && !s.access_done) {
                 break;
             }
-            out.push(f(self, seq));
+            out.push(Retired { seq, meta: s.meta });
             self.free_edges(s.head, s.tail);
             self.base_seq += 1;
         }
-    }
-
-    /// Retires up to `max` instructions from the front, in order, into
-    /// `out` (cleared first). An entry retires if it is Done and, for
-    /// stores, its cache access has been performed.
-    pub fn commit_into(&mut self, max: u32, out: &mut Vec<DynInst>) {
-        self.commit_with(max, out, |w, seq| *w.inst(seq));
-    }
-
-    /// Like [`commit_into`](Self::commit_into), but yields only each
-    /// retired entry's sequence number and cached instruction facts —
-    /// the simulator's hot path, which never needs the full record.
-    pub fn commit_compact_into(&mut self, max: u32, out: &mut Vec<Retired>) {
-        self.commit_with(max, out, |w, seq| Retired {
-            seq,
-            meta: w.meta(seq),
-        });
-    }
-
-    /// Retires up to `max` instructions from the front, in order,
-    /// returning them. Allocates; the hot path uses
-    /// [`commit_into`](Self::commit_into).
-    pub fn commit(&mut self, max: u32) -> Vec<DynInst> {
-        let mut out = Vec::new();
-        self.commit_into(max, &mut out);
-        out
     }
 
     /// The instruction record at `seq`, or `None` if it is not live in
@@ -1025,7 +989,9 @@ mod tests {
         let mut w = Window::new(4);
         w.dispatch(alu(0, 1, 0, 0));
         w.dispatch(alu(1, 2, 0, 0));
-        assert_eq!(w.ready_seqs(), vec![0, 1]);
+        let mut ready = Vec::new();
+        w.fill_ready(4, &mut ready);
+        assert_eq!(ready, [0, 1]);
     }
 
     #[test]
@@ -1033,12 +999,16 @@ mod tests {
         let mut w = Window::new(4);
         w.dispatch(alu(0, 1, 0, 0)); // r1 = ...
         w.dispatch(alu(1, 2, 1, 0)); // r2 = r1 + ...
-        assert_eq!(w.ready_seqs(), vec![0]);
+        let mut ready = Vec::new();
+        w.fill_ready(4, &mut ready);
+        assert_eq!(ready, [0]);
         w.mark_issued(0, Some(3));
         w.advance_completions(2);
-        assert_eq!(w.ready_seqs(), Vec::<u64>::new());
+        w.fill_ready(4, &mut ready);
+        assert!(ready.is_empty());
         w.advance_completions(3);
-        assert_eq!(w.ready_seqs(), vec![1]);
+        w.fill_ready(4, &mut ready);
+        assert_eq!(ready, [1]);
     }
 
     #[test]
@@ -1049,10 +1019,13 @@ mod tests {
         w.dispatch(alu(2, 3, 2, 1)); // depends on both r2 and r1
         w.mark_issued(0, Some(1));
         w.advance_completions(1);
-        assert_eq!(w.ready_seqs(), vec![1]);
+        let mut ready = Vec::new();
+        w.fill_ready(8, &mut ready);
+        assert_eq!(ready, [1]);
         w.mark_issued(1, Some(2));
         w.advance_completions(2);
-        assert_eq!(w.ready_seqs(), vec![2]);
+        w.fill_ready(8, &mut ready);
+        assert_eq!(ready, [2]);
     }
 
     #[test]
@@ -1066,7 +1039,9 @@ mod tests {
         w.mark_issued(1, Some(1));
         w.mark_issued(0, Some(99)); // old producer finishes late
         w.advance_completions(1);
-        assert_eq!(w.ready_seqs(), vec![2]);
+        let mut ready = Vec::new();
+        w.fill_ready(8, &mut ready);
+        assert_eq!(ready, [2]);
     }
 
     #[test]
@@ -1077,10 +1052,12 @@ mod tests {
         w.mark_issued(1, Some(1));
         w.advance_completions(1);
         // Younger is done, older is not: nothing commits.
-        assert!(w.commit(4).is_empty());
+        let mut retired = Vec::new();
+        w.commit_compact_into(4, &mut retired);
+        assert!(retired.is_empty());
         w.mark_issued(0, Some(2));
         w.advance_completions(2);
-        let retired = w.commit(4);
+        w.commit_compact_into(4, &mut retired);
         assert_eq!(retired.len(), 2);
         assert_eq!(retired[0].seq, 0);
         assert_eq!(retired[1].seq, 1);
@@ -1093,9 +1070,13 @@ mod tests {
         w.dispatch(store(0, 0x100));
         w.mark_issued(0, Some(1));
         w.advance_completions(1);
-        assert!(w.commit(1).is_empty()); // access not yet performed
+        let mut retired = Vec::new();
+        w.commit_compact_into(1, &mut retired);
+        assert!(retired.is_empty()); // access not yet performed
         w.mark_access_done(0);
-        assert_eq!(w.commit(1).len(), 1);
+        w.commit_compact_into(1, &mut retired);
+        assert_eq!(retired.len(), 1);
+        assert!(retired[0].meta.store);
     }
 
     #[test]
@@ -1122,8 +1103,11 @@ mod tests {
             w.mark_issued(s, Some(1));
         }
         w.advance_completions(1);
-        assert_eq!(w.commit(2).len(), 2);
-        assert_eq!(w.commit(2).len(), 2);
+        let mut retired = Vec::new();
+        for _ in 0..2 {
+            w.commit_compact_into(2, &mut retired);
+            assert_eq!(retired.len(), 2);
+        }
     }
 
     #[test]
@@ -1149,7 +1133,9 @@ mod tests {
         w.set_complete_at(0, 101);
         w.advance_completions(101);
         assert!(w.is_done(0));
-        assert_eq!(w.ready_seqs(), vec![1]);
+        let mut ready = Vec::new();
+        w.fill_ready(8, &mut ready);
+        assert_eq!(ready, [1]);
     }
 
     #[test]
@@ -1173,6 +1159,7 @@ mod tests {
         // (and the ready bitmap) every few commits.
         let mut w = Window::new(5);
         let mut next = 0u64;
+        let (mut ready, mut retired) = (Vec::new(), Vec::new());
         for cycle in 1..=40u64 {
             while w.has_space() {
                 // Each instruction reads the previous one's result.
@@ -1180,11 +1167,11 @@ mod tests {
                 next += 1;
             }
             assert_eq!(w.len(), 5);
-            let ready = w.ready_seqs();
-            assert_eq!(ready, vec![w.oldest_not_done()], "cycle {cycle}");
+            w.fill_ready(5, &mut ready);
+            assert_eq!(ready, [w.oldest_not_done()], "cycle {cycle}");
             w.mark_issued(ready[0], Some(cycle));
             w.advance_completions(cycle);
-            let retired = w.commit(1);
+            w.commit_compact_into(1, &mut retired);
             assert_eq!(retired.len(), 1);
             assert_eq!(retired[0].seq, cycle - 1);
         }
@@ -1216,14 +1203,17 @@ mod tests {
         restored.save_state(&mut b);
         assert_eq!(b.into_bytes(), bytes);
 
+        let mut ready = Vec::new();
         for win in [&mut w, &mut restored] {
             win.mark_issued(1, Some(1));
             win.advance_completions(1);
             assert_eq!(win.drain_addr_ready().collect::<Vec<_>>(), vec![3]);
-            assert_eq!(win.ready_seqs(), vec![0]);
+            win.fill_ready(6, &mut ready);
+            assert_eq!(ready, [0]);
             win.mark_issued(0, Some(2));
             win.advance_completions(2);
-            assert_eq!(win.ready_seqs(), vec![2, 3, 4]);
+            win.fill_ready(6, &mut ready);
+            assert_eq!(ready, [2, 3, 4]);
         }
     }
 

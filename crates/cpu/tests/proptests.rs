@@ -44,7 +44,7 @@ fn arb_inst() -> impl Strategy<Value = Inst> {
 fn arb_program() -> impl Strategy<Value = Program> {
     prop::collection::vec(arb_inst(), 1..200).prop_map(|mut text| {
         text.push(Inst::Halt);
-        Program::from_parts(text, vec![0; 4096], Default::default(), 0)
+        Program::from_parts(text, vec![0; 4096], 0)
     })
 }
 

@@ -12,7 +12,7 @@
 //! `SimReport::to_record()` for reports recorded when fetch still read a
 //! live functional emulator instead of a trace. Replay must keep matching
 //! them. When the record later gained the branch, store-queue and
-//! grants-per-cycle fields, the pins were re-taken only after each new
+//! grants-per-round fields, the pins were re-taken only after each new
 //! record, with those fields cut out, equalled the recorded one byte for
 //! byte. When the pins moved from FNV-1a to hash64 (XXH64), they were
 //! re-taken only after every hashed record was shown byte-identical

@@ -7,14 +7,16 @@
 //!   pinned. The window, edge and replay-cursor bytes (byte offset,
 //!   sequence number, previous pc, previous memory address) have not
 //!   changed since before the slot-ring window and the block-decoding
-//!   trace player. The pins were last re-recorded at format version 6,
-//!   which changed only the hash: each version-6 snapshot, with its
-//!   version word, its checksum, and the embedded trace's version,
-//!   checksum and program-fingerprint words spliced back to their
-//!   version-5 values, equals the version-5 snapshot byte for byte.
-//!   (Version 5 moved the sealed trace to the front of the payload and
-//!   cut the source tag and the later trace field; version 4 cut the
-//!   `cycle_skip` byte and the skipped-cycle word out of version 3.)
+//!   trace player. The pins were last re-recorded at format version 7,
+//!   which only cut fields: each version-7 payload equals its version-6
+//!   payload with the hierarchy's memory-writeback word, the five
+//!   pipeline histograms (14,024 bytes) and the port model's
+//!   ticked-cycle word cut out. (Version 6 changed only the hash:
+//!   version, checksum and embedded-trace words aside, it equals
+//!   version 5 byte for byte. Version 5 moved the sealed trace to the
+//!   front of the payload and cut the source tag and the later trace
+//!   field; version 4 cut the `cycle_skip` byte and the skipped-cycle
+//!   word out of version 3.)
 //!   Any reordering of edges, completion events or cursor fields
 //!   changes them.
 //! * save → resume → save reproduces the same bytes at each of those
@@ -47,24 +49,24 @@ fn ports() -> [(&'static str, PortConfig); 4] {
     ]
 }
 
-/// Recorded at snapshot format version 6: `(family, [hash64 at each
+/// Recorded at snapshot format version 7: `(family, [hash64 at each
 /// of CYCLES])`.
 const PINNED: [(&str, [u64; 3]); 4] = [
     (
         "ideal",
-        [0xd1082c092b3b1aa3, 0x9b4b2ca64bb60bf1, 0x31e50a1a54fb0aff],
+        [0xde82b5d36b6b5f1d, 0x339536dde84d9a2d, 0xc75b033c537459ec],
     ),
     (
         "replicated",
-        [0x8053596972fd9773, 0xebebd3af585c5012, 0xb007f507ed985845],
+        [0x3514695f12429312, 0xe5231faa8666f2c9, 0x47bd84374afe48c9],
     ),
     (
         "banked",
-        [0x52930b7036bbe177, 0x50e24bfc56bd84df, 0x055ad2e7dac6e652],
+        [0xc032c4929900038e, 0xe3a87e3a1fe4d0ba, 0xe108432b1caef123],
     ),
     (
         "lbic",
-        [0x0a4c3121c7799c4b, 0x24bd01980b8080e3, 0x3dc95f3938cf4fe7],
+        [0x67345320513c6c3e, 0x60f918432f6b95fb, 0x35fca5c11599bd41],
     ),
 ];
 

@@ -260,7 +260,6 @@ impl Gen {
         Program::from_parts(
             std::mem::take(&mut self.text),
             vec![0u8; self.data_bytes as usize],
-            std::collections::HashMap::new(),
             0,
         )
     }
@@ -666,12 +665,7 @@ pub fn stores_to_loads(p: &Program) -> Program {
             other => other,
         })
         .collect();
-    Program::from_parts(
-        text,
-        p.data().to_vec(),
-        std::collections::HashMap::new(),
-        p.entry(),
-    )
+    Program::from_parts(text, p.data().to_vec(), p.entry())
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! **Metamorphic relations from the paper** (orderings between port
 //! models on the *same* program):
 //!
-//! * `runs-clean` — every configuration simulates without a [`SimError`];
+//! * `runs-clean` — every configuration simulates without a
+//!   [`SimError`](hbdc_cpu::SimError);
 //! * `commit-invariance` — committed/load/store counts are properties of
 //!   the program, identical under every port model;
 //! * `ideal-upper-bound` / `port-monotonicity` — an ideal cache whose

@@ -42,7 +42,7 @@ pub fn live_insts(program: &Program) -> usize {
 }
 
 fn with_text(text: Vec<Inst>, data: Vec<u8>, entry: u32) -> Program {
-    Program::from_parts(text, data, std::collections::HashMap::new(), entry)
+    Program::from_parts(text, data, entry)
 }
 
 /// Shrinks `program` while `interesting` holds, returning the smallest

@@ -44,11 +44,20 @@ use std::collections::HashMap;
 use crate::error::AsmError;
 use crate::inst::{AluOp, BranchCond, FpuOp, Inst, Width};
 use crate::layout::DATA_BASE;
-use crate::program::{Program, Symbol};
+use crate::program::Program;
 use crate::reg::Reg;
 
 use directive::DataImage;
 use operand::{parse_freg, parse_imm, parse_mem, parse_reg};
+
+/// A label resolved by the assembler's first pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Symbol {
+    /// A label in the text section: absolute instruction index.
+    Text(u32),
+    /// A label in the data section: absolute virtual byte address.
+    Data(u64),
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Section {
@@ -211,7 +220,7 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
     if text.is_empty() {
         return Err(AsmError::new(0, "program has no instructions"));
     }
-    Ok(Program::from_parts(text, data.into_bytes(), symbols, entry))
+    Ok(Program::from_parts(text, data.into_bytes(), entry))
 }
 
 fn text_target(name: &str, symbols: &HashMap<String, Symbol>, line: u32) -> Result<u32, AsmError> {
@@ -703,9 +712,9 @@ mod tests {
 
     #[test]
     fn multiple_labels_on_one_address() {
-        let p = assemble("a: b_label: nop\n halt\n").unwrap();
-        assert_eq!(p.symbol("a"), Some(Symbol::Text(0)));
-        assert_eq!(p.symbol("b_label"), Some(Symbol::Text(0)));
+        let p = assemble("a: b_label: nop\n j a\n j b_label\n halt\n").unwrap();
+        assert_eq!(p.text()[1], Inst::Jump { target: 0 });
+        assert_eq!(p.text()[2], Inst::Jump { target: 0 });
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use std::collections::HashMap;
 
+use super::Symbol;
 use crate::error::AsmError;
-use crate::program::Symbol;
 use crate::reg::{FReg, Reg};
 
 /// Parses an integer register name: `rN` or an alias (`zero`, `sp`, `fp`,

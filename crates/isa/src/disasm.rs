@@ -115,8 +115,7 @@ fn data_section(data: &[u8]) -> String {
 /// Renders a whole program — `.data` image (when present) and `.text`
 /// with synthetic `L<pc>` labels on every instruction — producing
 /// re-assemblable output: assembling it reproduces the same instruction
-/// text, data image, and entry point. (Symbol names are not preserved;
-/// they do not affect execution.)
+/// text, data image, and entry point.
 pub fn program_to_string(program: &Program) -> String {
     let mut out = String::new();
     if !program.data().is_empty() {

@@ -348,9 +348,8 @@ impl Inst {
     }
 
     /// Calls `f` for each architectural register this instruction
-    /// reads, in operand order — the allocation-free core of
-    /// [`uses`](Self::uses), which dependence analysis runs once per
-    /// dispatched instruction.
+    /// reads, in operand order — allocation-free, since dependence
+    /// analysis runs it once per dispatched instruction.
     ///
     /// Reads of `r0` are omitted (always-ready constant zero).
     pub fn for_each_use(&self, mut f: impl FnMut(ArchReg)) {
@@ -387,17 +386,6 @@ impl Inst {
             Inst::JumpReg { rs } => int(&mut f, rs),
             Inst::Jump { .. } | Inst::JumpAndLink { .. } | Inst::Nop | Inst::Halt => {}
         }
-    }
-
-    /// The architectural registers this instruction reads, as a fresh
-    /// vector (convenience wrapper over
-    /// [`for_each_use`](Self::for_each_use)).
-    ///
-    /// Reads of `r0` are omitted (always-ready constant zero).
-    pub fn uses(&self) -> Vec<ArchReg> {
-        let mut out = Vec::with_capacity(2);
-        self.for_each_use(|r| out.push(r));
-        out
     }
 
     /// The functional-unit class this instruction occupies (paper Table 1).
@@ -440,17 +428,6 @@ impl Inst {
     /// Whether this is a store.
     pub fn is_store(&self) -> bool {
         matches!(self, Inst::Store { .. } | Inst::FStore { .. })
-    }
-
-    /// Whether this is a control-flow instruction.
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Inst::Branch { .. }
-                | Inst::Jump { .. }
-                | Inst::JumpAndLink { .. }
-                | Inst::JumpReg { .. }
-        )
     }
 
     /// The base (address) register of a memory instruction, if any.
@@ -519,7 +496,9 @@ mod tests {
             rs: Reg::ZERO,
             rt: r(2),
         };
-        assert_eq!(i.uses(), vec![ArchReg::Int(r(2))]);
+        let mut uses = Vec::new();
+        i.for_each_use(|u| uses.push(u));
+        assert_eq!(uses, [ArchReg::Int(r(2))]);
     }
 
     #[test]
@@ -530,7 +509,9 @@ mod tests {
             base: r(5),
             offset: 8,
         };
-        assert_eq!(i.uses(), vec![ArchReg::Int(r(4)), ArchReg::Int(r(5))]);
+        let mut uses = Vec::new();
+        i.for_each_use(|u| uses.push(u));
+        assert_eq!(uses, [ArchReg::Int(r(4)), ArchReg::Int(r(5))]);
         assert_eq!(i.def(), None);
         assert!(i.is_store() && i.is_mem() && !i.is_load());
     }
@@ -612,19 +593,5 @@ mod tests {
         assert_eq!(Width::Half.bytes(), 2);
         assert_eq!(Width::Word.bytes(), 4);
         assert_eq!(Width::Double.bytes(), 8);
-    }
-
-    #[test]
-    fn control_classification() {
-        let b = Inst::Branch {
-            cond: BranchCond::Eq,
-            rs: r(1),
-            rt: r(2),
-            target: 0,
-        };
-        assert!(b.is_control());
-        assert!(!b.is_mem());
-        assert!(Inst::Jump { target: 3 }.is_control());
-        assert!(!Inst::Nop.is_control());
     }
 }

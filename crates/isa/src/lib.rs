@@ -12,7 +12,7 @@
 //!   `.text`/`.data` sections, data directives, and the usual pseudo
 //!   instructions (`li`, `la`, `mov`, `b`).
 //! * [`Program`] — an assembled unit: instruction text, initialized data
-//!   image, and a symbol table.
+//!   image, and entry point.
 //! * [`disasm`] — a disassembler producing assembler-compatible text.
 //! * [`object`] — a compact binary object format for assembled programs.
 //!
@@ -53,5 +53,5 @@ mod reg;
 pub use error::AsmError;
 pub use inst::{AluOp, ArchReg, BranchCond, FpuOp, FuClass, Inst, Width};
 pub use layout::{DATA_BASE, HEAP_BASE, STACK_TOP};
-pub use program::{Program, Symbol};
+pub use program::Program;
 pub use reg::{FReg, Reg};

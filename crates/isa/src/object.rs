@@ -307,7 +307,7 @@ fn decode_inst(op: u8, a: u8, b: u8, c: u8, imm: i64) -> Result<Inst, AsmError> 
     })
 }
 
-/// Serializes a program to the binary object format (symbols excluded).
+/// Serializes a program to the binary object format.
 ///
 /// # Examples
 ///
@@ -388,7 +388,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Program, AsmError> {
         return Err(bad("entry out of range"));
     }
     let data = bytes[pos..pos + data_len].to_vec();
-    Ok(Program::from_parts(text, data, Default::default(), entry))
+    Ok(Program::from_parts(text, data, entry))
 }
 
 #[cfg(test)]
@@ -461,12 +461,7 @@ mod tests {
     #[test]
     fn out_of_range_branch_target_rejected() {
         // Hand-build an object with a jump past the end.
-        let p = Program::from_parts(
-            vec![Inst::Jump { target: 0 }, Inst::Halt],
-            vec![],
-            Default::default(),
-            0,
-        );
+        let p = Program::from_parts(vec![Inst::Jump { target: 0 }, Inst::Halt], vec![], 0);
         let mut bytes = to_bytes(&p);
         // Patch the jump's imm (record 0, bytes 28..36) to 99.
         bytes[28..36].copy_from_slice(&99i64.to_le_bytes());

@@ -1,31 +1,19 @@
 //! Assembled program container.
 
-use std::collections::HashMap;
-
 use crate::inst::Inst;
 use crate::layout::DATA_BASE;
 
-/// A symbol resolved by the assembler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Symbol {
-    /// A label in the text section: absolute instruction index.
-    Text(u32),
-    /// A label in the data section: absolute virtual byte address.
-    Data(u64),
-}
-
 /// An assembled unit: instruction text, an initialized data image based at
-/// [`DATA_BASE`](crate::DATA_BASE), and the symbol table.
+/// [`DATA_BASE`](crate::DATA_BASE), and the entry point. Labels are
+/// resolved by the assembler and not kept.
 ///
 /// # Examples
 ///
 /// ```
 /// use hbdc_isa::asm::assemble;
-/// use hbdc_isa::Symbol;
 ///
 /// let p = assemble(".data\nv: .word 1, 2, 3\n.text\nmain: halt\n")?;
 /// assert_eq!(p.data().len(), 12);
-/// assert!(matches!(p.symbol("v"), Some(Symbol::Data(_))));
 /// assert_eq!(p.entry(), 0);
 /// # Ok::<(), hbdc_isa::AsmError>(())
 /// ```
@@ -33,7 +21,6 @@ pub enum Symbol {
 pub struct Program {
     text: Vec<Inst>,
     data: Vec<u8>,
-    symbols: HashMap<String, Symbol>,
     entry: u32,
 }
 
@@ -43,34 +30,12 @@ impl Program {
     /// # Panics
     ///
     /// Panics if `entry` is out of range of `text` for a non-empty text
-    /// section, or if any symbol refers past the end of its section.
-    pub fn from_parts(
-        text: Vec<Inst>,
-        data: Vec<u8>,
-        symbols: HashMap<String, Symbol>,
-        entry: u32,
-    ) -> Self {
+    /// section.
+    pub fn from_parts(text: Vec<Inst>, data: Vec<u8>, entry: u32) -> Self {
         if !text.is_empty() {
             assert!((entry as usize) < text.len(), "entry point out of range");
         }
-        for (name, sym) in &symbols {
-            match *sym {
-                Symbol::Text(pc) => assert!(
-                    (pc as usize) <= text.len(),
-                    "text symbol `{name}` out of range"
-                ),
-                Symbol::Data(addr) => assert!(
-                    addr >= DATA_BASE && addr <= DATA_BASE + data.len() as u64,
-                    "data symbol `{name}` out of range"
-                ),
-            }
-        }
-        Self {
-            text,
-            data,
-            symbols,
-            entry,
-        }
+        Self { text, data, entry }
     }
 
     /// The instruction text. PC values index this slice.
@@ -93,16 +58,6 @@ impl Program {
     pub fn entry(&self) -> u32 {
         self.entry
     }
-
-    /// Looks up a symbol by name.
-    pub fn symbol(&self, name: &str) -> Option<Symbol> {
-        self.symbols.get(name).copied()
-    }
-
-    /// Iterates over `(name, symbol)` pairs in unspecified order.
-    pub fn symbols(&self) -> impl Iterator<Item = (&str, Symbol)> {
-        self.symbols.iter().map(|(k, v)| (k.as_str(), *v))
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +67,7 @@ mod tests {
 
     #[test]
     fn from_parts_validates_entry() {
-        let p = Program::from_parts(vec![Inst::Halt], vec![], HashMap::new(), 0);
+        let p = Program::from_parts(vec![Inst::Halt], vec![], 0);
         assert_eq!(p.entry(), 0);
         assert_eq!(p.text().len(), 1);
     }
@@ -120,27 +75,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "entry point out of range")]
     fn bad_entry_panics() {
-        Program::from_parts(vec![Inst::Halt], vec![], HashMap::new(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_data_symbol_panics() {
-        let mut syms = HashMap::new();
-        syms.insert("x".to_string(), Symbol::Data(0));
-        Program::from_parts(vec![Inst::Halt], vec![], syms, 0);
-    }
-
-    #[test]
-    fn symbol_lookup() {
-        let mut syms = HashMap::new();
-        syms.insert("main".to_string(), Symbol::Text(0));
-        syms.insert("buf".to_string(), Symbol::Data(DATA_BASE + 4));
-        let p = Program::from_parts(vec![Inst::Halt], vec![0; 8], syms, 0);
-        assert_eq!(p.symbol("main"), Some(Symbol::Text(0)));
-        assert_eq!(p.symbol("buf"), Some(Symbol::Data(DATA_BASE + 4)));
-        assert_eq!(p.symbol("nope"), None);
-        assert_eq!(p.symbols().count(), 2);
+        Program::from_parts(vec![Inst::Halt], vec![], 5);
     }
 
     #[test]

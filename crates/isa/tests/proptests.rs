@@ -153,7 +153,7 @@ proptest! {
             };
         }
         text.push(Inst::Halt);
-        let p1 = hbdc_isa::Program::from_parts(text, vec![], Default::default(), 0);
+        let p1 = hbdc_isa::Program::from_parts(text, vec![], 0);
         let rendered = disasm::program_to_string(&p1);
         let p2 = assemble(&rendered).expect("rendered program must assemble");
         prop_assert_eq!(p1.text(), p2.text());
@@ -167,7 +167,9 @@ proptest! {
 
     #[test]
     fn uses_and_defs_exclude_r0(inst in arb_plain_inst()) {
-        for u in inst.uses() {
+        let mut uses = Vec::new();
+        inst.for_each_use(|u| uses.push(u));
+        for u in uses {
             if let hbdc_isa::ArchReg::Int(r) = u {
                 prop_assert!(!r.is_zero());
             }
@@ -183,7 +185,7 @@ proptest! {
     fn object_format_roundtrips(insts in prop::collection::vec(arb_plain_inst(), 1..80)) {
         let mut text = insts;
         text.push(Inst::Halt);
-        let p = hbdc_isa::Program::from_parts(text, vec![1, 2, 3], Default::default(), 0);
+        let p = hbdc_isa::Program::from_parts(text, vec![1, 2, 3], 0);
         let bytes = hbdc_isa::object::to_bytes(&p);
         let q = hbdc_isa::object::from_bytes(&bytes).expect("roundtrip decodes");
         prop_assert_eq!(p.text(), q.text());

@@ -39,9 +39,12 @@ pub enum BankSelect {
     /// Bit selection on the line number (the paper's choice, Figure 2c).
     #[default]
     BitSelect,
-    /// XOR-fold of successive bank-width fields of the line number.
+    /// XOR-fold of successive bank-width fields of the line number:
+    /// spreads strided streams whose stride is a multiple of
+    /// `banks * line_size` (which defeats bit selection).
     XorFold,
-    /// Pseudo-random multiplicative hash (Rau, ISCA-18 1991).
+    /// Pseudo-random multiplicative hash (Rau, ISCA-18 1991), so that any
+    /// fixed stride distributes near-uniformly.
     PseudoRandom,
     /// Bit selection on the 8-byte word number: a line spreads across
     /// the banks, so each bank needs its own copy of the tag (paper §3,
@@ -73,20 +76,6 @@ impl BankMapper {
     /// Bit selection (the paper's choice): bank = low bits of line number.
     pub fn bit_select(banks: u32, line_size: u64) -> Self {
         Self::with_select(BankSelect::BitSelect, banks, line_size)
-    }
-
-    /// XOR-fold: XORs successive bank-width fields of the line number.
-    /// Spreads strided streams whose stride is a multiple of
-    /// `banks * line_size` (which defeats bit selection).
-    pub fn xor_fold(banks: u32, line_size: u64) -> Self {
-        Self::with_select(BankSelect::XorFold, banks, line_size)
-    }
-
-    /// Pseudo-random interleaving in the spirit of Rau [ISCA-18, 1991]:
-    /// hashes the line number with a fixed multiplicative mix so that any
-    /// fixed stride distributes near-uniformly.
-    pub fn pseudo_random(banks: u32, line_size: u64) -> Self {
-        Self::with_select(BankSelect::PseudoRandom, banks, line_size)
     }
 
     /// Number of banks.
@@ -139,8 +128,8 @@ mod tests {
     fn single_bank_always_zero() {
         for m in [
             BankMapper::bit_select(1, 32),
-            BankMapper::xor_fold(1, 32),
-            BankMapper::pseudo_random(1, 32),
+            BankMapper::with_select(BankSelect::XorFold, 1, 32),
+            BankMapper::with_select(BankSelect::PseudoRandom, 1, 32),
         ] {
             assert_eq!(m.bank_of(0xdead_beef), 0);
             assert_eq!(m.banks(), 1);
@@ -157,8 +146,8 @@ mod tests {
     fn all_mappers_stay_in_range() {
         for m in [
             BankMapper::bit_select(8, 32),
-            BankMapper::xor_fold(8, 32),
-            BankMapper::pseudo_random(8, 32),
+            BankMapper::with_select(BankSelect::XorFold, 8, 32),
+            BankMapper::with_select(BankSelect::PseudoRandom, 8, 32),
         ] {
             for i in 0..1000u64 {
                 assert!(m.bank_of(i * 13 + 7) < 8);
@@ -172,8 +161,8 @@ mod tests {
         // otherwise a single access would span banks.
         for m in [
             BankMapper::bit_select(4, 32),
-            BankMapper::xor_fold(4, 32),
-            BankMapper::pseudo_random(4, 32),
+            BankMapper::with_select(BankSelect::XorFold, 4, 32),
+            BankMapper::with_select(BankSelect::PseudoRandom, 4, 32),
         ] {
             for line in 0u64..200 {
                 let base = line * 32;
@@ -202,7 +191,7 @@ mod tests {
         // Stride of banks*line_size defeats bit selection entirely (all
         // references land in bank 0) but xor-fold must spread them.
         let bits = BankMapper::bit_select(4, 32);
-        let fold = BankMapper::xor_fold(4, 32);
+        let fold = BankMapper::with_select(BankSelect::XorFold, 4, 32);
         let stride = 4 * 32u64;
         let bit_banks: Vec<u32> = (0..64).map(|i| bits.bank_of(i * stride)).collect();
         assert!(bit_banks.iter().all(|&b| b == 0));
@@ -213,7 +202,7 @@ mod tests {
 
     #[test]
     fn pseudo_random_is_roughly_uniform_on_sequential_lines() {
-        let m = BankMapper::pseudo_random(4, 32);
+        let m = BankMapper::with_select(BankSelect::PseudoRandom, 4, 32);
         let mut counts = [0u32; 4];
         for line in 0..4000u64 {
             counts[m.bank_of(line * 32) as usize] += 1;

@@ -16,7 +16,6 @@
 /// let g = CacheGeometry::new(32 * 1024, 32, 1);
 /// assert_eq!(g.num_sets(), 1024);
 /// assert_eq!(g.line_addr(0x1234), 0x1220);
-/// assert_eq!(g.offset(0x1234), 0x14);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheGeometry {
@@ -91,16 +90,6 @@ impl CacheGeometry {
         addr & !(self.line_size - 1)
     }
 
-    /// The line number of `addr` (line address shifted down).
-    pub fn line_number(&self, addr: u64) -> u64 {
-        addr >> self.line_shift
-    }
-
-    /// The byte offset of `addr` within its line.
-    pub fn offset(&self, addr: u64) -> u64 {
-        addr & (self.line_size - 1)
-    }
-
     /// The set index of `addr`.
     pub fn set_index(&self, addr: u64) -> u64 {
         (addr >> self.line_shift) & (self.num_sets - 1)
@@ -109,11 +98,6 @@ impl CacheGeometry {
     /// The tag of `addr` (everything above the set index).
     pub fn tag(&self, addr: u64) -> u64 {
         addr >> (self.line_shift + self.num_sets.trailing_zeros())
-    }
-
-    /// Whether `a` and `b` fall in the same cache line.
-    pub fn same_line(&self, a: u64, b: u64) -> bool {
-        self.line_number(a) == self.line_number(b)
     }
 
     /// Reconstructs a line-aligned address from `(tag, set_index)` — the
@@ -158,7 +142,6 @@ mod tests {
         let g = l1();
         let addr = 0x0001_2345u64;
         assert_eq!(g.line_addr(addr), 0x0001_2340);
-        assert_eq!(g.offset(addr), 5);
         assert_eq!(g.set_index(addr), (addr >> 5) & 1023);
         assert_eq!(g.tag(addr), addr >> 15);
     }
@@ -176,13 +159,6 @@ mod tests {
             g.rebuild_addr(g.tag(addr), g.set_index(addr)),
             g.line_addr(addr)
         );
-    }
-
-    #[test]
-    fn same_line_predicate() {
-        let g = l1();
-        assert!(g.same_line(0x100, 0x11f));
-        assert!(!g.same_line(0x11f, 0x120));
     }
 
     #[test]

@@ -111,8 +111,10 @@ pub struct AccessOutcome {
 /// Fills update the tag arrays immediately while the [`MshrFile`] carries
 /// the outstanding-miss latency, so secondary accesses to an in-flight
 /// line merge (they see a tag hit whose `ready_at` is the fill completion).
-/// Dirty-victim writebacks are modelled as counted, latency-free events —
-/// the paper's store-queue/writeback-buffer assumption.
+/// Dirty-victim writebacks are latency-free — the paper's
+/// store-queue/writeback-buffer assumption. An L1 writeback is counted in
+/// the L1 statistics and allocates the line in L2; an L2 victim leaves
+/// the hierarchy uncounted.
 ///
 /// # Examples
 ///
@@ -135,7 +137,6 @@ pub struct Hierarchy {
     mshrs: MshrFile,
     l1_stats: CacheStats,
     l2_stats: CacheStats,
-    mem_writebacks: u64,
 }
 
 impl Hierarchy {
@@ -148,18 +149,12 @@ impl Hierarchy {
             cfg,
             l1_stats: CacheStats::new("dl1"),
             l2_stats: CacheStats::new("l2"),
-            mem_writebacks: 0,
         }
     }
 
     /// The configuration in effect.
     pub fn config(&self) -> &HierarchyConfig {
         &self.cfg
-    }
-
-    /// L1 geometry (used by port models for line/bank decomposition).
-    pub fn l1_geometry(&self) -> &CacheGeometry {
-        self.l1.geometry()
     }
 
     /// Performs one access at cycle `now` and returns its timing.
@@ -217,9 +212,7 @@ impl Hierarchy {
             self.cfg.l1_hit_latency + self.cfg.l2_latency
         } else {
             // Fill L2 from memory (write-allocate at L2 as well).
-            if let Some(_victim) = self.l2.fill(addr, false) {
-                self.mem_writebacks += 1;
-            }
+            self.l2.fill(addr, false);
             self.cfg.l1_hit_latency + self.cfg.l2_latency + self.cfg.mem_latency
         };
         self.l2_stats.record_access(l2_hit, false);
@@ -244,25 +237,11 @@ impl Hierarchy {
         self.l1_stats.record_writeback();
         if self.l2.lookup(victim_line, true) == LookupResult::Miss {
             // Write-allocate the victim's line in L2.
-            if self.l2.fill(victim_line, true).is_some() {
-                self.mem_writebacks += 1;
-            }
+            self.l2.fill(victim_line, true);
             self.l2_stats.record_access(false, true);
         } else {
             self.l2_stats.record_access(true, true);
         }
-    }
-
-    /// Read-only probe: would `addr` hit in L1 right now?
-    pub fn probe_l1(&self, addr: u64) -> bool {
-        self.l1.probe(addr)
-    }
-
-    /// Number of outstanding L1 misses — fills still in flight strictly
-    /// after `now`. A pure probe: completed-but-unretired entries are
-    /// excluded by value, so no retirement (and no `&mut`) is needed.
-    pub fn outstanding_misses(&self, now: u64) -> usize {
-        self.mshrs.outstanding_after(now)
     }
 
     /// L1 statistics.
@@ -275,11 +254,6 @@ impl Hierarchy {
         &self.l2_stats
     }
 
-    /// Dirty-victim writebacks that reached main memory.
-    pub fn mem_writebacks(&self) -> u64 {
-        self.mem_writebacks
-    }
-
     /// Serializes both tag arrays, the MSHR file, and all statistics.
     /// The configuration is *not* serialized here — callers persist it
     /// separately (see [`HierarchyConfig::save_state`]) and rebuild via
@@ -290,7 +264,6 @@ impl Hierarchy {
         self.mshrs.save_state(w);
         self.l1_stats.save_state(w);
         self.l2_stats.save_state(w);
-        w.put_u64(self.mem_writebacks);
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into a
@@ -306,7 +279,6 @@ impl Hierarchy {
         self.mshrs.load_state(r)?;
         self.l1_stats.load_state(r)?;
         self.l2_stats.load_state(r)?;
-        self.mem_writebacks = r.get_u64()?;
         Ok(())
     }
 }
@@ -368,17 +340,19 @@ mod tests {
         h.access(0x0000, false, 0);
         let rejected = h.access(0x10_0000, false, 0);
         assert!(rejected.rejected);
-        assert!(!h.probe_l1(0x10_0000));
-        // After the first fill completes, the line can be requested.
+        // After the first fill completes, the line can be requested, and
+        // the rejected access left it absent: this is a cold miss.
         let ok = h.access(0x10_0000, false, 20);
         assert!(!ok.rejected);
+        assert!(!ok.l1_hit);
+        assert_eq!(ok.ready_at, 20 + 1 + 4 + 10);
     }
 
     #[test]
     fn store_miss_write_allocates_and_dirties() {
         let mut h = hier();
         h.access(0x0000, true, 0); // store miss: allocate dirty
-        assert!(h.probe_l1(0x0000));
+        assert!(h.access(0x0008, false, 50).l1_hit);
         // Evict it: the dirty victim must be written back to L2.
         h.access(0x8000, false, 100);
         assert_eq!(h.l1_stats().writebacks(), 1);
@@ -433,7 +407,6 @@ mod tests {
         }
         assert_eq!(restored.l1_stats().accesses(), h.l1_stats().accesses());
         assert_eq!(restored.l2_stats().misses(), h.l2_stats().misses());
-        assert_eq!(restored.mem_writebacks(), h.mem_writebacks());
     }
 
     #[test]
@@ -444,26 +417,5 @@ mod tests {
         let bytes = w.into_bytes();
         let back = HierarchyConfig::load_state(&mut StateReader::new(&bytes)).unwrap();
         assert_eq!(back, cfg);
-    }
-
-    #[test]
-    fn l2_capacity_eviction_reaches_memory() {
-        // Tiny L2 to force dirty L2 victims out to memory.
-        let mut h = Hierarchy::new(HierarchyConfig {
-            l1_size: 64,
-            l1_line: 32,
-            l1_assoc: 1,
-            l2_size: 128,
-            l2_line: 64,
-            l2_assoc: 1,
-            ..HierarchyConfig::default()
-        });
-        // Store to many distinct lines; L1 (2 lines) and L2 (2 lines)
-        // thrash, forcing dirty victims down the hierarchy.
-        for i in 0..16u64 {
-            h.access(i * 0x1000, true, i * 100);
-        }
-        assert!(h.l1_stats().writebacks() > 0);
-        assert!(h.mem_writebacks() > 0);
     }
 }

@@ -8,9 +8,10 @@
 //!   line address, offset extraction).
 //! * [`TagArray`] — a tag store with true-LRU replacement and dirty bits;
 //!   the building block for both cache levels.
-//! * [`BankMapper`] — bank-selection functions for interleaved caches: the
-//!   paper's bit selection (Figure 2c), plus XOR-fold and pseudo-random
-//!   mappings as ablations (paper §3.2 discusses the tradeoff).
+//! * [`BankMapper`] — bank-selection functions for interleaved caches
+//!   ([`BankSelect`]): the paper's bit selection (Figure 2c), plus
+//!   XOR-fold, pseudo-random and word interleaving as ablations (paper
+//!   §3.2 discusses the tradeoff).
 //! * [`MshrFile`] — miss status holding registers for the non-blocking L1.
 //! * [`FibHashMap`] — a `u64`-keyed map with multiplicative hashing, for
 //!   the per-reference maps of this crate and the LSQ.

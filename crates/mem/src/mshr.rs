@@ -115,13 +115,6 @@ impl MshrFile {
         self.entries.len()
     }
 
-    /// Number of misses whose fills are still in flight strictly after
-    /// `now` — [`outstanding`](Self::outstanding) as it would read once
-    /// everything due by `now` is retired, without mutating anything.
-    pub fn outstanding_after(&self, now: u64) -> usize {
-        self.entries.values().filter(|&&r| r > now).count()
-    }
-
     /// Whether a new (non-merging) miss can be accepted.
     pub fn has_free_entry(&self) -> bool {
         self.entries.len() < self.capacity

@@ -141,24 +141,6 @@ impl TagArray {
         writeback
     }
 
-    /// Invalidates `addr`'s line if present; returns whether it was dirty.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let tag = self.geom.tag(addr);
-        let range = self.set_range(addr);
-        for way in &mut self.ways[range] {
-            if way.valid && way.tag == tag {
-                way.valid = false;
-                return way.dirty;
-            }
-        }
-        false
-    }
-
-    /// Number of valid lines currently resident.
-    pub fn resident_lines(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
-    }
-
     /// Serializes every way (valid/dirty/tag/LRU) plus the LRU clock.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.put_usize(self.ways.len());
@@ -267,24 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_reports_dirty() {
-        let mut t = dm();
-        t.fill(0x0040, true);
-        assert!(t.invalidate(0x0040));
-        assert!(!t.probe(0x0040));
-        assert!(!t.invalidate(0x0040)); // already gone
-    }
-
-    #[test]
-    fn resident_lines_counts_fills() {
-        let mut t = dm();
-        assert_eq!(t.resident_lines(), 0);
-        t.fill(0x0000, false);
-        t.fill(0x0020, false);
-        assert_eq!(t.resident_lines(), 2);
-    }
-
-    #[test]
     fn state_roundtrip_preserves_lru_and_dirty() {
         let mut t = TagArray::new(CacheGeometry::new(128, 32, 2));
         t.fill(0x000, true);
@@ -298,7 +262,6 @@ mod tests {
         restored.load_state(&mut StateReader::new(&bytes)).unwrap();
         // Same fill now evicts the same victim in both arrays.
         assert_eq!(restored.fill(0x080, false), t.fill(0x080, false));
-        assert_eq!(restored.resident_lines(), t.resident_lines());
     }
 
     #[test]

@@ -5,7 +5,9 @@ use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
-use hbdc_mem::{BankMapper, CacheGeometry, LookupResult, Memory, MshrFile, MshrOutcome, TagArray};
+use hbdc_mem::{
+    BankMapper, BankSelect, CacheGeometry, LookupResult, Memory, MshrFile, MshrOutcome, TagArray,
+};
 
 /// The functional memory's page size.
 const PAGE: usize = 4096;
@@ -162,8 +164,8 @@ proptest! {
     ) {
         for mapper in [
             BankMapper::bit_select(banks, 32),
-            BankMapper::xor_fold(banks, 32),
-            BankMapper::pseudo_random(banks, 32),
+            BankMapper::with_select(BankSelect::XorFold, banks, 32),
+            BankMapper::with_select(BankSelect::PseudoRandom, banks, 32),
         ] {
             for &a in &addrs {
                 let b = mapper.bank_of(a);

@@ -1,8 +1,8 @@
 //! `hbdc-snap`: the crash-safety substrate for the simulator family.
 //!
 //! Every other crate in this workspace hand-rolls exactly one durable
-//! artifact kind — simulator snapshots ([`hbdc-cpu`]'s `SimSnapshot`) and
-//! matrix run journals (`hbdc-bench`'s `RunJournal`) — and both are built
+//! artifact kind — simulator snapshots (`hbdc-cpu`'s `SimSnapshot`) and
+//! matrix run journals (`hbdc-bench`'s campaign journal) — and both are built
 //! on the primitives here:
 //!
 //! * [`StateWriter`] / [`StateReader`] — a tiny little-endian binary codec
@@ -286,11 +286,6 @@ impl StateWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `f64` as its IEEE-754 bits.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
     /// Appends a `usize` widened to `u64`.
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
@@ -431,11 +426,6 @@ impl<'a> StateReader<'a> {
     /// Reads a little-endian `i64`.
     pub fn get_i64(&mut self) -> Result<i64, SnapError> {
         Ok(self.get_u64()? as i64)
-    }
-
-    /// Reads an `f64` from its IEEE-754 bits.
-    pub fn get_f64(&mut self) -> Result<f64, SnapError> {
-        Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Reads a `u64` and narrows it to `usize`.
@@ -654,7 +644,6 @@ mod tests {
         w.put_u32(0xdead_beef);
         w.put_u64(u64::MAX);
         w.put_i64(-42);
-        w.put_f64(-1234.5678);
         w.put_usize(99);
         w.put_opt_u64(Some(5));
         w.put_opt_u64(None);
@@ -670,7 +659,6 @@ mod tests {
         assert_eq!(r.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(r.get_u64().unwrap(), u64::MAX);
         assert_eq!(r.get_i64().unwrap(), -42);
-        assert_eq!(r.get_f64().unwrap(), -1234.5678);
         assert_eq!(r.get_usize().unwrap(), 99);
         assert_eq!(r.get_opt_u64().unwrap(), Some(5));
         assert_eq!(r.get_opt_u64().unwrap(), None);

@@ -17,9 +17,9 @@ use hbdc_snap::{SnapError, StateReader, StateWriter};
 ///
 /// let mut conflicts = Counter::new("bank.conflicts");
 /// conflicts.incr();
-/// conflicts.add(4);
-/// assert_eq!(conflicts.value(), 5);
-/// assert_eq!(conflicts.name(), "bank.conflicts");
+/// conflicts.incr();
+/// assert_eq!(conflicts.value(), 2);
+/// assert_eq!(conflicts.to_string(), "bank.conflicts = 2");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Counter {
@@ -36,11 +36,6 @@ impl Counter {
         }
     }
 
-    /// The counter's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The current count.
     pub fn value(&self) -> u64 {
         self.value
@@ -49,16 +44,6 @@ impl Counter {
     /// Increments the counter by one.
     pub fn incr(&mut self) {
         self.value += 1;
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Resets the counter to zero, keeping its name.
-    pub fn reset(&mut self) {
-        self.value = 0;
     }
 
     /// Serializes the count (the name comes from the constructor and is
@@ -108,21 +93,11 @@ mod tests {
     }
 
     #[test]
-    fn incr_and_add_accumulate() {
+    fn incr_accumulates() {
         let mut c = Counter::new("x");
         c.incr();
         c.incr();
-        c.add(10);
-        assert_eq!(c.value(), 12);
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_name() {
-        let mut c = Counter::new("x");
-        c.add(7);
-        c.reset();
-        assert_eq!(c.value(), 0);
-        assert_eq!(c.name(), "x");
+        assert_eq!(c.value(), 2);
     }
 
     #[test]
@@ -136,15 +111,15 @@ mod tests {
     fn rate_of_computes_fraction() {
         let mut a = Counter::new("a");
         let mut b = Counter::new("b");
-        a.add(1);
-        b.add(4);
+        a.incr();
+        (0..4).for_each(|_| b.incr());
         assert!((a.rate_of(&b) - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn state_roundtrip_is_exact() {
         let mut c = Counter::new("hits");
-        c.add(17);
+        (0..17).for_each(|_| c.incr());
         let mut w = StateWriter::new();
         c.save_state(&mut w);
         let bytes = w.into_bytes();
@@ -156,7 +131,7 @@ mod tests {
     #[test]
     fn display_contains_name_and_value() {
         let mut c = Counter::new("hits");
-        c.add(3);
+        (0..3).for_each(|_| c.incr());
         assert_eq!(c.to_string(), "hits = 3");
     }
 }

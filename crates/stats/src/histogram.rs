@@ -16,14 +16,14 @@ use hbdc_snap::{SnapError, StateReader, StateWriter};
 /// ```
 /// use hbdc_stats::Histogram;
 ///
-/// let mut h = Histogram::new("grants/cycle", 4);
+/// let mut h = Histogram::new("grants/round", 4);
 /// h.record(0);
 /// h.record(2);
 /// h.record(2);
 /// h.record(99); // overflow
-/// assert_eq!(h.count(2), 2);
-/// assert_eq!(h.overflow(), 1);
+/// assert_eq!(h.iter().map(|(_, n)| n).collect::<Vec<_>>(), [1, 0, 2, 0, 0]);
 /// assert_eq!(h.total(), 4);
+/// assert_eq!(h.quantile(1.0), Some(4)); // overflow reads as the last bucket
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
@@ -53,8 +53,8 @@ impl Histogram {
     }
 
     /// Rebuilds a histogram from its direct bucket counts (`counts[v]`
-    /// samples of value `v`, none in overflow) — the inverse of reading
-    /// [`count`](Self::count) for every value.
+    /// samples of value `v`, none in overflow) — the inverse of
+    /// [`iter`](Self::iter).
     pub fn from_counts(name: impl Into<String>, counts: Vec<u64>) -> Self {
         let total = counts.iter().sum();
         let sum = counts.iter().zip(0u64..).map(|(&c, v)| c * v).sum();
@@ -65,11 +65,6 @@ impl Histogram {
             total,
             sum,
         }
-    }
-
-    /// The histogram's name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Records one sample.
@@ -83,16 +78,6 @@ impl Histogram {
         self.sum += value as u64;
     }
 
-    /// Number of samples recorded exactly at `value` (0 if out of range).
-    pub fn count(&self, value: usize) -> u64 {
-        self.buckets.get(value).copied().unwrap_or(0)
-    }
-
-    /// Number of samples that exceeded the direct bucket range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
     /// Total number of samples recorded.
     pub fn total(&self) -> u64 {
         self.total
@@ -104,15 +89,6 @@ impl Histogram {
             0.0
         } else {
             self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Fraction of samples recorded at exactly `value`; `0.0` if empty.
-    pub fn fraction(&self, value: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.count(value) as f64 / self.total as f64
         }
     }
 
@@ -216,12 +192,9 @@ mod tests {
         for v in [0, 1, 1, 3] {
             h.record(v);
         }
-        assert_eq!(h.count(0), 1);
-        assert_eq!(h.count(1), 2);
-        assert_eq!(h.count(2), 0);
-        assert_eq!(h.count(3), 1);
-        assert_eq!(h.overflow(), 0);
+        assert_eq!(h.iter().map(|(_, n)| n).collect::<Vec<_>>(), [1, 2, 0, 1]);
         assert_eq!(h.total(), 4);
+        assert!(!h.to_string().contains('>'), "no overflow line");
     }
 
     #[test]
@@ -229,8 +202,9 @@ mod tests {
         let mut h = Histogram::new("h", 1);
         h.record(2);
         h.record(100);
-        assert_eq!(h.overflow(), 2);
+        assert!(h.iter().all(|(_, n)| n == 0));
         assert_eq!(h.total(), 2);
+        assert!(h.to_string().contains("  >1: 2"), "{h}");
     }
 
     #[test]
@@ -242,19 +216,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_histogram_mean_and_fraction_are_zero() {
-        let h = Histogram::new("h", 4);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.fraction(0), 0.0);
-    }
-
-    #[test]
-    fn fraction_is_normalized() {
-        let mut h = Histogram::new("h", 4);
-        h.record(1);
-        h.record(1);
-        h.record(2);
-        assert!((h.fraction(1) - 2.0 / 3.0).abs() < 1e-12);
+    fn empty_histogram_mean_is_zero() {
+        assert_eq!(Histogram::new("h", 4).mean(), 0.0);
     }
 
     #[test]
@@ -263,7 +226,7 @@ mod tests {
         for v in [1, 2, 2, 3, 9] {
             h.record(v);
         }
-        let counts = (0..=10).map(|v| h.count(v)).collect();
+        let counts = h.iter().map(|(_, n)| n).collect();
         assert_eq!(Histogram::from_counts("h", counts), h);
         assert_eq!(h.quantile(0.0), Some(1));
         assert_eq!(h.quantile(0.5), Some(2));

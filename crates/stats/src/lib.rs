@@ -5,8 +5,7 @@
 //!
 //! * [`Counter`] — a named monotonic event counter.
 //! * [`Histogram`] — a bounded integer histogram with overflow bucket.
-//! * [`RunningStats`] — single-pass mean/variance/min/max.
-//! * [`summary`] — arithmetic and geometric means over slices.
+//! * [`summary`] — the arithmetic mean behind the paper's average rows.
 //! * [`Table`] — a plain-text table renderer used to print the paper's
 //!   tables (Table 2, Table 3, Table 4) and figure data series.
 //!
@@ -16,8 +15,8 @@
 //! use hbdc_stats::{Counter, Table};
 //!
 //! let mut hits = Counter::new("dl1.hits");
-//! hits.add(3);
-//! assert_eq!(hits.value(), 3);
+//! hits.incr();
+//! assert_eq!(hits.value(), 1);
 //!
 //! let mut t = Table::new(vec!["program".into(), "ipc".into()]);
 //! t.row(vec!["swim".into(), "6.36".into()]);
@@ -29,25 +28,12 @@
 
 mod counter;
 mod histogram;
-mod running;
 pub mod summary;
 mod table;
 
 pub use counter::Counter;
 pub use histogram::Histogram;
-pub use running::RunningStats;
-pub use table::{Align, Table};
-
-/// Formats a ratio as a percentage string with two decimals, e.g. `12.34%`.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(hbdc_stats::percent(0.5), "50.00%");
-/// ```
-pub fn percent(fraction: f64) -> String {
-    format!("{:.2}%", fraction * 100.0)
-}
+pub use table::Table;
 
 /// Formats a float with three decimals, the precision the paper uses for IPC.
 ///
@@ -63,13 +49,6 @@ pub fn ipc(value: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percent_formats_two_decimals() {
-        assert_eq!(percent(0.123456), "12.35%");
-        assert_eq!(percent(0.0), "0.00%");
-        assert_eq!(percent(1.0), "100.00%");
-    }
 
     #[test]
     fn ipc_formats_three_decimals() {

@@ -1,9 +1,7 @@
-//! Aggregate summaries over slices: arithmetic and geometric means.
+//! Aggregate summaries over slices.
 //!
 //! The paper reports "SPECint Ave." and "SPECfp Ave." rows as arithmetic
 //! means of per-benchmark IPC; [`arithmetic_mean`] regenerates those rows.
-//! [`geometric_mean`] is provided for speedup-style summaries used by the
-//! ablation harnesses.
 
 /// Arithmetic mean of a slice; `0.0` for an empty slice.
 ///
@@ -20,50 +18,6 @@ pub fn arithmetic_mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Geometric mean of a slice; `0.0` for an empty slice.
-///
-/// Computed in log space for numerical robustness.
-///
-/// # Panics
-///
-/// Panics if any element is not strictly positive — a geometric mean over
-/// non-positive ratios is meaningless and always indicates a harness bug.
-///
-/// # Examples
-///
-/// ```
-/// let g = hbdc_stats::summary::geometric_mean(&[1.0, 4.0]);
-/// assert!((g - 2.0).abs() < 1e-12);
-/// ```
-pub fn geometric_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    assert!(
-        xs.iter().all(|&x| x > 0.0),
-        "geometric mean requires strictly positive inputs"
-    );
-    let log_sum: f64 = xs.iter().map(|x| x.ln()).sum();
-    (log_sum / xs.len() as f64).exp()
-}
-
-/// Relative improvement of `new` over `old`, as a fraction.
-///
-/// Returns `0.0` when `old` is zero.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(hbdc_stats::summary::improvement(2.0, 3.0), 0.5);
-/// ```
-pub fn improvement(old: f64, new: f64) -> f64 {
-    if old == 0.0 {
-        0.0
-    } else {
-        (new - old) / old
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,28 +30,5 @@ mod tests {
     #[test]
     fn arithmetic_mean_basic() {
         assert!((arithmetic_mean(&[2.0, 4.0, 9.0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_mean_empty_is_zero() {
-        assert_eq!(geometric_mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn geometric_mean_basic() {
-        assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly positive")]
-    fn geometric_mean_rejects_zero() {
-        geometric_mean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn improvement_basic() {
-        assert!((improvement(4.0, 6.0) - 0.5).abs() < 1e-12);
-        assert_eq!(improvement(0.0, 5.0), 0.0);
-        assert!((improvement(4.0, 2.0) + 0.5).abs() < 1e-12);
     }
 }

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// Column alignment within a rendered [`Table`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Align {
+enum Align {
     /// Left-align cell contents (default; used for program names).
     #[default]
     Left,
@@ -20,10 +20,10 @@ pub enum Align {
 /// # Examples
 ///
 /// ```
-/// use hbdc_stats::{Align, Table};
+/// use hbdc_stats::Table;
 ///
 /// let mut t = Table::new(vec!["program".into(), "ipc".into()]);
-/// t.align(1, Align::Right);
+/// t.numeric();
 /// t.row(vec!["compress".into(), "2.66".into()]);
 /// t.row(vec!["gcc".into(), "2.65".into()]);
 /// let s = t.render();
@@ -46,16 +46,6 @@ impl Table {
             aligns,
             rows: Vec::new(),
         }
-    }
-
-    /// Sets the alignment of column `col`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range.
-    pub fn align(&mut self, col: usize, align: Align) -> &mut Self {
-        self.aligns[col] = align;
-        self
     }
 
     /// Right-aligns every column except the first. The common layout for
@@ -98,31 +88,6 @@ impl Table {
     /// Whether the table has no data rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Renders the table as CSV (separator rows omitted; cells containing
-    /// commas or quotes are quoted).
-    pub fn to_csv(&self) -> String {
-        fn field(cell: &str) -> String {
-            if cell.contains(',') || cell.contains('"') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        }
-        let mut out = String::new();
-        let mut emit = |cells: &[String]| {
-            let line: Vec<String> = cells.iter().map(|c| field(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        emit(&self.headers);
-        for row in &self.rows {
-            if !row.is_empty() {
-                emit(row);
-            }
-        }
-        out
     }
 
     /// Renders the table to a `String`.
@@ -235,23 +200,6 @@ mod tests {
         t.rule();
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn csv_skips_rules_and_quotes_commas() {
-        let mut t = Table::new(vec!["a".into(), "b".into()]);
-        t.row(vec!["x,y".into(), "1".into()]);
-        t.rule();
-        t.row(vec!["plain".into(), "2".into()]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "a,b\n\"x,y\",1\nplain,2\n");
-    }
-
-    #[test]
-    fn csv_escapes_quotes() {
-        let mut t = Table::new(vec!["a".into()]);
-        t.row(vec!["say \"hi\",ok".into()]);
-        assert!(t.to_csv().contains("\"say \"\"hi\"\",ok\""));
     }
 
     #[test]

@@ -126,6 +126,7 @@ impl ConflictAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbdc_mem::BankSelect;
 
     #[test]
     fn spread_stream_has_no_conflicts() {
@@ -151,7 +152,8 @@ mod tests {
         let mut bits = ConflictAnalysis::new(BankMapper::bit_select(4, 32), 4);
         bits.extend((0..64u64).map(|i| MemRef::load(i * stride)));
         bits.finish();
-        let mut rand = ConflictAnalysis::new(BankMapper::pseudo_random(4, 32), 4);
+        let mut rand =
+            ConflictAnalysis::new(BankMapper::with_select(BankSelect::PseudoRandom, 4, 32), 4);
         rand.extend((0..64u64).map(|i| MemRef::load(i * stride)));
         rand.finish();
         assert!(bits.conflict_rate() > rand.conflict_rate());

@@ -115,11 +115,6 @@ impl ConsecutiveMapping {
         self.frac(self.diff_line)
     }
 
-    /// Fraction of pairs in the same bank (same or different line).
-    pub fn same_bank_fraction(&self) -> f64 {
-        self.frac(self.same_line + self.diff_line)
-    }
-
     /// Fraction of pairs whose successor lands `i` banks ahead
     /// (`1 <= i < banks`).
     ///
@@ -157,7 +152,7 @@ mod tests {
         f3.extend((0..9).map(line)); // lines 0..8: every pair is (B+1)
         assert_eq!(f3.pairs(), 8);
         assert_eq!(f3.ahead_fraction(1), 1.0);
-        assert_eq!(f3.same_bank_fraction(), 0.0);
+        assert_eq!(f3.same_line_fraction() + f3.diff_line_fraction(), 0.0);
     }
 
     #[test]
@@ -199,7 +194,7 @@ mod tests {
     fn empty_stream_is_all_zero() {
         let f3 = ConsecutiveMapping::new(4, 32);
         assert_eq!(f3.pairs(), 0);
-        assert_eq!(f3.same_bank_fraction(), 0.0);
+        assert_eq!(f3.same_line_fraction() + f3.diff_line_fraction(), 0.0);
         assert!(f3.segments().iter().all(|&s| s == 0.0));
     }
 

@@ -13,13 +13,8 @@
 //! * [`ConflictAnalysis`] — finite-window bank-pressure statistics under
 //!   any [`BankMapper`](hbdc_mem::BankMapper), used by the bank-selection
 //!   ablation.
-//! * [`StreamGenerator`] — a parameterized synthetic reference generator
-//!   with dials for same-line locality, bank skew, stride, and store
-//!   ratio; drives property tests and trace-driven studies.
 //! * [`TraceCacheSim`] — a trace-driven cache simulator producing the
 //!   miss rates of the paper's Table 2.
-//! * [`ReuseAnalyzer`] — LRU stack-distance analysis, predicting miss
-//!   rates across capacities from one pass over a stream.
 //!
 //! # Examples
 //!
@@ -43,13 +38,9 @@
 mod cachesim;
 mod conflict;
 mod figure3;
-mod generator;
-mod reuse;
 mod stream;
 
 pub use cachesim::TraceCacheSim;
 pub use conflict::ConflictAnalysis;
 pub use figure3::ConsecutiveMapping;
-pub use generator::{StreamGenerator, StreamParams};
-pub use reuse::ReuseAnalyzer;
 pub use stream::MemRef;

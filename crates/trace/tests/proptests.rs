@@ -1,11 +1,9 @@
-//! Property tests: trace analysis invariants over synthetic streams.
+//! Property tests: trace analysis invariants over arbitrary streams.
 
 use proptest::prelude::*;
 
 use hbdc_mem::{BankMapper, CacheGeometry};
-use hbdc_trace::{
-    ConflictAnalysis, ConsecutiveMapping, MemRef, StreamGenerator, StreamParams, TraceCacheSim,
-};
+use hbdc_trace::{ConflictAnalysis, ConsecutiveMapping, MemRef, TraceCacheSim};
 
 fn arb_refs() -> impl Strategy<Value = Vec<MemRef>> {
     prop::collection::vec(
@@ -80,38 +78,5 @@ proptest! {
         let misses_after_warm = sim.stats().misses();
         sim.extend(refs.iter().copied()); // replay
         prop_assert_eq!(sim.stats().misses(), misses_after_warm);
-    }
-
-    #[test]
-    fn generator_respects_bounds(
-        seed in any::<u64>(),
-        same_line in 0.0f64..0.6,
-        same_bank in 0.0f64..0.3,
-    ) {
-        let params = StreamParams {
-            same_line,
-            same_bank_diff_line: same_bank,
-            working_set_lines: 256,
-            ..StreamParams::default()
-        };
-        let lo = 0x1000_0000u64;
-        let hi = lo + 256 * 32;
-        for r in StreamGenerator::new(params, seed).take(500) {
-            prop_assert!(r.addr >= lo && r.addr < hi);
-            prop_assert_eq!(r.addr % 8, 0);
-        }
-    }
-
-    #[test]
-    fn generator_locality_tracks_dials(seed in 0u64..1000) {
-        let params = StreamParams {
-            same_line: 0.4,
-            same_bank_diff_line: 0.1,
-            ..StreamParams::default()
-        };
-        let mut f3 = ConsecutiveMapping::new(4, 32);
-        f3.extend(StreamGenerator::new(params, seed).take(20_000));
-        prop_assert!((f3.same_line_fraction() - 0.4).abs() < 0.05,
-            "same-line {} for seed {seed}", f3.same_line_fraction());
     }
 }

@@ -12,6 +12,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo clippy (no unwrap on the simulate path)"
 cargo clippy -p hbdc-core -p hbdc-cpu --lib -- -D warnings -D clippy::unwrap_used
 
+echo "== cargo doc -D warnings (no dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q \
+    --exclude proptest --exclude rand --exclude criterion
+
 echo "== cargo test"
 cargo test --workspace -q
 

@@ -13,7 +13,7 @@
 //! hbdc-sim trace replay <trace.hbtr> [--port SPEC] [--ruu N] [--lsq N] ...
 //! hbdc-sim asm <prog.s> -o <prog.hbo>        assemble to a binary object
 //! hbdc-sim disasm <prog.s|prog.hbo>          print assembler-compatible text
-//! hbdc-sim analyze <prog.s|bench:NAME>       stream locality + reuse report
+//! hbdc-sim analyze <prog.s|bench:NAME>       stream locality + miss-rate report
 //! hbdc-sim bench-list                        list the SPEC95 analogs
 //! hbdc-sim campaign all|ARTIFACT... [--out DIR] [--scale ...] [--bench NAME]
 //!              [--journal PATH | --resume PATH] [--shard] [--threads N]
@@ -421,7 +421,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let mut emu = Emulator::new(&program);
     let mut f3 = ConsecutiveMapping::new(banks, 32);
     let mut dl1 = TraceCacheSim::paper_l1();
-    let mut reuse = hbdc::trace::ReuseAnalyzer::new(32, 4096);
     let (mut total, mut loads, mut stores) = (0u64, 0u64, 0u64);
     while let Some(di) = emu.step() {
         total += 1;
@@ -435,7 +434,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             };
             f3.record(r);
             dl1.access(r);
-            reuse.record(r);
         }
     }
 
@@ -453,13 +451,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         dl1.stats().miss_rate(),
         dl1.stats().misses()
     );
-    println!("footprint          {} lines", reuse.footprint_lines());
-    for capacity in [256usize, 1024, 4096] {
-        println!(
-            "LRU x{capacity:<5} lines   predicted miss rate {:.4}",
-            reuse.predicted_miss_rate(capacity)
-        );
-    }
     println!("consecutive mapping ({banks} banks):");
     let segs = f3.segments();
     println!("  B-same-line      {:.1}%", segs[0] * 100.0);

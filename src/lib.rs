@@ -42,7 +42,7 @@
 //! | [`mem`] | `hbdc-mem` | flat memory, tag arrays, MSHRs, hierarchy, bank mapping |
 //! | [`core`] | `hbdc-core` | port models: ideal / replicated / banked / **LBIC** |
 //! | [`cpu`] | `hbdc-cpu` | out-of-order timing simulator (RUU + LSQ) |
-//! | [`trace`] | `hbdc-trace` | Figure-3 analysis, conflict stats, stream generators |
+//! | [`trace`] | `hbdc-trace` | Figure-3 analysis, conflict stats, trace cache simulation |
 //! | [`workloads`] | `hbdc-workloads` | the ten SPEC95 benchmark analogs |
 //! | [`stats`] | `hbdc-stats` | counters, histograms, tables |
 //! | [`snap`] | `hbdc-snap` | checkpoint codec, sealed containers, SIGINT latch |
@@ -80,8 +80,6 @@ pub mod prelude {
     pub use hbdc_isa::asm::assemble;
     pub use hbdc_isa::Program;
     pub use hbdc_mem::{BankMapper, BankSelect, CacheGeometry, Hierarchy, HierarchyConfig};
-    pub use hbdc_trace::{
-        ConsecutiveMapping, MemRef, StreamGenerator, StreamParams, TraceCacheSim,
-    };
+    pub use hbdc_trace::{ConsecutiveMapping, MemRef, TraceCacheSim};
     pub use hbdc_workloads::{all, by_name, Benchmark, Scale, Suite};
 }

@@ -213,7 +213,16 @@ fn threads_rejects_zero_with_or_without_shard() {
 fn analyze_prints_locality_breakdown() {
     let (out, _, ok) = hbdc_sim(&["analyze", "bench:swim", "--banks", "4"]);
     assert!(ok);
-    assert!(out.contains("B-same-line"));
-    assert!(out.contains("B-diff-line"));
-    assert!(out.contains("miss rate"));
+    for line in [
+        "instructions",
+        "memory mix",
+        "32KB DM miss rate",
+        "consecutive mapping (4 banks):",
+        "B-same-line",
+        "B-diff-line",
+        "(B+1)%4",
+        "(B+3)%4",
+    ] {
+        assert!(out.contains(line), "missing {line:?} in:\n{out}");
+    }
 }
