@@ -8,10 +8,12 @@
 //! import them.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
-use crate::runner::{MatrixOpts, WorkerSpec};
 use hbdc_workloads::{Benchmark, Scale};
+
+/// The flags every matrix binary reads from `argv` (each takes a value):
+/// `--scale`, `--bench`, `--threads`, `--journal` and `--resume`.
+pub const MATRIX_FLAGS: [&str; 5] = ["--scale", "--bench", "--threads", "--journal", "--resume"];
 
 /// The argument following `flag` on the command line. Outer `None`: the
 /// flag is absent. Inner `None`: the flag is the last argument, with no
@@ -25,6 +27,29 @@ fn flag_value(flag: &str) -> Option<Option<String>> {
 /// Whether a bare `flag` appears on the command line.
 fn flag_present(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
+}
+
+/// Usage error (exit 2) naming the first of `args` that is neither one of
+/// the `known` flags (each of which takes one value) nor such a flag's
+/// value, so a mistyped or removed flag cannot silently run a different
+/// campaign than the one asked for.
+pub fn reject_unknown_flags(args: &[String], known: &[&str]) {
+    let mut args = args.iter().peekable();
+    while let Some(a) = args.next() {
+        if !known.contains(&a.as_str()) {
+            let what = if a.starts_with("--") {
+                "flag"
+            } else {
+                "argument"
+            };
+            usage_bail(&format!(
+                "unknown {what} `{a}` (expected {})",
+                known.join(", ")
+            ));
+        }
+        // A missing value is the flag's own usage error.
+        args.next_if(|v| !v.starts_with("--"));
+    }
 }
 
 /// The positive number following `flag`, if the flag is present. Usage
@@ -94,17 +119,10 @@ pub fn scale_from_args_or(default: Scale) -> Scale {
     })
 }
 
-/// Reads a worker-thread count from `argv` (`--threads <N>`); `None`
-/// means "use every available core". Prints a usage message and exits
-/// with status 2 on a non-numeric or zero value.
-///
-/// `--threads` caps the matrix cells one process keeps in flight, and
-/// composes with `--shard` rather than conflicting with it: without
-/// `--shard` the cells run on threads, with it in isolated worker
-/// *subprocesses* (each shard process applies its own `--threads`, so two
-/// terminals running `--shard --threads 2` drain the journal four cells
-/// at a time campaign-wide). `scripts/chaos_test.sh` exercises exactly
-/// this combination.
+/// Reads the cell-thread count from `argv` (`--threads <N>`): how many
+/// matrix cells the campaign runs at once. `None` means "use every
+/// available core". Prints a usage message and exits with status 2 on a
+/// non-numeric or zero value.
 pub fn threads_from_args() -> Option<usize> {
     positive_flag("--threads", "a positive integer")
 }
@@ -142,29 +160,11 @@ pub fn benches_from_args() -> Vec<Benchmark> {
     vec![bench]
 }
 
-/// Reads the campaign options from `argv`: `--journal <path>`,
-/// `--resume <path>` (the same as `--journal`, but the journal must
-/// already exist), `--timeout-secs <N>`, `--max-attempts <N>`,
-/// `--trace-cache <dir>`, and the multi-process knobs — `--shard`,
-/// `--lease-ttl-secs <N>`, plus the hidden
-/// `--worker-cell`/`--worker-out`/`--worker-matrix` triple a shard
-/// supervisor passes to its subprocesses. Prints a usage message naming
-/// the offending flag and exits with status 2 on a malformed value.
-pub fn matrix_opts_from_args() -> MatrixOpts {
-    const SECS: &str = "a positive whole number of seconds";
-    let mut opts = MatrixOpts {
-        journal: path_flag(
-            "--journal",
-            "--journal needs a file path, e.g. `--journal table3.journal`",
-        ),
-        timeout: positive_flag("--timeout-secs", SECS).map(Duration::from_secs),
-        trace_cache: path_flag(
-            "--trace-cache",
-            "--trace-cache needs a directory path, e.g. `--trace-cache results/traces`",
-        ),
-        shard: flag_present("--shard"),
-        ..MatrixOpts::default()
-    };
+/// Reads the campaign journal from `argv`: `--journal <path>`, or
+/// `--resume <path>` (the same, but the journal must already exist).
+/// Prints a usage message naming the offending flag and exits with
+/// status 2 on a missing path or a `--resume` of a missing journal.
+pub fn journal_from_args() -> Option<PathBuf> {
     if let Some(p) = path_flag(
         "--resume",
         "--resume needs the journal path of the interrupted run",
@@ -175,36 +175,12 @@ pub fn matrix_opts_from_args() -> MatrixOpts {
                 p.display()
             ));
         }
-        opts.journal = Some(p);
+        return Some(p);
     }
-    if let Some(n) = positive_flag("--max-attempts", "a positive integer") {
-        opts.max_attempts = n;
-    }
-    if let Some(n) = positive_flag("--lease-ttl-secs", SECS) {
-        opts.lease_ttl = Duration::from_secs(n);
-    }
-    // The hidden worker triple: set only by a shard supervisor when it
-    // re-executes the binary for one cell. All three travel together.
-    let cell = flag_value("--worker-cell");
-    let out = flag_value("--worker-out");
-    let matrix = flag_value("--worker-matrix");
-    if cell.is_some() || out.is_some() || matrix.is_some() {
-        let cell = cell
-            .flatten()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| usage_bail("--worker-cell needs a cell index"));
-        let out = out
-            .flatten()
-            .filter(|p| !p.starts_with("--"))
-            .map(PathBuf::from)
-            .unwrap_or_else(|| usage_bail("--worker-out needs a file path"));
-        let matrix = matrix
-            .flatten()
-            .and_then(|v| u64::from_str_radix(&v, 16).ok())
-            .unwrap_or_else(|| usage_bail("--worker-matrix needs a 16-hex-digit fingerprint"));
-        opts.worker = Some(WorkerSpec { cell, out, matrix });
-    }
-    opts
+    path_flag(
+        "--journal",
+        "--journal needs a file path, e.g. `--journal table3.journal`",
+    )
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! `(label, CpuConfig, PortConfig)` run over every benchmark — and renders
 //! its text from those cells' reports. [`run`] takes the union of the
 //! requested artifacts' columns, runs each distinct cell once through the
-//! campaign engine (so the journal, `--threads`, `--shard` and the
+//! campaign engine (so the journal, `--threads` and the
 //! capture-once-per-benchmark trace fan-out come with it), and returns the
 //! [`Results`] every artifact renders from. Table 2, Figure 3 and
 //! ablation A's collision decomposition are trace-level analyses: their
@@ -113,9 +113,7 @@ pub fn run(artifacts: &[&Artifact], benches: Vec<Benchmark>, scale: Scale) -> Re
     let run = if columns.is_empty() {
         MatrixRun {
             reports: vec![Vec::new(); benches.len()],
-            failures: Vec::new(),
-            interrupted: false,
-            capture_secs: 0.0,
+            ..MatrixRun::default()
         }
     } else {
         simulate_matrix(&benches, scale, &columns)
@@ -140,7 +138,7 @@ impl Results {
     }
 
     /// Benchmark `b`'s reports under `cols`, in order; `None` marks a
-    /// quarantined (or never-run) cell.
+    /// failed (or never-run) cell.
     fn row(&self, b: usize, cols: &[Column]) -> Vec<Option<&SimReport>> {
         cols.iter()
             .map(|col| {

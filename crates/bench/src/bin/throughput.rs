@@ -10,10 +10,10 @@
 //! the total.
 //!
 //! Usage: `throughput [--scale test|small|full] [--bench <name>] [--threads N]
-//! [--runs N] [--journal PATH | --resume PATH] [--timeout-secs N]
-//! [--trace-cache DIR]`
+//! [--runs N] [--journal PATH | --resume PATH]`
 //! (default scale: `small`, the standing cross-PR measurement point).
-//! Every cell replays its benchmark's captured trace.
+//! Any other argument is a usage error (exit 2). Every cell replays its
+//! benchmark's captured trace.
 //!
 //! `--runs N` repeats the whole matrix N times and reports the
 //! **median** rate — independently per benchmark, and for the
@@ -34,16 +34,16 @@ use std::path::Path;
 use std::time::Instant;
 
 use hbdc_bench::runner::{
-    benches_from_args, runs_from_args, scale_from_args_or, scale_label, sim_speed, simulate_matrix,
-    table3_columns,
+    benches_from_args, reject_unknown_flags, runs_from_args, scale_from_args_or, scale_label,
+    sim_speed, simulate_matrix, table3_columns, MATRIX_FLAGS,
 };
 use hbdc_cpu::SimReport;
 use hbdc_workloads::Scale;
 
 /// Throughput summary over the reports this process timed. Reports served
-/// from a journal or returned by a `--shard` worker are parsed back from a
-/// record, which keeps no host timing (`cpu_secs` is 0), so they are left
-/// out rather than counted as free cycles.
+/// from a journal are parsed back from a record, which keeps no host
+/// timing (`cpu_secs` is 0), so they are left out rather than counted as
+/// free cycles.
 struct Speed {
     sims: usize,
     cycles: u64,
@@ -119,6 +119,8 @@ fn median_idx(rates: &[f64]) -> usize {
 }
 
 fn main() -> std::process::ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown_flags(&args, &[&MATRIX_FLAGS[..], &["--runs"]].concat());
     let scale = scale_from_args_or(Scale::Small);
     let benches = benches_from_args();
     let columns = table3_columns();
@@ -149,8 +151,8 @@ fn main() -> std::process::ExitCode {
     // `scripts/perf_guard.sh` anchors on that to ignore the per-benchmark
     // entries below it.
     // `sim_cpu_secs` covers only the timing loops of the cells this run
-    // timed. `capture_secs` is the wall-clock span of the trace captures,
-    // which overlap each other and the replay, so it is not a share of
+    // timed. `capture_secs` sums the trace captures' wall-clock time,
+    // which overlaps the replay of other cells, so it is not a share of
     // `harness_wall_secs`.
     let mut json = format!(
         "{{\n  \"name\": \"simulator-throughput\",\n  \"scale\": \"{}\",\n  \"runs\": {runs},\n  \"sims\": {},\n  \"simulated_cycles\": {},\n  \"sim_cpu_secs\": {:.3},\n  \"capture_secs\": {:.3},\n  \"cycles_per_sec\": {:.0},\n  \"arb_rounds\": {},\n  \"arb_offered_per_round\": {:.2},\n  \"harness_wall_secs\": {:.3},\n  \"benchmarks\": [",
@@ -209,8 +211,8 @@ fn main() -> std::process::ExitCode {
         json.pop();
     }
     json.push_str("\n  ]\n}\n");
-    // A run that timed no cell (every cell served from the journal, run
-    // by `--shard` workers, or failed) measured nothing: a rate of 0 must
+    // A run that timed no cell (every cell served from the journal, or
+    // failed) measured nothing: a rate of 0 must
     // not replace the tracked number or enter the history.
     if total.sims == 0 {
         eprintln!(
@@ -227,7 +229,7 @@ fn main() -> std::process::ExitCode {
     print!("{json}");
     // No-op unless HBDC_STAGE_PROF is set: per-stage wall totals.
     hbdc_cpu::stageprof::dump();
-    // Any repetition's trouble (quarantine, interrupt) makes the exit
+    // Any repetition's trouble (failed cells, interrupt) makes the exit
     // code, not just the median pass's.
     passes
         .iter()

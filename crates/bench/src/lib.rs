@@ -4,15 +4,13 @@
 //! [`artifacts::Artifact`]: a list of matrix columns plus a renderer.
 //! `hbdc-sim campaign all|<artifact>...` runs the union of the named
 //! artifacts' cells once and renders each; the `throughput` binary times
-//! the Table 3 matrix. The campaign engine every matrix runs through
-//! (journal state, leases, retries and quarantine, the thread and
-//! `--shard` subprocess executors) lives in the private `supervise`
-//! module.
+//! the Table 3 matrix. Both run through the one campaign engine in
+//! [`runner`]; its journal format lives in the private `journal` module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;
 pub mod artifacts;
+mod journal;
 pub mod runner;
-pub(crate) mod supervise;

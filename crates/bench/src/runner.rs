@@ -1,22 +1,21 @@
 //! Shared experiment machinery: scale parsing, suite-average
-//! bookkeeping, and the matrix campaign API — its column type, options,
-//! result type, trace capture and the in-process cell runner (the
-//! campaign loop itself lives in `crate::supervise`).
+//! bookkeeping, and the matrix campaign engine — its column type, result
+//! type, trace capture, cell runner and the one campaign loop (the
+//! journal's file format lives in `crate::journal`).
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use hbdc_core::PortConfig;
-use hbdc_cpu::{
-    CacheLookup, CommittedTrace, CpuConfig, SimError, SimReport, SimSnapshot, Simulator,
-};
+use hbdc_cpu::{CommittedTrace, CpuConfig, SimError, SimReport, SimSnapshot, Simulator};
 use hbdc_mem::HierarchyConfig;
-use hbdc_snap::lock::evict_corrupt;
 use hbdc_snap::{hash64, interrupt, StateWriter};
 use hbdc_stats::summary::arithmetic_mean;
 use hbdc_workloads::{Benchmark, Scale, Suite};
 
-use crate::supervise;
+use crate::journal;
 
 /// One matrix column: its label, the machine configuration and the port
 /// model every benchmark runs under in that column.
@@ -26,8 +25,8 @@ pub type Column = (String, CpuConfig, PortConfig);
 // re-exported here because the binaries import it from the runner.
 pub(crate) use crate::args::usage_bail;
 pub use crate::args::{
-    benches_from_args, matrix_opts_from_args, parse_scale, runs_from_args, scale_from_args,
-    scale_from_args_or, scale_label, threads_from_args,
+    benches_from_args, journal_from_args, parse_scale, reject_unknown_flags, runs_from_args,
+    scale_from_args, scale_from_args_or, scale_label, threads_from_args, MATRIX_FLAGS,
 };
 
 /// Accumulates per-suite IPC rows and produces the paper's "SPECint Ave."
@@ -73,19 +72,15 @@ impl SuiteAverages {
     }
 }
 
-/// One quarantined matrix cell: which cell, how many attempts it got,
-/// and the error (or panic payload) that ended its last attempt.
+/// One failed matrix cell: which cell, and the error (or panic payload)
+/// that ended it.
 #[derive(Debug, Clone)]
 pub struct JobFailure {
     /// Benchmark name of the failed cell.
     pub bench: String,
     /// Config label of the failed cell.
     pub config: String,
-    /// Attempts made: a cell is quarantined once it has failed
-    /// `--max-attempts` times (default 2), or at once when it times out.
-    pub attempts: u32,
-    /// Rendered [`SimError`], trace-capture error, or panic payload from
-    /// the final attempt.
+    /// Rendered [`SimError`], trace-capture error, or panic payload.
     pub error: String,
 }
 
@@ -93,41 +88,34 @@ impl std::fmt::Display for JobFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} under {} failed after {} attempt{}: {}",
-            self.bench,
-            self.config,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.error
+            "{} under {} failed: {}",
+            self.bench, self.config, self.error
         )
     }
 }
 
-/// The outcome of a fault-tolerant matrix run: every cell's report in
-/// `[bench][config]` order (`None` where the cell was quarantined), plus a
-/// failure record per quarantined cell.
-#[derive(Debug, Clone)]
+/// The outcome of a matrix run: every cell's report in `[bench][config]`
+/// order (`None` where the cell failed), plus a failure record per failed
+/// cell.
+#[derive(Debug, Clone, Default)]
 pub struct MatrixRun {
-    /// Reports in `[bench][config]` order; `None` marks a quarantined cell
+    /// Reports in `[bench][config]` order; `None` marks a failed cell
     /// (or, on an interrupted run, a checkpointed or never-started one).
     pub reports: Vec<Vec<Option<SimReport>>>,
-    /// One record per quarantined cell: a cell that failed its whole
-    /// `--max-attempts` budget or timed out. The campaign completed around
-    /// these; rerunning the journal with a larger `--max-attempts` gives
-    /// them fresh attempts.
+    /// One record per cell that failed in this run. The campaign
+    /// completed around these; a continued journal runs them again.
     pub failures: Vec<JobFailure>,
     /// Whether the run was cut short by an interrupt request (SIGINT on a
     /// journaled campaign): in-flight cells were checkpointed at a cycle
     /// boundary and the journal flushed, so rerunning with the same
     /// journal continues where this run stopped.
     pub interrupted: bool,
-    /// Wall-clock seconds from the start of this process's first trace
-    /// capture (or trace-cache load) to the end of its last. Captures run
-    /// concurrently with each other and with the replay of cells whose
-    /// trace is ready, so this is the capture phase's span, not a share of
-    /// the harness time. 0.0 under `--shard`, whose workers capture for
-    /// themselves, and when every cell came from the journal.
+    /// Summed wall-clock seconds of this run's trace captures (each
+    /// overlaps the replay of other benchmarks' cells). 0.0 when every
+    /// cell came from the journal.
     pub capture_secs: f64,
+    /// How many cells were served from a continued journal.
+    pub served: usize,
 }
 
 impl MatrixRun {
@@ -136,18 +124,13 @@ impl MatrixRun {
         self.failures.is_empty() && !self.interrupted
     }
 
-    /// Prints one line per quarantined cell to stderr (no-op on a clean
-    /// run).
+    /// Prints one line per failed cell to stderr (no-op on a clean run).
     pub fn print_failure_summary(&self) {
         if self.failures.is_empty() {
             return;
         }
         let total = self.reports.iter().map(Vec::len).sum::<usize>();
-        eprintln!(
-            "{} of {total} matrix cells quarantined (rerun the journal with a larger \
-             --max-attempts to retry them):",
-            self.failures.len()
-        );
+        eprintln!("{} of {total} matrix cells failed:", self.failures.len());
         for f in &self.failures {
             eprintln!("  {f}");
         }
@@ -155,7 +138,7 @@ impl MatrixRun {
 
     /// Unwraps a run that must be complete (golden tests, callers with no
     /// partial-output story), panicking with the failure summary if any
-    /// cell was quarantined.
+    /// cell failed.
     ///
     /// # Panics
     ///
@@ -164,7 +147,7 @@ impl MatrixRun {
         assert!(!self.interrupted, "matrix run was interrupted");
         assert!(
             self.failures.is_empty(),
-            "matrix run has quarantined cells: {:?}",
+            "matrix run has failed cells: {:?}",
             self.failures
         );
         self.reports
@@ -174,9 +157,9 @@ impl MatrixRun {
     }
 
     /// The exit code a binary should end with: 0 for a clean run, 3 if
-    /// any cell was quarantined (the partial results were still printed),
-    /// 130 — the conventional SIGINT code — if the run was interrupted
-    /// and checkpointed.
+    /// any cell failed (the partial results were still printed), 130 —
+    /// the conventional SIGINT code — if the run was interrupted and
+    /// checkpointed.
     pub fn exit_code(&self) -> std::process::ExitCode {
         if self.interrupted {
             std::process::ExitCode::from(130)
@@ -190,20 +173,20 @@ impl MatrixRun {
 
 /// Name prefix for matrix cell threads; the panic hook uses it to keep
 /// an intentionally-caught cell panic from spraying stderr.
-pub(crate) const WORKER_PREFIX: &str = "hbdc-job";
+const CELL_THREAD_PREFIX: &str = "hbdc-cell";
 
 /// Silences default panic output from matrix cell threads (their panics
-/// are caught, recorded as failed attempts, and reported in the failure
+/// are caught, recorded as failed cells, and reported in the failure
 /// summary); panics anywhere else keep the previous hook.
-fn install_worker_panic_hook() {
+fn install_cell_panic_hook() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let in_worker = std::thread::current()
+            let in_cell = std::thread::current()
                 .name()
-                .is_some_and(|n| n.starts_with(WORKER_PREFIX));
-            if !in_worker {
+                .is_some_and(|n| n.starts_with(CELL_THREAD_PREFIX));
+            if !in_cell {
                 previous(info);
             }
         }));
@@ -221,101 +204,53 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs the full (benchmark x column) matrix, returning a [`MatrixRun`]
-/// with reports in `[bench][column]` order. The campaign options
-/// (`--journal`, `--resume`, `--timeout-secs`, ...) are read from `argv`
-/// like the rest of the matrix flags; a journal problem is a usage error
+/// Runs the full (benchmark x column) matrix for a binary, returning a
+/// [`MatrixRun`] with reports in `[bench][column]` order. The journal
+/// (`--journal`/`--resume`) and `--threads` are read from `argv` like
+/// the rest of the matrix flags; a journal problem is a usage error
 /// (reported and exit 2).
 ///
-/// Simulations are independent, so cells run concurrently: `--threads N`
-/// of them at a time (default: every available core). Progress marks go
-/// to one stderr line (`.` per completed cell, `x` per failed attempt,
-/// `Q` per quarantined cell, `!` per checkpointed one), followed by a
-/// `sim-speed` summary line.
-///
-/// **Fault tolerance:** a cell that fails — a [`SimError`], a failed
-/// trace capture, or a panic caught at the cell boundary — is retried
-/// after a backoff until it has failed `--max-attempts` times (default
-/// 2), then quarantined; the rest of the matrix still completes. One
-/// diverging cell costs one cell, not a whole Table 3 overnight run.
+/// This is [`run_matrix`] plus its console output. Progress marks go to
+/// one stderr line (`.` per completed cell, `x` per failed cell, `!` per
+/// checkpointed one), followed by the journal, trace-capture and
+/// `sim-speed` summary lines and the failure summary.
 pub fn simulate_matrix(benches: &[Benchmark], scale: Scale, configs: &[Column]) -> MatrixRun {
-    simulate_matrix_opts(benches, scale, configs, &matrix_opts_from_args())
-        .unwrap_or_else(|e| usage_bail(&e))
-}
+    use std::io::Write;
 
-/// Coordinates for the hidden worker-cell mode: a shard supervisor
-/// re-executes its own binary with `--worker-cell IDX --worker-out PATH
-/// --worker-matrix HEX` appended, and the child runs exactly that one
-/// matrix cell and reports through the out file. Not a user-facing
-/// interface; see `crate::supervise` for the protocol.
-#[derive(Debug, Clone)]
-pub struct WorkerSpec {
-    /// Flat matrix cell index (`bench * configs + config`) to run.
-    pub cell: usize,
-    /// Outcome file, written atomically on exit.
-    pub out: PathBuf,
-    /// The supervisor's matrix fingerprint; the worker recomputes its own
-    /// and refuses to run on a mismatch (binary rebuilt mid-campaign).
-    pub matrix: u64,
-}
-
-/// Campaign options for [`simulate_matrix_opts`].
-#[derive(Debug, Clone)]
-pub struct MatrixOpts {
-    /// Per-cell wall-clock budget. A cell still running when it expires
-    /// is quarantined at once (never retried: a hung model hangs again)
-    /// and the rest of the matrix continues. `None` disables it.
-    pub timeout: Option<Duration>,
-    /// Journal path. Keeps the campaign state in this file instead of in
-    /// memory: every claim and result is an atomic whole-file rewrite, and
-    /// SIGINT checkpoints in-flight cells instead of killing the process.
-    /// An existing journal for the same matrix is always continued:
-    /// completed cells are served from it, checkpointed cells resume
-    /// bit-identically from their snapshots, and failed cells get the
-    /// rest of their attempt budget.
-    pub journal: Option<PathBuf>,
-    /// Directory for the on-disk trace corpus. Captured traces are
-    /// persisted here keyed by benchmark, scale, warmup, and program
-    /// fingerprint, so later campaigns — and *other* experiment binaries
-    /// sharing the directory — skip the capture pass entirely. `None`
-    /// keeps traces in memory for this campaign only.
-    pub trace_cache: Option<PathBuf>,
-    /// Run each claimed cell in a re-executed worker subprocess instead of
-    /// on a thread, as one of N cooperating shard processes draining the
-    /// journal at [`journal`](Self::journal) (required) together under
-    /// heartbeat leases. The run returns once every cell is terminal
-    /// campaign-wide. Start the same command in several terminals (or on
-    /// several machines sharing a filesystem with sane rename semantics)
-    /// to parallelize.
-    pub shard: bool,
-    /// Attempts a failing cell gets, with an exponential backoff between
-    /// them, before it is quarantined.
-    pub max_attempts: u32,
-    /// Heartbeat TTL after which another shard process may steal a lease
-    /// from an unresponsive owner.
-    pub lease_ttl: Duration,
-    /// Hidden worker-cell mode (set only by a shard supervisor when it
-    /// re-executes the binary); runs one cell and exits.
-    pub worker: Option<WorkerSpec>,
-}
-
-impl Default for MatrixOpts {
-    fn default() -> Self {
-        Self {
-            timeout: None,
-            journal: None,
-            trace_cache: None,
-            shard: false,
-            max_attempts: supervise::DEFAULT_MAX_ATTEMPTS,
-            lease_ttl: supervise::DEFAULT_LEASE_TTL,
-            worker: None,
-        }
+    let journal = journal_from_args();
+    let mark = |m: char| {
+        let _ = write!(std::io::stderr(), "{m}");
+    };
+    let run = campaign(benches, scale, configs, journal.as_deref(), &mark)
+        .unwrap_or_else(|e| usage_bail(&e));
+    eprintln!();
+    if let (Some(path), true) = (&journal, run.served > 0) {
+        eprintln!(
+            "continuing journal {}: {} of {} cells served from it",
+            path.display(),
+            run.served,
+            benches.len() * configs.len()
+        );
     }
+    if let (Some(path), true) = (&journal, run.interrupted) {
+        eprintln!(
+            "interrupted: journal flushed and in-flight cells checkpointed; \
+             rerun with --journal {} to continue",
+            path.display()
+        );
+    }
+    if run.capture_secs > 0.0 {
+        eprintln!("trace-capture: {:.2}s", run.capture_secs);
+    }
+    let (cycles, cpu, rate) = sim_speed(run.reports.iter().flatten().flatten());
+    eprintln!("sim-speed: {rate:.0} cycles/sec ({cycles} simulated cycles in {cpu:.2}s of simulator CPU time)");
+    run.print_failure_summary();
+    run
 }
 
-/// Cycle-chunk size for interruptible and timed jobs: large enough that
-/// the chunking overhead disappears into the noise, small enough that
-/// SIGINT and timeout latency stay in the low milliseconds.
+/// Cycle-chunk size for interruptible jobs: large enough that the
+/// chunking overhead disappears into the noise, small enough that SIGINT
+/// latency stays in the low milliseconds.
 const CHUNK_CYCLES: u64 = 4096;
 
 // `BUILD_ID`: the fingerprint of the simulator sources this binary was
@@ -324,12 +259,11 @@ include!(concat!(env!("OUT_DIR"), "/build_id.rs"));
 
 /// Content fingerprint of a matrix campaign: the simulator build
 /// ([`BUILD_ID`], a hash of the simulator crates' sources), scale, each
-/// benchmark's name and program (the object-byte fingerprint that also
-/// keys the trace cache), and each column's label, machine configuration
-/// and port parameters. A journal records the fingerprint it was
-/// written under, and continuing it under any other matrix — a
-/// kernel-generator or timing-model edit included — is refused rather
-/// than silently mixing results.
+/// benchmark's name and program (its object-byte fingerprint), and each
+/// column's label, machine configuration and port parameters. A journal
+/// records the fingerprint it was written under, and continuing it under
+/// any other matrix — a kernel-generator or timing-model edit included —
+/// is refused rather than silently mixing results.
 pub(crate) fn matrix_hash(benches: &[Benchmark], scale: Scale, configs: &[Column]) -> u64 {
     build_matrix_hash(BUILD_ID, benches, scale, configs)
 }
@@ -365,68 +299,15 @@ pub(crate) fn cell_snap_path(journal: &Path, idx: usize) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// The on-disk name of a benchmark's cached trace. The name's key
-/// hashes the program fingerprint with the simulator build
-/// ([`BUILD_ID`], which covers the emulator and the functional memory
-/// that produce the records), so a kernel-generator change or a rebuilt
-/// simulator makes the stale file unreachable rather than silently
-/// replayed.
-fn trace_cache_path(dir: &Path, bench: &str, scale: Scale, warmup: u64, fp: u64) -> PathBuf {
-    build_trace_cache_path(BUILD_ID, dir, bench, scale, warmup, fp)
-}
-
-/// [`trace_cache_path`] as a binary built with simulator fingerprint
-/// `build` names it.
-fn build_trace_cache_path(
-    build: u64,
-    dir: &Path,
-    bench: &str,
-    scale: Scale,
-    warmup: u64,
-    fp: u64,
-) -> PathBuf {
-    let mut w = StateWriter::new();
-    w.put_u64(build);
-    w.put_u64(fp);
-    let key = hash64(&w.into_bytes());
-    dir.join(format!(
-        "{bench}-{}-w{warmup}-{key:016x}.hbtr",
-        scale_label(scale)
-    ))
-}
-
-/// Deletes the cached traces that `kept` supersedes: the files beside it
-/// with the same benchmark, scale and warmup but another key (another
-/// program fingerprint or simulator build), which no later lookup can
-/// reach. Evicted `*.corrupt` files are left for inspection.
-fn prune_superseded_traces(kept: &Path) {
-    let (Some(dir), Some(kept_name)) = (kept.parent(), kept.file_name().and_then(|n| n.to_str()))
-    else {
-        return;
-    };
-    // Strip the 16 hex digits and `.hbtr`, leaving `{bench}-{scale}-w{warmup}-`.
-    let prefix = &kept_name[..kept_name.len() - 21];
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str().filter(|&n| n != kept_name) else {
-            continue;
-        };
-        let superseded = name
-            .strip_prefix(prefix)
-            .and_then(|rest| rest.strip_suffix(".hbtr"))
-            .is_some_and(|fp| fp.len() == 16 && fp.bytes().all(|b| b.is_ascii_hexdigit()));
-        if superseded {
-            if let Err(e) = std::fs::remove_file(entry.path()) {
-                eprintln!(
-                    "warning: cannot delete superseded trace {}: {e}",
-                    entry.path().display()
-                );
-            }
-        }
-    }
+/// Moves an unusable cell checkpoint out of the way by renaming it to
+/// `<path>.corrupt`, returning that path: the rerun starts the cell
+/// fresh, and the evidence stays on disk for a post-mortem.
+fn evict_corrupt(path: &Path) -> std::io::Result<PathBuf> {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".corrupt");
+    let dest = PathBuf::from(name);
+    std::fs::rename(path, &dest)?;
+    Ok(dest)
 }
 
 /// The record cap for the trace that every column warming up `warmup`
@@ -443,83 +324,24 @@ pub(crate) fn capture_cap(configs: &[Column], warmup: u64) -> Option<u64> {
 }
 
 /// Captures one benchmark's committed-stream trace past `warmup`
-/// instructions, stopping after `cap` records (see [`capture_cap`]), or
-/// loads it from the trace cache at [`MatrixOpts::trace_cache`]. Only a
-/// complete capture is persisted there. A panic in the kernel
-/// generator or the functional pass is caught and returned as the error,
-/// so a failed capture fails that benchmark's cells with the real cause.
-///
-/// A corrupt or truncated cache file is **evicted** (renamed to
-/// `*.corrupt`, with one warning) and the trace recaptured, so one bad
-/// byte costs one capture — not a warning storm or a silent functional
-/// re-parse on every later campaign. A persisted capture deletes the
-/// files it supersedes (see [`prune_superseded_traces`]), so the cache
-/// holds one trace per (benchmark, scale, warmup).
-///
-/// On a journaled run a pending interrupt refuses a fresh capture (a
-/// cached hit still loads: it is nearly free and keeps the continued run
-/// fast); [`run_cell`] turns that refusal into a checkpoint-free
-/// interrupted cell rather than a failure.
+/// instructions, stopping after `cap` records (see [`capture_cap`]). A
+/// panic in the kernel generator or the functional pass is caught and
+/// returned as the error, so a failed capture fails that benchmark's
+/// cells with the real cause.
 pub(crate) fn capture_trace(
     bench: &Benchmark,
     scale: Scale,
     warmup: u64,
     cap: Option<u64>,
-    opts: &MatrixOpts,
 ) -> Result<CommittedTrace, String> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    let body = || -> Result<CommittedTrace, String> {
-        let program = bench.build(scale);
-        let fp = hash64(&hbdc_isa::object::to_bytes(&program));
-        let path = opts
-            .trace_cache
-            .as_deref()
-            .map(|d| trace_cache_path(d, bench.name(), scale, warmup, fp));
-        if let Some(p) = &path {
-            // The fingerprint is in the file name's key, but a renamed or
-            // hand-edited file must still not drive a replay (that case
-            // reads as a miss, not corruption).
-            match CommittedTrace::read_cached(p, fp, warmup) {
-                CacheLookup::Hit(t) => return Ok(*t),
-                CacheLookup::Miss => {}
-                CacheLookup::Corrupt(e) => match evict_corrupt(p) {
-                    Ok(dest) => eprintln!(
-                        "warning: corrupt cached trace {}: {e}; evicted to {} and recapturing",
-                        p.display(),
-                        dest.display()
-                    ),
-                    Err(e2) => eprintln!(
-                        "warning: corrupt cached trace {}: {e}; eviction failed ({e2}), \
-                         recapturing anyway",
-                        p.display()
-                    ),
-                },
-            }
-        }
-        if opts.journal.is_some() && interrupt::requested() {
-            return Err("interrupted before the trace capture started".to_string());
-        }
-        let t = CommittedTrace::capture(&program, warmup, cap).map_err(|e| e.to_string())?;
-        // A capped stream serves only columns this capped; the cache
-        // serves any column, so it keeps complete streams alone.
-        if let Some(p) = path.as_ref().filter(|_| t.is_complete()) {
-            let persisted = p
-                .parent()
-                .map_or(Ok(()), std::fs::create_dir_all)
-                .map_err(|e| e.to_string())
-                .and_then(|()| t.write_to_path(p).map_err(|e| e.to_string()));
-            match persisted {
-                Ok(()) => prune_superseded_traces(p),
-                Err(e) => eprintln!("warning: cannot persist trace {}: {e}", p.display()),
-            }
-        }
-        Ok(t)
-    };
+    let body =
+        || CommittedTrace::capture(&bench.build(scale), warmup, cap).map_err(|e| e.to_string());
     catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| Err(panic_message(payload)))
 }
 
-/// One matrix cell's outcome as an executor reports it.
+/// One matrix cell's outcome.
 #[derive(Debug)]
 pub(crate) enum JobOutcome {
     /// The simulation finished and produced a report.
@@ -527,80 +349,56 @@ pub(crate) enum JobOutcome {
     /// The simulation, its setup, or its trace capture failed; the
     /// rendered error.
     Failed(String),
-    /// The cell overran its wall-clock budget; the rendered error.
-    TimedOut(String),
-    /// An interrupt was requested; the in-flight state (if the cell had
-    /// started simulating) was checkpointed to the cell's snapshot file.
+    /// An interrupt was requested; the in-flight state was checkpointed
+    /// to the cell's snapshot file.
     Interrupted,
 }
 
-/// Everything an executor needs to run one matrix cell.
-#[derive(Clone, Copy)]
-pub(crate) struct CellJob<'a> {
-    /// The benchmark's captured trace, or why its capture failed.
-    pub(crate) trace: &'a Result<CommittedTrace, String>,
-    pub(crate) port: PortConfig,
-    pub(crate) cpu_cfg: CpuConfig,
-    pub(crate) timeout: Option<Duration>,
-    /// Journaled runs only: where the cell checkpoints on interrupt, and
-    /// resumes from when a checkpoint is already there.
-    pub(crate) checkpoint: Option<&'a Path>,
-}
-
-/// Runs one matrix cell by replaying its benchmark's trace. Plain cells
-/// run straight to completion; cells with a timeout or a checkpoint path
-/// run in [`CHUNK_CYCLES`]-cycle slices, polling the interrupt latch and
-/// the wall clock between slices. Panics anywhere inside are caught and
-/// rendered as failures.
-pub(crate) fn run_cell(job: CellJob<'_>) -> JobOutcome {
+/// Runs one matrix cell by replaying its benchmark's `trace`. Without a
+/// `checkpoint` path the cell runs straight to completion; with one it
+/// runs in [`CHUNK_CYCLES`]-cycle slices, polling the interrupt latch
+/// between slices, and resumes from a checkpoint already there. Panics
+/// anywhere inside are caught and rendered as failures.
+pub(crate) fn run_cell(
+    trace: &Result<CommittedTrace, String>,
+    cpu_cfg: CpuConfig,
+    port: PortConfig,
+    checkpoint: Option<&Path>,
+) -> JobOutcome {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    let CellJob {
-        trace,
-        port,
-        cpu_cfg,
-        timeout,
-        checkpoint,
-    } = job;
     let trace = match trace {
         Ok(t) => t,
-        // A capture refused under a pending interrupt stops the cell; it
-        // does not count against the cell's attempts.
-        Err(_) if checkpoint.is_some() && interrupt::requested() => return JobOutcome::Interrupted,
         Err(e) => return JobOutcome::Failed(e.clone()),
     };
-
     let body = || -> JobOutcome {
         let fresh = || Simulator::try_from_trace(trace, cpu_cfg, HierarchyConfig::default(), port);
-        if checkpoint.is_none() && timeout.is_none() {
-            // Fast path: nothing to poll for between cycle chunks.
+        let Some(checkpoint) = checkpoint else {
+            // Nothing to poll for between cycle chunks.
             return match fresh().and_then(|mut sim| sim.run()) {
                 Ok(r) => JobOutcome::Done(Box::new(r)),
                 Err(e) => JobOutcome::Failed(e.to_string()),
             };
-        }
-        let resumed = checkpoint.filter(|p| p.exists()).map(|p| {
-            SimSnapshot::read_from_path(p)
+        };
+        let resumed = checkpoint.exists().then(|| {
+            SimSnapshot::read_from_path(checkpoint)
                 .map_err(SimError::from)
                 .and_then(|snap| Simulator::resume(&snap))
-                .map_err(|e| (p, e))
         });
         let built = match resumed {
             Some(Ok(sim)) => Ok(sim),
             // A stale or corrupt cell checkpoint costs a fresh run of that
-            // one cell, never the campaign. Evict the bad file so the next
-            // run doesn't trip over the same bytes (and the evidence
-            // survives for a post-mortem).
-            Some(Err((p, e))) => {
-                match evict_corrupt(p) {
+            // one cell, never the campaign.
+            Some(Err(e)) => {
+                match evict_corrupt(checkpoint) {
                     Ok(dest) => eprintln!(
                         "warning: unusable cell checkpoint {}: {e}; evicted to {} and \
                          rerunning the cell fresh",
-                        p.display(),
+                        checkpoint.display(),
                         dest.display()
                     ),
                     Err(_) => {
-                        let _ = std::fs::remove_file(p);
+                        let _ = std::fs::remove_file(checkpoint);
                     }
                 }
                 fresh()
@@ -611,31 +409,17 @@ pub(crate) fn run_cell(job: CellJob<'_>) -> JobOutcome {
             Ok(sim) => sim,
             Err(e) => return JobOutcome::Failed(e.to_string()),
         };
-        let start = Instant::now();
         loop {
             match sim.run_for(CHUNK_CYCLES) {
                 Ok(true) => return JobOutcome::Done(Box::new(sim.report())),
                 Ok(false) => {}
                 Err(e) => return JobOutcome::Failed(e.to_string()),
             }
-            if let Some(path) = checkpoint {
-                if interrupt::requested() {
-                    return match sim.save_snapshot().write_to_path(path) {
-                        Ok(()) => JobOutcome::Interrupted,
-                        Err(e) => JobOutcome::Failed(format!("interrupt checkpoint: {e}")),
-                    };
-                }
-            }
-            if let Some(t) = timeout {
-                if start.elapsed() >= t {
-                    return JobOutcome::TimedOut(format!(
-                        "timeout: exceeded the {:.3}s wall-clock budget at cycle {} \
-                         ({} committed)",
-                        t.as_secs_f64(),
-                        sim.current_cycle(),
-                        sim.committed()
-                    ));
-                }
+            if interrupt::requested() {
+                return match sim.save_snapshot().write_to_path(checkpoint) {
+                    Ok(()) => JobOutcome::Interrupted,
+                    Err(e) => JobOutcome::Failed(format!("interrupt checkpoint: {e}")),
+                };
             }
         }
     };
@@ -645,163 +429,214 @@ pub(crate) fn run_cell(job: CellJob<'_>) -> JobOutcome {
     }
 }
 
-/// [`simulate_matrix`] with the full campaign option set — the one
-/// campaign engine under every matrix entry point (its loop, lease
-/// protocol and worker mode are described in `crate::supervise`).
+/// [`simulate_matrix`] without console output, with the journal given
+/// rather than read from `argv` — the engine every matrix entry point
+/// runs through.
 ///
-/// Cells run on `--threads` executors: scoped threads replaying their
-/// benchmark's trace in this process (each benchmark with cells left
-/// captures its trace — one per distinct warmup among the columns — or
-/// loads it from [`MatrixOpts::trace_cache`], on its own thread as the
-/// run starts) or, with [`MatrixOpts::shard`],
-/// re-executed worker subprocesses. A failed attempt is retried after an
-/// exponential backoff until [`MatrixOpts::max_attempts`] is spent, then
-/// the cell is quarantined; a timed-out cell is quarantined at once.
+/// Cells run on `--threads` scoped threads (default: every available
+/// core), which take the pending cells in index order. Each benchmark's
+/// trace is captured once per distinct warmup among the columns, by the
+/// first cell that needs it, and replayed by all of them. A failed cell
+/// is reported in [`MatrixRun::failures`] and the rest of the matrix
+/// still completes: one diverging cell costs one cell, not a whole
+/// Table 3 overnight run.
 ///
-/// With [`MatrixOpts::journal`], Ctrl-C checkpoints in-flight cells to
-/// `<journal>.cell<idx>.snap` at the next cycle-chunk boundary and the
-/// run returns with [`MatrixRun::interrupted`] set. Running again on the
-/// journal continues it: `ok` cells are served from it, checkpointed
-/// cells resume bit-identically, and failed cells get the rest of their
-/// attempts — the continued campaign's reports equal an uninterrupted
-/// run's.
+/// With a `journal`, every finished cell is recorded in it, and Ctrl-C
+/// checkpoints in-flight cells to `<journal>.cell<idx>.snap` at the next
+/// cycle-chunk boundary and returns with [`MatrixRun::interrupted`] set.
+/// Running again on the journal continues it: finished cells are served
+/// from it, checkpointed cells resume bit-identically, and the rest run —
+/// the continued campaign's reports equal an uninterrupted run's.
 ///
 /// # Errors
 ///
 /// Fails only on journal problems: an unreadable or corrupt journal, a
-/// fingerprint mismatch (the journal belongs to a different matrix), an
-/// I/O failure writing it, or `--shard` without a journal.
-pub fn simulate_matrix_opts(
+/// fingerprint mismatch (the journal belongs to a different matrix), or
+/// an I/O failure writing it.
+pub fn run_matrix(
     benches: &[Benchmark],
     scale: Scale,
     configs: &[Column],
-    opts: &MatrixOpts,
+    journal: Option<&Path>,
 ) -> Result<MatrixRun, String> {
-    use std::sync::OnceLock;
+    campaign(benches, scale, configs, journal, &|_| {})
+}
 
-    // Worker-cell mode (a shard supervisor re-executed this binary): run
-    // the one assigned cell and exit through the out file. Checked before
-    // everything else so a worker never becomes a supervisor itself.
-    if let Some(spec) = &opts.worker {
-        supervise::run_worker(benches, scale, configs, opts, spec);
-    }
+/// The campaign loop under [`run_matrix`] and [`simulate_matrix`]:
+/// `mark` is called with each concluded cell's progress mark.
+fn campaign(
+    benches: &[Benchmark],
+    scale: Scale,
+    configs: &[Column],
+    journal: Option<&Path>,
+    mark: &dyn Fn(char),
+) -> Result<MatrixRun, String> {
+    let total = benches.len() * configs.len();
     let hash = matrix_hash(benches, scale, configs);
-    if opts.shard {
-        let journal = opts.journal.as_deref().ok_or_else(|| {
-            "--shard requires --journal PATH (the journal is the shared campaign state)".to_string()
-        })?;
-        return supervise::drive(benches, configs, hash, opts, None, &|idx| {
-            supervise::run_in_worker(idx, journal, hash, opts.timeout)
-        });
+    // Load or create the journal before any cell runs, so a fingerprint
+    // mismatch is a usage error and a kill from here on leaves a journal
+    // to continue.
+    let mut records = vec![None; total];
+    if let Some(path) = journal {
+        match std::fs::read_to_string(path) {
+            Ok(text) => records = journal::parse(&text, path, hash, total)?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                // A new journal starts without checkpoints: any left under
+                // its name belong to a deleted campaign.
+                for idx in 0..total {
+                    let _ = std::fs::remove_file(cell_snap_path(path, idx));
+                }
+                journal::write(path, hash, &records)?;
+            }
+            Err(e) => return Err(format!("cannot read journal {}: {e}", path.display())),
+        }
+        interrupt::install();
     }
+    let served = records.iter().flatten().count();
+    let pending: Vec<usize> = (0..total).filter(|&i| records[i].is_none()).collect();
 
-    install_worker_panic_hook();
-    // Per (benchmark, distinct warmup): its trace (or capture error) and
-    // when the capture ran. `drive` starts every pending benchmark's
-    // captures at once, so a cell waits only on its own trace.
+    // One trace per (benchmark, distinct warmup), captured by the first
+    // cell that needs it, with the capture's duration.
     let mut warmups: Vec<u64> = configs.iter().map(|(_, cpu, _)| cpu.warmup_insts).collect();
     warmups.sort_unstable();
     warmups.dedup();
-    let traces: Vec<OnceLock<_>> = (0..benches.len() * warmups.len())
+    let traces: Vec<OnceLock<(Result<CommittedTrace, String>, Duration)>> = (0..benches.len()
+        * warmups.len())
         .map(|_| OnceLock::new())
         .collect();
-    let trace = |b: usize, warmup: u64| {
-        let capture = || {
-            let start = Instant::now();
-            let cap = capture_cap(configs, warmup);
-            let trace = capture_trace(&benches[b], scale, warmup, cap, opts);
-            (trace, start..Instant::now())
-        };
+    let run_one = |idx: usize| {
+        let (b, (_, cpu_cfg, port)) = (idx / configs.len(), &configs[idx % configs.len()]);
         let w = warmups
-            .binary_search(&warmup)
+            .binary_search(&cpu_cfg.warmup_insts)
             .expect("every column's warmup is listed");
-        &traces[b * warmups.len() + w].get_or_init(capture).0
+        let (trace, _) = traces[b * warmups.len() + w].get_or_init(|| {
+            let start = Instant::now();
+            let cap = capture_cap(configs, cpu_cfg.warmup_insts);
+            (
+                capture_trace(&benches[b], scale, warmups[w], cap),
+                start.elapsed(),
+            )
+        });
+        let checkpoint = journal.map(|j| cell_snap_path(j, idx));
+        run_cell(trace, *cpu_cfg, *port, checkpoint.as_deref())
     };
-    let prepare = |b: usize| {
-        for &w in &warmups {
-            trace(b, w);
+
+    install_cell_panic_hook();
+    let threads = threads_from_args().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    });
+    // Only a journaled run can checkpoint, so only it honors the latch.
+    let stopping = || journal.is_some() && interrupt::requested();
+    // A concluded cell's interrupt checkpoint (if any) is stale.
+    let settle = |idx: usize| {
+        if let Some(j) = journal {
+            let _ = std::fs::remove_file(cell_snap_path(j, idx));
         }
     };
-    let mut run = supervise::drive(benches, configs, hash, opts, Some(&prepare), &|idx| {
-        let checkpoint = opts.journal.as_deref().map(|j| cell_snap_path(j, idx));
-        let (_, cpu_cfg, port) = &configs[idx % configs.len()];
-        run_cell(CellJob {
-            trace: trace(idx / configs.len(), cpu_cfg.warmup_insts),
-            port: *port,
-            cpu_cfg: *cpu_cfg,
-            timeout: opts.timeout,
-            checkpoint: checkpoint.as_deref(),
-        })
+    let next = AtomicUsize::new(0);
+    let mut live: Vec<Option<SimReport>> = vec![None; total];
+    let mut errors: Vec<Option<String>> = vec![None; total];
+    std::thread::scope(|scope| -> Result<(), String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        for t in 0..threads.min(pending.len()) {
+            let (tx, next, pending, run_one) = (tx.clone(), &next, &pending, &run_one);
+            std::thread::Builder::new()
+                .name(format!("{CELL_THREAD_PREFIX}-{t}"))
+                .spawn_scoped(scope, move || {
+                    // The latch is read after each cell, so one that is
+                    // already set still lets each thread's first cell start
+                    // (and checkpoint at once). A closed channel means the
+                    // loop below gave up on a journal error.
+                    while let Some(&idx) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        if tx.send((idx, run_one(idx))).is_err() || stopping() {
+                            break;
+                        }
+                    }
+                })
+                .map_err(|e| format!("cannot start a cell thread: {e}"))?;
+        }
+        drop(tx);
+        for (idx, outcome) in rx {
+            let m = match outcome {
+                JobOutcome::Done(report) => {
+                    if let Some(path) = journal {
+                        records[idx] = Some(report.to_record());
+                        journal::write(path, hash, &records)?;
+                    }
+                    live[idx] = Some(*report);
+                    '.'
+                }
+                JobOutcome::Failed(e) => {
+                    errors[idx] = Some(e);
+                    'x'
+                }
+                JobOutcome::Interrupted => '!',
+            };
+            if m != '!' {
+                settle(idx);
+            }
+            mark(m);
+        }
+        Ok(())
     })?;
-    let spans: Vec<_> = traces.iter().filter_map(OnceLock::get).collect();
-    let first = spans.iter().map(|(_, s)| s.start).min();
-    if let (Some(first), Some(last)) = (first, spans.iter().map(|(_, s)| s.end).max()) {
-        run.capture_secs = (last - first).as_secs_f64();
-    }
-    let captured = spans.iter().filter(|(t, _)| t.is_ok()).count();
-    if captured > 0 {
-        eprintln!(
-            "trace-capture: {:.2}s for {captured} trace{}",
-            run.capture_secs,
-            if captured == 1 { "" } else { "s" }
-        );
+
+    let mut run = MatrixRun {
+        interrupted: stopping(),
+        capture_secs: traces
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|(_, d)| d.as_secs_f64())
+            .sum(),
+        served,
+        ..MatrixRun::default()
+    };
+    for (b, bench) in benches.iter().enumerate() {
+        let mut row = Vec::with_capacity(configs.len());
+        for (c, (label, ..)) in configs.iter().enumerate() {
+            let idx = b * configs.len() + c;
+            if let Some(error) = errors[idx].take() {
+                run.failures.push(JobFailure {
+                    bench: bench.name().to_string(),
+                    config: label.clone(),
+                    error,
+                });
+            }
+            // A cell served from the journal may still have the checkpoint
+            // of a run killed between its record and the deletion.
+            if records[idx].is_some() {
+                settle(idx);
+            }
+            row.push(live[idx].take().or_else(|| {
+                records[idx]
+                    .as_deref()
+                    .and_then(|r| SimReport::from_record(r).ok())
+            }));
+        }
+        run.reports.push(row);
     }
     Ok(run)
 }
 
-/// Summarizes simulator throughput over a set of finished reports (see
-/// [`SpeedTally::add`] for which count). Returns `(simulated cycles, cpu
-/// seconds, cycles per cpu-second)`.
+/// Summarizes simulator throughput over a set of finished reports.
+/// Returns `(simulated cycles, cpu seconds, cycles per cpu-second)`. A
+/// report without host timing (`cpu_secs` 0: parsed back from a journal
+/// record) adds nothing, so cells served from a journal add no free
+/// cycles.
 pub fn sim_speed(
     reports: impl IntoIterator<Item = impl std::borrow::Borrow<SimReport>>,
 ) -> (u64, f64, f64) {
-    let mut tally = SpeedTally::new();
+    let (mut cycles, mut cpu) = (0, 0.0);
     for r in reports {
-        tally.add(r.borrow());
-    }
-    tally.speed()
-}
-
-/// Running simulator-throughput accumulator: feed it every finished
-/// report, then [`print`](Self::print) the `sim-speed` line on exit (to
-/// stderr, keeping experiment stdout machine-parseable).
-#[derive(Debug, Default, Clone)]
-pub struct SpeedTally {
-    cycles: u64,
-    cpu: f64,
-}
-
-impl SpeedTally {
-    /// Creates an empty tally.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one finished report into the tally. A report without host
-    /// timing (`cpu_secs` 0: parsed back from a journal or a worker's
-    /// record) adds nothing, so cells served from a journal add no free
-    /// cycles.
-    pub fn add(&mut self, r: &SimReport) {
+        let r = r.borrow();
         if r.cpu_secs > 0.0 {
-            self.cycles += r.cycles;
-            self.cpu += r.cpu_secs;
+            cycles += r.cycles;
+            cpu += r.cpu_secs;
         }
     }
-
-    fn speed(&self) -> (u64, f64, f64) {
-        let rate = if self.cpu > 0.0 {
-            self.cycles as f64 / self.cpu
-        } else {
-            0.0
-        };
-        (self.cycles, self.cpu, rate)
-    }
-
-    /// Prints the `sim-speed` line for everything tallied (to stderr).
-    pub fn print(&self) {
-        let (cycles, cpu, rate) = self.speed();
-        eprintln!("sim-speed: {rate:.0} cycles/sec ({cycles} simulated cycles in {cpu:.2}s of simulator CPU time)");
-    }
+    let rate = if cpu > 0.0 { cycles as f64 / cpu } else { 0.0 };
+    (cycles, cpu, rate)
 }
 
 /// A column on the paper's Table 1 machine (`CpuConfig::default()`).
@@ -835,7 +670,6 @@ pub fn table4_columns() -> Vec<Column> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::supervise::CellState;
     use hbdc_workloads::by_name;
 
     #[test]
@@ -918,7 +752,6 @@ mod tests {
         let f = &run.failures[0];
         assert_eq!(f.bench, "li");
         assert_eq!(f.config, "bad");
-        assert_eq!(f.attempts, 2, "failed jobs are retried once");
         assert!(f.error.contains("power of two"), "{}", f.error);
     }
 
@@ -952,87 +785,19 @@ mod tests {
         };
         let configs = vec![("i2".to_string(), capped, PortConfig::Ideal { ports: 2 })];
         // The capture stops at the column's bound, far short of li's
-        // full stream, and a cut-off stream is kept out of the cache.
+        // full stream.
         let bound = capped.capture_bound().unwrap();
         assert_eq!(capture_cap(&configs, 0), Some(bound));
-        let cache = scratch_dir("capped-capture");
-        let opts = MatrixOpts {
-            trace_cache: Some(cache.clone()),
-            ..MatrixOpts::default()
-        };
-        let trace = capture_trace(&benches[0], Scale::Test, 0, Some(bound), &opts).unwrap();
+        let trace = capture_trace(&benches[0], Scale::Test, 0, Some(bound)).unwrap();
         assert_eq!(trace.records(), bound);
         assert!(!trace.is_complete());
-        let run = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts).unwrap();
+        let run = run_matrix(&benches, Scale::Test, &configs, None).unwrap();
         assert!(!run.is_complete());
         assert!(
             run.failures[0].error.contains("cycle limit"),
             "{}",
             run.failures[0].error
         );
-        assert_eq!(std::fs::read_dir(&cache).unwrap().count(), 0);
-        std::fs::remove_dir_all(&cache).unwrap();
-    }
-
-    #[test]
-    fn a_persisted_capture_deletes_the_traces_it_supersedes() {
-        let cache = scratch_dir("supersede");
-        let seeded = [
-            "li-test-w0-00000000000000aa.hbtr", // older li capture: superseded
-            "li-test-w0-00000000000000bb.hbtr.corrupt", // evicted: kept
-            "li-test-w7-00000000000000cc.hbtr", // another warmup: kept
-            "li-small-w0-00000000000000dd.hbtr", // another scale: kept
-            "gcc-test-w0-00000000000000ee.hbtr", // another benchmark: kept
-        ];
-        for name in seeded {
-            std::fs::write(cache.join(name), b"stale").unwrap();
-        }
-        let opts = MatrixOpts {
-            trace_cache: Some(cache.clone()),
-            ..MatrixOpts::default()
-        };
-        let li = by_name("li").unwrap();
-        let trace = capture_trace(&li, Scale::Test, 0, None, &opts).unwrap();
-        let fresh = trace_cache_path(&cache, "li", Scale::Test, 0, trace.program_fingerprint());
-        let mut left: Vec<String> = std::fs::read_dir(&cache)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        left.sort();
-        let mut want: Vec<String> = seeded[1..].iter().map(|s| s.to_string()).collect();
-        want.push(fresh.file_name().unwrap().to_str().unwrap().to_string());
-        want.sort();
-        assert_eq!(left, want);
-        // A cache hit writes nothing and deletes nothing.
-        capture_trace(&li, Scale::Test, 0, None, &opts).unwrap();
-        assert_eq!(std::fs::read_dir(&cache).unwrap().count(), want.len());
-        std::fs::remove_dir_all(&cache).unwrap();
-    }
-
-    #[test]
-    fn a_trace_cached_by_another_build_is_a_miss() {
-        let cache = scratch_dir("other-build");
-        let li = by_name("li").unwrap();
-        let trace = CommittedTrace::capture(&li.build(Scale::Test), 0, None).unwrap();
-        let fp = trace.program_fingerprint();
-        let ours = trace_cache_path(&cache, "li", Scale::Test, 0, fp);
-        let theirs = build_trace_cache_path(BUILD_ID ^ 1, &cache, "li", Scale::Test, 0, fp);
-        assert_ne!(ours, theirs);
-        // A valid capture of the same program, as another build left it.
-        trace.write_to_path(&theirs).unwrap();
-        let opts = MatrixOpts {
-            trace_cache: Some(cache.clone()),
-            ..MatrixOpts::default()
-        };
-        capture_trace(&li, Scale::Test, 0, None, &opts).unwrap();
-        // The lookup missed: this build captured, persisted its own file
-        // and deleted the one it supersedes.
-        let left: Vec<PathBuf> = std::fs::read_dir(&cache)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        assert_eq!(left, vec![ours]);
-        std::fs::remove_dir_all(&cache).unwrap();
     }
 
     #[test]
@@ -1096,39 +861,31 @@ mod tests {
 
     #[test]
     fn matrix_exit_codes() {
-        let clean = MatrixRun {
-            reports: vec![],
-            failures: vec![],
-            interrupted: false,
-            capture_secs: 0.0,
-        };
+        let clean = MatrixRun::default();
         // ExitCode lacks PartialEq; compare the Debug renderings.
         assert_eq!(
             format!("{:?}", clean.exit_code()),
             format!("{:?}", std::process::ExitCode::SUCCESS)
         );
-        // Quarantined cells: the campaign is as complete as its attempt
-        // budget allows — exit 3.
-        let quarantined = MatrixRun {
+        // Failed cells: the campaign completed around them — exit 3.
+        let failed = MatrixRun {
             reports: vec![vec![None]],
             failures: vec![JobFailure {
                 bench: "x".into(),
                 config: "y".into(),
-                attempts: 2,
                 error: "boom".into(),
             }],
-            interrupted: false,
-            capture_secs: 0.0,
+            ..MatrixRun::default()
         };
-        assert!(!quarantined.is_complete());
+        assert!(!failed.is_complete());
         assert_eq!(
-            format!("{:?}", quarantined.exit_code()),
+            format!("{:?}", failed.exit_code()),
             format!("{:?}", std::process::ExitCode::from(3))
         );
-        // An interrupt outranks quarantine.
+        // An interrupt outranks failures.
         let interrupted = MatrixRun {
             interrupted: true,
-            ..quarantined
+            ..failed
         };
         assert!(!interrupted.is_complete());
         assert_eq!(
@@ -1145,14 +902,10 @@ mod tests {
         dir
     }
 
-    /// An uninterrupted in-memory run that warms the trace cache at
-    /// `cache`: the reference for interrupted runs sharing that cache.
-    fn warm_run(benches: &[Benchmark], configs: &[Column], cache: &Path) -> Vec<Vec<SimReport>> {
-        let opts = MatrixOpts {
-            trace_cache: Some(cache.to_path_buf()),
-            ..MatrixOpts::default()
-        };
-        simulate_matrix_opts(benches, Scale::Test, configs, &opts)
+    /// An uninterrupted run without a journal: the reference for
+    /// interrupted journaled runs.
+    fn reference(benches: &[Benchmark], configs: &[Column]) -> Vec<Vec<SimReport>> {
+        run_matrix(benches, Scale::Test, configs, None)
             .unwrap()
             .expect_complete()
     }
@@ -1171,30 +924,26 @@ mod tests {
         interrupt::reset();
         let dir = scratch_dir("interrupt");
         let journal = dir.join("run.journal");
-        let cache = dir.join("traces");
         let benches = vec![by_name("li").unwrap()];
         let configs = vec![
             column("i2", PortConfig::Ideal { ports: 2 }),
             column("b4", PortConfig::banked(4)),
         ];
 
-        // An uninterrupted run warms the trace cache (and is the
-        // reference). With the cache warm, a pre-set latch refuses no
-        // capture (contrast `interrupt_during_capture_phase_is_resumable`),
-        // so every claimed cell replays exactly one cycle chunk,
+        // With the latch set before the run starts, each cell thread's
+        // first cell captures its trace, replays exactly one cycle chunk,
         // checkpoints, and winds down — a deterministic mid-run
         // interruption of replay cells.
-        let fresh = warm_run(&benches, &configs, &cache);
-        let opts = MatrixOpts {
-            journal: Some(journal.clone()),
-            trace_cache: Some(cache),
-            ..MatrixOpts::default()
-        };
+        let fresh = reference(&benches, &configs);
         interrupt::trigger();
-        let halted = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts).unwrap();
+        let halted = run_matrix(&benches, Scale::Test, &configs, Some(&journal)).unwrap();
         interrupt::reset();
         assert!(halted.interrupted);
-        assert!(halted.failures.is_empty());
+        assert_eq!(
+            format!("{:?}", halted.exit_code()),
+            format!("{:?}", std::process::ExitCode::from(130))
+        );
+        assert!(halted.failures.is_empty(), "an interrupt is not a failure");
         assert!(halted.reports[0].iter().all(Option::is_none));
         assert!(
             (0..2).any(|i| cell_snap_path(&journal, i).exists()),
@@ -1204,7 +953,7 @@ mod tests {
 
         // Rerunning on the journal runs the campaign to completion from
         // the checkpoints.
-        let resumed = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts)
+        let resumed = run_matrix(&benches, Scale::Test, &configs, Some(&journal))
             .unwrap()
             .expect_complete();
         assert!(
@@ -1218,10 +967,40 @@ mod tests {
 
         // A third run serves every cell straight from the journal
         // (exercising the record parser) and still matches.
-        let replayed = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts)
+        let replayed = run_matrix(&benches, Scale::Test, &configs, Some(&journal)).unwrap();
+        assert_eq!(replayed.served, 2);
+        assert_eq!(replayed.capture_secs, 0.0, "served cells capture nothing");
+        assert_eq!(replayed.expect_complete(), fresh);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unusable_cell_checkpoint_is_evicted_and_the_cell_reruns_fresh() {
+        let _guard = latch_lock();
+        interrupt::reset();
+        let dir = scratch_dir("corrupt-checkpoint");
+        let journal = dir.join("k.journal");
+        let benches = vec![by_name("li").unwrap()];
+        let configs = vec![column("i2", PortConfig::Ideal { ports: 2 })];
+        let fresh = reference(&benches, &configs);
+        interrupt::trigger();
+        let halted = run_matrix(&benches, Scale::Test, &configs, Some(&journal)).unwrap();
+        interrupt::reset();
+        assert!(halted.interrupted);
+        let snap = cell_snap_path(&journal, 0);
+        let mut bytes = std::fs::read(&snap).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&snap, &bytes).unwrap();
+
+        let resumed = run_matrix(&benches, Scale::Test, &configs, Some(&journal))
             .unwrap()
             .expect_complete();
-        assert_eq!(replayed, fresh);
+        assert_eq!(resumed, fresh);
+        assert!(!snap.exists());
+        let mut evicted = snap.into_os_string();
+        evicted.push(".corrupt");
+        assert_eq!(std::fs::read(PathBuf::from(evicted)).unwrap(), bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1236,22 +1015,15 @@ mod tests {
         interrupt::reset();
         let dir = scratch_dir("continue");
         let journal = dir.join("c.journal");
-        let cache = dir.join("traces");
         let benches = vec![
             Benchmark::custom("tiny", Suite::Int, tiny),
             by_name("li").unwrap(),
         ];
         let configs = vec![column("i2", PortConfig::Ideal { ports: 2 })];
-        // Warm the trace cache so the latch refuses no capture below.
-        let fresh = warm_run(&benches, &configs, &cache);
-        let opts = MatrixOpts {
-            journal: Some(journal.clone()),
-            trace_cache: Some(cache),
-            ..MatrixOpts::default()
-        };
+        let fresh = reference(&benches, &configs);
 
         interrupt::trigger();
-        let halted = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts).unwrap();
+        let halted = run_matrix(&benches, Scale::Test, &configs, Some(&journal)).unwrap();
         interrupt::reset();
         assert!(halted.interrupted);
         assert!(halted.reports[0][0].is_some(), "the tiny cell completes");
@@ -1261,71 +1033,21 @@ mod tests {
         // back with the mark was served from the journal, not re-run.
         let hash = matrix_hash(&benches, Scale::Test, &configs);
         let text = std::fs::read_to_string(&journal).unwrap();
-        let mut state = supervise::parse_journal(&text, &journal, hash, 2).unwrap();
-        let CellState::Ok { record, .. } = &mut state.cells[0] else {
+        let mut records = journal::parse(&text, &journal, hash, 2).unwrap();
+        let Some(record) = &mut records[0] else {
             panic!("cell 0 must be journaled as ok: {text}");
         };
         let mut marked = SimReport::from_record(record).unwrap();
         marked.port_label = "served-from-journal".into();
         *record = marked.to_record();
-        std::fs::write(&journal, supervise::render_journal(&state)).unwrap();
+        journal::write(&journal, hash, &records).unwrap();
 
-        // The same options again: the journal is continued, not
-        // truncated.
-        let continued = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts)
+        // The same journal again: it is continued, not truncated.
+        let continued = run_matrix(&benches, Scale::Test, &configs, Some(&journal))
             .unwrap()
             .expect_complete();
         assert_eq!(continued[0][0].port_label, "served-from-journal");
         assert_eq!(continued[1][0], fresh[1][0]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn interrupt_during_capture_phase_is_resumable() {
-        let _guard = latch_lock();
-        let dir = scratch_dir("capture-interrupt");
-        let journal = dir.join("cap.journal");
-        let cache = dir.join("traces");
-        let benches = vec![by_name("li").unwrap(), by_name("compress").unwrap()];
-        let configs = vec![
-            column("i2", PortConfig::Ideal { ports: 2 }),
-            column("b4", PortConfig::banked(4)),
-        ];
-        let opts = MatrixOpts {
-            journal: Some(journal.clone()),
-            trace_cache: Some(cache.clone()),
-            ..MatrixOpts::default()
-        };
-
-        // With the latch set before the run starts and the cache cold,
-        // every claimed cell's capture is refused (no traces, no cache
-        // files) and no cell replays — yet the journal is flushed and
-        // continuable.
-        interrupt::reset();
-        interrupt::trigger();
-        let halted = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts).unwrap();
-        interrupt::reset();
-        assert!(halted.interrupted, "capture-phase SIGINT must interrupt");
-        assert_eq!(
-            format!("{:?}", halted.exit_code()),
-            format!("{:?}", std::process::ExitCode::from(130))
-        );
-        assert!(halted.failures.is_empty(), "an interrupt is not a failure");
-        assert!(
-            halted.reports.iter().flatten().all(Option::is_none),
-            "no replay cell may start under a capture-phase interrupt"
-        );
-        assert!(journal.exists(), "the journal is flushed before capture");
-        let captured = std::fs::read_dir(&cache).map(|d| d.count()).unwrap_or(0);
-        assert_eq!(captured, 0, "no fresh capture may run under the latch");
-
-        // Rerunning with a clear latch captures the traces and completes;
-        // the result equals an uninterrupted run.
-        let resumed = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts)
-            .unwrap()
-            .expect_complete();
-        let fresh = simulate_matrix(&benches, Scale::Test, &configs).expect_complete();
-        assert_eq!(resumed, fresh);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1337,17 +1059,14 @@ mod tests {
         let journal = dir.join("m.journal");
         let benches = vec![by_name("li").unwrap()];
         let configs_a = vec![column("i2", PortConfig::Ideal { ports: 2 })];
-        let opts = MatrixOpts {
-            journal: Some(journal.clone()),
-            ..MatrixOpts::default()
+        let run = |benches: &[Benchmark], configs: &[Column]| {
+            run_matrix(benches, Scale::Test, configs, Some(&journal))
         };
-        simulate_matrix_opts(&benches, Scale::Test, &configs_a, &opts)
-            .unwrap()
-            .expect_complete();
+        run(&benches, &configs_a).unwrap().expect_complete();
 
         // Same journal, different port configuration: refused.
         let configs_b = vec![column("i4", PortConfig::Ideal { ports: 4 })];
-        let err = simulate_matrix_opts(&benches, Scale::Test, &configs_b, &opts).unwrap_err();
+        let err = run(&benches, &configs_b).unwrap_err();
         assert!(err.contains("does not match"), "{err}");
         assert!(err.contains("refusing to resume"), "{err}");
 
@@ -1357,46 +1076,26 @@ mod tests {
             hbdc_workloads::MicroKernel::SameLineBurst.source(4)
         }
         let benches_edited = vec![Benchmark::custom("li", Suite::Int, edited)];
-        let err =
-            simulate_matrix_opts(&benches_edited, Scale::Test, &configs_a, &opts).unwrap_err();
+        let err = run(&benches_edited, &configs_a).unwrap_err();
         assert!(err.contains("does not match"), "{err}");
 
         // The same matrix journaled by a binary built from other
         // simulator sources: refused too.
         let stamped = build_matrix_hash(BUILD_ID ^ 1, &benches, Scale::Test, &configs_a);
-        let state = supervise::JournalState::fresh(stamped, 1);
-        std::fs::write(&journal, supervise::render_journal(&state)).unwrap();
-        let err = simulate_matrix_opts(&benches, Scale::Test, &configs_a, &opts).unwrap_err();
+        journal::write(&journal, stamped, &[None]).unwrap();
+        let err = run(&benches, &configs_a).unwrap_err();
         assert!(err.contains("does not match"), "{err}");
         assert!(err.contains("refusing to resume"), "{err}");
 
         // Garbage file: refused, with the offending path named.
         std::fs::write(&journal, "not a journal\n").unwrap();
-        let err = simulate_matrix_opts(&benches, Scale::Test, &configs_a, &opts).unwrap_err();
+        let err = run(&benches, &configs_a).unwrap_err();
         assert!(err.contains("not a matrix journal"), "{err}");
         assert!(err.contains("m.journal"), "{err}");
     }
 
     #[test]
-    fn per_job_timeout_fails_hung_cells_without_retry() {
-        let benches = vec![by_name("li").unwrap()];
-        let configs = vec![column("i2", PortConfig::Ideal { ports: 2 })];
-        let opts = MatrixOpts {
-            timeout: Some(Duration::from_nanos(1)),
-            ..MatrixOpts::default()
-        };
-        let run = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts).unwrap();
-        assert!(!run.is_complete());
-        assert!(!run.interrupted);
-        assert_eq!(run.failures.len(), 1);
-        let f = &run.failures[0];
-        assert!(f.error.starts_with("timeout"), "{}", f.error);
-        assert!(f.error.contains("cycle"), "{}", f.error);
-        assert_eq!(f.attempts, 1, "timed-out jobs are not retried: {f}");
-    }
-
-    #[test]
-    fn journal_records_failures_for_rerun() {
+    fn a_failed_cell_is_not_journaled_and_fails_again_when_continued() {
         let _guard = latch_lock();
         interrupt::reset();
         let dir = scratch_dir("fail-journal");
@@ -1407,36 +1106,22 @@ mod tests {
             column("good", PortConfig::Ideal { ports: 2 }),
             column("bad", PortConfig::banked(3)),
         ];
-        let opts = MatrixOpts {
-            journal: Some(journal.clone()),
-            ..MatrixOpts::default()
-        };
-        let run = simulate_matrix_opts(&benches, Scale::Test, &configs, &opts).unwrap();
+        let run = run_matrix(&benches, Scale::Test, &configs, Some(&journal)).unwrap();
         assert_eq!(run.failures.len(), 1);
         let text = std::fs::read_to_string(&journal).unwrap();
-        assert!(text.starts_with(supervise::JOURNAL_HEADER), "{text}");
+        assert!(text.starts_with(journal::JOURNAL_HEADER), "{text}");
         assert!(text.contains("\nok 0 "), "{text}");
-        // The default budget of 2 is spent: quarantined, as under --shard.
-        assert!(text.contains("\nquar 1 2 "), "{text}");
+        assert!(!text.contains("\nok 1 "), "{text}");
 
-        // A budget of 3 revives the quarantined cell for one more attempt
-        // (it fails again, since the configuration is still degenerate)
-        // while the good cell is served from the journal.
-        let revived = simulate_matrix_opts(
-            &benches,
-            Scale::Test,
-            &configs,
-            &MatrixOpts {
-                max_attempts: 3,
-                ..opts
-            },
-        )
-        .unwrap();
-        assert!(revived.reports[0][0].is_some());
-        assert!(revived.reports[0][1].is_none());
-        assert_eq!(revived.failures.len(), 1);
-        assert_eq!(revived.failures[0].attempts, 3);
-        let text = std::fs::read_to_string(&journal).unwrap();
-        assert!(text.contains("\nquar 1 3 "), "{text}");
+        // Continuing the journal serves the good cell and runs the bad one
+        // again, which fails the same way.
+        let again = run_matrix(&benches, Scale::Test, &configs, Some(&journal)).unwrap();
+        assert_eq!(again.served, 1);
+        assert!(again.reports[0][0].is_some());
+        assert!(again.reports[0][1].is_none());
+        assert_eq!(again.failures.len(), 1);
+        assert_eq!(again.failures[0].error, run.failures[0].error);
+        assert_eq!(std::fs::read_to_string(&journal).unwrap(), text);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -67,3 +67,18 @@ fn a_run_served_from_its_journal_records_no_rate() {
     assert_eq!(history.count(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn unknown_flags_are_refused_before_anything_runs() {
+    let dir = scratch("flags");
+    for extra in [&["--trace-cache", "traces"][..], &["--run", "2"]] {
+        let (err, code) = throughput(&dir, extra);
+        assert_eq!(code, 2, "{err}");
+        assert!(
+            err.contains(&format!("unknown flag `{}`", extra[0])),
+            "{err}"
+        );
+        assert!(!dir.join("BENCH_throughput.json").exists());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -76,5 +76,5 @@ pub use lsq::{Lsq, LsqStalls};
 pub use report::SimReport;
 pub use sim::{stageprof, Simulator};
 pub use snapshot::{SimSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use trace::{CacheLookup, CommittedTrace, TracePlayer, TRACE_MAGIC, TRACE_VERSION};
+pub use trace::{CommittedTrace, TracePlayer, TRACE_MAGIC, TRACE_VERSION};
 pub use window::{InstMeta, Retired, Window};

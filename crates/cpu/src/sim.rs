@@ -113,6 +113,11 @@ pub struct Simulator {
     forwards_buf: Vec<u64>,
     granted_buf: Vec<usize>,
     serviced_buf: Vec<usize>,
+    // Bit `g` is set once this round's ready reference `g` has been
+    // serviced, so a repeated grant schedules no second completion. One
+    // bit per LSQ entry (the ready list never outgrows the LSQ); clear
+    // between rounds.
+    serviced_bits: Vec<u64>,
     commit_buf: Vec<crate::window::Retired>,
     // Auditor scratch: stays empty (and allocation-free) on clean cycles.
     audit_buf: Vec<Violation>,
@@ -324,6 +329,7 @@ impl Simulator {
             issue_buf: Vec::new(),
             forwards_buf: Vec::new(),
             serviced_buf: Vec::new(),
+            serviced_bits: vec![0; cfg.lsq_size.div_ceil(64)],
             granted_buf: Vec::new(),
             commit_buf: Vec::new(),
             audit_buf: Vec::new(),
@@ -430,8 +436,9 @@ impl Simulator {
                 });
             }
         }
-        // Every grant reaches the hierarchy (a duplicated one twice); the
-        // serviced ones leave the ready list together afterwards.
+        // Every grant reaches the hierarchy (a duplicated one twice), but a
+        // load's completion is scheduled by its first serviced grant only;
+        // the serviced ones leave the ready list together afterwards.
         self.serviced_buf.clear();
         for &g in &self.granted_buf {
             let c = ready[g];
@@ -440,11 +447,17 @@ impl Simulator {
                 continue; // MSHRs full: retry next cycle
             }
             self.serviced_buf.push(g);
+            let (word, bit) = (&mut self.serviced_bits[g / 64], 1u64 << (g % 64));
+            let first = *word & bit == 0;
+            *word |= bit;
             if c.is_store {
                 self.window.mark_access_done(c.id);
-            } else {
+            } else if first {
                 self.window.set_complete_at(c.id, outcome.ready_at);
             }
+        }
+        for &g in &self.serviced_buf {
+            self.serviced_bits[g / 64] = 0;
         }
         self.lsq.issue_granted(&mut self.serviced_buf);
         Ok(())
@@ -1384,9 +1397,8 @@ mod robustness_tests {
         // the ready list once; an extra grant past the peak is serviced
         // like any other. Either way the run completes with every grant
         // counted as an L1 access (MSHRs are plentiful, so none is
-        // rejected) and every instruction committed. The repeated grant
-        // runs on stores alone: a repeated load grant would schedule the
-        // load's completion twice, which the window rejects.
+        // rejected) and every instruction committed. A repeated load
+        // grant schedules the load's completion once.
         let hier = HierarchyConfig {
             mshr_entries: 1024,
             ..HierarchyConfig::default()
@@ -1395,6 +1407,11 @@ mod robustness_tests {
             (
                 STRIDED_STORES,
                 PortConfig::banked(2),
+                FaultClass::DuplicateGrant,
+            ),
+            (
+                STRIDED_LOADS,
+                PortConfig::Ideal { ports: 2 },
                 FaultClass::DuplicateGrant,
             ),
             (

@@ -77,23 +77,6 @@ const TAG_TAKEN: u8 = 0x04;
 const TAG_PC_SEQ: u8 = 0x08;
 const TAG_KNOWN: u8 = TAG_ADDR | TAG_BRANCH | TAG_TAKEN | TAG_PC_SEQ;
 
-/// Outcome of [`CommittedTrace::read_cached`]: the three-way answer a
-/// self-healing trace cache needs (use it, capture fresh, or evict the
-/// file *then* capture fresh).
-#[derive(Debug)]
-pub enum CacheLookup {
-    /// A valid trace matching the requested program and warmup.
-    Hit(Box<CommittedTrace>),
-    /// No usable entry: the file is absent, written in another HBTR
-    /// format version, or intact but for a different program, warmup,
-    /// or an incomplete capture.
-    Miss,
-    /// The file exists but is corrupt or truncated; the caller should
-    /// evict it (e.g. via `hbdc_snap::lock::evict_corrupt`) so the next
-    /// run sees a clean miss.
-    Corrupt(SnapError),
-}
-
 /// A captured committed-instruction stream: the program it came from plus
 /// the delta-encoded dynamic records, validated and ready to replay.
 ///
@@ -435,40 +418,6 @@ impl CommittedTrace {
         Self::from_bytes(bytes)
     }
 
-    /// Looks a trace up in an on-disk cache, classifying the outcome so
-    /// callers can self-heal: a [`Miss`](CacheLookup::Miss) (no file, a
-    /// file in another format version, or a valid trace that does not
-    /// match this program/warmup — a stale but intact entry) means
-    /// "capture fresh, and let the atomic write replace the file", while
-    /// [`Corrupt`](CacheLookup::Corrupt) (the file exists but fails the
-    /// seal, checksum, or record validation) means "evict this file,
-    /// then capture fresh" — re-parsing the same bad bytes on every run
-    /// would otherwise re-pay the capture forever without saying why.
-    pub fn read_cached(path: &Path, program_fp: u64, warmup: u64) -> CacheLookup {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CacheLookup::Miss,
-            Err(e) => {
-                return CacheLookup::Corrupt(SnapError::Io(format!("read {}: {e}", path.display())))
-            }
-        };
-        match Self::from_bytes(bytes) {
-            // The fingerprint is normally in the file name, but a renamed
-            // or hand-edited file must still never drive a replay.
-            Ok(t)
-                if t.program_fingerprint() == program_fp
-                    && t.warmup_insts() == warmup
-                    && t.is_complete() =>
-            {
-                CacheLookup::Hit(Box::new(t))
-            }
-            // An entry from an older (or newer) build is stale, not
-            // damaged: the recapture overwrites it.
-            Ok(_) | Err(SnapError::BadVersion { .. }) => CacheLookup::Miss,
-            Err(e) => CacheLookup::Corrupt(e),
-        }
-    }
-
     /// Writes the sealed container crash-safely (temp-then-rename).
     ///
     /// # Errors
@@ -489,7 +438,7 @@ impl CommittedTrace {
         &self.program
     }
 
-    /// [`hash64`] fingerprint of the program object image (the cache key).
+    /// [`hash64`] fingerprint of the program object image.
     pub fn program_fingerprint(&self) -> u64 {
         self.program_fp
     }
@@ -822,38 +771,6 @@ loop:
         w.put_bytes(&rec);
         let forged = seal(TRACE_MAGIC, TRACE_VERSION, &w.into_bytes());
         assert!(CommittedTrace::from_bytes(forged).is_err());
-    }
-
-    #[test]
-    fn cached_file_of_another_version_is_a_miss_and_stays_put() {
-        let p = program(KERNEL);
-        let trace = CommittedTrace::capture(&p, 0, None).unwrap();
-        let mut old = trace.as_bytes().to_vec();
-        old[4..8].copy_from_slice(&(TRACE_VERSION - 1).to_le_bytes());
-        let dir = std::env::temp_dir().join(format!("hbdc-trace-version-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("kernel.hbtr");
-        std::fs::write(&path, &old).unwrap();
-        assert!(matches!(
-            CommittedTrace::read_cached(&path, trace.program_fingerprint(), 0),
-            CacheLookup::Miss
-        ));
-        // Not renamed or rewritten: the caller's recapture replaces it.
-        let names: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .collect();
-        assert_eq!(names, ["kernel.hbtr"]);
-        assert_eq!(std::fs::read(&path).unwrap(), old);
-        // A damaged file of the current version is still corruption.
-        let mut damaged = trace.as_bytes().to_vec();
-        *damaged.last_mut().unwrap() ^= 1;
-        std::fs::write(&path, &damaged).unwrap();
-        assert!(matches!(
-            CommittedTrace::read_cached(&path, trace.program_fingerprint(), 0),
-            CacheLookup::Corrupt(SnapError::ChecksumMismatch { .. })
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -549,14 +549,14 @@ fn matrix_src(_: hbdc_workloads::Scale) -> String {
 /// `journal-matrix`: one program × two configurations through the
 /// journaled campaign engine, then a second pass served entirely from the
 /// journal's records — both must equal direct simulation. This exercises
-/// the exact persistence stack sharded campaigns share: trace capture,
-/// replay cells, journal render/parse, and the report record codec.
+/// the campaign's persistence stack: trace capture, replay cells, journal
+/// render/parse, and the report record codec.
 fn check_journal_matrix(
     program: &Program,
     base: &SimReport,
     dir: &Path,
 ) -> Result<(), Box<RelationViolation>> {
-    use hbdc_bench::runner::{simulate_matrix_opts, MatrixOpts};
+    use hbdc_bench::runner::run_matrix;
     use hbdc_workloads::{Benchmark, Suite};
 
     let fail = |detail: String, expected: String, actual: String| {
@@ -588,40 +588,40 @@ fn check_journal_matrix(
         let _ = std::fs::remove_file(PathBuf::from(snap));
     }
 
-    let opts = MatrixOpts {
-        journal: Some(journal.clone()),
-        ..MatrixOpts::default()
+    let journaled = |what: &str| -> Result<Option<Vec<SimReport>>, Box<RelationViolation>> {
+        let run = run_matrix(
+            &benches,
+            hbdc_workloads::Scale::Test,
+            &configs,
+            Some(&journal),
+        )
+        .map_err(|e| {
+            fail(
+                format!("{what} journal error"),
+                "a journaled matrix run".into(),
+                e,
+            )
+        })?;
+        if run.interrupted {
+            // An operator interrupt mid-fuzz is not a model disagreement.
+            return Ok(None);
+        }
+        if !run.failures.is_empty() {
+            return Err(fail(
+                format!("{what} had failing cells"),
+                "a complete matrix".into(),
+                format!("{:?}", run.failures),
+            ));
+        }
+        Ok(Some(run.reports.into_iter().flatten().flatten().collect()))
     };
-    let run_matrix =
-        |opts: &MatrixOpts, what: &str| -> Result<Option<Vec<SimReport>>, Box<RelationViolation>> {
-            let run = simulate_matrix_opts(&benches, hbdc_workloads::Scale::Test, &configs, opts)
-                .map_err(|e| {
-                fail(
-                    format!("{what} journal error"),
-                    "a journaled matrix run".into(),
-                    e,
-                )
-            })?;
-            if run.interrupted {
-                // An operator interrupt mid-fuzz is not a model disagreement.
-                return Ok(None);
-            }
-            if !run.failures.is_empty() {
-                return Err(fail(
-                    format!("{what} had failing cells"),
-                    "a complete matrix".into(),
-                    format!("{:?}", run.failures),
-                ));
-            }
-            Ok(Some(run.reports.into_iter().flatten().flatten().collect()))
-        };
 
-    let Some(first) = run_matrix(&opts, "matrix pass")? else {
+    let Some(first) = journaled("matrix pass")? else {
         return Ok(());
     };
     // The journal now exists, so the second pass continues it: every
     // cell is served from its record.
-    let Some(second) = run_matrix(&opts, "journal-resume pass")? else {
+    let Some(second) = journaled("journal-resume pass")? else {
         return Ok(());
     };
 

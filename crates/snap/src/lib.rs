@@ -17,8 +17,6 @@
 //!   shut down gracefully at a cycle boundary instead of dying mid-write.
 //! * [`clock`] — the calling thread's CPU clock, which the simulator's
 //!   host-time report fields are measured with.
-//! * [`lock`] — advisory file locking, pid liveness probes, and
-//!   corrupt-artifact eviction for multi-process campaign supervision.
 //!
 //! # Examples
 //!
@@ -42,7 +40,6 @@
 
 pub mod clock;
 pub mod interrupt;
-pub mod lock;
 
 use std::fmt;
 use std::path::Path;
@@ -598,13 +595,9 @@ pub fn open(bytes: &[u8], magic: [u8; 4], version: u32) -> Result<&[u8], SnapErr
 /// — never a torn write.
 ///
 /// The temp name carries the writer's pid and a per-process sequence
-/// number because campaign shards race: two processes capturing the same
-/// benchmark may persist the same trace-cache entry at the same instant,
-/// and with a shared temp name one writer's `O_TRUNC` would interleave
-/// with the other's bytes before the rename — a sealed-looking torn
-/// file. With unique temps each rename installs one writer's complete
-/// image (the contents are identical anyway: captures are
-/// deterministic).
+/// number, so two writers of one path (two processes checkpointing to
+/// the same file) never interleave their bytes in a shared temp: each
+/// rename installs one writer's complete image.
 ///
 /// # Errors
 ///

@@ -17,10 +17,9 @@
 # Throughput mode (the default) runs the `throughput` bin,
 # `throughput --runs 1 --scale S --bench B`, N pairs (default 3) per
 # benchmark (default: all ten), each run in a fresh directory so neither
-# writes into the repo. Each side keeps its own trace cache, so only the
-# first run per side and benchmark captures. The measured rate is
-# `cycles_per_sec`: simulated cycles per second of simulator thread CPU
-# time. The script prints, per benchmark, the median head/base ratio, its
+# writes into the repo. The measured rate is `cycles_per_sec`: simulated
+# cycles per second of simulator thread CPU time, which leaves out the
+# trace capture. The script prints, per benchmark, the median head/base ratio, its
 # min/max and the number of pairs head won, then the median over every
 # pair of every benchmark. It appends one summary JSON with the raw rates
 # to `results/bench_history/`, numbered after the existing entries.
@@ -161,7 +160,7 @@ run_rate() {
     rm -rf "$dir"
     mkdir -p "$dir"
     (cd "$dir" && "$tmp/$1-throughput" --runs 1 --scale "$scale" --bench "$2" \
-        --trace-cache "$tmp/traces-$1" >/dev/null 2>&1) ||
+        >/dev/null 2>&1) ||
         { echo "FAIL: $1 throughput --bench $2 exited nonzero" >&2; exit 1; }
     grep -m1 '^  "cycles_per_sec":' "$dir/BENCH_throughput.json" | grep -o '[0-9]\+'
 }

@@ -25,14 +25,11 @@ cargo test -p hbdc-cpu -p hbdc-bench --features audit -q
 echo "== perfbench's own tests (stable API + expected.txt checks)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== kill-and-resume integration test"
+echo "== interrupt-and-resume and kill-and-resume integration test"
 scripts/resume_test.sh
 
 echo "== trace round-trip (capture -> file -> replay == in-memory capture)"
 scripts/trace_roundtrip.sh
-
-echo "== multi-process supervisor chaos test (quick, seeded)"
-HBDC_CHAOS_QUICK=1 scripts/chaos_test.sh
 
 echo "== differential fuzz smoke (self-test + seeded session)"
 scripts/fuzz_smoke.sh

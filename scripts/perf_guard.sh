@@ -80,12 +80,6 @@ tmp="$(mktemp -d "${TMPDIR:-/tmp}/hbdc-perf.XXXXXX")"
 trap 'rm -rf "$tmp"' EXIT
 bin="$PWD/target/release/throughput"
 
-# Traces are captured once into a cache directory and replayed on every
-# attempt. CI persists the corpus across runs via HBDC_TRACE_CACHE so
-# the guard measures replay-mode throughput with a warm cache — the
-# same regime the checked-in baseline was recorded under.
-trace_cache="${HBDC_TRACE_CACHE:-$tmp/traces}"
-
 # The measurement is host-timing-sensitive: a single run can push one
 # small benchmark past the band by noise alone. A clean attempt passes
 # outright; otherwise the gate fails only on drift that reproduces in
@@ -93,7 +87,7 @@ trace_cache="${HBDC_TRACE_CACHE:-$tmp/traces}"
 # benchmarks is host noise, a real regression sits still.
 prev=""
 for attempt in 1 2; do
-    (cd "$tmp" && "$bin" --scale small --trace-cache "$trace_cache" >/dev/null)
+    (cd "$tmp" && "$bin" --scale small >/dev/null)
     rate=$(read_rate "$tmp/BENCH_throughput.json")
     echo "measured $rate cycles/sec aggregate (baseline $baseline, attempt $attempt)"
     if [ "$attempt" = 1 ]; then

@@ -16,9 +16,7 @@
 //! hbdc-sim analyze <prog.s|bench:NAME>       stream locality + miss-rate report
 //! hbdc-sim bench-list                        list the SPEC95 analogs
 //! hbdc-sim campaign all|ARTIFACT... [--out DIR] [--scale ...] [--bench NAME]
-//!              [--journal PATH | --resume PATH] [--shard] [--threads N]
-//!              [--max-attempts N] [--lease-ttl-secs N] [--timeout-secs N]
-//!              [--trace-cache DIR]
+//!              [--journal PATH | --resume PATH] [--threads N]
 //! hbdc-sim fuzz [--seed N] [--budget N] [--corpus DIR] [--matrix-every N]
 //!              [--small] [--keep-going] [--selftest]
 //! ```
@@ -67,8 +65,7 @@ fn usage() -> ExitCode {
          hbdc-sim analyze <prog.s|bench:NAME> [--banks N] [--scale ...]\n  \
          hbdc-sim bench-list\n  \
          hbdc-sim campaign all|ARTIFACT... [--out DIR] [--scale ...] [--bench NAME]\n\
-         \x20          [--journal PATH | --resume PATH] [--shard] [--threads N]\n\
-         \x20          [--max-attempts N] [--lease-ttl-secs N] [--timeout-secs N]\n  \
+         \x20          [--journal PATH | --resume PATH] [--threads N]\n  \
          hbdc-sim fuzz [--seed N] [--budget N] [--corpus DIR] [--matrix-every N]\n\
          \x20          [--small] [--keep-going] [--selftest]\n\n\
          port SPEC: ideal:P | repl:P | bank:M[:xor|:rand] | lbic:MxN[:sq=K][:largest]"
@@ -465,18 +462,21 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 /// union of the named artifacts' cells runs once (each cell replays its
 /// benchmark's captured trace), then each artifact is rendered — to
 /// stdout, or to `DIR/<artifact>.txt` with `--out DIR`. A failing cell is
-/// retried with backoff, then quarantined after `--max-attempts`
-/// (default 2) and rendered as `--`. With `--journal J` the campaign
-/// survives Ctrl-C and a rerun on J continues it; with `--journal J
-/// --shard` in several terminals the processes drain one journal
-/// cooperatively (each cell in an isolated worker subprocess, dead
-/// workers' leases stolen). Exit code follows the matrix contract: 0
-/// clean, 3 quarantined cells, 130 interrupted-and-checkpointed.
+/// reported and rendered as `--`. With `--journal J` the campaign
+/// survives Ctrl-C (or a kill) and a rerun on J continues it. Any other
+/// flag is a usage error. Exit code follows the matrix contract: 0
+/// clean, 3 failed cells, 130 interrupted-and-checkpointed.
 fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     use hbdc_bench::artifacts::{self, Artifact, ARTIFACTS};
-    use hbdc_bench::runner::{benches_from_args, scale_from_args};
+    use hbdc_bench::runner::{
+        benches_from_args, reject_unknown_flags, scale_from_args, MATRIX_FLAGS,
+    };
 
     let names: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
+    reject_unknown_flags(
+        &args[names.len()..],
+        &[&MATRIX_FLAGS[..], &["--out"]].concat(),
+    );
     let valid = || {
         let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
         names.join(", ")

@@ -137,33 +137,6 @@ fn fuzz_rejects_malformed_budget() {
 }
 
 #[test]
-fn shard_composes_with_threads() {
-    // Pinned semantics: `--shard --threads N` is valid — N caps this
-    // supervisor's concurrent worker subprocesses (scripts/chaos_test.sh
-    // relies on the combination). The single li x table4 campaign must
-    // complete cleanly under a 2-subprocess cap.
-    let dir = std::env::temp_dir().join(format!("hbdc-cli-shard-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let journal = dir.join("t4.journal");
-    let (out, err, code) = hbdc_sim_code(&[
-        "campaign",
-        "table4",
-        "--scale",
-        "test",
-        "--bench",
-        "li",
-        "--journal",
-        journal.to_str().unwrap(),
-        "--shard",
-        "--threads",
-        "2",
-    ]);
-    assert_eq!(code, 0, "stdout:\n{out}\nstderr:\n{err}");
-    assert!(out.contains("Table 4:"), "{out}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn resume_requires_an_existing_journal() {
     // `--resume PATH` is `--journal PATH` that insists the campaign
     // exists; starting one is `--journal`'s job.
@@ -188,25 +161,78 @@ fn resume_requires_an_existing_journal() {
 }
 
 #[test]
-fn threads_rejects_zero_with_or_without_shard() {
-    for extra in [&["--shard"][..], &[][..]] {
-        let mut args = vec![
-            "campaign",
-            "table4",
-            "--scale",
-            "test",
-            "--bench",
-            "li",
-            "--journal",
-            "/tmp/hbdc-cli-z.journal",
-            "--threads",
-            "0",
-        ];
-        args.extend_from_slice(extra);
-        let (_, err, code) = hbdc_sim_code(&args);
-        assert_eq!(code, 2, "{err}");
-        assert!(err.contains("--threads needs a positive integer"), "{err}");
+fn threads_rejects_zero() {
+    let (_, err, code) = hbdc_sim_code(&[
+        "campaign",
+        "table4",
+        "--scale",
+        "test",
+        "--bench",
+        "li",
+        "--journal",
+        "/tmp/hbdc-cli-z.journal",
+        "--threads",
+        "0",
+    ]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("--threads needs a positive integer"), "{err}");
+}
+
+#[test]
+fn campaign_rejects_removed_and_mistyped_flags() {
+    // A flag the campaign does not read must not run a different campaign
+    // than the one asked for: the flags of the removed multi-process
+    // engine and a typo of `--threads` all exit 2, naming the flag.
+    for (flag, value) in [
+        ("--shard", None),
+        ("--trace-cache", Some("traces")),
+        ("--timeout-secs", Some("5")),
+        ("--max-attempts", Some("3")),
+        ("--lease-ttl-secs", Some("10")),
+        ("--thread", Some("0")),
+        ("--bogus-flag", None),
+    ] {
+        let mut args = vec!["campaign", "table4", "--scale", "test", "--bench", "li"];
+        args.push(flag);
+        args.extend(value);
+        let (out, err, code) = hbdc_sim_code(&args);
+        assert_eq!(code, 2, "{flag}: {err}");
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        assert!(out.is_empty(), "{flag} ran a campaign:\n{out}");
     }
+    // A stray positional after the flags is refused too.
+    let (_, err, code) = hbdc_sim_code(&["campaign", "table4", "--scale", "test", "extra"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("unknown argument `extra`"), "{err}");
+}
+
+#[test]
+fn fuzz_session_stderr_carries_no_inner_campaign_output() {
+    // `journal-matrix` runs a journaled campaign for every checked
+    // program here; its progress marks and summary lines belong to the
+    // binaries' campaigns, not to the fuzz session's stderr.
+    let corpus = std::env::temp_dir().join(format!("hbdc-cli-quiet-{}", std::process::id()));
+    let (out, err, code) = hbdc_sim_code(&[
+        "fuzz",
+        "--seed",
+        "1",
+        "--budget",
+        "4",
+        "--small",
+        "--matrix-every",
+        "1",
+        "--corpus",
+        corpus.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "stdout:\n{out}\nstderr:\n{err}");
+    assert!(out.contains("0 violations"), "{out}");
+    for line in err.lines() {
+        assert!(
+            line.starts_with("fuzz: "),
+            "unexpected stderr line {line:?} in:\n{err}"
+        );
+    }
+    std::fs::remove_dir_all(&corpus).ok();
 }
 
 #[test]
