@@ -30,21 +30,30 @@ fn flag_present(flag: &str) -> bool {
 }
 
 /// Usage error (exit 2) naming the first of `args` that is neither one of
-/// the `known` flags (each of which takes one value) nor such a flag's
-/// value, so a mistyped or removed flag cannot silently run a different
-/// campaign than the one asked for.
-pub fn reject_unknown_flags(args: &[String], known: &[&str]) {
+/// the `known` flags (each of which takes one value), one of the
+/// value-less `switches`, nor a known flag's value, so a mistyped or
+/// removed flag cannot silently run something other than what was asked
+/// for.
+pub fn reject_unknown_flags(args: &[String], known: &[&str], switches: &[&str]) {
     let mut args = args.iter().peekable();
     while let Some(a) = args.next() {
+        if switches.contains(&a.as_str()) {
+            continue;
+        }
         if !known.contains(&a.as_str()) {
-            let what = if a.starts_with("--") {
+            let what = if a.starts_with('-') {
                 "flag"
             } else {
                 "argument"
             };
+            let expected = [known, switches].concat();
             usage_bail(&format!(
                 "unknown {what} `{a}` (expected {})",
-                known.join(", ")
+                if expected.is_empty() {
+                    "none".to_string()
+                } else {
+                    expected.join(", ")
+                }
             ));
         }
         // A missing value is the flag's own usage error.

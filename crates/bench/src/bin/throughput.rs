@@ -120,7 +120,7 @@ fn median_idx(rates: &[f64]) -> usize {
 
 fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    reject_unknown_flags(&args, &[&MATRIX_FLAGS[..], &["--runs"]].concat());
+    reject_unknown_flags(&args, &[&MATRIX_FLAGS[..], &["--runs"]].concat(), &[]);
     let scale = scale_from_args_or(Scale::Small);
     let benches = benches_from_args();
     let columns = table3_columns();
@@ -229,8 +229,8 @@ fn main() -> std::process::ExitCode {
     print!("{json}");
     // No-op unless HBDC_STAGE_PROF is set: per-stage wall totals.
     hbdc_cpu::stageprof::dump();
-    // Any repetition's trouble (failed cells, interrupt) makes the exit
-    // code, not just the median pass's.
+    // Any repetition's failed cells make the exit code, not just the
+    // median pass's.
     passes
         .iter()
         .find(|p| !p.is_complete())

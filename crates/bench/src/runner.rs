@@ -3,15 +3,15 @@
 //! type, trace capture, cell runner and the one campaign loop (the
 //! journal's file format lives in `crate::journal`).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use hbdc_core::PortConfig;
-use hbdc_cpu::{CommittedTrace, CpuConfig, SimError, SimReport, SimSnapshot, Simulator};
+use hbdc_cpu::{CommittedTrace, CpuConfig, SimReport, Simulator};
 use hbdc_mem::HierarchyConfig;
-use hbdc_snap::{hash64, interrupt, StateWriter};
+use hbdc_snap::{hash64, StateWriter};
 use hbdc_stats::summary::arithmetic_mean;
 use hbdc_workloads::{Benchmark, Scale, Suite};
 
@@ -80,7 +80,8 @@ pub struct JobFailure {
     pub bench: String,
     /// Config label of the failed cell.
     pub config: String,
-    /// Rendered [`SimError`], trace-capture error, or panic payload.
+    /// Rendered [`hbdc_cpu::SimError`], trace-capture error, or panic
+    /// payload.
     pub error: String,
 }
 
@@ -99,17 +100,11 @@ impl std::fmt::Display for JobFailure {
 /// cell.
 #[derive(Debug, Clone, Default)]
 pub struct MatrixRun {
-    /// Reports in `[bench][config]` order; `None` marks a failed cell
-    /// (or, on an interrupted run, a checkpointed or never-started one).
+    /// Reports in `[bench][config]` order; `None` marks a failed cell.
     pub reports: Vec<Vec<Option<SimReport>>>,
     /// One record per cell that failed in this run. The campaign
     /// completed around these; a continued journal runs them again.
     pub failures: Vec<JobFailure>,
-    /// Whether the run was cut short by an interrupt request (SIGINT on a
-    /// journaled campaign): in-flight cells were checkpointed at a cycle
-    /// boundary and the journal flushed, so rerunning with the same
-    /// journal continues where this run stopped.
-    pub interrupted: bool,
     /// Summed wall-clock seconds of this run's trace captures (each
     /// overlaps the replay of other benchmarks' cells). 0.0 when every
     /// cell came from the journal.
@@ -121,7 +116,7 @@ pub struct MatrixRun {
 impl MatrixRun {
     /// Whether every cell produced a report.
     pub fn is_complete(&self) -> bool {
-        self.failures.is_empty() && !self.interrupted
+        self.failures.is_empty()
     }
 
     /// Prints one line per failed cell to stderr (no-op on a clean run).
@@ -144,7 +139,6 @@ impl MatrixRun {
     ///
     /// Panics listing every failure if the run was not complete.
     pub fn expect_complete(self) -> Vec<Vec<SimReport>> {
-        assert!(!self.interrupted, "matrix run was interrupted");
         assert!(
             self.failures.is_empty(),
             "matrix run has failed cells: {:?}",
@@ -157,16 +151,12 @@ impl MatrixRun {
     }
 
     /// The exit code a binary should end with: 0 for a clean run, 3 if
-    /// any cell failed (the partial results were still printed), 130 —
-    /// the conventional SIGINT code — if the run was interrupted and
-    /// checkpointed.
+    /// any cell failed (the partial results were still printed).
     pub fn exit_code(&self) -> std::process::ExitCode {
-        if self.interrupted {
-            std::process::ExitCode::from(130)
-        } else if !self.failures.is_empty() {
-            std::process::ExitCode::from(3)
-        } else {
+        if self.failures.is_empty() {
             std::process::ExitCode::SUCCESS
+        } else {
+            std::process::ExitCode::from(3)
         }
     }
 }
@@ -211,8 +201,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// (reported and exit 2).
 ///
 /// This is [`run_matrix`] plus its console output. Progress marks go to
-/// one stderr line (`.` per completed cell, `x` per failed cell, `!` per
-/// checkpointed one), followed by the journal, trace-capture and
+/// one stderr line (`.` per completed cell, `x` per failed cell),
+/// followed by the journal, trace-capture and
 /// `sim-speed` summary lines and the failure summary.
 pub fn simulate_matrix(benches: &[Benchmark], scale: Scale, configs: &[Column]) -> MatrixRun {
     use std::io::Write;
@@ -232,13 +222,6 @@ pub fn simulate_matrix(benches: &[Benchmark], scale: Scale, configs: &[Column]) 
             benches.len() * configs.len()
         );
     }
-    if let (Some(path), true) = (&journal, run.interrupted) {
-        eprintln!(
-            "interrupted: journal flushed and in-flight cells checkpointed; \
-             rerun with --journal {} to continue",
-            path.display()
-        );
-    }
     if run.capture_secs > 0.0 {
         eprintln!("trace-capture: {:.2}s", run.capture_secs);
     }
@@ -247,11 +230,6 @@ pub fn simulate_matrix(benches: &[Benchmark], scale: Scale, configs: &[Column]) 
     run.print_failure_summary();
     run
 }
-
-/// Cycle-chunk size for interruptible jobs: large enough that the
-/// chunking overhead disappears into the noise, small enough that SIGINT
-/// latency stays in the low milliseconds.
-const CHUNK_CYCLES: u64 = 4096;
 
 // `BUILD_ID`: the fingerprint of the simulator sources this binary was
 // built from (see `build.rs`).
@@ -291,25 +269,6 @@ fn build_matrix_hash(build: u64, benches: &[Benchmark], scale: Scale, configs: &
     hash64(&w.into_bytes())
 }
 
-/// Where a journaled run checkpoints cell `idx`'s in-flight simulator
-/// state on interrupt (deleted once the cell concludes).
-pub(crate) fn cell_snap_path(journal: &Path, idx: usize) -> PathBuf {
-    let mut name = journal.as_os_str().to_owned();
-    name.push(format!(".cell{idx}.snap"));
-    PathBuf::from(name)
-}
-
-/// Moves an unusable cell checkpoint out of the way by renaming it to
-/// `<path>.corrupt`, returning that path: the rerun starts the cell
-/// fresh, and the evidence stays on disk for a post-mortem.
-fn evict_corrupt(path: &Path) -> std::io::Result<PathBuf> {
-    let mut name = path.as_os_str().to_owned();
-    name.push(".corrupt");
-    let dest = PathBuf::from(name);
-    std::fs::rename(path, &dest)?;
-    Ok(dest)
-}
-
 /// The record cap for the trace that every column warming up `warmup`
 /// instructions replays: the largest [`CpuConfig::capture_bound`] among
 /// those columns, or `None` (capture to the program's halt) if any of
@@ -341,92 +300,23 @@ pub(crate) fn capture_trace(
     catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| Err(panic_message(payload)))
 }
 
-/// One matrix cell's outcome.
-#[derive(Debug)]
-pub(crate) enum JobOutcome {
-    /// The simulation finished and produced a report.
-    Done(Box<SimReport>),
-    /// The simulation, its setup, or its trace capture failed; the
-    /// rendered error.
-    Failed(String),
-    /// An interrupt was requested; the in-flight state was checkpointed
-    /// to the cell's snapshot file.
-    Interrupted,
-}
-
-/// Runs one matrix cell by replaying its benchmark's `trace`. Without a
-/// `checkpoint` path the cell runs straight to completion; with one it
-/// runs in [`CHUNK_CYCLES`]-cycle slices, polling the interrupt latch
-/// between slices, and resumes from a checkpoint already there. Panics
-/// anywhere inside are caught and rendered as failures.
+/// Runs one matrix cell by replaying its benchmark's `trace` to
+/// completion, returning its report or the rendered error. A panic
+/// anywhere inside is caught and rendered as the error.
 pub(crate) fn run_cell(
     trace: &Result<CommittedTrace, String>,
     cpu_cfg: CpuConfig,
     port: PortConfig,
-    checkpoint: Option<&Path>,
-) -> JobOutcome {
+) -> Result<SimReport, String> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    let trace = match trace {
-        Ok(t) => t,
-        Err(e) => return JobOutcome::Failed(e.clone()),
+    let trace = trace.as_ref().map_err(Clone::clone)?;
+    let body = || {
+        Simulator::try_from_trace(trace, cpu_cfg, HierarchyConfig::default(), port)
+            .and_then(|mut sim| sim.run())
+            .map_err(|e| e.to_string())
     };
-    let body = || -> JobOutcome {
-        let fresh = || Simulator::try_from_trace(trace, cpu_cfg, HierarchyConfig::default(), port);
-        let Some(checkpoint) = checkpoint else {
-            // Nothing to poll for between cycle chunks.
-            return match fresh().and_then(|mut sim| sim.run()) {
-                Ok(r) => JobOutcome::Done(Box::new(r)),
-                Err(e) => JobOutcome::Failed(e.to_string()),
-            };
-        };
-        let resumed = checkpoint.exists().then(|| {
-            SimSnapshot::read_from_path(checkpoint)
-                .map_err(SimError::from)
-                .and_then(|snap| Simulator::resume(&snap))
-        });
-        let built = match resumed {
-            Some(Ok(sim)) => Ok(sim),
-            // A stale or corrupt cell checkpoint costs a fresh run of that
-            // one cell, never the campaign.
-            Some(Err(e)) => {
-                match evict_corrupt(checkpoint) {
-                    Ok(dest) => eprintln!(
-                        "warning: unusable cell checkpoint {}: {e}; evicted to {} and \
-                         rerunning the cell fresh",
-                        checkpoint.display(),
-                        dest.display()
-                    ),
-                    Err(_) => {
-                        let _ = std::fs::remove_file(checkpoint);
-                    }
-                }
-                fresh()
-            }
-            None => fresh(),
-        };
-        let mut sim = match built {
-            Ok(sim) => sim,
-            Err(e) => return JobOutcome::Failed(e.to_string()),
-        };
-        loop {
-            match sim.run_for(CHUNK_CYCLES) {
-                Ok(true) => return JobOutcome::Done(Box::new(sim.report())),
-                Ok(false) => {}
-                Err(e) => return JobOutcome::Failed(e.to_string()),
-            }
-            if interrupt::requested() {
-                return match sim.save_snapshot().write_to_path(checkpoint) {
-                    Ok(()) => JobOutcome::Interrupted,
-                    Err(e) => JobOutcome::Failed(format!("interrupt checkpoint: {e}")),
-                };
-            }
-        }
-    };
-    match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(outcome) => outcome,
-        Err(payload) => JobOutcome::Failed(panic_message(payload)),
-    }
+    catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| Err(panic_message(payload)))
 }
 
 /// [`simulate_matrix`] without console output, with the journal given
@@ -441,12 +331,11 @@ pub(crate) fn run_cell(
 /// still completes: one diverging cell costs one cell, not a whole
 /// Table 3 overnight run.
 ///
-/// With a `journal`, every finished cell is recorded in it, and Ctrl-C
-/// checkpoints in-flight cells to `<journal>.cell<idx>.snap` at the next
-/// cycle-chunk boundary and returns with [`MatrixRun::interrupted`] set.
-/// Running again on the journal continues it: finished cells are served
-/// from it, checkpointed cells resume bit-identically, and the rest run —
-/// the continued campaign's reports equal an uninterrupted run's.
+/// With a `journal`, every finished cell is recorded in it as it
+/// concludes, so a campaign killed at any point (Ctrl-C included) loses
+/// only its in-flight cells. Running again on the journal continues it:
+/// finished cells are served from it and the rest run — the continued
+/// campaign's reports equal an uninterrupted run's.
 ///
 /// # Errors
 ///
@@ -471,6 +360,12 @@ fn campaign(
     journal: Option<&Path>,
     mark: &dyn Fn(char),
 ) -> Result<MatrixRun, String> {
+    // A bad `--threads` is a usage error before the journal is touched.
+    let threads = threads_from_args().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    });
     let total = benches.len() * configs.len();
     let hash = matrix_hash(benches, scale, configs);
     // Load or create the journal before any cell runs, so a fingerprint
@@ -481,16 +376,10 @@ fn campaign(
         match std::fs::read_to_string(path) {
             Ok(text) => records = journal::parse(&text, path, hash, total)?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                // A new journal starts without checkpoints: any left under
-                // its name belong to a deleted campaign.
-                for idx in 0..total {
-                    let _ = std::fs::remove_file(cell_snap_path(path, idx));
-                }
                 journal::write(path, hash, &records)?;
             }
             Err(e) => return Err(format!("cannot read journal {}: {e}", path.display())),
         }
-        interrupt::install();
     }
     let served = records.iter().flatten().count();
     let pending: Vec<usize> = (0..total).filter(|&i| records[i].is_none()).collect();
@@ -517,24 +406,10 @@ fn campaign(
                 start.elapsed(),
             )
         });
-        let checkpoint = journal.map(|j| cell_snap_path(j, idx));
-        run_cell(trace, *cpu_cfg, *port, checkpoint.as_deref())
+        run_cell(trace, *cpu_cfg, *port)
     };
 
     install_cell_panic_hook();
-    let threads = threads_from_args().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    });
-    // Only a journaled run can checkpoint, so only it honors the latch.
-    let stopping = || journal.is_some() && interrupt::requested();
-    // A concluded cell's interrupt checkpoint (if any) is stale.
-    let settle = |idx: usize| {
-        if let Some(j) = journal {
-            let _ = std::fs::remove_file(cell_snap_path(j, idx));
-        }
-    };
     let next = AtomicUsize::new(0);
     let mut live: Vec<Option<SimReport>> = vec![None; total];
     let mut errors: Vec<Option<String>> = vec![None; total];
@@ -545,12 +420,10 @@ fn campaign(
             std::thread::Builder::new()
                 .name(format!("{CELL_THREAD_PREFIX}-{t}"))
                 .spawn_scoped(scope, move || {
-                    // The latch is read after each cell, so one that is
-                    // already set still lets each thread's first cell start
-                    // (and checkpoint at once). A closed channel means the
-                    // loop below gave up on a journal error.
+                    // A closed channel means the loop below gave up on a
+                    // journal error.
                     while let Some(&idx) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        if tx.send((idx, run_one(idx))).is_err() || stopping() {
+                        if tx.send((idx, run_one(idx))).is_err() {
                             break;
                         }
                     }
@@ -559,31 +432,25 @@ fn campaign(
         }
         drop(tx);
         for (idx, outcome) in rx {
-            let m = match outcome {
-                JobOutcome::Done(report) => {
+            match outcome {
+                Ok(report) => {
                     if let Some(path) = journal {
                         records[idx] = Some(report.to_record());
                         journal::write(path, hash, &records)?;
                     }
-                    live[idx] = Some(*report);
-                    '.'
+                    live[idx] = Some(report);
+                    mark('.');
                 }
-                JobOutcome::Failed(e) => {
+                Err(e) => {
                     errors[idx] = Some(e);
-                    'x'
+                    mark('x');
                 }
-                JobOutcome::Interrupted => '!',
-            };
-            if m != '!' {
-                settle(idx);
             }
-            mark(m);
         }
         Ok(())
     })?;
 
     let mut run = MatrixRun {
-        interrupted: stopping(),
         capture_secs: traces
             .iter()
             .filter_map(OnceLock::get)
@@ -602,11 +469,6 @@ fn campaign(
                     config: label.clone(),
                     error,
                 });
-            }
-            // A cell served from the journal may still have the checkpoint
-            // of a run killed between its record and the deletion.
-            if records[idx].is_some() {
-                settle(idx);
             }
             row.push(live[idx].take().or_else(|| {
                 records[idx]
@@ -882,20 +744,10 @@ mod tests {
             format!("{:?}", failed.exit_code()),
             format!("{:?}", std::process::ExitCode::from(3))
         );
-        // An interrupt outranks failures.
-        let interrupted = MatrixRun {
-            interrupted: true,
-            ..failed
-        };
-        assert!(!interrupted.is_complete());
-        assert_eq!(
-            format!("{:?}", interrupted.exit_code()),
-            format!("{:?}", std::process::ExitCode::from(130))
-        );
     }
 
     /// An empty scratch directory unique to this test process.
-    fn scratch_dir(tag: &str) -> PathBuf {
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("hbdc-runner-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -903,158 +755,52 @@ mod tests {
     }
 
     /// An uninterrupted run without a journal: the reference for
-    /// interrupted journaled runs.
+    /// journaled runs.
     fn reference(benches: &[Benchmark], configs: &[Column]) -> Vec<Vec<SimReport>> {
         run_matrix(benches, Scale::Test, configs, None)
             .unwrap()
             .expect_complete()
     }
 
-    /// The SIGINT latch is process-global, so tests that trigger it — or
-    /// run a journaled matrix, which polls it — serialize on this lock to
-    /// keep one test's Ctrl-C out of another's campaign.
-    fn latch_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
-    fn journaled_interrupt_and_resume_matches_uninterrupted() {
-        let _guard = latch_lock();
-        interrupt::reset();
-        let dir = scratch_dir("interrupt");
-        let journal = dir.join("run.journal");
+    fn a_continued_journal_serves_its_records_and_runs_the_rest() {
+        let dir = scratch_dir("continue");
+        let journal = dir.join("c.journal");
         let benches = vec![by_name("li").unwrap()];
         let configs = vec![
             column("i2", PortConfig::Ideal { ports: 2 }),
             column("b4", PortConfig::banked(4)),
         ];
-
-        // With the latch set before the run starts, each cell thread's
-        // first cell captures its trace, replays exactly one cycle chunk,
-        // checkpoints, and winds down — a deterministic mid-run
-        // interruption of replay cells.
         let fresh = reference(&benches, &configs);
-        interrupt::trigger();
-        let halted = run_matrix(&benches, Scale::Test, &configs, Some(&journal)).unwrap();
-        interrupt::reset();
-        assert!(halted.interrupted);
-        assert_eq!(
-            format!("{:?}", halted.exit_code()),
-            format!("{:?}", std::process::ExitCode::from(130))
-        );
-        assert!(halted.failures.is_empty(), "an interrupt is not a failure");
-        assert!(halted.reports[0].iter().all(Option::is_none));
-        assert!(
-            (0..2).any(|i| cell_snap_path(&journal, i).exists()),
-            "an in-flight cell checkpoint must exist after the interrupt"
-        );
-        assert!(journal.exists(), "the journal is flushed on interrupt");
 
-        // Rerunning on the journal runs the campaign to completion from
-        // the checkpoints.
-        let resumed = run_matrix(&benches, Scale::Test, &configs, Some(&journal))
-            .unwrap()
-            .expect_complete();
-        assert!(
-            (0..2).all(|i| !cell_snap_path(&journal, i).exists()),
-            "completed cells delete their checkpoints"
-        );
+        // The journal of a campaign killed after its first cell, with that
+        // cell's record marked, so a report that comes back with the mark
+        // was served from the journal, not re-run.
+        let hash = matrix_hash(&benches, Scale::Test, &configs);
+        let mut marked = fresh[0][0].clone();
+        marked.port_label = "served-from-journal".into();
+        journal::write(&journal, hash, &[Some(marked.to_record()), None]).unwrap();
 
-        // The interrupted-then-resumed campaign equals an uninterrupted
-        // one, bit for bit.
-        assert_eq!(resumed, fresh);
+        // The same journal again: it is continued, not truncated.
+        let continued = run_matrix(&benches, Scale::Test, &configs, Some(&journal)).unwrap();
+        assert_eq!(continued.served, 1);
+        let continued = continued.expect_complete();
+        assert_eq!(continued[0][0].port_label, "served-from-journal");
+        assert_eq!(continued[0][1], fresh[0][1]);
 
         // A third run serves every cell straight from the journal
         // (exercising the record parser) and still matches.
         let replayed = run_matrix(&benches, Scale::Test, &configs, Some(&journal)).unwrap();
         assert_eq!(replayed.served, 2);
         assert_eq!(replayed.capture_secs, 0.0, "served cells capture nothing");
-        assert_eq!(replayed.expect_complete(), fresh);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn an_unusable_cell_checkpoint_is_evicted_and_the_cell_reruns_fresh() {
-        let _guard = latch_lock();
-        interrupt::reset();
-        let dir = scratch_dir("corrupt-checkpoint");
-        let journal = dir.join("k.journal");
-        let benches = vec![by_name("li").unwrap()];
-        let configs = vec![column("i2", PortConfig::Ideal { ports: 2 })];
-        let fresh = reference(&benches, &configs);
-        interrupt::trigger();
-        let halted = run_matrix(&benches, Scale::Test, &configs, Some(&journal)).unwrap();
-        interrupt::reset();
-        assert!(halted.interrupted);
-        let snap = cell_snap_path(&journal, 0);
-        let mut bytes = std::fs::read(&snap).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&snap, &bytes).unwrap();
-
-        let resumed = run_matrix(&benches, Scale::Test, &configs, Some(&journal))
-            .unwrap()
-            .expect_complete();
-        assert_eq!(resumed, fresh);
-        assert!(!snap.exists());
-        let mut evicted = snap.into_os_string();
-        evicted.push(".corrupt");
-        assert_eq!(std::fs::read(PathBuf::from(evicted)).unwrap(), bytes);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn rerunning_an_interrupted_journal_continues_it() {
-        // A kernel that halts inside its first cycle chunk, so its cell
-        // completes even under a pre-set interrupt latch.
-        fn tiny(_: Scale) -> String {
-            hbdc_workloads::MicroKernel::SameLineBurst.source(4)
-        }
-        let _guard = latch_lock();
-        interrupt::reset();
-        let dir = scratch_dir("continue");
-        let journal = dir.join("c.journal");
-        let benches = vec![
-            Benchmark::custom("tiny", Suite::Int, tiny),
-            by_name("li").unwrap(),
-        ];
-        let configs = vec![column("i2", PortConfig::Ideal { ports: 2 })];
-        let fresh = reference(&benches, &configs);
-
-        interrupt::trigger();
-        let halted = run_matrix(&benches, Scale::Test, &configs, Some(&journal)).unwrap();
-        interrupt::reset();
-        assert!(halted.interrupted);
-        assert!(halted.reports[0][0].is_some(), "the tiny cell completes");
-        assert!(halted.reports[1][0].is_none(), "the li cell does not");
-
-        // Mark the completed cell's journal record, so a report that comes
-        // back with the mark was served from the journal, not re-run.
-        let hash = matrix_hash(&benches, Scale::Test, &configs);
-        let text = std::fs::read_to_string(&journal).unwrap();
-        let mut records = journal::parse(&text, &journal, hash, 2).unwrap();
-        let Some(record) = &mut records[0] else {
-            panic!("cell 0 must be journaled as ok: {text}");
-        };
-        let mut marked = SimReport::from_record(record).unwrap();
-        marked.port_label = "served-from-journal".into();
-        *record = marked.to_record();
-        journal::write(&journal, hash, &records).unwrap();
-
-        // The same journal again: it is continued, not truncated.
-        let continued = run_matrix(&benches, Scale::Test, &configs, Some(&journal))
-            .unwrap()
-            .expect_complete();
-        assert_eq!(continued[0][0].port_label, "served-from-journal");
-        assert_eq!(continued[1][0], fresh[1][0]);
+        let replayed = replayed.expect_complete();
+        assert_eq!(replayed[0][0].port_label, "served-from-journal");
+        assert_eq!(replayed[0][1], fresh[0][1]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn resume_rejects_a_journal_from_a_different_matrix() {
-        let _guard = latch_lock();
-        interrupt::reset();
         let dir = scratch_dir("mismatch");
         let journal = dir.join("m.journal");
         let benches = vec![by_name("li").unwrap()];
@@ -1092,12 +838,11 @@ mod tests {
         let err = run(&benches, &configs_a).unwrap_err();
         assert!(err.contains("not a matrix journal"), "{err}");
         assert!(err.contains("m.journal"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_failed_cell_is_not_journaled_and_fails_again_when_continued() {
-        let _guard = latch_lock();
-        interrupt::reset();
         let dir = scratch_dir("fail-journal");
         let journal = dir.join("f.journal");
         let benches = vec![by_name("li").unwrap()];

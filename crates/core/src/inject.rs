@@ -15,7 +15,6 @@
 //! same cycle, which is exactly what the property tests assert.
 
 use hbdc_mem::BankMapper;
-use hbdc_snap::{SnapError, StateReader, StateWriter};
 
 use crate::audit::Violation;
 use crate::model::{PortConfig, PortModel};
@@ -48,7 +47,9 @@ pub enum FaultClass {
 ///
 /// The inner model arbitrates the same ready slice, ticks, audits and
 /// reports statistics as it would unwrapped; the wrapper adds only the
-/// corruption and its own RNG position to the saved state.
+/// corruption. It saves no state of its own: a simulator built around it
+/// (`Simulator::with_port_model`) has no port configuration in its
+/// snapshots, so it cannot be resumed from one.
 ///
 /// # Examples
 ///
@@ -334,24 +335,6 @@ impl PortModel for FaultInjector {
             self.class, self.injected
         )
     }
-
-    // The xorshift stream position must survive a snapshot so a resumed
-    // injected run corrupts exactly the cycles the straight-through run
-    // would have.
-    fn save_state(&self, w: &mut StateWriter) {
-        self.inner.save_state(w);
-        w.put_u64(self.rng);
-        w.put_u64(self.injected);
-        w.put_bool(self.fired_last);
-    }
-
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
-        self.inner.load_state(r)?;
-        self.rng = r.get_u64()?;
-        self.injected = r.get_u64()?;
-        self.fired_last = r.get_bool()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -412,31 +395,6 @@ mod tests {
             out.iter().any(|v| v.rule == "repl-store-overlap"),
             "{out:?}"
         );
-    }
-
-    #[test]
-    fn state_roundtrip_resumes_the_injection_stream() {
-        let ready = vec![MemRequest::load(0, 0x00), MemRequest::load(1, 0x40)];
-        let mut inj =
-            FaultInjector::new(PortConfig::banked(2), 32, FaultClass::BankDoubleGrant, 77).unwrap();
-        for _ in 0..16 {
-            inj.arbitrate(&ready);
-            inj.tick();
-        }
-        let mut w = StateWriter::new();
-        inj.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut restored =
-            FaultInjector::new(PortConfig::banked(2), 32, FaultClass::BankDoubleGrant, 77).unwrap();
-        restored.load_state(&mut StateReader::new(&bytes)).unwrap();
-        assert_eq!(restored.injected(), inj.injected());
-        for _ in 0..32 {
-            assert_eq!(restored.arbitrate(&ready), inj.arbitrate(&ready));
-            assert_eq!(restored.fired_last_round(), inj.fired_last_round());
-            restored.tick();
-            inj.tick();
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! `repro.s` round-trips through the assembler by construction (the
 //! oracle's `source-roundtrip` relation pins the disassembler to that
-//! guarantee), so `hbdc-sim run corpus/<case>/repro.s --model <...>`
+//! guarantee), so `hbdc-sim run corpus/<case>/repro.s --port <SPEC>`
 //! replays the disagreement directly.
 
 use std::io;

@@ -92,9 +92,6 @@ pub struct FuzzSummary {
     pub relations_checked: u64,
     /// Every violation caught (empty on a clean session).
     pub violations: Vec<CaughtViolation>,
-    /// True when the session stopped early on an interrupt request; the
-    /// counts above cover the work finished before the stop.
-    pub interrupted: bool,
 }
 
 /// Runs a fuzzing session: `budget` programs derived from `seed`, each
@@ -102,19 +99,12 @@ pub struct FuzzSummary {
 /// every case with (cases done, relations checked so far).
 ///
 /// Violations are shrunk and written to the corpus as they are found.
-/// The session polls the process interrupt latch
-/// ([`hbdc_snap::interrupt`]) between cases, so Ctrl-C on the CLI stops
-/// cleanly with partial results.
 pub fn run_fuzz(opts: &FuzzOptions, mut progress: impl FnMut(u64, u64)) -> FuzzSummary {
     let mut summary = FuzzSummary::default();
     let master = Rng::new(opts.seed);
     let matrix_dir = std::env::temp_dir().join(format!("hbdc-fuzz-mx-{}", std::process::id()));
 
     for case in 0..opts.budget {
-        if hbdc_snap::interrupt::requested() {
-            summary.interrupted = true;
-            break;
-        }
         let mut stream = master.derive(case);
         let program_seed = stream.next_u64();
         let split_salt = stream.next_u64();
@@ -194,27 +184,11 @@ fn handle_violation(
 }
 
 #[cfg(test)]
-pub(crate) mod testlock {
-    //! The process interrupt latch is global state; tests that trigger or
-    //! observe it serialize here so cargo's parallel test threads don't
-    //! trip each other.
-    use std::sync::{Mutex, MutexGuard};
-
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    pub fn hold() -> MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn short_session_is_clean_and_deterministic() {
-        let _latch = testlock::hold();
-        hbdc_snap::interrupt::reset();
         let opts = FuzzOptions {
             seed: 42,
             budget: 4,
@@ -224,27 +198,10 @@ mod tests {
             keep_going: false,
         };
         let a = run_fuzz(&opts, |_, _| {});
-        assert!(!a.interrupted);
         assert!(a.violations.is_empty(), "{:?}", a.violations);
         assert_eq!(a.checked_programs, 4);
         assert!(a.relations_checked >= 4 * 6, "{}", a.relations_checked);
         let b = run_fuzz(&opts, |_, _| {});
         assert_eq!(a.relations_checked, b.relations_checked);
-    }
-
-    #[test]
-    fn pending_interrupt_stops_the_session_before_work() {
-        let _latch = testlock::hold();
-        hbdc_snap::interrupt::reset();
-        hbdc_snap::interrupt::trigger();
-        let opts = FuzzOptions {
-            budget: 1000,
-            gen: GenConfig::small(),
-            ..FuzzOptions::default()
-        };
-        let summary = run_fuzz(&opts, |_, _| {});
-        hbdc_snap::interrupt::reset();
-        assert!(summary.interrupted);
-        assert_eq!(summary.checked_programs, 0);
     }
 }

@@ -572,7 +572,7 @@ fn check_journal_matrix(
     ];
     // The matrix fingerprint covers the generated program, so a journal
     // left behind by a previous case would be refused as another
-    // matrix's: scrub the directory.
+    // matrix's: remove it.
     if let Err(e) = std::fs::create_dir_all(dir) {
         return Err(fail(
             format!("cannot create matrix scratch dir {}", dir.display()),
@@ -582,13 +582,8 @@ fn check_journal_matrix(
     }
     let journal = dir.join("fuzz-matrix.journal");
     let _ = std::fs::remove_file(&journal);
-    for i in 0..benches.len() * configs.len() {
-        let mut snap = journal.as_os_str().to_owned();
-        snap.push(format!(".cell{i}.snap"));
-        let _ = std::fs::remove_file(PathBuf::from(snap));
-    }
 
-    let journaled = |what: &str| -> Result<Option<Vec<SimReport>>, Box<RelationViolation>> {
+    let journaled = |what: &str| -> Result<Vec<SimReport>, Box<RelationViolation>> {
         let run = run_matrix(
             &benches,
             hbdc_workloads::Scale::Test,
@@ -602,10 +597,6 @@ fn check_journal_matrix(
                 e,
             )
         })?;
-        if run.interrupted {
-            // An operator interrupt mid-fuzz is not a model disagreement.
-            return Ok(None);
-        }
         if !run.failures.is_empty() {
             return Err(fail(
                 format!("{what} had failing cells"),
@@ -613,17 +604,13 @@ fn check_journal_matrix(
                 format!("{:?}", run.failures),
             ));
         }
-        Ok(Some(run.reports.into_iter().flatten().flatten().collect()))
+        Ok(run.reports.into_iter().flatten().flatten().collect())
     };
 
-    let Some(first) = journaled("matrix pass")? else {
-        return Ok(());
-    };
+    let first = journaled("matrix pass")?;
     // The journal now exists, so the second pass continues it: every
     // cell is served from its record.
-    let Some(second) = journaled("journal-resume pass")? else {
-        return Ok(());
-    };
+    let second = journaled("journal-resume pass")?;
 
     // Direct runs: cell 0 is the flagship report we already have.
     let direct_b4 =
@@ -690,10 +677,6 @@ mod tests {
 
     #[test]
     fn journal_matrix_relation_holds_on_a_generated_program() {
-        // The matrix engine polls the global interrupt latch; serialize
-        // with the latch-triggering tests in the crate root.
-        let _latch = crate::testlock::hold();
-        hbdc_snap::interrupt::reset();
         let p = generate(9, &GenConfig::small());
         let dir = std::env::temp_dir().join(format!("hbdc-fuzz-matrix-{}", std::process::id()));
         let knobs = OracleKnobs {

@@ -2,9 +2,9 @@
 //!
 //! Host time in reports is thread CPU time, not wall time: a run that
 //! shares its core with other processes then measures the work it did,
-//! not how long it waited for the core. Like [`crate::interrupt`], the
-//! `unsafe` here is one thin `extern "C"` call into a function `std`
-//! already links (`clock_gettime`).
+//! not how long it waited for the core. The `unsafe` here, the only
+//! `unsafe` in the workspace, is one thin `extern "C"` call into a
+//! function `std` already links (`clock_gettime`).
 //!
 //! Off 64-bit Linux the clock is unavailable and [`thread_cpu_time`]
 //! returns `None`.

@@ -13,8 +13,6 @@
 //!   truncated state files fail loudly instead of resuming garbage.
 //! * [`write_atomic`] — write-to-temp-then-rename, the crash-safe file
 //!   update discipline both snapshot and journal writers use.
-//! * [`interrupt`] — a process-wide SIGINT latch so long campaigns can
-//!   shut down gracefully at a cycle boundary instead of dying mid-write.
 //! * [`clock`] — the calling thread's CPU clock, which the simulator's
 //!   host-time report fields are measured with.
 //!
@@ -39,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod interrupt;
 
 use std::fmt;
 use std::path::Path;

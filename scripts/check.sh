@@ -25,7 +25,7 @@ cargo test -p hbdc-cpu -p hbdc-bench --features audit -q
 echo "== perfbench's own tests (stable API + expected.txt checks)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== interrupt-and-resume and kill-and-resume integration test"
+echo "== kill-and-resume integration test"
 scripts/resume_test.sh
 
 echo "== trace round-trip (capture -> file -> replay == in-memory capture)"

@@ -29,9 +29,13 @@
 //! configuration.
 //!
 //! With `--checkpoint`, the run writes a crash-safe snapshot of the full
-//! simulator state every `--every` cycles (default 1 000 000) and on
-//! Ctrl-C, and `hbdc-sim resume <snapshot>` continues it bit-identically
-//! — the resumed run's report equals an uninterrupted one's.
+//! simulator state every `--every` cycles (default 1 000 000), and
+//! `hbdc-sim resume <snapshot>` continues a killed run (Ctrl-C included)
+//! from its last snapshot bit-identically — the resumed run's report
+//! equals an uninterrupted one's.
+//!
+//! Every subcommand refuses a flag it does not read (exit 2), so a typo
+//! cannot silently run something other than what was asked for.
 //!
 //! Port SPEC grammar: `ideal:4`, `repl:2`, `bank:8`, `bank:8:xor`,
 //! `bank:8:rand`, `lbic:4x2`, `lbic:4x2:sq=16`, `lbic:4x2:largest`.
@@ -43,6 +47,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use hbdc::prelude::*;
+use hbdc_bench::runner::reject_unknown_flags;
 
 use portspec::parse_port;
 use program_source::load_program;
@@ -51,6 +56,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  hbdc-sim run <prog.s|prog.hbo|bench:NAME> [--port SPEC] [--max-insts N]\n\
          \x20          [--ruu N] [--lsq N] [--ls-units N] [--scale test|small|full]\n\
+         \x20          [--frontend perfect|gshare|bimodal]\n\
          \x20          [--audit] [--max-cycles N] [--inject SEED]\n\
          \x20          [--checkpoint PATH [--every N]]\n  \
          hbdc-sim resume <snapshot> [--checkpoint PATH] [--every N]\n  \
@@ -88,8 +94,26 @@ fn parse_num(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+/// The machine-shape flags `run` and `trace replay` share (each takes a
+/// value).
+const MACHINE_FLAGS: [&str; 8] = [
+    "--port",
+    "--ruu",
+    "--lsq",
+    "--ls-units",
+    "--max-insts",
+    "--max-cycles",
+    "--checkpoint",
+    "--every",
+];
+
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let target = args.first().ok_or("missing program argument")?;
+    reject_unknown_flags(
+        &args[1..],
+        &[&MACHINE_FLAGS[..], &["--scale", "--frontend", "--inject"]].concat(),
+        &["--audit"],
+    );
     let program = load_program(target, args)?;
     let port = parse_port(&flag_value(args, "--port").unwrap_or_else(|| "lbic:4x2".into()))?;
     let front_end = match flag_value(args, "--frontend").as_deref() {
@@ -153,6 +177,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// run keeps checkpointing to the same file; `--checkpoint` redirects it.
 fn cmd_resume(args: &[String]) -> Result<(), String> {
     let target = args.first().ok_or("missing snapshot path")?;
+    reject_unknown_flags(&args[1..], &["--checkpoint", "--every"], &[]);
     let snapshot = SimSnapshot::read_from_path(Path::new(target)).map_err(|e| e.to_string())?;
     let mut sim = Simulator::resume(&snapshot).map_err(|e| e.to_string())?;
     eprintln!(
@@ -190,6 +215,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 /// execution entirely.
 fn cmd_trace_capture(args: &[String]) -> Result<(), String> {
     let target = args.first().ok_or("missing program argument")?;
+    reject_unknown_flags(&args[1..], &["-o", "--warmup", "--cap", "--scale"], &[]);
     let output = flag_value(args, "-o").ok_or("missing -o <trace.hbtr>")?;
     let program = load_program(target, args)?;
     let warmup = parse_num(args, "--warmup", 0)?;
@@ -227,6 +253,7 @@ fn cmd_trace_capture(args: &[String]) -> Result<(), String> {
 /// without replaying it.
 fn cmd_trace_info(args: &[String]) -> Result<(), String> {
     let input = args.first().ok_or("missing trace file")?;
+    reject_unknown_flags(&args[1..], &[], &[]);
     let trace =
         hbdc::cpu::CommittedTrace::read_from_path(Path::new(input)).map_err(|e| e.to_string())?;
     let program = trace.program();
@@ -268,6 +295,7 @@ fn cmd_trace_info(args: &[String]) -> Result<(), String> {
 /// which captures the trace in memory instead of reading it from a file.
 fn cmd_trace_replay(args: &[String]) -> Result<(), String> {
     let target = args.first().ok_or("missing trace file")?;
+    reject_unknown_flags(&args[1..], &MACHINE_FLAGS, &["--audit"]);
     let trace =
         hbdc::cpu::CommittedTrace::read_from_path(Path::new(target)).map_err(|e| e.to_string())?;
     let port = parse_port(&flag_value(args, "--port").unwrap_or_else(|| "lbic:4x2".into()))?;
@@ -315,14 +343,13 @@ fn checkpoint_every(args: &[String]) -> Result<u64, String> {
 
 /// Drives a simulation to completion. Without a checkpoint spec this is
 /// a plain run; with one, the run proceeds in `every`-cycle slices,
-/// writing a crash-safe snapshot after each slice, checkpointing and
-/// exiting with status 130 if Ctrl-C was pressed, and removing the
-/// now-stale snapshot once the run finishes.
+/// writing a crash-safe snapshot after each slice, and removing the
+/// now-stale snapshot once the run finishes. A killed run (Ctrl-C
+/// included) continues from its last snapshot with `hbdc-sim resume`.
 fn drive(sim: &mut Simulator, checkpoint: Option<&(PathBuf, u64)>) -> Result<SimReport, String> {
     let Some((path, every)) = checkpoint else {
         return sim.run().map_err(|e| e.to_string());
     };
-    hbdc::snap::interrupt::install();
     loop {
         let done = sim.run_for(*every).map_err(|e| e.to_string())?;
         if done {
@@ -332,17 +359,6 @@ fn drive(sim: &mut Simulator, checkpoint: Option<&(PathBuf, u64)>) -> Result<Sim
         sim.save_snapshot()
             .write_to_path(path)
             .map_err(|e| e.to_string())?;
-        if hbdc::snap::interrupt::requested() {
-            eprintln!(
-                "hbdc-sim: interrupted at cycle {} ({} committed); snapshot written to {}; \
-                 continue with `hbdc-sim resume {}`",
-                sim.current_cycle(),
-                sim.committed(),
-                path.display(),
-                path.display()
-            );
-            std::process::exit(130);
-        }
     }
 }
 
@@ -386,6 +402,7 @@ fn print_report(target: &str, report: &SimReport) {
 
 fn cmd_asm(args: &[String]) -> Result<(), String> {
     let input = args.first().ok_or("missing input file")?;
+    reject_unknown_flags(&args[1..], &["-o"], &[]);
     let output = flag_value(args, "-o").ok_or("missing -o <output>")?;
     let src = std::fs::read_to_string(input).map_err(|e| format!("{input}: {e}"))?;
     let program = assemble(&src).map_err(|e| e.to_string())?;
@@ -402,6 +419,7 @@ fn cmd_asm(args: &[String]) -> Result<(), String> {
 
 fn cmd_disasm(args: &[String]) -> Result<(), String> {
     let input = args.first().ok_or("missing input file")?;
+    reject_unknown_flags(&args[1..], &["--scale"], &[]);
     let program = load_program(input, args)?;
     print!("{}", hbdc::isa::disasm::program_to_string(&program));
     Ok(())
@@ -409,6 +427,7 @@ fn cmd_disasm(args: &[String]) -> Result<(), String> {
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let target = args.first().ok_or("missing program argument")?;
+    reject_unknown_flags(&args[1..], &["--banks", "--scale"], &[]);
     let program = load_program(target, args)?;
     let banks = parse_num(args, "--banks", 4)? as u32;
     if banks < 2 || !banks.is_power_of_two() {
@@ -462,20 +481,19 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 /// union of the named artifacts' cells runs once (each cell replays its
 /// benchmark's captured trace), then each artifact is rendered — to
 /// stdout, or to `DIR/<artifact>.txt` with `--out DIR`. A failing cell is
-/// reported and rendered as `--`. With `--journal J` the campaign
-/// survives Ctrl-C (or a kill) and a rerun on J continues it. Any other
-/// flag is a usage error. Exit code follows the matrix contract: 0
-/// clean, 3 failed cells, 130 interrupted-and-checkpointed.
+/// reported and rendered as `--`. With `--journal J` every finished cell
+/// is recorded in J, and a rerun on J after a kill (Ctrl-C included)
+/// continues it. Any other flag is a usage error. Exit code follows the
+/// matrix contract: 0 clean, 3 failed cells.
 fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
     use hbdc_bench::artifacts::{self, Artifact, ARTIFACTS};
-    use hbdc_bench::runner::{
-        benches_from_args, reject_unknown_flags, scale_from_args, MATRIX_FLAGS,
-    };
+    use hbdc_bench::runner::{benches_from_args, scale_from_args, MATRIX_FLAGS};
 
     let names: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
     reject_unknown_flags(
         &args[names.len()..],
         &[&MATRIX_FLAGS[..], &["--out"]].concat(),
+        &[],
     );
     let valid = || {
         let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
@@ -542,9 +560,13 @@ fn cmd_campaign(args: &[String]) -> Result<ExitCode, String> {
 /// violations shrunk to minimal repros under `--corpus`. With
 /// `--selftest`, instead injects a known port-model fault and requires
 /// the detect → shrink → artifact pipeline to catch it. Exit code: 0
-/// clean, 1 violations found (or self-test failed), 2 usage error, 130
-/// interrupted (partial results reported; same seed re-runs the session).
+/// clean, 1 violations found (or self-test failed), 2 usage error.
 fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
+    reject_unknown_flags(
+        args,
+        &["--seed", "--budget", "--corpus", "--matrix-every"],
+        &["--small", "--keep-going", "--selftest"],
+    );
     let seed = parse_num(args, "--seed", 1)?;
     let corpus =
         PathBuf::from(flag_value(args, "--corpus").unwrap_or_else(|| "fuzz-corpus".into()));
@@ -582,7 +604,6 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
         },
         keep_going: args.iter().any(|a| a == "--keep-going"),
     };
-    hbdc::snap::interrupt::install();
     let budget = opts.budget;
     let summary = hbdc::fuzz::run_fuzz(&opts, |done, relations| {
         if done % 50 == 0 || done == budget {
@@ -613,10 +634,6 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
                 .map(|p| format!("-> {}", p.display()))
                 .unwrap_or_default(),
         );
-    }
-    if summary.interrupted {
-        println!("interrupted; re-run with the same seed to repeat the session");
-        return Ok(ExitCode::from(130));
     }
     Ok(if summary.violations.is_empty() {
         ExitCode::SUCCESS
@@ -660,8 +677,12 @@ fn main() -> ExitCode {
         "asm" => cmd_asm(rest),
         "disasm" => cmd_disasm(rest),
         "analyze" => cmd_analyze(rest),
-        "bench-list" => cmd_bench_list(),
-        // `campaign` owns its exit code (the matrix contract: 0/1/3/130).
+        "bench-list" => {
+            reject_unknown_flags(rest, &[], &[]);
+            cmd_bench_list()
+        }
+        // `campaign` owns its exit code (the matrix contract: 0 clean, 3
+        // failed cells).
         "campaign" => {
             return match cmd_campaign(rest) {
                 Ok(code) => code,
@@ -671,8 +692,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        // `fuzz` owns its exit code too: 0 clean, 1 violations, 130
-        // interrupted.
+        // `fuzz` owns its exit code too: 0 clean, 1 violations.
         "fuzz" => {
             return match cmd_fuzz(rest) {
                 Ok(code) => code,

@@ -45,7 +45,7 @@
 //! | [`trace`] | `hbdc-trace` | Figure-3 analysis, conflict stats, trace cache simulation |
 //! | [`workloads`] | `hbdc-workloads` | the ten SPEC95 benchmark analogs |
 //! | [`stats`] | `hbdc-stats` | counters, histograms, tables |
-//! | [`snap`] | `hbdc-snap` | checkpoint codec, sealed containers, SIGINT latch |
+//! | [`snap`] | `hbdc-snap` | checkpoint codec, sealed containers, atomic writes, thread CPU clock |
 //! | [`fuzz`] | `hbdc-fuzz` | differential fuzzing: generator, metamorphic oracle, shrinker |
 
 #![forbid(unsafe_code)]

@@ -162,6 +162,8 @@ fn resume_requires_an_existing_journal() {
 
 #[test]
 fn threads_rejects_zero() {
+    let journal = std::env::temp_dir().join(format!("hbdc-cli-z-{}.journal", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
     let (_, err, code) = hbdc_sim_code(&[
         "campaign",
         "table4",
@@ -170,12 +172,16 @@ fn threads_rejects_zero() {
         "--bench",
         "li",
         "--journal",
-        "/tmp/hbdc-cli-z.journal",
+        journal.to_str().unwrap(),
         "--threads",
         "0",
     ]);
     assert_eq!(code, 2, "{err}");
     assert!(err.contains("--threads needs a positive integer"), "{err}");
+    assert!(
+        !journal.exists(),
+        "a usage error must not create the journal"
+    );
 }
 
 #[test]
@@ -204,6 +210,65 @@ fn campaign_rejects_removed_and_mistyped_flags() {
     let (_, err, code) = hbdc_sim_code(&["campaign", "table4", "--scale", "test", "extra"]);
     assert_eq!(code, 2, "{err}");
     assert!(err.contains("unknown argument `extra`"), "{err}");
+}
+
+#[test]
+fn run_rejects_a_mistyped_flag() {
+    // `--chekpoint` must not run a simulation that writes no checkpoint;
+    // the value-less `--audit` is still accepted.
+    let snap = std::env::temp_dir().join(format!("hbdc-cli-typo-{}.snap", std::process::id()));
+    let snap = snap.to_str().unwrap();
+    let (out, err, code) = hbdc_sim_code(&["run", "bench:li", "--audit", "--chekpoint", snap]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("unknown flag `--chekpoint`"), "{err}");
+    assert!(out.is_empty(), "--chekpoint ran a simulation:\n{out}");
+    let (_, err, code) = hbdc_sim_code(&["run", "bench:li", "--audit", "--port", "ideal:2"]);
+    assert_eq!(code, 0, "{err}");
+}
+
+#[test]
+fn fuzz_rejects_a_mistyped_flag() {
+    // `--budgett` must not run the default 500-program session.
+    let (out, err, code) =
+        hbdc_sim_code(&["fuzz", "--budgett", "3", "--small", "--matrix-every", "0"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("unknown flag `--budgett`"), "{err}");
+    assert!(out.is_empty(), "--budgett ran a session:\n{out}");
+}
+
+#[test]
+fn resume_continues_a_snapshot_to_the_straight_run_report() {
+    use hbdc::prelude::*;
+
+    let (straight, err, ok) = hbdc_sim(&["run", "bench:li", "--port", "bank:4"]);
+    assert!(ok, "{err}");
+    let cycles: u64 = straight
+        .lines()
+        .find_map(|l| l.strip_prefix("cycles"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("a cycles line");
+
+    // The program and machine `run` simulated above, stopped halfway.
+    let program = by_name("li").unwrap().build(Scale::Test);
+    let mut sim = Simulator::try_new(
+        &program,
+        CpuConfig::default(),
+        HierarchyConfig::default(),
+        PortConfig::banked(4),
+    )
+    .unwrap();
+    assert!(!sim.run_for(cycles / 2).unwrap(), "li ended before mid-run");
+    let snap = std::env::temp_dir().join(format!("hbdc-cli-resume-{}.snap", std::process::id()));
+    sim.save_snapshot().write_to_path(&snap).unwrap();
+
+    let (resumed, err, ok) = hbdc_sim(&["resume", snap.to_str().unwrap()]);
+    assert!(ok, "{err}");
+    assert!(err.contains(&format!("at cycle {}", cycles / 2)), "{err}");
+    // The report block, without its `program` line (the target differs).
+    let block = |out: &str| out.lines().skip(1).collect::<Vec<_>>().join("\n");
+    assert!(resumed.starts_with("program "), "{resumed}");
+    assert_eq!(block(&resumed), block(&straight));
+    assert!(!snap.exists(), "a finished run removes its snapshot");
 }
 
 #[test]
