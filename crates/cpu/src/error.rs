@@ -1,11 +1,11 @@
 //! Typed simulation failures.
 //!
-//! Everything that can go wrong on the simulate path — malformed
-//! instructions, pipeline deadlock, cycle-budget exhaustion, invariant
-//! violations, degenerate configurations — surfaces as a [`SimError`]
-//! carrying the cycle, program counter, and unit context needed to
-//! diagnose it, instead of a panic that takes down a whole experiment
-//! matrix.
+//! Everything that can go wrong on the simulate path — pipeline
+//! deadlock, cycle-budget exhaustion, invariant violations, degenerate
+//! configurations, unreadable snapshots or traces — surfaces as a
+//! [`SimError`] carrying the cycle, program counter, and unit context
+//! needed to diagnose it, instead of a panic that takes down a whole
+//! experiment matrix.
 
 use hbdc_core::Violation;
 
@@ -13,18 +13,6 @@ use hbdc_core::Violation;
 /// unit at fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The dynamic instruction stream handed the pipeline an instruction
-    /// it cannot dispatch (e.g. a memory instruction without a width).
-    Malformed {
-        /// Cycle at which the instruction was fetched.
-        cycle: u64,
-        /// RUU sequence number of the offending instruction.
-        seq: u64,
-        /// Program counter of the offending instruction.
-        pc: u64,
-        /// What was wrong with it.
-        detail: String,
-    },
     /// The forward-progress watchdog fired: no instruction committed for
     /// the configured number of consecutive cycles. Always a model bug,
     /// never a property of the workload.
@@ -80,15 +68,6 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimError::Malformed {
-                cycle,
-                seq,
-                pc,
-                detail,
-            } => write!(
-                f,
-                "malformed instruction at pc {pc:#x} (seq {seq}, cycle {cycle}): {detail}"
-            ),
             SimError::Deadlock {
                 cycle,
                 committed,
@@ -138,15 +117,6 @@ mod tests {
 
     #[test]
     fn display_carries_context() {
-        let e = SimError::Malformed {
-            cycle: 7,
-            seq: 3,
-            pc: 0x40,
-            detail: "memory instruction without a width".into(),
-        };
-        let s = e.to_string();
-        assert!(s.contains("0x40") && s.contains("cycle 7"), "{s}");
-
         let e = SimError::Invariant {
             cycle: 12,
             violations: vec![Violation::new("banked-double-grant", "bank 0 twice")],

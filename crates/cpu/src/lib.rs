@@ -21,9 +21,9 @@
 //!
 //! Simulation failures — pipeline deadlock (caught by a forward-progress
 //! watchdog), cycle-budget exhaustion, invariant violations found by the
-//! per-cycle auditor ([`CpuConfig::audit`]), malformed instructions —
-//! surface as typed [`SimError`]s with cycle/PC/unit context rather than
-//! panics.
+//! per-cycle auditor ([`CpuConfig::audit`]), degenerate configurations,
+//! corrupt snapshots or traces — surface as typed [`SimError`]s with
+//! cycle/PC/unit context rather than panics.
 //!
 //! # Examples
 //!
@@ -77,4 +77,4 @@ pub use report::SimReport;
 pub use sim::{stageprof, Simulator};
 pub use snapshot::{SimSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use trace::{CommittedTrace, TracePlayer, TRACE_MAGIC, TRACE_VERSION};
-pub use window::{InstMeta, Retired, Window};
+pub use window::{Decoded, InstMeta, Retired, Window};

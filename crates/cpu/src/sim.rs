@@ -13,7 +13,7 @@ use crate::fu::FuPools;
 use crate::lsq::Lsq;
 use crate::report::SimReport;
 use crate::trace::{CommittedTrace, TracePlayer};
-use crate::window::Window;
+use crate::window::{Decoded, Window};
 
 /// Per-stage wall-clock accounting for regression hunts, enabled by the
 /// `HBDC_STAGE_PROF` environment variable (off: a single cold branch per
@@ -89,6 +89,9 @@ pub struct Simulator {
     // replay cursor fetch reads it through.
     pub(crate) trace: CommittedTrace,
     pub(crate) player: TracePlayer,
+    // The trace program's text decoded once, indexed by pc: fetch and
+    // dispatch read an entry instead of matching on the instruction.
+    pub(crate) decoded: Vec<Decoded>,
     pub(crate) window: Window,
     pub(crate) lsq: Lsq,
     pub(crate) fus: FuPools,
@@ -310,6 +313,7 @@ impl Simulator {
         let hier = Hierarchy::new(hier_cfg);
         Self {
             player: trace.player(),
+            decoded: trace.program().text().iter().map(Decoded::of).collect(),
             trace,
             window: Window::new(cfg.ruu_size),
             lsq: Lsq::new(cfg.lsq_size),
@@ -480,10 +484,10 @@ impl Simulator {
             if !self.window.has_space() {
                 break;
             }
-            let di = match self.pending_fetch.take() {
-                Some(di) => di,
-                None => match self.player.step() {
-                    Some(di) => di,
+            let (seq, pc, addr, taken) = match self.pending_fetch.take() {
+                Some(di) => (di.seq, di.pc, di.addr.unwrap_or(0), di.taken),
+                None => match self.player.next_record() {
+                    Some(p) => (self.player.delivered() - 1, p.pc, p.addr, p.taken()),
                     None if self.trace.is_complete() => {
                         self.fetch_done = true;
                         break;
@@ -491,46 +495,33 @@ impl Simulator {
                     None => return Err(self.exhausted_capture()),
                 },
             };
-            if di.inst.is_mem() && !self.lsq.has_space() {
-                self.pending_fetch = Some(di);
+            let op = &self.decoded[pc as usize];
+            if op.meta.mem && !self.lsq.has_space() {
+                // Parked until the LSQ frees an entry: the one place fetch
+                // builds a full record.
+                self.pending_fetch = Some(DynInst {
+                    seq,
+                    pc,
+                    inst: self.trace.program().text()[pc as usize],
+                    addr: Some(addr),
+                    taken,
+                });
                 break;
             }
-            // Resolve the access width *before* touching pipeline state so
-            // a malformed instruction fails the run cleanly instead of
-            // leaving a window entry with no LSQ twin.
-            let mem_width = if di.inst.is_mem() {
-                match di.inst.mem_width() {
-                    Some(w) => Some(w.bytes()),
-                    None => {
-                        return Err(SimError::Malformed {
-                            cycle: self.now,
-                            seq: di.seq,
-                            pc: di.pc.into(),
-                            detail: format!(
-                                "memory instruction {:?} carries no access width",
-                                di.inst
-                            ),
-                        })
-                    }
-                }
-            } else {
-                None
-            };
-            self.window.dispatch(di);
-            if let Some(width) = mem_width {
-                self.lsq
-                    .dispatch(di.seq, di.mem_addr(), width, di.inst.is_store());
+            self.window.dispatch(seq, op, pc, addr, taken);
+            if op.meta.mem {
+                self.lsq.dispatch(seq, addr, op.width.into(), op.meta.store);
             }
-            if let (Some(pred), Some(actual)) = (self.predictor.as_mut(), di.taken) {
+            if let (Some(pred), Some(actual)) = (self.predictor.as_mut(), taken) {
                 self.branches += 1;
-                let guess = pred.predict(di.pc);
-                pred.train(di.pc, actual);
+                let guess = pred.predict(pc);
+                pred.train(pc, actual);
                 if guess != actual {
                     // Fetch runs down the wrong path until this branch
                     // resolves; with a functional-first oracle stream we
                     // model that as fetch starvation.
                     self.mispredicts += 1;
-                    self.stall_on = Some(di.seq);
+                    self.stall_on = Some(seq);
                     break;
                 }
             }
@@ -634,8 +625,8 @@ impl Simulator {
     ///   [`max_cycles`](CpuConfig::max_cycles) without finishing.
     /// * [`SimError::Invariant`] — with [`audit`](CpuConfig::audit) on,
     ///   an arbitration round broke a structural legality rule.
-    /// * [`SimError::Malformed`] — the instruction stream handed fetch an
-    ///   instruction it cannot dispatch.
+    /// * [`SimError::Trace`] — fetch reached the end of an incomplete
+    ///   trace (a capture bound too small for the configuration).
     pub fn run(&mut self) -> Result<SimReport, SimError> {
         self.run_for(u64::MAX).map(|_| self.report())
     }
@@ -709,8 +700,7 @@ impl Simulator {
         // instruction, or (with an empty window) wherever fetch stands.
         let pc = self
             .window
-            .get(frontier)
-            .map(|di| di.pc)
+            .pc_at(frontier)
             .unwrap_or_else(|| self.player.peek_pc());
         let mut dump = format!(
             "  cycle {}, committed {}, pc {pc}\n  window: {}/{} (waiting {waiting}, \
@@ -950,6 +940,51 @@ mod tests {
             repl.ipc()
         );
         assert!(repl.store_serializations > 0);
+    }
+
+    /// A two-entry LSQ fills whenever a third load or store reaches
+    /// fetch, which then parks it in `pending_fetch`. Every split of the
+    /// run, parked or not, must resume to the straight run, with the
+    /// parked instruction carried through the snapshot.
+    #[test]
+    fn split_points_with_a_parked_fetch_resume_bit_identically() {
+        let p = assemble(
+            ".data\nv: .space 512\n.text\nmain:\n la r8, v\n li r9, 10\n\
+             loop:\n lw r1, 0(r8)\n lw r2, 128(r8)\n add r1, r1, r2\n sw r1, 256(r8)\n\
+             fld f1, 384(r8)\n addi r8, r8, 8\n addi r9, r9, -1\n bnez r9, loop\n halt\n",
+        )
+        .unwrap();
+        let cfg = CpuConfig {
+            lsq_size: 2,
+            ..CpuConfig::default()
+        };
+        for port in [PortConfig::banked(4), PortConfig::lbic(4, 2)] {
+            let fresh = || Simulator::new(&p, cfg, HierarchyConfig::default(), port);
+            let straight = fresh().run().unwrap();
+            let (mut splits, mut parked) = (0u64, 0u64);
+            for k in 1u64.. {
+                let mut sim = fresh();
+                if sim.run_for(k).unwrap() {
+                    assert_eq!(sim.report(), straight, "{port:?}: full-budget run");
+                    break;
+                }
+                parked += u64::from(sim.pending_fetch.is_some());
+                let bytes = sim.save_snapshot().as_bytes().to_vec();
+                let snap = crate::SimSnapshot::from_bytes(bytes).unwrap();
+                let mut resumed = Simulator::resume(&snap).unwrap();
+                assert_eq!(
+                    resumed.pending_fetch, sim.pending_fetch,
+                    "{port:?}: split {k}"
+                );
+                let report = resumed.run().unwrap();
+                assert_eq!(report, straight, "{port:?}: split at step {k} diverged");
+                splits += 1;
+            }
+            assert!(
+                parked > 0 && parked < splits,
+                "{port:?}: {parked} of {splits} splits had a parked fetch"
+            );
+        }
     }
 }
 

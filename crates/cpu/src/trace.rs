@@ -25,9 +25,11 @@
 //! | records section | length-prefixed delta-encoded records      |
 //!
 //! The records section is one contiguous byte range. Each [`TracePlayer`]
-//! decodes it `BLOCK` records at a time into one reusable buffer and
-//! serves steps from there, so replay memory is O(`BLOCK`) per player
-//! whatever the stream's length, and no trace holds a decoded copy.
+//! decodes it `BLOCK` 16-byte records (pc, running address, tag) at a
+//! time into one reusable buffer, so replay memory is O(`BLOCK`) per
+//! player whatever the stream's length, and no trace holds a decoded
+//! copy. Fetch reads those records as they stand and looks each pc up in
+//! the simulator's decode table: replay re-derives no instruction.
 //!
 //! # Record encoding
 //!
@@ -44,8 +46,8 @@
 //! with `0x01` it is followed by `zigzag(addr - prev_addr)` (wrapping,
 //! against the previous *memory* record's address). Sequence numbers are
 //! implicit — records are the committed stream in order, numbered from 0
-//! at the measurement point — and the static instruction is re-derived
-//! from the embedded program text by `pc`, exactly like slim snapshot
+//! at the measurement point — and the static instruction is not stored:
+//! `pc` indexes the embedded program text, exactly like slim snapshot
 //! records. A straight-line ALU instruction therefore costs one byte.
 
 use std::ops::Range;
@@ -125,21 +127,21 @@ pub struct CommittedTrace {
 const BLOCK: usize = 1024;
 
 /// One record with its varints resolved: 16 bytes. A player decodes
-/// [`BLOCK`] of these at a time, so the hot path reads one buffer
-/// element and the text entry per step. The static instruction is not
-/// stored: the player re-derives it from the program text by `pc`.
+/// [`BLOCK`] of these at a time, and fetch reads each one straight from
+/// the buffer ([`TracePlayer::next_record`]): the static instruction is
+/// not stored, and fetch looks its decoded form up by `pc`.
 ///
 /// Every field holds its value whole: `pc` is the text index itself
 /// (parse-time validation bounds it by the text length), and `len` is
 /// the record's encoded size, at most a tag byte plus two 10-byte
 /// varints. So no trace size or text size can overflow a record.
 #[derive(Debug, Clone, Copy)]
-struct Predecoded {
+pub(crate) struct Predecoded {
     /// The stream's running memory address after this record: its
     /// effective address if it is a load or store, else the previous
     /// memory record's.
-    addr: u64,
-    pc: u32,
+    pub(crate) addr: u64,
+    pub(crate) pc: u32,
     /// The record's tag byte (`TAG_*`).
     tag: u8,
     /// Encoded bytes of the record, so the cursor's `pos` advances past it.
@@ -147,6 +149,13 @@ struct Predecoded {
 }
 
 const _: () = assert!(std::mem::size_of::<Predecoded>() == 16);
+
+impl Predecoded {
+    /// The direction of a conditional branch; `None` for anything else.
+    pub(crate) fn taken(&self) -> Option<bool> {
+        (self.tag & TAG_BRANCH != 0).then_some(self.tag & TAG_TAKEN != 0)
+    }
+}
 
 /// Decodes the record at byte `pos` of the records section `rec`, given
 /// the previous record's pc and the running memory address. `None` on
@@ -535,26 +544,34 @@ impl TracePlayer {
         !self.block.is_empty()
     }
 
-    /// Yields the next committed instruction, or `None` at end of stream.
-    pub fn step(&mut self) -> Option<DynInst> {
+    /// Delivers the next record as the block buffer holds it, or `None`
+    /// at end of stream. Its sequence number is one less than
+    /// [`delivered`](Self::delivered) after the call.
+    #[inline]
+    pub(crate) fn next_record(&mut self) -> Option<Predecoded> {
         if self.next_in_block == self.block.len() && !self.refill() {
             return None;
         }
         let p = self.block[self.next_in_block];
-        let inst = *self.program.text().get(p.pc as usize)?;
-        let di = DynInst {
-            seq: self.next_seq,
-            pc: p.pc,
-            inst,
-            addr: (p.tag & TAG_ADDR != 0).then_some(p.addr),
-            taken: (p.tag & TAG_BRANCH != 0).then_some(p.tag & TAG_TAKEN != 0),
-        };
         self.next_in_block += 1;
         self.pos += usize::from(p.len);
         self.next_seq += 1;
         self.prev_pc = i64::from(p.pc);
         self.prev_addr = p.addr;
-        Some(di)
+        Some(p)
+    }
+
+    /// Yields the next committed instruction, or `None` at end of stream.
+    pub fn step(&mut self) -> Option<DynInst> {
+        let seq = self.next_seq;
+        let p = self.next_record()?;
+        Some(DynInst {
+            seq,
+            pc: p.pc,
+            inst: *self.program.text().get(p.pc as usize)?,
+            addr: (p.tag & TAG_ADDR != 0).then_some(p.addr),
+            taken: p.taken(),
+        })
     }
 
     /// The PC of the next undelivered record (diagnostics; the
@@ -604,7 +621,7 @@ impl TracePlayer {
         (self.pos, self.next_seq, self.prev_pc, self.prev_addr) = (0, 0, -1, 0);
         self.block.clear();
         self.next_in_block = 0;
-        while self.next_seq < next_seq && self.step().is_some() {}
+        while self.next_seq < next_seq && self.next_record().is_some() {}
         let derived = (self.pos, self.next_seq, self.prev_pc, self.prev_addr);
         if derived != saved {
             return Err(SnapError::Corrupt(format!(

@@ -1,5 +1,10 @@
 //! The register update unit (RUU): a unified instruction window with
 //! dataflow wakeup.
+//!
+//! Dispatch reads no instruction: fetch hands it a [`Decoded`] entry of
+//! the simulator's per-pc decode table and the run-time scalars (seq, pc,
+//! address, direction). Each entry keeps a 24-byte hot slot and a 16-byte
+//! cold record of the scalars for snapshots and diagnostics.
 
 use std::cell::Cell;
 
@@ -58,7 +63,7 @@ struct Edge {
 }
 
 /// The per-entry state the issue, wakeup and commit loops touch every
-/// cycle, packed into 24 bytes. The full instruction record lives in a
+/// cycle, packed into 24 bytes. The entry's run-time facts live in a
 /// separate cold array read only by snapshots and diagnostics.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
@@ -84,7 +89,7 @@ const _: () = assert!(std::mem::size_of::<Slot>() <= 24);
 
 /// Pre-decoded instruction facts the issue and commit stages consult
 /// every cycle. Derived (not stored) state: snapshots persist only the
-/// instruction record and rebuild this on load.
+/// entry's pc and rebuild this from the decode table on load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstMeta {
     /// Load or store.
@@ -97,16 +102,70 @@ pub struct InstMeta {
     pub class: hbdc_isa::FuClass,
 }
 
-impl InstMeta {
-    fn of(inst: &Inst) -> Self {
+/// Register slot of "no operand" in a [`Decoded`] entry.
+const NO_REG: u8 = u8::MAX;
+
+/// One static instruction decoded for dispatch: everything fetch and
+/// [`Window::dispatch`] read of it. The simulator builds one per pc of
+/// the program text, so no dynamic instruction re-matches its opcode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decoded {
+    /// The facts issue and commit read.
+    pub meta: InstMeta,
+    /// Register slots read, in [`Inst::for_each_use`] order with repeats
+    /// kept, padded with [`NO_REG`].
+    uses: [u8; 2],
+    /// Bit `k` set: `uses[k]` is a store's base register, so its producer
+    /// gates the store's address.
+    addr_uses: u8,
+    /// Register slot written, or [`NO_REG`].
+    def: u8,
+    /// Access width in bytes; 0 unless `meta.mem`.
+    pub width: u8,
+}
+
+impl Decoded {
+    /// Decodes `inst`. Memory-ness and width come from one match, so a
+    /// memory instruction without a width cannot be represented.
+    pub fn of(inst: &Inst) -> Self {
+        let (mem, width) = inst
+            .mem_width()
+            .map_or((false, 0), |w| (true, w.bytes() as u8));
+        let store = inst.is_store();
+        let base = inst.mem_base().map(ArchReg::Int);
+        let (mut uses, mut addr_uses, mut k) = ([NO_REG; 2], 0u8, 0);
+        inst.for_each_use(|u| {
+            uses[k] = reg_slot(u) as u8;
+            if store && Some(u) == base {
+                addr_uses |= 1 << k;
+            }
+            k += 1;
+        });
         Self {
-            mem: inst.is_mem(),
-            store: inst.is_store(),
-            halt: matches!(inst, Inst::Halt),
-            class: inst.fu_class(),
+            meta: InstMeta {
+                mem,
+                store,
+                halt: matches!(inst, Inst::Halt),
+                class: inst.fu_class(),
+            },
+            uses,
+            addr_uses,
+            def: inst.def().map_or(NO_REG, |d| reg_slot(d) as u8),
+            width,
         }
     }
 }
+
+/// A live entry's run-time facts in 16 bytes: `addr` is meaningful only
+/// for memory instructions, `taken` only for conditional branches.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    addr: u64,
+    pc: u32,
+    taken: Option<bool>,
+}
+
+const _: () = assert!(std::mem::size_of::<Run>() == 16);
 
 /// A retired entry as yielded by
 /// [`commit_compact_into`](Window::commit_compact_into): the sequence
@@ -140,20 +199,15 @@ fn reg_slot(r: ArchReg) -> usize {
 /// # Examples
 ///
 /// ```
-/// use hbdc_cpu::{DynInst, Window};
+/// use hbdc_cpu::{Decoded, Window};
 /// use hbdc_isa::{AluOp, Inst, Reg};
 ///
 /// let mut w = Window::new(8);
-/// let producer = DynInst {
-///     seq: 0, pc: 0, addr: None, taken: None,
-///     inst: Inst::AluImm { op: AluOp::Or, rd: Reg::new(1), rs: Reg::ZERO, imm: 5 },
-/// };
-/// let consumer = DynInst {
-///     seq: 1, pc: 1, addr: None, taken: None,
-///     inst: Inst::Alu { op: AluOp::Add, rd: Reg::new(2), rs: Reg::new(1), rt: Reg::new(1) },
-/// };
-/// w.dispatch(producer);
-/// w.dispatch(consumer);
+/// let producer = Inst::AluImm { op: AluOp::Or, rd: Reg::new(1), rs: Reg::ZERO, imm: 5 };
+/// let consumer = Inst::Alu { op: AluOp::Add, rd: Reg::new(2), rs: Reg::new(1), rt: Reg::new(1) };
+/// // seq, decoded instruction, pc, address (loads and stores), branch direction
+/// w.dispatch(0, &Decoded::of(&producer), 0, 0, None);
+/// w.dispatch(1, &Decoded::of(&consumer), 1, 0, None);
 /// let mut ready = Vec::new();
 /// w.fill_ready(8, &mut ready);
 /// assert_eq!(ready, [0]); // consumer waits on r1
@@ -168,9 +222,8 @@ pub struct Window {
     // numbers span at most `capacity <= mask + 1`, so slots are unique and
     // `[base_seq, tail_seq)` is the live window in program order.
     slots: Vec<Slot>,
-    // The full record of each slot's entry (cold: snapshots and
-    // diagnostics only).
-    insts: Vec<DynInst>,
+    // Each slot's run-time facts (cold: snapshots and diagnostics only).
+    runs: Vec<Run>,
     mask: u64,
     base_seq: u64,
     tail_seq: u64,
@@ -206,17 +259,10 @@ impl Window {
         assert!(capacity > 0, "window needs at least one entry");
         let ring = capacity.next_power_of_two();
         // Placeholders: a slot is written at dispatch before it is read.
-        let blank = DynInst {
-            seq: 0,
-            pc: 0,
-            inst: Inst::Nop,
-            addr: None,
-            taken: None,
-        };
         let empty = Slot {
             state: State::Done,
             access_done: false,
-            meta: InstMeta::of(&blank.inst),
+            meta: Decoded::of(&Inst::Nop).meta,
             remaining_deps: 0,
             addr_deps: 0,
             head: NO_EDGE,
@@ -224,7 +270,7 @@ impl Window {
         };
         Self {
             slots: vec![empty; ring],
-            insts: vec![blank; ring],
+            runs: vec![Run::default(); ring],
             mask: ring as u64 - 1,
             base_seq: 0,
             tail_seq: 0,
@@ -325,57 +371,58 @@ impl Window {
         }
     }
 
-    /// Dispatches the next instruction in program order.
+    /// Dispatches the next instruction in program order: sequence
+    /// number `seq`, decoded as `op`, at `pc`, with effective address
+    /// `addr` (kept for memory instructions only) and, for a conditional
+    /// branch, direction `taken`.
     ///
     /// # Panics
     ///
-    /// Panics if the window is full or `di.seq` is out of order.
-    pub fn dispatch(&mut self, di: DynInst) {
+    /// Panics if the window is full or `seq` is out of order.
+    pub fn dispatch(&mut self, seq: u64, op: &Decoded, pc: u32, addr: u64, taken: Option<bool>) {
         assert!(self.has_space(), "dispatch into full window");
-        assert_eq!(di.seq, self.tail_seq, "dispatch out of program order");
+        assert_eq!(seq, self.tail_seq, "dispatch out of program order");
         self.tail_seq += 1;
 
-        let meta = InstMeta::of(&di.inst);
-        let is_store = meta.store;
-        let base = di.inst.mem_base().map(hbdc_isa::ArchReg::Int);
         let mut remaining = 0u32;
         let mut addr_deps = 0u32;
-        di.inst.for_each_use(|u| {
-            if let Some(prod_seq) = self.producer[reg_slot(u)] {
+        for (k, &u) in op.uses.iter().enumerate() {
+            if u == NO_REG {
+                break;
+            }
+            if let Some(prod_seq) = self.producer[usize::from(u)] {
                 if prod_seq >= self.base_seq && self.slot(prod_seq).state != State::Done {
-                    let addr = is_store && Some(u) == base;
-                    self.push_edge(prod_seq, di.seq, addr);
+                    let is_addr = op.addr_uses >> k & 1 != 0;
+                    self.push_edge(prod_seq, seq, is_addr);
                     remaining += 1;
-                    if addr {
-                        addr_deps += 1;
-                    }
+                    addr_deps += u32::from(is_addr);
                 }
             }
-        });
-        if let Some(d) = di.inst.def() {
-            self.producer[reg_slot(d)] = Some(di.seq);
         }
-        if is_store && addr_deps == 0 {
+        if op.def != NO_REG {
+            self.producer[usize::from(op.def)] = Some(seq);
+        }
+        if op.meta.store && addr_deps == 0 {
             // Base register already available: address known at dispatch.
-            self.addr_ready.push(di.seq);
+            self.addr_ready.push(seq);
         }
         let state = if remaining == 0 {
-            self.set_ready(di.seq);
+            self.set_ready(seq);
             State::Ready
         } else {
             State::Waiting
         };
-        let i = self.slot_index(di.seq);
+        let i = self.slot_index(seq);
         self.slots[i] = Slot {
             state,
             access_done: false,
-            meta,
+            meta: op.meta,
             remaining_deps: remaining,
             addr_deps,
             head: NO_EDGE,
             tail: NO_EDGE,
         };
-        self.insts[i] = di;
+        self.runs[i] = Run { addr, pc, taken };
     }
 
     /// Drains the stores whose effective address has become
@@ -436,15 +483,6 @@ impl Window {
         if self.scan_ready_span(start, span1, self.base_seq, max, out) && span2 > 0 {
             self.scan_ready_span(0, span2, self.base_seq + span1 as u64, max, out);
         }
-    }
-
-    /// The instruction record at `seq`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not live in the window.
-    pub fn inst(&self, seq: u64) -> &DynInst {
-        self.get(seq).expect("seq not live in the window")
     }
 
     /// The cached instruction facts for `seq` — what the issue stage
@@ -596,12 +634,12 @@ impl Window {
         }
     }
 
-    /// The instruction record at `seq`, or `None` if it is not live in
-    /// the window (diagnostics; [`inst`](Self::inst) panics instead).
-    pub fn get(&self, seq: u64) -> Option<&DynInst> {
+    /// The pc of `seq`, or `None` if it is not live in the window
+    /// (diagnostics).
+    pub fn pc_at(&self, seq: u64) -> Option<u32> {
         (self.base_seq..self.tail_seq)
             .contains(&seq)
-            .then(|| &self.insts[(seq & self.mask) as usize])
+            .then(|| self.runs[(seq & self.mask) as usize].pc)
     }
 
     /// Serializes the window's architectural timing state: every live
@@ -615,8 +653,12 @@ impl Window {
         w.put_u64(self.base_seq);
         w.put_usize(self.len());
         for seq in self.base_seq..self.tail_seq {
-            let s = self.slot(seq);
-            self.inst(seq).save_slim(w);
+            let (s, run) = (self.slot(seq), self.runs[self.slot_index(seq)]);
+            // The slim record layout of `DynInst::save_slim`.
+            w.put_u64(seq);
+            w.put_u32(run.pc);
+            w.put_opt_u64(s.meta.mem.then_some(run.addr));
+            w.put_opt_bool(run.taken);
             w.put_u8(s.state.tag());
             w.put_u32(s.remaining_deps);
             w.put_u32(s.addr_deps);
@@ -655,7 +697,7 @@ impl Window {
 
     /// Restores state written by [`save_state`](Self::save_state) into a
     /// window of the same capacity, re-deriving each entry's instruction
-    /// from `text` and rebuilding the ready bitmap.
+    /// facts from `text` and rebuilding the ready bitmap.
     ///
     /// # Errors
     ///
@@ -689,13 +731,17 @@ impl Window {
             self.slots[i] = Slot {
                 state,
                 access_done: false,
-                meta: InstMeta::of(&di.inst),
+                meta: Decoded::of(&di.inst).meta,
                 remaining_deps,
                 addr_deps,
                 head: NO_EDGE,
                 tail: NO_EDGE,
             };
-            self.insts[i] = di;
+            self.runs[i] = Run {
+                addr: di.addr.unwrap_or(0),
+                pc: di.pc,
+                taken: di.taken,
+            };
             for _ in 0..r.get_usize()? {
                 let dep = r.get_u64()?;
                 let addr = r.get_bool()?;
@@ -954,6 +1000,17 @@ mod tests {
     use super::*;
     use hbdc_isa::{AluOp, Inst, Reg, Width};
 
+    /// Dispatches a hand-built record the way fetch does.
+    fn put(w: &mut Window, di: DynInst) {
+        w.dispatch(
+            di.seq,
+            &Decoded::of(&di.inst),
+            di.pc,
+            di.addr.unwrap_or(0),
+            di.taken,
+        );
+    }
+
     fn alu(seq: u64, rd: u8, rs: u8, rt: u8) -> DynInst {
         DynInst {
             seq,
@@ -984,11 +1041,80 @@ mod tests {
         }
     }
 
+    /// Checks `Decoded::of(inst)` against the `Inst` accessors it
+    /// replaces on the dispatch path.
+    fn agrees_with_accessors(inst: &Inst) -> Decoded {
+        let d = Decoded::of(inst);
+        let meta = InstMeta {
+            mem: inst.is_mem(),
+            store: inst.is_store(),
+            halt: matches!(inst, Inst::Halt),
+            class: inst.fu_class(),
+        };
+        assert_eq!(d.meta, meta, "{inst:?}");
+        let mut uses = Vec::new();
+        inst.for_each_use(|u| uses.push(u));
+        let slot = |r: ArchReg| reg_slot(r) as u8;
+        let decoded_uses: Vec<u8> = d.uses.into_iter().filter(|&u| u != NO_REG).collect();
+        assert_eq!(
+            decoded_uses,
+            uses.iter().map(|&u| slot(u)).collect::<Vec<_>>()
+        );
+        assert!(
+            d.uses[uses.len()..].iter().all(|&u| u == NO_REG),
+            "{inst:?}"
+        );
+        let base = inst.mem_base().map(ArchReg::Int);
+        let addr_uses = uses.iter().enumerate().fold(0u8, |m, (k, &u)| {
+            m | u8::from(inst.is_store() && Some(u) == base) << k
+        });
+        assert_eq!(d.addr_uses, addr_uses, "{inst:?}");
+        assert_eq!(d.def, inst.def().map_or(NO_REG, slot), "{inst:?}");
+        let width = inst.mem_width().map_or(0, |w| w.bytes());
+        assert_eq!(u64::from(d.width), width, "{inst:?}");
+        d
+    }
+
+    #[test]
+    fn decode_table_agrees_with_the_inst_accessors_on_every_analog() {
+        for bench in hbdc_workloads::all() {
+            let program = bench.build(hbdc_workloads::Scale::Test);
+            for inst in program.text() {
+                agrees_with_accessors(inst);
+            }
+        }
+    }
+
+    #[test]
+    fn decode_table_edge_cases() {
+        let p = hbdc_isa::asm::assemble(
+            "main: add r0, r1, r0\n sw r1, 0(r1)\n add r1, r2, r2\n fld f3, 8(r2)\n\
+             fsd f1, 0(r1)\n jal main\n halt\n",
+        )
+        .unwrap();
+        let d: Vec<Decoded> = p.text().iter().map(agrees_with_accessors).collect();
+        // A write of r0 defines nothing; a read of r0 is no operand.
+        assert_eq!((d[0].uses, d[0].def), ([1, NO_REG], NO_REG));
+        // The value register is also the base: both sources are address edges.
+        assert_eq!((d[1].uses, d[1].addr_uses, d[1].width), ([1, 1], 0b11, 4));
+        // A repeated source makes two edges.
+        assert_eq!((d[2].uses, d[2].def), ([2, 2], 1));
+        // FP load: an integer base, an FP def; FP store: only the base gates the address.
+        assert_eq!((d[3].uses, d[3].def, d[3].width), ([2, NO_REG], 32 + 3, 8));
+        assert_eq!((d[4].uses, d[4].addr_uses), ([32 + 1, 1], 0b10));
+        // `jal` reads nothing and links into `ra` (r31).
+        assert_eq!(
+            (d[5].uses, d[5].def, d[5].meta.mem),
+            ([NO_REG; 2], 31, false)
+        );
+        assert!(d[6].meta.halt);
+    }
+
     #[test]
     fn independent_instructions_all_ready() {
         let mut w = Window::new(4);
-        w.dispatch(alu(0, 1, 0, 0));
-        w.dispatch(alu(1, 2, 0, 0));
+        put(&mut w, alu(0, 1, 0, 0));
+        put(&mut w, alu(1, 2, 0, 0));
         let mut ready = Vec::new();
         w.fill_ready(4, &mut ready);
         assert_eq!(ready, [0, 1]);
@@ -997,8 +1123,8 @@ mod tests {
     #[test]
     fn dependent_wakes_after_producer_completes() {
         let mut w = Window::new(4);
-        w.dispatch(alu(0, 1, 0, 0)); // r1 = ...
-        w.dispatch(alu(1, 2, 1, 0)); // r2 = r1 + ...
+        put(&mut w, alu(0, 1, 0, 0)); // r1 = ...
+        put(&mut w, alu(1, 2, 1, 0)); // r2 = r1 + ...
         let mut ready = Vec::new();
         w.fill_ready(4, &mut ready);
         assert_eq!(ready, [0]);
@@ -1014,9 +1140,9 @@ mod tests {
     #[test]
     fn chain_of_three() {
         let mut w = Window::new(8);
-        w.dispatch(alu(0, 1, 0, 0));
-        w.dispatch(alu(1, 2, 1, 0));
-        w.dispatch(alu(2, 3, 2, 1)); // depends on both r2 and r1
+        put(&mut w, alu(0, 1, 0, 0));
+        put(&mut w, alu(1, 2, 1, 0));
+        put(&mut w, alu(2, 3, 2, 1)); // depends on both r2 and r1
         w.mark_issued(0, Some(1));
         w.advance_completions(1);
         let mut ready = Vec::new();
@@ -1033,9 +1159,9 @@ mod tests {
         // Write-after-read: consumer of old r1 dispatched after a new
         // producer of r1 must depend on the *latest prior* producer only.
         let mut w = Window::new(8);
-        w.dispatch(alu(0, 1, 0, 0)); // r1 = v0
-        w.dispatch(alu(1, 1, 0, 0)); // r1 = v1 (overwrites)
-        w.dispatch(alu(2, 3, 1, 0)); // reads r1 → depends on seq 1 only
+        put(&mut w, alu(0, 1, 0, 0)); // r1 = v0
+        put(&mut w, alu(1, 1, 0, 0)); // r1 = v1 (overwrites)
+        put(&mut w, alu(2, 3, 1, 0)); // reads r1 → depends on seq 1 only
         w.mark_issued(1, Some(1));
         w.mark_issued(0, Some(99)); // old producer finishes late
         w.advance_completions(1);
@@ -1047,8 +1173,8 @@ mod tests {
     #[test]
     fn commit_is_in_order_and_gated() {
         let mut w = Window::new(8);
-        w.dispatch(alu(0, 1, 0, 0));
-        w.dispatch(alu(1, 2, 0, 0));
+        put(&mut w, alu(0, 1, 0, 0));
+        put(&mut w, alu(1, 2, 0, 0));
         w.mark_issued(1, Some(1));
         w.advance_completions(1);
         // Younger is done, older is not: nothing commits.
@@ -1067,7 +1193,7 @@ mod tests {
     #[test]
     fn store_commit_requires_access_done() {
         let mut w = Window::new(8);
-        w.dispatch(store(0, 0x100));
+        put(&mut w, store(0, 0x100));
         w.mark_issued(0, Some(1));
         w.advance_completions(1);
         let mut retired = Vec::new();
@@ -1082,8 +1208,8 @@ mod tests {
     #[test]
     fn oldest_not_done_tracks_frontier() {
         let mut w = Window::new(8);
-        w.dispatch(alu(0, 1, 0, 0));
-        w.dispatch(alu(1, 2, 0, 0));
+        put(&mut w, alu(0, 1, 0, 0));
+        put(&mut w, alu(1, 2, 0, 0));
         assert_eq!(w.oldest_not_done(), 0);
         w.mark_issued(0, Some(1));
         w.advance_completions(1);
@@ -1097,7 +1223,7 @@ mod tests {
     fn commit_width_respected() {
         let mut w = Window::new(8);
         for s in 0..4 {
-            w.dispatch(alu(s, 1 + (s as u8 % 3), 0, 0));
+            put(&mut w, alu(s, 1 + (s as u8 % 3), 0, 0));
         }
         for s in 0..4 {
             w.mark_issued(s, Some(1));
@@ -1125,8 +1251,8 @@ mod tests {
                 offset: 0,
             },
         };
-        w.dispatch(ld);
-        w.dispatch(alu(1, 2, 1, 0)); // uses the loaded r1
+        put(&mut w, ld);
+        put(&mut w, alu(1, 2, 1, 0)); // uses the loaded r1
         w.mark_issued(0, None); // completion unknown until grant
         w.advance_completions(100);
         assert!(!w.is_done(0));
@@ -1142,15 +1268,15 @@ mod tests {
     #[should_panic(expected = "full window")]
     fn overfull_dispatch_panics() {
         let mut w = Window::new(1);
-        w.dispatch(alu(0, 1, 0, 0));
-        w.dispatch(alu(1, 2, 0, 0));
+        put(&mut w, alu(0, 1, 0, 0));
+        put(&mut w, alu(1, 2, 0, 0));
     }
 
     #[test]
     #[should_panic(expected = "out of program order")]
     fn out_of_order_dispatch_panics() {
         let mut w = Window::new(4);
-        w.dispatch(alu(1, 1, 0, 0));
+        put(&mut w, alu(1, 1, 0, 0));
     }
 
     #[test]
@@ -1163,7 +1289,10 @@ mod tests {
         for cycle in 1..=40u64 {
             while w.has_space() {
                 // Each instruction reads the previous one's result.
-                w.dispatch(alu(next, 1 + (next % 2) as u8, 2 - (next % 2) as u8, 0));
+                put(
+                    &mut w,
+                    alu(next, 1 + (next % 2) as u8, 2 - (next % 2) as u8, 0),
+                );
                 next += 1;
             }
             assert_eq!(w.len(), 5);
@@ -1188,7 +1317,7 @@ mod tests {
         ];
         let mut w = Window::new(6);
         for di in insts {
-            w.dispatch(di);
+            put(&mut w, di);
         }
         let mut a = StateWriter::new();
         w.save_state(&mut a);

@@ -2,15 +2,16 @@
 # Runs the memory-stage microbenchmarks: each port model's one
 # arbitration round (ideal, replicated, banked, LBIC) on conflict-free
 # and conflict-heavy offered sets, each served and refilled every round
-# to hold the backlog depth, `Hierarchy::access`, and the LSQ
+# to hold the backlog depth, `Hierarchy::access`, the LSQ
 # classification layer (ns per `Lsq` event on a standing-backlog
-# schedule), plus the broader hbdc-bench micro suite when `--all` is
-# passed.
+# schedule) and the dispatch path (ns per instruction of the gcc and swim
+# streams dispatched into the window and LSQ), plus the broader
+# hbdc-bench micro suite when `--all` is passed.
 #
 # These are advisory numbers — there is no pass/fail band here (the
 # ±15% end-to-end gate lives in scripts/perf_guard.sh). The vendored
-# criterion shim prints the median time per iteration; the LSQ bench
-# prints its median ns per event.
+# criterion shim prints the median time per iteration; the LSQ and
+# dispatch benches print their median ns per event and per instruction.
 #
 # Usage: scripts/microbench.sh [--all]
 set -euo pipefail
@@ -18,6 +19,7 @@ cd "$(dirname "$0")/.."
 
 cargo bench -q -p hbdc-core --bench arb
 cargo bench -q -p hbdc-cpu --bench lsq
+cargo bench -q -p hbdc-cpu --bench dispatch
 if [ "${1:-}" = "--all" ]; then
     cargo bench -q -p hbdc-bench --bench micro
 fi
