@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use hbdc_core::{MemRequest, PortConfig};
+use hbdc_core::{ArbStats, MemRequest, PortConfig};
 use hbdc_cpu::Emulator;
 use hbdc_isa::asm::assemble;
 use hbdc_mem::{CacheGeometry, LookupResult, TagArray};
@@ -54,10 +54,11 @@ fn bench_arbitration(c: &mut Criterion) {
         PortConfig::lbic(8, 4),
     ] {
         let mut model = config.build(32);
-        group.bench_function(model.label(), |b| {
+        let mut stats = ArbStats::new(config.peak());
+        group.bench_function(config.label(), |b| {
             b.iter(|| {
-                let g = model.arbitrate(black_box(&ready));
-                model.tick();
+                let g = model.arbitrate(black_box(&ready), &mut stats);
+                model.tick(&mut stats);
                 black_box(g.len())
             })
         });

@@ -570,7 +570,7 @@ fn cost_columns() -> Vec<Column> {
         PortConfig::lbic(8, 4),
     ]
     .into_iter()
-    .map(|port| column(port.build(32).label(), port))
+    .map(|port| column(port.label(), port))
     .collect()
 }
 
@@ -593,7 +593,7 @@ fn cost_effectiveness(res: &Results) -> String {
             .collect();
         let (label, _, port) = col;
         let area = cost::area(port);
-        let peak = cost::peak_bandwidth(port);
+        let peak = port.peak();
         let (mean, per_area) = match ipcs {
             Some(ipcs) => {
                 let mean = arithmetic_mean(&ipcs);

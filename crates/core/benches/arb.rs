@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use hbdc_core::{MemRequest, PortConfig};
+use hbdc_core::{ArbStats, MemRequest, PortConfig};
 use hbdc_mem::{Hierarchy, HierarchyConfig};
 
 /// Line size the models are built with (also the bank-mapping stride).
@@ -63,10 +63,11 @@ fn bench_arbitrate(c: &mut Criterion) {
             let mut ready = reqs.clone();
             let mut next_id = N_READY;
             let mut granted = Vec::new();
-            group.bench_function(model.label(), |b| {
+            let mut stats = ArbStats::new(config.peak());
+            group.bench_function(config.label(), |b| {
                 b.iter(|| {
-                    model.arbitrate_into(black_box(&ready), &mut granted);
-                    model.tick();
+                    model.arbitrate_into(black_box(&ready), &mut granted, &mut stats);
+                    model.tick(&mut stats);
                     for &g in granted.iter().rev() {
                         let done = ready.remove(g);
                         ready.push(MemRequest {

@@ -1,7 +1,7 @@
 //! Per-cycle invariant auditing for port-arbitration models.
 //!
-//! Each [`PortModel`](crate::PortModel) publishes its structural legality
-//! rules through [`PortModel::audit_round`](crate::PortModel::audit_round):
+//! Each [`PortModel`] publishes its structural legality rules through
+//! [`PortModel::audit_round`]:
 //! given one cycle's age-ordered ready list and the grant set the model
 //! produced, the audit recomputes — independently of the arbitration code
 //! path — whether that grant set is legal. The checks are pure observers:
@@ -10,8 +10,10 @@
 //!
 //! The generic checks here apply to every model; model-specific rules
 //! (one grant per bank, same-line combining bounds, store-broadcast
-//! exclusivity) live with the models themselves.
+//! exclusivity) live with the models themselves. [`check_round`] runs
+//! both.
 
+use crate::model::{PortConfig, PortModel};
 use crate::request::MemRequest;
 
 /// One invariant violation observed during a single arbitration round.
@@ -83,6 +85,20 @@ pub fn check_generic(
             ));
         }
     }
+}
+
+/// Audits one arbitration round of `model`, built from `cfg`: the
+/// generic invariants against [`PortConfig::peak`], then the model's own
+/// [`audit_round`](PortModel::audit_round) rules.
+pub fn check_round(
+    cfg: &PortConfig,
+    model: &dyn PortModel,
+    ready: &[MemRequest],
+    granted: &[usize],
+    out: &mut Vec<Violation>,
+) {
+    check_generic(cfg.peak(), ready, granted, out);
+    model.audit_round(ready, granted, out);
 }
 
 #[cfg(test)]

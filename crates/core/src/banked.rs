@@ -1,9 +1,8 @@
 //! Traditional multi-banking (interleaved cache).
 
 use hbdc_mem::BankMapper;
-use hbdc_snap::{SnapError, StateReader, StateWriter};
 
-use crate::audit::{self, Violation};
+use crate::audit::Violation;
 use crate::model::PortModel;
 use crate::request::MemRequest;
 use crate::stats::ArbStats;
@@ -22,15 +21,16 @@ use crate::stats::ArbStats;
 /// # Examples
 ///
 /// ```
-/// use hbdc_core::{BankedPorts, MemRequest, PortModel};
+/// use hbdc_core::{ArbStats, BankedPorts, MemRequest, PortModel};
 ///
-/// let mut m = BankedPorts::new(2, 32);
+/// let (mut m, mut s) = (BankedPorts::new(2, 32), ArbStats::new(2));
 /// let ready = vec![
 ///     MemRequest::load(0, 0x00), // bank 0
 ///     MemRequest::load(1, 0x20), // bank 1
 ///     MemRequest::load(2, 0x40), // bank 0 again: conflict
 /// ];
-/// assert_eq!(m.arbitrate(&ready), vec![0, 1]);
+/// assert_eq!(m.arbitrate(&ready, &mut s), vec![0, 1]);
+/// assert_eq!(s.bank_conflicts, 1);
 /// ```
 #[derive(Debug)]
 pub struct BankedPorts {
@@ -39,7 +39,6 @@ pub struct BankedPorts {
     // this cycle's grant. Reset at the start of each round, so the hot
     // path never allocates.
     taken: Vec<bool>,
-    stats: ArbStats,
 }
 
 impl BankedPorts {
@@ -58,7 +57,6 @@ impl BankedPorts {
         Self {
             mapper,
             taken: vec![false; banks],
-            stats: ArbStats::new(banks),
         }
     }
 }
@@ -69,7 +67,12 @@ impl PortModel for BankedPorts {
     // `ready.len() - granted.len()` and the walk stops once every bank
     // has its grant: O(ready) in the worst case, O(banks) when the
     // oldest references already cover every bank.
-    fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) {
+    fn arbitrate_into(
+        &mut self,
+        ready: &[MemRequest],
+        granted: &mut Vec<usize>,
+        stats: &mut ArbStats,
+    ) {
         granted.clear();
         self.taken.fill(false);
         let banks = self.taken.len();
@@ -83,38 +86,13 @@ impl PortModel for BankedPorts {
                 }
             }
         }
-        let conflicts = (ready.len() - granted.len()) as u64;
-        if conflicts > 0 {
-            self.stats.bump("bank_conflicts", conflicts);
-        }
-        self.stats.record_round(ready.len(), granted.len());
-    }
-
-    fn peak_per_cycle(&self) -> usize {
-        self.mapper.banks() as usize
-    }
-
-    fn label(&self) -> String {
-        format!("Bank-{}", self.mapper.banks())
-    }
-
-    fn stats(&self) -> &ArbStats {
-        &self.stats
-    }
-
-    fn save_state(&self, w: &mut StateWriter) {
-        self.stats.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
-        self.stats.load_state(r)
+        stats.bank_conflicts += (ready.len() - granted.len()) as u64;
     }
 
     /// Banked legality: at most one grant per bank per cycle, and the
     /// grant must be the *oldest* ready reference mapping to that bank
     /// (nothing but an earlier same-bank reference can deny a request).
     fn audit_round(&self, ready: &[MemRequest], granted: &[usize], out: &mut Vec<Violation>) {
-        audit::check_generic(self.peak_per_cycle(), ready, granted, out);
         let banks = self.mapper.banks() as usize;
         let mut oldest_ready: Vec<Option<usize>> = vec![None; banks];
         for (i, r) in ready.iter().enumerate() {
@@ -151,17 +129,22 @@ impl PortModel for BankedPorts {
 mod tests {
     use super::*;
 
+    /// One round on a fresh `banks`-bank model: its grants and stats.
+    fn round(banks: u32, ready: &[MemRequest]) -> (Vec<usize>, ArbStats) {
+        let mut s = ArbStats::new(banks as usize);
+        (BankedPorts::new(banks, 32).arbitrate(ready, &mut s), s)
+    }
+
     #[test]
     fn distinct_banks_all_proceed() {
-        let mut m = BankedPorts::new(4, 32);
         let ready: Vec<MemRequest> = (0..4).map(|i| MemRequest::load(i, i * 32)).collect();
-        assert_eq!(m.arbitrate(&ready), vec![0, 1, 2, 3]);
-        assert_eq!(m.stats().extra_counter("bank_conflicts"), 0);
+        let (granted, s) = round(4, &ready);
+        assert_eq!(granted, vec![0, 1, 2, 3]);
+        assert_eq!(s.bank_conflicts, 0);
     }
 
     #[test]
     fn same_bank_conflicts_serialize() {
-        let mut m = BankedPorts::new(4, 32);
         // Same line => same bank; different line but stride 4*32 => same bank.
         let ready = vec![
             MemRequest::load(0, 0x00),
@@ -169,78 +152,68 @@ mod tests {
             MemRequest::load(2, 0x80), // 4 lines later: same bank 0
             MemRequest::load(3, 0x20), // bank 1
         ];
-        assert_eq!(m.arbitrate(&ready), vec![0, 3]);
-        assert_eq!(m.stats().extra_counter("bank_conflicts"), 2);
+        let (granted, s) = round(4, &ready);
+        assert_eq!(granted, vec![0, 3]);
+        assert_eq!(s.bank_conflicts, 2);
     }
 
     #[test]
     fn stores_use_banks_like_loads() {
-        let mut m = BankedPorts::new(2, 32);
         let ready = vec![MemRequest::store(0, 0x00), MemRequest::store(1, 0x20)];
-        assert_eq!(m.arbitrate(&ready), vec![0, 1]);
+        assert_eq!(round(2, &ready).0, vec![0, 1]);
     }
 
     #[test]
     fn age_priority_within_bank() {
-        let mut m = BankedPorts::new(2, 32);
         let ready = vec![
             MemRequest::load(3, 0x40), // bank 0, oldest
             MemRequest::load(9, 0x00), // bank 0, younger — loses
         ];
-        assert_eq!(m.arbitrate(&ready), vec![0]);
+        assert_eq!(round(2, &ready).0, vec![0]);
     }
 
     #[test]
     fn age_is_position_not_id() {
         // The walk grants by position: index 0 wins the bank whatever
         // the ids say.
-        let mut m = BankedPorts::new(2, 32);
         let ready = vec![
             MemRequest::load(9, 0x40), // bank 0, first in the list
             MemRequest::load(3, 0x00), // bank 0, smaller id
         ];
-        assert_eq!(m.arbitrate(&ready), vec![0]);
-        assert_eq!(m.stats().extra_counter("bank_conflicts"), 1);
+        let (granted, s) = round(2, &ready);
+        assert_eq!(granted, vec![0]);
+        assert_eq!(s.bank_conflicts, 1);
     }
 
     #[test]
     fn single_bank_is_single_port() {
-        let mut m = BankedPorts::new(1, 32);
         let ready: Vec<MemRequest> = (0..3).map(|i| MemRequest::load(i, i * 64)).collect();
-        assert_eq!(m.arbitrate(&ready), vec![0]);
-        assert_eq!(m.peak_per_cycle(), 1);
+        assert_eq!(round(1, &ready).0, vec![0]);
     }
 
     #[test]
     fn scratch_state_resets_between_cycles() {
-        let mut m = BankedPorts::new(2, 32);
+        let (mut m, s) = (BankedPorts::new(2, 32), &mut ArbStats::new(2));
         let ready = vec![MemRequest::load(0, 0x00)];
-        assert_eq!(m.arbitrate(&ready), vec![0]);
-        m.tick();
+        assert_eq!(m.arbitrate(&ready, s), vec![0]);
+        m.tick(s);
         // Bank 0 must be free again next cycle.
-        assert_eq!(m.arbitrate(&ready), vec![0]);
-    }
-
-    #[test]
-    fn label() {
-        assert_eq!(BankedPorts::new(16, 32).label(), "Bank-16");
+        assert_eq!(m.arbitrate(&ready, s), vec![0]);
     }
 
     #[test]
     fn saturation_counts_every_loser_as_a_conflict() {
         let ready: Vec<MemRequest> = (0..3).map(|i| MemRequest::load(i, i * 64)).collect();
-        let mut m = BankedPorts::new(1, 32);
-        assert_eq!(m.arbitrate(&ready), vec![0]);
-        assert_eq!(m.stats().extra_counter("bank_conflicts"), 2);
-        assert_eq!(m.stats().offered(), 3);
-        assert_eq!(m.stats().granted(), 1);
+        let (granted, s) = round(1, &ready);
+        assert_eq!(granted, vec![0]);
+        assert_eq!(s.bank_conflicts, 2);
+        assert_eq!((s.offered(), s.granted()), (3, 1));
     }
 
     #[test]
     fn early_exit_still_counts_the_whole_tail() {
         // Both banks are granted by index 1; the walk stops there, yet
         // every later reference is still a conflict.
-        let mut m = BankedPorts::new(2, 32);
         let ready = vec![
             MemRequest::load(0, 0x00), // bank 0
             MemRequest::load(1, 0x20), // bank 1
@@ -248,9 +221,9 @@ mod tests {
             MemRequest::load(3, 0x60), // bank 1
             MemRequest::load(4, 0x80), // bank 0
         ];
-        assert_eq!(m.arbitrate(&ready), vec![0, 1]);
-        assert_eq!(m.stats().extra_counter("bank_conflicts"), 3);
-        assert_eq!(m.stats().offered(), 5);
-        assert_eq!(m.stats().granted(), 2);
+        let (granted, s) = round(2, &ready);
+        assert_eq!(granted, vec![0, 1]);
+        assert_eq!(s.bank_conflicts, 3);
+        assert_eq!((s.offered(), s.granted()), (5, 2));
     }
 }

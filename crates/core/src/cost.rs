@@ -94,18 +94,6 @@ fn banked_area(banks: u32) -> f64 {
     1.0 + CROSSBAR_PER_BANK2 * m * m + BANK_OVERHEAD * m
 }
 
-/// Peak data references per cycle of a configuration (the denominator of
-/// a bandwidth-per-area figure of merit).
-pub fn peak_bandwidth(config: PortConfig) -> usize {
-    match config {
-        PortConfig::Ideal { ports } | PortConfig::Replicated { ports } => ports,
-        PortConfig::Banked { banks, .. } => banks as usize,
-        PortConfig::Lbic {
-            banks, line_ports, ..
-        } => banks as usize * line_ports,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,18 +155,10 @@ mod tests {
     fn lbic_peak_bandwidth_per_area_dominates() {
         // The headline cost-effectiveness argument: peak refs/cycle per
         // area unit. The 4x4 LBIC must beat ideal-4, repl-4, and bank-4.
-        let per_area = |c: PortConfig| peak_bandwidth(c) as f64 / area(c);
+        let per_area = |c: PortConfig| c.peak() as f64 / area(c);
         let lbic = per_area(PortConfig::lbic(4, 4));
         assert!(lbic > per_area(PortConfig::Ideal { ports: 4 }));
         assert!(lbic > per_area(PortConfig::Replicated { ports: 4 }));
         assert!(lbic > per_area(PortConfig::banked(4)));
-    }
-
-    #[test]
-    fn peak_bandwidths() {
-        assert_eq!(peak_bandwidth(PortConfig::Ideal { ports: 7 }), 7);
-        assert_eq!(peak_bandwidth(PortConfig::Replicated { ports: 3 }), 3);
-        assert_eq!(peak_bandwidth(PortConfig::banked(8)), 8);
-        assert_eq!(peak_bandwidth(PortConfig::lbic(4, 4)), 16);
     }
 }

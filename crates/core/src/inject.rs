@@ -10,9 +10,11 @@
 //! bit, a miswired bank decoder, an off-by-one port counter.
 //!
 //! Because [`audit_round`](PortModel::audit_round) is delegated to the
-//! *inner* model, the corrupted grants are always checked against the
-//! true rules; a fired injection must therefore be reported within the
-//! same cycle, which is exactly what the property tests assert.
+//! *inner* model, and [`check_round`](crate::audit::check_round) adds
+//! the generic rules for the wrapped configuration, the corrupted grants
+//! are always checked against the true rules; a fired injection must
+//! therefore be reported within the same cycle, which is exactly what
+//! the property tests assert.
 
 use hbdc_mem::BankMapper;
 
@@ -46,54 +48,50 @@ pub enum FaultClass {
 /// A [`PortModel`] wrapper that corrupts its inner model's grants.
 ///
 /// The inner model arbitrates the same ready slice, ticks, audits and
-/// reports statistics as it would unwrapped; the wrapper adds only the
+/// counts denial causes as it would unwrapped; the wrapper adds only the
 /// corruption. It saves no state of its own: a simulator built around it
-/// (`Simulator::with_port_model`) has no port configuration in its
+/// (`Simulator::with_port_model`) writes no port configuration into its
 /// snapshots, so it cannot be resumed from one.
 ///
 /// # Examples
 ///
 /// ```
-/// use hbdc_core::{FaultClass, FaultInjector, MemRequest, PortConfig, PortModel};
+/// use hbdc_core::audit::check_round;
+/// use hbdc_core::{ArbStats, FaultClass, FaultInjector, MemRequest, PortConfig, PortModel};
 ///
-/// let mut m = FaultInjector::new(
-///     PortConfig::banked(2),
-///     32,
-///     FaultClass::BankDoubleGrant,
-///     42,
-/// )
-/// .unwrap();
+/// let cfg = PortConfig::banked(2);
+/// let mut m = FaultInjector::new(cfg, 32, FaultClass::BankDoubleGrant, 42).unwrap();
+/// let mut stats = ArbStats::new(cfg.peak());
 /// // Two same-bank references: the clean model grants one; once the
 /// // injector fires it grants both, and the audit reports the fault.
 /// let ready = vec![MemRequest::load(0, 0x00), MemRequest::load(1, 0x40)];
 /// let mut caught = false;
 /// for _ in 0..64 {
-///     let granted = m.arbitrate(&ready);
+///     let granted = m.arbitrate(&ready, &mut stats);
 ///     let mut out = Vec::new();
-///     m.audit_round(&ready, &granted, &mut out);
+///     check_round(&cfg, &m, &ready, &granted, &mut out);
 ///     assert_eq!(m.fired_last_round(), !out.is_empty());
 ///     caught |= !out.is_empty();
-///     m.tick();
+///     m.tick(&mut stats);
 /// }
 /// assert!(caught, "injector never fired in 64 cycles");
 /// ```
 pub struct FaultInjector {
     inner: Box<dyn PortModel>,
+    cfg: PortConfig,
     class: FaultClass,
     mapper: Option<BankMapper>,
     line_shift: u32,
     line_ports: usize,
     rng: u64,
-    injected: u64,
     fired_last: bool,
 }
 
 impl std::fmt::Debug for FaultInjector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultInjector")
-            .field("inner", &self.inner.label())
+            .field("cfg", &self.cfg)
             .field("class", &self.class)
-            .field("injected", &self.injected)
             .finish_non_exhaustive()
     }
 }
@@ -136,12 +134,12 @@ impl FaultInjector {
         }
         Ok(Self {
             inner,
+            cfg,
             class,
             mapper,
             line_shift: line_size.trailing_zeros(),
             line_ports,
             rng: seed | 1, // xorshift must not start at zero
-            injected: 0,
             fired_last: false,
         })
     }
@@ -164,19 +162,9 @@ impl FaultInjector {
         Self::new(cfg, line_size, class, seed)
     }
 
-    /// Total corrupted arbitration rounds so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
     /// Whether the most recent arbitration round was corrupted.
     pub fn fired_last_round(&self) -> bool {
         self.fired_last
-    }
-
-    /// The class of fault this injector produces.
-    pub fn class(&self) -> FaultClass {
-        self.class
     }
 
     fn next_rng(&mut self) -> u64 {
@@ -284,7 +272,7 @@ impl FaultInjector {
                 None => false,
             },
             FaultClass::PeakOverflow => {
-                if granted.len() >= self.inner.peak_per_cycle() {
+                if granted.len() >= self.cfg.peak() {
                     denied(granted)
                         .map(|d| Self::push_grant(granted, d))
                         .is_some()
@@ -297,29 +285,19 @@ impl FaultInjector {
 }
 
 impl PortModel for FaultInjector {
-    fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) {
-        self.inner.arbitrate_into(ready, granted);
+    fn arbitrate_into(
+        &mut self,
+        ready: &[MemRequest],
+        granted: &mut Vec<usize>,
+        stats: &mut ArbStats,
+    ) {
+        self.inner.arbitrate_into(ready, granted, stats);
         // Fire on roughly half of the eligible cycles, seed-deterministic.
         self.fired_last = self.next_rng() & 1 == 0 && self.try_inject(ready, granted);
-        if self.fired_last {
-            self.injected += 1;
-        }
     }
 
-    fn tick(&mut self) {
-        self.inner.tick();
-    }
-
-    fn peak_per_cycle(&self) -> usize {
-        self.inner.peak_per_cycle()
-    }
-
-    fn label(&self) -> String {
-        format!("{}+fault", self.inner.label())
-    }
-
-    fn stats(&self) -> &ArbStats {
-        self.inner.stats()
+    fn tick(&mut self, stats: &mut ArbStats) {
+        self.inner.tick(stats);
     }
 
     /// Audits against the *inner* model's true rules, so injected
@@ -327,26 +305,20 @@ impl PortModel for FaultInjector {
     fn audit_round(&self, ready: &[MemRequest], granted: &[usize], out: &mut Vec<Violation>) {
         self.inner.audit_round(ready, granted, out);
     }
-
-    fn debug_state(&self) -> String {
-        let inner = self.inner.debug_state();
-        format!(
-            "fault injector ({:?}, {} fired); {inner}",
-            self.class, self.injected
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::check_round;
 
     /// Drives `inj` over `ready` until it fires, returning that round's
     /// grants (panics after 256 clean rounds).
     fn fire(inj: &mut FaultInjector, ready: &[MemRequest]) -> Vec<usize> {
+        let stats = &mut ArbStats::new(inj.cfg.peak());
         for _ in 0..256 {
-            let granted = inj.arbitrate(ready);
-            inj.tick();
+            let granted = inj.arbitrate(ready, stats);
+            inj.tick(stats);
             if inj.fired_last_round() {
                 return granted;
             }
@@ -376,7 +348,7 @@ mod tests {
         let ready = vec![MemRequest::load(0, 0x00), MemRequest::load(1, 0x40)];
         let granted = fire(&mut inj, &ready);
         let mut out = Vec::new();
-        inj.audit_round(&ready, &granted, &mut out);
+        check_round(&cfg, &inj, &ready, &granted, &mut out);
         assert!(
             out.iter().any(|v| v.rule == "banked-double-grant"),
             "{out:?}"
@@ -390,7 +362,7 @@ mod tests {
         let ready = vec![MemRequest::store(0, 0x00), MemRequest::load(1, 0x40)];
         let granted = fire(&mut inj, &ready);
         let mut out = Vec::new();
-        inj.audit_round(&ready, &granted, &mut out);
+        check_round(&cfg, &inj, &ready, &granted, &mut out);
         assert!(
             out.iter().any(|v| v.rule == "repl-store-overlap"),
             "{out:?}"
@@ -409,10 +381,11 @@ mod tests {
                     1234,
                 )
                 .unwrap();
+                let stats = &mut ArbStats::new(2);
                 (0..32)
                     .map(|_| {
-                        inj.arbitrate(&ready);
-                        inj.tick();
+                        inj.arbitrate(&ready, stats);
+                        inj.tick(stats);
                         inj.fired_last_round()
                     })
                     .collect()

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use hbdc_mem::BankMapper;
 use hbdc_snap::{SnapError, StateReader, StateWriter};
 
-use crate::audit::{self, Violation};
+use crate::audit::Violation;
 use crate::model::PortModel;
 use crate::request::MemRequest;
 use crate::stats::ArbStats;
@@ -49,9 +49,10 @@ struct Bank {
 /// # Examples
 ///
 /// ```
-/// use hbdc_core::{CombinePolicy, Lbic, MemRequest, PortModel};
+/// use hbdc_core::{ArbStats, CombinePolicy, Lbic, MemRequest, PortModel};
 ///
 /// let mut m = Lbic::new(2, 2, 8, 32, CombinePolicy::LeadingRequest);
+/// let mut s = ArbStats::new(4);
 /// // The paper's Figure 4c pattern: st/ld/ld/st over two banks, one line
 /// // per bank. With 32-byte lines and 2 banks, line 12 (addresses
 /// // 0x180..0x19f) maps to bank 0 and line 11 (0x160..0x17f) to bank 1.
@@ -61,7 +62,8 @@ struct Bank {
 ///     MemRequest::load(2, 0x168),  // bank 1, line 11, offset 8
 ///     MemRequest::store(3, 0x18c), // bank 0, line 12, offset 12
 /// ];
-/// assert_eq!(m.arbitrate(&ready).len(), 4); // all four in one cycle
+/// assert_eq!(m.arbitrate(&ready, &mut s).len(), 4); // all four in one cycle
+/// assert_eq!(s.combined, 2);
 /// ```
 #[derive(Debug)]
 pub struct Lbic {
@@ -78,7 +80,6 @@ pub struct Lbic {
     scratch_sq_free: Vec<usize>,
     scratch_by_bank: Vec<Vec<usize>>,
     scratch_lines: Vec<(u64, usize)>, // per-line counts within one bank
-    stats: ArbStats,
 }
 
 impl Lbic {
@@ -96,25 +97,9 @@ impl Lbic {
         line_size: u64,
         policy: CombinePolicy,
     ) -> Self {
-        Self::with_mapper(
-            BankMapper::bit_select(banks, line_size),
-            line_ports,
-            store_queue,
-            line_size,
-            policy,
-        )
-    }
-
-    /// Creates an LBIC with an explicit bank-selection function.
-    pub fn with_mapper(
-        mapper: BankMapper,
-        line_ports: usize,
-        store_queue: usize,
-        line_size: u64,
-        policy: CombinePolicy,
-    ) -> Self {
         assert!(line_ports > 0, "line buffer needs at least one port");
         assert!(store_queue > 0, "store queue needs at least one entry");
+        let mapper = BankMapper::bit_select(banks, line_size);
         let n_banks = mapper.banks() as usize;
         Self {
             mapper,
@@ -133,7 +118,6 @@ impl Lbic {
             scratch_sq_free: vec![0; n_banks],
             scratch_by_bank: vec![Vec::new(); n_banks],
             scratch_lines: Vec::new(),
-            stats: ArbStats::new(n_banks * line_ports),
         }
     }
 
@@ -143,7 +127,12 @@ impl Lbic {
 
     /// Leading-request selection: one ordered walk, first grantable
     /// reference per bank locks the line.
-    fn arbitrate_leading(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) {
+    fn arbitrate_leading(
+        &mut self,
+        ready: &[MemRequest],
+        granted: &mut Vec<usize>,
+        stats: &mut ArbStats,
+    ) {
         // Per-bank cycle state: the locked line and grants so far.
         for slot in self.scratch_locked.iter_mut() {
             *slot = None;
@@ -154,18 +143,13 @@ impl Lbic {
         for (k, b) in self.banks.iter().enumerate() {
             self.scratch_sq_free[k] = self.sq_capacity - b.store_queue.len().min(self.sq_capacity);
         }
-        let mut conflicts = 0u64;
-        let mut exhausted = 0u64;
-        let mut sq_full = 0u64;
-        let mut combined = 0u64;
-
         for (i, r) in ready.iter().enumerate() {
             let bank = self.mapper.bank_of(r.addr) as usize;
             let line = self.line_of(r.addr);
             match self.scratch_locked[bank] {
                 None => {
                     if r.is_store && self.scratch_sq_free[bank] == 0 {
-                        sq_full += 1;
+                        stats.sq_full_stalls += 1;
                         continue;
                     }
                     self.scratch_locked[bank] = Some(line);
@@ -178,24 +162,22 @@ impl Lbic {
                 }
                 Some(l) if l == line => {
                     if self.scratch_counts[bank] >= self.line_ports {
-                        exhausted += 1;
+                        stats.port_exhaustion += 1;
                         continue;
                     }
                     if r.is_store && self.scratch_sq_free[bank] == 0 {
-                        sq_full += 1;
+                        stats.sq_full_stalls += 1;
                         continue;
                     }
                     self.scratch_counts[bank] += 1;
-                    combined += 1;
+                    stats.combined += 1;
                     if r.is_store {
                         self.scratch_sq_free[bank] -= 1;
                         self.banks[bank].store_queue.push_back(r.addr);
                     }
                     granted.push(i);
                 }
-                Some(_) => {
-                    conflicts += 1;
-                }
+                Some(_) => stats.bank_conflicts += 1,
             }
         }
 
@@ -204,23 +186,16 @@ impl Lbic {
                 self.banks[bank].granted_this_cycle = true;
             }
         }
-        if conflicts > 0 {
-            self.stats.bump("bank_conflicts", conflicts);
-        }
-        if exhausted > 0 {
-            self.stats.bump("port_exhaustion", exhausted);
-        }
-        if sq_full > 0 {
-            self.stats.bump("sq_full_stalls", sq_full);
-        }
-        if combined > 0 {
-            self.stats.bump("combined", combined);
-        }
     }
 
     /// Largest-group selection: per bank, the line with the most ready
     /// references wins (ties broken toward the oldest leading reference).
-    fn arbitrate_largest(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) {
+    fn arbitrate_largest(
+        &mut self,
+        ready: &[MemRequest],
+        granted: &mut Vec<usize>,
+        stats: &mut ArbStats,
+    ) {
         // Bucket request indices by bank.
         for idxs in self.scratch_by_bank.iter_mut() {
             idxs.clear();
@@ -228,9 +203,6 @@ impl Lbic {
         for (i, r) in ready.iter().enumerate() {
             self.scratch_by_bank[self.mapper.bank_of(r.addr) as usize].push(i);
         }
-
-        let mut combined = 0u64;
-        let mut sq_full = 0u64;
 
         for bank in 0..self.banks.len() {
             if self.scratch_by_bank[bank].is_empty() {
@@ -267,19 +239,19 @@ impl Lbic {
                     continue;
                 }
                 if count >= self.line_ports {
-                    self.stats.bump("port_exhaustion", 1);
+                    stats.port_exhaustion += 1;
                     continue;
                 }
                 if ready[i].is_store {
                     if sq_free == 0 {
-                        sq_full += 1;
+                        stats.sq_full_stalls += 1;
                         continue;
                     }
                     sq_free -= 1;
                     self.banks[bank].store_queue.push_back(ready[i].addr);
                 }
                 if count > 0 {
-                    combined += 1;
+                    stats.combined += 1;
                 }
                 count += 1;
                 granted.push(i);
@@ -289,39 +261,32 @@ impl Lbic {
             }
             // `count` is exactly the number of this bank's references
             // granted above, so the rest of the bank lost.
-            let losers = self.scratch_by_bank[bank].len() - count;
-            if losers > 0 {
-                self.stats.bump("bank_conflicts", losers as u64);
-            }
-        }
-
-        if combined > 0 {
-            self.stats.bump("combined", combined);
-        }
-        if sq_full > 0 {
-            self.stats.bump("sq_full_stalls", sq_full);
+            stats.bank_conflicts += (self.scratch_by_bank[bank].len() - count) as u64;
         }
         granted.sort_unstable();
     }
 }
 
 impl PortModel for Lbic {
-    fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) {
+    fn arbitrate_into(
+        &mut self,
+        ready: &[MemRequest],
+        granted: &mut Vec<usize>,
+        stats: &mut ArbStats,
+    ) {
         granted.clear();
         match self.policy {
-            CombinePolicy::LeadingRequest => self.arbitrate_leading(ready, granted),
-            CombinePolicy::LargestGroup => self.arbitrate_largest(ready, granted),
+            CombinePolicy::LeadingRequest => self.arbitrate_leading(ready, granted, stats),
+            CombinePolicy::LargestGroup => self.arbitrate_largest(ready, granted, stats),
         }
-        self.stats.record_round(ready.len(), granted.len());
     }
 
-    fn tick(&mut self) {
+    fn tick(&mut self, stats: &mut ArbStats) {
         // Store queues drain on idle bank cycles (paper §5.2: "the store
         // queue uses idle cycles … to perform stores"). One drain writes
         // one cache line through the bank's single port, so every queued
         // store to that line retires together — the store queue coalesces
         // same-line stores into a single array write.
-        let mut drains = 0u64;
         let line_shift = self.line_shift;
         for bank in &mut self.banks {
             if !bank.granted_this_cycle {
@@ -329,26 +294,11 @@ impl PortModel for Lbic {
                     let line = head >> line_shift;
                     let before = bank.store_queue.len();
                     bank.store_queue.retain(|a| a >> line_shift != line);
-                    drains += 1 + (before - bank.store_queue.len()) as u64;
+                    stats.sq_drains += 1 + (before - bank.store_queue.len()) as u64;
                 }
             }
             bank.granted_this_cycle = false;
         }
-        if drains > 0 {
-            self.stats.bump("sq_drains", drains);
-        }
-    }
-
-    fn peak_per_cycle(&self) -> usize {
-        self.banks.len() * self.line_ports
-    }
-
-    fn label(&self) -> String {
-        format!("LBIC-{}x{}", self.banks.len(), self.line_ports)
-    }
-
-    fn stats(&self) -> &ArbStats {
-        &self.stats
     }
 
     /// LBIC legality (paper §5): within one cycle, every grant in a bank
@@ -356,7 +306,6 @@ impl PortModel for Lbic {
     /// `N = line_ports` grants may share a bank's line buffer, and no
     /// per-bank store queue may exceed its capacity.
     fn audit_round(&self, ready: &[MemRequest], granted: &[usize], out: &mut Vec<Violation>) {
-        audit::check_generic(self.peak_per_cycle(), ready, granted, out);
         let n_banks = self.banks.len();
         let mut leader_line: Vec<Option<u64>> = vec![None; n_banks];
         let mut count: Vec<usize> = vec![0; n_banks];
@@ -405,17 +354,9 @@ impl PortModel for Lbic {
         }
     }
 
-    fn debug_state(&self) -> String {
-        let occ: Vec<usize> = self.banks.iter().map(|b| b.store_queue.len()).collect();
-        format!(
-            "store-queue occupancy per bank: {occ:?} (capacity {})",
-            self.sq_capacity
-        )
-    }
-
     // The per-cycle scratch vectors are rebuilt at the top of every
-    // arbitration round, so only the per-bank store queues, the
-    // granted-this-cycle flags, and the statistics persist.
+    // arbitration round, so only the per-bank store queues and the
+    // granted-this-cycle flags persist.
     fn save_state(&self, w: &mut StateWriter) {
         w.put_usize(self.banks.len());
         for bank in &self.banks {
@@ -425,7 +366,6 @@ impl PortModel for Lbic {
             }
             w.put_bool(bank.granted_this_cycle);
         }
-        self.stats.save_state(w);
     }
 
     fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
@@ -450,7 +390,7 @@ impl PortModel for Lbic {
             }
             bank.granted_this_cycle = r.get_bool()?;
         }
-        self.stats.load_state(r)
+        Ok(())
     }
 }
 
@@ -474,40 +414,42 @@ mod tests {
         // ld(B1,L10,o8), st(B0,L12,o12) — a 2x2 LBIC handles all four in
         // one cycle.
         let mut m = lbic(2, 2);
+        let s = &mut ArbStats::new(16);
         let ready = vec![
             MemRequest::store(0, addr2(0, 12, 0)),
             MemRequest::load(1, addr2(1, 10, 4)),
             MemRequest::load(2, addr2(1, 10, 8)),
             MemRequest::store(3, addr2(0, 12, 12)),
         ];
-        assert_eq!(m.arbitrate(&ready), vec![0, 1, 2, 3]);
-        assert_eq!(m.stats().extra_counter("combined"), 2);
+        assert_eq!(m.arbitrate(&ready, s), vec![0, 1, 2, 3]);
+        assert_eq!(s.combined, 2);
     }
 
     #[test]
     fn same_bank_different_line_conflicts() {
         let mut m = lbic(2, 2);
+        let s = &mut ArbStats::new(16);
         let ready = vec![
             MemRequest::load(0, addr2(0, 1, 0)),
             MemRequest::load(1, addr2(0, 2, 0)), // same bank, different line
         ];
-        assert_eq!(m.arbitrate(&ready), vec![0]);
-        assert_eq!(m.stats().extra_counter("bank_conflicts"), 1);
+        assert_eq!(m.arbitrate(&ready, s), vec![0]);
+        assert_eq!(s.bank_conflicts, 1);
     }
 
     #[test]
     fn line_port_exhaustion_caps_combining() {
         let mut m = lbic(2, 2);
+        let s = &mut ArbStats::new(16);
         let ready: Vec<MemRequest> = (0..4)
             .map(|i| MemRequest::load(i, addr2(0, 5, i * 8)))
             .collect();
-        assert_eq!(m.arbitrate(&ready), vec![0, 1]); // N = 2
-        assert_eq!(m.stats().extra_counter("port_exhaustion"), 2);
+        assert_eq!(m.arbitrate(&ready, s), vec![0, 1]); // N = 2
+        assert_eq!(s.port_exhaustion, 2);
     }
 
     #[test]
     fn peak_is_m_times_n() {
-        assert_eq!(lbic(4, 4).peak_per_cycle(), 16);
         // 4 lines, one per bank, 4 same-line refs each → all 16 grant.
         let mut ready = Vec::new();
         for bank in 0..4u64 {
@@ -519,18 +461,20 @@ mod tests {
             }
         }
         let mut model = Lbic::new(4, 4, 16, 32, CombinePolicy::LeadingRequest);
-        assert_eq!(model.arbitrate(&ready).len(), 16);
+        let s = &mut ArbStats::new(16);
+        assert_eq!(model.arbitrate(&ready, s).len(), 16);
     }
 
     #[test]
     fn full_store_queue_blocks_stores_not_loads() {
         let mut m = Lbic::new(2, 2, 1, 32, CombinePolicy::LeadingRequest);
+        let s = &mut ArbStats::new(16);
         // Fill the single-entry store queue of bank 0.
-        let g = m.arbitrate(&[MemRequest::store(0, addr2(0, 1, 0))]);
+        let g = m.arbitrate(&[MemRequest::store(0, addr2(0, 1, 0))], s);
         assert_eq!(g, vec![0]);
         assert_eq!(m.banks[0].store_queue.len(), 1);
         // Bank 0 was busy this cycle, so no drain happens at tick.
-        m.tick();
+        m.tick(s);
         assert_eq!(m.banks[0].store_queue.len(), 1);
         // Next cycle: another store to bank 0 is blocked; a load to the
         // same line proceeds and becomes the leading request.
@@ -538,42 +482,50 @@ mod tests {
             MemRequest::store(1, addr2(0, 1, 8)),
             MemRequest::load(2, addr2(0, 1, 16)),
         ];
-        assert_eq!(m.arbitrate(&ready), vec![1]);
-        assert_eq!(m.stats().extra_counter("sq_full_stalls"), 1);
+        assert_eq!(m.arbitrate(&ready, s), vec![1]);
+        assert_eq!(s.sq_full_stalls, 1);
     }
 
     #[test]
     fn store_queue_drains_on_idle_cycles() {
         let mut m = Lbic::new(2, 2, 4, 32, CombinePolicy::LeadingRequest);
-        m.arbitrate(&[
-            MemRequest::store(0, addr2(0, 1, 0)),
-            MemRequest::store(1, addr2(0, 1, 8)),
-        ]);
+        let s = &mut ArbStats::new(16);
+        m.arbitrate(
+            &[
+                MemRequest::store(0, addr2(0, 1, 0)),
+                MemRequest::store(1, addr2(0, 1, 8)),
+            ],
+            s,
+        );
         assert_eq!(m.banks[0].store_queue.len(), 2);
-        m.tick(); // bank was busy: no drain
+        m.tick(s); // bank was busy: no drain
         assert_eq!(m.banks[0].store_queue.len(), 2);
-        m.arbitrate(&[]); // idle cycle: both stores share a line, so one
-        m.tick(); // array write retires them together
+        m.arbitrate(&[], s); // idle cycle: both stores share a line, so one
+        m.tick(s); // array write retires them together
         assert_eq!(m.banks[0].store_queue.len(), 0);
-        assert_eq!(m.stats().extra_counter("sq_drains"), 2);
+        assert_eq!(s.sq_drains, 2);
     }
 
     #[test]
     fn store_queue_drain_coalesces_only_same_line() {
         let mut m = Lbic::new(2, 2, 8, 32, CombinePolicy::LeadingRequest);
-        m.arbitrate(&[
-            MemRequest::store(0, addr2(0, 1, 0)),
-            MemRequest::store(1, addr2(0, 1, 8)),
-        ]);
-        m.tick(); // busy, no drain
-        m.arbitrate(&[MemRequest::store(2, addr2(0, 2, 0))]);
-        m.tick(); // busy again
+        let s = &mut ArbStats::new(16);
+        m.arbitrate(
+            &[
+                MemRequest::store(0, addr2(0, 1, 0)),
+                MemRequest::store(1, addr2(0, 1, 8)),
+            ],
+            s,
+        );
+        m.tick(s); // busy, no drain
+        m.arbitrate(&[MemRequest::store(2, addr2(0, 2, 0))], s);
+        m.tick(s); // busy again
         assert_eq!(m.banks[0].store_queue.len(), 3);
-        m.arbitrate(&[]);
-        m.tick(); // drains the two line-1 stores together
+        m.arbitrate(&[], s);
+        m.tick(s); // drains the two line-1 stores together
         assert_eq!(m.banks[0].store_queue.len(), 1);
-        m.arbitrate(&[]);
-        m.tick(); // drains the line-2 store
+        m.arbitrate(&[], s);
+        m.tick(s); // drains the line-2 store
         assert_eq!(m.banks[0].store_queue.len(), 0);
     }
 
@@ -585,7 +537,8 @@ mod tests {
         let ready: Vec<MemRequest> = (0..8)
             .map(|i| MemRequest::load(i, (i * 13 % 32) * 32))
             .collect();
-        assert_eq!(lb.arbitrate(&ready), bk.arbitrate(&ready));
+        let s = &mut ArbStats::new(4);
+        assert_eq!(lb.arbitrate(&ready, s), bk.arbitrate(&ready, s));
     }
 
     #[test]
@@ -600,8 +553,9 @@ mod tests {
         ];
         let mut lead = Lbic::new(2, 4, 8, 32, CombinePolicy::LeadingRequest);
         let mut large = Lbic::new(2, 4, 8, 32, CombinePolicy::LargestGroup);
-        assert_eq!(lead.arbitrate(&ready), vec![0]);
-        assert_eq!(large.arbitrate(&ready), vec![1, 2, 3]);
+        let s = &mut ArbStats::new(8);
+        assert_eq!(lead.arbitrate(&ready, s), vec![0]);
+        assert_eq!(large.arbitrate(&ready, s), vec![1, 2, 3]);
     }
 
     #[test]
@@ -613,25 +567,28 @@ mod tests {
             MemRequest::load(3, addr2(0, 2, 8)),
         ];
         let mut m = Lbic::new(2, 4, 8, 32, CombinePolicy::LargestGroup);
+        let s = &mut ArbStats::new(16);
         // Tie between lines 1 and 2 (2 refs each) — line 1 contains the
         // oldest reference and wins.
-        assert_eq!(m.arbitrate(&ready), vec![0, 2]);
+        assert_eq!(m.arbitrate(&ready, s), vec![0, 2]);
     }
 
-    /// One largest-group round on a 2-bank LBIC: grants, the full
-    /// order-sensitive extra-counter list, and bank 0's store queue.
+    /// One largest-group round on a 2-bank LBIC: grants, the
+    /// (bank conflict, port exhaustion, combined) counters, and bank 0's
+    /// store queue.
     fn assert_largest_round(
         (line_ports, sq): (usize, usize),
         ready: &[MemRequest],
         grants: &[usize],
-        extras: &[(&str, u64)],
+        counters: (u64, u64, u64),
         sq0: usize,
     ) {
         let mut m = Lbic::new(2, line_ports, sq, 32, CombinePolicy::LargestGroup);
-        assert_eq!(m.arbitrate(ready), grants);
-        assert_eq!(m.stats().extra(), extras);
-        assert_eq!(m.stats().offered(), ready.len() as u64);
-        assert_eq!(m.stats().granted(), grants.len() as u64);
+        let s = &mut ArbStats::new(16);
+        assert_eq!(m.arbitrate(ready, s), grants);
+        assert_eq!((s.bank_conflicts, s.port_exhaustion, s.combined), counters);
+        assert_eq!(s.offered(), ready.len() as u64);
+        assert_eq!(s.granted(), grants.len() as u64);
         assert_eq!(
             (m.banks[0].store_queue.len(), m.banks[1].store_queue.len()),
             (sq0, 0)
@@ -646,10 +603,9 @@ mod tests {
         let load = |id, line, off| MemRequest::load(id, addr2(0, line, off));
         let store = |id, line, off| MemRequest::store(id, addr2(0, line, off));
         let skew = [load(0, 1, 0), load(1, 2, 0), load(2, 2, 8), load(3, 2, 16)];
-        let conflicts_combined = |c, k| [("bank_conflicts", c), ("combined", k)];
-        assert_largest_round((4, 8), &skew, &[1, 2, 3], &conflicts_combined(1, 2), 0);
+        assert_largest_round((4, 8), &skew, &[1, 2, 3], (1, 0, 2), 0);
         let tie = [load(0, 1, 0), load(1, 2, 0), load(2, 1, 8), load(3, 2, 8)];
-        assert_largest_round((4, 8), &tie, &[0, 2], &conflicts_combined(2, 1), 0);
+        assert_largest_round((4, 8), &tie, &[0, 2], (2, 0, 1), 0);
         // Line 3 exhausts its two ports after a store and a load; line 6
         // loses the bank.
         let exhaustion = [
@@ -659,12 +615,7 @@ mod tests {
             load(3, 3, 24),
             load(4, 6, 0),
         ];
-        let extras = [
-            ("port_exhaustion", 2),
-            ("bank_conflicts", 3),
-            ("combined", 1),
-        ];
-        assert_largest_round((2, 1), &exhaustion, &[0, 1], &extras, 1);
+        assert_largest_round((2, 1), &exhaustion, &[0, 1], (3, 2, 1), 1);
     }
 
     #[test]
@@ -672,9 +623,10 @@ mod tests {
         // Paper §5.2: "a load followed by a store to the same memory
         // location [can] be accepted in the same cycle."
         let mut m = lbic(2, 2);
+        let s = &mut ArbStats::new(16);
         let a = addr2(0, 3, 8);
         let ready = vec![MemRequest::load(0, a), MemRequest::store(1, a)];
-        assert_eq!(m.arbitrate(&ready), vec![0, 1]);
+        assert_eq!(m.arbitrate(&ready, s), vec![0, 1]);
     }
 
     #[test]
@@ -690,25 +642,25 @@ mod tests {
     }
 
     #[test]
-    fn label_is_mxn() {
-        assert_eq!(lbic(8, 4).label(), "LBIC-8x4");
-    }
-
-    #[test]
     fn state_roundtrip_continues_bit_identically() {
         // Leave bank 0's store queue non-empty mid-drain, snapshot, and
         // check a restored model drains and arbitrates identically.
         let mut m = lbic(2, 2);
-        m.arbitrate(&[
-            MemRequest::store(0, addr2(0, 1, 0)),
-            MemRequest::store(1, addr2(0, 2, 0)),
-        ]);
-        m.tick();
+        let s = &mut ArbStats::new(4);
+        m.arbitrate(
+            &[
+                MemRequest::store(0, addr2(0, 1, 0)),
+                MemRequest::store(1, addr2(0, 2, 0)),
+            ],
+            s,
+        );
+        m.tick(s);
         let mut w = StateWriter::new();
         m.save_state(&mut w);
         let bytes = w.into_bytes();
 
         let mut restored = lbic(2, 2);
+        let rs = &mut s.clone();
         restored.load_state(&mut StateReader::new(&bytes)).unwrap();
         assert_eq!(
             restored.banks[0].store_queue.len(),
@@ -719,18 +671,15 @@ mod tests {
             MemRequest::load(3, addr2(1, 4, 8)),
         ];
         for _ in 0..4 {
-            assert_eq!(restored.arbitrate(&ready), m.arbitrate(&ready));
-            restored.tick();
-            m.tick();
+            assert_eq!(restored.arbitrate(&ready, rs), m.arbitrate(&ready, s));
+            restored.tick(rs);
+            m.tick(s);
             assert_eq!(
                 restored.banks[0].store_queue.len(),
                 m.banks[0].store_queue.len()
             );
         }
-        assert_eq!(
-            restored.stats().extra_counter("sq_drains"),
-            m.stats().extra_counter("sq_drains")
-        );
+        assert_eq!(rs.sq_drains, s.sq_drains);
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   bank access, so an `MxN` LBIC peaks at `M*N` references per cycle.
 //!
 //! All models implement the [`PortModel`] trait and are built from a
-//! serializable [`PortConfig`]. The [`cost`] module provides the
+//! serializable [`PortConfig`], which also names the model and gives its
+//! peak grant rate. A model only decides grants: its driver owns the
+//! [`ArbStats`] the model adds its denial causes to. The [`cost`] module provides the
 //! first-order die-area model behind the paper's cost-effectiveness
 //! argument. The [`audit`] module re-checks each arbitration round
 //! against the models' structural legality rules, and [`FaultInjector`]
@@ -29,15 +31,15 @@
 //! # Examples
 //!
 //! ```
-//! use hbdc_core::{MemRequest, PortConfig, PortModel};
+//! use hbdc_core::{ArbStats, MemRequest, PortConfig, PortModel};
 //!
-//! let mut lbic = PortConfig::Lbic {
+//! let cfg = PortConfig::Lbic {
 //!     banks: 2,
 //!     line_ports: 2,
 //!     store_queue: 8,
 //!     policy: hbdc_core::CombinePolicy::LeadingRequest,
-//! }
-//! .build(32);
+//! };
+//! let (mut lbic, mut stats) = (cfg.build(32), ArbStats::new(cfg.peak()));
 //!
 //! // Four references: two to line 0 of bank 0, two to line 0 of bank 1.
 //! let ready = vec![
@@ -46,8 +48,9 @@
 //!     MemRequest::load(2, 0x20),
 //!     MemRequest::load(3, 0x28),
 //! ];
-//! let granted = lbic.arbitrate(&ready);
+//! let granted = lbic.arbitrate(&ready, &mut stats);
 //! assert_eq!(granted, vec![0, 1, 2, 3]); // all four in one cycle
+//! assert_eq!(stats.combined, 2);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -3,7 +3,7 @@
 use hbdc_mem::{BankMapper, BankSelect};
 use hbdc_snap::{SnapError, StateReader, StateWriter};
 
-use crate::audit::{self, Violation};
+use crate::audit::Violation;
 use crate::banked::BankedPorts;
 use crate::ideal::IdealPorts;
 use crate::lbic::{CombinePolicy, Lbic};
@@ -11,7 +11,8 @@ use crate::replicated::ReplicatedPorts;
 use crate::request::MemRequest;
 use crate::stats::ArbStats;
 
-/// A data-cache port-arbitration model.
+/// A data-cache port-arbitration model: which of a cycle's ready
+/// references the cache structure services.
 ///
 /// The simulator calls [`arbitrate_into`](Self::arbitrate_into) once per
 /// cycle with the ready memory references *in age order* (oldest first)
@@ -22,66 +23,66 @@ use crate::stats::ArbStats;
 /// once at the end of every cycle so models with internal state (the
 /// LBIC's per-bank store queues) can advance.
 ///
+/// A model decides grants and nothing else. The caller owns the
+/// [`ArbStats`]: it records each round's offered and granted counts, and
+/// passes the stats in so the model can add the causes its rules
+/// produce (bank conflicts, combined references, store-queue stalls).
+/// The label, the peak grant rate and the generic legality rules follow
+/// from the [`PortConfig`] the model was built from.
+///
 /// Implementations guarantee:
 /// * returned indices are strictly increasing and within range;
-/// * the number of grants never exceeds [`peak_per_cycle`](Self::peak_per_cycle);
+/// * the number of grants never exceeds [`PortConfig::peak`];
 /// * arbitration is work-conserving under each model's structural rules
 ///   (no request is refused unless a rule forbids granting it).
 pub trait PortModel {
     /// Selects which of the age-ordered `ready` references are serviced
     /// this cycle, writing their indices in increasing order into
-    /// `granted` (cleared first).
-    fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>);
+    /// `granted` (cleared first) and adding this round's denial causes
+    /// to `stats`.
+    fn arbitrate_into(
+        &mut self,
+        ready: &[MemRequest],
+        granted: &mut Vec<usize>,
+        stats: &mut ArbStats,
+    );
 
-    /// Allocating convenience wrapper around
-    /// [`arbitrate_into`](Self::arbitrate_into) for tests and one-shot
-    /// callers.
-    fn arbitrate(&mut self, ready: &[MemRequest]) -> Vec<usize> {
+    /// Allocating wrapper around [`arbitrate_into`](Self::arbitrate_into)
+    /// for tests and one-shot callers: it also records the round in
+    /// `stats`, as the simulator does.
+    fn arbitrate(&mut self, ready: &[MemRequest], stats: &mut ArbStats) -> Vec<usize> {
         let mut granted = Vec::new();
-        self.arbitrate_into(ready, &mut granted);
+        self.arbitrate_into(ready, &mut granted, stats);
+        stats.record_round(ready.len(), granted.len());
         granted
     }
 
     /// Advances internal state by one cycle. Only a model with state that
     /// drains over time (the LBIC's store queues) overrides the empty
     /// default.
-    fn tick(&mut self) {}
+    fn tick(&mut self, stats: &mut ArbStats) {
+        let _ = stats;
+    }
 
-    /// The maximum number of references this model can ever grant in one
-    /// cycle (e.g. `p` for ideal, `M*N` for an `MxN` LBIC).
-    fn peak_per_cycle(&self) -> usize;
-
-    /// A short human-readable label, e.g. `"True-4"` or `"LBIC-4x2"`.
-    fn label(&self) -> String;
-
-    /// Accumulated arbitration statistics.
-    fn stats(&self) -> &ArbStats;
-
-    /// Re-checks one arbitration round against this model's structural
-    /// legality rules, appending any [`Violation`]s to `out`.
+    /// Re-checks one arbitration round against this model's own
+    /// structural rules (one grant per bank, same-line combining bounds,
+    /// store-broadcast exclusivity), appending any [`Violation`]s to
+    /// `out`. The rules every model shares are
+    /// [`check_generic`](crate::audit::check_generic)'s, which the caller runs with
+    /// [`PortConfig::peak`].
     ///
     /// `ready` and `granted` are the exact arguments/results of the
     /// matching [`arbitrate_into`](Self::arbitrate_into) call. The check
     /// is a pure observer — it recomputes legality from `ready` alone and
     /// never perturbs model state — so an audited simulation is
-    /// bit-identical to an unaudited one. The default implementation
-    /// applies only the generic invariants (indices strictly increasing,
-    /// in range, at most [`peak_per_cycle`](Self::peak_per_cycle)
-    /// grants); models override it to add their own rules.
+    /// bit-identical to an unaudited one. The default adds no rule.
     fn audit_round(&self, ready: &[MemRequest], granted: &[usize], out: &mut Vec<Violation>) {
-        audit::check_generic(self.peak_per_cycle(), ready, granted, out);
+        let _ = (ready, granted, out);
     }
 
-    /// One-line snapshot of model-internal state (store-queue occupancy
-    /// and the like) for watchdog diagnostic dumps. Empty by default.
-    fn debug_state(&self) -> String {
-        String::new()
-    }
-
-    /// Serializes every piece of state that affects future arbitration
-    /// decisions or reported statistics (store queues, accumulated
-    /// counters, injection RNG streams). The default writes nothing —
-    /// correct for any stateless model.
+    /// Serializes the state that affects future arbitration decisions
+    /// (the LBIC's store queues). The default writes nothing — correct
+    /// for any stateless model.
     ///
     /// Together with [`load_state`](Self::load_state) this must satisfy:
     /// a model built from the same configuration that loads a saved state
@@ -133,9 +134,10 @@ fn bank_select_from_tag(tag: u8) -> Result<BankSelect, SnapError> {
 /// ```
 /// use hbdc_core::PortConfig;
 ///
-/// let m = PortConfig::banked(8).build(32);
-/// assert_eq!(m.peak_per_cycle(), 8);
-/// assert_eq!(m.label(), "Bank-8");
+/// let cfg = PortConfig::banked(8);
+/// assert_eq!(cfg.peak(), 8);
+/// assert_eq!(cfg.label(), "Bank-8");
+/// let model = cfg.build(32);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortConfig {
@@ -243,6 +245,32 @@ impl PortConfig {
         }
     }
 
+    /// A short human-readable label, e.g. `"True-4"` or `"LBIC-4x2"`.
+    pub fn label(&self) -> String {
+        match *self {
+            PortConfig::Ideal { ports } => format!("True-{ports}"),
+            PortConfig::Replicated { ports } => format!("Repl-{ports}"),
+            PortConfig::Banked { banks, .. } => format!("Bank-{banks}"),
+            PortConfig::Lbic {
+                banks, line_ports, ..
+            } => format!("LBIC-{banks}x{line_ports}"),
+        }
+    }
+
+    /// The most references the model can grant in one cycle: one per
+    /// port (ideal, replicated), one per single-ported bank (banked), or
+    /// `line_ports` per bank (an `MxN` LBIC peaks at `M*N`). It is the
+    /// denominator of bandwidth-per-area figures of merit.
+    pub fn peak(&self) -> usize {
+        match *self {
+            PortConfig::Ideal { ports } | PortConfig::Replicated { ports } => ports,
+            PortConfig::Banked { banks, .. } => banks as usize,
+            PortConfig::Lbic {
+                banks, line_ports, ..
+            } => banks as usize * line_ports,
+        }
+    }
+
     /// A traditional multi-bank configuration with the paper's bit
     /// selection.
     pub fn banked(banks: u32) -> Self {
@@ -344,7 +372,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn build_produces_expected_labels_and_peaks() {
+    fn labels_and_peaks_follow_the_config() {
         let cases: Vec<(PortConfig, &str, usize)> = vec![
             (PortConfig::Ideal { ports: 4 }, "True-4", 4),
             (PortConfig::Replicated { ports: 2 }, "Repl-2", 2),
@@ -352,9 +380,8 @@ mod tests {
             (PortConfig::lbic(4, 2), "LBIC-4x2", 8),
         ];
         for (cfg, label, peak) in cases {
-            let m = cfg.build(32);
-            assert_eq!(m.label(), label);
-            assert_eq!(m.peak_per_cycle(), peak);
+            assert_eq!(cfg.label(), label);
+            assert_eq!(cfg.peak(), peak);
         }
     }
 

@@ -13,31 +13,13 @@
 
 use crate::model::PortConfig;
 
-/// The maximum number of references the configuration can grant in one
-/// cycle: its peak bandwidth in accesses/cycle.
-///
-/// * Ideal and replicated: one grant per port.
-/// * Banked: one grant per (single-ported) bank.
-/// * LBIC: each of the `banks` banks has `line_ports` line ports, and a
-///   combined group occupies one line port — so the hard ceiling is
-///   `banks × line_ports` grants of distinct groups per cycle.
-pub fn peak_ports(cfg: &PortConfig) -> usize {
-    match *cfg {
-        PortConfig::Ideal { ports } => ports,
-        PortConfig::Replicated { ports } => ports,
-        PortConfig::Banked { banks, .. } => banks as usize,
-        PortConfig::Lbic {
-            banks, line_ports, ..
-        } => banks as usize * line_ports,
-    }
-}
-
 /// Whether configuration `a` must perform at least as well as `b` —
 /// cycles(a) ≤ cycles(b) + [`anomaly_allowance`] on every program: true
 /// only for the orderings the paper's model semantics guarantee, i.e. an
-/// ideal cache whose port count covers `b`'s peak bandwidth. An ideal
-/// cache has no placement, banking, or combining constraints, so any
-/// grant schedule `b` can produce is available to `a`.
+/// ideal cache whose port count covers `b`'s [`peak`](PortConfig::peak)
+/// bandwidth. An ideal cache has no placement, banking, or combining
+/// constraints, so any grant schedule `b` can produce is available to
+/// `a`.
 ///
 /// The claim is bounded, not cycle-exact, because the LSQ arbitrates in
 /// *age order*, and greedy age-ordered scheduling is subject to Graham's
@@ -50,7 +32,7 @@ pub fn peak_ports(cfg: &PortConfig) -> usize {
 /// loads and finishes one cycle later). See DESIGN.md §13.
 pub fn must_dominate(a: &PortConfig, b: &PortConfig) -> bool {
     match *a {
-        PortConfig::Ideal { ports } => ports >= peak_ports(b),
+        PortConfig::Ideal { ports } => ports >= b.peak(),
         // Realistic designs constrain each other in incomparable ways
         // (bank placement vs. broadcast serialization vs. combining), so
         // no per-program guarantee is claimed between them.
@@ -94,14 +76,6 @@ pub fn single_port_equivalent(cfg: &PortConfig) -> bool {
 mod tests {
     use super::*;
     use crate::model::PortConfig;
-
-    #[test]
-    fn peak_matches_model_shape() {
-        assert_eq!(peak_ports(&PortConfig::Ideal { ports: 4 }), 4);
-        assert_eq!(peak_ports(&PortConfig::Replicated { ports: 2 }), 2);
-        assert_eq!(peak_ports(&PortConfig::banked(8)), 8);
-        assert_eq!(peak_ports(&PortConfig::lbic(4, 2)), 8);
-    }
 
     #[test]
     fn ideal_dominates_everything_it_covers() {

@@ -1,30 +1,23 @@
-//! Arbitration statistics shared by all port models.
+//! Arbitration statistics: one set per simulation, owned by its driver.
 
 use hbdc_snap::{SnapError, StateReader, StateWriter};
 use hbdc_stats::Histogram;
 
-/// Every model-specific counter name any bundled [`PortModel`] can bump.
-/// Serialized counters are interned against this table on load so the
-/// restored `extra` list holds the same `&'static str`s a live run does.
-const EXTRA_NAMES: [&str; 6] = [
-    "bank_conflicts",
-    "combined",
-    "store_serializations",
-    "port_exhaustion",
-    "sq_full_stalls",
-    "sq_drains",
-];
-
-/// Accounting collected by every [`PortModel`](crate::PortModel).
+/// Accounting of a run's arbitration rounds.
+///
+/// The driver of a [`PortModel`](crate::PortModel) (the simulator, or the
+/// [`arbitrate`](crate::PortModel::arbitrate) wrapper) owns one of these:
+/// it records each round's offered and granted counts, and passes it to
+/// the model, which adds the cause-specific counters its rules produce.
 ///
 /// # Examples
 ///
 /// ```
-/// use hbdc_core::{MemRequest, PortConfig, PortModel};
+/// use hbdc_core::{ArbStats, MemRequest, PortConfig, PortModel};
 ///
-/// let mut m = PortConfig::Ideal { ports: 2 }.build(32);
-/// m.arbitrate(&[MemRequest::load(0, 0), MemRequest::load(1, 8), MemRequest::load(2, 64)]);
-/// let s = m.stats();
+/// let cfg = PortConfig::Ideal { ports: 2 };
+/// let (mut m, mut s) = (cfg.build(32), ArbStats::new(cfg.peak()));
+/// m.arbitrate(&[MemRequest::load(0, 0), MemRequest::load(1, 8), MemRequest::load(2, 64)], &mut s);
 /// assert_eq!(s.offered(), 3);
 /// assert_eq!(s.granted(), 2);
 /// assert_eq!(s.rounds(), 1);
@@ -34,35 +27,46 @@ pub struct ArbStats {
     offered: u64,
     granted: u64,
     grants_per_round: Histogram,
-    extra: Vec<(&'static str, u64)>,
+    /// References denied because an older reference held their bank (or,
+    /// under the LBIC's largest-group policy, any denied reference).
+    pub bank_conflicts: u64,
+    /// LBIC references granted by joining another's line-buffer access.
+    pub combined: u64,
+    /// Replicated-cache rounds a broadcast store took alone.
+    pub store_serializations: u64,
+    /// LBIC same-line references denied because the line buffer's ports
+    /// were all taken.
+    pub port_exhaustion: u64,
+    /// LBIC stores denied because their bank's store queue was full.
+    pub sq_full_stalls: u64,
+    /// LBIC queued stores retired by store-queue drains.
+    pub sq_drains: u64,
 }
 
 impl ArbStats {
-    /// Creates zeroed stats for a model whose peak grant rate is
-    /// `peak_per_cycle` (sizes the grants-per-round histogram).
-    pub fn new(peak_per_cycle: usize) -> Self {
+    /// Creates zeroed stats for a model whose peak grant rate is `peak`
+    /// ([`PortConfig::peak`](crate::PortConfig::peak); it sizes the
+    /// grants-per-round histogram).
+    pub fn new(peak: usize) -> Self {
         Self {
             offered: 0,
             granted: 0,
-            grants_per_round: Histogram::new("grants/round", peak_per_cycle),
-            extra: Vec::new(),
+            grants_per_round: Histogram::new("grants/round", peak),
+            bank_conflicts: 0,
+            combined: 0,
+            store_serializations: 0,
+            port_exhaustion: 0,
+            sq_full_stalls: 0,
+            sq_drains: 0,
         }
     }
 
     /// Records one arbitration round.
-    pub(crate) fn record_round(&mut self, offered: usize, granted: usize) {
+    pub fn record_round(&mut self, offered: usize, granted: usize) {
         self.offered += offered as u64;
         self.granted += granted as u64;
         if offered > 0 {
             self.grants_per_round.record(granted);
-        }
-    }
-
-    /// Bumps a model-specific named counter.
-    pub(crate) fn bump(&mut self, name: &'static str, by: u64) {
-        match self.extra.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v += by,
-            None => self.extra.push((name, by)),
         }
     }
 
@@ -88,31 +92,32 @@ impl ArbStats {
         &self.grants_per_round
     }
 
-    /// Model-specific counters, e.g. `("combined", n)` for the LBIC or
-    /// `("store_serializations", n)` for the replicated cache.
-    pub fn extra(&self) -> &[(&'static str, u64)] {
-        &self.extra
+    fn counters_mut(&mut self) -> [&mut u64; 6] {
+        [
+            &mut self.bank_conflicts,
+            &mut self.combined,
+            &mut self.store_serializations,
+            &mut self.port_exhaustion,
+            &mut self.sq_full_stalls,
+            &mut self.sq_drains,
+        ]
     }
 
-    /// Looks up a model-specific counter by name (0 if absent).
-    pub fn extra_counter(&self, name: &str) -> u64 {
-        self.extra
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
-    /// Serializes all counters and the grants-per-round histogram. Extra
-    /// counter names go in by value and are interned on load.
+    /// Serializes the round totals, the grants-per-round histogram and
+    /// the six cause counters, in field order.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.put_u64(self.offered);
         w.put_u64(self.granted);
         self.grants_per_round.save_state(w);
-        w.put_usize(self.extra.len());
-        for (name, v) in &self.extra {
-            w.put_str(name);
-            w.put_u64(*v);
+        for v in [
+            self.bank_conflicts,
+            self.combined,
+            self.store_serializations,
+            self.port_exhaustion,
+            self.sq_full_stalls,
+            self.sq_drains,
+        ] {
+            w.put_u64(v);
         }
     }
 
@@ -121,25 +126,14 @@ impl ArbStats {
     ///
     /// # Errors
     ///
-    /// [`SnapError::Corrupt`] on an extra-counter name no bundled model
-    /// emits or a histogram range mismatch, or any decode error.
+    /// [`SnapError::Corrupt`] on a histogram range mismatch, or any
+    /// decode error.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapError> {
         self.offered = r.get_u64()?;
         self.granted = r.get_u64()?;
         self.grants_per_round.load_state(r)?;
-        let n = r.get_usize()?;
-        self.extra.clear();
-        for _ in 0..n {
-            let name = r.get_str()?;
-            let value = r.get_u64()?;
-            let interned = EXTRA_NAMES
-                .iter()
-                .copied()
-                .find(|known| *known == name)
-                .ok_or_else(|| {
-                    SnapError::Corrupt(format!("unknown arbitration counter `{name}`"))
-                })?;
-            self.extra.push((interned, value));
+        for v in self.counters_mut() {
+            *v = r.get_u64()?;
         }
         Ok(())
     }
@@ -161,50 +155,23 @@ mod tests {
     }
 
     #[test]
-    fn extra_counters() {
-        let mut s = ArbStats::new(2);
-        s.bump("combined", 3);
-        s.bump("combined", 2);
-        s.bump("sq_full", 1);
-        assert_eq!(s.extra_counter("combined"), 5);
-        assert_eq!(s.extra_counter("sq_full"), 1);
-        assert_eq!(s.extra_counter("missing"), 0);
-        assert_eq!(s.extra().len(), 2);
-    }
-
-    #[test]
-    fn state_roundtrip_interns_extra_names() {
+    fn state_roundtrips_every_counter() {
         let mut s = ArbStats::new(4);
         s.record_round(3, 2);
-        s.bump("bank_conflicts", 5);
-        s.bump("combined", 2);
+        for (v, k) in s.counters_mut().into_iter().zip(1..) {
+            *v = k;
+        }
         let mut w = StateWriter::new();
         s.save_state(&mut w);
         let bytes = w.into_bytes();
 
         let mut restored = ArbStats::new(4);
-        restored.load_state(&mut StateReader::new(&bytes)).unwrap();
-        assert_eq!(restored.offered(), 3);
-        assert_eq!(restored.granted(), 2);
-        assert_eq!(restored.extra_counter("bank_conflicts"), 5);
-        assert_eq!(restored.extra_counter("combined"), 2);
+        let mut r = StateReader::new(&bytes);
+        restored.load_state(&mut r).unwrap();
+        r.expect_end().unwrap();
+        assert_eq!((restored.offered(), restored.granted()), (3, 2));
         assert_eq!(restored.grants_per_round().total(), 1);
-    }
-
-    #[test]
-    fn load_rejects_unknown_extra_counter() {
-        let mut w = StateWriter::new();
-        w.put_u64(0); // offered
-        w.put_u64(0); // granted
-        Histogram::new("grants/round", 2).save_state(&mut w);
-        w.put_usize(1);
-        w.put_str("made_up_counter");
-        w.put_u64(9);
-        let bytes = w.into_bytes();
-        let mut s = ArbStats::new(2);
-        assert!(matches!(
-            s.load_state(&mut StateReader::new(&bytes)),
-            Err(SnapError::Corrupt(_))
-        ));
+        let counters: Vec<u64> = restored.counters_mut().map(|v| *v).to_vec();
+        assert_eq!(counters, [1, 2, 3, 4, 5, 6]);
     }
 }

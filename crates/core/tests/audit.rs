@@ -4,7 +4,10 @@
 
 use proptest::prelude::*;
 
-use hbdc_core::{CombinePolicy, FaultClass, FaultInjector, MemRequest, PortConfig, PortModel};
+use hbdc_core::audit::check_round;
+use hbdc_core::{
+    ArbStats, CombinePolicy, FaultClass, FaultInjector, MemRequest, PortConfig, PortModel,
+};
 
 fn arb_request() -> impl Strategy<Value = MemRequest> {
     (0u64..4096, any::<bool>()).prop_map(|(slot, is_store)| {
@@ -68,17 +71,18 @@ proptest! {
     ) {
         for config in all_configs() {
             let mut model = config.build(32);
+            let mut stats = ArbStats::new(config.peak());
             let mut out = Vec::new();
             for ready in &rounds {
-                let granted = model.arbitrate(ready);
-                model.audit_round(ready, &granted, &mut out);
+                let granted = model.arbitrate(ready, &mut stats);
+                check_round(&config, &*model, ready, &granted, &mut out);
                 prop_assert!(
                     out.is_empty(),
                     "{}: clean round flagged: {:?}",
-                    model.label(),
+                    config.label(),
                     out
                 );
-                model.tick();
+                model.tick(&mut stats);
             }
         }
     }
@@ -93,11 +97,12 @@ proptest! {
     ) {
         for (cfg, class) in all_injectable() {
             let mut inj = FaultInjector::new(cfg, 32, class, seed).unwrap();
+            let mut stats = ArbStats::new(cfg.peak());
             let mut out = Vec::new();
             for ready in &rounds {
-                let granted = inj.arbitrate(ready);
+                let granted = inj.arbitrate(ready, &mut stats);
                 out.clear();
-                inj.audit_round(ready, &granted, &mut out);
+                check_round(&cfg, &inj, ready, &granted, &mut out);
                 if inj.fired_last_round() {
                     prop_assert!(
                         !out.is_empty(),
@@ -109,7 +114,7 @@ proptest! {
                         granted
                     );
                 }
-                inj.tick();
+                inj.tick(&mut stats);
             }
         }
     }
@@ -157,11 +162,12 @@ fn all_four_fault_classes_fire_and_are_caught() {
     ];
     for (cfg, class, rule, ready) in cases {
         let mut inj = FaultInjector::new(cfg, 32, class, 0xC0FFEE).unwrap();
+        let mut stats = ArbStats::new(cfg.peak());
         let mut caught = false;
         for _ in 0..128 {
-            let granted = inj.arbitrate(ready);
+            let granted = inj.arbitrate(ready, &mut stats);
             let mut out = Vec::new();
-            inj.audit_round(ready, &granted, &mut out);
+            check_round(&cfg, &inj, ready, &granted, &mut out);
             if inj.fired_last_round() {
                 assert!(
                     out.iter().any(|v| v.rule == rule),
@@ -170,7 +176,7 @@ fn all_four_fault_classes_fire_and_are_caught() {
                 caught = true;
                 break;
             }
-            inj.tick();
+            inj.tick(&mut stats);
         }
         assert!(caught, "{class:?} never fired on {cfg:?}");
     }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use hbdc_core::{CombinePolicy, MemRequest, PortConfig};
+use hbdc_core::{ArbStats, CombinePolicy, MemRequest, PortConfig, PortModel};
 use hbdc_mem::BankMapper;
 use hbdc_snap::{StateReader, StateWriter};
 
@@ -55,6 +55,31 @@ fn banked_configs() -> Vec<PortConfig> {
     ]
 }
 
+/// The banked and LBIC configurations, each of which records one cause
+/// for every reference it denies. The small store queues make stores
+/// stall on full queues within a few rounds.
+fn denial_counting_configs() -> Vec<PortConfig> {
+    let lbic = |banks, line_ports, store_queue, policy| PortConfig::Lbic {
+        banks,
+        line_ports,
+        store_queue,
+        policy,
+    };
+    let mut configs = banked_configs();
+    for policy in [CombinePolicy::LeadingRequest, CombinePolicy::LargestGroup] {
+        configs.push(lbic(1, 1, 1, policy));
+        configs.push(lbic(2, 2, 2, policy));
+        configs.push(lbic(4, 3, 1, policy));
+        configs.push(lbic(4, 4, 8, policy));
+    }
+    configs
+}
+
+/// A fresh model for `config` with zeroed stats sized for its peak.
+fn fresh(config: PortConfig) -> (Box<dyn PortModel>, ArbStats) {
+    (config.build(32), ArbStats::new(config.peak()))
+}
+
 /// The reference banked round: one age-ordered walk over the ready
 /// slice, granting the first reference to each bank. Returns the grant
 /// indices and the bank-conflict count.
@@ -78,33 +103,33 @@ proptest! {
     #[test]
     fn grants_are_sorted_unique_bounded(rounds in prop::collection::vec(arb_ready(), 1..20)) {
         for config in all_configs() {
-            let mut model = config.build(32);
+            let (mut model, mut stats) = fresh(config);
             for ready in &rounds {
-                let granted = model.arbitrate(ready);
-                model.tick();
-                prop_assert!(granted.len() <= model.peak_per_cycle(), "{}", model.label());
+                let granted = model.arbitrate(ready, &mut stats);
+                model.tick(&mut stats);
+                prop_assert!(granted.len() <= config.peak(), "{}", config.label());
                 prop_assert!(granted.windows(2).all(|w| w[0] < w[1]),
-                    "{}: not strictly increasing", model.label());
+                    "{}: not strictly increasing", config.label());
                 prop_assert!(granted.iter().all(|&i| i < ready.len()),
-                    "{}: index out of range", model.label());
+                    "{}: index out of range", config.label());
             }
         }
     }
 
     #[test]
     fn ideal_grants_exactly_the_oldest_prefix(ready in arb_ready()) {
-        let mut model = PortConfig::Ideal { ports: 5 }.build(32);
-        let granted = model.arbitrate(&ready);
+        let (mut model, mut stats) = fresh(PortConfig::Ideal { ports: 5 });
+        let granted = model.arbitrate(&ready, &mut stats);
         let expect: Vec<usize> = (0..ready.len().min(5)).collect();
         prop_assert_eq!(granted, expect);
     }
 
     #[test]
     fn replicated_stores_are_always_alone(rounds in prop::collection::vec(arb_ready(), 1..10)) {
-        let mut model = PortConfig::Replicated { ports: 4 }.build(32);
+        let (mut model, mut stats) = fresh(PortConfig::Replicated { ports: 4 });
         for ready in &rounds {
-            let granted = model.arbitrate(ready);
-            model.tick();
+            let granted = model.arbitrate(ready, &mut stats);
+            model.tick(&mut stats);
             let has_store = granted.iter().any(|&i| ready[i].is_store);
             if has_store {
                 prop_assert_eq!(granted.len(), 1, "a broadcast store must go alone");
@@ -115,8 +140,8 @@ proptest! {
     #[test]
     fn banked_grants_at_most_one_per_bank(ready in arb_ready()) {
         let mapper = BankMapper::bit_select(4, 32);
-        let mut model = PortConfig::banked(4).build(32);
-        let granted = model.arbitrate(&ready);
+        let (mut model, mut stats) = fresh(PortConfig::banked(4));
+        let granted = model.arbitrate(&ready, &mut stats);
         let mut seen = [false; 4];
         for &i in &granted {
             let bank = mapper.bank_of(ready[i].addr) as usize;
@@ -130,8 +155,8 @@ proptest! {
         // Every non-granted request must conflict with an older grant in
         // its bank (work conservation).
         let mapper = BankMapper::bit_select(4, 32);
-        let mut model = PortConfig::banked(4).build(32);
-        let granted = model.arbitrate(&ready);
+        let (mut model, mut stats) = fresh(PortConfig::banked(4));
+        let granted = model.arbitrate(&ready, &mut stats);
         for (i, r) in ready.iter().enumerate() {
             if granted.contains(&i) {
                 continue;
@@ -148,14 +173,13 @@ proptest! {
     fn lbic_grants_single_line_per_bank(ready in arb_ready()) {
         let mapper = BankMapper::bit_select(4, 32);
         for policy in [CombinePolicy::LeadingRequest, CombinePolicy::LargestGroup] {
-            let mut model = PortConfig::Lbic {
+            let (mut model, mut stats) = fresh(PortConfig::Lbic {
                 banks: 4,
                 line_ports: 3,
                 store_queue: 8,
                 policy,
-            }
-            .build(32);
-            let granted = model.arbitrate(&ready);
+            });
+            let granted = model.arbitrate(&ready, &mut stats);
             let mut per_bank: [Option<u64>; 4] = [None; 4];
             let mut counts = [0usize; 4];
             for &i in &granted {
@@ -177,28 +201,55 @@ proptest! {
         // With an empty store queue, the LBIC's grant set in a single
         // round is always at least as large as traditional banking's: the
         // leading requests coincide, and combining only adds.
-        let mut banked = PortConfig::banked(4).build(32);
-        let mut lbic = PortConfig::lbic(4, 4).build(32);
-        let b = banked.arbitrate(&ready).len();
-        let l = lbic.arbitrate(&ready).len();
+        let (mut banked, mut banked_stats) = fresh(PortConfig::banked(4));
+        let (mut lbic, mut lbic_stats) = fresh(PortConfig::lbic(4, 4));
+        let b = banked.arbitrate(&ready, &mut banked_stats).len();
+        let l = lbic.arbitrate(&ready, &mut lbic_stats).len();
         prop_assert!(l >= b, "LBIC granted {l} < banked {b}");
     }
 
     #[test]
     fn stats_account_every_offer(rounds in prop::collection::vec(arb_ready(), 1..12)) {
         for config in all_configs() {
-            let mut model = config.build(32);
+            let (mut model, mut stats) = fresh(config);
             let mut offered = 0u64;
             let mut granted = 0u64;
             for ready in &rounds {
                 offered += ready.len() as u64;
-                granted += model.arbitrate(ready).len() as u64;
-                model.tick();
+                granted += model.arbitrate(ready, &mut stats).len() as u64;
+                model.tick(&mut stats);
             }
-            prop_assert_eq!(model.stats().offered(), offered);
-            prop_assert_eq!(model.stats().granted(), granted);
+            prop_assert_eq!(stats.offered(), offered);
+            prop_assert_eq!(stats.granted(), granted);
             let busy = rounds.iter().filter(|r| !r.is_empty()).count() as u64;
-            prop_assert_eq!(model.stats().rounds(), busy);
+            prop_assert_eq!(stats.rounds(), busy);
+        }
+    }
+
+    /// Denial accounting: over a multi-round session (store queues
+    /// filling and draining between rounds), every reference a banked or
+    /// LBIC model denies is counted under exactly one cause. Banking and
+    /// the largest-group LBIC count every loser as a bank conflict; the
+    /// leading-request LBIC splits them into bank conflicts, line-port
+    /// exhaustion and full store queues.
+    #[test]
+    fn every_denial_has_exactly_one_recorded_cause(
+        rounds in prop::collection::vec(arb_ready(), 1..16),
+    ) {
+        for config in denial_counting_configs() {
+            let (mut model, mut s) = fresh(config);
+            for ready in &rounds {
+                model.arbitrate(ready, &mut s);
+                model.tick(&mut s);
+            }
+            let denied = s.offered() - s.granted();
+            let causes = match config {
+                PortConfig::Lbic { policy: CombinePolicy::LeadingRequest, .. } => {
+                    s.bank_conflicts + s.port_exhaustion + s.sq_full_stalls
+                }
+                _ => s.bank_conflicts,
+            };
+            prop_assert_eq!(denied, causes, "{:?}: {:?}", config, s);
         }
     }
 
@@ -207,31 +258,35 @@ proptest! {
         rounds in prop::collection::vec(arb_ready(), 1..16),
         snap in 0usize..16,
     ) {
-        // Multi-round sessions, with the model saved and rebuilt from
-        // the snapshot bytes before one round: every round's grants and
-        // the final statistics must match the reference walk.
+        // Multi-round sessions, with the model and its stats saved and
+        // rebuilt from the snapshot bytes before one round: every
+        // round's grants and the final statistics must match the
+        // reference walk.
         let snap = snap % rounds.len();
         for config in banked_configs() {
             let PortConfig::Banked { banks, select } = config else {
                 unreachable!("banked configurations only");
             };
             let mapper = BankMapper::with_select(select, banks, 32);
-            let mut model = config.build(32);
-            let label = model.label();
+            let (mut model, mut stats) = fresh(config);
+            let label = config.label();
             let mut granted = Vec::new();
             let (mut offered, mut granted_total, mut conflicts) = (0u64, 0u64, 0u64);
             for (round, ready) in rounds.iter().enumerate() {
                 if round == snap {
                     let mut w = StateWriter::new();
                     model.save_state(&mut w);
+                    stats.save_state(&mut w);
                     let bytes = w.into_bytes();
-                    model = config.build(32);
-                    model
-                        .load_state(&mut StateReader::new(&bytes))
-                        .expect("snapshot round-trips");
+                    (model, stats) = fresh(config);
+                    let mut r = StateReader::new(&bytes);
+                    model.load_state(&mut r).expect("model state round-trips");
+                    stats.load_state(&mut r).expect("stats round-trip");
+                    r.expect_end().expect("nothing left over");
                 }
                 let (want, round_conflicts) = reference_banked_walk(&mapper, ready);
-                model.arbitrate_into(ready, &mut granted);
+                model.arbitrate_into(ready, &mut granted, &mut stats);
+                stats.record_round(ready.len(), granted.len());
                 prop_assert_eq!(
                     &granted,
                     &want,
@@ -242,18 +297,13 @@ proptest! {
                 offered += ready.len() as u64;
                 granted_total += want.len() as u64;
                 conflicts += round_conflicts;
-                model.tick();
+                model.tick(&mut stats);
             }
-            prop_assert_eq!(model.stats().offered(), offered, "{}", label);
-            prop_assert_eq!(model.stats().granted(), granted_total, "{}", label);
-            prop_assert_eq!(
-                model.stats().extra_counter("bank_conflicts"),
-                conflicts,
-                "{}",
-                label
-            );
+            prop_assert_eq!(stats.offered(), offered, "{}", label);
+            prop_assert_eq!(stats.granted(), granted_total, "{}", label);
+            prop_assert_eq!(stats.bank_conflicts, conflicts, "{}", label);
             let busy = rounds.iter().filter(|r| !r.is_empty()).count() as u64;
-            prop_assert_eq!(model.stats().rounds(), busy, "{}", label);
+            prop_assert_eq!(stats.rounds(), busy, "{}", label);
         }
     }
 }

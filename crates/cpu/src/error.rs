@@ -23,7 +23,7 @@ pub enum SimError {
         committed: u64,
         /// Cycles since the last commit when the watchdog fired.
         stalled_for: u64,
-        /// Diagnostic dump: window census, LSQ state, port-model state.
+        /// Diagnostic dump: window census, LSQ state, arbitration counters.
         dump: String,
     },
     /// The run exceeded the configured hard cap on simulated cycles
@@ -34,7 +34,7 @@ pub enum SimError {
         /// Instructions committed within the budget.
         committed: u64,
         /// Diagnostic dump: cycle/PC progress, window census, LSQ state,
-        /// port-model state.
+        /// arbitration counters.
         dump: String,
     },
     /// The per-cycle invariant auditor found the arbitration or LSQ state

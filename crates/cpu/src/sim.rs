@@ -1,6 +1,7 @@
 //! The cycle-by-cycle pipeline simulator.
 
-use hbdc_core::{PortConfig, PortModel, Violation};
+use hbdc_core::audit::check_round;
+use hbdc_core::{ArbStats, PortConfig, PortModel, Violation};
 use hbdc_isa::Program;
 use hbdc_mem::{Hierarchy, HierarchyConfig};
 use hbdc_snap::clock::thread_cpu_time;
@@ -96,12 +97,18 @@ pub struct Simulator {
     pub(crate) lsq: Lsq,
     pub(crate) fus: FuPools,
     pub(crate) port: Box<dyn PortModel>,
+    // The port configuration `port` was built from, or (with
+    // `with_port_model`) stands in for: it labels the report, sizes the
+    // statistics and bounds the generic audit.
+    pub(crate) port_cfg: PortConfig,
+    // Whether `port` is `port_cfg`'s own model, so a checkpoint can
+    // embed the configuration and `resume` rebuild the same model.
+    pub(crate) resumable: bool,
+    // The run's arbitration statistics: each round's offered and granted
+    // counts are recorded here, and the model adds its denial causes.
+    pub(crate) arb: ArbStats,
     pub(crate) hier: Hierarchy,
     pub(crate) cfg: CpuConfig,
-    // The declarative port configuration this simulator was built from,
-    // when one exists (`with_port_model` bypasses it). Checkpoints embed
-    // it so `resume` can rebuild the same model.
-    pub(crate) port_cfg: Option<PortConfig>,
     pub(crate) now: u64,
     pub(crate) committed: u64,
     pub(crate) loads: u64,
@@ -139,7 +146,7 @@ pub struct Simulator {
 impl std::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
-            .field("port", &self.port.label())
+            .field("port", &self.port_cfg.label())
             .field("cycle", &self.now)
             .field("committed", &self.committed)
             .finish_non_exhaustive()
@@ -194,10 +201,10 @@ impl Simulator {
         hier_cfg: HierarchyConfig,
         port_cfg: PortConfig,
     ) -> Self {
+        let trace = CommittedTrace::capture(program, cfg.warmup_insts, cfg.capture_bound())
+            .expect("capturing the committed stream");
         let port = port_cfg.build(hier_cfg.l1_line);
-        let mut sim = Self::with_port_model(program, cfg, hier_cfg, port);
-        sim.port_cfg = Some(port_cfg);
-        sim
+        Self::build(trace, cfg, hier_cfg, port_cfg, port)
     }
 
     /// Builds a simulator after validating both the machine and the port
@@ -223,14 +230,14 @@ impl Simulator {
             .map_err(|e| SimError::Trace {
                 detail: format!("capturing the committed stream: {e}"),
             })?;
-        let mut sim = Self::build(trace, cfg, hier_cfg, port);
-        sim.port_cfg = Some(port_cfg);
-        Ok(sim)
+        Ok(Self::build(trace, cfg, hier_cfg, port_cfg, port))
     }
 
-    /// Builds a simulator around an explicit port model instance — the
-    /// escape hatch for models [`PortConfig`] cannot express (e.g. a
-    /// `FaultInjector` wrapping one). Its snapshots cannot be resumed:
+    /// Builds a simulator around an explicit port model instance that
+    /// stands in for `port_cfg` — the escape hatch for models
+    /// [`PortConfig`] cannot express (e.g. a `FaultInjector` wrapping
+    /// `port_cfg`'s model). `port_cfg` labels the report, sizes the
+    /// statistics and bounds the audit. Its snapshots cannot be resumed:
     /// they carry no port configuration to rebuild the model from.
     ///
     /// # Panics
@@ -241,11 +248,14 @@ impl Simulator {
         program: &Program,
         cfg: CpuConfig,
         hier_cfg: HierarchyConfig,
+        port_cfg: PortConfig,
         port: Box<dyn PortModel>,
     ) -> Self {
         let trace = CommittedTrace::capture(program, cfg.warmup_insts, cfg.capture_bound())
             .expect("capturing the committed stream");
-        Self::build(trace, cfg, hier_cfg, port)
+        let mut sim = Self::build(trace, cfg, hier_cfg, port_cfg, port);
+        sim.resumable = false;
+        sim
     }
 
     /// Builds a simulator that replays a trace captured elsewhere (e.g.
@@ -295,19 +305,19 @@ impl Simulator {
                 ),
             });
         }
-        let mut sim = Self::build(trace.clone(), cfg, hier_cfg, port);
-        sim.port_cfg = Some(port_cfg);
-        Ok(sim)
+        Ok(Self::build(trace.clone(), cfg, hier_cfg, port_cfg, port))
     }
 
     /// Assembles the simulator around `trace` with its player at record
-    /// 0. The trace may be incomplete only if its cap covers everything
-    /// fetch can consume under `cfg` (see [`CpuConfig::capture_bound`]); fetch
-    /// reaching its end fails the run instead of ending it early.
+    /// 0 and `port`, the model `port_cfg` builds. The trace may be
+    /// incomplete only if its cap covers everything fetch can consume
+    /// under `cfg` (see [`CpuConfig::capture_bound`]); fetch reaching its
+    /// end fails the run instead of ending it early.
     pub(crate) fn build(
         trace: CommittedTrace,
         cfg: CpuConfig,
         hier_cfg: HierarchyConfig,
+        port_cfg: PortConfig,
         port: Box<dyn PortModel>,
     ) -> Self {
         let hier = Hierarchy::new(hier_cfg);
@@ -319,9 +329,11 @@ impl Simulator {
             lsq: Lsq::new(cfg.lsq_size),
             fus: FuPools::new(&cfg),
             port,
+            port_cfg,
+            resumable: true,
+            arb: ArbStats::new(port_cfg.peak()),
             hier,
             cfg,
-            port_cfg: None,
             now: 0,
             committed: 0,
             loads: 0,
@@ -426,11 +438,18 @@ impl Simulator {
 
         // An empty round is still presented so store queues can drain.
         let ready = self.lsq.ready();
-        self.port.arbitrate_into(ready, &mut self.granted_buf);
+        self.port
+            .arbitrate_into(ready, &mut self.granted_buf, &mut self.arb);
+        self.arb.record_round(ready.len(), self.granted_buf.len());
         if self.cfg.audit {
             self.audit_buf.clear();
-            self.port
-                .audit_round(ready, &self.granted_buf, &mut self.audit_buf);
+            check_round(
+                &self.port_cfg,
+                &*self.port,
+                ready,
+                &self.granted_buf,
+                &mut self.audit_buf,
+            );
             self.lsq
                 .audit_round(frontier, ready, &self.forwards_buf, &mut self.audit_buf);
             if !self.audit_buf.is_empty() {
@@ -570,7 +589,7 @@ impl Simulator {
         self.arbitrate_memory()?;
         self.fetch()?;
         self.commit();
-        self.port.tick();
+        self.port.tick(&mut self.arb);
         self.now += 1;
         Ok(())
     }
@@ -599,7 +618,7 @@ impl Simulator {
         lap(4);
         self.commit();
         lap(5);
-        self.port.tick();
+        self.port.tick(&mut self.arb);
         lap(6);
         self.now += 1;
         Ok(())
@@ -619,7 +638,7 @@ impl Simulator {
     ///   instruction committed for
     ///   [`watchdog_cycles`](CpuConfig::watchdog_cycles) consecutive
     ///   cycles. The error carries a diagnostic dump of the window
-    ///   census, LSQ occupancy, and port-model state. Always a model bug,
+    ///   census, LSQ occupancy, and arbitration counters. Always a model bug,
     ///   never a property of the workload.
     /// * [`SimError::CycleLimit`] — the run exceeded
     ///   [`max_cycles`](CpuConfig::max_cycles) without finishing.
@@ -691,8 +710,8 @@ impl Simulator {
     }
 
     /// The diagnostic dump attached to watchdog and cycle-limit failures:
-    /// cycle/PC progress, window census, LSQ occupancy, and
-    /// model-internal port state.
+    /// cycle/PC progress, window census, LSQ occupancy, and the port's
+    /// label and arbitration counters.
     fn progress_dump(&self) -> String {
         let (waiting, ready, issued, done) = self.window.state_census();
         let frontier = self.window.oldest_not_done();
@@ -702,27 +721,34 @@ impl Simulator {
             .window
             .pc_at(frontier)
             .unwrap_or_else(|| self.player.peek_pc());
-        let mut dump = format!(
+        let a = &self.arb;
+        format!(
             "  cycle {}, committed {}, pc {pc}\n  window: {}/{} (waiting {waiting}, \
              ready {ready}, issued {issued}, done {done}); completion frontier seq \
-             {frontier}\n  {}",
+             {frontier}\n  {}\n  port: {}, offered {}, granted {}, rounds {}, \
+             bank conflicts {}, combined {}, store serializations {}, port exhaustion {}, \
+             store-queue full {}, store-queue drains {}",
             self.now,
             self.committed,
             self.window.len(),
             self.cfg.ruu_size,
             self.lsq.dump(),
-        );
-        let port = self.port.debug_state();
-        if !port.is_empty() {
-            dump.push_str("\n  port: ");
-            dump.push_str(&port);
-        }
-        dump
+            self.port_cfg.label(),
+            a.offered(),
+            a.granted(),
+            a.rounds(),
+            a.bank_conflicts,
+            a.combined,
+            a.store_serializations,
+            a.port_exhaustion,
+            a.sq_full_stalls,
+            a.sq_drains,
+        )
     }
 
     /// The report for the cycles simulated so far.
     pub fn report(&self) -> SimReport {
-        let arb = self.port.stats();
+        let arb = &self.arb;
         let cpu_secs = self.cpu.as_secs_f64();
         SimReport {
             committed: self.committed,
@@ -738,15 +764,15 @@ impl Simulator {
             arb_offered: arb.offered(),
             arb_granted: arb.granted(),
             arb_rounds: arb.rounds(),
-            bank_conflicts: arb.extra_counter("bank_conflicts"),
-            combined: arb.extra_counter("combined"),
-            store_serializations: arb.extra_counter("store_serializations"),
+            bank_conflicts: arb.bank_conflicts,
+            combined: arb.combined,
+            store_serializations: arb.store_serializations,
             branches: self.branches,
             mispredicts: self.mispredicts,
-            sq_drains: arb.extra_counter("sq_drains"),
-            sq_full_stalls: arb.extra_counter("sq_full_stalls"),
+            sq_drains: arb.sq_drains,
+            sq_full_stalls: arb.sq_full_stalls,
             grants_per_round: arb.grants_per_round().iter().map(|(_, n)| n).collect(),
-            port_label: self.port.label(),
+            port_label: self.port_cfg.label(),
             skipped_cycles: 0,
             cpu_secs,
             cycles_per_sec: if cpu_secs > 0.0 {
@@ -1129,31 +1155,33 @@ mod front_end_tests {
 #[cfg(test)]
 mod robustness_tests {
     use super::*;
-    use hbdc_core::{ArbStats, FaultClass, FaultInjector, MemRequest};
+    use hbdc_core::{FaultClass, FaultInjector, MemRequest};
     use hbdc_isa::asm::assemble;
 
     /// A port model that never grants anything: memory instructions wedge
     /// forever, which is exactly what the watchdog must catch.
-    struct NoGrant {
-        stats: ArbStats,
-    }
+    struct NoGrant;
 
     impl PortModel for NoGrant {
-        fn arbitrate_into(&mut self, _ready: &[MemRequest], granted: &mut Vec<usize>) {
+        fn arbitrate_into(&mut self, _: &[MemRequest], granted: &mut Vec<usize>, _: &mut ArbStats) {
             granted.clear();
         }
-        fn peak_per_cycle(&self) -> usize {
-            1
-        }
-        fn label(&self) -> String {
-            "NoGrant".into()
-        }
-        fn stats(&self) -> &ArbStats {
-            &self.stats
-        }
-        fn debug_state(&self) -> String {
-            "refuses every request".into()
-        }
+    }
+
+    /// A simulator whose single-ported cache refuses every request.
+    fn wedged(program: &Program, watchdog_cycles: u64) -> Simulator {
+        let cfg = CpuConfig {
+            watchdog_cycles,
+            ..CpuConfig::default()
+        };
+        let port = PortConfig::Ideal { ports: 1 };
+        Simulator::with_port_model(
+            program,
+            cfg,
+            HierarchyConfig::default(),
+            port,
+            Box::new(NoGrant),
+        )
     }
 
     const ONE_LOAD: &str = ".data\nv: .space 8\n.text\nmain:\n la r8, v\n lw r1, 0(r8)\n halt\n";
@@ -1161,19 +1189,7 @@ mod robustness_tests {
     #[test]
     fn watchdog_catches_deadlock_with_diagnostic_dump() {
         let p = assemble(ONE_LOAD).unwrap();
-        let err = Simulator::with_port_model(
-            &p,
-            CpuConfig {
-                watchdog_cycles: 500,
-                ..CpuConfig::default()
-            },
-            HierarchyConfig::default(),
-            Box::new(NoGrant {
-                stats: ArbStats::new(1),
-            }),
-        )
-        .run()
-        .unwrap_err();
+        let err = wedged(&p, 500).run().unwrap_err();
         match err {
             SimError::Deadlock {
                 stalled_for, dump, ..
@@ -1181,7 +1197,10 @@ mod robustness_tests {
                 assert!(stalled_for >= 500);
                 assert!(dump.contains("window:"), "{dump}");
                 assert!(dump.contains("LSQ"), "{dump}");
-                assert!(dump.contains("refuses every request"), "{dump}");
+                // The stand-in is labelled by its configuration, and its
+                // counters show the one load offered every round.
+                assert!(dump.contains("port: True-1, offered "), "{dump}");
+                assert!(dump.contains(", granted 0, "), "{dump}");
             }
             other => panic!("expected Deadlock, got {other:?}"),
         }
@@ -1228,7 +1247,7 @@ mod robustness_tests {
         let p = assemble("main: j main\n").unwrap();
         let trace = CommittedTrace::capture(&p, 0, Some(100)).unwrap();
         assert!(!trace.is_complete());
-        let port = PortConfig::Ideal { ports: 1 }.build(HierarchyConfig::default().l1_line);
+        let port_cfg = PortConfig::Ideal { ports: 1 };
         let err = Simulator::build(
             trace,
             CpuConfig {
@@ -1236,7 +1255,8 @@ mod robustness_tests {
                 ..CpuConfig::default()
             },
             HierarchyConfig::default(),
-            port,
+            port_cfg,
+            port_cfg.build(HierarchyConfig::default().l1_line),
         )
         .run()
         .unwrap_err();
@@ -1252,19 +1272,7 @@ mod robustness_tests {
         // pin its structure — section order, prefixes, populated numeric
         // fields — so it cannot silently rot.
         let p = assemble(ONE_LOAD).unwrap();
-        let err = Simulator::with_port_model(
-            &p,
-            CpuConfig {
-                watchdog_cycles: 300,
-                ..CpuConfig::default()
-            },
-            HierarchyConfig::default(),
-            Box::new(NoGrant {
-                stats: ArbStats::new(1),
-            }),
-        )
-        .run()
-        .unwrap_err();
+        let err = wedged(&p, 300).run().unwrap_err();
         let SimError::Deadlock { dump, .. } = &err else {
             panic!("expected Deadlock, got {err:?}");
         };
@@ -1298,9 +1306,10 @@ mod robustness_tests {
         assert!(lsq.starts_with("LSQ "), "{dump}");
         assert!(lsq.contains('/') && lsq.contains("head seq"), "{dump}");
 
-        // Line 4: the port model's own state section.
+        // Line 4: the port's label and arbitration counters.
         let port = lines[3].trim_start();
-        assert!(port.starts_with("port: "), "{dump}");
+        assert!(port.starts_with("port: True-1, offered "), "{dump}");
+        assert!(port.ends_with(", store-queue drains 0"), "{dump}");
 
         // The rendered error carries the headline and the full dump.
         let shown = err.to_string();
@@ -1347,8 +1356,8 @@ mod robustness_tests {
     #[test]
     fn injected_faults_fail_audited_runs() {
         let p = assemble(STRIDED_LOADS).unwrap();
-        let inj =
-            FaultInjector::new(PortConfig::banked(2), 32, FaultClass::BankDoubleGrant, 99).unwrap();
+        let port = PortConfig::banked(2);
+        let inj = FaultInjector::new(port, 32, FaultClass::BankDoubleGrant, 99).unwrap();
         let err = Simulator::with_port_model(
             &p,
             CpuConfig {
@@ -1356,6 +1365,7 @@ mod robustness_tests {
                 ..CpuConfig::default()
             },
             HierarchyConfig::default(),
+            port,
             Box::new(inj),
         )
         .run()
@@ -1377,8 +1387,8 @@ mod robustness_tests {
         // demonstrating exactly the silent-corruption mode the auditor
         // exists to catch.
         let p = assemble(STRIDED_LOADS).unwrap();
-        let inj =
-            FaultInjector::new(PortConfig::banked(2), 32, FaultClass::BankDoubleGrant, 99).unwrap();
+        let port = PortConfig::banked(2);
+        let inj = FaultInjector::new(port, 32, FaultClass::BankDoubleGrant, 99).unwrap();
         let r = Simulator::with_port_model(
             &p,
             CpuConfig {
@@ -1386,6 +1396,7 @@ mod robustness_tests {
                 ..CpuConfig::default()
             },
             HierarchyConfig::default(),
+            port,
             Box::new(inj),
         )
         .run()
@@ -1400,24 +1411,20 @@ mod robustness_tests {
     }
 
     impl PortModel for CountGrants {
-        fn arbitrate_into(&mut self, ready: &[MemRequest], granted: &mut Vec<usize>) {
-            self.inner.arbitrate_into(ready, granted);
+        fn arbitrate_into(
+            &mut self,
+            ready: &[MemRequest],
+            granted: &mut Vec<usize>,
+            stats: &mut ArbStats,
+        ) {
+            self.inner.arbitrate_into(ready, granted, stats);
             let (n, fired) = self.grants.get();
             let fired_now = u64::from(self.inner.fired_last_round());
             self.grants
                 .set((n + granted.len() as u64, fired + fired_now));
         }
-        fn tick(&mut self) {
-            self.inner.tick();
-        }
-        fn peak_per_cycle(&self) -> usize {
-            self.inner.peak_per_cycle()
-        }
-        fn label(&self) -> String {
-            self.inner.label()
-        }
-        fn stats(&self) -> &ArbStats {
-            self.inner.stats()
+        fn tick(&mut self, stats: &mut ArbStats) {
+            self.inner.tick(stats);
         }
     }
 
@@ -1468,7 +1475,7 @@ mod robustness_tests {
                 audit: false,
                 ..CpuConfig::default()
             };
-            let r = Simulator::with_port_model(&p, cpu, hier, Box::new(model))
+            let r = Simulator::with_port_model(&p, cpu, hier, port, Box::new(model))
                 .run()
                 .unwrap();
             let (n, fired) = grants.get();

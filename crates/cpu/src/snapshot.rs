@@ -7,8 +7,8 @@
 //! configurations, the window and LSQ with their full dependence
 //! bookkeeping, pending completion events, functional-unit busy
 //! horizons, cache hierarchy contents (tags, LRU, MSHRs, statistics),
-//! branch-predictor tables, and the port model's internal state (bank
-//! store queues, arbitration counters, fault-injector RNG). Resuming
+//! branch-predictor tables, the port model's internal state (the LBIC's
+//! bank store queues) and the simulator's arbitration counters. Resuming
 //! from a snapshot taken at cycle *K* and running to completion produces
 //! exactly the same [`SimReport`](crate::SimReport) as an uninterrupted
 //! run.
@@ -47,8 +47,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HBSN";
 /// program fingerprint) are [`hbdc_snap::hash64`] (XXH64) instead of
 /// FNV-1a, with the payload layout unchanged; 7 — dropped the five
 /// per-cycle pipeline histograms, the port model's ticked-cycle count
-/// and the hierarchy's memory-writeback count, which no report read.
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// and the hierarchy's memory-writeback count, which no report read;
+/// 8 — the arbitration counters are the simulator's, written once after
+/// the port model's own state as six fixed `u64`s in place of the
+/// model's name/value list.
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// A sealed, self-contained simulator checkpoint.
 ///
@@ -142,12 +145,9 @@ impl Simulator {
         // Identity: the sealed trace (which embeds the program) and the
         // configurations, so the snapshot is self-contained.
         w.put_bytes(self.trace.as_bytes());
-        match self.port_cfg {
-            Some(cfg) => {
-                w.put_bool(true);
-                cfg.save_state(&mut w);
-            }
-            None => w.put_bool(false),
+        w.put_bool(self.resumable);
+        if self.resumable {
+            self.port_cfg.save_state(&mut w);
         }
         self.cfg.save_state(&mut w);
         self.hier.config().save_state(&mut w);
@@ -178,6 +178,7 @@ impl Simulator {
             None => w.put_bool(false),
         }
         self.port.save_state(&mut w);
+        self.arb.save_state(&mut w);
         SimSnapshot {
             bytes: w.into_sealed(),
         }
@@ -199,23 +200,20 @@ impl Simulator {
         let payload = open(&snapshot.bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
         let mut r = StateReader::new(payload);
         let trace = CommittedTrace::from_bytes(r.get_bytes()?)?;
-        let port_cfg = if r.get_bool()? {
-            Some(PortConfig::load_state(&mut r)?)
-        } else {
-            None
-        };
-        let cfg = CpuConfig::load_state(&mut r)?;
-        let hier_cfg = HierarchyConfig::load_state(&mut r)?;
-        let port = port_cfg
-            .ok_or_else(|| SimError::Snapshot {
+        if !r.get_bool()? {
+            return Err(SimError::Snapshot {
                 detail: "snapshot carries no port configuration (the simulator was \
                          built with an explicit port model), so it cannot be resumed"
                     .into(),
-            })?
+            });
+        }
+        let port_cfg = PortConfig::load_state(&mut r)?;
+        let cfg = CpuConfig::load_state(&mut r)?;
+        let hier_cfg = HierarchyConfig::load_state(&mut r)?;
+        let port = port_cfg
             .try_build(hier_cfg.l1_line)
             .map_err(|detail| SimError::Config { detail })?;
-        let mut sim = Self::build(trace, cfg, hier_cfg, port);
-        sim.port_cfg = port_cfg;
+        let mut sim = Self::build(trace, cfg, hier_cfg, port_cfg, port);
         sim.now = r.get_u64()?;
         sim.committed = r.get_u64()?;
         sim.loads = r.get_u64()?;
@@ -252,6 +250,7 @@ impl Simulator {
             }
         }
         sim.port.load_state(&mut r)?;
+        sim.arb.load_state(&mut r)?;
         r.expect_end()?;
         Ok(sim)
     }
@@ -441,6 +440,7 @@ mod tests {
             &p,
             CpuConfig::default(),
             HierarchyConfig::default(),
+            PortConfig::Ideal { ports: 2 },
             Box::new(IdealPorts::new(2)),
         );
         sim.run_for(30).unwrap();

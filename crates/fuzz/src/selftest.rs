@@ -43,10 +43,11 @@ fn injected_run_trips_auditor(program: &Program, fault_seed: u64) -> bool {
         audit: true,
         ..fuzz_cfg()
     };
-    let Ok(injector) = FaultInjector::auto(PortConfig::banked(4), hier.l1_line, fault_seed) else {
+    let port = PortConfig::banked(4);
+    let Ok(injector) = FaultInjector::auto(port, hier.l1_line, fault_seed) else {
         return false;
     };
-    let mut sim = Simulator::with_port_model(program, cfg, hier, Box::new(injector));
+    let mut sim = Simulator::with_port_model(program, cfg, hier, port, Box::new(injector));
     matches!(sim.run(), Err(SimError::Invariant { .. }))
 }
 

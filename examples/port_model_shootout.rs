@@ -8,17 +8,18 @@
 //!
 //! Run with: `cargo run --release --example port_model_shootout`
 
-use hbdc::core::{MemRequest, PortModel};
+use hbdc::core::{ArbStats, MemRequest};
 use hbdc::prelude::*;
 
-/// Replays `pattern` through `model`, counting the cycles needed to grant
-/// every reference.
-fn cycles_to_drain(model: &mut dyn PortModel, pattern: &[MemRequest]) -> u32 {
+/// Replays `pattern` through `config`'s model, counting the cycles needed
+/// to grant every reference.
+fn cycles_to_drain(config: PortConfig, pattern: &[MemRequest]) -> u32 {
+    let (mut model, mut stats) = (config.build(32), ArbStats::new(config.peak()));
     let mut pending: Vec<MemRequest> = pattern.to_vec();
     let mut cycles = 0;
     while !pending.is_empty() {
-        let granted = model.arbitrate(&pending);
-        model.tick();
+        let granted = model.arbitrate(&pending, &mut stats);
+        model.tick(&mut stats);
         cycles += 1;
         // Remove granted (indices are increasing).
         for &i in granted.iter().rev() {
@@ -45,9 +46,8 @@ fn main() {
         PortConfig::Replicated { ports: 2 },
         PortConfig::lbic(2, 2),
     ] {
-        let mut model = config.build(32);
-        let cycles = cycles_to_drain(model.as_mut(), &pattern);
-        println!("  {:8} takes {cycles} cycle(s)", model.label());
+        let cycles = cycles_to_drain(config, &pattern);
+        println!("  {:8} takes {cycles} cycle(s)", config.label());
     }
     println!("  (paper: 2-bank = 2, replicated = 3, 2x2 LBIC = 1)\n");
 

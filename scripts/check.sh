@@ -20,7 +20,7 @@ echo "== cargo test"
 cargo test --workspace -q
 
 echo "== cargo test --features audit (invariant auditor on)"
-cargo test -p hbdc-cpu -p hbdc-bench --features audit -q
+cargo test -p hbdc-cpu -p hbdc-bench -p hbdc-fuzz --features audit -q
 
 echo "== perfbench's own tests (stable API + expected.txt checks)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml

@@ -107,6 +107,23 @@ const MACHINE_FLAGS: [&str; 8] = [
     "--every",
 ];
 
+/// The port and machine shape `run` and `trace replay` share: `--port`
+/// (default `lbic:4x2`), `--ruu`, `--lsq`, `--ls-units`, `--max-insts`,
+/// `--max-cycles` and `--audit`, over [`CpuConfig::default`].
+fn machine_from_args(args: &[String]) -> Result<(PortConfig, CpuConfig), String> {
+    let port = parse_port(&flag_value(args, "--port").unwrap_or_else(|| "lbic:4x2".into()))?;
+    let cfg = CpuConfig {
+        ruu_size: parse_num(args, "--ruu", 1024)? as usize,
+        lsq_size: parse_num(args, "--lsq", 512)? as usize,
+        ls_units: parse_num(args, "--ls-units", 64)? as u32,
+        max_insts: parse_num(args, "--max-insts", u64::MAX)?,
+        max_cycles: parse_num(args, "--max-cycles", u64::MAX)?,
+        audit: args.iter().any(|a| a == "--audit") || CpuConfig::default().audit,
+        ..CpuConfig::default()
+    };
+    Ok((port, cfg))
+}
+
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let target = args.first().ok_or("missing program argument")?;
     reject_unknown_flags(
@@ -115,7 +132,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         &["--audit"],
     );
     let program = load_program(target, args)?;
-    let port = parse_port(&flag_value(args, "--port").unwrap_or_else(|| "lbic:4x2".into()))?;
+    let (port, machine) = machine_from_args(args)?;
     let front_end = match flag_value(args, "--frontend").as_deref() {
         None | Some("perfect") => hbdc::cpu::FrontEnd::Perfect,
         Some("gshare") => hbdc::cpu::FrontEnd::Predicted {
@@ -139,18 +156,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         ),
     };
     let cfg = CpuConfig {
-        ruu_size: parse_num(args, "--ruu", 1024)? as usize,
-        lsq_size: parse_num(args, "--lsq", 512)? as usize,
-        ls_units: parse_num(args, "--ls-units", 64)? as u32,
-        max_insts: parse_num(args, "--max-insts", u64::MAX)?,
-        max_cycles: parse_num(args, "--max-cycles", u64::MAX)?,
         // --inject without --audit would corrupt arbitration silently, so
         // injection forces the auditor on.
-        audit: args.iter().any(|a| a == "--audit")
-            || inject_seed.is_some()
-            || CpuConfig::default().audit,
+        audit: machine.audit || inject_seed.is_some(),
         front_end,
-        ..CpuConfig::default()
+        ..machine
     };
     let checkpoint = checkpoint_from_args(args)?;
     if checkpoint.is_some() && inject_seed.is_some() {
@@ -164,7 +174,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut sim = match inject_seed {
         Some(seed) => {
             let injector = FaultInjector::auto(port, hier_cfg.l1_line, seed)?;
-            Simulator::with_port_model(&program, cfg, hier_cfg, Box::new(injector))
+            Simulator::with_port_model(&program, cfg, hier_cfg, port, Box::new(injector))
         }
         None => Simulator::try_new(&program, cfg, hier_cfg, port).map_err(|e| e.to_string())?,
     };
@@ -298,17 +308,11 @@ fn cmd_trace_replay(args: &[String]) -> Result<(), String> {
     reject_unknown_flags(&args[1..], &MACHINE_FLAGS, &["--audit"]);
     let trace =
         hbdc::cpu::CommittedTrace::read_from_path(Path::new(target)).map_err(|e| e.to_string())?;
-    let port = parse_port(&flag_value(args, "--port").unwrap_or_else(|| "lbic:4x2".into()))?;
+    let (port, machine) = machine_from_args(args)?;
     let cfg = CpuConfig {
-        ruu_size: parse_num(args, "--ruu", 1024)? as usize,
-        lsq_size: parse_num(args, "--lsq", 512)? as usize,
-        ls_units: parse_num(args, "--ls-units", 64)? as u32,
-        max_insts: parse_num(args, "--max-insts", u64::MAX)?,
-        max_cycles: parse_num(args, "--max-cycles", u64::MAX)?,
-        audit: args.iter().any(|a| a == "--audit") || CpuConfig::default().audit,
         // Replay must start at the trace's own measurement point.
         warmup_insts: trace.warmup_insts(),
-        ..CpuConfig::default()
+        ..machine
     };
     let checkpoint = checkpoint_from_args(args)?;
     let hier_cfg = HierarchyConfig::default();

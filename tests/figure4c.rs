@@ -7,7 +7,7 @@
 //! LBIC, however, will be able to handle all four requests in a single
 //! cycle."
 
-use hbdc::core::MemRequest;
+use hbdc::core::{ArbStats, MemRequest};
 use hbdc::prelude::*;
 
 /// st(B0,L12), ld(B1,L11), ld(B1,L11), st(B0,L12) under 2 banks with
@@ -22,17 +22,17 @@ fn figure4c_pattern() -> Vec<MemRequest> {
 }
 
 fn cycles_to_drain(config: PortConfig) -> u32 {
-    let mut model = config.build(32);
+    let (mut model, mut stats) = (config.build(32), ArbStats::new(config.peak()));
     let mut pending = figure4c_pattern();
     let mut cycles = 0;
     while !pending.is_empty() {
-        let granted = model.arbitrate(&pending);
-        model.tick();
+        let granted = model.arbitrate(&pending, &mut stats);
+        model.tick(&mut stats);
         cycles += 1;
         for &i in granted.iter().rev() {
             pending.remove(i);
         }
-        assert!(cycles < 10, "pattern never drains under {}", model.label());
+        assert!(cycles < 10, "pattern never drains under {}", config.label());
     }
     cycles
 }
