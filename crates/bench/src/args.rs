@@ -1,17 +1,15 @@
-//! Command-line parsing shared by every experiment binary.
+//! Command-line parsing of the campaign flags.
 //!
-//! All flag handling funnels through one argv scanner
-//! (`flag_value`/`flag_present`) so the binaries cannot drift apart
-//! in how they locate flags, and each flag's validation (and its exact
-//! error message) lives in exactly one place. The helpers are
-//! re-exported from [`crate::runner`], which is where the binaries
-//! import them.
+//! All flag handling funnels through one argv scanner (`flag_value`), and
+//! each flag's validation (and its exact error message) lives in exactly
+//! one place. The helpers are re-exported from [`crate::runner`], which
+//! is where `hbdc-sim` imports them.
 
 use std::path::PathBuf;
 
 use hbdc_workloads::{Benchmark, Scale};
 
-/// The flags every matrix binary reads from `argv` (each takes a value):
+/// The flags every campaign reads from `argv` (each takes a value):
 /// `--scale`, `--bench`, `--threads`, `--journal` and `--resume`.
 pub const MATRIX_FLAGS: [&str; 5] = ["--scale", "--bench", "--threads", "--journal", "--resume"];
 
@@ -22,11 +20,6 @@ fn flag_value(flag: &str) -> Option<Option<String>> {
     let args: Vec<String> = std::env::args().collect();
     let i = args.iter().position(|a| a == flag)?;
     Some(args.get(i + 1).cloned())
-}
-
-/// Whether a bare `flag` appears on the command line.
-fn flag_present(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
 }
 
 /// Usage error (exit 2) naming the first of `args` that is neither one of
@@ -115,14 +108,7 @@ pub fn scale_label(scale: Scale) -> &'static str {
 /// Reads the scale from `argv` (`--scale <value>`), defaulting to `full`.
 /// Prints a usage message and exits with status 2 on an invalid value.
 pub fn scale_from_args() -> Scale {
-    scale_from_args_or(Scale::Full)
-}
-
-/// Reads the scale from `argv` (`--scale <value>`), with an explicit
-/// default for binaries whose natural scale is not `full`. Prints a
-/// usage message and exits with status 2 on an invalid value.
-pub fn scale_from_args_or(default: Scale) -> Scale {
-    flag_value("--scale").map_or(default, |v| {
+    flag_value("--scale").map_or(Scale::Full, |v| {
         parse_scale(v.as_deref().unwrap_or(""))
             .unwrap_or_else(|e| usage_bail(&format!("--scale: {e}")))
     })
@@ -134,23 +120,6 @@ pub fn scale_from_args_or(default: Scale) -> Scale {
 /// non-numeric or zero value.
 pub fn threads_from_args() -> Option<usize> {
     positive_flag("--threads", "a positive integer")
-}
-
-/// Reads a repetition count from `argv` (`--runs <N>`), defaulting to 1.
-/// Measurement binaries repeat their matrix N times and report medians,
-/// so one noisy run (a container neighbor, a page-cache miss) cannot
-/// skew a tracked number. Prints a usage message and exits with status 2
-/// on a non-numeric or zero value, and on N > 1 with a journal (every
-/// repetition after the first would be served from the journal, untimed).
-pub fn runs_from_args() -> usize {
-    let runs = positive_flag("--runs", "a positive integer").unwrap_or(1);
-    if runs > 1 && (flag_present("--journal") || flag_present("--resume")) {
-        usage_bail(
-            "--runs N > 1 cannot take --journal/--resume: every repetition after the \
-             first would be served from the journal instead of timed",
-        );
-    }
-    runs
 }
 
 /// Which benchmarks to run: all, or a `--bench <name>` subset.

@@ -50,7 +50,7 @@ impl Artifact {
 }
 
 /// Every artifact, in the order `campaign all` prints them.
-pub const ARTIFACTS: [Artifact; 11] = [
+pub const ARTIFACTS: [Artifact; 12] = [
     Artifact::new("table2", Vec::new, table2),
     Artifact::new("figure3", Vec::new, figure3),
     Artifact::new("table3", table3_columns, table3),
@@ -70,6 +70,7 @@ pub const ARTIFACTS: [Artifact; 11] = [
         frontend_sensitivity,
     ),
     Artifact::new("lbic_anatomy", anatomy_columns, lbic_anatomy),
+    Artifact::new("work_profile", table3_columns, work_profile),
 ];
 
 /// The artifact called `name`, if there is one.
@@ -737,6 +738,52 @@ fn lbic_anatomy(res: &Results) -> String {
     format!("\nLBIC-4x4 anatomy: combining share, residual conflicts, store queues\n\n{table}\n")
 }
 
+// ---------------------------------------------------------------------
+// Work profile
+// ---------------------------------------------------------------------
+
+/// One work-profile row: the three counts, or `--` for a missing report.
+fn work_row(program: &str, config: &str, counts: Option<[u64; 3]>) -> Vec<String> {
+    let cells = match counts {
+        Some(c) => c.map(|n| n.to_string()),
+        None => ["--"; 3].map(String::from),
+    };
+    row(program, std::iter::once(config.to_string()).chain(cells))
+}
+
+/// **Work profile**: what each Table 3 cell made the simulator do — its
+/// simulated cycles, the arbitration rounds its port model ran and the
+/// references offered to them — with per-benchmark totals. These are
+/// statistics of the simulated machine, which host timing cannot move,
+/// so the reproduction diff pins the simulator's work cell by cell even
+/// where every IPC rounds the same. A total over a failed cell is `--`.
+fn work_profile(res: &Results) -> String {
+    let cols = table3_columns();
+    let mut table = numeric_table(["Program", "Config", "Cycles", "Arb rounds", "Arb offered"]);
+    let sum = |a: [u64; 3], b: [u64; 3]| [a[0] + b[0], a[1] + b[1], a[2] + b[2]];
+    let mut all = Some([0; 3]);
+    for (b, bench) in res.benches.iter().enumerate() {
+        if b > 0 {
+            table.rule();
+        }
+        let mut total = Some([0; 3]);
+        for (col, r) in cols.iter().zip(res.row(b, &cols)) {
+            let counts = r.map(|r| [r.cycles, r.arb_rounds, r.arb_offered]);
+            total = total.zip(counts).map(|(t, c)| sum(t, c));
+            table.row(work_row(bench.name(), &col.0, counts));
+        }
+        table.row(work_row(bench.name(), "total", total));
+        all = all.zip(total).map(|(a, t)| sum(a, t));
+    }
+    if res.benches.len() > 1 {
+        table.rule();
+        table.row(work_row("all", "total", all));
+    }
+    format!(
+        "\nWork profile: simulated cycles and arbitration work of the Table 3 cells\n\n{table}\n"
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -753,10 +800,11 @@ mod tests {
     fn the_paper_matrix_has_36_distinct_columns() {
         // Table 3 (13) + Table 4 (6) + bank mappers (2) + LSQ and SQ
         // depths (6) + word interleaving (1) + largest-group (2) +
-        // predicted front ends (6); every other cell is one of these.
+        // predicted front ends (6); every other cell is one of these
+        // (the work profile reads Table 3's 13 again).
         let all: Vec<&Artifact> = ARTIFACTS.iter().collect();
         assert_eq!(union_columns(&all).len(), 36);
         let cells: usize = ARTIFACTS.iter().map(|a| (a.columns)().len()).sum();
-        assert_eq!(cells, 58, "columns the artifacts list in total");
+        assert_eq!(cells, 71, "columns the artifacts list in total");
     }
 }

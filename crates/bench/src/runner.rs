@@ -22,11 +22,11 @@ use crate::journal;
 pub type Column = (String, CpuConfig, PortConfig);
 
 // CLI parsing lives in [`crate::args`] (one shared argv scanner);
-// re-exported here because the binaries import it from the runner.
+// re-exported here because `hbdc-sim` imports it from the runner.
 pub(crate) use crate::args::usage_bail;
 pub use crate::args::{
-    benches_from_args, journal_from_args, parse_scale, reject_unknown_flags, runs_from_args,
-    scale_from_args, scale_from_args_or, scale_label, threads_from_args, MATRIX_FLAGS,
+    benches_from_args, journal_from_args, parse_scale, reject_unknown_flags, scale_from_args,
+    scale_label, threads_from_args, MATRIX_FLAGS,
 };
 
 /// Accumulates per-suite IPC rows and produces the paper's "SPECint Ave."

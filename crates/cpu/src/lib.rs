@@ -74,7 +74,7 @@ pub use fu::FuPools;
 pub use functional::Emulator;
 pub use lsq::{Lsq, LsqStalls};
 pub use report::SimReport;
-pub use sim::{stageprof, Simulator};
+pub use sim::Simulator;
 pub use snapshot::{SimSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use trace::{CommittedTrace, TracePlayer, TRACE_MAGIC, TRACE_VERSION};
 pub use window::{Decoded, InstMeta, Retired, Window};

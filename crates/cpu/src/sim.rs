@@ -16,44 +16,6 @@ use crate::report::SimReport;
 use crate::trace::{CommittedTrace, TracePlayer};
 use crate::window::{Decoded, Window};
 
-/// Per-stage wall-clock accounting for regression hunts, enabled by the
-/// `HBDC_STAGE_PROF` environment variable (off: a single cold branch per
-/// cycle). Totals accumulate across every simulator in the process;
-/// drivers print them via [`stageprof::dump`].
-#[doc(hidden)]
-pub mod stageprof {
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-    use std::sync::OnceLock;
-
-    pub const NAMES: [&str; 7] = [
-        "completions",
-        "addr_ready",
-        "issue",
-        "arbitrate",
-        "fetch",
-        "commit",
-        "port_tick",
-    ];
-    pub static NS: [AtomicU64; 7] = [const { AtomicU64::new(0) }; 7];
-
-    pub fn enabled() -> bool {
-        static ON: OnceLock<bool> = OnceLock::new();
-        *ON.get_or_init(|| std::env::var_os("HBDC_STAGE_PROF").is_some())
-    }
-
-    pub fn add(stage: usize, ns: u64) {
-        NS[stage].fetch_add(ns, Relaxed);
-    }
-
-    pub fn dump() {
-        if enabled() {
-            for (name, v) in NAMES.iter().zip(&NS) {
-                eprintln!("stageprof {name} {:.3}s", v.load(Relaxed) as f64 / 1e9);
-            }
-        }
-    }
-}
-
 /// The dynamic superscalar timing simulator (paper Figure 1): a perfect
 /// front end feeding an RUU + LSQ execution core whose data supply is
 /// arbitrated by a pluggable [`PortModel`] over a two-level
@@ -578,9 +540,6 @@ impl Simulator {
 
     /// Executes one machine cycle.
     fn cycle(&mut self) -> Result<(), SimError> {
-        if stageprof::enabled() {
-            return self.cycle_profiled();
-        }
         self.window.advance_completions(self.now);
         for seq in self.window.drain_addr_ready() {
             self.lsq.mark_addr_known(seq);
@@ -590,36 +549,6 @@ impl Simulator {
         self.fetch()?;
         self.commit();
         self.port.tick(&mut self.arb);
-        self.now += 1;
-        Ok(())
-    }
-
-    /// [`cycle`](Self::cycle) with per-stage wall-clock accounting —
-    /// identical work, plus one `Instant` read per stage, taken only
-    /// when `HBDC_STAGE_PROF` is set.
-    fn cycle_profiled(&mut self) -> Result<(), SimError> {
-        let mut t = std::time::Instant::now();
-        let mut lap = |stage: usize| {
-            let now = std::time::Instant::now();
-            stageprof::add(stage, (now - t).as_nanos() as u64);
-            t = now;
-        };
-        self.window.advance_completions(self.now);
-        lap(0);
-        for seq in self.window.drain_addr_ready() {
-            self.lsq.mark_addr_known(seq);
-        }
-        lap(1);
-        self.issue();
-        lap(2);
-        self.arbitrate_memory()?;
-        lap(3);
-        self.fetch()?;
-        lap(4);
-        self.commit();
-        lap(5);
-        self.port.tick(&mut self.arb);
-        lap(6);
         self.now += 1;
         Ok(())
     }

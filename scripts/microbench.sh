@@ -9,7 +9,8 @@
 # hbdc-bench micro suite when `--all` is passed.
 #
 # These are advisory numbers — there is no pass/fail band here (the
-# ±15% end-to-end gate lives in scripts/perf_guard.sh). The vendored
+# end-to-end gate is `scripts/ab.sh REV --perfbench W`, a same-session
+# A/B at BENCHMARK.json's bounds). The vendored
 # criterion shim prints the median time per iteration; the LSQ and
 # dispatch benches print their median ns per event and per instruction.
 #

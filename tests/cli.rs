@@ -212,6 +212,63 @@ fn campaign_rejects_removed_and_mistyped_flags() {
     assert!(err.contains("unknown argument `extra`"), "{err}");
 }
 
+/// The simulated-cycle count of a campaign's `sim-speed` stderr line.
+fn sim_speed_cycles(stderr: &str) -> u64 {
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("sim-speed:"))
+        .unwrap_or_else(|| panic!("no sim-speed line in:\n{stderr}"));
+    let (_, rest) = line.split_once('(').expect("sim-speed line has a count");
+    rest.split_whitespace().next().unwrap().parse().unwrap()
+}
+
+#[test]
+fn sim_speed_counts_only_the_cells_this_run_timed() {
+    // A cell served from the journal was not simulated by this process,
+    // so it adds no cycles to the rate; a fresh run's count is exactly
+    // the cells' simulated work, as the work profile pins it.
+    let journal =
+        std::env::temp_dir().join(format!("hbdc-cli-speed-{}.journal", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let table3 = [
+        "campaign",
+        "table3",
+        "--scale",
+        "test",
+        "--bench",
+        "li",
+        "--journal",
+        journal.to_str().unwrap(),
+    ];
+    let (_, err, code) = hbdc_sim_code(&table3);
+    assert_eq!(code, 0, "{err}");
+    let timed = sim_speed_cycles(&err);
+
+    let (_, err, code) = hbdc_sim_code(&table3);
+    std::fs::remove_file(&journal).ok();
+    assert_eq!(code, 0, "{err}");
+    assert!(err.contains("13 of 13 cells served from it"), "{err}");
+    assert_eq!(sim_speed_cycles(&err), 0, "{err}");
+
+    let (out, err, code) = hbdc_sim_code(&[
+        "campaign",
+        "work_profile",
+        "--scale",
+        "test",
+        "--bench",
+        "li",
+    ]);
+    assert_eq!(code, 0, "{err}");
+    let total: u64 = out
+        .lines()
+        .find_map(|l| match l.split_whitespace().collect::<Vec<_>>()[..] {
+            ["li", "total", cycles, ..] => cycles.parse().ok(),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("no li total row in:\n{out}"));
+    assert_eq!(timed, total, "{out}");
+}
+
 #[test]
 fn run_rejects_a_mistyped_flag() {
     // `--chekpoint` must not run a simulation that writes no checkpoint;
